@@ -22,8 +22,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -190,6 +188,11 @@ class SweepRunner:
         return result
 
     def _run_parallel(self, sweep_name: str, points: List[SweepPoint]):
+        # Imported here: the pool machinery (multiprocessing, logging, ...) is
+        # ~10% of ``import repro.bench``, and serial launches never need it.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.max_workers, len(points))
         completed: List[PointResult] = []
         by_index = {point.index: point for point in points}

@@ -35,14 +35,6 @@ from repro.workloads.base import Workload, WorkloadConfig
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.ycsb import YCSBConfig
 
-#: Simulated milliseconds between GC pauses while the event loop runs with the
-#: cyclic collector suspended.  One collection per 30 simulated seconds reaps
-#: incidental cycles created by model code before they amount to anything,
-#: while short benchmark points (≤ 30 s) keep a completely pause-free hot
-#: loop.  Slicing ``env.run`` at these boundaries does not reorder events, so
-#: results are byte-identical to an unsliced run.
-_GC_SLICE_MS = 30_000.0
-
 
 @dataclass
 class ExperimentConfig:
@@ -387,7 +379,14 @@ def make_workload(config: ExperimentConfig, node_names) -> Workload:
 
 def run_experiment(config: ExperimentConfig,
                    keep_cluster: bool = False) -> ExperimentResult:
-    """Run one experiment point and aggregate its metrics."""
+    """Run one experiment point and aggregate its metrics.
+
+    The cluster lives for this call only: it is built, loaded, run and — on
+    exit — closed (:meth:`~repro.cluster.deployment.Cluster.close`), so it is
+    freed at return.  ``keep_cluster=True`` skips the close and hands the live
+    cluster back on ``result.cluster`` (to read its parts' ``stats`` or drive
+    it further); closing it is then up to the caller.
+    """
     if config.warmup_ms >= config.duration_ms:
         raise ValueError("warmup_ms must be smaller than duration_ms")
     if config.middleware_count < 1:
@@ -459,25 +458,17 @@ def run_experiment(config: ExperimentConfig,
                         duration_ms=config.duration_ms,
                         timeline=timeline, fleet=fleet, retry=retry,
                         seed=config.seed)
-    # Suspending the cyclic GC removes its pauses from the hot loop.  Finished
-    # processes are reclaimed by plain refcounting (the kernel breaks their one
-    # reference cycle at completion), so garbage does not accumulate with run
-    # length — but model code can still create incidental cycles, so long runs
-    # are sliced and any residue reaped at slice boundaries.  Slicing is
-    # invisible to the simulation: ``run(until=t)`` pauses the deterministic
-    # dispatch order without reordering it, and collection touches no
-    # simulation state, so goldens are byte-identical with or without it.
+    # Suspending the cyclic GC removes its pauses from the hot loop.  Nothing
+    # is lost by it: finished processes, expired lock waits and their timers
+    # are all reclaimed by plain reference counting (the kernel leaves no
+    # cycle behind in steady state), so garbage does not accumulate with run
+    # length, and ``cluster.close()`` below does the same for the whole
+    # deployment at the end.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        next_pause = min(config.duration_ms, _GC_SLICE_MS)
-        while True:
-            cluster.env.run(until=next_pause)
-            if next_pause >= config.duration_ms:
-                break
-            gc.collect()
-            next_pause = min(config.duration_ms, next_pause + _GC_SLICE_MS)
+        cluster.env.run(until=config.duration_ms)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -517,7 +508,7 @@ def run_experiment(config: ExperimentConfig,
         committed=sum(m.stats.committed for m in cluster.middlewares),
     )
 
-    return ExperimentResult(
+    result = ExperimentResult(
         system=config.system,
         workload=config.workload,
         terminals=config.terminals,
@@ -546,3 +537,9 @@ def run_experiment(config: ExperimentConfig,
         peak_rss_bytes=process_peak_rss_bytes(),
         warmup_samples=collector.warmup_samples,
     )
+    if not keep_cluster:
+        # End of the cluster's life: break its reference cycles so it is
+        # freed here, by reference counting, not by a collection that would
+        # pause the next point.
+        cluster.close()
+    return result

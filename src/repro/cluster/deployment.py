@@ -81,6 +81,18 @@ class Cluster:
         """Bulk-load a workload's initial data into the data sources."""
         workload.load_into(self.datasources)
 
+    def close(self) -> None:
+        """End the cluster's life (build -> load -> run -> close).
+
+        Breaks every reference cycle of the deployment, so that dropping the
+        cluster frees it at once by reference counting instead of leaving
+        tens of thousands of objects to a later cyclic collection.
+        """
+        self.env.close()
+        self.network.close()
+        for node in (*self.datasources.values(), *self.agents.values()):
+            node.close()
+
 
 def build_cluster(system: str, topology: TopologyConfig, partitioner: Partitioner,
                   env: Optional[Environment] = None,

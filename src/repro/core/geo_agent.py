@@ -108,6 +108,10 @@ class GeoAgent:
         # message, no server loop or get-event round trip.
         self.net.inbox.set_consumer(self._dispatch)
 
+    def close(self) -> None:
+        """Drop the verb table: its bound methods hold this agent in a cycle."""
+        self._handlers.clear()
+
     # ------------------------------------------------------------------ server
     def _dispatch(self, message: Message) -> None:
         handler = self._handlers.get(message.msg_type) or self._on_unknown

@@ -50,9 +50,9 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from math import ceil
 from typing import (Any, Callable, ClassVar, Deque, Dict, Final, Iterable,
-                    List, Optional, Tuple)
+                    List, Optional, Set, Tuple)
 
-from .events import PENDING, AllOf, AnyOf, Event, Timeout
+from .events import PENDING, AllOf, AnyOf, Condition, Event, Timeout
 from .process import Process
 
 #: Scheduling priorities: interrupts preempt normal events at the same time.
@@ -110,12 +110,16 @@ class Timer:
 
 
 class _WheelBucket:
-    """One tick's worth of wheel timers plus the shared heap entry."""
+    """One tick's worth of wheel timers plus the shared heap entry.
+
+    ``env`` is dropped once the tick has fired or its last live timer was
+    cancelled: a handle someone still holds must not pin the environment.
+    """
 
     __slots__ = ("env", "slot", "timers", "live", "timer")
 
     def __init__(self, env: "Environment", slot: int):
-        self.env = env
+        self.env: Optional["Environment"] = env
         self.slot = slot
         self.timers: List["WheelTimer"] = []
         self.live: int = 0
@@ -132,6 +136,10 @@ class WheelTimer:
     tick's shared heap entry is defused too, so a fully-cancelled tick never
     fires an empty slot (which would keep ``run()`` alive and advance the
     clock past the last real event).
+
+    A cancelled or fired timer forgets its arguments and its bucket, so the
+    usual ``owner.timer -> timer.args -> owner`` loop and the bucket's
+    ``timers`` list never leave reference cycles behind.
     """
 
     __slots__ = ("fn", "args", "_bucket")
@@ -140,7 +148,7 @@ class WheelTimer:
                  bucket: _WheelBucket):
         self.fn: Optional[Callable[..., None]] = fn
         self.args = args
-        self._bucket = bucket
+        self._bucket: Optional[_WheelBucket] = bucket
 
     @property
     def cancelled(self) -> bool:
@@ -149,17 +157,25 @@ class WheelTimer:
 
     def cancel(self) -> None:
         """Defuse the timer: its callback will never run."""
-        if self.fn is None:
-            return
-        self.fn = None
         bucket = self._bucket
+        if bucket is None:
+            return  # already cancelled or fired
+        self.fn = None
+        self.args = ()
+        self._bucket = None
         bucket.live -= 1
-        if bucket.live == 0 and bucket.timer is not None:
+        env = bucket.env
+        if bucket.live == 0 and bucket.timer is not None and env is not None:
             # Whole tick dead: defuse the shared heap entry and forget the
             # bucket so a later call_coarse for the same slot starts fresh.
             bucket.timer.cancel()
             bucket.timer = None
-            bucket.env._wheel_buckets.pop(bucket.slot, None)
+            bucket.env = None
+            env._wheel_buckets.pop(bucket.slot, None)
+
+
+def _closed(*args: Any, **kwargs: Any) -> Any:
+    raise RuntimeError("the environment has been closed")
 
 
 class Environment:
@@ -167,7 +183,7 @@ class Environment:
 
     __slots__ = ("now", "active_process", "events_processed", "_queue",
                  "_soon", "_eid", "_cancelled", "wheel_granularity_ms",
-                 "_wheel_buckets", "event", "timeout", "process")
+                 "_wheel_buckets", "_alive", "event", "timeout", "process")
 
     #: Factory fast paths, bound in ``__init__``: ``timeout``/``event``/
     #: ``process`` are called tens of thousands of times per simulated second,
@@ -195,6 +211,9 @@ class Environment:
             raise ValueError("wheel_granularity_ms must be positive")
         self.wheel_granularity_ms: float = float(wheel_granularity_ms)
         self._wheel_buckets: Dict[int, _WheelBucket] = {}
+        #: Processes whose generator is suspended (kept by :class:`Process`);
+        #: :meth:`close` needs them, nothing on the dispatch path reads it.
+        self._alive: Set[Process] = set()
         self.event = partial(Event, self)
         self.timeout = partial(Timeout, self)
         self.process = partial(Process, self)
@@ -258,11 +277,15 @@ class Environment:
         if bucket is None:
             return
         bucket.timer = None
+        bucket.env = None
         for timer in bucket.timers:
             fn = timer.fn
             if fn is not None:
+                args = timer.args
                 timer.fn = None
-                fn(*timer.args)
+                timer.args = ()
+                timer._bucket = None
+                fn(*args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a triggered-but-unprocessed event: its callbacks never run.
@@ -329,6 +352,37 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` has succeeded."""
         return AnyOf(self, events)
+
+    # --------------------------------------------------------------- teardown
+    def close(self) -> None:
+        """Abandon the simulation so that it dies by reference counting.
+
+        Every suspended generator is closed (its ``finally`` blocks run) and
+        unlinked from the event it waited on, pending work is dropped and the
+        factories are disabled.  A parked process and its target reference
+        each other, and the factories reference the environment, so without
+        this a finished run is one large reference cycle that only the cyclic
+        collector can reclaim.  Idempotent; the clock and ``events_processed``
+        stay readable.
+        """
+        while self._alive:
+            process = self._alive.pop()
+            target = process._target
+            if target is not None:
+                target.callbacks = None
+                if isinstance(target, Condition):
+                    for child in target._events:
+                        child.callbacks = None
+            process._target = None
+            process._sleep = None
+            process.callbacks = None
+            process._generator.close()
+        for bucket in list(self._wheel_buckets.values()):
+            for timer in bucket.timers:
+                timer.cancel()  # the last one of a tick forgets the bucket
+        self._queue.clear()
+        self._soon.clear()
+        self.event = self.timeout = self.process = _closed
 
     # -------------------------------------------------------------- execution
     def _dispatch_soon(self, entry: Any) -> None:

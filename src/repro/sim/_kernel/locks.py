@@ -78,7 +78,8 @@ class LockRequest:
         #: Lock-wait timer on the environment's hashed timer wheel, cancelled
         #: when the request is granted.  Wheel timers never occupy a heap
         #: entry, so grant-then-cancel churn is O(1) with no lazy-deletion
-        #: debt.
+        #: debt.  The timer's args hold this request, so grant and expiry
+        #: unlink both directions and no reference cycle outlives the wait.
         self.timer = timer
 
     @property
@@ -206,6 +207,7 @@ class LockManager:
 
     def _expire(self, req: LockRequest, ent: _LockEntry) -> None:
         """Wheel-timer callback: fail a still-waiting request with a timeout."""
+        req.timer = None  # fired: the wheel already forgot the request
         if req.granted_at is not None or req.event._value is not PENDING:
             return
         if req in ent.queue:

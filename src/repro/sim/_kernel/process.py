@@ -102,6 +102,10 @@ class Process(Event):
         previous = env.active_process
         self._resume(_WAKE)
         env.active_process = previous
+        if self._value is PENDING:
+            # Suspended: register for ``Environment.close``, which must find
+            # every parked generator (completion discards the entry).
+            env._alive.add(self)
 
     @property
     def is_alive(self) -> bool:
@@ -182,6 +186,7 @@ class Process(Event):
                 # armed at this point: an armed carrier means the process is
                 # sleeping, not returning.
                 self._sleep = None
+                env._alive.discard(self)
                 if self._daemon and not self.callbacks:
                     # Fire-and-forget completion: mark processed in place.
                     self.callbacks = None
@@ -193,6 +198,7 @@ class Process(Event):
                 self._ok = False
                 self._value = exc
                 self._sleep = None
+                env._alive.discard(self)
                 env._soon.append(self)
                 return
 
@@ -209,6 +215,7 @@ class Process(Event):
                         self._ok = False
                         self._value = error
                         self._sleep = None
+                        env._alive.discard(self)
                         env._soon.append(self)
                         return
                     entry = self._sleep
@@ -226,6 +233,7 @@ class Process(Event):
                 self._ok = False
                 self._value = bad
                 self._sleep = None
+                env._alive.discard(self)
                 env._soon.append(self)
                 return
 

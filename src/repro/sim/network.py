@@ -184,6 +184,13 @@ class Network:
         self.register_node(name)
         return NetworkInterface(self, name)
 
+    def close(self) -> None:
+        """Unplug every inbox consumer (they are bound methods of the nodes,
+        which in turn hold this network) and forget parked deliveries."""
+        for inbox in self._inboxes.values():
+            inbox._consumer = None
+        self._faults = None
+
     # ------------------------------------------------------------ disruptions
     def _fault_state(self) -> _FaultState:
         if self._faults is None:

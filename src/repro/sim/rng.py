@@ -58,6 +58,10 @@ class SeededRNG:
         """True with the given probability."""
         return self._random.random() < probability
 
+    def getstate(self) -> object:
+        """Opaque snapshot of the stream position (equal iff nothing was drawn)."""
+        return self._random.getstate()
+
     def spawn(self, salt: int) -> "SeededRNG":
         """Derive an independent child generator (stable for a given salt)."""
         base = self.seed if self.seed is not None else 0

@@ -121,6 +121,10 @@ class DataSource:
         """Bulk-load committed rows into a table (setup only, no locking)."""
         self.engine.bulk_load(table_name, rows)
 
+    def close(self) -> None:
+        """Drop the verb table: its bound methods hold this node in a cycle."""
+        self._handlers.clear()
+
     # ------------------------------------------------------------------- server
     def _dispatch(self, message: Message) -> None:
         # Dispatch straight to the per-verb handler generator: routing through
@@ -235,6 +239,10 @@ class DataSource:
             try:
                 yield lock_event
             except (LockTimeoutError, DeadlockError) as exc:
+                # Thrown in here, the exception gained a traceback that holds
+                # this frame, whose ``lock_event`` holds the exception: drop
+                # the traceback, or every timeout leaves a cycle behind.
+                exc.__traceback__ = None
                 reason = (AbortReason.DEADLOCK if isinstance(exc, DeadlockError)
                           else AbortReason.LOCK_TIMEOUT)
                 if not txn.is_finished:

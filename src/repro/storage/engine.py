@@ -1,6 +1,7 @@
 """Key-value storage engine of a simulated data source.
 
-Tables map keys to :class:`~repro.storage.record.Record` objects.  Writes made
+Tables map keys to :class:`~repro.storage.record.Record` objects, layered
+copy-on-write over the preloaded rows (see :class:`Table`).  Writes made
 by in-flight transactions are buffered per transaction in a write set and only
 installed at commit time, which makes rollback trivial and matches the
 "committed state only" view that strict 2PL provides to readers.
@@ -8,7 +9,7 @@ installed at commit time, which makes rollback trivial and matches the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.storage.record import Record, RecordSnapshot
 
@@ -16,37 +17,55 @@ RecordId = Tuple[str, Hashable]
 
 
 class Table:
-    """A named collection of records."""
+    """A named collection of records in two layers.
+
+    ``_base`` is the preloaded ``{key: value}`` mapping, adopted as is from
+    the workload and possibly shared with other tables and later clusters in
+    this process: it — and every value in it — is never mutated.  ``_records``
+    is this table's private overlay of :class:`Record` objects; a base row is
+    materialised into it (``version=1``, written by ``"loader"``) the first
+    time it is touched, so a table costs O(rows touched), not O(rows loaded).
+    """
 
     def __init__(self, name: str):
         self.name = name
+        self._base: Mapping[Hashable, Any] = {}
         self._records: Dict[Hashable, Record] = {}
 
     def __len__(self) -> int:
-        return len(self._records)
+        base = self._base
+        return len(base) + sum(1 for key in self._records if key not in base)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._records
+        return key in self._records or key in self._base
 
     def get(self, key: Hashable) -> Optional[Record]:
         """The record for ``key`` or None."""
-        return self._records.get(key)
+        record = self._records.get(key)
+        if record is None and key in self._base:
+            record = self._records[key] = Record(
+                key=key, value=self._base[key], version=1, last_writer="loader")
+        return record
 
     def put(self, key: Hashable, value: Any, writer: str = "loader") -> Record:
         """Insert or overwrite the committed value of ``key``."""
-        record = self._records.get(key)
+        # Overlay hit first: ``get`` is only needed for the first touch.
+        record = self._records.get(key) or self.get(key)
         if record is None:
             record = self._records[key] = Record(key=key)
-        # Record.apply_write, inlined: commits and bulk loads funnel through
-        # here, making this the storage engine's hottest statement sequence.
+        # Record.apply_write, inlined: commits and loads into a non-empty
+        # table funnel through here, making this the storage engine's hottest
+        # statement sequence.
         record.value = value
         record.version += 1
         record.last_writer = writer
         return record
 
-    def keys(self) -> Iterable[Hashable]:
-        """Iterate over all keys in the table."""
-        return self._records.keys()
+    def keys(self) -> List[Hashable]:
+        """All keys in the table, loaded rows first (a snapshot: reading rows
+        while iterating it may materialise records)."""
+        base = self._base
+        return [*base, *(key for key in self._records if key not in base)]
 
 
 class StorageEngine:
@@ -81,28 +100,22 @@ class StorageEngine:
         """Bulk-load a committed record (no locking, used during setup)."""
         self.create_table(table_name).put(key, value)
 
-    def bulk_load(self, table_name: str, rows: "Dict[Hashable, Any]") -> None:
+    def bulk_load(self, table_name: str, rows: Mapping[Hashable, Any]) -> None:
         """Load many committed rows at once (setup fast path).
 
-        Fresh keys — the overwhelming case, since preloads target empty
-        tables — are materialised in one dict-comprehension pass instead of
-        one :meth:`Table.put` call per row; keys that already exist fall back
-        to ``put`` so reload semantics (version bump) are preserved.
+        An empty table — the overwhelming case, since preloads target fresh
+        clusters — adopts ``rows`` as its base layer without copying or
+        building a single record, so the caller must never mutate ``rows`` or
+        its values afterwards (see :class:`Table`).  Loading into a table that
+        already has rows falls back to one :meth:`Table.put` per row, which
+        preserves reload semantics (version bump for existing keys).
         """
         table = self.create_table(table_name)
-        records = table._records
-        if records:
-            existing = records.keys() & rows.keys()
-            if existing:
-                put = table.put
-                fresh = {key: value for key, value in rows.items()
-                         if key not in existing}
-                for key in existing:
-                    put(key, rows[key])
-                rows = fresh
-        records.update({
-            key: Record(key=key, value=value, version=1, last_writer="loader")
-            for key, value in rows.items()})
+        if not table._base and not table._records:
+            table._base = rows
+            return
+        for key, value in rows.items():
+            table.put(key, value)
 
     # -------------------------------------------------------------------- reads
     def read(self, txn_id: str, table_name: str, key: Hashable) -> Optional[RecordSnapshot]:
@@ -112,7 +125,9 @@ class StorageEngine:
         record value (strict 2PL guarantees no other uncommitted writer).
         """
         table = self._tables.get(table_name)
-        record = table._records.get(key) if table is not None else None
+        record = None
+        if table is not None:
+            record = table._records.get(key) or table.get(key)
         write_set = self._write_sets.get(txn_id)
         if write_set:
             record_id = (table_name, key)

@@ -83,6 +83,29 @@ def test_parallel_run_matches_serial_run_exactly():
     assert _fingerprint(serial) == _fingerprint(parallel)
 
 
+def test_unavailable_pool_warns_and_falls_back_to_serial(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("no processes in this sandbox")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    serial = SweepRunner(max_workers=1).run(_tiny_sweep())
+    with pytest.warns(RuntimeWarning, match="falling back to serial"):
+        fallback = SweepRunner(max_workers=2).run(_tiny_sweep())
+    assert fallback.workers == 1
+    assert _fingerprint(fallback) == _fingerprint(serial)
+
+
+def test_importing_the_bench_package_does_not_load_the_pool_machinery():
+    code = ("import sys, repro.bench; "
+            "print(int('concurrent.futures.process' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
 def test_sweep_runner_repeated_runs_are_deterministic():
     sweep = _tiny_sweep(seed=5)
     first = SweepRunner(max_workers=1).run(sweep)

@@ -170,3 +170,62 @@ def test_run_until_cancelled_event_raises_instead_of_returning_sentinel():
     env.cancel(event)
     with pytest.raises(RuntimeError, match="never fire"):
         env.run(until=event)
+
+
+# ------------------------------------------------- reference-cycle hygiene
+def test_wheel_timer_forgets_its_args_and_bucket_when_cancelled_or_fired():
+    env = Environment()
+    owner = []                       # stands in for a LockRequest
+    cancelled = env.call_coarse(5.0, owner.append, owner)
+    fired = env.call_coarse(5.0, owner.append, "fired")
+    bucket = fired._bucket
+    cancelled.cancel()
+    assert cancelled.args == () and cancelled._bucket is None
+    assert bucket.env is env, "a live timer still needs the tick"
+    env.run()
+    assert owner == ["fired"]
+    assert fired.args == () and fired._bucket is None
+    assert bucket.env is None
+
+    last = env.call_coarse(5.0, owner.append, "never")
+    bucket = last._bucket
+    last.cancel()                    # the tick's last live timer
+    assert bucket.env is None and env.peek() == float("inf")
+
+
+def test_close_runs_finalisers_drops_pending_work_and_is_idempotent():
+    env = Environment()
+    finalised = []
+
+    def child():
+        try:
+            yield env.event()        # never fires
+        finally:
+            finalised.append("child")
+
+    def parent():
+        try:
+            yield env.all_of([env.process(child()), env.timeout(50.0)])
+        finally:
+            finalised.append("parent")
+
+    def sleeper():
+        yield 10.0
+
+    def done():
+        return
+        yield
+
+    processes = [env.process(parent()), env.process(sleeper())]
+    env.process(done())
+    env.call_coarse(5.0, finalised.append, "timer")
+    assert len(env._alive) == 3, "suspended processes only"
+    env.run(until=1.0)
+    env.close()
+    env.close()
+    assert sorted(finalised) == ["child", "parent"]
+    assert not env._alive and env.peek() == float("inf")
+    assert all(p._target is None and p.callbacks is None for p in processes)
+    assert env.now == 1.0
+    with pytest.raises(RuntimeError, match="closed"):
+        env.process(sleeper())
