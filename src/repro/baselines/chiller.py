@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.common import AbortReason, SubtxnResult, TxnOutcome
+from repro.common import SubtxnResult, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
@@ -58,22 +58,13 @@ class ChillerCoordinator(TwoPhaseCommitCoordinator):
 
         inner, outer = self._split_inner_outer(plans)
         results: List[SubtxnResult] = []
-
         for group in (outer, inner):
-            if not group:
-                continue
-            processes = [self.env.process(
-                self._execute_subtransaction(ctx, plans[name], 0.0, is_final_round),
-                name=f"{ctx.txn_id}:chiller:{name}") for name in group]
-            condition = yield self.env.all_of(processes)
-            group_results = [condition[p] for p in processes]
+            group_results = yield self._fan_out(
+                ctx, [plans[name] for name in group], {}, is_final_round)
             results.extend(group_results)
-            failures = [r for r in group_results if not r.success]
-            for result in group_results:
-                ctx.results[result.datasource] = result
-                ctx.merge_record_latencies(result)
-            if failures:
-                return False, failures[0].abort_reason or AbortReason.FAILURE
+            reason = self._absorb_results(ctx, group_results)
+            if reason is not None:
+                return False, reason
 
         self.on_round_complete(ctx, results)
         return True, None

@@ -35,12 +35,12 @@ from repro.cluster.fleet import FleetConfig, RetryPolicy, routing_policy_names
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import GeoTPConfig
 from repro.plugins import (
+    SYSTEMS,
     drain_scenario_hooks,
     get_system_plugin,
     load_plugins,
     normalize_system,
     normalize_workload,
-    system_plugins,
 )
 from repro.recovery.failures import FaultEvent, FaultKind, FaultPlan
 from repro.sim.latency import DynamicLatency, RandomLatency
@@ -372,13 +372,17 @@ def _derive_ablation_builders() -> Dict[str, Tuple[str, Optional[Callable[[], Ge
 
     Reference systems (``ablation_reference``) run unmodified under their own
     name; every ``SystemPlugin.ablations`` entry contributes a
-    ``<system>_<suffix>`` variant, in registration order.
+    ``<system>_<suffix>`` variant, in registration order.  Read straight from
+    the registry as it stands at import (builtins and contrib): enumerating
+    through ``system_plugins()`` would run the entry-point scan on every
+    ``import repro``.
     """
     builders: Dict[str, Tuple[str, Optional[Callable[[], GeoTPConfig]]]] = {}
-    for plugin in system_plugins():
+    plugins = SYSTEMS.plugins()
+    for plugin in plugins:
         if plugin.ablation_reference:
             builders[plugin.name] = (plugin.name, None)
-    for plugin in system_plugins():
+    for plugin in plugins:
         for suffix, factory in plugin.ablations.items():
             builders[f"{plugin.name}_{suffix}"] = (plugin.name, factory)
     return builders

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, Optional, Set
 
 from repro.common import AbortReason, SubtxnResult, Vote
 from repro import protocol
 from repro.sim.environment import Environment
+from repro.sim.events import Event
 from repro.sim.network import Message, Network, NetworkInterface
 
 
@@ -114,28 +116,30 @@ class GeoAgent:
 
     # ------------------------------------------------------------------ server
     def _dispatch(self, message: Message) -> None:
+        # Generator verbs are spawned; start/finish pairs schedule their own
+        # timer and return None (the same rule as ``DataSource._dispatch``).
         handler = self._handlers.get(message.msg_type) or self._on_unknown
-        self.env.process(handler(message), name=message.msg_type, daemon=True)
+        generator = handler(message)
+        if generator is not None:
+            self.env.process(generator, name=message.msg_type, daemon=True)
 
-    def _on_unknown(self, message: Message):
+    def _on_unknown(self, message: Message) -> None:
         if message.reply_event is not None:
             self.net.reply(message, {"status": "error",
                                      "error": f"unknown verb {message.msg_type}"})
-        return
-        yield  # pragma: no cover - makes this a generator like real handlers
 
-    def _handle(self, message: Message):
-        """Handle one message (kept for direct use by tests/tools)."""
-        handler = self._handlers.get(message.msg_type) or self._on_unknown
-        yield from handler(message)
-
-    def _forward(self, message: Message):
+    def _forward(self, message: Message) -> None:
         """Transparently forward a verb to the data source and relay the reply."""
         self.stats.forwarded += 1
-        yield self.config.forward_overhead_ms
-        reply = yield self.net.request(self.datasource, message.msg_type, message.payload)
+        self.env.call_at(self.config.forward_overhead_ms, self._forward_send, message)
+
+    def _forward_send(self, message: Message) -> None:
+        reply = self.net.request(self.datasource, message.msg_type, message.payload)
         if message.reply_event is not None:
-            self.net.reply(message, reply)
+            reply.callbacks.append(partial(self._relay, message))
+
+    def _relay(self, message: Message, reply: Event) -> None:
+        self.net.reply(message, reply.value)
 
     # ----------------------------------------------------------- GeoTP execute
     def _on_agent_execute(self, message: Message):

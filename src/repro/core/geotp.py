@@ -203,66 +203,27 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
                                      + self.latency_monitor.memory_bytes())
 
     # -------------------------------------------------------------- subtxn send
-    def _execute_round(self, ctx: TransactionContext, statements, is_final_round: bool):
-        """Dispatch a round through the geo-agents (verb ``agent_execute``)."""
-        if not self.geotp.enable_decentralized_prepare:
-            return (yield from super()._execute_round(ctx, statements, is_final_round))
-
-        plans = self.rewriter.plan_round(statements)
-        for name in plans:
-            ctx.branch_xid(name)
-        delays = self.schedule_round(ctx, plans, is_final_round)
-
-        if is_final_round:
-            self._notify_unplanned_participants(ctx, plans)
-
-        subtxn_processes = []
-        for name, plan in plans.items():
-            subtxn_processes.append(self.env.process(
-                self._execute_subtransaction_via_agent(
-                    ctx, plan, delays.get(name, 0.0), is_final_round),
-                name=f"{ctx.txn_id}:exec:{name}"))
-        condition = yield self.env.all_of(subtxn_processes)
-        results: List[SubtxnResult] = [condition[p] for p in subtxn_processes]
-
-        failures = [r for r in results if not r.success]
-        for result in results:
-            ctx.results[result.datasource] = result
-            ctx.merge_record_latencies(result)
-        if failures:
-            return False, failures[0].abort_reason or AbortReason.FAILURE
-        self.on_round_complete(ctx, results)
-        return True, None
-
-    def _execute_subtransaction_via_agent(self, ctx: TransactionContext,
-                                          plan: SubtransactionPlan, delay_ms: float,
-                                          is_final_round: bool):
-        if delay_ms > 0:
-            yield delay_ms
-        handle = self.participants[plan.datasource]
-        pool = self.pools.pool(plan.datasource)
-        connection = pool.acquire()
-        yield connection
-        try:
-            yield self.config.request_overhead_ms
-            payload = self.execute_payload(ctx, plan, is_final_round)
-            self._vote_box(ctx)  # ensure the box exists before votes can arrive
-            result = yield self.request_participant(
-                handle, protocol.MSG_AGENT_EXECUTE, payload)
-        finally:
-            pool.release(connection)
-        return result
+    def _fan_out(self, ctx: TransactionContext, plans: List[SubtransactionPlan],
+                 delays: Dict[str, float], is_final_round: bool,
+                 verb: str = protocol.MSG_EXECUTE) -> Event:
+        """Under O1 a round travels through the geo-agents (``agent_execute``)."""
+        if self.geotp.enable_decentralized_prepare:
+            verb = protocol.MSG_AGENT_EXECUTE
+            self._vote_box(ctx)  # the box must exist before any vote can arrive
+            if is_final_round:
+                self._notify_unplanned_participants(
+                    ctx, {plan.datasource for plan in plans})
+        return super()._fan_out(ctx, plans, delays, is_final_round, verb)
 
     def _notify_unplanned_participants(self, ctx: TransactionContext,
-                                       plans: Dict[str, SubtransactionPlan]) -> None:
+                                       planned: Set[str]) -> None:
         """Tell participants with no statement in the final round to prepare now."""
         for name in ctx.participants:
-            if name in plans:
+            if name in planned:
                 continue
             handle = self.participants[name]
             peers = [self.participants[other].endpoint for other in ctx.participants
                      if other != name]
-            self._vote_box(ctx)
             self.send_participant(handle, protocol.MSG_AGENT_PREPARE, {
                 "xid": ctx.branch_xid(name),
                 "global_txn_id": ctx.txn_id,

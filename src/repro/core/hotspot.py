@@ -15,7 +15,8 @@ list bounds memory by evicting cold records, exactly as described in the paper.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.avl import AVLTree
@@ -42,6 +43,8 @@ class HotspotEntry:
     t_cnt: int = 0
     c_cnt: int = 0
     a_cnt: int = 0
+    #: Recency stamp: bumped on every touch, so ascending stamps are LRU order.
+    stamp: int = 0
 
     @property
     def success_ratio(self) -> float:
@@ -62,6 +65,13 @@ class HotspotFootprint:
         self.capacity = capacity
         self.alpha = alpha
         self._entries: "OrderedDict[RecordId, HotspotEntry]" = OrderedDict()
+        # Eviction candidates: a min-heap of ``(stamp, record id)``, one item
+        # per idle entry and touch, cleaned lazily.  An item is live only
+        # while its entry exists, is idle (``a_cnt == 0``) and still carries
+        # that stamp, so the smallest live item is the least recently used
+        # idle record — the victim a scan from the LRU head would pick.
+        self._idle: List[Tuple[int, RecordId]] = []
+        self._stamp = 0
         # The AVL index only serves range lookups, which no hot path issues;
         # it is rebuilt lazily so the (frequent) entry churn from LRU misses
         # does not pay tree maintenance on every access.
@@ -83,27 +93,46 @@ class HotspotFootprint:
     def get_or_create(self, record_id: RecordId) -> HotspotEntry:
         """The entry for a record, creating (and possibly evicting) as needed."""
         entry = self._entries.get(record_id)
+        self._stamp = stamp = self._stamp + 1
         if entry is not None:
             self._entries.move_to_end(record_id)
+            entry.stamp = stamp
+            if entry.a_cnt == 0:
+                self._push_idle(entry)
             return entry
-        entry = HotspotEntry(record_id=record_id)
+        entry = HotspotEntry(record_id=record_id, stamp=stamp)
         self._entries[record_id] = entry
+        self._push_idle(entry)
         self._index_dirty = True
         self._evict_if_needed()
         return entry
 
+    def _push_idle(self, entry: HotspotEntry) -> None:
+        """Offer an idle entry, at its current stamp, as an eviction candidate."""
+        idle = self._idle
+        heappush(idle, (entry.stamp, entry.record_id))
+        if len(idle) > 8 * self.capacity:
+            # Mostly stale items (re-touched or busy records): start over.
+            idle[:] = [(live.stamp, live.record_id)
+                       for live in self._entries.values() if live.a_cnt == 0]
+            heapify(idle)
+
     def _evict_if_needed(self) -> None:
-        while len(self._entries) > self.capacity:
+        entries = self._entries
+        idle = self._idle
+        while len(entries) > self.capacity:
             # Prefer the least-recently-used record that is not currently
             # being accessed; fall back to strict LRU if all are in use.
             victim_id = None
-            for record_id, entry in self._entries.items():
-                if entry.a_cnt == 0:
+            while idle:
+                stamp, record_id = heappop(idle)
+                entry = entries.get(record_id)
+                if entry is not None and entry.a_cnt == 0 and entry.stamp == stamp:
                     victim_id = record_id
                     break
             if victim_id is None:
-                victim_id = next(iter(self._entries))
-            self._entries.pop(victim_id)
+                victim_id = next(iter(entries))
+            entries.pop(victim_id)
             self._index_dirty = True
             self.evictions += 1
 
@@ -138,7 +167,10 @@ class HotspotFootprint:
             entry = self._entries.get(record_id)
             if entry is None:
                 continue
-            entry.a_cnt = max(entry.a_cnt - 1, 0)
+            if entry.a_cnt > 0:
+                entry.a_cnt -= 1
+                if entry.a_cnt == 0:
+                    self._push_idle(entry)
             if committed:
                 entry.c_cnt += 1
 

@@ -17,7 +17,8 @@ scheduling / admission / commit hooks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional
 
 from repro.common import AbortReason, SubtxnResult, TxnOutcome, Vote
 from repro import protocol
@@ -25,7 +26,52 @@ from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.middleware import MiddlewareBase
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.statements import Statement
+from repro.sim.events import Event
 from repro.storage.wal import LogRecordType
+
+
+class _FanOut:
+    """One round's RPCs in flight: timers and callbacks, no process per batch."""
+
+    __slots__ = ("owner", "ctx", "verb", "is_final_round", "results",
+                 "missing", "done")
+
+    def __init__(self, owner: "TwoPhaseCommitCoordinator", ctx: TransactionContext,
+                 verb: str, is_final_round: bool, count: int):
+        self.owner = owner
+        self.ctx = ctx
+        self.verb = verb
+        self.is_final_round = is_final_round
+        self.results: list = [None] * count
+        self.missing = count
+        self.done = Event(owner.env)
+
+    def connect(self, index: int, plan: SubtransactionPlan) -> None:
+        pool = self.owner.pools.pool(plan.datasource)
+        connection = pool.acquire()
+        if connection.callbacks is None:
+            self._connected(index, plan, pool, connection)
+        else:  # pool exhausted: continue when a connection is handed over
+            connection.callbacks.append(partial(self._connected, index, plan, pool))
+
+    def _connected(self, index, plan, pool, connection) -> None:
+        owner = self.owner
+        owner.env.call_at(owner.config.request_overhead_ms, self._send,
+                          index, plan, pool, connection)
+
+    def _send(self, index, plan, pool, connection) -> None:
+        owner = self.owner
+        payload = owner.execute_payload(self.ctx, plan, self.is_final_round)
+        reply = owner.request_participant(owner.participants[plan.datasource],
+                                          self.verb, payload)
+        reply.callbacks.append(partial(self._collect, index, pool, connection))
+
+    def _collect(self, index, pool, connection, reply: Event) -> None:
+        pool.release(connection)
+        self.results[index] = reply.value
+        self.missing -= 1
+        if not self.missing:
+            self.done.succeed(self.results)
 
 
 class TwoPhaseCommitCoordinator(MiddlewareBase):
@@ -89,41 +135,48 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
         """Dispatch one interaction round; returns (ok, abort_reason)."""
         plans = self.rewriter.plan_round(statements)
         delays = self.schedule_round(ctx, plans, is_final_round)
-        subtxn_processes = []
-        for name, plan in plans.items():
-            ctx.branch_xid(name)  # register the participant in first-touch order
-            subtxn_processes.append(self.env.process(
-                self._execute_subtransaction(ctx, plan, delays.get(name, 0.0),
-                                             is_final_round),
-                name=f"{ctx.txn_id}:exec:{name}"))
-        condition = yield self.env.all_of(subtxn_processes)
-        results: List[SubtxnResult] = [condition[p] for p in subtxn_processes]
-
-        failures = [r for r in results if not r.success]
-        for result in results:
-            ctx.results[result.datasource] = result
-            ctx.merge_record_latencies(result)
-        if failures:
-            return False, failures[0].abort_reason or AbortReason.FAILURE
+        for name in plans:
+            ctx.branch_xid(name)  # register the participants in first-touch order
+        results = yield self._fan_out(ctx, list(plans.values()), delays,
+                                      is_final_round)
+        reason = self._absorb_results(ctx, results)
+        if reason is not None:
+            return False, reason
         self.on_round_complete(ctx, results)
         return True, None
 
-    def _execute_subtransaction(self, ctx: TransactionContext, plan: SubtransactionPlan,
-                                delay_ms: float, is_final_round: bool):
-        """Send one statement batch to one participant and await its result."""
-        if delay_ms > 0:
-            yield delay_ms
-        handle = self.participants[plan.datasource]
-        pool = self.pools.pool(plan.datasource)
-        connection = pool.acquire()
-        yield connection
-        try:
-            yield self.config.request_overhead_ms
-            payload = self.execute_payload(ctx, plan, is_final_round)
-            result = yield self.request_participant(handle, protocol.MSG_EXECUTE, payload)
-        finally:
-            pool.release(connection)
-        return result
+    def _fan_out(self, ctx: TransactionContext, plans: List[SubtransactionPlan],
+                 delays: Dict[str, float], is_final_round: bool,
+                 verb: str = protocol.MSG_EXECUTE) -> Event:
+        """Send each plan's statement batch to its participant, all at once.
+
+        Every batch waits out its scheduler postponement (if any), checks a
+        pooled connection out, pays the request overhead and sends ``verb``;
+        the reply callback returns the connection.  The returned event fires
+        once, with the :class:`SubtxnResult` list in plan order.
+        """
+        fan = _FanOut(self, ctx, verb, is_final_round, len(plans))
+        for index, plan in enumerate(plans):
+            delay_ms = delays.get(plan.datasource, 0.0)
+            if delay_ms > 0:
+                self.env.call_at(delay_ms, fan.connect, index, plan)
+            else:
+                fan.connect(index, plan)
+        if not plans:
+            fan.done.succeed(fan.results)
+        return fan.done
+
+    @staticmethod
+    def _absorb_results(ctx: TransactionContext,
+                        results: List[SubtxnResult]) -> Optional[AbortReason]:
+        """Fold a fan-out's results into ``ctx``; the abort reason if any failed."""
+        for result in results:
+            ctx.results[result.datasource] = result
+            ctx.merge_record_latencies(result)
+        for result in results:
+            if not result.success:
+                return result.abort_reason or AbortReason.FAILURE
+        return None
 
     # ------------------------------------------------------------------ commit
     def _commit(self, ctx: TransactionContext):

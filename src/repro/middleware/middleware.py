@@ -137,12 +137,10 @@ class MiddlewareBase:
         self.stats.submitted += 1
         txn_id = f"{self.name}-t{next(self._txn_counter)}"
         if self.crashed:
-            return self.env.process(self._refuse(txn_id, spec),
-                                    name=f"{self.name}:{txn_id}:refused")
+            return self.env.process(self._refuse(txn_id, spec))
         ctx = TransactionContext(txn_id=txn_id, spec=spec, submitted_at=self.env.now)
         self.active_contexts[txn_id] = ctx
-        process = self.env.process(self._coordinate(ctx),
-                                   name=f"{self.name}:{txn_id}")
+        process = self.env.process(self._coordinate(ctx))
         if process.is_alive:
             self.active_processes[txn_id] = process
         return process

@@ -51,6 +51,10 @@ class TransactionSpec:
     txn_type: str = "generic"
     metadata: Dict = field(default_factory=dict)
     spec_id: int = field(default_factory=_spec_ids.__next__)
+    #: Memo of :meth:`record_ids`: admission, settlement and validation each
+    #: ask for it, and the rounds do not change once the spec is submitted.
+    _record_ids: Optional[List[Tuple[str, Hashable]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rounds or not any(self.rounds):
@@ -70,11 +74,18 @@ class TransactionSpec:
     @property
     def statement_count(self) -> int:
         """Total number of statements (the paper's "transaction length")."""
-        return len(self.all_statements)
+        return sum(map(len, self.rounds))
 
     def record_ids(self) -> List[Tuple[str, Hashable]]:
-        """All (table, key) pairs the transaction accesses, in order."""
-        return [stmt.record_id for stmt in self.all_statements]
+        """All (table, key) pairs the transaction accesses, in order.
+
+        The list is built once and shared between callers: read it, don't
+        mutate it.
+        """
+        ids = self._record_ids
+        if ids is None:
+            self._record_ids = ids = [stmt.record_id for stmt in self.all_statements]
+        return ids
 
     def tables(self) -> Set[str]:
         """The set of tables touched."""

@@ -16,11 +16,13 @@ self-describing plugins instead of closed ``if system == ...`` ladders:
 
 Registration happens as a side effect of importing the defining module;
 :func:`load_plugins` imports the builtin modules (``repro.baselines``,
-``repro.core.geotp``, every ``repro.contrib`` submodule) and any third-party
-distribution that advertises the ``repro.plugins`` entry-point group, and is
-invoked lazily on the first registry lookup.  Adding a ninth system or a third
-workload is therefore one self-registering module — no edits to the cluster,
-runner or CLI layers.
+``repro.core.geotp``, every ``repro.contrib`` submodule) and is invoked lazily
+on the first registry lookup.  Third-party distributions that advertise the
+``repro.plugins`` entry-point group are loaded by the first lookup the builtins
+cannot answer (an unknown name) or that enumerates a registry
+(``system_names()``, ``python -m repro.bench list``) — never by a hit.  Adding
+a ninth system or a third workload is therefore one self-registering module —
+no edits to the cluster, runner or CLI layers.
 
 Name canonicalization lives here too: :func:`normalize_system` /
 :func:`normalize_workload` are the single canonicalizers every entry point
@@ -226,10 +228,11 @@ WORKLOADS = PluginRegistry("workload")
 # ------------------------------------------------------------------- loading
 _plugins_loaded = False
 _plugins_loading = False
+_entry_points_scanned = False
 
 
 def load_plugins() -> None:
-    """Import every module that registers builtin or third-party plugins.
+    """Import every module that registers a builtin (or contrib) plugin.
 
     Idempotent and re-entrant: a separate in-progress flag stops a plugin
     module that itself touches the registries from recursing, while the
@@ -237,7 +240,8 @@ def load_plugins() -> None:
     and the next call retries the import instead of serving a silently
     half-empty registry.  Lookup helpers call this lazily, so merely
     importing ``repro.plugins`` (as the plugin modules themselves do) stays
-    side-effect free.
+    side-effect free.  Third-party entry points are *not* scanned here —
+    see :func:`_scan_entry_points`.
     """
     global _plugins_loaded, _plugins_loading
     if _plugins_loaded or _plugins_loading:
@@ -246,10 +250,30 @@ def load_plugins() -> None:
     try:
         for module in _BUILTIN_PLUGIN_MODULES:
             importlib.import_module(module)
-        _load_entry_point_plugins()
         _plugins_loaded = True
     finally:
         _plugins_loading = False
+
+
+def _scan_entry_points() -> None:
+    """Load third-party plugins, once: on a registry miss or an enumeration.
+
+    Walking every installed distribution's metadata costs more than all the
+    builtin imports together, so a lookup that hits never gets here.  The
+    flag is set first (an entry-point module may itself enumerate) and
+    cleared again if a plugin fails to load, so a broken plugin keeps raising
+    instead of leaving a silently half-empty registry.
+    """
+    global _entry_points_scanned
+    load_plugins()
+    if _entry_points_scanned or _plugins_loading:
+        return
+    _entry_points_scanned = True
+    try:
+        _load_entry_point_plugins()
+    except BaseException:
+        _entry_points_scanned = False
+        raise
 
 
 def _load_entry_point_plugins() -> None:
@@ -268,6 +292,14 @@ def _load_entry_point_plugins() -> None:
             loaded()
 
 
+def _normalize(registry: PluginRegistry, name: str) -> str:
+    """Canonical name in ``registry``; a miss scans the entry points first."""
+    load_plugins()
+    if not _entry_points_scanned and name not in registry:
+        _scan_entry_points()
+    return registry.normalize(name)
+
+
 # ----------------------------------------------------------- system helpers
 def register_system(plugin: SystemPlugin) -> SystemPlugin:
     """Register a system plugin (called by the coordinator's module)."""
@@ -276,25 +308,23 @@ def register_system(plugin: SystemPlugin) -> SystemPlugin:
 
 def get_system_plugin(name: str) -> SystemPlugin:
     """The system plugin for any accepted spelling of ``name``."""
-    load_plugins()
-    return SYSTEMS.get(name)
+    return SYSTEMS.get(_normalize(SYSTEMS, name))
 
 
 def normalize_system(name: str) -> str:
     """Canonical system identifier for any accepted spelling (single source)."""
-    load_plugins()
-    return SYSTEMS.normalize(name)
+    return _normalize(SYSTEMS, name)
 
 
 def system_names() -> List[str]:
     """Canonical names of every registered system, in registration order."""
-    load_plugins()
+    _scan_entry_points()
     return SYSTEMS.names()
 
 
 def system_plugins() -> List[SystemPlugin]:
     """Every registered system plugin, in registration order."""
-    load_plugins()
+    _scan_entry_points()
     return SYSTEMS.plugins()
 
 
@@ -306,25 +336,23 @@ def register_workload(plugin: WorkloadPlugin) -> WorkloadPlugin:
 
 def get_workload_plugin(name: str) -> WorkloadPlugin:
     """The workload plugin for any accepted spelling of ``name``."""
-    load_plugins()
-    return WORKLOADS.get(name)
+    return WORKLOADS.get(_normalize(WORKLOADS, name))
 
 
 def normalize_workload(name: str) -> str:
     """Canonical workload identifier for any accepted spelling."""
-    load_plugins()
-    return WORKLOADS.normalize(name)
+    return _normalize(WORKLOADS, name)
 
 
 def workload_names() -> List[str]:
     """Canonical names of every registered workload, in registration order."""
-    load_plugins()
+    _scan_entry_points()
     return WORKLOADS.names()
 
 
 def workload_plugins() -> List[WorkloadPlugin]:
     """Every registered workload plugin, in registration order."""
-    load_plugins()
+    _scan_entry_points()
     return WORKLOADS.plugins()
 
 

@@ -124,7 +124,8 @@ class LockManager:
     """Record-level strict 2PL with FIFO waiting and timeout-based abort."""
 
     __slots__ = ("env", "lock_wait_timeout_ms", "enable_deadlock_detection",
-                 "_locks", "_held_by_txn", "_pending_by_txn", "stats")
+                 "_locks", "_held_by_txn", "_pending_by_txn", "stats",
+                 "_granted")
 
     def __init__(self, env: Environment, lock_wait_timeout_ms: float = 5000.0,
                  enable_deadlock_detection: bool = False):
@@ -142,6 +143,12 @@ class LockManager:
         # system (which made each commit O(total locks)).
         self._pending_by_txn: Dict[str, List[LockRequest]] = {}
         self.stats = LockStats()
+        #: The one event every immediate grant returns: already processed
+        #: (``callbacks is None``), waited 0.0 ms.  Shared, so nobody may
+        #: mutate it; a waiter reads it without ever touching the queue.
+        self._granted = Event(env)
+        self._granted.callbacks = None
+        self._granted._value = 0.0
 
     # -------------------------------------------------------------- inspection
     def holders(self, key: Hashable) -> Dict[str, LockMode]:
@@ -170,19 +177,31 @@ class LockManager:
 
         The event's value is the wait time in milliseconds.  Failure modes are
         :class:`LockTimeoutError` and :class:`DeadlockError`.
+
+        A lock that can be granted at once (a free record — the overwhelmingly
+        common case — a compatible share, a re-entrant request) is granted in
+        place: the books are updated and the shared, already-processed
+        :attr:`_granted` event is returned, so the grant costs no request, no
+        event and no queue entry.  Only a request that waits gets a
+        :class:`LockRequest`.
         """
-        timeout_ms = self.lock_wait_timeout_ms if timeout_ms is None else timeout_ms
         entry = self._locks.get(key)
         if entry is None:
             self._locks[key] = entry = _LockEntry()
-        request = LockRequest(txn_id=txn_id, key=key, mode=mode,
-                              event=Event(self.env), requested_at=self.env.now)
-
-        if self._can_grant(entry, request):
-            self._grant(entry, request)
-            return request.event
+        if self._can_grant(entry, txn_id, mode):
+            if entry.holders.get(txn_id) is not LockMode.EXCLUSIVE:
+                entry.holders[txn_id] = mode
+            held = self._held_by_txn.get(txn_id)
+            if held is None:
+                self._held_by_txn[txn_id] = held = {}
+            held[key] = None
+            self.stats.acquisitions += 1
+            return self._granted
 
         # Must wait.
+        timeout_ms = self.lock_wait_timeout_ms if timeout_ms is None else timeout_ms
+        request = LockRequest(txn_id=txn_id, key=key, mode=mode,
+                              event=Event(self.env), requested_at=self.env.now)
         self.stats.waits += 1
         entry.queue.append(request)
 
@@ -217,19 +236,20 @@ class LockManager:
         waited = self.env.now - req.requested_at
         req.event.fail(LockTimeoutError(req.txn_id, req.key, waited))
 
-    def _can_grant(self, entry: _LockEntry, request: LockRequest) -> bool:
+    def _can_grant(self, entry: _LockEntry, txn_id: str, mode: LockMode) -> bool:
+        """True if a new request needs no wait (:meth:`acquire` only)."""
         holders = entry.holders
         if not holders:
             return not entry.queue  # respect FIFO: queued requests go first
-        if request.txn_id in holders:
-            held = holders[request.txn_id]
-            if held is LockMode.EXCLUSIVE or request.mode is LockMode.SHARED:
+        if txn_id in holders:
+            held = holders[txn_id]
+            if held is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
                 return True  # re-entrant or downgrade-compatible
             # Upgrade S -> X allowed only if we are the sole holder.
             return len(holders) == 1
         if entry.queue:
             return False  # someone is already waiting; keep FIFO order
-        return all(_compatible(held, request.mode) for held in holders.values())
+        return all(_compatible(held, mode) for held in holders.values())
 
     def _discard_pending(self, request: LockRequest) -> None:
         """Drop ``request`` from the per-txn pending index (if present)."""

@@ -75,11 +75,17 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> ResourceRequest:
-        """Ask for one unit; the returned event fires once granted."""
+        """Ask for one unit; the returned event fires once granted.
+
+        A free unit is handed over in place: the request comes back already
+        processed (``callbacks is None``), so nothing is queued only to be
+        dispatched to nobody.
+        """
         req = ResourceRequest(self)
         if len(self._users) < self.capacity:
             self._users.append(req)
-            req.succeed(None)
+            req._value = None
+            req.callbacks = None
         else:
             self._waiting.append(req)
         return req

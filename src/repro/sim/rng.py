@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from typing import List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -106,7 +107,11 @@ class ZipfianGenerator:
                      if theta != 1.0 and denominator != 0.0 else 0.0)
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
+        # Memoised (a pure function of two numbers): every generator of a sweep
+        # asks for the same few (item count, skew) pairs, and each exact sum
+        # is up to 10 000 ``pow`` calls.
         # For very large n the exact harmonic sum is too slow; use the integral
         # approximation, which is accurate enough for workload skew purposes.
         if n <= 10_000:

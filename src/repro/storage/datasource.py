@@ -127,9 +127,11 @@ class DataSource:
 
     # ------------------------------------------------------------------- server
     def _dispatch(self, message: Message) -> None:
-        # Dispatch straight to the per-verb handler generator: routing through
-        # a wrapper generator would add a delegating frame to every resume of
-        # every handler, which is the hottest path in the simulator.
+        # A verb is either a generator (it may wait on a lock or pays several
+        # costs; spawned as a daemon process, straight from the table so no
+        # wrapper frame sits on every resume) or a start/finish pair: the
+        # start function makes the checks due before the verb's one cost,
+        # schedules the finish function with ``call_at`` and returns None.
         if self.crashed and message.msg_type != protocol.MSG_RESTART:
             # A crashed *process* refuses connections immediately (the OS
             # resets them), so callers fail fast and can abort/retry instead
@@ -139,14 +141,13 @@ class DataSource:
             return
         self.stats.requests_handled += 1
         handler = self._handlers.get(message.msg_type) or self._on_unknown
-        self.env.process(handler(message), name=message.msg_type, daemon=True)
+        generator = handler(message)
+        if generator is not None:
+            self.env.process(generator, name=message.msg_type, daemon=True)
 
-    def _on_unknown(self, message: Message):
-        if message.reply_event is not None:
-            self.net.reply(message, {"status": "error",
-                                     "error": f"unknown verb {message.msg_type}"})
-        return
-        yield  # pragma: no cover - makes this a generator like real handlers
+    def _on_unknown(self, message: Message) -> None:
+        self._reply(message, {"status": "error",
+                              "error": f"unknown verb {message.msg_type}"})
 
     def _refuse_crashed(self, message: Message) -> None:
         """Answer a request aimed at the crashed node with a refusal.
@@ -169,15 +170,6 @@ class DataSource:
         else:
             reply = {"status": "error", "error": "data source crashed"}
         self.net.reply(message, reply)
-
-    def _handle(self, message: Message):
-        """Handle one message (kept for direct use by tests/tools)."""
-        self.stats.requests_handled += 1
-        handler = self._handlers.get(message.msg_type)
-        if handler is None:
-            yield from self._on_unknown(message)
-            return
-        yield from handler(message)
 
     def _reply(self, message: Message, value) -> None:
         if message.reply_event is not None:
@@ -315,26 +307,31 @@ class DataSource:
             local_execution_ms=self.env.now - started,
             per_record_latency=per_record, prepared=prepared))
 
-    def _on_xa_end(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
-        yield self.config.request_overhead_ms
+    def _on_xa_end(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
+        self.env.call_at(self.config.request_overhead_ms, self._finish_xa_end,
+                         message, txn)
+
+    def _finish_xa_end(self, message: Message,
+                       txn: Optional[LocalTransaction]) -> None:
         if txn is None or txn.state is not TxnState.ACTIVE:
             self._reply(message, {"status": "error", "error": "not active"})
             return
         txn.mark_end()
         self._reply(message, {"status": "ok"})
 
-    def _on_xa_prepare(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
+    def _on_xa_prepare(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None or txn.state not in (TxnState.ACTIVE, TxnState.IDLE):
-            yield self.config.request_overhead_ms
-            self._reply(message, {"vote": Vote.NO,
-                                  "error": "transaction not preparable"})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"vote": Vote.NO, "error": "transaction not preparable"})
             return
         # Persist transaction state + WAL (the paper's prepare cost, Fig. 6c).
-        yield self.dialect.prepare_cost_ms
+        self.env.call_at(self.dialect.prepare_cost_ms, self._finish_xa_prepare,
+                         message, txn)
+
+    def _finish_xa_prepare(self, message: Message, txn: LocalTransaction) -> None:
+        xid = txn.xid
         if txn.state not in (TxnState.ACTIVE, TxnState.IDLE):
             # The branch was rolled back while the prepare cost was being
             # paid (peer abort, or its coordinator's sessions were killed by
@@ -348,22 +345,34 @@ class DataSource:
         self.stats.prepares += 1
         self._reply(message, {"vote": Vote.YES})
 
-    def _on_xa_commit(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
+    def _on_xa_commit(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None:
-            yield self.config.request_overhead_ms
-            self._reply(message, {"status": "error", "error": "unknown xid"})
-            return
-        if txn.state is TxnState.COMMITTED:
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"status": "error", "error": "unknown xid"})
+        elif txn.state is TxnState.COMMITTED:
             # Idempotent: recovery may re-send the decision.
-            yield self.config.request_overhead_ms
-            self._reply(message, {"status": "ok", "already": True})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"status": "ok", "already": True})
+        else:
+            self.env.call_at(self.dialect.commit_cost_ms, self._finish_commit,
+                             message, txn, False)
+
+    def _finish_commit(self, message: Message, txn: LocalTransaction,
+                       one_phase: bool) -> None:
+        """The commit cost is paid: apply, log, release (both commit verbs)."""
+        xid = txn.xid
+        if one_phase and txn.is_finished:
+            # Aborted (e.g. coordinator-crash session kill) while the commit
+            # cost was being paid: the branch's outcome already stuck.
+            self._reply(message, {"status": "error", "error": "not committable"})
             return
-        yield self.dialect.commit_cost_ms
         self.engine.commit_writes(xid)
         self.wal.append(LogRecordType.COMMIT, xid, self.env.now)
-        txn.mark_committed(self.env.now)
+        if one_phase:
+            txn.mark_committed_one_phase(self.env.now)
+        else:
+            txn.mark_committed(self.env.now)
         self.lock_manager.release_all(xid)
         self.stats.commits += 1
         self._retire(txn)
@@ -385,27 +394,15 @@ class DataSource:
         yield from self._abort_locally(txn)
         self._reply(message, {"status": "ok"})
 
-    def _on_commit_one_phase(self, message: Message):
+    def _on_commit_one_phase(self, message: Message) -> None:
         """Single-source transactions commit without a separate prepare."""
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
+        txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None or txn.is_finished:
-            yield self.config.request_overhead_ms
-            self._reply(message, {"status": "error", "error": "not committable"})
-            return
-        yield self.dialect.commit_cost_ms
-        if txn.is_finished:
-            # Aborted (e.g. coordinator-crash session kill) while the commit
-            # cost was being paid: the branch's outcome already stuck.
-            self._reply(message, {"status": "error", "error": "not committable"})
-            return
-        self.engine.commit_writes(xid)
-        self.wal.append(LogRecordType.COMMIT, xid, self.env.now)
-        txn.mark_committed_one_phase(self.env.now)
-        self.lock_manager.release_all(xid)
-        self.stats.commits += 1
-        self._retire(txn)
-        self._reply(message, {"status": "ok"})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"status": "error", "error": "not committable"})
+        else:
+            self.env.call_at(self.dialect.commit_cost_ms, self._finish_commit,
+                             message, txn, True)
 
     def _retire(self, txn: LocalTransaction) -> None:
         """Queue a finished branch for eviction once the retention cap is hit.

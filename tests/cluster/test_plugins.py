@@ -135,3 +135,56 @@ def test_workload_plugin_carries_config_construction():
     assert workload.name == "ycsb"
     smallbank = get_workload_plugin("smallbank")
     assert smallbank.config_field is None  # rides ExperimentConfig.workload_config
+
+
+def test_entry_points_are_scanned_on_a_miss_or_an_enumeration_never_on_a_hit(monkeypatch):
+    """The scan walks every installed distribution, so a hit must not pay it."""
+    from repro import plugins
+
+    scans = []
+    monkeypatch.setattr(plugins, "_entry_points_scanned", False)
+    monkeypatch.setattr(plugins, "_load_entry_point_plugins",
+                        lambda: scans.append("scan"))
+    assert get_system_plugin("GeoTP").name == "geotp"
+    assert normalize_workload("TPC-C") == "tpcc"
+    assert scans == []                       # hits: builtins answered
+    with pytest.raises(ValueError, match="geotp"):
+        normalize_system("oracle-rac")
+    assert scans == ["scan"]                 # a miss asks the entry points first
+    assert "ssp" in system_names() and "ycsb" in workload_names()
+    assert scans == ["scan"]                 # and only once
+
+    monkeypatch.setattr(plugins, "_entry_points_scanned", False)
+    assert system_names()                    # an enumeration scans too
+    assert scans == ["scan", "scan"]
+
+
+def test_a_broken_entry_point_plugin_raises_on_every_lookup_that_needs_it(monkeypatch):
+    from repro import plugins
+
+    def broken():
+        raise ImportError("plugin module is broken")
+
+    monkeypatch.setattr(plugins, "_entry_points_scanned", False)
+    monkeypatch.setattr(plugins, "_load_entry_point_plugins", broken)
+    assert get_system_plugin("ssp").name == "ssp"       # hits still work
+    for _ in range(2):                                  # not swallowed, not cached
+        with pytest.raises(ImportError):
+            system_names()
+
+
+def test_importing_the_bench_layer_does_not_scan_entry_points():
+    import subprocess
+    import sys
+
+    from tests.conftest import subprocess_env
+    from repro.sim.engine import active_engine
+
+    code = ("import sys, repro.bench, repro.plugins as p; "
+            "from repro import build_cluster; "
+            "assert p.get_system_plugin('geotp').needs_agents; "
+            "assert not p._entry_points_scanned; "
+            "assert 'importlib.metadata' not in sys.modules; "
+            "assert 'geotp' in p.system_names() and p._entry_points_scanned")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=subprocess_env(active_engine()))

@@ -170,3 +170,34 @@ def test_decision_log_flushed_before_commit_dispatch():
     assert result.committed
     decisions = [r for r in dm.wal.records() if r.xid == result.txn_id]
     assert len(decisions) == 1
+
+
+def test_round_fan_out_waits_for_an_exhausted_pool_and_returns_every_connection():
+    """A batch that finds its pool empty is sent once a connection comes back."""
+    env = Environment()
+    net = Network(env)
+    names = ["ds0", "ds1"]
+    participants = {}
+    for name, rtt in zip(names, (10.0, 40.0)):
+        ds = DataSource(env, net, DataSourceConfig(name=name, dialect=MySQLDialect()))
+        ds.load_table("usertable", {key: {"v": 0} for key in range(20)})
+        participants[name] = ParticipantHandle(name=name, endpoint=name,
+                                               dialect=MySQLDialect())
+        net.set_link("dm", name, ConstantLatency(rtt))
+    dm = TwoPhaseCommitCoordinator(
+        env, net, MiddlewareConfig(name="dm", connection_pool_capacity=1),
+        participants, ModuloPartitioner(names))
+    # Three distributed transactions on disjoint keys, submitted together:
+    # each round needs the single connection of both pools.
+    procs = [dm.submit(TransactionSpec.from_operations(
+        [update(2 * i), update(2 * i + 1)], rounds=2)) for i in range(3)]
+    env.run(until=0.6)      # past the analysis cost: the first round is out
+    assert dm.pools.pool("ds0").waiting == 2 and dm.pools.pool("ds0").in_use == 1
+    env.run()
+    assert [p.value.outcome for p in procs] == [TxnOutcome.COMMITTED] * 3
+    # Execution is serialised by the pool: the last one waits for two others.
+    latencies = sorted(p.value.latency_ms for p in procs)
+    assert latencies[0] < latencies[1] < latencies[2]
+    for name in names:
+        pool = dm.pools.pool(name)
+        assert pool.in_use == 0 and pool.waiting == 0

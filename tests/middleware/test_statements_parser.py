@@ -41,7 +41,13 @@ def test_from_operations_rounds_capped_by_operation_count():
 def test_spec_record_ids_and_tables():
     spec = TransactionSpec.from_operations(ops(3))
     assert spec.record_ids() == [("usertable", 0), ("usertable", 1), ("usertable", 2)]
+    assert spec.record_ids() is spec.record_ids()   # built once, shared
     assert spec.tables() == {"usertable"}
+
+
+def test_statement_count_counts_every_round():
+    spec = TransactionSpec.from_operations(ops(5), rounds=3)
+    assert spec.statement_count == len(spec.all_statements) == 5
 
 
 def test_statement_rendered_sql_synthesised():

@@ -86,6 +86,16 @@ def test_zipfian_distinct_sampling_cannot_exceed_keyspace():
         gen.sample_many(6, distinct=True)
 
 
+def test_zipfian_zeta_is_computed_once_per_keyspace_and_skew():
+    ZipfianGenerator._zeta.cache_clear()
+    first = ZipfianGenerator(5_000, 0.9, SeededRNG(1))
+    misses = ZipfianGenerator._zeta.cache_info().misses
+    second = ZipfianGenerator(5_000, 0.9, SeededRNG(2))
+    assert ZipfianGenerator._zeta.cache_info().misses == misses
+    assert second._zetan == first._zetan
+    assert [first.next() for _ in range(5)] != [second.next() for _ in range(5)]
+
+
 def test_zipfian_two_item_key_space_does_not_divide_by_zero():
     """Regression: item_count=2 makes zeta(2) == zeta(n), so eta's
     denominator vanished; eta is never consulted for two items, so the
