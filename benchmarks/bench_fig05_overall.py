@@ -1,32 +1,28 @@
 """Figure 5 — overall throughput comparison on YCSB and TPC-C."""
 
-from conftest import BENCH_DURATION_MS
-
-from repro.bench.experiments import fig5_overall
-
-
-def _final_throughput(series):
-    return {system: points[-1][1] for system, points in series.items()}
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE, OVERALL_SYSTEMS
 
 
-def test_fig5a_overall_ycsb(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig5_overall(workload="ycsb", terminal_counts=(16, 64),
-                             duration_ms=BENCH_DURATION_MS, report=True),
-        rounds=1, iterations=1)
-    tput = _final_throughput(result["series"])
+def _final_throughput(workload, systems=OVERALL_SYSTEMS):
+    out = SweepRunner().run(get_scenario("fig5_overall").sweep(
+        axes={"system": systems, "terminals": (16, 64)},
+        workload=workload, duration_ms=BENCH_SCALE.duration_ms))
+    print_table(f"Fig 5 — throughput vs terminals ({workload})", *sweep_table(out))
+    return {system: round(out.get(system=system, terminals=64).throughput_tps, 1)
+            for system in systems}
+
+
+def test_fig5a_overall_ycsb():
+    tput = _final_throughput("ycsb")
     # GeoTP dominates SSP and ScalarDB; ScalarDB+ clearly improves on ScalarDB.
     assert tput["geotp"] > tput["ssp"]
     assert tput["geotp"] > tput["scalardb"]
     assert tput["scalardb_plus"] > tput["scalardb"]
 
 
-def test_fig5b_overall_tpcc(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig5_overall(workload="tpcc", terminal_counts=(16, 64),
-                             systems=("ssp", "scalardb", "scalardb_plus", "geotp"),
-                             duration_ms=BENCH_DURATION_MS, report=True),
-        rounds=1, iterations=1)
-    tput = _final_throughput(result["series"])
+def test_fig5b_overall_tpcc():
+    tput = _final_throughput(
+        "tpcc", systems=("ssp", "scalardb", "scalardb_plus", "geotp"))
     assert tput["geotp"] > tput["ssp"]
     assert tput["scalardb_plus"] > tput["scalardb"]

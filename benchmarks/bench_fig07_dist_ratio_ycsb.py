@@ -1,30 +1,26 @@
 """Figure 7 — impact of the distributed-transaction ratio on YCSB."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import fig7_distributed_ratio_ycsb
 
-
-def test_fig7_distributed_ratio(benchmark):
+def test_fig7_distributed_ratio():
     # The quick bench sweeps low and medium contention; at the paper's highest
     # skew a 20 s window yields single-digit commit counts for every system
     # (see EXPERIMENTS.md), so the high-contention points are left to
-    # full-scale runs of fig7_distributed_ratio_ycsb().
-    result = benchmark.pedantic(
-        lambda: fig7_distributed_ratio_ycsb(
-            ratios=(0.2, 1.0), contentions=("low", "medium"),
-            duration_ms=BENCH_DURATION_MS, terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
+    # full-scale runs of the fig7_dist_ratio_ycsb scenario.
+    out = SweepRunner().run(get_scenario("fig7_dist_ratio_ycsb").sweep(
+        axes={"contention": ("low", "medium"), "ratio": (0.2, 1.0)},
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table("Fig 7 — YCSB vs distributed ratio", *sweep_table(out))
+
+    def tput(contention, system, ratio):
+        return round(out.get(contention=contention, system=system,
+                             ratio=ratio).throughput_tps, 1)
+
     for contention in ("low", "medium"):
-        geotp = dict((r, t) for r, t, _l in result[contention]["geotp"])
-        ssp = dict((r, t) for r, t, _l in result[contention]["ssp"])
-        # GeoTP outperforms SSP at every distributed ratio; under the most
-        # extreme contention both systems can collapse to near zero in a short
-        # window, so the comparison is non-strict there.
+        # GeoTP outperforms SSP at every distributed ratio.
         for ratio in (0.2, 1.0):
-            if contention == "high":
-                assert geotp[ratio] >= ssp[ratio]
-            else:
-                assert geotp[ratio] > ssp[ratio]
+            assert tput(contention, "geotp", ratio) > tput(contention, "ssp", ratio)
         # Throughput decreases as more transactions become distributed.
-        assert geotp[1.0] <= geotp[0.2] * 1.2
+        assert tput(contention, "geotp", 1.0) <= tput(contention, "geotp", 0.2) * 1.2

@@ -1,24 +1,22 @@
 """Figure 8 — latency CDFs with 60 % distributed transactions."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import fig8_latency_cdf
 
-
-def test_fig8_latency_cdf(benchmark):
+def test_fig8_latency_cdf():
     # Low and medium contention carry the signal in a short window; the
     # highest-skew CDF needs longer runs (see EXPERIMENTS.md).
-    result = benchmark.pedantic(
-        lambda: fig8_latency_cdf(contentions=("low", "medium"),
-                                 duration_ms=BENCH_DURATION_MS,
-                                 terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
+    out = SweepRunner().run(get_scenario("fig8_latency_cdf").sweep(
+        axes={"contention": ("low", "medium")},
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table("Fig 8 — latency (60% distributed)", *sweep_table(out))
     for contention in ("low", "medium"):
-        geotp = result[contention]["geotp"]
-        ssp = result[contention]["ssp"]
-        assert geotp["mean"] < ssp["mean"]
+        geotp = out.get(contention=contention, system="geotp")
+        ssp = out.get(contention=contention, system="ssp")
+        assert geotp.average_latency_ms < ssp.average_latency_ms
         # p99 is dominated by lock-wait-timeout-bound stragglers (~5 s) for
         # both systems in short windows; allow a modest tolerance while still
         # requiring GeoTP's tail to be in the same ballpark or better.
-        assert geotp["p99"] <= ssp["p99"] * 1.3
-        assert len(geotp["cdf"]) > 0
+        assert geotp.p99_latency_ms <= ssp.p99_latency_ms * 1.3
+        assert len(geotp.latency.cdf(points=20)) > 0

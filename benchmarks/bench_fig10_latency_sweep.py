@@ -1,18 +1,23 @@
 """Figure 10 — sensitivity to the mean and standard deviation of network latency."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import fig10_latency_sweep
+
+def _improvement(scenario, axis, values):
+    """GeoTP/SSP throughput ratio per axis value, at the figure's two decimals."""
+    out = SweepRunner().run(get_scenario(scenario).sweep(
+        axes={axis: values},
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table(f"Fig 10 — {scenario}", *sweep_table(out))
+    return {value: round(out.get(system="geotp", **{axis: value}).throughput_tps
+                         / out.get(system="ssp", **{axis: value}).throughput_tps, 2)
+            for value in values}
 
 
-def test_fig10_latency_mean_and_std(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig10_latency_sweep(means_ms=(20, 80), stds_ms=(0, 40),
-                                    duration_ms=BENCH_DURATION_MS,
-                                    terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
-    mean_sweep = {mean: improvement for mean, _s, _g, improvement in result["mean_sweep"]}
-    std_sweep = {std: improvement for std, _s, _g, improvement in result["std_sweep"]}
+def test_fig10_latency_mean_and_std():
+    mean_sweep = _improvement("fig10_mean_sweep", "mean_rtt_ms", (20, 80))
+    std_sweep = _improvement("fig10_std_sweep", "std_ms", (0, 40))
     # GeoTP improves on SSP (clearly so at the larger mean latency, where the
     # paper's improvement also peaks) and benefits from latency variance.
     assert all(improvement > 0.9 for improvement in mean_sweep.values())

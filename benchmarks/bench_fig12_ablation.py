@@ -1,19 +1,17 @@
 """Figure 12 — ablation of the three GeoTP optimizations across skew factors."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import fig12_ablation
 
-
-def test_fig12_ablation(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig12_ablation(skews=(0.3, 0.9, 1.5),
-                               duration_ms=BENCH_DURATION_MS,
-                               terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
+def test_fig12_ablation():
+    out = SweepRunner().run(get_scenario("fig12_ablation").sweep(
+        axes={"skew": (0.3, 0.9, 1.5)},
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table("Fig 12 — ablation (50% distributed)", *sweep_table(out))
 
     def tput(variant, skew):
-        return {s: t for s, t, _p99, _abort in result[variant]}[skew]
+        return round(out.get(variant=variant, skew=skew).throughput_tps, 1)
 
     # Every GeoTP variant beats SSP at low and medium contention; at the most
     # extreme skew all systems can collapse within a short window, so the

@@ -1,19 +1,17 @@
 """Figure 13 — comparison with a YugabyteDB-like distributed database."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import fig13_yugabyte
 
-
-def test_fig13_vs_yugabyte(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig13_yugabyte(contentions=("low", "medium"),
-                               duration_ms=BENCH_DURATION_MS,
-                               terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
+def test_fig13_vs_yugabyte():
+    out = SweepRunner().run(get_scenario("fig13_yugabyte").sweep(
+        axes={"contention": ("low", "medium")},
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table("Fig 13 — vs YugabyteDB", *sweep_table(out))
 
     def tput(system, contention):
-        return {c: t for c, t, _l in result[system]}[contention]
+        return round(out.get(system=system, contention=contention).throughput_tps, 1)
 
     # GeoTP keeps up with (or beats) the distributed database once contention
     # appears, and beats SSP everywhere; the extreme-skew crossover the paper

@@ -1,21 +1,21 @@
 """Figure 15 — single- versus multi-middleware deployment."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import fig15_multi_region
 
+def test_fig15_multi_region():
+    out = SweepRunner().run(get_scenario("fig15_multi_region").sweep(
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table("Fig 15 — clients in multiple regions", *sweep_table(out))
 
-def test_fig15_multi_region(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig15_multi_region(duration_ms=BENCH_DURATION_MS,
-                                   terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
-    geotp = result["geotp"]
-    ssp = result["ssp"]
+    def tput(system, deployment):
+        return round(out.get(system=system, deployment=deployment).throughput_tps, 1)
+
     # GeoTP beats SSP in both deployments.  (The paper's multi-DM setup also
     # gains total throughput because its clients favour region-local data; the
     # YCSB generator here has no such affinity, so we only require that the
     # multi-DM deployment works and keeps GeoTP's advantage.)
-    assert geotp["single_middleware_tps"] > ssp["single_middleware_tps"]
-    assert geotp["multi_middleware_tps"] > ssp["multi_middleware_tps"]
-    assert geotp["multi_middleware_tps"] > 0
+    assert tput("geotp", "single") > tput("ssp", "single")
+    assert tput("geotp", "multi") > tput("ssp", "multi")
+    assert tput("geotp", "multi") > 0

@@ -1,20 +1,18 @@
 """Table I — heterogeneous MySQL / PostgreSQL deployments."""
 
-from conftest import BENCH_DURATION_MS, BENCH_TERMINALS
+from repro.bench import SweepRunner, get_scenario, print_table, sweep_table
+from repro.bench.scenarios import BENCH_SCALE
 
-from repro.bench.experiments import table1_heterogeneous
 
-
-def test_table1_heterogeneous_deployments(benchmark):
-    result = benchmark.pedantic(
-        lambda: table1_heterogeneous(ratios=(0.25, 0.75),
-                                     duration_ms=BENCH_DURATION_MS,
-                                     terminals=BENCH_TERMINALS, report=True),
-        rounds=1, iterations=1)
-    for scenario in ("S1", "S2", "S3"):
+def test_table1_heterogeneous_deployments():
+    out = SweepRunner().run(get_scenario("table1_heterogeneous").sweep(
+        axes={"ratio": (0.25, 0.75)},
+        duration_ms=BENCH_SCALE.duration_ms, terminals=BENCH_SCALE.terminals))
+    print_table("Table I — heterogeneous deployments", *sweep_table(out))
+    for deployment in ("S1", "S2", "S3"):
         for ratio in (0.25, 0.75):
-            geotp = result[scenario][("geotp", ratio)]
-            ssp = result[scenario][("ssp", ratio)]
+            geotp = out.get(deployment=deployment, system="geotp", ratio=ratio)
+            ssp = out.get(deployment=deployment, system="ssp", ratio=ratio)
             # GeoTP wins on throughput and latency in every deployment, as in Table I.
-            assert geotp["throughput_tps"] > ssp["throughput_tps"]
-            assert geotp["avg_latency_ms"] < ssp["avg_latency_ms"]
+            assert round(geotp.throughput_tps, 1) > round(ssp.throughput_tps, 1)
+            assert round(geotp.average_latency_ms, 1) < round(ssp.average_latency_ms, 1)

@@ -5,8 +5,9 @@ The experiment layer is driven by a declarative registry: a scenario is a base
 :class:`~repro.bench.SweepRunner` expands it into independent experiment
 points that can run serially or across worker processes with identical
 results.  This example builds a small custom grid (system x terminals x skew)
-without writing any runner loop, then prints a table — exactly the pattern the
-``fig*`` reproductions use internally.
+without writing any runner loop, prints it with ``sweep_table`` (one row per
+point) and reads single points back with ``SweepResult.get`` — the same path
+the paper-claim tests under ``benchmarks/`` and the CLI take.
 
 Run with::
 
@@ -14,7 +15,7 @@ Run with::
 """
 
 from repro import ExperimentConfig, YCSBConfig
-from repro.bench import SweepRunner, print_table
+from repro.bench import SweepRunner, print_table, sweep_table
 from repro.bench.scenarios import Axis, ScenarioSpec
 
 scenario = ScenarioSpec(
@@ -38,15 +39,8 @@ print(f"expanding {scenario.name!r}: {sweep.size()} points, "
 # identical either way because every point is independently seeded.
 outcome = SweepRunner(max_workers=2).run(sweep)
 
-rows = [(p.params["system"], p.params["terminals"], p.params["skew"],
-         round(p.summary.throughput_tps, 1),
-         round(p.summary.average_latency_ms, 1),
-         round(p.summary.abort_rate * 100, 1))
-        for p in outcome]
 print_table(f"custom grid ({outcome.wall_clock_s:.1f}s wall clock, "
-            f"{outcome.workers} workers)",
-            ["system", "terminals", "skew", "tput (tps)", "avg lat (ms)",
-             "abort (%)"], rows)
+            f"{outcome.workers} workers)", *sweep_table(outcome))
 
 # GeoTP should dominate SSP at every grid point.
 for terminals in (8, 24):

@@ -1,19 +1,19 @@
-"""Benchmark harness: scenario registry, sweep runner, experiments, reporting.
+"""Benchmark harness: scenario registry, sweep runner, reporting.
 
-The layer is organised as a pipeline:
+The layer is one pipeline, registry scenario → :class:`SweepRunner` →
+:class:`SweepResult`, shared by the CLI, figures, examples and ``benchmarks/``:
 
 * ``scenarios`` — declarative :class:`ScenarioSpec` registry; every paper
   figure/table is a base config plus named parameter axes;
 * ``parallel`` — :class:`SweepRunner` expands a sweep and executes its points
-  serially or across a process pool;
-* ``experiments`` — one thin function per figure that reshapes sweep results
-  into the dicts the paper plots;
+  serially or across a process pool; ``SweepResult.get/select`` address the
+  points by their params;
 * ``cache`` — opt-in per-point result cache keyed on (canonical config hash,
   seed, engine + kernel fingerprint) that makes killed sweeps resumable;
 * ``figures`` — sanity-checked figure pipeline over the CLI's JSON documents
   (dict-of-columns data, registered checks, optional matplotlib rendering);
 * ``runner`` / ``report`` — the single-point experiment runner and the
-  plain-text tables.
+  plain-text tables (:func:`sweep_table`: one row per sweep point).
 
 ``python -m repro.bench`` lists and runs registered scenarios from the shell.
 """
@@ -36,7 +36,6 @@ from repro.bench.parallel import (
     PointResult,
     SweepResult,
     SweepRunner,
-    run_scenario_sweep,
 )
 from repro.bench.perf import (
     PerfMetrics,
@@ -44,7 +43,7 @@ from repro.bench.perf import (
     measure_scenario,
     run_perf,
 )
-from repro.bench.report import format_table, print_series, print_table
+from repro.bench.report import format_table, print_table, sweep_table
 from repro.bench.runner import (
     ExperimentConfig,
     ExperimentResult,
@@ -89,9 +88,8 @@ __all__ = [
     "SweepSpec",
     "format_table",
     "get_scenario",
-    "print_series",
     "print_table",
     "run_experiment",
-    "run_scenario_sweep",
     "scenario_names",
+    "sweep_table",
 ]

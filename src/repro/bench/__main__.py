@@ -29,6 +29,8 @@ compares against the committed ``BENCH_baseline.json``.  Examples::
     PYTHONPATH=src python -m repro.bench engine
     REPRO_ENGINE=compiled PYTHONPATH=src python -m repro.bench perf --quick
 
+``run --output FILE`` also prints the sweep's table (``report.sweep_table``, one
+row per point) on stderr.
 ``run --cache-dir DIR`` persists every executed sweep point into a resumable
 result cache; adding ``--resume`` consults the cache first, so a killed sweep
 re-run computes only the missing points and assembles a byte-identical
@@ -57,7 +59,8 @@ from typing import List, Optional
 from repro.bench import perf as perf_mod
 from repro.bench.cache import DEFAULT_CACHE_DIR, SweepCache
 from repro.bench.parallel import SweepRunner, SweepResult
-from repro.bench.report import registry_markdown, system_capabilities
+from repro.bench.report import (format_table, registry_markdown,
+                                sweep_table, system_capabilities)
 from repro.bench.scenarios import SCENARIOS, get_scenario, scenario_names
 from repro.plugins import system_plugins, workload_plugins
 from repro.sim.engine import active_engine, engine_info
@@ -271,7 +274,7 @@ def _make_cache(args: argparse.Namespace) -> Optional[SweepCache]:
 
 
 def _expand_sweep(args: argparse.Namespace):
-    """Build the overridden sweep of ``args.scenario`` (shared run/figures)."""
+    """The overridden sweep of ``args.scenario`` and its expanded points."""
     scenario = get_scenario(args.scenario)
     overrides = {"duration_ms": args.duration_ms, "warmup_ms": args.warmup_ms,
                  "terminals": args.terminals, "seed": args.seed,
@@ -304,21 +307,38 @@ def _expand_sweep(args: argparse.Namespace):
             print(f"note: {flag} is recomputed per point by scenario "
                   f"{scenario.name!r} and was ignored for some points",
                   file=sys.stderr)
-    return sweep
+    return sweep, points
 
 
-def _execute_scenario(args: argparse.Namespace):
-    """Run ``args.scenario`` with overrides; returns the JSON document."""
-    sweep = _expand_sweep(args)
+def _require_figure_builder(points) -> None:
+    """Raise ``build_figures``' "no figure builder applies" before any point
+    runs: the builders' own predicates judge a preview of the rows — params
+    plus the sections an arrival config / a fault plan will put on them."""
+    from repro.bench.figures import FIGURE_BUILDERS, build_figures
+
+    preview = {"rows": [
+        {"params": point.params,
+         "open_loop": None if point.config.arrival is None else {},
+         "faults": point.config.fault_plan is not None}
+        for point in points]}
+    if not any(applies(preview) for _name, applies, _build in FIGURE_BUILDERS):
+        build_figures(preview)
+
+
+def _execute_scenario(args: argparse.Namespace, for_figures: bool = False):
+    """Run ``args.scenario`` with overrides; returns (result, JSON document)."""
+    sweep, points = _expand_sweep(args)
+    if for_figures:
+        _require_figure_builder(points)
     cache = _make_cache(args)
     result = SweepRunner(max_workers=args.workers, cache=cache,
                          resume=args.resume).run(sweep)
-    return _result_document(result, cache=cache)
+    return result, _result_document(result, cache=cache)
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
     try:
-        document = _execute_scenario(args)
+        result, document = _execute_scenario(args)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -331,6 +351,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
             handle.write(text + "\n")
         print(f"wrote {document['points']} points to {args.output}",
               file=sys.stderr)
+        print(format_table(*sweep_table(result)), file=sys.stderr)
     else:
         print(text)
     return 0
@@ -355,7 +376,7 @@ def _run_figures(args: argparse.Namespace) -> int:
             return 2
     else:
         try:
-            document = _execute_scenario(args)
+            _result, document = _execute_scenario(args, for_figures=True)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2

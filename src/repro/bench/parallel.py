@@ -220,9 +220,3 @@ class SweepRunner:
                           f"falling back to serial execution", RuntimeWarning)
             return [self._run_and_store(sweep_name, point)
                     for point in points], 1
-
-
-def run_scenario_sweep(sweep: SweepSpec,
-                       max_workers: Optional[int] = None) -> SweepResult:
-    """Convenience wrapper: ``SweepRunner(max_workers).run(sweep)``."""
-    return SweepRunner(max_workers=max_workers).run(sweep)

@@ -1,7 +1,7 @@
 """Perf-regression harness for the simulation core.
 
 ``python -m repro.bench perf`` times registered scenarios through the same
-:class:`~repro.bench.parallel.SweepRunner` the experiments use, collects
+:class:`~repro.bench.parallel.SweepRunner` every other caller uses, collects
 engine-level throughput metrics (events/sec, committed txns/sec, peak RSS) and
 compares the wall clock against a committed baseline (``BENCH_baseline.json``)
 with a configurable regression threshold.  CI runs ``perf --quick`` on every

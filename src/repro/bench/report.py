@@ -1,6 +1,7 @@
 """Plain-text and markdown reporting: result tables and the registry tables.
 
-Two consumers: the example/benchmark scripts print experiment results through
+Two consumers: ``run --output``, the examples and the paper-claim tests under
+``benchmarks/`` print a sweep as the :func:`sweep_table` rows through
 :func:`format_table`/:func:`print_table`, and ``python -m repro.bench list
 --markdown`` emits the scenario/system/workload registry as markdown via
 :func:`registry_markdown` — the same text committed in EXPERIMENTS.md and kept
@@ -9,7 +10,11 @@ in sync by ``tests/bench/test_docs_sync.py`` plus the CI drift check.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
+
+if TYPE_CHECKING:
+    from repro.bench.parallel import PointResult
 
 
 def _format_cell(value) -> str:
@@ -44,10 +49,30 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) ->
     print(format_table(headers, rows))
 
 
-def print_series(title: str, series: List[Tuple[float, float]],
-                 x_label: str = "x", y_label: str = "y") -> None:
-    """Print an (x, y) series as a two-column table."""
-    print_table(title, [x_label, y_label], series)
+def sweep_table(result: Iterable["PointResult"],
+                extra: Optional[Mapping[str, Callable[[Any], Any]]] = None,
+                ) -> Tuple[List[str], List[list]]:
+    """One row per sweep point, in point order, as ``(headers, rows)``.
+
+    ``result`` is a ``SweepResult`` (or a ``select()`` slice of one).  The
+    columns are the params that vary across it, then throughput, average and
+    p99 latency and abort percentage; ``extra`` maps a header to a function of
+    the point's summary for the few figure-specific columns (centralized-
+    transaction latency, WAN messages per commit, a breakdown phase, ...).
+    """
+    extra = extra or {}
+    points = list(result)
+    names = dict.fromkeys(name for point in points for name in point.params)
+    varying = [name for name in names
+               if any(point.params.get(name) != points[0].params.get(name)
+                      for point in points)]
+    headers = [*varying, "tput (tps)", "avg latency (ms)", "p99 (ms)",
+               "abort (%)", *extra]
+    rows = [[*(point.params.get(name) for name in varying),
+             *point.summary.summary_row()[1:],
+             *(column(point.summary) for column in extra.values())]
+            for point in points]
+    return headers, rows
 
 
 # ------------------------------------------------------------------- markdown

@@ -8,15 +8,13 @@ yields independent, picklable :class:`SweepPoint`\\ s that
 :class:`~repro.bench.parallel.SweepRunner` can execute serially or across a
 process pool.
 
-Three layers use the registry:
+Everything that runs a paper figure goes through the registry:
 
-* ``repro.bench.experiments`` — each ``fig*``/``table1`` function looks up its
-  scenario, overrides scale knobs, runs the sweep and reshapes the rows into
-  the dict the paper plots;
 * ``python -m repro.bench`` — the CLI lists scenarios and runs any of them
   with ``--workers/--duration-ms/--terminals/--seed`` overrides;
-* the pytest benchmarks — reduced-scale runs share :data:`BENCH_SCALE` instead
-  of re-declaring scale constants per file.
+* the paper-claim tests under ``benchmarks/`` — each derives its figure's
+  sweep at :data:`BENCH_SCALE` with ``get_scenario(name).sweep(...)`` and
+  asserts the paper's qualitative claims on the ``SweepResult`` itself.
 
 Adding a new scenario is declarative: register a ``ScenarioSpec`` with a base
 config, axes and (when an axis does not map 1:1 onto a config field) a
@@ -64,9 +62,9 @@ class Scale:
     terminals: int
 
 
-#: Default scale of the experiment functions (EXPERIMENTS.md uses larger values).
+#: Default scale of the registered scenarios (EXPERIMENTS.md uses larger values).
 QUICK_SCALE = Scale(duration_ms=10_000.0, warmup_ms=2_000.0, terminals=48)
-#: Scale shared by the pytest benchmark suite (see ``benchmarks/conftest.py``).
+#: Scale shared by the paper-claim tests under ``benchmarks/``.
 BENCH_SCALE = Scale(duration_ms=20_000.0, warmup_ms=2_000.0, terminals=32)
 
 
@@ -258,8 +256,11 @@ def get_scenario(name: str) -> ScenarioSpec:
     try:
         return SCENARIOS[name]
     except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r}; registered: {known}") from None
+        import difflib  # error path only: keep it off `import repro.bench`
+        close = difflib.get_close_matches(name, SCENARIOS)
+        hint = f"did you mean {', '.join(close)}? " if close else ""
+        raise KeyError(f"unknown scenario {name!r}; {hint}`python -m "
+                       f"repro.bench list` shows all {len(SCENARIOS)}") from None
 
 
 def scenario_names() -> List[str]:
@@ -270,7 +271,7 @@ def scenario_names() -> List[str]:
 # ------------------------------------------------------------ config factories
 def default_ycsb(skew: float = CONTENTION_SKEW["medium"],
                  distributed_ratio: float = 0.2, **kwargs: Any) -> YCSBConfig:
-    """The YCSB configuration the experiment functions default to."""
+    """The YCSB configuration the registered scenarios default to."""
     return YCSBConfig(skew=skew, distributed_ratio=distributed_ratio, **kwargs)
 
 

@@ -62,6 +62,19 @@ def test_run_unknown_scenario_fails_with_message(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "fig5_overal"],
+    ["figures", "fig5_overal"],
+    ["perf", "--scenarios", "fig5_overal", "--no-history"],
+])
+def test_mistyped_scenario_names_the_close_match_not_the_registry(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario 'fig5_overal'" in err
+    assert "fig5_overall" in err and "repro.bench list" in err
+    assert len(err.encode()) < 400  # the close matches, not the registry
+
+
 def test_run_smoke_emits_json_rows(capsys):
     assert main(["run", "smoke", "--workers", "1", "--duration-ms", "2000",
                  "--terminals", "2", "--seed", "1"]) == 0
@@ -86,7 +99,11 @@ def test_run_writes_output_file(tmp_path, capsys):
                  "--terminals", "2", "--output", str(target)]) == 0
     document = json.loads(target.read_text())
     assert document["points"] == 2
-    assert "wrote 2 points" in capsys.readouterr().err
+    # The sweep's table goes to stderr beside the "wrote" line, one row per point.
+    wrote, header, _rule, *rows = capsys.readouterr().err.splitlines()
+    assert "wrote 2 points" in wrote
+    assert header.split()[:2] == ["system", "tput"]
+    assert [row.split()[0] for row in rows] == ["ssp", "geotp"]
 
 
 def test_override_collapses_a_matching_axis(capsys):

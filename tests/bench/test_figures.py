@@ -318,6 +318,19 @@ def test_figures_cli_rejects_an_inapplicable_document(tmp_path, capsys):
     assert "no figure builder applies" in capsys.readouterr().err
 
 
+def test_figures_cli_rejects_an_inapplicable_scenario_before_running_it(
+        tmp_path, capsys, monkeypatch):
+    def must_not_run(point):
+        raise AssertionError(f"point {point.index} ran before the check")
+
+    monkeypatch.setattr("repro.bench.parallel.run_sweep_point", must_not_run)
+    out_dir = tmp_path / "figs"
+    status = main(["figures", "fig6_breakdown", "--output-dir", str(out_dir)])
+    assert status == 2
+    assert "no figure builder applies" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_figures_cli_runs_a_scenario_end_to_end(tmp_path, capsys):
     # The smallest real scenario with a figure builder: collapse load_sweep
     # to one rate and one tiny duration, then render (data-only) from it.

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from repro import ExperimentConfig, YCSBConfig, run_experiment
-from repro.bench.experiments import fig5_overall
 from repro.bench.parallel import (
     PointResult,
     SweepResult,
@@ -114,12 +113,14 @@ def test_sweep_runner_repeated_runs_are_deterministic():
 
 
 def test_fig5_series_identical_serial_and_parallel():
-    kwargs = dict(terminal_counts=(4,), systems=("ssp", "geotp"),
-                  duration_ms=2_500.0)
-    serial = fig5_overall(workers=1, **kwargs)
-    parallel = fig5_overall(workers=2, **kwargs)
-    assert serial == parallel
-    assert set(serial["series"]) == {"ssp", "geotp"}
+    sweep = get_scenario("fig5_overall").sweep(
+        axes={"system": ("ssp", "geotp"), "terminals": (4,)},
+        duration_ms=2_500.0)
+    serial = SweepRunner(max_workers=1).run(sweep)
+    parallel = SweepRunner(max_workers=2).run(sweep)
+    assert [(p.params, p.summary.to_dict()) for p in serial] \
+        == [(p.params, p.summary.to_dict()) for p in parallel]
+    assert [p.params["system"] for p in serial] == ["ssp", "geotp"]
 
 
 def test_summaries_are_picklable_and_carry_the_full_aggregate():
@@ -147,12 +148,17 @@ def test_sweep_result_select_and_get():
 
 
 def test_fig10_tolerates_duplicated_axis_values():
-    """Regression: duplicate sweep values used to break the row pairing."""
-    from repro.bench.experiments import fig10_latency_sweep
-    result = fig10_latency_sweep(means_ms=(20, 20), stds_ms=(0,),
-                                 duration_ms=2_500.0, terminals=4)
-    assert len(result["mean_sweep"]) == 2
-    assert result["mean_sweep"][0] == result["mean_sweep"][1]
+    """A duplicated axis value yields one point per duplicate, equal results."""
+    result = SweepRunner(max_workers=1).run(
+        get_scenario("fig10_mean_sweep").sweep(
+            axes={"mean_rtt_ms": (20, 20)}, duration_ms=2_500.0, terminals=4))
+    assert len(result) == 4
+    for system in ("ssp", "geotp"):
+        first, second = result.select(system=system, mean_rtt_ms=20)
+        assert first.index != second.index
+        assert first.summary.to_dict() == second.summary.to_dict()
+        with pytest.raises(KeyError, match="2 points match"):
+            result.get(system=system, mean_rtt_ms=20)
 
 
 def test_results_do_not_depend_on_the_process_hash_seed():

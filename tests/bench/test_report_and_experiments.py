@@ -1,17 +1,21 @@
-"""Tests for the reporting helpers and (smoke-level) the experiment functions.
+"""Tests for the reporting helpers: ``format_table`` and ``sweep_table``.
 
 ``format_table`` gets property-style coverage (hypothesis): for any mix of
 int/float/str cells and any header widths, the rendered table must stay
 rectangular, aligned and lossless about cell order — and the float formatting
 must depend on magnitude, not sign (the ``abs()`` regression pin).
+``sweep_table`` is checked on tiny-scale runs of two paper scenarios.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.report import _format_cell, format_table, print_series, \
-    print_table
-from repro.bench.experiments import fig6_resources_breakdown, fig15_multi_region
+from repro.bench.parallel import SweepRunner
+from repro.bench.report import _format_cell, format_table, print_table, \
+    sweep_table
+from repro.bench.scenarios import get_scenario
+
+METRIC_HEADERS = ["tput (tps)", "avg latency (ms)", "p99 (ms)", "abort (%)"]
 
 
 def test_format_table_aligns_columns_and_formats_numbers():
@@ -95,28 +99,44 @@ def test_format_cell_float_precision_is_symmetric_in_sign(value):
     assert _format_cell(-value) == "-" + _format_cell(value)
 
 
-def test_print_table_and_series_write_to_stdout(capsys):
+def test_print_table_writes_to_stdout(capsys):
     print_table("demo", ["x", "y"], [(1, 2)])
-    print_series("series", [(0.0, 1.0), (1.0, 2.0)], x_label="t", y_label="v")
     out = capsys.readouterr().out
     assert "== demo ==" in out
-    assert "== series ==" in out
-    assert "t" in out and "v" in out
+    assert "x" in out and "y" in out
 
 
-def test_fig6_experiment_smoke(capsys):
-    """A tiny fig6 run exercises the experiment plumbing end to end."""
-    result = fig6_resources_breakdown(duration_ms=3000, terminals=8, report=True)
-    assert set(result) == {"ssp", "geotp"}
-    for data in result.values():
-        assert data["throughput_tps"] >= 0
-        assert "breakdown" in data
-    assert "Fig 6a/6b" in capsys.readouterr().out
+def test_fig6_experiment_smoke():
+    """A tiny fig6 sweep: one varying param, metric and ``extra`` columns."""
+    out = SweepRunner(max_workers=1).run(
+        get_scenario("fig6_breakdown").sweep(duration_ms=3000, terminals=8))
+    headers, rows = sweep_table(out, extra={
+        "wan msgs/commit": lambda s: s.resources.wan_messages_per_commit,
+        "prepare (ms)": lambda s: s.breakdown["prepare"]})
+    assert headers == ["system", *METRIC_HEADERS, "wan msgs/commit",
+                       "prepare (ms)"]
+    for row, point, system in zip(rows, out, ("ssp", "geotp")):
+        summary = point.summary
+        assert row == [system, *summary.summary_row()[1:],
+                       summary.resources.wan_messages_per_commit,
+                       summary.breakdown["prepare"]]
 
 
 def test_fig15_experiment_smoke():
-    result = fig15_multi_region(duration_ms=3000, terminals=8)
-    assert set(result) == {"ssp", "geotp"}
-    for data in result.values():
-        assert data["single_middleware_tps"] >= 0
-        assert data["multi_middleware_tps"] >= 0
+    """A tiny fig15 sweep: rows in point order, only varying params shown."""
+    out = SweepRunner(max_workers=1).run(
+        get_scenario("fig15_multi_region").sweep(duration_ms=3000, terminals=8))
+    headers, rows = sweep_table(out)
+    assert headers == ["system", "deployment", *METRIC_HEADERS]
+    assert [tuple(row[:2]) for row in rows] == [
+        ("ssp", "single"), ("ssp", "multi"),
+        ("geotp", "single"), ("geotp", "multi")]
+    assert [row[2] for row in rows] \
+        == [round(point.summary.throughput_tps, 1) for point in out]
+    headers, rows = sweep_table(out.select(deployment="multi"))
+    assert headers == ["system", *METRIC_HEADERS]
+    assert [row[0] for row in rows] == ["ssp", "geotp"]
+
+
+def test_sweep_table_of_an_empty_sweep_has_headers_and_no_rows():
+    assert sweep_table([], extra={"x": len}) == ([*METRIC_HEADERS, "x"], [])
