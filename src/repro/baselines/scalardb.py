@@ -109,7 +109,7 @@ class ScalarDBCoordinator(MiddlewareBase):
             read_versions.update(versions)
             for stmt in statements:
                 if stmt.operation.is_write:
-                    write_set[stmt.operation.record_id()] = stmt.operation
+                    write_set[stmt.operation.record_id] = stmt.operation
 
         # Prepare: conditional writes; any version conflict aborts the transaction.
         ctx.enter_phase(TransactionPhase.PREPARE, self.env.now)
@@ -141,7 +141,7 @@ class ScalarDBCoordinator(MiddlewareBase):
             reply = yield self.request_participant(handle, protocol.MSG_KV_GET, {
                 "table": operation.table, "key": operation.key})
             version = reply.get("version", 0) if isinstance(reply, dict) else 0
-            versions[operation.record_id()] = version if reply.get("found") else 0
+            versions[operation.record_id] = version if reply.get("found") else 0
         return versions
 
     def _read_batch(self, participant: str, operations: List[Operation],
@@ -163,7 +163,7 @@ class ScalarDBCoordinator(MiddlewareBase):
         for operation, request in zip(operations, requests):
             reply = condition[request]
             version = reply.get("version", 0) if isinstance(reply, dict) else 0
-            versions[operation.record_id()] = version if reply.get("found") else 0
+            versions[operation.record_id] = version if reply.get("found") else 0
         return versions
 
     def _prepare_writes(self, ctx: TransactionContext,

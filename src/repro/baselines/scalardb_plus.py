@@ -84,7 +84,7 @@ class ScalarDBPlusCoordinator(ScalarDBCoordinator):
                                                   stmt.operation.key)
             by_participant.setdefault(participant, []).append(stmt.operation)
         records_by_participant = {
-            name: [op.record_id() for op in ops]
+            name: [op.record_id for op in ops]
             for name, ops in by_participant.items()}
         delays = self.schedule_execution_delays(ctx, records_by_participant)
         processes = [self.env.process(

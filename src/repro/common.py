@@ -57,6 +57,9 @@ class Operation:
     writes/updates (ignored for reads).  ``is_hot_hint`` lets workloads mark
     operations that target known hotspots (used only by the QURO baseline's
     reordering and by tests; GeoTP itself learns hotness from statistics).
+    ``record_id`` is the globally unique ``(table, key)`` identifier, built
+    once: routing, the lock table, the write set and the hotspot statistics
+    all key on this one tuple.
     """
 
     op_type: OpType
@@ -64,15 +67,15 @@ class Operation:
     key: Hashable
     value: Any = None
     is_hot_hint: bool = False
+    record_id: Tuple[str, Hashable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.record_id = (self.table, self.key)
 
     @property
     def is_write(self) -> bool:
         """True if this operation takes an exclusive lock."""
         return self.op_type is not OpType.READ
-
-    def record_id(self) -> Tuple[str, Hashable]:
-        """Globally unique record identifier (table, key)."""
-        return (self.table, self.key)
 
 
 @dataclass(slots=True)
@@ -101,8 +104,10 @@ class SubtxnResult:
     #: True if the data source also prepared the branch before replying
     #: (execute-and-prepare merging, used by the Chiller baseline).
     prepared: bool = False
-    #: Per-record share of the local execution latency, keyed by (table, key).
-    per_record_latency: Dict[Tuple[str, Hashable], float] = field(default_factory=dict)
+    #: The distinct (table, key) ids a successful batch executed, in
+    #: first-touch order (GeoTP's hotspot statistics spread
+    #: ``local_execution_ms`` over them); left empty on failure.
+    records: List[Tuple[str, Hashable]] = field(default_factory=list)
 
 
 @dataclass(slots=True)

@@ -10,7 +10,7 @@ bottleneck (the mitigation discussed after Eq. 8).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Hashable, Iterable, Tuple
 
 from repro.core.hotspot import HotspotFootprint
 
@@ -36,12 +36,6 @@ class LocalExecutionForecaster:
         self.predictions += 1
         raw = self.footprint.forecast_local_latency(record_ids) * self.scale
         return min(raw, self.cap_ms)
-
-    def forecast_per_participant(
-            self, records_by_participant: Dict[str, List[RecordId]]) -> Dict[str, float]:
-        """dLEL for each participant's subtransaction."""
-        return {participant: self.forecast(records)
-                for participant, records in records_by_participant.items()}
 
     def observe(self, record_ids: Iterable[RecordId], local_execution_ms: float,
                 committed: bool = True) -> None:

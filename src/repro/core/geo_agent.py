@@ -147,7 +147,7 @@ class GeoAgent:
         xid = payload["xid"]
         global_txn_id = payload.get("global_txn_id", xid)
         coordinator = payload.get("coordinator", message.sender)
-        peers = list(payload.get("peers", []))
+        peers = payload.get("peers", ())
         is_last = bool(payload.get("is_last", False))
         decentralized = bool(payload.get("decentralized_prepare", False))
         self.stats.executes += 1
@@ -165,14 +165,10 @@ class GeoAgent:
             self._send_state(coordinator, global_txn_id, protocol.STATE_ROLLBACKED)
             return
 
-        execute_payload = {
-            "xid": xid,
-            "global_txn_id": global_txn_id,
-            "operations": payload.get("operations", []),
-            "auto_start": payload.get("auto_start", True),
-        }
+        # The data source reads its own keys (xid, operations, auto_start,
+        # ...) and ignores the agent's: forward the payload as it came.
         result = yield self.net.request(self.datasource, protocol.MSG_EXECUTE,
-                                        execute_payload)
+                                        payload)
 
         if isinstance(result, SubtxnResult) and not result.success:
             # Execution failed (typically a lock timeout): early abort.
@@ -194,7 +190,7 @@ class GeoAgent:
         xid = payload["xid"]
         global_txn_id = payload.get("global_txn_id", xid)
         coordinator = payload.get("coordinator", message.sender)
-        peers = list(payload.get("peers", []))
+        peers = payload.get("peers", ())
         if global_txn_id not in self._local_xids:
             self._remember_xid(global_txn_id, xid)
         yield self.config.forward_overhead_ms

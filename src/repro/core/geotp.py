@@ -109,6 +109,8 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
             backoff_ms=self.geotp.admission_backoff_ms,
             threshold=self.geotp.admission_threshold)
         self._vote_boxes: Dict[str, _VoteBox] = {}
+        self._endpoints = {name: handle.endpoint
+                           for name, handle in self.participants.items()}
         # Prime latency estimates with the nominal topology RTTs so the first
         # transactions are scheduled sensibly before any measurement exists.
         for name, handle in self.participants.items():
@@ -117,9 +119,7 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
     # ------------------------------------------------------------------ wiring
     def start_probing(self) -> None:
         """Start the active latency probe loop (optional, Figure 11b)."""
-        endpoints = {name: handle.endpoint
-                     for name, handle in self.participants.items()}
-        self.latency_monitor.start_probing(self.net, endpoints,
+        self.latency_monitor.start_probing(self.net, self._endpoints,
                                            interval_ms=self.geotp.probe_interval_ms)
 
     def record_network_rtt(self, participant: str, rtt_ms: float) -> None:
@@ -164,35 +164,35 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
         """O2/O3: postpone dispatch on low-latency participants (Eq. 3 / Eq. 8)."""
         if not self.geotp.enable_latency_aware_scheduling or len(plans) < 2:
             return {name: 0.0 for name in plans}
-        records_by_participant = {
-            name: [op.record_id() for op in plan.operations]
-            for name, plan in plans.items()}
-        decision = self.scheduler.schedule(records_by_participant)
-        return decision.delays
+        return self.scheduler.schedule(
+            {name: plan.record_ids for name, plan in plans.items()}).delays
 
     def execute_payload(self, ctx: TransactionContext, plan: SubtransactionPlan,
                         is_final_round: bool) -> Dict:
+        # The agent forwards this payload to its data source as it is (the
+        # data source reads only the base keys), so it is built exactly once.
         payload = super().execute_payload(ctx, plan, is_final_round)
-        peers = [self.participants[name].endpoint for name in ctx.participants
-                 if name != plan.datasource]
-        payload.update({
-            "coordinator": self.name,
-            "peers": peers,
-            # The final interaction round plays the role of the annotated last
-            # statement (the workloads annotate it explicitly; the middleware
-            # also knows it is final because the client submitted the spec).
-            "is_last": is_final_round,
-            "decentralized_prepare": self.geotp.enable_decentralized_prepare,
-        })
+        payload["coordinator"] = self.name
+        payload["peers"] = self._peers(ctx, plan.datasource)
+        # The final interaction round plays the role of the annotated last
+        # statement (the workloads annotate it explicitly; the middleware
+        # also knows it is final because the client submitted the spec).
+        payload["is_last"] = is_final_round
+        payload["decentralized_prepare"] = self.geotp.enable_decentralized_prepare
         return payload
+
+    def _peers(self, ctx: TransactionContext, participant: str) -> List[str]:
+        """Agent endpoints of the transaction's other participants."""
+        endpoints = self._endpoints
+        return [endpoints[name] for name in ctx.participants if name != participant]
 
     def on_round_complete(self, ctx: TransactionContext,
                           results: List[SubtxnResult]) -> None:
         """Feed observed local execution latencies into the hotspot statistics."""
         for result in results:
-            records = list(result.per_record_latency)
-            if records:
-                self.footprint.update_latency(records, result.local_execution_ms)
+            if result.records:
+                self.footprint.update_latency(result.records,
+                                              result.local_execution_ms)
 
     def on_transaction_finished(self, ctx: TransactionContext, outcome: TxnOutcome,
                                 reason: Optional[AbortReason]) -> None:
@@ -221,14 +221,11 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
         for name in ctx.participants:
             if name in planned:
                 continue
-            handle = self.participants[name]
-            peers = [self.participants[other].endpoint for other in ctx.participants
-                     if other != name]
-            self.send_participant(handle, protocol.MSG_AGENT_PREPARE, {
+            self.send_participant(self.participants[name], protocol.MSG_AGENT_PREPARE, {
                 "xid": ctx.branch_xid(name),
                 "global_txn_id": ctx.txn_id,
                 "coordinator": self.name,
-                "peers": peers,
+                "peers": self._peers(ctx, name),
             })
 
     # ------------------------------------------------------------------- commit

@@ -182,10 +182,12 @@ class HotspotFootprint:
         proportional to its current ``w_lat`` relative to the other records the
         subtransaction accessed (uniform shares while all weights are zero).
         """
-        ids = list(record_ids)
-        if not ids or local_execution_ms < 0:
+        if local_execution_ms < 0:
             return
-        entries = [self.get_or_create(record_id) for record_id in ids]
+        entries = [self.get_or_create(record_id) for record_id in record_ids]
+        if not entries:
+            return
+        alpha = self.alpha
         total_weight = sum(entry.w_lat for entry in entries)
         for entry in entries:
             if total_weight > 0:
@@ -193,7 +195,7 @@ class HotspotFootprint:
             else:
                 share = 1.0 / len(entries)
             observed = local_execution_ms * share
-            entry.w_lat = self.alpha * entry.w_lat + (1.0 - self.alpha) * observed
+            entry.w_lat = alpha * entry.w_lat + (1.0 - alpha) * observed
 
     # -------------------------------------------------------------- estimation
     def forecast_local_latency(self, record_ids: Iterable[RecordId]) -> float:

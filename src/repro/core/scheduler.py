@@ -66,6 +66,7 @@ class GeoScheduler:
             return decision
         self.decisions += 1
 
+        totals: Dict[str, float] = {}
         for participant, records in records_by_participant.items():
             latency = self.latency_monitor.estimate(participant)
             forecast = 0.0
@@ -73,10 +74,9 @@ class GeoScheduler:
                 forecast = self.forecaster.forecast(records)
             decision.latencies[participant] = latency
             decision.forecasts[participant] = forecast
+            totals[participant] = latency + forecast
 
-        critical_path = decision.max_total_latency
-        for participant in records_by_participant:
-            total = (decision.latencies[participant]
-                     + decision.forecasts.get(participant, 0.0))
+        critical_path = max(totals.values())
+        for participant, total in totals.items():
             decision.delays[participant] = max(critical_path - total, 0.0)
         return decision

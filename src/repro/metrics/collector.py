@@ -99,7 +99,7 @@ class MetricsCollector:
             latency_ms=result.latency_ms,
             finished_at=result.end_time,
             abort_reason=abort_reason,
-            phase_breakdown=dict(result.phase_breakdown) if result.phase_breakdown else None,
+            phase_breakdown=result.phase_breakdown or None,
         ))
         if result.committed:
             self._committed += 1

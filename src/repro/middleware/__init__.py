@@ -17,7 +17,7 @@ from repro.middleware.router import (
     WarehousePartitioner,
 )
 from repro.middleware.rewriter import Rewriter, SubtransactionPlan
-from repro.middleware.context import QueryContext, TransactionContext, TransactionPhase
+from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.connection_pool import ConnectionPool
 from repro.middleware.middleware import MiddlewareBase, MiddlewareConfig, ParticipantHandle
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
@@ -30,7 +30,6 @@ __all__ = [
     "ParseError",
     "ParticipantHandle",
     "Partitioner",
-    "QueryContext",
     "Rewriter",
     "SqlParser",
     "Statement",

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List
 
-from repro.common import AbortReason, SubtxnResult, Vote
+from repro.common import SubtxnResult, Vote
 from repro.middleware.statements import TransactionSpec
 
 
@@ -24,15 +24,6 @@ class TransactionPhase(enum.Enum):
     PREPARE = "prepare"
     COMMIT = "commit"
     DONE = "done"
-
-
-@dataclass(slots=True)
-class QueryContext:
-    """Parsed information about the statements of one round."""
-
-    round_index: int
-    participant_batches: Dict[str, List] = field(default_factory=dict)
-    annotations: Dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -50,10 +41,6 @@ class TransactionContext:
     votes: Dict[str, Vote] = field(default_factory=dict)
     #: Execution results per participant (latest round).
     results: Dict[str, SubtxnResult] = field(default_factory=dict)
-    #: Accumulated per-record local latencies observed during execution
-    #: (feeds the hotspot footprint of GeoTP's O3).
-    record_latencies: Dict[Tuple[str, Hashable], float] = field(default_factory=dict)
-    abort_reason: Optional[AbortReason] = None
     #: Wall-clock (simulated) milliseconds spent per phase.
     phase_durations: Dict[str, float] = field(default_factory=dict)
     _phase_started_at: float = 0.0
@@ -97,15 +84,3 @@ class TransactionContext:
     def all_yes(self) -> bool:
         """True if every participant voted YES (and all have voted)."""
         return self.all_voted() and all(v is Vote.YES for v in self.votes.values())
-
-    # -------------------------------------------------------------- statistics
-    def merge_record_latencies(self, result: SubtxnResult) -> None:
-        """Fold a subtransaction's per-record latencies into the context."""
-        for record_id, latency in result.per_record_latency.items():
-            self.record_latencies[record_id] = (
-                self.record_latencies.get(record_id, 0.0) + latency)
-
-    def accessed_records(self) -> Set[Tuple[str, Hashable]]:
-        """All records the transaction has touched so far."""
-        return set(self.record_latencies) | {
-            stmt.record_id for stmt in self.spec.all_statements}

@@ -172,7 +172,6 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
         """Fold a fan-out's results into ``ctx``; the abort reason if any failed."""
         for result in results:
             ctx.results[result.datasource] = result
-            ctx.merge_record_latencies(result)
         for result in results:
             if not result.success:
                 return result.abort_reason or AbortReason.FAILURE

@@ -177,7 +177,7 @@ class MiddlewareBase:
             end_time=self.env.now,
             is_distributed=ctx.is_distributed,
             abort_reason=reason,
-            phase_breakdown=dict(ctx.phase_durations),
+            phase_breakdown=ctx.phase_durations,  # handed over: ctx is finished
             participant_count=max(len(ctx.participants), 1),
         )
         self.stats.record_outcome(result)

@@ -11,7 +11,7 @@ the XA framing statements are produced from the dialect profiles — this is the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.common import Operation, OpType
 from repro.middleware.router import Partitioner
@@ -21,17 +21,27 @@ from repro.storage.dialects import Dialect
 
 @dataclass(slots=True)
 class SubtransactionPlan:
-    """The statements of one round destined for one data source."""
+    """The statements of one round destined for one data source.
+
+    Built by :meth:`add`, which keeps the three lists parallel; they are
+    shared with the execute payload and the scheduler — read, don't mutate.
+    """
 
     datasource: str
     statements: List[Statement] = field(default_factory=list)
     #: True if this batch contains a statement annotated as the transaction's last.
     contains_last: bool = False
+    #: The operations to execute, in order, and the record id of each.
+    operations: List[Operation] = field(default_factory=list)
+    record_ids: List[Tuple[str, Hashable]] = field(default_factory=list)
 
-    @property
-    def operations(self) -> List[Operation]:
-        """The operations to execute, in order."""
-        return [stmt.operation for stmt in self.statements]
+    def add(self, stmt: Statement) -> None:
+        """Append one statement (and its operation and record id)."""
+        self.statements.append(stmt)
+        self.operations.append(stmt.operation)
+        self.record_ids.append(stmt.operation.record_id)
+        if stmt.is_last:
+            self.contains_last = True
 
     def rendered_sql(self, dialect: Optional[Dialect] = None) -> List[str]:
         """Engine-specific SQL text for this batch (reads rewritten if needed)."""
@@ -53,15 +63,14 @@ class Rewriter:
     def plan_round(self, statements: List[Statement]) -> Dict[str, SubtransactionPlan]:
         """Split one round into per-data-source subtransaction plans."""
         plans: Dict[str, SubtransactionPlan] = {}
+        locate = self.partitioner.locate
         for stmt in statements:
             operation = stmt.operation
-            target = self.partitioner.locate(operation.table, operation.key)
+            target = locate(operation.table, operation.key)
             plan = plans.get(target)
             if plan is None:
                 plan = plans[target] = SubtransactionPlan(datasource=target)
-            plan.statements.append(stmt)
-            if stmt.is_last:
-                plan.contains_last = True
+            plan.add(stmt)
         return plans
 
     def participants(self, statements: List[Statement]) -> List[str]:

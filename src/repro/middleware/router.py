@@ -72,6 +72,9 @@ class WarehousePartitioner(Partitioner):
         if warehouses_per_node < 1:
             raise ValueError("warehouses_per_node must be >= 1")
         self.warehouses_per_node = warehouses_per_node
+        #: Node of every warehouse id :meth:`locate` has validated so far
+        #: (an id that fails validation never enters).
+        self._located: Dict[Hashable, str] = {}
 
     @property
     def total_warehouses(self) -> int:
@@ -96,7 +99,12 @@ class WarehousePartitioner(Partitioner):
             warehouse_id = key
         else:
             raise ValueError(f"TPC-C keys must start with a warehouse id, got {key!r}")
-        return self.node_for_warehouse(int(warehouse_id))
+        try:
+            return self._located[warehouse_id]
+        except KeyError:
+            node = self._located[warehouse_id] = self.node_for_warehouse(
+                int(warehouse_id))
+            return node
 
     def warehouses_on_node(self, node_index: int) -> List[int]:
         """The warehouse ids stored on data source ``node_index``."""

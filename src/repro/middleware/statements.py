@@ -31,7 +31,7 @@ class Statement:
     @property
     def record_id(self) -> Tuple[str, Hashable]:
         """The (table, key) the statement touches."""
-        return self.operation.record_id()
+        return self.operation.record_id
 
     def rendered_sql(self) -> str:
         """The SQL text, synthesising one from the operation if none was given."""
@@ -84,7 +84,8 @@ class TransactionSpec:
         """
         ids = self._record_ids
         if ids is None:
-            self._record_ids = ids = [stmt.record_id for stmt in self.all_statements]
+            self._record_ids = ids = [stmt.operation.record_id
+                                      for round_ in self.rounds for stmt in round_]
         return ids
 
     def tables(self) -> Set[str]:

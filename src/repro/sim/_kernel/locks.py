@@ -21,7 +21,6 @@ can compile natively.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Set
 
 from .environment import Environment, WheelTimer
@@ -92,12 +91,16 @@ class LockRequest:
 
 
 class _LockEntry:
-    """Per-record lock state: current holders and the FIFO wait queue."""
+    """Per-record lock state: current holders and the FIFO wait queue.
+
+    ``holders`` is in grant order (a plain dict keeps insertion order), which
+    the deadlock search relies on.
+    """
 
     __slots__ = ("holders", "queue")
 
-    def __init__(self) -> None:
-        self.holders: "OrderedDict[str, LockMode]" = OrderedDict()
+    def __init__(self, holders: Dict[str, LockMode]) -> None:
+        self.holders: Dict[str, LockMode] = holders
         self.queue: List[LockRequest] = []
 
 
@@ -133,11 +136,13 @@ class LockManager:
         self.lock_wait_timeout_ms = lock_wait_timeout_ms
         self.enable_deadlock_detection = enable_deadlock_detection
         self._locks: Dict[Hashable, _LockEntry] = {}
-        # Keys per transaction in *acquisition order* (an insertion-ordered
-        # dict used as a set).  Iteration order feeds lock hand-off on release,
-        # so it must not depend on the per-process string hash seed — a plain
-        # set here made whole simulations diverge between processes.
-        self._held_by_txn: Dict[str, Dict[Hashable, None]] = {}
+        # Keys per transaction in *acquisition order*, each with its lock
+        # entry (which stays in ``_locks`` for as long as it has a holder), so
+        # release needs no second look-up.  Iteration order feeds lock
+        # hand-off on release, so it must not depend on the per-process string
+        # hash seed — a plain set here made whole simulations diverge between
+        # processes.
+        self._held_by_txn: Dict[str, Dict[Hashable, _LockEntry]] = {}
         # Still-waiting requests per transaction, so release_all can withdraw
         # them in O(pending) instead of scanning every lock entry in the
         # system (which made each commit O(total locks)).
@@ -187,14 +192,18 @@ class LockManager:
         """
         entry = self._locks.get(key)
         if entry is None:
-            self._locks[key] = entry = _LockEntry()
-        if self._can_grant(entry, txn_id, mode):
-            if entry.holders.get(txn_id) is not LockMode.EXCLUSIVE:
+            # Nobody holds or waits for the record: nothing to check.
+            self._locks[key] = entry = _LockEntry({txn_id: mode})
+            granted = True
+        else:
+            granted = self._can_grant(entry, txn_id, mode)
+            if granted and entry.holders.get(txn_id) is not LockMode.EXCLUSIVE:
                 entry.holders[txn_id] = mode
+        if granted:
             held = self._held_by_txn.get(txn_id)
             if held is None:
                 self._held_by_txn[txn_id] = held = {}
-            held[key] = None
+            held[key] = entry
             self.stats.acquisitions += 1
             return self._granted
 
@@ -269,7 +278,7 @@ class LockManager:
         else:
             effective = request.mode
         entry.holders[request.txn_id] = effective
-        self._held_by_txn.setdefault(request.txn_id, {})[request.key] = None
+        self._held_by_txn.setdefault(request.txn_id, {})[request.key] = entry
         request.granted_at = self.env.now
         timer = request.timer
         if timer is not None:
@@ -294,18 +303,14 @@ class LockManager:
         over every lock entry in the system, which made each commit O(total
         locks) and whole runs quadratic.
         """
-        keys = self._held_by_txn.pop(txn_id, None)
-        if keys:
-            locks = self._locks
-            for key in keys:
-                entry = locks.get(key)
-                if entry is None:
-                    continue
+        held = self._held_by_txn.pop(txn_id, None)
+        if held:
+            for key, entry in held.items():
                 entry.holders.pop(txn_id, None)
                 if entry.queue:
                     self._grant_waiters(entry)
                 if not entry.holders and not entry.queue:
-                    del locks[key]
+                    del self._locks[key]
         # Also withdraw any still-pending requests of this transaction.  Their
         # lock-wait timers stay armed on purpose: a withdrawn request's wait
         # event still fails with LockTimeoutError when the timer fires, waking

@@ -38,8 +38,6 @@ class Message:
     msg_type: str
     payload: Any = None
     message_id: int = field(default_factory=_message_ids.__next__)
-    sent_at: float = 0.0
-    delivered_at: float = 0.0
     #: Event to trigger on the sender's side when the recipient replies.
     reply_event: Optional[Event] = None
 
@@ -62,12 +60,6 @@ class NetworkStats:
         self.messages_parked = 0
         #: Deliveries discarded by a drop-mode disruption (never released).
         self.messages_dropped = 0
-
-    def record(self, message: Message, delay_ms: float) -> None:
-        self.messages_sent += 1
-        self.messages_by_type[message.msg_type] = (
-            self.messages_by_type.get(message.msg_type, 0) + 1)
-        self.total_delay_ms += delay_ms
 
 
 #: Disruption modes: ``park`` holds deliveries back and releases them on heal
@@ -318,39 +310,34 @@ class Network:
         if message.recipient not in self._inboxes:
             raise KeyError(f"unknown network node {message.recipient!r}")
         env = self.env
-        message.sent_at = now = env.now
         if message.sender == message.recipient:
             delay = 0.0
         else:
             model = self._links.get((message.sender, message.recipient),
                                     self.default_model)
-            delay = model.sample_one_way(now)
-        # NetworkStats.record, inlined: one call per simulated message adds up.
+            delay = model.sample_one_way(env.now)
+        # The stats are kept inline: one call per simulated message adds up.
         stats = self.stats
         stats.messages_sent += 1
         by_type = stats.messages_by_type
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
         stats.total_delay_ms += delay
 
-        inbox = self._inboxes[message.recipient]
-        # Allocation-free delivery: a bound method plus args instead of a
-        # per-message closure.  Zero-delay links (self-sends and colocated
-        # nodes) skip the heap entirely via the same-time microqueue.
+        deliver = self._inboxes[message.recipient].put
+        # Allocation-free delivery: the inbox's bound ``put`` plus args
+        # instead of a per-message closure.  Zero-delay links (self-sends and
+        # colocated nodes) skip the heap entirely via the same-time microqueue.
         if self._faults is not None:
             adjusted = self._intercept(message.sender, message.recipient,
-                                       delay, self._deliver, (message, inbox))
+                                       delay, deliver, (message,))
             if adjusted is None:
                 return delay  # parked or dropped; nominal delay for the stats
             delay = adjusted
         if delay == 0.0:
-            env._soon.append((self._deliver, (message, inbox)))
+            env._soon.append((deliver, (message,)))
         else:
-            env.call_at(delay, self._deliver, message, inbox)
+            env.call_at(delay, deliver, message)
         return delay
-
-    def _deliver(self, message: Message, inbox: Store) -> None:
-        message.delivered_at = self.env.now
-        inbox.put(message)
 
     def deliver_reply(self, original: Message, value: Any) -> None:
         """Send the reply for an RPC ``original`` back to its sender."""

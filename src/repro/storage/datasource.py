@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional
 
 from repro.common import AbortReason, Operation, OperationResult, OpType, SubtxnResult, Vote
 from repro import protocol
@@ -205,79 +205,69 @@ class DataSource:
                 abort_reason=AbortReason.FAILURE))
             return
 
+        # Everything the per-operation loop needs, looked up once per batch.
         env = self.env
         stats = self.stats
-        dialect = self.dialect
+        engine = self.engine
+        acquire = self.lock_manager.acquire
+        granted = self.lock_manager._granted
+        read_cost = self.dialect.read_cost_ms
+        write_cost = self.dialect.write_cost_ms
+        active = TxnState.ACTIVE
         started = env.now
         yield self.config.request_overhead_ms
         results: List[OperationResult] = []
-        per_record: Dict[Tuple[str, Hashable], float] = {}
         for operation in operations:
-            if txn.state is not TxnState.ACTIVE:
+            if txn.state is not active:
                 # The branch was rolled back (peer abort / coordinator rollback)
                 # while this statement batch was still executing or waiting.
-                self._reply(message, SubtxnResult(
-                    xid=xid, datasource=self.name, success=False,
-                    results=results, error="transaction aborted concurrently",
-                    abort_reason=AbortReason.PEER_ABORT,
-                    local_execution_ms=env.now - started,
-                    per_record_latency=per_record))
+                self._reply_failed(message, xid, results, started)
                 return
-            op_started = env.now
             is_write = operation.op_type is not OpType.READ
-            record_id = (operation.table, operation.key)
-            mode = LockMode.EXCLUSIVE if is_write else LockMode.SHARED
-            lock_event = self.lock_manager.acquire(xid, record_id, mode)
-            try:
-                yield lock_event
-            except (LockTimeoutError, DeadlockError) as exc:
-                # Thrown in here, the exception gained a traceback that holds
-                # this frame, whose ``lock_event`` holds the exception: drop
-                # the traceback, or every timeout leaves a cycle behind.
-                exc.__traceback__ = None
-                reason = (AbortReason.DEADLOCK if isinstance(exc, DeadlockError)
-                          else AbortReason.LOCK_TIMEOUT)
-                if not txn.is_finished:
-                    yield from self._abort_locally(txn)
-                self._reply(message, SubtxnResult(
-                    xid=xid, datasource=self.name, success=False,
-                    results=results, error=str(exc), abort_reason=reason,
-                    local_execution_ms=env.now - started,
-                    per_record_latency=per_record))
-                return
+            record_id = operation.record_id
+            lock_event = acquire(
+                xid, record_id, LockMode.EXCLUSIVE if is_write else LockMode.SHARED)
+            if lock_event is not granted:
+                # Only a lock that actually waits suspends the batch.
+                try:
+                    yield lock_event
+                except (LockTimeoutError, DeadlockError) as exc:
+                    # Thrown in here, the exception gained a traceback that
+                    # holds this frame, whose ``lock_event`` holds the
+                    # exception: drop the traceback, or every timeout leaves
+                    # a cycle behind.
+                    exc.__traceback__ = None
+                    reason = (AbortReason.DEADLOCK if isinstance(exc, DeadlockError)
+                              else AbortReason.LOCK_TIMEOUT)
+                    if not txn.is_finished:
+                        yield from self._abort_locally(txn)
+                    self._reply_failed(message, xid, results, started,
+                                       str(exc), reason)
+                    return
             if txn.first_lock_at is None:
                 txn.first_lock_at = env.now
-            txn.locked_keys.add(record_id)
-            txn.accessed_records.append(record_id)
 
-            cost = dialect.write_cost_ms if is_write else dialect.read_cost_ms
+            cost = write_cost if is_write else read_cost
             yield cost
-            if txn.state is not TxnState.ACTIVE:
+            if txn.state is not active:
                 # Aborted while the operation cost was being paid (peer abort
                 # or a coordinator-crash session kill): buffering the write
                 # now would resurrect a write set the abort already
                 # discarded, and success=True would misreport a dead branch.
-                self._reply(message, SubtxnResult(
-                    xid=xid, datasource=self.name, success=False,
-                    results=results, error="transaction aborted concurrently",
-                    abort_reason=AbortReason.PEER_ABORT,
-                    local_execution_ms=env.now - started,
-                    per_record_latency=per_record))
+                self._reply_failed(message, xid, results, started)
                 return
             stats.operations_executed += 1
             stats.busy_ms += cost
 
             if is_write:
-                self.engine.buffer_write(xid, operation.table, operation.key,
-                                         operation.value)
-                results.append(OperationResult(operation=operation, success=True))
+                engine.buffer_write(xid, operation.table, operation.key,
+                                    operation.value, record_id)
+                results.append(OperationResult(operation, True))
             else:
-                snapshot = self.engine.read(xid, operation.table, operation.key)
-                value = snapshot.value if snapshot is not None else None
-                results.append(OperationResult(operation=operation, success=True,
-                                               value=value))
-            per_record[record_id] = (
-                per_record.get(record_id, 0.0) + (env.now - op_started))
+                snapshot = engine.read(xid, operation.table, operation.key,
+                                       record_id)
+                results.append(OperationResult(
+                    operation, True, snapshot.value if snapshot is not None else None))
 
         prepared = False
         if payload.get("prepare_after"):
@@ -285,27 +275,36 @@ class DataSource:
             # branch is prepared before the reply so the caller's execution
             # round trip doubles as its prepare round trip.
             yield self.dialect.prepare_cost_ms
-            if txn.state is not TxnState.ACTIVE:
+            if txn.state is not active:
                 # Aborted while the prepare cost was being paid — same race
                 # as in _on_xa_prepare; report the failure instead of
                 # preparing a dead branch.
-                self._reply(message, SubtxnResult(
-                    xid=xid, datasource=self.name, success=False,
-                    results=results, error="transaction aborted concurrently",
-                    abort_reason=AbortReason.PEER_ABORT,
-                    local_execution_ms=env.now - started,
-                    per_record_latency=per_record))
+                self._reply_failed(message, xid, results, started)
                 return
-            self.wal.append(LogRecordType.PREPARE, xid, self.env.now,
-                            payload={"writes": len(self.engine.write_set(xid))})
-            txn.mark_prepared()
-            self.stats.prepares += 1
+            self._log_prepare(txn)
             prepared = True
 
         self._reply(message, SubtxnResult(
             xid=xid, datasource=self.name, success=True, results=results,
-            local_execution_ms=self.env.now - started,
-            per_record_latency=per_record, prepared=prepared))
+            local_execution_ms=env.now - started, prepared=prepared,
+            records=list(dict.fromkeys([op.record_id for op in operations]))))
+
+    def _reply_failed(self, message: Message, xid: str,
+                      results: List[OperationResult], started: float,
+                      error: str = "transaction aborted concurrently",
+                      reason: AbortReason = AbortReason.PEER_ABORT) -> None:
+        """Answer an execute whose batch stopped early (``results`` so far)."""
+        self._reply(message, SubtxnResult(
+            xid=xid, datasource=self.name, success=False, results=results,
+            error=error, abort_reason=reason,
+            local_execution_ms=self.env.now - started))
+
+    def _log_prepare(self, txn: LocalTransaction) -> None:
+        """Persist the branch's PREPARE record and move it to PREPARED."""
+        self.wal.append(LogRecordType.PREPARE, txn.xid, self.env.now,
+                        payload={"writes": self.engine.write_count(txn.xid)})
+        txn.mark_prepared()
+        self.stats.prepares += 1
 
     def _on_xa_end(self, message: Message) -> None:
         txn = self.transactions.get((message.payload or {})["xid"])
@@ -331,7 +330,6 @@ class DataSource:
                          message, txn)
 
     def _finish_xa_prepare(self, message: Message, txn: LocalTransaction) -> None:
-        xid = txn.xid
         if txn.state not in (TxnState.ACTIVE, TxnState.IDLE):
             # The branch was rolled back while the prepare cost was being
             # paid (peer abort, or its coordinator's sessions were killed by
@@ -339,10 +337,7 @@ class DataSource:
             self._reply(message, {"vote": Vote.NO,
                                   "error": "transaction not preparable"})
             return
-        self.wal.append(LogRecordType.PREPARE, xid, self.env.now,
-                        payload={"writes": len(self.engine.write_set(xid))})
-        txn.mark_prepared()
-        self.stats.prepares += 1
+        self._log_prepare(txn)
         self._reply(message, {"vote": Vote.YES})
 
     def _on_xa_commit(self, message: Message) -> None:

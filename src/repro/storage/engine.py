@@ -118,11 +118,13 @@ class StorageEngine:
             table.put(key, value)
 
     # -------------------------------------------------------------------- reads
-    def read(self, txn_id: str, table_name: str, key: Hashable) -> Optional[RecordSnapshot]:
+    def read(self, txn_id: str, table_name: str, key: Hashable,
+             record_id: Optional[RecordId] = None) -> Optional[RecordSnapshot]:
         """Read the latest value visible to ``txn_id``.
 
         A transaction sees its own buffered writes; otherwise the committed
         record value (strict 2PL guarantees no other uncommitted writer).
+        ``record_id`` is ``(table_name, key)`` for a caller that has it built.
         """
         table = self._tables.get(table_name)
         record = None
@@ -130,7 +132,7 @@ class StorageEngine:
             record = table._records.get(key) or table.get(key)
         write_set = self._write_sets.get(txn_id)
         if write_set:
-            record_id = (table_name, key)
+            record_id = record_id or (table_name, key)
             if record_id in write_set:
                 return RecordSnapshot(key=key, value=write_set[record_id],
                                       version=record.version if record else 0)
@@ -140,19 +142,34 @@ class StorageEngine:
                               version=record.version)
 
     # ------------------------------------------------------------------- writes
-    def buffer_write(self, txn_id: str, table_name: str, key: Hashable, value: Any) -> None:
-        """Record an uncommitted write in the transaction's write set."""
-        self._write_sets.setdefault(txn_id, {})[(table_name, key)] = value
+    def buffer_write(self, txn_id: str, table_name: str, key: Hashable, value: Any,
+                     record_id: Optional[RecordId] = None) -> None:
+        """Record an uncommitted write in the transaction's write set.
+
+        ``record_id`` is ``(table_name, key)`` for a caller that has it built.
+        """
+        self._write_sets.setdefault(txn_id, {})[
+            record_id or (table_name, key)] = value
 
     def write_set(self, txn_id: str) -> Dict[RecordId, Any]:
-        """The buffered writes of ``txn_id`` (may be empty)."""
+        """A copy of the buffered writes of ``txn_id`` (may be empty)."""
         return dict(self._write_sets.get(txn_id, {}))
+
+    def write_count(self, txn_id: str) -> int:
+        """How many records ``txn_id`` has buffered writes for."""
+        return len(self._write_sets.get(txn_id, ()))
 
     def commit_writes(self, txn_id: str) -> int:
         """Install all buffered writes of ``txn_id``; return how many."""
-        write_set = self._write_sets.pop(txn_id, {})
+        write_set = self._write_sets.pop(txn_id, None)
+        if not write_set:
+            return 0
+        tables = self._tables
         for (table_name, key), value in write_set.items():
-            self.table(table_name).put(key, value, writer=txn_id)
+            table = tables.get(table_name)
+            if table is None:
+                table = self.create_table(table_name)
+            table.put(key, value, writer=txn_id)
         return len(write_set)
 
     def discard_writes(self, txn_id: str) -> int:

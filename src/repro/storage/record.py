@@ -38,8 +38,3 @@ class RecordSnapshot:
     key: Hashable
     value: Any
     version: int
-
-    @classmethod
-    def of(cls, record: Record) -> "RecordSnapshot":
-        """Snapshot the current committed state of ``record``."""
-        return cls(key=record.key, value=record.value, version=record.version)

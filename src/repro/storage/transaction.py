@@ -14,8 +14,8 @@ been prepared (atomicity property AC3/AC4 of the paper's §V-B).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 
 class TxnState(enum.Enum):
@@ -56,8 +56,6 @@ class LocalTransaction:
     state: TxnState = TxnState.ACTIVE
     started_at: float = 0.0
     finished_at: Optional[float] = None
-    locked_keys: Set[Hashable] = field(default_factory=set)
-    accessed_records: List[Tuple[str, Hashable]] = field(default_factory=list)
     #: Time of the first lock acquisition (start of the lock contention span).
     first_lock_at: Optional[float] = None
 

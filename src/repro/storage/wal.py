@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, List, Mapping, Optional
 
 #: Default retention horizon: how many of the newest records survive a
 #: checkpoint verbatim.  Compaction triggers at twice this, so the amortized
@@ -29,6 +30,10 @@ from typing import Dict, List, Optional
 #: Kept deliberately small: long-lived log records pin allocator arenas, so a
 #: generous horizon shows up directly as resident-set growth on long runs.
 DEFAULT_CHECKPOINT_RECORDS = 1024
+
+#: The payload of every record appended without one (most COMMIT/ABORT
+#: records): shared and read-only instead of one empty dict per record.
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
 
 class LogRecordType(enum.Enum):
@@ -46,7 +51,8 @@ class WALRecord:
     record_type: LogRecordType
     xid: str
     timestamp: float
-    payload: Dict = field(default_factory=dict)
+    #: Stored as handed to :meth:`WriteAheadLog.append` — not copied.
+    payload: Mapping[str, Any] = field(default_factory=lambda: _NO_PAYLOAD)
 
 
 class WriteAheadLog:
@@ -65,10 +71,13 @@ class WriteAheadLog:
         return len(self._records)
 
     def append(self, record_type: LogRecordType, xid: str, timestamp: float,
-               payload: Optional[Dict] = None) -> WALRecord:
-        """Append a record (the caller is responsible for charging flush time)."""
-        record = WALRecord(record_type=record_type, xid=xid,
-                           timestamp=timestamp, payload=dict(payload or {}))
+               payload: Optional[Mapping[str, Any]] = None) -> WALRecord:
+        """Append a record (the caller is responsible for charging flush time).
+
+        ``payload`` is kept as is: the caller must not mutate it afterwards.
+        """
+        record = WALRecord(record_type, xid, timestamp,
+                           _NO_PAYLOAD if payload is None else payload)
         self._records.append(record)
         if (self.checkpoint_records is not None
                 and len(self._records) >= 2 * self.checkpoint_records):

@@ -1,6 +1,8 @@
 """Unit tests for partitioners and the statement rewriter."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.common import Operation, OpType
 from repro.middleware import (
@@ -72,6 +74,60 @@ def test_warehouse_partitioner_rejects_bad_input():
         WarehousePartitioner(NODES, warehouses_per_node=0)
 
 
+class UnmemoisedWarehousePartitioner(WarehousePartitioner):
+    """The slow definition of ``locate``: validate and divide on every call."""
+
+    def locate(self, table, key, home_hint=None):
+        if table in self.REPLICATED_TABLES:
+            return home_hint or self.datasource_names[0]
+        if isinstance(key, tuple) and key:
+            warehouse_id = key[0]
+        elif isinstance(key, int):
+            warehouse_id = key
+        else:
+            raise ValueError(f"TPC-C keys must start with a warehouse id, got {key!r}")
+        return self.node_for_warehouse(int(warehouse_id))
+
+
+def _outcome(partitioner, table, key):
+    try:
+        return partitioner.locate(table, key)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+WAREHOUSE_IDS = st.integers(min_value=-3, max_value=20)      # 1..16 are valid
+KEYS = st.one_of(
+    WAREHOUSE_IDS,
+    st.tuples(WAREHOUSE_IDS),
+    st.tuples(WAREHOUSE_IDS, st.integers(0, 9)),
+    st.tuples(WAREHOUSE_IDS, st.integers(0, 9), st.integers(0, 9)),
+    st.just(()), st.text(max_size=3), st.none(), st.floats(allow_nan=False))
+
+
+@given(lookups=st.lists(st.tuples(
+    st.sampled_from(["warehouse", "stock", "orderline", "item"]), KEYS), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_memoised_locate_agrees_with_the_unmemoised_definition(lookups):
+    fast = WarehousePartitioner(NODES, warehouses_per_node=4)
+    slow = UnmemoisedWarehousePartitioner(NODES, warehouses_per_node=4)
+    # One partitioner sees the whole sequence, so every repeated id is served
+    # from the memo — including repeats of ids that were rejected before.
+    for table, key in lookups:
+        assert _outcome(fast, table, key) == _outcome(slow, table, key)
+    assert all(1 <= int(warehouse_id) <= 16 for warehouse_id in fast._located)
+
+
+def test_the_memo_does_not_swallow_validation():
+    partitioner = WarehousePartitioner(NODES, warehouses_per_node=4)
+    assert partitioner.locate("stock", (16, 1)) == "ds3"      # fills the memo
+    for _ in range(2):      # the second round would be the memoised one
+        for bad_key in (0, (0, 1), -1, 17, (17, 1), "16", None, (), 1.5):
+            with pytest.raises(ValueError):
+                partitioner.locate("stock", bad_key)
+    assert list(partitioner._located) == [16]
+
+
 def test_table_aware_partitioner_delegates_per_table():
     modulo = ModuloPartitioner(NODES)
     warehouse = WarehousePartitioner(NODES, warehouses_per_node=4)
@@ -95,6 +151,11 @@ def test_rewriter_groups_by_datasource_and_tracks_last():
     assert set(plans) == {"ds0", "ds1"}
     assert [op.key for op in plans["ds0"].operations] == [0, 4]
     assert [op.key for op in plans["ds1"].operations] == [1, 5]
+    for plan in plans.values():     # the three lists stay parallel
+        assert plan.operations == [stmt.operation for stmt in plan.statements]
+        assert plan.record_ids == [("usertable", op.key) for op in plan.operations]
+        assert all(rid is op.record_id
+                   for rid, op in zip(plan.record_ids, plan.operations))
     assert plans["ds1"].contains_last
     assert not plans["ds0"].contains_last
 

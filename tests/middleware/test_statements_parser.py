@@ -1,6 +1,11 @@
 """Unit tests for transaction specs and the mini-SQL parser."""
 
+import copy
+import pickle
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.common import Operation, OpType
 from repro.middleware import ParseError, SqlParser, Statement, TransactionSpec
@@ -9,6 +14,38 @@ from repro.middleware import ParseError, SqlParser, Statement, TransactionSpec
 def ops(n, write=True):
     op_type = OpType.UPDATE if write else OpType.READ
     return [Operation(op_type=op_type, table="usertable", key=i, value=i) for i in range(n)]
+
+
+@given(op_type=st.sampled_from(list(OpType)), table=st.text(max_size=8),
+       key=st.one_of(st.integers(), st.text(max_size=4),
+                     st.tuples(st.integers(), st.integers())),
+       value=st.one_of(st.none(), st.integers(), st.dictionaries(st.text(max_size=3),
+                                                                 st.integers(), max_size=2)),
+       hot=st.booleans())
+def test_operation_record_id_is_the_table_key_pair_built_once(op_type, table, key,
+                                                              value, hot):
+    op = Operation(op_type, table, key, value, hot)
+    assert op.record_id == (op.table, op.key)
+    assert op.record_id is op.record_id                 # cached, not rebuilt
+    assert Statement(operation=op).record_id is op.record_id
+    # The cached id is derived state: it takes no part in equality or repr.
+    assert op == Operation(op_type=op_type, table=table, key=key, value=value,
+                           is_hot_hint=hot)
+    assert "record_id" not in repr(op)
+    assert repr(op) == (f"Operation(op_type={op_type!r}, table={table!r}, key={key!r}, "
+                        f"value={value!r}, is_hot_hint={hot!r})")
+    for clone in (pickle.loads(pickle.dumps(op)), copy.copy(op), copy.deepcopy(op)):
+        assert clone == op and clone.record_id == (table, key)
+    with pytest.raises(TypeError):
+        Operation(op_type, table, key, record_id=("other", 0))    # not an argument
+
+
+def test_spec_record_ids_are_the_operations_own_tuples():
+    spec = TransactionSpec.from_operations(ops(4), rounds=2)
+    assert spec.record_ids() == [("usertable", i) for i in range(4)]
+    assert all(rid is stmt.operation.record_id
+               for rid, stmt in zip(spec.record_ids(), spec.all_statements))
+    assert spec.record_ids() is spec.record_ids()
 
 
 def test_spec_requires_at_least_one_statement():

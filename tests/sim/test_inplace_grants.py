@@ -146,10 +146,12 @@ def reference_acquire(lm, txn_id, key, mode, timeout_ms=None):
     """``acquire`` as it was before in-place grants: a request that can be
     granted at once still gets a ``LockRequest`` and an ``Event`` and goes
     through ``_grant``, like a waiter.  (A request that must wait takes the
-    one waiting path there is.)"""
+    one waiting path there is.)  A record nobody knows yet gets an *empty*
+    entry and is checked by ``_can_grant`` like any other — the slow
+    definition of the brand-new-entry grant, which skips the check."""
     entry = lm._locks.get(key)
     if entry is None:
-        lm._locks[key] = entry = _LockEntry()
+        lm._locks[key] = entry = _LockEntry({})
     if not lm._can_grant(entry, txn_id, mode):
         return lm.acquire(txn_id, key, mode, timeout_ms)
     request = LockRequest(txn_id=txn_id, key=key, mode=mode,
@@ -195,9 +197,10 @@ class _Side:
         stats = lm.stats
         return {
             "now": self.env.now,
-            "locks": {key: (list(lm.holders(key).items()),
-                            lm.waiting_transactions(key))
-                      for key in lm._locks},
+            # Holders straight from the entries, in their own (grant) order.
+            "locks": {key: (list(entry.holders.items()),
+                            [request.txn_id for request in entry.queue])
+                      for key, entry in lm._locks.items()},
             "held": {txn: list(keys) for txn, keys in lm._held_by_txn.items()},
             "stats": (stats.acquisitions, stats.waits, stats.timeouts,
                       stats.deadlocks, stats.total_wait_ms),
@@ -240,6 +243,11 @@ class InPlaceGrantsMatchTheRequestPath(RuleBasedStateMachine):
         assert self.fast.state() == self.reference.state()
         granted = self.fast.lm._granted
         assert (granted.callbacks, granted.ok, granted.value) == (None, True, 0.0)
+        for side in (self.fast, self.reference):
+            for key, entry in side.lm._locks.items():
+                assert type(entry.holders) is dict
+                assert entry.holders or entry.queue, f"empty entry left for {key!r}"
+                assert side.lm.holders(key) == entry.holders
         # What the fast path saves is exactly the dispatches to nobody.
         assert self.fast.env.events_processed <= self.reference.env.events_processed
 

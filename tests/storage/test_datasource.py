@@ -84,7 +84,34 @@ def test_read_returns_committed_value_and_result_latency_accounts_cost():
     assert result.success
     assert result.results[0].value == "value"
     assert result.local_execution_ms > 0
-    assert ("usertable", "key") in result.per_record_latency
+    assert ("usertable", "key") in result.records
+
+
+def test_result_records_are_the_batch_distinct_ids_in_first_touch_order():
+    env, net, ds, client = make_datasource()
+    ds.load_table("usertable", {"a": 1, "b": 2, "c": 3})
+    batch = [read_op("b"), write_op("a", 5), read_op("b"), write_op("c", 7),
+             read_op("a")]
+    collected = {}
+
+    def coordinator():
+        collected["result"] = yield client.request(
+            "ds1", protocol.MSG_EXECUTE,
+            {"xid": "x4", "operations": batch, "auto_start": True})
+        yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x4"})
+
+    env.process(coordinator())
+    env.run()
+    result = collected["result"]
+    assert result.success and len(result.results) == 5
+    assert result.records == [("usertable", "b"), ("usertable", "a"),
+                              ("usertable", "c")]
+    # The very tuples the operations carry; the lock table keys on them too.
+    assert result.records[0] is batch[0].record_id
+    assert ds.lock_manager.locks_held("x4") == set(result.records)
+    # The PREPARE record counts the distinct records written, not a copy of them.
+    (prepare,) = ds.wal.records_for("x4")
+    assert prepare.payload == {"writes": 2}
 
 
 def test_lock_timeout_aborts_subtransaction():
@@ -112,6 +139,7 @@ def test_lock_timeout_aborts_subtransaction():
     env.run()
     assert not outcomes["waiter"].success
     assert outcomes["waiter"].abort_reason is AbortReason.LOCK_TIMEOUT
+    assert outcomes["waiter"].records == []         # filled on success only
     assert ds.transactions["waiter"].state is TxnState.ABORTED
 
 

@@ -83,6 +83,21 @@ def test_write_set_snapshot():
     assert engine.write_set("t") == {("tab", "k1"): 1, ("tab", "k2"): 2}
 
 
+def test_write_count_counts_without_copying():
+    engine = StorageEngine()
+    assert engine.write_count("t") == 0
+    assert not engine.has_pending_writes("t")        # asking creates nothing
+    engine.buffer_write("t", "tab", "k1", 1)
+    engine.buffer_write("t", "tab", "k2", 2)
+    engine.buffer_write("t", "tab", "k1", 3)         # same record again
+    engine.buffer_write("t", "tab", "k3", 4, record_id=("tab", "k3"))
+    assert engine.write_count("t") == len(engine.write_set("t")) == 3
+    assert engine.read("t", "tab", "k3", record_id=("tab", "k3")).value == 4
+    assert engine.commit_writes("t") == 3
+    assert engine.write_count("t") == 0
+    assert engine.read("other", "tab", "k1").value == 3
+
+
 def test_table_contains_and_len():
     engine = StorageEngine()
     table = engine.create_table("t")

@@ -85,6 +85,20 @@ def test_wal_append_and_query():
         LogRecordType.PREPARE, LogRecordType.COMMIT]
 
 
+def test_wal_append_keeps_the_payload_it_is_handed():
+    wal = WriteAheadLog()
+    payload = {"writes": 3}
+    prepared = wal.append(LogRecordType.PREPARE, "x1", 1.0, payload=payload)
+    committed = wal.append(LogRecordType.COMMIT, "x1", 2.0)
+    aborted = wal.append(LogRecordType.ABORT, "x2", 3.0)
+    assert prepared.payload is payload                      # stored, not copied
+    assert committed.payload is aborted.payload             # one shared empty
+    assert committed.payload == {} and len(committed.payload) == 0
+    with pytest.raises(TypeError):
+        committed.payload["oops"] = 1                       # and it is read-only
+    assert wal.append(LogRecordType.ABORT, "x3", 4.0, payload={}).payload == {}
+
+
 def test_wal_abort_decision_recorded():
     wal = WriteAheadLog()
     wal.append(LogRecordType.PREPARE, "x", 1.0)
