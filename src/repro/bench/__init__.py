@@ -37,12 +37,6 @@ from repro.bench.parallel import (
     SweepResult,
     SweepRunner,
 )
-from repro.bench.perf import (
-    PerfMetrics,
-    compare_to_baseline,
-    measure_scenario,
-    run_perf,
-)
 from repro.bench.report import format_table, print_table, sweep_table
 from repro.bench.runner import (
     ExperimentConfig,
@@ -67,7 +61,6 @@ __all__ = [
     "ExperimentSummary",
     "Figure",
     "FigureCheckError",
-    "PerfMetrics",
     "PointResult",
     "SCENARIOS",
     "SweepCache",
@@ -75,12 +68,9 @@ __all__ = [
     "build_figures",
     "canonical_repr",
     "check_figure",
-    "compare_to_baseline",
     "config_hash",
     "emit_figures",
     "engine_token",
-    "measure_scenario",
-    "run_perf",
     "ScenarioSpec",
     "SweepPoint",
     "SweepResult",

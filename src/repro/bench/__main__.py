@@ -5,8 +5,7 @@
 instead, including aliases and capability flags);
 ``python -m repro.bench run NAME`` expands the scenario into sweep points,
 executes them (optionally across a process pool) and emits a JSON document
-with one row per point; ``python -m repro.bench perf`` times scenarios and
-compares against the committed ``BENCH_baseline.json``.  Examples::
+with one row per point.  Examples::
 
     PYTHONPATH=src python -m repro.bench list
     PYTHONPATH=src python -m repro.bench list --systems --workloads
@@ -23,11 +22,7 @@ compares against the committed ``BENCH_baseline.json``.  Examples::
         --input chaos_report.json --output-dir figures/
     PYTHONPATH=src python -m repro.bench chaos --sample 10 --workers 2 \\
         --output chaos_report.json
-    PYTHONPATH=src python -m repro.bench perf --quick --output BENCH_ci.json
-    PYTHONPATH=src python -m repro.bench perf --quick --profile --output BENCH_ci.json
-    PYTHONPATH=src python -m repro.bench perf --compare BENCH_a.json BENCH_b.json
     PYTHONPATH=src python -m repro.bench engine
-    REPRO_ENGINE=compiled PYTHONPATH=src python -m repro.bench perf --quick
 
 ``run --output FILE`` also prints the sweep's table (``report.sweep_table``, one
 row per point) on stderr.
@@ -41,12 +36,10 @@ pass its registered sanity checks or nothing is emitted for it and the
 command fails.  PNG rendering needs matplotlib (the ``figures`` optional
 dependency); without it the checked data JSONs are still written.
 
-Measurement runs append one line each to ``BENCH_history.jsonl`` (see
-``--history`` / ``--no-history``); ``perf --compare`` diffs two BENCH
-documents without measuring anything and warns when the two were recorded on
-different interpreters, platforms or engines.  Every measurement document
-carries the ``engine`` (pure or mypyc-compiled kernel, selected by
-``REPRO_ENGINE``) it ran on; ``engine`` prints this process's selection.
+Every ``run``/``chaos`` document carries the ``engine`` (pure or
+mypyc-compiled kernel, selected by ``REPRO_ENGINE``) it ran on; ``engine``
+prints this process's selection.  Host-time measurement lives outside this
+CLI, in ``perf_ledger/`` (see its README).
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.bench import perf as perf_mod
 from repro.bench.cache import DEFAULT_CACHE_DIR, SweepCache
 from repro.bench.parallel import SweepRunner, SweepResult
 from repro.bench.report import (format_table, registry_markdown,
@@ -133,50 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write only the per-figure data JSONs, even "
                               "when matplotlib is available")
     _add_sweep_flags(figures, positional=False)
-
-    perf = commands.add_parser(
-        "perf", help="time scenarios and compare against the committed baseline")
-    perf.add_argument("--quick", action="store_true",
-                      help=f"time only the quick suite {list(perf_mod.QUICK_SUITE)}")
-    perf.add_argument("--scenarios", nargs="+", default=None,
-                      help="explicit scenario names to time (overrides the suite)")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="repetitions per scenario; the best wall clock is kept")
-    perf.add_argument("--workers", type=int, default=1,
-                      help="process-pool size (default: serial, the stable setting)")
-    perf.add_argument("--tag", default="local",
-                      help="tag recorded in the output document")
-    perf.add_argument("--baseline", default=perf_mod.DEFAULT_BASELINE,
-                      help="baseline JSON to compare against "
-                           f"(default: {perf_mod.DEFAULT_BASELINE})")
-    perf.add_argument("--threshold", type=float, default=perf_mod.DEFAULT_THRESHOLD,
-                      help="allowed slowdown vs the baseline before failing "
-                           "(default: 0.30 = 30%%)")
-    perf.add_argument("--output", default=None,
-                      help="write BENCH_<tag>.json content here instead of stdout")
-    perf.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
-                      default=None,
-                      help="compare two BENCH documents (no measurement): "
-                           "print per-scenario wall-clock and events/sec deltas")
-    perf.add_argument("--history", default=perf_mod.DEFAULT_HISTORY,
-                      help="perf-trajectory log appended to after each "
-                           f"measurement run (default: {perf_mod.DEFAULT_HISTORY})")
-    perf.add_argument("--no-history", action="store_true",
-                      help="do not append this run to the history log")
-    perf.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline file with this run's metrics")
-    perf.add_argument("--require-baseline", action="store_true",
-                      help="fail (exit 1) when the baseline file cannot be "
-                           "loaded instead of just warning (used by CI)")
-    perf.add_argument("--profile", action="store_true",
-                      help="cProfile each scenario once after timing it and "
-                           "record the hottest functions (a `profiles` section "
-                           "in the document, plus a text table next to the "
-                           "--output file)")
-    perf.add_argument("--profile-top", type=int,
-                      default=perf_mod.DEFAULT_PROFILE_TOP_N,
-                      help="number of functions per profile table "
-                           f"(default: {perf_mod.DEFAULT_PROFILE_TOP_N})")
 
     chaos = commands.add_parser(
         "chaos", help="run a seeded sample of generated chaos_* scenarios at "
@@ -483,124 +431,11 @@ def _run_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_documents(args: argparse.Namespace) -> int:
-    path_a, path_b = args.compare
-    try:
-        doc_a = perf_mod.load_baseline(path_a)
-        doc_b = perf_mod.load_baseline(path_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = perf_mod.compare_documents(doc_a, doc_b)
-    print(perf_mod.format_comparison(rows, labels=("A", "B")))
-    print(f"\nA = {path_a} (tag {doc_a.get('tag', '?')}, "
-          f"engine {doc_a.get('engine', '?')}), "
-          f"B = {path_b} (tag {doc_b.get('tag', '?')}, "
-          f"engine {doc_b.get('engine', '?')}); "
-          "speedup > 1 means B is faster", file=sys.stderr)
-    for warning in perf_mod.document_metadata_mismatches(doc_a, doc_b):
-        print(f"warning: {warning}", file=sys.stderr)
-    return 0
-
-
-def _run_perf(args: argparse.Namespace) -> int:
-    if args.compare:
-        conflicting = [flag for flag, value in (
-            ("--scenarios", args.scenarios), ("--quick", args.quick),
-            ("--output", args.output), ("--update-baseline", args.update_baseline),
-            ("--require-baseline", args.require_baseline),
-            ("--profile", args.profile)) if value]
-        if conflicting:
-            # --compare measures nothing; silently ignoring measurement
-            # flags would leave e.g. an expected --output file unwritten.
-            print(f"error: --compare cannot be combined with "
-                  f"{', '.join(conflicting)}", file=sys.stderr)
-            return 2
-        return _compare_documents(args)
-    if args.scenarios:
-        names = args.scenarios
-    elif args.quick:
-        names = list(perf_mod.QUICK_SUITE)
-    else:
-        names = list(perf_mod.FULL_SUITE)
-    print(f"engine: {active_engine()} "
-          f"(REPRO_ENGINE={engine_info()['requested']})", file=sys.stderr)
-    try:
-        for name in names:
-            get_scenario(name)  # fail fast on unknown names
-        document = perf_mod.run_perf(
-            names, repeats=args.repeats, max_workers=args.workers, tag=args.tag,
-            baseline_path=None if args.update_baseline else args.baseline,
-            threshold=args.threshold)
-        if args.profile:
-            document["profiles"] = [
-                perf_mod.profile_scenario(name, top_n=args.profile_top)
-                for name in names]
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    if not args.no_history:
-        try:
-            perf_mod.append_history(document, path=args.history)
-        except OSError as exc:
-            # Never let a bad history path discard a finished measurement:
-            # the document (and any --output/--update-baseline write) is the
-            # valuable part, the trajectory line is best-effort.
-            print(f"warning: cannot append history to {args.history!r}: {exc}",
-                  file=sys.stderr)
-    rendered = json.dumps(document, indent=2)
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"baseline updated: {args.baseline}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote perf document to {args.output}", file=sys.stderr)
-    elif not args.update_baseline:
-        print(rendered)
-    if args.profile:
-        tables = "\n\n".join(perf_mod.format_profile(profile)
-                             for profile in document["profiles"])
-        if args.output:
-            # The human-readable twin of the `profiles` section, next to the
-            # BENCH json: BENCH_ci.json -> BENCH_ci.profile.txt.
-            stem = args.output[:-5] if args.output.endswith(".json") else args.output
-            profile_path = stem + ".profile.txt"
-            with open(profile_path, "w", encoding="utf-8") as handle:
-                handle.write(tables + "\n")
-            print(f"wrote profile tables to {profile_path}", file=sys.stderr)
-        else:
-            print(tables, file=sys.stderr)
-    baseline_error = document.get("baseline_error")
-    if baseline_error is not None:
-        print(f"warning: {baseline_error}", file=sys.stderr)
-        if args.require_baseline:
-            print("error: --require-baseline set and no baseline was loaded",
-                  file=sys.stderr)
-            return 1
-    status = 0
-    regressions = document.get("regressions", [])
-    if regressions:
-        print(f"PERF REGRESSION (> {args.threshold:.0%} slower than baseline): "
-              f"{', '.join(regressions)}", file=sys.stderr)
-        status = 1
-    rss_regressions = document.get("rss_regressions", [])
-    if rss_regressions:
-        print(f"RSS REGRESSION (> {args.threshold:.0%} more peak memory than "
-              f"baseline): {', '.join(rss_regressions)}", file=sys.stderr)
-        status = 1
-    return status
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _run_list(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "engine":
         print(json.dumps(engine_info(), indent=2, sort_keys=True))
         return 0

@@ -245,12 +245,6 @@ def register_family(name: str, description: str) -> None:
     SCENARIO_FAMILIES[name] = description
 
 
-def family_members(family: str) -> List[ScenarioSpec]:
-    """Registered scenarios belonging to ``family``, sorted by name."""
-    return [SCENARIOS[name] for name in sorted(SCENARIOS)
-            if SCENARIOS[name].family == family]
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     """Look up a registered scenario by name."""
     try:
@@ -827,14 +821,6 @@ register(ScenarioSpec(
                ycsb=_open_system_ycsb()),
     axes=(Axis("system", ("ssp", "geotp")),
           Axis("process", ARRIVAL_PROCESSES, path="arrival.process")),
-))
-
-register(ScenarioSpec(
-    name="perf_scale",
-    description="Medium-scale two-system sweep timed by the perf harness "
-                "(lock-manager and event-heap costs only show at this scale)",
-    base=_base(terminals=48, duration_ms=10_000.0, warmup_ms=2_000.0),
-    axes=(Axis("system", ("ssp", "geotp")),),
 ))
 
 register(ScenarioSpec(

@@ -62,7 +62,13 @@ class LatencyDistribution:
         self._samples: List[float] = list(samples)
         self._sorted: List[float] = None
         self._view: Tuple[float, ...] = None
-        self._total: float = sum(self._samples)
+        # A left-to-right fold, exactly what add() accumulates: builtin sum()
+        # is compensated on CPython >= 3.12, which moves the mean by ulps and
+        # with it the golden pins.
+        total = 0.0
+        for value in self._samples:
+            total += value
+        self._total: float = total
 
     def add(self, value: float) -> None:
         """Record one latency sample (milliseconds)."""

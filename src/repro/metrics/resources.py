@@ -59,10 +59,3 @@ class ResourceUsage:
         if self.committed == 0:
             return 0.0
         return self.wan_messages / self.committed
-
-    @classmethod
-    def from_middleware(cls, middleware) -> "ResourceUsage":
-        """Snapshot the counters of a middleware instance."""
-        stats = middleware.stats
-        return cls(work_units=stats.work_units, wan_messages=stats.wan_messages,
-                   metadata_bytes=stats.metadata_bytes, committed=stats.committed)

@@ -175,10 +175,6 @@ class ConditionValue:
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
-    def todict(self) -> dict:
-        """Return ``{event: value}`` for each completed event."""
-        return {event: event.value for event in self.events}
-
 
 class Condition(Event):
     """Base class for composite events over a list of child events."""

@@ -117,11 +117,6 @@ class LockStats:
         self.deadlocks: int = 0
         self.total_wait_ms: float = 0.0
 
-    @property
-    def average_wait_ms(self) -> float:
-        granted_after_wait = max(self.waits - self.timeouts - self.deadlocks, 1)
-        return self.total_wait_ms / granted_after_wait
-
 
 class LockManager:
     """Record-level strict 2PL with FIFO waiting and timeout-based abort."""

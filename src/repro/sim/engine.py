@@ -27,9 +27,9 @@ Worker processes (e.g. ``SweepRunner``'s ``ProcessPoolExecutor`` children)
 inherit ``REPRO_ENGINE`` through the environment and therefore make the same
 choice.
 
-:func:`engine_info` is the introspection API every entry point (runner, CLI,
-perf harness) reports, and the ``engine`` field of experiment summaries and
-BENCH documents comes from :func:`active_engine`.
+:func:`engine_info` is the introspection API every entry point (runner, CLI)
+reports, and the ``engine`` field of experiment summaries and CLI documents
+comes from :func:`active_engine`.
 """
 
 from __future__ import annotations

@@ -81,8 +81,7 @@ class _FaultState:
     disruption is lifted.
     """
 
-    __slots__ = ("blocked_nodes", "blocked_links", "degraded_nodes",
-                 "degraded_links", "parked")
+    __slots__ = ("blocked_nodes", "blocked_links", "degraded_nodes", "parked")
 
     def __init__(self) -> None:
         #: Node name -> mode (:data:`PARK`/:data:`DROP`); blocks every link
@@ -92,8 +91,6 @@ class _FaultState:
         self.blocked_links: Dict[Tuple[str, str], str] = {}
         #: Node name -> delay multiplier applied to every touching link.
         self.degraded_nodes: Dict[str, float] = {}
-        #: Directed (src, dst) link -> delay multiplier.
-        self.degraded_links: Dict[Tuple[str, str], float] = {}
         #: Disruption key -> parked ``(src, dst, delay, fn, args)`` deliveries
         #: in park order.  Keys are ``("node", name)`` or
         #: ``("link", (src, dst))``.
@@ -102,8 +99,7 @@ class _FaultState:
     def empty(self) -> bool:
         """True once no disruption of any kind remains installed."""
         return not (self.blocked_nodes or self.blocked_links
-                    or self.degraded_nodes or self.degraded_links
-                    or self.parked)
+                    or self.degraded_nodes or self.parked)
 
     def block_key(self, src: str, dst: str):
         """The (mode, park key) of the disruption blocking ``src -> dst``, if any."""
@@ -120,7 +116,7 @@ class _FaultState:
 
     def delay_factor(self, src: str, dst: str) -> float:
         """Combined latency-degradation multiplier for ``src -> dst``."""
-        factor = self.degraded_links.get((src, dst), 1.0)
+        factor = 1.0
         node_factor = self.degraded_nodes.get(src)
         if node_factor is not None:
             factor *= node_factor
@@ -149,10 +145,6 @@ class Network:
         if name not in self._inboxes:
             self._inboxes[name] = Store(self.env)
         return self._inboxes[name]
-
-    def has_node(self, name: str) -> bool:
-        """True if ``name`` has been registered."""
-        return name in self._inboxes
 
     def set_link(self, src: str, dst: str, model: LatencyModel,
                  symmetric: bool = True) -> None:
@@ -245,23 +237,6 @@ class Network:
                 self._maybe_clear_faults()
             return
         self._fault_state().degraded_nodes[name] = factor
-
-    def degrade_link(self, src: str, dst: str, factor: float,
-                     symmetric: bool = True) -> None:
-        """Multiply the ``src -> dst`` delay by ``factor`` (1.0 heals)."""
-        if factor < 1.0:
-            raise ValueError("degradation factor must be >= 1")
-        keys = [(src, dst)] + ([(dst, src)] if symmetric else [])
-        faults = self._faults
-        if factor == 1.0:
-            if faults is not None:
-                for key in keys:
-                    faults.degraded_links.pop(key, None)
-                self._maybe_clear_faults()
-            return
-        links = self._fault_state().degraded_links
-        for key in keys:
-            links[key] = factor
 
     def _intercept(self, src: str, dst: str, delay: float, fn, args):
         """Apply active disruptions to one delivery.

@@ -70,10 +70,6 @@ class Workload:
         raise NotImplementedError
 
     # --------------------------------------------------------------- helpers
-    def spawn_terminal_rng(self, terminal_id: int) -> SeededRNG:
-        """A per-terminal RNG stream so terminals are independent but reproducible."""
-        return self.rng.spawn(terminal_id + 1)
-
     def load_into(self, datasources: Dict[str, object]) -> None:
         """Bulk-load the initial data into :class:`~repro.storage.DataSource` objects."""
         global _last_initial_data

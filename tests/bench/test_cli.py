@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.bench
 from repro.bench.__main__ import main
 
 
@@ -65,7 +66,6 @@ def test_run_unknown_scenario_fails_with_message(capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "fig5_overal"],
     ["figures", "fig5_overal"],
-    ["perf", "--scenarios", "fig5_overal", "--no-history"],
 ])
 def test_mistyped_scenario_names_the_close_match_not_the_registry(argv, capsys):
     assert main(argv) == 2
@@ -142,6 +142,19 @@ def test_missing_arguments_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+def test_perf_subcommand_and_exports_are_gone(capsys):
+    """Host time is measured by perf_ledger/ alone: no second harness."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["perf"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'perf'" in err
+    for command in ("list", "run", "figures", "chaos", "engine"):
+        assert command in err
+    assert not {"PerfMetrics", "compare_to_baseline", "measure_scenario",
+                "run_perf"} & set(repro.bench.__all__)
 
 
 def test_run_without_cache_flags_reports_no_cache_section(capsys):

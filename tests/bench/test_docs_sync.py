@@ -10,10 +10,12 @@ doc refresh — killing table drift:
         update_registry_block; update_registry_block('EXPERIMENTS.md')"
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.report import (
     extract_registry_block,
     format_markdown_table,
@@ -23,7 +25,12 @@ from repro.bench.report import (
 from repro.bench.scenarios import SCENARIO_FAMILIES, SCENARIOS, scenario_names
 from repro.plugins import system_names, workload_names
 
-EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+EXPERIMENTS_MD = REPO_ROOT / "EXPERIMENTS.md"
+#: Every file that quotes CLI commands for people (or CI) to run.
+#: perf_ledger/README.md is frozen with the benchmark and not checked.
+COMMAND_QUOTING_FILES = ("README.md", "EXPERIMENTS.md", "ARCHITECTURE.md",
+                         "PLUGINS.md", ".github/workflows/ci.yml")
 
 
 def test_committed_registry_tables_match_the_live_registries():
@@ -33,6 +40,23 @@ def test_committed_registry_tables_match_the_live_registries():
         "EXPERIMENTS.md registry tables are stale; regenerate with\n"
         "  PYTHONPATH=src python -c \"from repro.bench.report import "
         "update_registry_block; update_registry_block('EXPERIMENTS.md')\"")
+
+
+def test_every_quoted_cli_command_is_a_live_subcommand(capsys):
+    quoted = {}
+    for name in COMMAND_QUOTING_FILES:
+        text = (REPO_ROOT / name).read_text(encoding="utf-8")
+        # \s+ also spans a line wrap between the module and the subcommand.
+        for command in re.findall(r"python3? -m repro\.bench\s+([a-z][\w-]*)",
+                                  text):
+            quoted.setdefault(command, name)
+    assert quoted, "expected the docs to quote at least one CLI command"
+    for command, name in quoted.items():
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0, (
+            f"{name} quotes `python -m repro.bench {command}`, which the "
+            f"parser rejects: {capsys.readouterr().err}")
 
 
 def test_markdown_block_lists_every_registration():

@@ -1,5 +1,7 @@
 """Unit and property tests for the metrics package."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,21 @@ def test_latency_distribution_summary_stats_matches_accessors():
     assert stats["p99"] == dist.p99
     assert stats["p999"] == dist.p999
     assert LatencyDistribution().summary_stats()["count"] == 0
+
+
+def test_latency_distribution_mean_is_the_sequential_fold_on_every_interpreter():
+    # builtin sum() is compensated on CPython >= 3.12; the constructor must
+    # accumulate like add() does or the golden means move with the interpreter.
+    rng = random.Random(20250923)
+    values = [rng.uniform(0.05, 900.0) for _ in range(5_000)]
+    built = LatencyDistribution(values)
+    added = LatencyDistribution()
+    fold = 0.0
+    for value in values:
+        added.add(value)
+        fold += value
+    assert built.mean == added.mean == fold / len(values)
+    assert built.summary_stats()["mean"] == added.summary_stats()["mean"] == built.mean
 
 
 def test_collector_incremental_counters_match_scans():
