@@ -104,7 +104,7 @@ def load_sweep_config() -> ExperimentConfig:
 
     Derived from the registered scenario at reduced scale, past the knee
     (the arrival generator, the bounded pool's shed/reuse churn and the
-    streaming collector's reservoirs all must replay bit for bit).
+    collector's reservoirs all must replay bit for bit).
     """
     from repro.bench.scenarios import get_scenario
 

@@ -22,8 +22,8 @@ from repro.cluster.fleet import FleetConfig, MiddlewareFleet, RetryPolicy
 from repro.cluster.open_loop import OpenClientPool
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import GeoTPConfig
-from repro.metrics.collector import MetricsCollector, StreamingMetricsCollector
-from repro.metrics.percentiles import LatencyDistribution
+from repro.metrics.collector import MetricsCollector
+from repro.metrics.percentiles import DEFAULT_RESERVOIR_SIZE, LatencyDistribution
 from repro.metrics.resources import ResourceUsage, process_peak_rss_bytes
 from repro.metrics.timeline import ThroughputTimeline
 from repro.middleware.middleware import MiddlewareConfig
@@ -86,19 +86,14 @@ class ExperimentConfig:
     #: ``arrival.rate_tps`` — the sweepable offered-load axis
     #: (``arrival.rate_tps`` in scenario specs).
     arrival: Optional[ArrivalConfig] = None
-    #: Metrics representation.  ``None`` auto-selects: streaming (O(1) memory,
-    #: reservoir percentiles) for open-system runs, retained (exact, O(n))
-    #: otherwise.  ``True``/``False`` force one — closed-loop runs keep the
-    #: retained collector by default so every golden pin stays byte-identical.
-    streaming_metrics: Optional[bool] = None
     seed: int = 0
 
-    @property
-    def use_streaming_metrics(self) -> bool:
-        """The resolved metrics mode (see ``streaming_metrics``)."""
-        if self.streaming_metrics is None:
-            return self.arrival is not None
-        return self.streaming_metrics
+
+def _summary_row(self):
+    """A compact row used by the report tables."""
+    return (self.system, round(self.throughput_tps, 1),
+            round(self.average_latency_ms, 1), round(self.p99_latency_ms, 1),
+            round(self.abort_rate * 100, 1))
 
 
 @dataclass
@@ -125,7 +120,10 @@ class ExperimentSummary:
     breakdown: Dict[str, float]
     resources: ResourceUsage
     abort_reasons: Dict[str, int]
-    #: Latency samples (ms) of committed transactions, split by distribution.
+    #: Latency samples (ms) of committed transactions, split by distribution:
+    #: every sample of a closed-loop run; for an open-system run at most
+    #: ``DEFAULT_RESERVOIR_SIZE`` per field (a uniform reservoir once
+    #: ``committed`` exceeds it — ``len(latency_samples) < committed`` tells).
     latency_samples: Sequence[float]
     centralized_latency_samples: Sequence[float]
     distributed_latency_samples: Sequence[float]
@@ -145,10 +143,6 @@ class ExperimentSummary:
     #: ran the experiment — for sweeps on a worker pool that is the *worker*,
     #: which inherits ``REPRO_ENGINE`` through the environment.
     engine: str = ""
-    #: ``"retained"`` or ``"streaming"`` — which collector produced the
-    #: numbers.  Under streaming metrics the latency sample fields above hold
-    #: fixed-size reservoir samples, not the full stream.
-    metrics_mode: str = "retained"
     #: Offered-vs-served accounting of an open-system run (arrival process,
     #: offered/started/dropped/completed counts, peak concurrent sessions);
     #: ``None`` for closed-loop runs.  See ``OpenClientPool.report``.
@@ -186,11 +180,7 @@ class ExperimentSummary:
                    else self.centralized_latency_samples)
         return LatencyDistribution(samples)
 
-    def summary_row(self):
-        """A compact row used by the report tables."""
-        return (self.system, round(self.throughput_tps, 1),
-                round(self.average_latency_ms, 1), round(self.p99_latency_ms, 1),
-                round(self.abort_rate * 100, 1))
+    summary_row = _summary_row
 
     def to_dict(self, include_samples: bool = False,
                 include_environment: bool = False) -> Dict:
@@ -218,7 +208,6 @@ class ExperimentSummary:
             "abort_reasons": dict(self.abort_reasons),
             "events_processed": self.events_processed,
             "engine": self.engine,
-            "metrics_mode": self.metrics_mode,
             "resources": {
                 "work_units": self.resources.work_units,
                 "wan_messages": self.resources.wan_messages,
@@ -281,7 +270,6 @@ class ExperimentResult:
     #: Simulation engine the run executed on (``pure`` or ``compiled``).
     engine: str = ""
     #: See the same-named ``ExperimentSummary`` fields.
-    metrics_mode: str = "retained"
     open_loop: Optional[Dict[str, Any]] = None
     admission: Optional[Dict[str, int]] = None
     peak_rss_bytes: int = 0
@@ -302,11 +290,7 @@ class ExperimentResult:
         return self.collector.latency_distribution(txn_type=txn_type,
                                                    distributed=distributed)
 
-    def summary_row(self):
-        """A compact row used by the report tables."""
-        return (self.system, round(self.throughput_tps, 1),
-                round(self.average_latency_ms, 1), round(self.p99_latency_ms, 1),
-                round(self.abort_rate * 100, 1))
+    summary_row = _summary_row
 
     def summary(self) -> ExperimentSummary:
         """The picklable summary of this result (drops collector/cluster).
@@ -340,7 +324,6 @@ class ExperimentResult:
             faults=self.faults,
             fleet=self.fleet,
             engine=self.engine,
-            metrics_mode=self.metrics_mode,
             open_loop=self.open_loop,
             admission=self.admission,
             peak_rss_bytes=self.peak_rss_bytes,
@@ -413,14 +396,15 @@ def run_experiment(config: ExperimentConfig,
     cluster.load_workload(workload)
 
     needs_fleet = config.fleet is not None or config.middleware_count > 1
-    if config.use_streaming_metrics:
-        collector: MetricsCollector = StreamingMetricsCollector(
-            warmup_ms=config.warmup_ms, duration_ms=config.duration_ms,
-            seed=config.seed, track_middlewares=needs_fleet)
-    else:
-        collector = MetricsCollector(warmup_ms=config.warmup_ms)
     timeline = (ThroughputTimeline(bucket_ms=config.timeline_bucket_ms)
                 if config.timeline_bucket_ms else None)
+    # An open-system run has no bound on its transaction count, so its latency
+    # distributions are bounded reservoirs; a closed loop keeps every sample.
+    collector = MetricsCollector(
+        warmup_ms=config.warmup_ms, duration_ms=config.duration_ms,
+        reservoir_size=(DEFAULT_RESERVOIR_SIZE if config.arrival is not None
+                        else None),
+        seed=config.seed, track_middlewares=needs_fleet, timeline=timeline)
 
     if config.active_probing:
         for middleware in cluster.middlewares:
@@ -450,14 +434,13 @@ def run_experiment(config: ExperimentConfig,
         open_pool = OpenClientPool(
             cluster.env, cluster.middlewares, workload, collector,
             arrival=config.arrival.stamped(config.seed),
-            duration_ms=config.duration_ms, timeline=timeline,
+            duration_ms=config.duration_ms,
             fleet=fleet, retry=retry, seed=config.seed)
     else:
         start_terminals(cluster.env, cluster.middlewares, workload, collector,
                         terminal_count=config.terminals,
                         duration_ms=config.duration_ms,
-                        timeline=timeline, fleet=fleet, retry=retry,
-                        seed=config.seed)
+                        fleet=fleet, retry=retry, seed=config.seed)
     # Suspending the cyclic GC removes its pauses from the hot loop.  Nothing
     # is lost by it: finished processes, expired lock waits and their timers
     # are all reclaimed by plain reference counting (the kernel leaves no
@@ -478,9 +461,7 @@ def run_experiment(config: ExperimentConfig,
         fleet_report = fleet.summary()
         # Attribution is derived per middleware, so it sums exactly to the
         # collector's committed/aborted totals — the invariant the
-        # zero-lost/zero-duplicated checks assert.  The accessors dispatch to
-        # the retained samples or the streaming accumulators, whichever this
-        # run used.
+        # zero-lost/zero-duplicated checks assert.
         fleet_report["attribution"] = collector.attribution()
         fleet_report["availability_per_middleware"] = {
             name: report.to_dict()
@@ -531,7 +512,6 @@ def run_experiment(config: ExperimentConfig,
                 if fault_injector is not None else None),
         fleet=fleet_report,
         engine=active_engine(),
-        metrics_mode="streaming" if config.use_streaming_metrics else "retained",
         open_loop=open_pool.report() if open_pool is not None else None,
         admission=admission_report,
         peak_rss_bytes=process_peak_rss_bytes(),

@@ -2,9 +2,9 @@
 
 Each terminal repeatedly generates a transaction from the workload, submits it
 to a middleware, waits for the outcome and immediately submits the next one —
-the closed-loop, zero-think-time model the paper uses.  Results are recorded in
-a :class:`~repro.metrics.MetricsCollector` (and optionally a throughput
-timeline for the time-series experiments).
+the closed-loop, zero-think-time model the paper uses.  Every outcome is
+handed to one :class:`~repro.metrics.MetricsCollector`, which folds it into
+all the run's statistics (the optional throughput timeline included).
 
 Two routing modes exist:
 
@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 from repro.common import AbortReason
 from repro.cluster.fleet import MiddlewareFleet, RetryPolicy
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.timeline import ThroughputTimeline
 from repro.middleware.middleware import MiddlewareBase
 from repro.sim.environment import Environment
 from repro.sim.process import Process
@@ -50,8 +49,7 @@ class ClientTerminal:
 
     def __init__(self, env: Environment, terminal_id: int, middleware: MiddlewareBase,
                  workload: Workload, collector: MetricsCollector,
-                 stop_at_ms: float, timeline: Optional[ThroughputTimeline] = None,
-                 think_time_ms: float = 0.0,
+                 stop_at_ms: float, think_time_ms: float = 0.0,
                  fleet: Optional[MiddlewareFleet] = None,
                  retry: Optional[RetryPolicy] = None, seed: int = 0,
                  autostart: bool = True):
@@ -60,7 +58,6 @@ class ClientTerminal:
         self.middleware = middleware
         self.workload = workload
         self.collector = collector
-        self.timeline = timeline
         self.stop_at_ms = stop_at_ms
         self.think_time_ms = think_time_ms
         self.fleet = fleet
@@ -91,8 +88,6 @@ class ClientTerminal:
             result = yield from self._submit(spec)
             self.transactions_run += 1
             self.collector.record(result, txn_type=spec.txn_type)
-            if self.timeline is not None and result.committed:
-                self.timeline.record(result.end_time)
             if result.abort_reason is AbortReason.UNAVAILABLE:
                 yield self.env.timeout(self._backoff_ms())
                 self._unavailable_streak += 1
@@ -152,7 +147,6 @@ class ClientTerminal:
 def start_terminals(env: Environment, middlewares: Sequence[MiddlewareBase],
                     workload: Workload, collector: MetricsCollector,
                     terminal_count: int, duration_ms: float,
-                    timeline: Optional[ThroughputTimeline] = None,
                     think_time_ms: float = 0.0,
                     fleet: Optional[MiddlewareFleet] = None,
                     retry: Optional[RetryPolicy] = None,
@@ -173,6 +167,6 @@ def start_terminals(env: Environment, middlewares: Sequence[MiddlewareBase],
         middleware = middlewares[index % len(middlewares)]
         terminals.append(ClientTerminal(
             env, index, middleware, workload, collector,
-            stop_at_ms=duration_ms, timeline=timeline, think_time_ms=think_time_ms,
+            stop_at_ms=duration_ms, think_time_ms=think_time_ms,
             fleet=fleet, retry=retry, seed=seed))
     return terminals

@@ -10,7 +10,7 @@ free client slot.  When all ``max_clients`` slots are busy the arrival is
 **shed** (counted in :attr:`dropped`, never queued), which bounds client-side
 memory no matter how far past saturation the rate is pushed — an unbounded
 arrival queue would otherwise grow linearly once the knee is crossed and
-drown the flat-RSS story the streaming metrics exist for.
+drown the flat-RSS story the collector's bounded reservoirs exist for.
 
 Each slot owns a :class:`~repro.cluster.client.ClientTerminal` built with
 ``autostart=False``: the terminal is a pure submitter, so fleet routing,
@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.client import ClientTerminal
 from repro.cluster.fleet import MiddlewareFleet, RetryPolicy
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.timeline import ThroughputTimeline
 from repro.middleware.middleware import MiddlewareBase
 from repro.sim.environment import Environment
 from repro.workloads.arrivals import ArrivalConfig, make_arrivals
@@ -38,7 +37,6 @@ class OpenClientPool:
     def __init__(self, env: Environment, middlewares: Sequence[MiddlewareBase],
                  workload: Workload, collector: MetricsCollector,
                  arrival: ArrivalConfig, duration_ms: float,
-                 timeline: Optional[ThroughputTimeline] = None,
                  fleet: Optional[MiddlewareFleet] = None,
                  retry: Optional[RetryPolicy] = None, seed: int = 0):
         if not middlewares:
@@ -46,7 +44,6 @@ class OpenClientPool:
         self.env = env
         self.workload = workload
         self.collector = collector
-        self.timeline = timeline
         self.duration_ms = duration_ms
         self.arrival = arrival
         self.arrivals = make_arrivals(arrival)
@@ -103,8 +100,6 @@ class OpenClientPool:
         terminal.transactions_run += 1
         self.completed += 1
         self.collector.record(result, txn_type=spec.txn_type)
-        if self.timeline is not None and result.committed:
-            self.timeline.record(result.end_time)
         self._active -= 1
         self._free.append(terminal.terminal_id)
 

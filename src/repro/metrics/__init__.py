@@ -1,22 +1,14 @@
 """Measurement utilities: latency/throughput collection, percentiles, breakdowns."""
 
 from repro.metrics.availability import (
+    Availability,
     AvailabilityReport,
-    StreamingAvailability,
-    build_availability,
     middleware_of,
-    per_middleware_attribution,
-    per_middleware_availability,
 )
-from repro.metrics.collector import (
-    MetricsCollector,
-    StreamingMetricsCollector,
-    TransactionSample,
-)
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.percentiles import (
     DEFAULT_RESERVOIR_SIZE,
     LatencyDistribution,
-    StreamingLatencyDistribution,
     percentile,
 )
 from repro.metrics.timeline import ThroughputTimeline
@@ -24,21 +16,15 @@ from repro.metrics.breakdown import PhaseBreakdown
 from repro.metrics.resources import ResourceUsage, process_peak_rss_bytes
 
 __all__ = [
+    "Availability",
     "AvailabilityReport",
     "DEFAULT_RESERVOIR_SIZE",
     "LatencyDistribution",
     "MetricsCollector",
     "PhaseBreakdown",
     "ResourceUsage",
-    "StreamingAvailability",
-    "StreamingLatencyDistribution",
-    "StreamingMetricsCollector",
     "ThroughputTimeline",
-    "TransactionSample",
-    "build_availability",
     "middleware_of",
-    "per_middleware_attribution",
-    "per_middleware_availability",
     "percentile",
     "process_peak_rss_bytes",
 ]

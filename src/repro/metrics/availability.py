@@ -3,14 +3,15 @@
 A fault experiment asks three questions the plain aggregates cannot answer:
 *when* was the system unable to commit work (the availability timeline), *how
 hard* did the fault hit the abort rate (the abort spike), and *how long* after
-the repair did throughput come back (time to recover).  This module derives
-all three post-hoc from the per-transaction samples the
-:class:`~repro.metrics.collector.MetricsCollector` already keeps, so the hot
-recording path pays nothing for them.
+the repair did throughput come back (time to recover).  :class:`Availability`
+counts commits and aborts per time bucket as the
+:class:`~repro.metrics.collector.MetricsCollector` records them — one index
+computation per completion on a grid allocated up front from the known run
+duration — and :class:`AvailabilityReport` derives all three from the buckets.
 
-Samples finishing inside the warm-up window are discarded by the collector and
-therefore absent here, so bucketing starts at ``start_ms`` (the caller passes
-the collector's ``warmup_ms``) — otherwise the warm-up buckets would be
+Completions inside the warm-up window are discarded by the collector and
+therefore absent here, so bucketing starts at ``start_ms`` (the collector
+passes its ``warmup_ms``) — otherwise the warm-up buckets would be
 structurally empty and dilute every derived metric.  Fault plans should
 schedule their first event after the warm-up (the registered fault scenarios
 do).
@@ -19,7 +20,7 @@ do).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -95,43 +96,33 @@ class AvailabilityReport:
         }
 
 
-def _bucket_grid(duration_ms: float, bucket_ms: float,
-                 start_ms: float) -> int:
-    """Number of buckets spanning ``[start_ms, duration_ms)`` (shared by the
-    post-hoc builder and the streaming accumulator so their grids always
-    coincide)."""
-    if bucket_ms <= 0:
-        raise ValueError("bucket_ms must be positive")
-    if not 0 <= start_ms < duration_ms:
-        raise ValueError("start_ms must lie inside [0, duration_ms)")
-    span = duration_ms - start_ms
-    return max(int(span // bucket_ms) + (1 if span % bucket_ms else 0), 1)
+class Availability:
+    """Commit/abort counts bucketed at record time on a fixed time grid.
 
-
-class StreamingAvailability:
-    """Incrementally bucketed commit/abort counts on a fixed time grid.
-
-    The post-hoc :func:`build_availability` walks every retained sample after
-    the run — O(n) memory in the collector.  This accumulator is its
-    record-time twin: the bucket grid is allocated up front from the known run
-    duration (O(duration / bucket_ms), independent of transaction count) and
-    each completion costs one index computation.  :meth:`report` emits an
-    :class:`AvailabilityReport` identical to what :func:`build_availability`
-    would build from the same stream — a pinned test asserts the equality.
+    Buckets span ``[start_ms, duration_ms)`` (O(duration / bucket_ms) memory,
+    independent of transaction count), so quiet tail buckets show up as
+    unavailable instead of being silently truncated; ``start_ms`` is the
+    warm-up boundary so no bucket covers time that could never hold a sample.
     """
 
     __slots__ = ("bucket_ms", "start_ms", "_committed", "_aborted", "_count")
 
     def __init__(self, duration_ms: float, bucket_ms: float = 1000.0,
                  start_ms: float = 0.0):
-        self._count = _bucket_grid(duration_ms, bucket_ms, start_ms)
+        if bucket_ms <= 0:
+            raise ValueError("bucket_ms must be positive")
+        if not 0 <= start_ms < duration_ms:
+            raise ValueError("start_ms must lie inside [0, duration_ms)")
+        span = duration_ms - start_ms
+        self._count = max(
+            int(span // bucket_ms) + (1 if span % bucket_ms else 0), 1)
         self.bucket_ms = bucket_ms
         self.start_ms = start_ms
         self._committed = [0] * self._count
         self._aborted = [0] * self._count
 
     def record(self, finished_at_ms: float, committed: bool) -> None:
-        """Count one transaction completion (same clamping as the builder)."""
+        """Count one transaction completion (clamped onto the grid)."""
         index = int((finished_at_ms - self.start_ms) // self.bucket_ms)
         if index < 0:
             index = 0
@@ -150,76 +141,12 @@ class StreamingAvailability:
         return AvailabilityReport(bucket_ms=self.bucket_ms, buckets=buckets)
 
 
-def build_availability(samples: Iterable, duration_ms: float,
-                       bucket_ms: float = 1000.0,
-                       start_ms: float = 0.0) -> AvailabilityReport:
-    """Bucket per-transaction samples into an :class:`AvailabilityReport`.
-
-    ``samples`` is any iterable of objects with ``finished_at`` and
-    ``committed`` attributes (the collector's
-    :class:`~repro.metrics.collector.TransactionSample`).  Buckets span
-    ``[start_ms, duration_ms)`` so quiet tail buckets show up as unavailable
-    instead of being silently truncated; pass the collector's warm-up window
-    as ``start_ms`` so no bucket covers time that could never hold a sample.
-    """
-    count = _bucket_grid(duration_ms, bucket_ms, start_ms)
-    committed = [0] * count
-    aborted = [0] * count
-    for sample in samples:
-        index = int((sample.finished_at - start_ms) // bucket_ms)
-        if index < 0:
-            index = 0
-        elif index >= count:
-            index = count - 1
-        if sample.committed:
-            committed[index] += 1
-        else:
-            aborted[index] += 1
-    buckets = [(start_ms + index * bucket_ms, committed[index], aborted[index])
-               for index in range(count)]
-    return AvailabilityReport(bucket_ms=bucket_ms, buckets=buckets)
-
-
-# ----------------------------------------------------- per-middleware views
 def middleware_of(txn_id: str) -> str:
     """The middleware a transaction ran on, recovered from its id.
 
     Transaction ids are ``f"{middleware.name}-t{counter}"`` (see
-    ``MiddlewareBase.submit``), so attribution needs no extra bookkeeping on
-    the hot path — it is derived from the samples after the run.
+    ``MiddlewareBase.submit``), so per-middleware attribution needs no extra
+    field on the result — the collector parses the id when it tracks
+    middlewares.
     """
     return txn_id.rsplit("-t", 1)[0]
-
-
-def per_middleware_attribution(samples: Iterable) -> Dict[str, Dict[str, int]]:
-    """Commit/abort counts per middleware, derived from the sample ids.
-
-    The values sum exactly to the collector's totals (same samples, no
-    filtering), which is what the fleet scenarios' zero-lost/zero-duplicated
-    accounting checks ride on.
-    """
-    out: Dict[str, Dict[str, int]] = {}
-    for sample in samples:
-        entry = out.setdefault(middleware_of(sample.txn_id),
-                               {"committed": 0, "aborted": 0})
-        entry["committed" if sample.committed else "aborted"] += 1
-    return out
-
-
-def per_middleware_availability(samples: Iterable, duration_ms: float,
-                                bucket_ms: float = 1000.0,
-                                start_ms: float = 0.0
-                                ) -> Dict[str, AvailabilityReport]:
-    """One :class:`AvailabilityReport` per middleware (same bucket grid).
-
-    All reports share the fleet-wide bucket boundaries, so the per-middleware
-    timelines line up column-for-column with the aggregate one — the shape
-    the failover experiments plot (survivors picking up the dead
-    coordinator's share, bucket by bucket).
-    """
-    grouped: Dict[str, List] = {}
-    for sample in samples:
-        grouped.setdefault(middleware_of(sample.txn_id), []).append(sample)
-    return {name: build_availability(group, duration_ms, bucket_ms=bucket_ms,
-                                     start_ms=start_ms)
-            for name, group in sorted(grouped.items())}

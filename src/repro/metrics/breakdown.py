@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 class PhaseBreakdown:
@@ -19,11 +19,6 @@ class PhaseBreakdown:
         self._count += 1
         for phase, duration in phase_durations.items():
             self._totals[phase] = self._totals.get(phase, 0.0) + duration
-
-    def record_many(self, breakdowns: Iterable[Optional[Dict[str, float]]]) -> None:
-        """Add many transactions' phase timings."""
-        for breakdown in breakdowns:
-            self.record(breakdown)
 
     @property
     def transaction_count(self) -> int:

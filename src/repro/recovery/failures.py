@@ -448,8 +448,6 @@ class FaultInjector:
     def summarize(self, collector: "MetricsCollector", duration_ms: float,
                   bucket_ms: float = 1000.0) -> Dict[str, Any]:
         """The picklable fault report stored in ``ExperimentSummary.faults``."""
-        # The accessor dispatches to retained samples or the streaming
-        # accumulator, so fault runs work under either metrics mode.
         availability = collector.availability_report(duration_ms,
                                                      bucket_ms=bucket_ms)
         time_to_recover: Dict[str, Any] = {}

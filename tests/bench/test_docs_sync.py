@@ -10,6 +10,10 @@ doc refresh — killing table drift:
         update_registry_block; update_registry_block('EXPERIMENTS.md')"
 """
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -27,10 +31,18 @@ from repro.plugins import system_names, workload_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXPERIMENTS_MD = REPO_ROOT / "EXPERIMENTS.md"
+#: The prose docs.  perf_ledger/README.md is frozen with the benchmark and
+#: not checked.
+DOC_FILES = ("README.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "PLUGINS.md")
 #: Every file that quotes CLI commands for people (or CI) to run.
-#: perf_ledger/README.md is frozen with the benchmark and not checked.
-COMMAND_QUOTING_FILES = ("README.md", "EXPERIMENTS.md", "ARCHITECTURE.md",
-                         "PLUGINS.md", ".github/workflows/ci.yml")
+COMMAND_QUOTING_FILES = DOC_FILES + (".github/workflows/ci.yml",)
+#: Backticked CamelCase names the docs mention that are not this package's.
+FOREIGN_CLASS_NAMES = {"ProcessPoolExecutor", "TypeError", "ClassVar"}
+#: `ClassName`, `ClassName.attribute`, either followed by a call, a further
+#: attribute chain or a `/alternative` — but nothing else (`ScalarDB+` is a
+#: system name, not a class).
+_CLASS_REFERENCE = re.compile(
+    r"`([A-Z][A-Za-z0-9]*)(?:\.([A-Za-z_]\w*))?(?:[.(/][^`\n]*)?`")
 
 
 def test_committed_registry_tables_match_the_live_registries():
@@ -57,6 +69,62 @@ def test_every_quoted_cli_command_is_a_live_subcommand(capsys):
         assert excinfo.value.code == 0, (
             f"{name} quotes `python -m repro.bench {command}`, which the "
             f"parser rejects: {capsys.readouterr().err}")
+
+
+def _repro_classes():
+    """Every class defined in some importable ``repro.*`` module, by name."""
+    import repro
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        try:
+            module = importlib.import_module(info.name)
+        except ImportError:
+            continue  # the compiled kernel package, when it was never built
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__.startswith("repro"):
+                classes.setdefault(name, value)
+    return classes
+
+
+def _has_attribute(cls, attribute):
+    """A class attribute, method, slot, dataclass field or constructor
+    argument (how the docs name an instance attribute set in ``__init__``)."""
+    if hasattr(cls, attribute):
+        return True
+    if dataclasses.is_dataclass(cls):
+        return attribute in {field.name for field in dataclasses.fields(cls)}
+    return attribute in inspect.signature(cls).parameters
+
+
+def test_every_quoted_class_and_attribute_exists():
+    classes = _repro_classes()
+    checked = 0
+    stale = []
+    for name in DOC_FILES:
+        in_migration_table = False
+        for number, line in enumerate(
+                (REPO_ROOT / name).read_text(encoding="utf-8").splitlines(), 1):
+            # PLUGINS.md's "before -> now" tables name what is gone on purpose.
+            if re.match(r"\|\s*(before|was)\s*\|\s*now\s*\|", line):
+                in_migration_table = True
+            elif not line.startswith("|"):
+                in_migration_table = False
+            if in_migration_table:
+                continue
+            for match in _CLASS_REFERENCE.finditer(line):
+                cls, attribute = match.groups()
+                # Looks like one of our classes: CamelCase, an inner capital.
+                if (cls in FOREIGN_CLASS_NAMES or not re.search("[a-z]", cls)
+                        or sum(c.isupper() for c in cls) < 2):
+                    continue
+                checked += 1
+                if cls not in classes or (
+                        attribute and not _has_attribute(classes[cls], attribute)):
+                    stale.append(f"{name}:{number}: {match.group(0)}")
+    assert checked > 50, "expected the docs to name the package's classes"
+    assert not stale, (
+        "the docs name classes/attributes that no repro module defines:\n  "
+        + "\n  ".join(stale))
 
 
 def test_markdown_block_lists_every_registration():

@@ -22,7 +22,7 @@ from repro.bench.goldens import fleet_failover_config
 from repro.bench.parallel import SweepRunner
 from repro.bench.scenarios import FLEET_SYSTEMS, get_scenario
 from repro.bench.runner import run_experiment
-from repro.metrics.availability import build_availability
+from tests.conftest import recorded_completions
 
 FLEET_SCENARIOS = ("fleet_scaleout", "fleet_failover", "fleet_policies")
 
@@ -126,14 +126,17 @@ def test_fleet_sweep_results_identical_serial_and_parallel():
 # ------------------------------------------------------------ acceptance bars
 @pytest.fixture(scope="module")
 def failover_run():
-    return run_point("fleet_failover", "geotp", seed=3)
+    """The run, with every ``(txn_id, committed)`` it recorded on ``.recorded``."""
+    with recorded_completions() as recorded:
+        result = run_point("fleet_failover", "geotp", seed=3)
+    result.recorded = recorded
+    return result
 
 
 def test_availability_stays_at_90_percent_of_fault_free(failover_run):
     fault_free = run_point("fleet_failover", "geotp", seed=3, fault_free=True)
-    baseline = build_availability(
-        fault_free.collector.samples, duration_ms=4_000.0,
-        start_ms=800.0).availability()
+    baseline = fault_free.collector.availability_report(
+        4_000.0).availability()
     faulted = failover_run.faults["availability"]["availability"]
     assert baseline > 0.0
     assert faulted >= 0.9 * baseline, (
@@ -142,9 +145,13 @@ def test_availability_stays_at_90_percent_of_fault_free(failover_run):
 
 
 def test_no_transaction_is_lost_or_duplicated(failover_run):
-    samples = failover_run.collector.samples
-    ids = [sample.txn_id for sample in samples]
+    ids = [txn_id for txn_id, _ in failover_run.recorded]
     assert len(ids) == len(set(ids)), "duplicated transaction ids"
+    # Nothing handed to the collector went missing from its books.
+    assert len(ids) == (failover_run.committed + failover_run.aborted
+                        + failover_run.warmup_samples)
+    commits = sum(committed for _, committed in failover_run.recorded)
+    assert 0 <= commits - failover_run.committed <= failover_run.warmup_samples
     attribution = failover_run.fleet["attribution"]
     assert sum(e["committed"] for e in attribution.values()) == \
         failover_run.committed

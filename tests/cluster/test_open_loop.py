@@ -11,6 +11,7 @@ tiny scale.
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.metrics import DEFAULT_RESERVOIR_SIZE
 from repro.workloads.arrivals import ArrivalConfig
 from repro.workloads.ycsb import YCSBConfig
 
@@ -63,10 +64,6 @@ def test_completions_match_collector_totals(moderate_run):
         no_warmup.committed + no_warmup.aborted
 
 
-def test_open_runs_default_to_streaming_metrics(moderate_run):
-    assert moderate_run.metrics_mode == "streaming"
-
-
 # -------------------------------------------------------------------- shedding
 def test_pool_never_exceeds_max_clients(moderate_run, saturated_run):
     assert moderate_run.open_loop["peak_active"] <= 64
@@ -111,5 +108,10 @@ def test_closed_loop_runs_have_no_open_loop_report(moderate_run):
         system="geotp", terminals=4, duration_ms=2_000.0, warmup_ms=500.0,
         ycsb=YCSBConfig(records_per_node=500, preload_rows_per_node=500)))
     assert closed.open_loop is None
-    assert closed.metrics_mode == "retained"
     assert moderate_run.open_loop is not None
+    # The load model is the one thing the runner reads to bound the latency
+    # reservoirs; no metrics mode is configured or reported.
+    assert closed.collector.reservoir_size is None
+    assert moderate_run.collector.reservoir_size == DEFAULT_RESERVOIR_SIZE
+    assert "metrics_mode" not in closed.summary().to_dict()
+    assert "metrics_mode" not in moderate_run.summary().to_dict()

@@ -13,12 +13,13 @@ stdout is parsed and whose reported engine is verified.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -111,3 +112,25 @@ def run_goldens(engine: str, *cli_args: str) -> Dict[str, Any]:
 def goldens_runner():
     """Callable ``(engine, *cli_args) -> document`` (see :func:`run_goldens`)."""
     return run_goldens
+
+
+@contextlib.contextmanager
+def recorded_completions() -> Iterator[List[Tuple[str, bool]]]:
+    """Capture every ``(txn_id, committed)`` handed to a collector meanwhile.
+
+    The collector keeps nothing per transaction, so the lost/duplicated
+    accounting tests observe the completions where they enter it:
+    ``MetricsCollector.record`` is wrapped for the duration of the block.
+    """
+    from repro.metrics import MetricsCollector
+
+    recorded: List[Tuple[str, bool]] = []
+    fold = MetricsCollector.record
+
+    def record(self, result, txn_type="generic"):
+        recorded.append((result.txn_id, result.committed))
+        fold(self, result, txn_type)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MetricsCollector, "record", record)
+        yield recorded

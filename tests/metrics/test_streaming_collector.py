@@ -1,10 +1,13 @@
-"""Streaming-vs-retained collector equivalence and contract tests.
+"""Bounded-vs-unbounded collector equivalence and contract tests.
 
-The :class:`StreamingMetricsCollector` folds everything at record time; this
-module feeds identical synthetic transaction streams into both collectors and
-asserts every aggregate the runner and the derived-metric consumers read is
-equal — then pins the failure modes (unsupported filters, grid mismatches,
-untracked middlewares) so they raise loudly instead of returning empty data.
+:class:`MetricsCollector` folds everything at record time; the reservoir
+capacity is the only thing that differs between a closed and an open run.
+This module feeds identical synthetic transaction streams into an unbounded
+collector (``reservoir_size=None`` — keeps every sample, the exact reference)
+and a bounded one and asserts every aggregate the runner and the
+derived-metric consumers read is equal — then pins the failure modes
+(combined filters, grid mismatches, untracked middlewares) so they raise
+loudly instead of returning empty data, and the reservoir draw order.
 """
 
 import random
@@ -15,7 +18,7 @@ from repro.common import AbortReason, TransactionResult, TxnOutcome
 from repro.metrics import (
     DEFAULT_RESERVOIR_SIZE,
     MetricsCollector,
-    StreamingMetricsCollector,
+    ThroughputTimeline,
 )
 
 
@@ -52,10 +55,11 @@ def synthetic_stream(count=800, seed=4, middlewares=("geotp-0", "geotp-1")):
 
 def build_pair(stream, warmup_ms=1_000.0, duration_ms=10_000.0,
                track_middlewares=True):
-    retained = MetricsCollector(warmup_ms=warmup_ms)
-    streaming = StreamingMetricsCollector(
-        warmup_ms=warmup_ms, duration_ms=duration_ms, seed=11,
-        track_middlewares=track_middlewares)
+    retained, streaming = (
+        MetricsCollector(warmup_ms=warmup_ms, duration_ms=duration_ms,
+                         reservoir_size=reservoir_size, seed=11,
+                         track_middlewares=track_middlewares)
+        for reservoir_size in (None, DEFAULT_RESERVOIR_SIZE))
     for result, txn_type in stream:
         retained.record(result, txn_type)
         streaming.record(result, txn_type)
@@ -131,14 +135,26 @@ def test_attribution_sums_to_collector_totals():
 
 
 # -------------------------------------------------------------- failure modes
-def test_unsupported_filters_raise_instead_of_returning_empty():
-    _, streaming = build_pair(synthetic_stream())
-    with pytest.raises(RuntimeError, match="retains no per-transaction"):
-        streaming.latency_distribution(committed_only=False)
-    with pytest.raises(RuntimeError, match="retains no per-transaction"):
-        streaming.latency_distribution(txn_type="read")
-    with pytest.raises(RuntimeError, match="retains no per-transaction"):
-        streaming._filtered()
+def test_per_type_latency_matches_unbounded_below_capacity():
+    retained, streaming = build_pair(synthetic_stream())
+    for txn_type in ("read", "write", "scan", "never-seen"):
+        exact = retained.latency_distribution(txn_type=txn_type)
+        bounded = streaming.latency_distribution(txn_type=txn_type)
+        assert len(bounded) == len(exact) == retained.committed_count(txn_type)
+        assert bounded.samples == exact.samples
+        assert bounded.summary_stats() == exact.summary_stats()
+        assert streaming.average_latency_ms(txn_type=txn_type) == \
+            retained.average_latency_ms(txn_type=txn_type)
+    assert sum(len(retained.latency_distribution(txn_type=t))
+               for t in ("read", "write", "scan")) == retained.committed_count()
+
+
+def test_type_and_distribution_filters_cannot_be_combined():
+    for collector in build_pair(synthetic_stream()):
+        with pytest.raises(ValueError, match="txn_type"):
+            collector.latency_distribution(txn_type="read", distributed=True)
+        with pytest.raises(ValueError, match="txn_type"):
+            collector.average_latency_ms(txn_type="read", distributed=False)
 
 
 def test_availability_grid_mismatch_raises():
@@ -152,7 +168,7 @@ def test_availability_grid_mismatch_raises():
 
 
 def test_no_duration_means_no_timeline():
-    streaming = StreamingMetricsCollector(duration_ms=None)
+    streaming = MetricsCollector(duration_ms=None)
     streaming.record(make_result())
     with pytest.raises(RuntimeError, match="without duration_ms"):
         streaming.availability_report(10_000.0)
@@ -167,20 +183,55 @@ def test_untracked_middlewares_raise():
 
 
 # --------------------------------------------------------------------- memory
-def test_retains_samples_flag_and_flat_sample_list():
-    retained, streaming = build_pair(synthetic_stream())
-    assert MetricsCollector.retains_samples
-    assert not StreamingMetricsCollector.retains_samples
-    assert len(retained.samples) > 0
-    assert streaming.samples == []  # nothing accumulates per transaction
-
-
 def test_reservoirs_stay_bounded_past_capacity():
-    streaming = StreamingMetricsCollector(duration_ms=1_000.0, seed=1)
+    streaming = MetricsCollector(duration_ms=1_000.0, seed=1,
+                                 reservoir_size=DEFAULT_RESERVOIR_SIZE)
     for i in range(DEFAULT_RESERVOIR_SIZE * 3):
         streaming.record(make_result(txn_id=f"mw-t{i}", end=500.0,
                                      latency=float(i % 300 + 1)))
-    distribution = streaming.latency_distribution()
-    assert len(distribution) == DEFAULT_RESERVOIR_SIZE * 3
-    assert distribution.reservoir_len == DEFAULT_RESERVOIR_SIZE
-    assert streaming.samples == []
+    for distribution in (streaming.latency_distribution(),
+                         streaming.latency_distribution(distributed=False),
+                         streaming.latency_distribution(txn_type="generic")):
+        assert len(distribution) == DEFAULT_RESERVOIR_SIZE * 3
+        assert len(distribution.samples) == DEFAULT_RESERVOIR_SIZE
+    # Nothing else accumulates per transaction.
+    assert not hasattr(streaming, "samples")
+
+
+# ------------------------------------------------------------------- timeline
+def test_timeline_counts_warmup_commits_the_collector_excludes():
+    timeline = ThroughputTimeline(bucket_ms=1_000.0)
+    collector = MetricsCollector(warmup_ms=1_000.0, timeline=timeline)
+    collector.record(make_result(txn_id="mw-t1", end=500.0))
+    collector.record(make_result(txn_id="mw-t2", end=1_500.0))
+    collector.record(make_result(txn_id="mw-t3", committed=False, end=1_600.0,
+                                 reason=AbortReason.LOCK_TIMEOUT))
+    assert collector.warmup_samples == 1
+    assert collector.committed_count() == 1
+    assert timeline.total() == 2           # both commits, no abort
+    assert dict(timeline.series()) == {0.0: 1.0, 1_000.0: 1.0}
+
+
+# ------------------------------------------------------- reservoir stream pin
+def test_reservoir_stream_is_pinned():
+    # Captured from the bounded collector (reservoir_size=8, seed=11) before
+    # it was merged into this one: guards the per-distribution seed salts and
+    # the Algorithm R draw order (randrange(count), replace iff slot <
+    # capacity) that keep every open-system percentile bit-identical.
+    collector = MetricsCollector(reservoir_size=8, seed=11)
+    for i in range(200):
+        committed = i % 7 != 0
+        latency = float((i * 7919) % 1009) + 1.0
+        collector.record(make_result(
+            txn_id=f"mw-t{i}", committed=committed, end=100.0 + i,
+            latency=latency, distributed=i % 3 == 0,
+            reason=None if committed else AbortReason.LOCK_TIMEOUT), "ycsb")
+    pinned = {
+        None: (171, (742.0, 200.0, 22.0, 365.0, 109.0, 477.0, 258.0, 349.0)),
+        False: (114, (485.0, 196.0, 833.0, 386.0, 394.0, 423.0, 696.0, 787.0)),
+        True: (57, (535.0, 812.0, 357.0, 895.0, 258.0, 76.0, 626.0, 270.0)),
+    }
+    for distributed, (count, samples) in pinned.items():
+        distribution = collector.latency_distribution(distributed=distributed)
+        assert len(distribution) == count
+        assert distribution.samples == samples

@@ -9,7 +9,7 @@ availability metrics report the dip).
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.metrics.availability import build_availability
+from repro.metrics.availability import Availability
 from repro.recovery import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.recovery.failures import post_recovery_band
 from repro.workloads.ycsb import YCSBConfig
@@ -279,15 +279,18 @@ def test_post_recovery_band_helper():
 
 
 # ------------------------------------------------------------- availability
-def test_build_availability_buckets_and_metrics():
-    class Sample:
-        def __init__(self, finished_at, committed):
-            self.finished_at = finished_at
-            self.committed = committed
+def availability_report(completions, **grid):
+    availability = Availability(**grid)
+    for finished_at, committed in completions:
+        availability.record(finished_at, committed)
+    return availability.report()
 
-    samples = ([Sample(t, True) for t in (500, 1500, 1600, 3500)]
-               + [Sample(2500, False)] * 3)
-    report = build_availability(samples, duration_ms=4_000.0, bucket_ms=1_000.0)
+
+def test_build_availability_buckets_and_metrics():
+    completions = ([(t, True) for t in (500, 1500, 1600, 3500)]
+                   + [(2500, False)] * 3)
+    report = availability_report(completions, duration_ms=4_000.0,
+                                 bucket_ms=1_000.0)
     assert [b[1] for b in report.buckets] == [1, 2, 0, 1]
     assert [b[2] for b in report.buckets] == [0, 0, 3, 0]
     assert report.availability() == pytest.approx(0.75)
@@ -298,9 +301,9 @@ def test_build_availability_buckets_and_metrics():
     assert report.time_to_recover_ms(2_000.0) == pytest.approx(1_000.0)
     assert report.time_to_recover_ms(2_000.0, baseline_tps=100.0) is None
     with pytest.raises(ValueError):
-        build_availability([], duration_ms=1_000.0, bucket_ms=0.0)
+        Availability(duration_ms=1_000.0, bucket_ms=0.0)
     with pytest.raises(ValueError):
-        build_availability([], duration_ms=1_000.0, start_ms=1_000.0)
+        Availability(duration_ms=1_000.0, start_ms=1_000.0)
 
 
 def test_build_availability_starts_buckets_at_the_warmup_boundary():
@@ -310,14 +313,9 @@ def test_build_availability_starts_buckets_at_the_warmup_boundary():
     pre-fault baseline (hence time-to-recover) is diluted by guaranteed-zero
     buckets.
     """
-    class Sample:
-        def __init__(self, finished_at, committed):
-            self.finished_at = finished_at
-            self.committed = committed
-
-    samples = [Sample(t, True) for t in (2_100, 3_200, 4_300, 5_400)]
-    report = build_availability(samples, duration_ms=6_000.0,
-                                bucket_ms=1_000.0, start_ms=2_000.0)
+    completions = [(t, True) for t in (2_100, 3_200, 4_300, 5_400)]
+    report = availability_report(completions, duration_ms=6_000.0,
+                                 bucket_ms=1_000.0, start_ms=2_000.0)
     assert [b[0] for b in report.buckets] == [2_000.0, 3_000.0, 4_000.0, 5_000.0]
     assert report.availability() == 1.0
     assert report.throughput_before(4_000.0) == pytest.approx(1.0)

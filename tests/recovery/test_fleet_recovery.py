@@ -18,13 +18,10 @@ coordinator dm1 mid-run while dm2 keeps serving, then assert
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.metrics.availability import (
-    middleware_of,
-    per_middleware_attribution,
-    per_middleware_availability,
-)
+from repro.metrics.availability import middleware_of
 from repro.recovery import FaultEvent, FaultKind, FaultPlan
 from repro.workloads.ycsb import YCSBConfig
+from tests.conftest import recorded_completions
 
 CRASH_AT_MS = 2_000.0
 CRASH_MS = 1_000.0
@@ -46,12 +43,15 @@ def fleet_crash_config(**overrides):
 
 @pytest.fixture(scope="module")
 def crash_run():
-    return run_experiment(fleet_crash_config(), keep_cluster=True)
+    """The run, with every ``(txn_id, committed)`` it recorded on ``.recorded``."""
+    with recorded_completions() as recorded:
+        result = run_experiment(fleet_crash_config(), keep_cluster=True)
+    result.recorded = recorded
+    return result
 
 
 def test_survivor_serves_through_the_crash_window(crash_run):
-    per_middleware = per_middleware_availability(
-        crash_run.collector.samples, duration_ms=5_000.0, start_ms=1_000.0)
+    per_middleware = crash_run.collector.per_middleware_availability(5_000.0)
     survivor = per_middleware["dm2"]
     window = [committed for start, committed, _ in survivor.buckets
               if CRASH_AT_MS <= start < RESTART_MS]
@@ -95,7 +95,7 @@ def test_abort_accounting_matches_the_single_middleware_scenario(crash_run):
     assert "unavailable" in fleet_reasons
     # ...and every abort is accounted for, in total and per middleware.
     assert sum(fleet_reasons.values()) == crash_run.aborted
-    attribution = per_middleware_attribution(crash_run.collector.samples)
+    attribution = crash_run.collector.attribution()
     assert sum(entry["aborted"] for entry in attribution.values()) == \
         crash_run.aborted
     # The fleet's own attribution (reported in the summary) agrees.
@@ -105,10 +105,14 @@ def test_abort_accounting_matches_the_single_middleware_scenario(crash_run):
 
 
 def test_no_transaction_is_lost_or_duplicated(crash_run):
-    samples = crash_run.collector.samples
-    ids = [sample.txn_id for sample in samples]
+    ids = [txn_id for txn_id, _ in crash_run.recorded]
     assert len(ids) == len(set(ids)), "duplicated transaction ids"
-    attribution = per_middleware_attribution(samples)
+    # Nothing handed to the collector went missing from its books.
+    assert len(ids) == (crash_run.committed + crash_run.aborted
+                        + crash_run.warmup_samples)
+    commits = sum(committed for _, committed in crash_run.recorded)
+    assert 0 <= commits - crash_run.committed <= crash_run.warmup_samples
+    attribution = crash_run.collector.attribution()
     assert set(attribution) <= {"dm1", "dm2"}
     assert sum(e["committed"] for e in attribution.values()) == \
         crash_run.committed
