@@ -12,7 +12,6 @@
 """
 
 from repro.core.admission import AdmissionDecision, LateTransactionScheduler
-from repro.core.avl import AVLTree
 from repro.core.config import GeoTPConfig
 from repro.core.forecasting import LocalExecutionForecaster
 from repro.core.geo_agent import GeoAgent, GeoAgentConfig
@@ -22,7 +21,6 @@ from repro.core.latency_monitor import NetworkLatencyMonitor
 from repro.core.scheduler import GeoScheduler, ScheduleDecision
 
 __all__ = [
-    "AVLTree",
     "AdmissionDecision",
     "GeoAgent",
     "GeoAgentConfig",

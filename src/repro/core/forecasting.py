@@ -36,10 +36,3 @@ class LocalExecutionForecaster:
         self.predictions += 1
         raw = self.footprint.forecast_local_latency(record_ids) * self.scale
         return min(raw, self.cap_ms)
-
-    def observe(self, record_ids: Iterable[RecordId], local_execution_ms: float,
-                committed: bool = True) -> None:
-        """Feed an observed local execution latency back into the statistics."""
-        ids = list(record_ids)
-        self.footprint.update_latency(ids, local_execution_ms)
-        self.footprint.on_access_end(ids, committed)

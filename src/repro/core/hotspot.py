@@ -8,30 +8,27 @@ The geo-scheduler keeps, for each hot record ``r``:
 * ``c_cnt`` — number of committed transactions that accessed ``r``;
 * ``a_cnt`` — number of transactions currently accessing ``r``.
 
-Records are indexed by an AVL tree for O(log n) point/range lookups and an LRU
-list bounds memory by evicting cold records, exactly as described in the paper.
+The paper indexes the records with an AVL tree and bounds memory with an LRU
+list.  Here a dict replaces the tree: every reader asks for one record by id,
+which a dict answers in O(1), and nothing ever asks for the key range a tree
+is built for.  Each entry's ``stamp``, renewed on every touch, replaces the
+list: the least recently used record is the one with the smallest stamp.  A
+min-heap of ``(stamp, record id)`` finds the least recently used *idle* record
+(``a_cnt == 0``), the one eviction prefers; it receives an entry only when a
+call leaves that entry idle.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
-
-from repro.core.avl import AVLTree
 
 RecordId = Tuple[str, Hashable]
 
 #: Approximate per-entry memory footprint (four floats/counters plus key text);
 #: used only for the Figure 6b memory-proxy accounting.
 ENTRY_BYTES = 96
-
-
-def _sortable(record_id: RecordId) -> Tuple[str, str]:
-    """Canonical, totally-ordered representation of a record id for the AVL index."""
-    table, key = record_id
-    return (table, f"{type(key).__name__}:{key!r}")
 
 
 @dataclass(slots=True)
@@ -46,13 +43,6 @@ class HotspotEntry:
     #: Recency stamp: bumped on every touch, so ascending stamps are LRU order.
     stamp: int = 0
 
-    @property
-    def success_ratio(self) -> float:
-        """Fraction of past accesses that committed (1.0 when unknown)."""
-        if self.t_cnt == 0:
-            return 1.0
-        return self.c_cnt / self.t_cnt
-
 
 class HotspotFootprint:
     """Bounded, LRU-evicted statistics over hot records."""
@@ -64,19 +54,13 @@ class HotspotFootprint:
             raise ValueError("alpha must be in [0, 1]")
         self.capacity = capacity
         self.alpha = alpha
-        self._entries: "OrderedDict[RecordId, HotspotEntry]" = OrderedDict()
-        # Eviction candidates: a min-heap of ``(stamp, record id)``, one item
-        # per idle entry and touch, cleaned lazily.  An item is live only
-        # while its entry exists, is idle (``a_cnt == 0``) and still carries
-        # that stamp, so the smallest live item is the least recently used
-        # idle record — the victim a scan from the LRU head would pick.
+        self._entries: Dict[RecordId, HotspotEntry] = {}
+        # Eviction candidates: ``(stamp, record id)`` pushed when a call leaves
+        # an entry idle, cleaned lazily.  An item is live only while its entry
+        # exists, is idle and still carries that stamp, so the smallest live
+        # item is the least recently used idle record.
         self._idle: List[Tuple[int, RecordId]] = []
         self._stamp = 0
-        # The AVL index only serves range lookups, which no hot path issues;
-        # it is rebuilt lazily so the (frequent) entry churn from LRU misses
-        # does not pay tree maintenance on every access.
-        self._index = AVLTree()
-        self._index_dirty = False
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -92,19 +76,9 @@ class HotspotFootprint:
 
     def get_or_create(self, record_id: RecordId) -> HotspotEntry:
         """The entry for a record, creating (and possibly evicting) as needed."""
-        entry = self._entries.get(record_id)
-        self._stamp = stamp = self._stamp + 1
-        if entry is not None:
-            self._entries.move_to_end(record_id)
-            entry.stamp = stamp
-            if entry.a_cnt == 0:
-                self._push_idle(entry)
-            return entry
-        entry = HotspotEntry(record_id=record_id, stamp=stamp)
-        self._entries[record_id] = entry
-        self._push_idle(entry)
-        self._index_dirty = True
-        self._evict_if_needed()
+        entry = self._touch(record_id)
+        if entry.a_cnt == 0 and record_id in self._entries:
+            self._push_idle(entry)
         return entry
 
     def _push_idle(self, entry: HotspotEntry) -> None:
@@ -117,47 +91,48 @@ class HotspotFootprint:
                        for live in self._entries.values() if live.a_cnt == 0]
             heapify(idle)
 
-    def _evict_if_needed(self) -> None:
+    def _touch(self, record_id: RecordId) -> HotspotEntry:
+        """The entry for a record with a fresh stamp; offers it to nobody."""
+        self._stamp = stamp = self._stamp + 1
+        entries = self._entries
+        entry = entries.get(record_id)
+        if entry is not None:
+            entry.stamp = stamp
+            return entry
+        entry = entries[record_id] = HotspotEntry(record_id, stamp=stamp)
+        if len(entries) > self.capacity:
+            self._evict(record_id)
+        return entry
+
+    def _evict(self, newcomer: RecordId) -> None:
+        """Shrink to capacity: the least recently used idle record goes first,
+        the newcomer (idle, but the most recent) when every other record is
+        busy, and the least recently used record when all are busy — which
+        only a ``capacity`` lowered on a live footprint can cause."""
         entries = self._entries
         idle = self._idle
         while len(entries) > self.capacity:
-            # Prefer the least-recently-used record that is not currently
-            # being accessed; fall back to strict LRU if all are in use.
-            victim_id = None
             while idle:
-                stamp, record_id = heappop(idle)
-                entry = entries.get(record_id)
+                stamp, victim = heappop(idle)
+                entry = entries.get(victim)
                 if entry is not None and entry.a_cnt == 0 and entry.stamp == stamp:
-                    victim_id = record_id
                     break
-            if victim_id is None:
-                victim_id = next(iter(entries))
-            entries.pop(victim_id)
-            self._index_dirty = True
+            else:
+                victim = (newcomer if newcomer in entries else
+                          min(entries.values(), key=lambda e: e.stamp).record_id)
+            del entries[victim]
             self.evictions += 1
-
-    def _rebuilt_index(self) -> AVLTree:
-        """The AVL index over the current entries, rebuilding if stale."""
-        if self._index_dirty:
-            index = AVLTree()
-            for record_id in self._entries:
-                index.insert(_sortable(record_id), record_id)
-            self._index = index
-            self._index_dirty = False
-        return self._index
-
-    def range_lookup(self, table: str) -> List[RecordId]:
-        """All tracked records of ``table`` (via the AVL index range query)."""
-        low = (table, "")
-        high = (table, "￿")
-        return [record_id
-                for _key, record_id in self._rebuilt_index().range_query(low, high)]
 
     # -------------------------------------------------------------- accounting
     def on_access_start(self, record_ids: Iterable[RecordId]) -> None:
-        """A transaction starts accessing these records (t_cnt, a_cnt)."""
+        """A transaction starts accessing these records (t_cnt, a_cnt).
+
+        Every record it touches is busy when it returns, so it offers none as
+        an eviction candidate.
+        """
+        touch = self._touch
         for record_id in record_ids:
-            entry = self.get_or_create(record_id)
+            entry = touch(record_id)
             entry.t_cnt += 1
             entry.a_cnt += 1
 
@@ -211,17 +186,14 @@ class HotspotFootprint:
         """Probability the transaction acquires all its locks, per Eq. (9).
 
         ``Pr(abort) = 1 - prod (c_cnt/t_cnt)^max(a_cnt - 1, 0)``; this method
-        returns the product (the success probability).
+        returns the product (the success probability).  A record with at most
+        one accessor, or never accessed, contributes a factor of 1.
         """
         probability = 1.0
         for record_id in record_ids:
             entry = self._entries.get(record_id)
-            if entry is None or entry.t_cnt == 0:
-                continue
-            exponent = max(entry.a_cnt - 1, 0)
-            if exponent == 0:
-                continue
-            probability *= entry.success_ratio ** exponent
+            if entry is not None and entry.a_cnt > 1 and entry.t_cnt:
+                probability *= (entry.c_cnt / entry.t_cnt) ** (entry.a_cnt - 1)
         return probability
 
     def abort_probability(self, record_ids: Iterable[RecordId]) -> float:
@@ -234,9 +206,7 @@ class HotspotFootprint:
         return len(self._entries) * ENTRY_BYTES
 
     def hottest(self, count: int = 10) -> List[HotspotEntry]:
-        """The ``count`` records with the highest access counts."""
-        return sorted(self._entries.values(), key=lambda e: e.t_cnt, reverse=True)[:count]
-
-    def snapshot(self) -> Dict[RecordId, HotspotEntry]:
-        """A shallow copy of the tracked entries (for inspection/tests)."""
-        return dict(self._entries)
+        """The ``count`` records with the highest access counts (ties: least
+        recently used first)."""
+        return sorted(self._entries.values(),
+                      key=lambda e: (-e.t_cnt, e.stamp))[:count]

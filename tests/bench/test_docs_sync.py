@@ -43,6 +43,12 @@ FOREIGN_CLASS_NAMES = {"ProcessPoolExecutor", "TypeError", "ClassVar"}
 #: system name, not a class).
 _CLASS_REFERENCE = re.compile(
     r"`([A-Z][A-Za-z0-9]*)(?:\.([A-Za-z_]\w*))?(?:[.(/][^`\n]*)?`")
+#: `some/dir/file.ext`, optionally `::name` — globs, `<placeholders>` and
+#: directories are not files.
+_FILE_REFERENCE = re.compile(
+    r"`((?:[\w.-]+/)*[\w.-]+\.(?:py|md|json|ya?ml|toml|ini|txt))(?:::\w+)?`")
+#: Backticked file names the docs mention that a command writes.
+OUTPUT_FILE_NAMES = {"knee.json"}
 
 
 def test_committed_registry_tables_match_the_live_registries():
@@ -125,6 +131,26 @@ def test_every_quoted_class_and_attribute_exists():
     assert not stale, (
         "the docs name classes/attributes that no repro module defines:\n  "
         + "\n  ".join(stale))
+
+
+def test_every_quoted_file_path_exists():
+    """A quoted path may be a suffix (`core/hotspot.py`) of a repo file's path.
+    ROADMAP.md and CHANGES.md are not checked: they name deleted files."""
+    files = {path.relative_to(REPO_ROOT).as_posix()
+             for path in REPO_ROOT.rglob("*")
+             if path.is_file() and ".git" not in path.parts}
+    checked = 0
+    stale = []
+    for name in DOC_FILES:
+        text = (REPO_ROOT / name).read_text(encoding="utf-8")
+        for quoted in set(_FILE_REFERENCE.findall(text)) - OUTPUT_FILE_NAMES:
+            checked += 1
+            if not any(path == quoted or path.endswith("/" + quoted)
+                       for path in files):
+                stale.append(f"{name}: `{quoted}`")
+    assert checked > 50, "expected the docs to name the repo's files"
+    assert not stale, ("the docs name files the repo does not have:\n  "
+                       + "\n  ".join(sorted(stale)))
 
 
 def test_markdown_block_lists_every_registration():

@@ -99,15 +99,6 @@ def test_lru_eviction_respects_capacity_and_prefers_idle_records():
     assert footprint.evictions == 1
 
 
-def test_range_lookup_by_table_via_avl_index():
-    footprint = HotspotFootprint()
-    footprint.get_or_create(("a_table", 1))
-    footprint.get_or_create(("a_table", 2))
-    footprint.get_or_create(("z_table", 1))
-    assert set(footprint.range_lookup("a_table")) == {("a_table", 1), ("a_table", 2)}
-    assert footprint.range_lookup("missing") == []
-
-
 def test_memory_bytes_and_hottest():
     footprint = HotspotFootprint()
     footprint.on_access_start([R1, R2])

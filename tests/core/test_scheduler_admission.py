@@ -111,11 +111,13 @@ def test_forecaster_applies_scale_factor():
 
 
 def test_forecaster_observe_updates_footprint_and_counters():
+    """The forecaster observes what the coordinator feeds the footprint."""
     footprint = HotspotFootprint(alpha=0.0)
-    footprint.on_access_start([("t", 1)])
     forecaster = LocalExecutionForecaster(footprint)
-    forecaster.observe([("t", 1)], 30.0, committed=True)
-    assert footprint.entry(("t", 1)).w_lat == pytest.approx(30.0)
+    footprint.on_access_start([("t", 1)])
+    footprint.update_latency([("t", 1)], 30.0)
+    footprint.on_access_end([("t", 1)], committed=True)
+    assert forecaster.forecast([("t", 1)]) == pytest.approx(30.0)
     assert footprint.entry(("t", 1)).c_cnt == 1
 
 
