@@ -19,7 +19,7 @@ from typing import List
 
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 from repro.middleware.statements import Statement, TransactionSpec
-from repro.sim.process import Process
+from repro.sim import Process
 from repro.plugins import BuildContext, SystemPlugin, register_system
 
 

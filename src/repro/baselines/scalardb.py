@@ -31,9 +31,8 @@ from repro.middleware.middleware import (
     ParticipantHandle,
 )
 from repro.middleware.router import Partitioner
-from repro.sim.environment import Environment
+from repro.sim import Environment, Resource
 from repro.sim.network import Network
-from repro.sim.resources import Resource
 from repro.plugins import BuildContext, SystemPlugin, register_system
 
 RecordId = Tuple[str, Hashable]

@@ -22,7 +22,7 @@ from repro.core.scheduler import GeoScheduler
 from repro.middleware.context import TransactionContext
 from repro.middleware.middleware import MiddlewareConfig, ParticipantHandle
 from repro.middleware.router import Partitioner
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.network import Network
 from repro.sim.rng import SeededRNG
 from repro.plugins import BuildContext, SystemPlugin, register_system

@@ -9,7 +9,7 @@ The layer is one pipeline, registry scenario → :class:`SweepRunner` →
   serially or across a process pool; ``SweepResult.get/select`` address the
   points by their params;
 * ``cache`` — opt-in per-point result cache keyed on (canonical config hash,
-  seed, engine + kernel fingerprint) that makes killed sweeps resumable;
+  seed, source fingerprint) that makes killed sweeps resumable;
 * ``figures`` — sanity-checked figure pipeline over the CLI's JSON documents
   (dict-of-columns data, registered checks, optional matplotlib rendering);
 * ``runner`` / ``report`` — the single-point experiment runner and the
@@ -18,12 +18,7 @@ The layer is one pipeline, registry scenario → :class:`SweepRunner` →
 ``python -m repro.bench`` lists and runs registered scenarios from the shell.
 """
 
-from repro.bench.cache import (
-    SweepCache,
-    canonical_repr,
-    config_hash,
-    engine_token,
-)
+from repro.bench.cache import SweepCache, canonical_repr, config_hash
 from repro.bench.figures import (
     Figure,
     FigureCheckError,
@@ -70,7 +65,6 @@ __all__ = [
     "check_figure",
     "config_hash",
     "emit_figures",
-    "engine_token",
     "ScenarioSpec",
     "SweepPoint",
     "SweepResult",

@@ -22,7 +22,6 @@ with one row per point.  Examples::
         --input chaos_report.json --output-dir figures/
     PYTHONPATH=src python -m repro.bench chaos --sample 10 --workers 2 \\
         --output chaos_report.json
-    PYTHONPATH=src python -m repro.bench engine
 
 ``run --output FILE`` also prints the sweep's table (``report.sweep_table``, one
 row per point) on stderr.
@@ -36,10 +35,8 @@ pass its registered sanity checks or nothing is emitted for it and the
 command fails.  PNG rendering needs matplotlib (the ``figures`` optional
 dependency); without it the checked data JSONs are still written.
 
-Every ``run``/``chaos`` document carries the ``engine`` (pure or
-mypyc-compiled kernel, selected by ``REPRO_ENGINE``) it ran on; ``engine``
-prints this process's selection.  Host-time measurement lives outside this
-CLI, in ``perf_ledger/`` (see its README).
+Host-time measurement lives outside this CLI, in ``perf_ledger/`` (see its
+README).
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from repro.bench.report import (format_table, registry_markdown,
                                 sweep_table, system_capabilities)
 from repro.bench.scenarios import SCENARIOS, get_scenario, scenario_names
 from repro.plugins import system_plugins, workload_plugins
-from repro.sim.engine import active_engine, engine_info
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser,
@@ -147,10 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--output", default=None,
                        help="write the invariant report JSON here instead of "
                             "stdout")
-
-    commands.add_parser(
-        "engine", help="report the simulation engine selection of this "
-                       "process (REPRO_ENGINE) as JSON")
     return parser
 
 
@@ -194,7 +186,6 @@ def _result_document(result: SweepResult,
                      cache: Optional[SweepCache] = None) -> dict:
     document = {
         "scenario": result.sweep_name,
-        "engine": active_engine(),
         "workers": result.workers,
         "points": len(result),
         "wall_clock_s": round(result.wall_clock_s, 3),
@@ -405,7 +396,6 @@ def _run_chaos(args: argparse.Namespace) -> int:
     document = {
         "sample": args.sample,
         "sample_seed": args.sample_seed,
-        "engine": active_engine(),
         "scenarios_run": names,
         "points_run": points_run,
         "violations": all_violations,
@@ -436,9 +426,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _run_list(args)
-    if args.command == "engine":
-        print(json.dumps(engine_info(), indent=2, sort_keys=True))
-        return 0
     if args.command == "chaos":
         return _run_chaos(args)
     if args.command == "figures":

@@ -3,8 +3,9 @@
 Big sweeps (the chaos matrix, ``load_sweep``, the fleet families) are
 embarrassingly parallel *and* bit-deterministic: a point's
 :class:`~repro.bench.runner.ExperimentSummary` is fully determined by its
-``(config, seed, engine)``.  That makes every point safely memoisable — a
-crashed or re-run sweep only needs to compute the points that are missing.
+``(config, seed)`` and the simulator's source.  That makes every point safely
+memoisable — a crashed or re-run sweep only needs to compute the points that
+are missing.
 
 :class:`SweepCache` stores one pickled summary per executed point under a
 cache directory (default ``.repro_cache/``), keyed on
@@ -15,13 +16,13 @@ cache directory (default ``.repro_cache/``), keyed on
   across processes and ``PYTHONHASHSEED`` values, then digests it;
 * the **seed** (redundant with the hash — ``seed`` is a config field — but
   spelled out so the key schema is self-describing on disk);
-* the **engine token** — active engine name plus a fingerprint of the kernel
-  sources, so switching pure ↔ compiled or editing the simulation kernel
+* the **source fingerprint** — a digest of every ``*.py`` file of the
+  ``repro`` package, so editing any module of the model (not only the kernel)
   invalidates every cached result instead of silently replaying stale ones.
 
 Entries live at ``<dir>/<sweep_name>/point<index>__<digest>.pkl``.  A lookup
 that finds an entry for the same sweep point under a *different* digest (the
-config or engine changed) deletes it and counts an **invalidation**; a
+config or the source changed) deletes it and counts an **invalidation**; a
 corrupted or truncated entry likewise degrades to a recompute — the cache can
 slow a sweep down only by a disk read, never change its results or crash it.
 
@@ -135,34 +136,27 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(canonical_repr(config).encode()).hexdigest()
 
 
-# ------------------------------------------------------------- engine identity
-_kernel_fingerprint: Optional[str] = None
+# ------------------------------------------------------------- source identity
+#: The ``repro`` package directory, whose sources are the model.
+_SOURCE_ROOT = Path(__file__).resolve().parents[1]
+_source_fingerprint: Optional[str] = None
 
 
-def kernel_fingerprint() -> str:
-    """Digest of the simulation-kernel sources (cached per process).
+def source_fingerprint() -> str:
+    """Digest of every ``*.py`` file of the ``repro`` package (cached per process).
 
-    The pure-Python kernel in ``repro/sim/_kernel/`` is the source of truth
-    for both engines (the compiled core is the same code mypycified), so any
-    kernel edit changes this fingerprint and orphans every cached summary.
+    Relative path and bytes of each file, in sorted order: any edit to the
+    model — storage, middleware, a baseline, the kernel — changes it and
+    orphans every cached summary.
     """
-    global _kernel_fingerprint
-    if _kernel_fingerprint is None:
-        from repro.sim import _kernel
-
+    global _source_fingerprint
+    if _source_fingerprint is None:
         digest = hashlib.sha256()
-        for path in sorted(Path(_kernel.__file__).parent.glob("*.py")):
-            digest.update(path.name.encode())
+        for path in sorted(_SOURCE_ROOT.rglob("*.py")):
+            digest.update(path.relative_to(_SOURCE_ROOT).as_posix().encode())
             digest.update(path.read_bytes())
-        _kernel_fingerprint = digest.hexdigest()[:16]
-    return _kernel_fingerprint
-
-
-def engine_token() -> str:
-    """The engine component of the cache key: engine name + kernel version."""
-    from repro.sim.engine import active_engine
-
-    return f"{active_engine()}:{kernel_fingerprint()}"
+        _source_fingerprint = digest.hexdigest()[:16]
+    return _source_fingerprint
 
 
 # ------------------------------------------------------------------- the cache
@@ -175,10 +169,9 @@ class SweepCache:
     cache — so no cross-process locking is needed.
     """
 
-    def __init__(self, directory: str = DEFAULT_CACHE_DIR,
-                 engine: Optional[str] = None):
+    def __init__(self, directory: str = DEFAULT_CACHE_DIR):
         self.directory = Path(directory)
-        self.engine = engine if engine is not None else engine_token()
+        self.fingerprint = source_fingerprint()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -187,7 +180,7 @@ class SweepCache:
     def entry_digest(self, point: "SweepPoint") -> str:
         """Digest of the full cache key of one sweep point."""
         key = (f"schema={CACHE_SCHEMA};config={config_hash(point.config)};"
-               f"seed={point.config.seed};engine={self.engine}")
+               f"seed={point.config.seed};fingerprint={self.fingerprint}")
         return hashlib.sha256(key.encode()).hexdigest()[:32]
 
     def _point_path(self, sweep_name: str, point: "SweepPoint",
@@ -200,9 +193,10 @@ class SweepCache:
         """The cached result of ``point``, or ``None`` (and count why).
 
         Stale siblings — entries for the same point index whose digest no
-        longer matches because the config hash or the engine changed — are
+        longer matches because the config hash or the source changed — are
         deleted and counted as invalidations, so a cache directory never
-        accumulates results that can no longer be produced.
+        accumulates results that can no longer be produced.  Scratch files a
+        kill left between :meth:`store`'s write and its rename go with them.
         """
         from repro.bench.parallel import PointResult
 
@@ -222,10 +216,11 @@ class SweepCache:
         prefix = path.name.split("__", 1)[0]
         if not path.parent.is_dir():
             return
-        for sibling in path.parent.glob(f"{prefix}__*.pkl"):
+        for sibling in path.parent.glob(f"{prefix}__*"):
             if sibling.name != path.name:
                 sibling.unlink(missing_ok=True)
-                self.invalidations += 1
+                if sibling.suffix == ".pkl":
+                    self.invalidations += 1
 
     def _load_entry(self, path: Path, digest: str) -> Optional[Dict[str, Any]]:
         """Unpickle and validate one entry; corrupt entries self-delete."""
@@ -238,7 +233,7 @@ class SweepCache:
             if (not isinstance(payload, dict)
                     or payload.get("schema") != CACHE_SCHEMA
                     or payload.get("digest") != digest
-                    or payload.get("engine") != self.engine):
+                    or payload.get("fingerprint") != self.fingerprint):
                 raise ValueError("cache entry metadata mismatch")
         except Exception:
             # Truncated write, foreign pickle, schema drift — anything short
@@ -263,7 +258,7 @@ class SweepCache:
             "params": dict(point.params),
             "config_hash": config_hash(point.config),
             "seed": point.config.seed,
-            "engine": self.engine,
+            "fingerprint": self.fingerprint,
             "summary": result.summary,
             "wall_clock_s": result.wall_clock_s,
             "created_unix": time.time(),
@@ -275,6 +270,6 @@ class SweepCache:
     # ------------------------------------------------------------- reporting
     def stats(self) -> Dict[str, Any]:
         """The per-run counters the CLI JSON reports."""
-        return {"dir": str(self.directory), "engine": self.engine,
+        return {"dir": str(self.directory), "fingerprint": self.fingerprint,
                 "hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations}

@@ -2,23 +2,18 @@
 
 The byte-identical golden pins and the same-seed determinism checks live in
 ``tests/``, but the *configurations* they pin are defined here so that the
-same runs can be reproduced outside an in-process pytest session — in
-particular under the **other** engine: the simulation engine (pure vs
-mypyc-compiled kernel) is selected once per process at import time, so
-checking "the compiled engine reproduces the pure pins byte for byte" requires
-a fresh interpreter with ``REPRO_ENGINE`` set.  The module doubles as that
-subprocess entry point::
+same runs can be reproduced outside a pytest session.  The module doubles as a
+command-line entry point::
 
-    REPRO_ENGINE=compiled python -m repro.bench.goldens snapshot contended_geotp
-    REPRO_ENGINE=compiled python -m repro.bench.goldens determinism
-    REPRO_ENGINE=compiled python -m repro.bench.goldens equivalence \
+    python -m repro.bench.goldens snapshot contended_geotp
+    python -m repro.bench.goldens determinism
+    python -m repro.bench.goldens resume
+    python -m repro.bench.goldens equivalence \
         --reference tests/bench/data/equivalence_reference.json
 
-Every subcommand prints a single JSON document on stdout; the engine that
-produced it is always included so a harness can assert it really ran where it
-intended to.  All snapshot values are plain JSON scalars (floats survive the
-dump/load round trip exactly), so byte-identity of two engines' snapshots can
-be asserted across the process boundary.
+Every subcommand prints a single JSON document on stdout.  All snapshot values
+are plain JSON scalars (floats survive the dump/load round trip exactly), so a
+printed snapshot compares byte for byte with the pinned constants.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.sim.engine import active_engine
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -88,8 +82,7 @@ def fleet_failover_config() -> ExperimentConfig:
 
     Derived from the registered ``fleet_failover`` scenario at smoke scale so
     the determinism check exercises the whole failover machinery — routing,
-    refusal-driven detection, the health probe, retry jitter and recovery —
-    under both engines.
+    refusal-driven detection, the health probe, retry jitter and recovery.
     """
     from repro.bench.scenarios import get_scenario
 
@@ -173,7 +166,7 @@ def run_named(name: str) -> Dict[str, Any]:
 # ------------------------------------------------- command document builders
 def snapshot_document(name: str) -> Dict[str, Any]:
     """The ``snapshot`` subcommand's JSON document, built in-process."""
-    return {"engine": active_engine(), "name": name, "snapshot": run_named(name)}
+    return {"name": name, "snapshot": run_named(name)}
 
 
 def determinism_snapshot(config: ExperimentConfig) -> Dict[str, Any]:
@@ -209,8 +202,8 @@ def determinism_document(name: str = "default") -> Dict[str, Any]:
                        f"{sorted(DETERMINISM_CONFIGS)}") from None
     first = determinism_snapshot(config_fn())
     second = determinism_snapshot(config_fn())
-    return {"engine": active_engine(), "name": name,
-            "identical": first == second, "first": first, "second": second}
+    return {"name": name, "identical": first == second,
+            "first": first, "second": second}
 
 
 def resume_sweep():
@@ -269,7 +262,6 @@ def resume_document(cache_dir: Optional[str] = None,
     fresh_payload = json.dumps(_sweep_payload(fresh), sort_keys=True)
     resumed_payload = json.dumps(_sweep_payload(resumed), sort_keys=True)
     return {
-        "engine": active_engine(),
         "name": "load_sweep_mini",
         "points": len(fresh),
         "interrupt_after": interrupt_after,
@@ -297,8 +289,7 @@ def equivalence_document(reference_path: str,
                            f"registered: {sorted(by_name)}")
         cases = tuple(by_name[name] for name in case_names)
     report = run_equivalence(load_reference(reference_path), cases)
-    return {"engine": active_engine(), "ok": report.ok,
-            "cases": [case.name for case in cases],
+    return {"ok": report.ok, "cases": [case.name for case in cases],
             "violations": report.violations}
 
 
@@ -322,8 +313,7 @@ def _cmd_resume(args: argparse.Namespace) -> Dict[str, Any]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.goldens",
-        description="Reproduce the golden-pin runs in this process's engine "
-                    "(select it with REPRO_ENGINE) and print JSON.")
+        description="Reproduce the golden-pin runs and print JSON.")
     commands = parser.add_subparsers(dest="command", required=True)
 
     snap = commands.add_parser("snapshot", help="evaluate one named golden run")
@@ -348,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     resume = commands.add_parser(
         "resume", help="prove interrupted+resumed sweep == fresh sweep "
-                       "(byte-identical) under this process's engine")
+                       "(byte-identical)")
     resume.add_argument("--cache-dir", default=None,
                         help="cache directory (default: a temp dir)")
     resume.add_argument("--interrupt-after", type=int, default=2,

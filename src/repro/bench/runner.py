@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence
 
 from repro.baselines.scalardb import ScalarDBConfig
-from repro.sim.engine import active_engine
 from repro.cluster.client import start_terminals
 from repro.cluster.deployment import Cluster, build_cluster
 from repro.cluster.fleet import FleetConfig, MiddlewareFleet, RetryPolicy
@@ -138,11 +137,6 @@ class ExperimentSummary:
     #: commit/abort/failover attribution, health transitions, time-to-divert,
     #: per-middleware availability timelines); ``None`` when no fleet ran.
     fleet: Optional[Dict[str, Any]] = None
-    #: Simulation engine the run executed on (``pure`` or ``compiled``), as
-    #: reported by :func:`repro.sim.engine.active_engine` in the process that
-    #: ran the experiment — for sweeps on a worker pool that is the *worker*,
-    #: which inherits ``REPRO_ENGINE`` through the environment.
-    engine: str = ""
     #: Offered-vs-served accounting of an open-system run (arrival process,
     #: offered/started/dropped/completed counts, peak concurrent sessions);
     #: ``None`` for closed-loop runs.  See ``OpenClientPool.report``.
@@ -186,7 +180,7 @@ class ExperimentSummary:
                 include_environment: bool = False) -> Dict:
         """A JSON-serialisable dict (the CLI output format).
 
-        The default payload is fully determined by (config, seed, engine) —
+        The default payload is fully determined by (config, seed) —
         the serial-vs-parallel identity checks compare it directly.
         ``include_environment`` adds measurements of the *process* that ran
         the point (``peak_rss_bytes``), which legitimately differ between a
@@ -207,7 +201,6 @@ class ExperimentSummary:
             "breakdown": dict(self.breakdown),
             "abort_reasons": dict(self.abort_reasons),
             "events_processed": self.events_processed,
-            "engine": self.engine,
             "resources": {
                 "work_units": self.resources.work_units,
                 "wan_messages": self.resources.wan_messages,
@@ -267,8 +260,6 @@ class ExperimentResult:
     faults: Optional[Dict[str, Any]] = None
     #: Fleet report of a multi-middleware run (see ``ExperimentSummary.fleet``).
     fleet: Optional[Dict[str, Any]] = None
-    #: Simulation engine the run executed on (``pure`` or ``compiled``).
-    engine: str = ""
     #: See the same-named ``ExperimentSummary`` fields.
     open_loop: Optional[Dict[str, Any]] = None
     admission: Optional[Dict[str, int]] = None
@@ -323,7 +314,6 @@ class ExperimentResult:
             events_processed=self.events_processed,
             faults=self.faults,
             fleet=self.fleet,
-            engine=self.engine,
             open_loop=self.open_loop,
             admission=self.admission,
             peak_rss_bytes=self.peak_rss_bytes,
@@ -511,7 +501,6 @@ def run_experiment(config: ExperimentConfig,
         faults=(fault_injector.summarize(collector, config.duration_ms)
                 if fault_injector is not None else None),
         fleet=fleet_report,
-        engine=active_engine(),
         open_loop=open_pool.report() if open_pool is not None else None,
         admission=admission_report,
         peak_rss_bytes=process_peak_rss_bytes(),

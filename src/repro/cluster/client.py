@@ -31,8 +31,7 @@ from repro.common import AbortReason
 from repro.cluster.fleet import MiddlewareFleet, RetryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.middleware.middleware import MiddlewareBase
-from repro.sim.environment import Environment
-from repro.sim.process import Process
+from repro.sim import Environment, Process
 from repro.sim.rng import SeededRNG
 from repro.workloads.base import Workload
 

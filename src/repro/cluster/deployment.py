@@ -32,7 +32,7 @@ from repro.plugins import (
     normalize_system,
     system_names,
 )
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.storage.datasource import DataSource, DataSourceConfig

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.middleware.middleware import MiddlewareBase
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.rng import SeededRNG
 
 

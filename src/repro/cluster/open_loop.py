@@ -26,7 +26,7 @@ from repro.cluster.client import ClientTerminal
 from repro.cluster.fleet import MiddlewareFleet, RetryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.middleware.middleware import MiddlewareBase
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.workloads.arrivals import ArrivalConfig, make_arrivals
 from repro.workloads.base import Workload
 

@@ -25,8 +25,7 @@ from typing import Deque, Dict, Optional, Set
 
 from repro.common import AbortReason, SubtxnResult, Vote
 from repro import protocol
-from repro.sim.environment import Environment
-from repro.sim.events import Event
+from repro.sim import Environment, Event
 from repro.sim.network import Message, Network, NetworkInterface
 
 

@@ -34,8 +34,7 @@ from repro.middleware.middleware import MiddlewareConfig, ParticipantHandle
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.router import Partitioner
 from repro.plugins import BuildContext, SystemPlugin, register_system
-from repro.sim.environment import Environment
-from repro.sim.events import Event
+from repro.sim import Environment, Event
 from repro.sim.network import Message, Network
 from repro.sim.rng import SeededRNG
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro import protocol
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.network import NetworkInterface
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.sim.environment import Environment
-from repro.sim.resources import Resource, ResourceRequest
+from repro.sim import Environment, Resource, ResourceRequest
 
 
 class ConnectionPool:

@@ -26,7 +26,7 @@ from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.middleware import MiddlewareBase
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.statements import Statement
-from repro.sim.events import Event
+from repro.sim import Event
 from repro.storage.wal import LogRecordType
 
 

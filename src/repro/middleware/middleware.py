@@ -20,10 +20,8 @@ from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.rewriter import Rewriter
 from repro.middleware.router import Partitioner
 from repro.middleware.statements import TransactionSpec
-from repro.sim.environment import Environment
-from repro.sim.events import Interrupt
+from repro.sim import Environment, Interrupt, Process
 from repro.sim.network import Message, Network, NetworkInterface
-from repro.sim.process import Process
 from repro.storage.dialects import Dialect, MySQLDialect
 from repro.storage.wal import WriteAheadLog
 

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro import protocol
 from repro.middleware.middleware import MiddlewareBase
 from repro.recovery.recovery_manager import RecoveryManager
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.network import DROP, Network, NetworkInterface, PARK
 from repro.storage.datasource import DataSource
 from repro.storage.transaction import TxnState

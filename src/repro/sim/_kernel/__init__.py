@@ -1,23 +1,14 @@
-"""The pure-Python simulation kernel: source of truth for both engines.
+"""The simulation kernel.
 
 This package holds the hot kernel of the discrete-event engine — events,
 processes, the environment dispatch loop, resources and the 2PL lock
-manager — written in strictly-annotated, mypyc-clean Python:
+manager — as fully annotated Python with explicit ``__slots__`` and only
+relative imports between its modules.
 
-* full type annotations and ``Final`` module constants,
-* no dynamic attribute tricks (no method shadowing, no ``__getattr__``),
-* slots-compatible class layouts (mypyc native classes are slotted anyway;
-  the explicit ``__slots__`` keep the *pure* interpretation lean too),
-* only relative imports between kernel modules, so the whole package can be
-  copied verbatim to ``repro.sim._ckernel`` and compiled ahead of time with
-  mypyc without rebinding any cross-module reference.
-
-Nothing outside :mod:`repro.sim.engine` should import this package directly:
-the public modules (``repro.sim.events``, ``repro.sim.environment``,
-``repro.sim.process``, ``repro.sim.resources``, ``repro.storage.lock_manager``)
-are facades that re-export from whichever kernel the ``REPRO_ENGINE``
-selector resolved, so pure and compiled classes are never mixed in one
-process.
+Code outside :mod:`repro.sim` imports the kernel classes from
+:mod:`repro.sim` (the lock-manager names from
+:mod:`repro.storage.lock_manager`); modules inside :mod:`repro.sim` import
+them from here, which keeps the package's own initialisation free of cycles.
 """
 
 from repro.sim._kernel import environment, events, locks, process, resources

@@ -7,15 +7,15 @@ two scheduling structures:
   finished processes and zero-delay callbacks.  Same-time work is dispatched
   in FIFO order without ever touching the heap;
 * a **priority heap** of future work: ``(time, priority, sequence, entry)``
-  tuples where ``entry`` is an :class:`~repro.sim.events.Event` or a
+  tuples where ``entry`` is an :class:`~repro.sim._kernel.events.Event` or a
   lightweight :class:`Timer` created by :meth:`Environment.call_at`.
 
 :meth:`Environment.run` drains the microqueue first, then pops the heap,
 advancing the clock only on heap entries (microqueue work is by construction
 at the current time).  The ``sequence`` counter is a plain int (bumped in-line
-by the event classes as well, see :mod:`repro.sim.events`) so that same-time
-heap entries keep FIFO order without the cost of an :func:`itertools.count`
-call per schedule.
+by the event classes as well, see :mod:`repro.sim._kernel.events`) so that
+same-time heap entries keep FIFO order without the cost of an
+:func:`itertools.count` call per schedule.
 
 Ordering contract (relaxed since the reordering fast paths landed)
 ------------------------------------------------------------------
@@ -34,13 +34,10 @@ cancellable timeouts (lock waits, request timeouts) should instead use
 :meth:`Environment.call_coarse`, which parks them on a hashed timer wheel:
 set-then-cancel churn there never touches the heap at all.
 
-This module is part of the mypyc-compilable kernel (see
-:mod:`repro.sim._kernel`): fully annotated, ``Final`` constants, relative
-imports only, and a fixed attribute layout — the factory fast paths
-(``event``/``timeout``/``process``) are *declared attributes* bound to
-``partial`` objects in ``__init__`` rather than methods shadowed per
-instance, which is the same call-path at runtime but legal for a native
-class.
+The factory fast paths (``event``/``timeout``/``process``) are *declared
+attributes* bound to ``partial`` objects in ``__init__`` rather than methods
+shadowed per instance: the same call path at runtime, with a fixed attribute
+layout.
 """
 
 from __future__ import annotations
@@ -188,7 +185,7 @@ class Environment:
     #: Factory fast paths, bound in ``__init__``: ``timeout``/``event``/
     #: ``process`` are called tens of thousands of times per simulated second,
     #: and a C-level ``partial`` skips one Python frame per call.  Declared
-    #: here (not as methods) so the layout is fixed for the compiled engine.
+    #: here (not as methods) so each is a fixed slot.
     event: Callable[[], Event]
     timeout: Callable[..., Timeout]
     process: Callable[..., Process]
@@ -312,7 +309,7 @@ class Environment:
         """Drop dead entries from the heap and re-heapify the survivors.
 
         The queue list is mutated IN PLACE: the dispatch loop in :meth:`run`
-        (and event-triggering code in :mod:`repro.sim.events`) holds direct
+        (and event-triggering code in :mod:`.events`) holds direct
         references to the list object, so rebinding ``self._queue`` here would
         silently split the simulation across two queues.
         """

@@ -16,10 +16,6 @@ the heap (whose job is ordering *future* work) is never involved.  Only
 :class:`Timeout` still pushes onto the heap, because its firing time lies in
 the future; its entry layout ``(time, priority, sequence, event)`` is shared
 with the environment module.
-
-This module is part of the mypyc-compilable kernel (see
-:mod:`repro.sim._kernel`): fully annotated, relative imports only, no dynamic
-attribute tricks.
 """
 
 from __future__ import annotations

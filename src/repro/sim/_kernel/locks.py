@@ -10,12 +10,8 @@ returns an event that the data-source process yields on; the event fires with
 the grant once the lock is available, or fails with :class:`LockTimeoutError`
 (or :class:`DeadlockError`) otherwise.
 
-This module is part of the mypyc-compilable kernel (see
-:mod:`repro.sim._kernel`): fully annotated, relative imports only.
-:class:`LockRequest` and :class:`_LockEntry` are plain slotted classes rather
-than dataclasses — identical semantics (requests compare by identity either
-way, since each carries a unique :class:`Event`), but a fixed layout mypyc
-can compile natively.
+:class:`LockRequest` and :class:`_LockEntry` are plain slotted classes:
+requests compare by identity, since each carries a unique :class:`Event`.
 """
 
 from __future__ import annotations

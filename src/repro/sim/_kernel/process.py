@@ -1,9 +1,9 @@
 """Generator-based processes for the simulation engine (kernel module).
 
 A :class:`Process` wraps a Python generator.  Each ``yield`` hands an
-:class:`~repro.sim.events.Event` to the environment; the generator is resumed
-with the event's value once it fires.  A process is itself an event that
-triggers when the generator returns (its value is the generator's return
+:class:`~repro.sim._kernel.events.Event` to the environment; the generator is
+resumed with the event's value once it fires.  A process is itself an event
+that triggers when the generator returns (its value is the generator's return
 value), so processes can wait on each other.
 
 Processes are **run-to-first-yield**: ``env.process()`` executes the generator
@@ -20,10 +20,6 @@ The resume loop is the single hottest function of the whole simulator (it runs
 once per event wait), so it reads event state directly (``_ok`` / ``_value``
 / ``callbacks``) instead of going through the public properties, and the
 generator's bound ``send``/``throw`` are cached at construction time.
-
-This module is part of the mypyc-compilable kernel (see
-:mod:`repro.sim._kernel`): fully annotated, relative imports only, no dynamic
-attribute tricks.
 """
 
 from __future__ import annotations

@@ -7,10 +7,6 @@ Two primitives are provided:
   baseline).
 * :class:`Store` — an unbounded FIFO message queue (used for node inboxes in
   the network model).
-
-This module is part of the mypyc-compilable kernel (see
-:mod:`repro.sim._kernel`): fully annotated, relative imports only, no dynamic
-attribute tricks.
 """
 
 from __future__ import annotations

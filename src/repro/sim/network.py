@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.environment import Environment
-from repro.sim.events import PENDING, Event
+from repro.sim._kernel.environment import Environment
+from repro.sim._kernel.events import PENDING, Event
+from repro.sim._kernel.resources import Store
 from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.resources import Store
 
 _message_ids = count(1)
 

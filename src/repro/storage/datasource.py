@@ -23,7 +23,7 @@ from typing import Deque, Dict, Hashable, List, Optional
 
 from repro.common import AbortReason, Operation, OperationResult, OpType, SubtxnResult, Vote
 from repro import protocol
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.network import Message, Network, NetworkInterface
 from repro.storage.dialects import Dialect, MySQLDialect
 from repro.storage.engine import StorageEngine

@@ -1,26 +1,20 @@
-"""Strict two-phase-locking lock manager (facade).
+"""Strict two-phase-locking lock manager: the public home of its names.
 
-The implementation lives in the engine kernel — :mod:`repro.sim._kernel.locks`
-(pure Python, source of truth) or its mypyc-compiled twin — and is selected
-once per process by :mod:`repro.sim.engine` from the ``REPRO_ENGINE``
-environment variable.  The lock manager sits in the kernel because its inner
-paths (grant/release/wheel-timer churn) run once per record access and are
-part of the simulator's hot loop.
-
-See the kernel module for the design notes on lock compatibility, FIFO
-hand-off, wheel-timer timeouts and the wait-for-graph deadlock detector.
+The implementation lives in the simulation kernel,
+:mod:`repro.sim._kernel.locks`, because its grant/release/wheel-timer paths run
+once per record access and are part of the simulator's hot loop.  See that
+module for the design notes on lock compatibility, FIFO hand-off, wheel-timer
+timeouts and the wait-for-graph deadlock detector.
 """
 
-from repro.sim.engine import locks as _impl
-
-LockMode = _impl.LockMode
-LockTimeoutError = _impl.LockTimeoutError
-DeadlockError = _impl.DeadlockError
-_compatible = _impl._compatible
-LockRequest = _impl.LockRequest
-_LockEntry = _impl._LockEntry
-LockStats = _impl.LockStats
-LockManager = _impl.LockManager
+from repro.sim._kernel.locks import (
+    DeadlockError,
+    LockManager,
+    LockMode,
+    LockRequest,
+    LockStats,
+    LockTimeoutError,
+)
 
 __all__ = [
     "DeadlockError",

@@ -3,20 +3,24 @@
 Correctness here means four things, each pinned below: the canonical config
 hash is stable across processes and ``PYTHONHASHSEED`` values yet sensitive to
 every semantic config change; a cached point round-trips byte-identically; a
-cache can only ever degrade to a recompute (corrupt entries, stale digests and
-foreign engines all invalidate, never crash and never serve wrong data); and a
-resumed sweep executes exactly the missing points.
+cache can only ever degrade to a recompute (corrupt entries, stale digests,
+edited sources and scratch files of a killed write are all dropped, never
+crash and never serve wrong data); and a resumed sweep executes exactly the
+missing points.
 """
 
 import json
 import pickle
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import repro.bench.cache as cache_module
 from repro.bench.cache import (CACHE_SCHEMA, SweepCache, canonical_repr,
-                               config_hash, engine_token, kernel_fingerprint)
+                               config_hash, source_fingerprint)
+from repro.bench.goldens import resume_document
 from repro.bench.parallel import SweepRunner, run_sweep_point
 from repro.bench.runner import ExperimentConfig
 from repro.bench.scenarios import get_scenario
@@ -95,12 +99,26 @@ def test_canonical_repr_rejects_uncanonicalisable_objects():
     assert canonical_repr(opaque) == canonical_repr(other)
 
 
-def test_engine_token_names_engine_and_kernel_fingerprint():
-    token = engine_token()
-    name, _, fingerprint = token.partition(":")
-    assert name in ("pure", "compiled")
-    assert fingerprint == kernel_fingerprint()
+def test_source_fingerprint_keys_every_cache_entry(tmp_path):
+    fingerprint = source_fingerprint()
     assert len(fingerprint) == 16
+    assert SweepCache(tmp_path).fingerprint == fingerprint
+
+
+def test_source_fingerprint_moves_when_a_non_kernel_module_changes(
+        tmp_path, monkeypatch):
+    real = source_fingerprint()
+    root = tmp_path / "repro"
+    shutil.copytree(cache_module._SOURCE_ROOT, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cache_module, "_SOURCE_ROOT", root)
+    monkeypatch.setattr(cache_module, "_source_fingerprint", None)
+    # Content, not location: an identical copy has the same fingerprint.
+    assert source_fingerprint() == real
+    module = root / "storage" / "datasource.py"
+    module.write_bytes(module.read_bytes() + b"\n")
+    monkeypatch.setattr(cache_module, "_source_fingerprint", None)
+    assert source_fingerprint() != real
 
 
 # ------------------------------------------------------------------ round trip
@@ -155,15 +173,17 @@ def test_foreign_pickle_entry_degrades_to_recompute(tmp_path):
     assert cache.invalidations == 1
 
 
-def test_engine_change_invalidates_cached_entries(tmp_path):
+def test_source_change_invalidates_cached_entries(tmp_path, monkeypatch):
     sweep = smoke_sweep()
     point = sweep.points()[0]
-    old = SweepCache(tmp_path, engine="pure:0123456789abcdef")
+    monkeypatch.setattr(cache_module, "_source_fingerprint", "0123456789abcdef")
+    old = SweepCache(tmp_path)
     old.store(sweep.name, point, run_sweep_point(point))
-    # Same sweep under the real engine token: the stale sibling (same point
-    # index, different digest) is dropped, never served.
+    monkeypatch.undo()
+    # Same sweep under the real sources: the stale sibling (same point index,
+    # different digest) is dropped, never served.
     current = SweepCache(tmp_path)
-    assert current.engine != old.engine
+    assert current.fingerprint != old.fingerprint
     assert current.lookup(sweep.name, sweep.points()[0]) is None
     assert current.invalidations == 1
     assert list((tmp_path / sweep.name).glob("*.pkl")) == []
@@ -178,6 +198,23 @@ def test_config_change_invalidates_cached_entries(tmp_path):
     fresh = SweepCache(tmp_path)
     assert fresh.lookup(changed.name, changed.points()[0]) is None
     assert fresh.invalidations == 1
+
+
+def test_lookup_removes_scratch_files_a_killed_store_left(tmp_path):
+    # store() writes <entry>.tmp<pid> and then renames it; a kill in between
+    # leaves the scratch file, under the current digest or a stale one.
+    sweep = smoke_sweep()
+    point = sweep.points()[0]
+    cache = SweepCache(tmp_path)
+    path = cache._point_path(sweep.name, point, cache.entry_digest(point))
+    path.parent.mkdir(parents=True)
+    orphans = [path.with_suffix(".tmp4242"),
+               path.with_name("point0000__0123456789abcdef.tmp77")]
+    for orphan in orphans:
+        orphan.write_bytes(b"half a pickle")
+    assert cache.lookup(sweep.name, point) is None
+    assert [orphan for orphan in orphans if orphan.exists()] == []
+    assert cache.invalidations == 0
 
 
 # --------------------------------------------------------------------- resume
@@ -227,17 +264,15 @@ def test_fully_cached_resume_simulates_nothing(tmp_path):
     assert result.cache_misses == 0
 
 
-# -------------------------------------------------------------- cross-engine
-def test_resume_round_trip_is_identical_under_each_engine(engine,
-                                                          goldens_runner):
-    """The kill-and-resume workflow is byte-identical on pure AND compiled.
+# ------------------------------------------------------------ kill and resume
+def test_resume_round_trip_is_identical_under_each_engine():
+    """The kill-and-resume workflow is byte-identical.
 
     ``goldens resume`` runs a mini load_sweep fresh, replays an interrupted
     run (first k points stored through the real worker path), resumes, and
     compares the deterministic payloads.
     """
-    document = goldens_runner(engine, "resume", "--interrupt-after", "2")
-    assert document["engine"] == engine
+    document = resume_document(interrupt_after=2)
     assert document["identical"] is True
     assert document["hits"] == 2
     assert document["misses"] == document["points"] - 2

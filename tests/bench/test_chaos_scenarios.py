@@ -10,13 +10,12 @@ The acceptance bar for the chaos combinator, pinned as tests:
   are seeded: the same seed always keeps the same combos, and a pruned
   matrix derives byte-identical configs for the combos it keeps.
 * **Invariants** — a smoke-scale chaos point runs clean through the full
-  robustness-invariant catalog, and same-seed runs replay bit for bit on
-  every engine (via the goldens runner subprocess).
+  robustness-invariant catalog, and same-seed runs replay bit for bit.
 """
 
 import pytest
 
-from repro.bench.goldens import chaos_config
+from repro.bench.goldens import chaos_config, determinism_document
 from repro.bench.runner import run_experiment
 from repro.bench.scenarios import SCENARIOS, get_scenario
 from repro.recovery.chaos import (
@@ -200,13 +199,11 @@ def test_smoke_scale_chaos_point_passes_every_invariant():
     assert summary.to_dict()["invariants"] == summary.invariants
 
 
-def test_chaos_determinism_holds_on_every_engine(engine, goldens_runner):
-    # The compiled engine runs in a REPRO_ENGINE-pinned subprocess; the
-    # config is repro.bench.goldens.chaos_config().
-    document = goldens_runner(engine, "determinism", "chaos")
+def test_chaos_determinism_holds_on_every_engine():
+    # The config is repro.bench.goldens.chaos_config().
+    document = determinism_document("chaos")
     assert document["identical"], (
-        f"chaos point diverged on the {engine} engine: "
-        f"{document['first']} != {document['second']}")
+        f"chaos point diverged: {document['first']} != {document['second']}")
 
 
 def test_chaos_config_matches_the_registered_scenario():

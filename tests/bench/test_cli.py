@@ -151,7 +151,7 @@ def test_perf_subcommand_and_exports_are_gone(capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice: 'perf'" in err
-    for command in ("list", "run", "figures", "chaos", "engine"):
+    for command in ("list", "run", "figures", "chaos"):
         assert command in err
     assert not {"PerfMetrics", "compare_to_baseline", "measure_scenario",
                 "run_perf"} & set(repro.bench.__all__)

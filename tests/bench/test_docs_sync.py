@@ -82,10 +82,7 @@ def _repro_classes():
     import repro
     classes = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        try:
-            module = importlib.import_module(info.name)
-        except ImportError:
-            continue  # the compiled kernel package, when it was never built
+        module = importlib.import_module(info.name)
         for name, value in vars(module).items():
             if isinstance(value, type) and value.__module__.startswith("repro"):
                 classes.setdefault(name, value)

@@ -88,19 +88,3 @@ def test_snapshot_digest_detects_any_sample_change():
     second = snapshot(config)
     assert first == second
     assert first["latency_sha256"] == second["latency_sha256"]
-
-
-def test_equivalence_suite_holds_on_the_other_engine(engine, goldens_runner):
-    """Cross-engine safety net: the non-active kernel must satisfy the same
-    determinism/trend/tolerance checks.  The active engine is already covered
-    in-process by the tests above, so that param is skipped; the subprocess
-    runs only the first case to bound the cost (each engine's own CI job runs
-    the full suite in-process)."""
-    from repro.sim.engine import active_engine
-
-    if engine == active_engine():
-        pytest.skip("active engine covered in-process by the tests above")
-    document = goldens_runner(engine, "equivalence",
-                              "--reference", REFERENCE_PATH,
-                              "--cases", CASES[0].name)
-    assert document["ok"], "\n".join(document["violations"])

@@ -4,8 +4,7 @@ The acceptance bar for the failover experiment, pinned as tests:
 
 * **Same-seed byte-determinism** — routing, refusal-driven detection, the
   health probe, retry jitter and recovery are all on the simulation clock, so
-  the same config must reproduce the same summary *and* the same fleet report
-  (both engines, via the goldens runner).
+  the same config must reproduce the same summary *and* the same fleet report.
 * **Availability** — killing one of three middlewares keeps availability at
   >= 90 % of the fault-free run's.
 * **Zero lost / duplicated transactions** — per-middleware attribution sums
@@ -18,7 +17,7 @@ import hashlib
 
 import pytest
 
-from repro.bench.goldens import fleet_failover_config
+from repro.bench.goldens import determinism_document, fleet_failover_config
 from repro.bench.parallel import SweepRunner
 from repro.bench.scenarios import FLEET_SYSTEMS, get_scenario
 from repro.bench.runner import run_experiment
@@ -102,13 +101,11 @@ def test_same_seed_failover_runs_are_byte_identical(system):
     assert first == second
 
 
-def test_failover_determinism_holds_on_every_engine(engine, goldens_runner):
-    # The compiled engine runs in a REPRO_ENGINE-pinned subprocess; the
-    # config is repro.bench.goldens.fleet_failover_config().
-    document = goldens_runner(engine, "determinism", "fleet_failover")
+def test_failover_determinism_holds_on_every_engine():
+    # The config is repro.bench.goldens.fleet_failover_config().
+    document = determinism_document("fleet_failover")
     assert document["identical"], (
-        f"fleet_failover diverged on the {engine} engine: "
-        f"{document['first']} != {document['second']}")
+        f"fleet_failover diverged: {document['first']} != {document['second']}")
     assert document["first"]["fleet"]["middlewares"] == ["dm1", "dm2", "dm3"]
 
 

@@ -29,19 +29,14 @@ verify the equivalence suite passes, then update the constants below from the
 failure output — and say so in the commit message.  Goldens must be re-pinned
 at most once per PR.
 
-Engine parameterization
------------------------
-
-Every test here runs once per runnable engine (``tests/conftest.py``): the
-active engine in-process, the other one in a ``REPRO_ENGINE``-pinned
-subprocess via ``python -m repro.bench.goldens``.  The pins themselves are
-engine-independent constants — which is exactly the contract the compiled
-(mypyc) kernel must honour: same bytes out, only faster.  The pinned
-configurations live in :mod:`repro.bench.goldens` so the subprocess replays
-the very same runs.
+The pinned configurations live in :mod:`repro.bench.goldens`, so
+``python -m repro.bench.goldens snapshot NAME`` replays the very same runs
+outside pytest.
 """
 
 from __future__ import annotations
+
+from repro.bench.goldens import snapshot_document
 
 
 #: Exact summaries of the registered ``smoke`` scenario (seed 0), per system.
@@ -133,32 +128,24 @@ GOLDEN_SCALE = {
 }
 
 
-def test_smoke_scenario_summary_is_byte_identical_to_snapshot(
-        engine, goldens_runner):
-    snapshots = goldens_runner(engine, "snapshot", "smoke")["snapshot"]
+def test_smoke_scenario_summary_is_byte_identical_to_snapshot():
+    snapshots = snapshot_document("smoke")["snapshot"]
     assert set(snapshots) == set(GOLDEN_SMOKE)
     for system, snapshot in snapshots.items():
         assert snapshot == GOLDEN_SMOKE[system], (
-            f"smoke[{system}] diverged from the golden snapshot "
-            f"on the {engine} engine")
+            f"smoke[{system}] diverged from the golden snapshot")
 
 
-def test_contended_run_summary_is_byte_identical_to_snapshot(
-        engine, goldens_runner):
-    snapshot = goldens_runner(engine, "snapshot", "contended_geotp")["snapshot"]
-    assert snapshot == GOLDEN_CONTENDED, (
-        f"contended geotp run diverged on the {engine} engine")
+def test_contended_run_summary_is_byte_identical_to_snapshot():
+    snapshot = snapshot_document("contended_geotp")["snapshot"]
+    assert snapshot == GOLDEN_CONTENDED, "contended geotp run diverged"
 
 
-def test_contended_ssp_run_summary_is_byte_identical_to_snapshot(
-        engine, goldens_runner):
-    snapshot = goldens_runner(engine, "snapshot", "contended_ssp")["snapshot"]
-    assert snapshot == GOLDEN_CONTENDED_SSP, (
-        f"contended ssp run diverged on the {engine} engine")
+def test_contended_ssp_run_summary_is_byte_identical_to_snapshot():
+    snapshot = snapshot_document("contended_ssp")["snapshot"]
+    assert snapshot == GOLDEN_CONTENDED_SSP, "contended ssp run diverged"
 
 
-def test_medium_scale_run_summary_is_byte_identical_to_snapshot(
-        engine, goldens_runner):
-    snapshot = goldens_runner(engine, "snapshot", "scale")["snapshot"]
-    assert snapshot == GOLDEN_SCALE, (
-        f"medium-scale run diverged on the {engine} engine")
+def test_medium_scale_run_summary_is_byte_identical_to_snapshot():
+    snapshot = snapshot_document("scale")["snapshot"]
+    assert snapshot == GOLDEN_SCALE, "medium-scale run diverged"

@@ -10,7 +10,7 @@ sample — is pinned on the collector itself, ``tests/metrics``):
 * **Memory stays flat** — a 10x longer saturated point must not cost 10x the
   RSS.  Asserted on fresh subprocesses (``ru_maxrss`` is a process-lifetime
   high-water mark, so in-process measurements would only compound).
-* **Same-seed runs are byte-identical on every engine** — the arrival stream,
+* **Same-seed runs are byte-identical** — the arrival stream,
   the pool's shed/reuse churn and the reservoirs all replay bit for bit
   (pinned via the ``load_sweep`` determinism golden).
 """
@@ -21,6 +21,7 @@ import sys
 
 import pytest
 
+from repro.bench.goldens import determinism_document
 from repro.bench.parallel import SweepRunner
 from repro.bench.scenarios import get_scenario
 from repro.metrics import DEFAULT_RESERVOIR_SIZE
@@ -97,12 +98,11 @@ def test_every_point_reports_streaming_books_and_rss(knee_curve):
 
 
 # ----------------------------------------------------------------- determinism
-def test_load_sweep_determinism_holds_on_every_engine(engine, goldens_runner):
+def test_load_sweep_determinism_holds_on_every_engine():
     # Config: repro.bench.goldens.load_sweep_config() — one saturated point.
-    document = goldens_runner(engine, "determinism", "load_sweep")
+    document = determinism_document("load_sweep")
     assert document["identical"], (
-        f"load_sweep diverged on the {engine} engine: "
-        f"{document['first']} != {document['second']}")
+        f"load_sweep diverged: {document['first']} != {document['second']}")
 
 
 # ---------------------------------------------------------------------- memory
@@ -124,11 +124,10 @@ print(json.dumps({"completed": summary.open_loop["completed"],
 
 def probe_rss(duration_ms):
     from tests.conftest import REPO_ROOT, subprocess_env
-    from repro.sim.engine import active_engine
 
     proc = subprocess.run(
         [sys.executable, "-c", _RSS_PROBE, str(duration_ms)],
-        capture_output=True, text=True, env=subprocess_env(active_engine()),
+        capture_output=True, text=True, env=subprocess_env(),
         cwd=REPO_ROOT, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -26,7 +26,7 @@ from repro.cluster.fleet import (
     routing_policy_names,
 )
 from repro.common import AbortReason, TransactionResult, TxnOutcome
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.rng import SeededRNG
 
 

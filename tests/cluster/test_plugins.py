@@ -178,7 +178,6 @@ def test_importing_the_bench_layer_does_not_scan_entry_points():
     import sys
 
     from tests.conftest import subprocess_env
-    from repro.sim.engine import active_engine
 
     code = ("import sys, repro.bench, repro.plugins as p; "
             "from repro import build_cluster; "
@@ -187,4 +186,4 @@ def test_importing_the_bench_layer_does_not_scan_entry_points():
             "assert 'importlib.metadata' not in sys.modules; "
             "assert 'geotp' in p.system_names() and p._entry_points_scanned")
     subprocess.run([sys.executable, "-c", code], check=True,
-                   env=subprocess_env(active_engine()))
+                   env=subprocess_env())

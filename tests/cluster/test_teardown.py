@@ -156,12 +156,11 @@ print(json.dumps([r.summary.peak_rss_bytes for r in results]))
 
 
 def test_serial_sweep_rss_does_not_creep_from_point_to_point():
-    from repro.sim.engine import active_engine
     from tests.conftest import REPO_ROOT, subprocess_env
 
     proc = subprocess.run([sys.executable, "-c", _SERIAL_SWEEP],
                           capture_output=True, text=True, cwd=REPO_ROOT,
-                          env=subprocess_env(active_engine()), check=False)
+                          env=subprocess_env(), check=False)
     assert proc.returncode == 0, proc.stderr
     rss = json.loads(proc.stdout)
     assert len(rss) == 12

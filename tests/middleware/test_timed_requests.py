@@ -6,7 +6,7 @@ inspected it used to lose its sample silently (``event.callbacks is None``).
 """
 
 from repro.middleware.middleware import MiddlewareBase, ParticipantHandle
-from repro.sim.environment import Environment
+from repro.sim import Environment
 
 
 class _RecordingMiddleware(MiddlewareBase):

@@ -4,7 +4,7 @@ timer wheel."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import EmptySchedule, Environment, Interrupt, Store
 
 
 # -------------------------------------------------------- run-to-first-yield
@@ -190,8 +190,6 @@ def test_zero_delay_timeout_uses_the_microqueue():
 
 
 def test_peek_and_step_skip_cancelled_microqueue_entries():
-    from repro.sim.environment import EmptySchedule
-
     env = Environment()
     dead = env.timeout(0)
     env.cancel(dead)
@@ -230,8 +228,6 @@ def test_cancelling_triggered_events_does_not_inflate_heap_accounting():
 
 # ---------------------------------------------------- direct-consumer stores
 def test_consumer_store_routes_puts_and_rejects_get():
-    from repro.sim.resources import Store
-
     env = Environment()
     store = Store(env)
     seen = []
@@ -244,8 +240,6 @@ def test_consumer_store_routes_puts_and_rejects_get():
 
 
 def test_set_consumer_on_a_store_in_use_is_rejected():
-    from repro.sim.resources import Store
-
     env = Environment()
     store = Store(env)
     store.put("queued")
@@ -349,10 +343,11 @@ def test_wheel_ticks_cover_distinct_slots():
 
 
 # -------------------------------------------------- determinism of the engine
-def test_same_seed_twice_is_byte_identical(engine, goldens_runner):
-    # Runs once per runnable engine (pure in-process, compiled in a pinned
-    # subprocess); the config is repro.bench.goldens.determinism_config().
-    document = goldens_runner(engine, "determinism")
+def test_same_seed_twice_is_byte_identical():
+    from repro.bench.goldens import determinism_document
+
+    # The config is repro.bench.goldens.determinism_config().
+    document = determinism_document()
     assert document["identical"], (
-        f"two runs of the same seed diverged on the {engine} engine: "
+        "two runs of the same seed diverged: "
         f"{document['first']} != {document['second']}")

@@ -13,12 +13,8 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.sim import AllOf, AnyOf, Environment, Event, Resource
-from repro.storage.lock_manager import (
-    LockManager,
-    LockMode,
-    LockRequest,
-    _LockEntry,
-)
+from repro.sim._kernel.locks import _LockEntry
+from repro.storage.lock_manager import LockManager, LockMode, LockRequest
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 

@@ -3,8 +3,7 @@ heap compaction and daemon processes."""
 
 import pytest
 
-from repro.sim import Environment
-from repro.sim.environment import EmptySchedule
+from repro.sim import EmptySchedule, Environment
 
 
 # ------------------------------------------------------------------- call_at

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import protocol
-from repro.sim.environment import Environment
+from repro.sim import Environment
 from repro.sim.network import Network
 from repro.storage.datasource import DataSource, DataSourceConfig
 from repro.storage.engine import StorageEngine
