@@ -103,20 +103,34 @@ CASES: Tuple[EquivalenceCase, ...] = (
 def snapshot(config: ExperimentConfig) -> Dict[str, Any]:
     """Run one experiment and reduce it to a comparable summary dict.
 
-    ``latency_sha256`` digests every latency sample, so two snapshots are
-    equal only if the runs were bit-identical.
+    The one snapshot every comparison uses: the golden pins, the same-seed
+    determinism checks and the equivalence cases.  ``latency_sha256``
+    digests every latency sample, so two snapshots are equal only if the
+    runs were bit-identical.  A fault run also carries its fault report and
+    a fleet run its fleet report (routing counters, health transitions, down
+    episodes), so recovery and failover must replay bit for bit too; a run
+    with neither reduces to exactly the ten keys the golden pins compare.
     """
     result = run_experiment(config)
-    samples = list(result.latency.samples)
-    return {
+    latency = result.latency
+    samples = list(latency.samples)
+    document = {
+        "throughput_tps": result.throughput_tps,
         "committed": result.committed,
         "aborted": result.aborted,
-        "throughput_tps": result.throughput_tps,
+        "average_latency_ms": result.average_latency_ms,
+        "p50": latency.p50 if samples else None,
+        "p99": latency.p99 if samples else None,
         "abort_rate": result.abort_rate,
         "abort_reasons": result.collector.abort_reasons(),
         "n_samples": len(samples),
         "latency_sha256": hashlib.sha256(repr(samples).encode()).hexdigest(),
     }
+    if result.faults is not None:
+        document["faults"] = result.faults
+    if result.fleet is not None:
+        document["fleet"] = result.fleet
+    return document
 
 
 def run_case(case: EquivalenceCase) -> Dict[str, Dict[str, Dict[str, Any]]]:

@@ -48,27 +48,29 @@ class ExperimentConfig:
     ycsb: YCSBConfig = field(default_factory=YCSBConfig)
     tpcc: TPCCConfig = field(default_factory=TPCCConfig)
     #: Config for registry workloads without a dedicated field above (contrib
-    #: and third-party plugins); takes precedence over ``ycsb``/``tpcc`` when
-    #: set.  ``None`` means "the plugin's default configuration".
+    #: plugins); takes precedence over ``ycsb``/``tpcc`` when set.  ``None``
+    #: means "the plugin's default configuration".
     workload_config: Optional[WorkloadConfig] = None
     geotp: Optional[GeoTPConfig] = None
     scalardb: Optional[ScalarDBConfig] = None
     middleware: Optional[MiddlewareConfig] = None
     #: Number of coordinator middlewares.  With the default topology, values
-    #: above 1 build ``TopologyConfig.multi_middleware(num_middlewares=K)``
-    #: (a co-located fleet for K != 2, the Fig. 15 split for K = 2); with an
-    #: explicit topology the counts must agree.  More than one middleware
-    #: implies a client-side fleet (see ``fleet``).
+    #: above 1 build ``TopologyConfig.multi_middleware(["beijing"] * K)``, a
+    #: fleet co-located with the clients for every K; with an explicit
+    #: topology the counts must agree.  More than one middleware implies a
+    #: client-side fleet (see ``fleet``).
     middleware_count: int = 1
     #: Fleet routing/failure-detection settings.  ``None`` with a single
     #: middleware means "no fleet" — terminals stay pinned exactly as before;
     #: with several middlewares a default :class:`FleetConfig` is used.
     fleet: Optional[FleetConfig] = None
-    #: Client retry/backoff discipline.  ``None`` keeps the deprecated fixed
-    #: ``ClientTerminal.RETRY_BACKOFF_MS`` pause (single-middleware legacy
-    #: behaviour); fleet runs default to a :class:`RetryPolicy` so failover
-    #: works out of the box.  Fields are sweepable axes (``retry.base_ms``).
-    retry: Optional[RetryPolicy] = None
+    #: Client retry/backoff discipline after an ``UNAVAILABLE`` outcome and
+    #: for fleet failover.  The default is a fixed 50 ms pause without
+    #: jitter; fleet scenarios pass ``RetryPolicy()`` (capped exponential
+    #: backoff with seeded jitter).  Fields are sweepable axes
+    #: (``retry.base_ms``).
+    retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(
+        base_ms=50.0, cap_ms=50.0, multiplier=1.0, jitter=0.0))
     #: Bucket width for the throughput time series (None disables the timeline).
     timeline_bucket_ms: Optional[float] = None
     #: Enable GeoTP's active latency probing (needed when link latencies change
@@ -368,7 +370,7 @@ def run_experiment(config: ExperimentConfig,
     if topology is None:
         if config.middleware_count > 1:
             topology = TopologyConfig.multi_middleware(
-                num_middlewares=config.middleware_count)
+                ["beijing"] * config.middleware_count)
         else:
             topology = TopologyConfig.paper_default()
     elif (config.middleware_count > 1
@@ -407,17 +409,12 @@ def run_experiment(config: ExperimentConfig,
         fault_injector.install()
 
     # The fleet is strictly opt-in: single-middleware runs without an explicit
-    # FleetConfig take the pinned legacy path (no fleet, no probe process), so
-    # the golden pins stay byte-identical.  Multi-middleware runs always get
-    # one, and a fleet without a retry policy would be unable to fail over —
-    # default it.
+    # FleetConfig take the pinned path (no fleet, no probe process), so the
+    # golden pins stay byte-identical.  Multi-middleware runs always get one.
     fleet = None
-    retry = config.retry
     if needs_fleet:
         fleet = MiddlewareFleet(cluster.env, cluster.middlewares,
                                 config.fleet or FleetConfig())
-        if retry is None:
-            retry = RetryPolicy()
 
     open_pool = None
     if config.arrival is not None:
@@ -425,12 +422,12 @@ def run_experiment(config: ExperimentConfig,
             cluster.env, cluster.middlewares, workload, collector,
             arrival=config.arrival.stamped(config.seed),
             duration_ms=config.duration_ms,
-            fleet=fleet, retry=retry, seed=config.seed)
+            fleet=fleet, retry=config.retry, seed=config.seed)
     else:
         start_terminals(cluster.env, cluster.middlewares, workload, collector,
                         terminal_count=config.terminals,
                         duration_ms=config.duration_ms,
-                        fleet=fleet, retry=retry, seed=config.seed)
+                        fleet=fleet, retry=config.retry, seed=config.seed)
     # Suspending the cyclic GC removes its pauses from the hot loop.  Nothing
     # is lost by it: finished processes, expired lock waits and their timers
     # are all reclaimed by plain reference counting (the kernel leaves no

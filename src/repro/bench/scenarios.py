@@ -367,10 +367,8 @@ def _derive_ablation_builders() -> Dict[str, Tuple[str, Optional[Callable[[], Ge
 
     Reference systems (``ablation_reference``) run unmodified under their own
     name; every ``SystemPlugin.ablations`` entry contributes a
-    ``<system>_<suffix>`` variant, in registration order.  Read straight from
-    the registry as it stands at import (builtins and contrib): enumerating
-    through ``system_plugins()`` would run the entry-point scan on every
-    ``import repro``.
+    ``<system>_<suffix>`` variant, in registration order, read from the
+    registry as it stands at import (builtins and contrib).
     """
     builders: Dict[str, Tuple[str, Optional[Callable[[], GeoTPConfig]]]] = {}
     plugins = SYSTEMS.plugins()
@@ -406,7 +404,7 @@ def _apply_fig14_rounds(config: ExperimentConfig,
 def _apply_fig15(config: ExperimentConfig,
                  params: Dict[str, Any]) -> ExperimentConfig:
     if params["deployment"] == "multi":
-        config.topology = TopologyConfig.multi_middleware()
+        config.topology = TopologyConfig.multi_middleware(["beijing", "london"])
     else:
         config.topology = TopologyConfig.paper_default()
     return config
@@ -490,22 +488,6 @@ FLEET_SYSTEMS = ("ssp", "geotp")
 
 #: Middleware killed by ``fleet_failover`` (the middle one of three).
 FLEET_FAILOVER_TARGET = "dm2"
-
-
-def _apply_fleet_scaleout(config: ExperimentConfig,
-                          params: Dict[str, Any]) -> ExperimentConfig:
-    """Pin a co-located fleet layout for every K.
-
-    ``TopologyConfig.multi_middleware`` keeps the legacy geo-split layout at
-    K=2 (one coordinator remote, the Fig. 15 deployment); the scale-out sweep
-    wants the K axis to vary *only* the coordinator count, so every fleet
-    size uses coordinators in the client region.
-    """
-    if config.middleware_count > 1:
-        config.topology = TopologyConfig.multi_middleware(
-            num_middlewares=config.middleware_count,
-            middleware_regions=["beijing"] * config.middleware_count)
-    return config
 
 
 def _apply_fleet_failover(config: ExperimentConfig,
@@ -749,7 +731,6 @@ register(ScenarioSpec(
     base=_base(fleet=FleetConfig(), retry=RetryPolicy()),
     axes=(Axis("system", FLEET_SYSTEMS),
           Axis("middleware_count", (1, 2, 3, 4))),
-    apply=_apply_fleet_scaleout,
 ))
 
 register(ScenarioSpec(
@@ -847,6 +828,6 @@ register_chaos_scenarios()
 #: Set once the registry above is fully initialised; plugin modules loaded
 #: after this point register their scenarios immediately instead of queueing.
 SCENARIOS_READY = True
-# Scenarios contributed by plugin modules (repro.contrib, entry points) were
+# Scenarios contributed by plugin modules (repro.contrib) were
 # queued while this module was still importing; register them now.
 drain_scenario_hooks()

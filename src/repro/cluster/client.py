@@ -17,10 +17,11 @@ Two routing modes exist:
   the :class:`~repro.cluster.fleet.RetryPolicy`'s budget, and outcomes feed
   the fleet's failure detector.
 
-Backoff after an ``UNAVAILABLE`` outcome follows the
-:class:`~repro.cluster.fleet.RetryPolicy` (capped exponential with
-deterministic seeded jitter) when one is configured; without one the legacy
-fixed ``RETRY_BACKOFF_MS`` pause applies (deprecated, kept as a fallback).
+Backoff after an ``UNAVAILABLE`` outcome follows the terminal's
+:class:`~repro.cluster.fleet.RetryPolicy` in both modes: capped exponential
+growth with deterministic seeded jitter, of which a fixed pause (the
+``ExperimentConfig.retry`` default) is the special case that never grows and
+never draws a random number.
 """
 
 from __future__ import annotations
@@ -37,20 +38,19 @@ from repro.workloads.base import Workload
 
 
 class ClientTerminal:
-    """One closed-loop client session."""
+    """One closed-loop client session.
 
-    #: Deprecated fallback: the fixed pause before reconnecting after the
-    #: middleware refused a submission (``AbortReason.UNAVAILABLE``), used
-    #: only when no :class:`RetryPolicy` is configured.  Without a pause a
-    #: closed loop would spin at simulated-zero cost against a dead
-    #: coordinator.  Prefer ``ExperimentConfig.retry``.
-    RETRY_BACKOFF_MS = 50.0
+    ``retry`` paces reconnects after the middleware refused a submission
+    (``AbortReason.UNAVAILABLE``) — without a pause a closed loop would spin
+    at simulated-zero cost against a dead coordinator — and bounds fleet
+    failover.
+    """
 
     def __init__(self, env: Environment, terminal_id: int, middleware: MiddlewareBase,
                  workload: Workload, collector: MetricsCollector,
                  stop_at_ms: float, think_time_ms: float = 0.0,
-                 fleet: Optional[MiddlewareFleet] = None,
-                 retry: Optional[RetryPolicy] = None, seed: int = 0,
+                 fleet: Optional[MiddlewareFleet] = None, *,
+                 retry: RetryPolicy, seed: int = 0,
                  autostart: bool = True):
         self.env = env
         self.terminal_id = terminal_id
@@ -67,8 +67,10 @@ class ClientTerminal:
         # The jitter stream is derived, not shared: every terminal draws from
         # its own seeded RNG, so retry timing is independent of how many other
         # terminals are backing off (and of the workload's RNG consumption).
-        self._retry_rng = (SeededRNG(seed).spawn(terminal_id)
-                           if retry is not None else None)
+        # It is a pure function of (seed, terminal id), so it is built on the
+        # first backoff: most terminals never back off.
+        self._seed = seed
+        self._retry_rng: Optional[SeededRNG] = None
         self._unavailable_streak = 0
         # ``autostart=False`` builds the terminal as a pure submitter — no
         # closed loop is started; the open-system pool
@@ -88,7 +90,7 @@ class ClientTerminal:
             self.transactions_run += 1
             self.collector.record(result, txn_type=spec.txn_type)
             if result.abort_reason is AbortReason.UNAVAILABLE:
-                yield self.env.timeout(self._backoff_ms())
+                yield self.env.timeout(self._backoff_ms(self._unavailable_streak))
                 self._unavailable_streak += 1
                 # Re-check after the sleep: a backoff that lands at (or past)
                 # the stop time must not buy one extra transaction.
@@ -101,10 +103,10 @@ class ClientTerminal:
                 if self.env.now >= self.stop_at_ms:
                     break
 
-    def _backoff_ms(self) -> float:
-        if self.retry is None:
-            return self.RETRY_BACKOFF_MS
-        return self.retry.backoff_ms(self._unavailable_streak, self._retry_rng)
+    def _backoff_ms(self, attempt: int) -> float:
+        if self._retry_rng is None:
+            self._retry_rng = SeededRNG(self._seed).spawn(self.terminal_id)
+        return self.retry.backoff_ms(attempt, self._retry_rng)
 
     # ---------------------------------------------------------------- submit
     def _submit(self, spec):
@@ -125,7 +127,7 @@ class ClientTerminal:
             self.fleet.note_submit(middleware, failover=failover > 0)
             result = yield middleware.submit(spec)
             self.fleet.note_result(middleware, result)
-            if not result.rejected or self.retry is None:
+            if not result.rejected:
                 return result
             if failover >= self.retry.max_failovers:
                 return result
@@ -134,7 +136,7 @@ class ClientTerminal:
                 return result
             self.retries_spent += 1
             self.fleet.retries += 1
-            delay = self.retry.backoff_ms(failover, self._retry_rng)
+            delay = self._backoff_ms(failover)
             if delay > 0:
                 yield self.env.timeout(delay)
             if self.env.now >= self.stop_at_ms:
@@ -147,8 +149,8 @@ def start_terminals(env: Environment, middlewares: Sequence[MiddlewareBase],
                     workload: Workload, collector: MetricsCollector,
                     terminal_count: int, duration_ms: float,
                     think_time_ms: float = 0.0,
-                    fleet: Optional[MiddlewareFleet] = None,
-                    retry: Optional[RetryPolicy] = None,
+                    fleet: Optional[MiddlewareFleet] = None, *,
+                    retry: RetryPolicy,
                     seed: int = 0) -> List[ClientTerminal]:
     """Start ``terminal_count`` terminals over the middlewares.
 

@@ -17,12 +17,12 @@ coordinators absorbing traffic for each other:
   every ``probe_interval_ms`` — the simulated analogue of an out-of-band
   health endpoint.  Middlewares move between ``up``/``suspected``/``down``
   and every transition is timestamped for the experiment summary.
-* **Retry discipline** (:class:`RetryPolicy`) replaces the fixed
-  ``RETRY_BACKOFF_MS``: capped exponential backoff with deterministic seeded
-  jitter, a per-terminal retry *budget*, and failover re-routing — a clean
-  refusal is resubmitted to a *different, healthy* middleware instead of the
-  dead one.  Only clean refusals (the middleware was already crashed at
-  submit time, nothing was coordinated) are failover-retried; an interrupted
+* **Retry discipline** (:class:`RetryPolicy`, the one backoff rule every
+  client terminal follows): capped exponential backoff with deterministic
+  seeded jitter, a per-terminal retry *budget*, and failover re-routing — a
+  clean refusal is resubmitted to a *different, healthy* middleware instead
+  of the dead one.  Only clean refusals (the middleware was already crashed
+  at submit time, nothing was coordinated) are failover-retried; an interrupted
   in-flight coordination also reports ``UNAVAILABLE`` but is **never**
   resubmitted, because its in-doubt branches may still be committed by the
   recovery protocol — resubmission could duplicate the work.
@@ -54,7 +54,7 @@ class RetryPolicy:
     axes (e.g. ``Axis("base_ms", ..., path="retry.base_ms")``).
     """
 
-    #: First backoff delay (matches the legacy ``RETRY_BACKOFF_MS`` default).
+    #: First backoff delay.
     base_ms: float = 50.0
     #: Upper bound of the exponential growth.
     cap_ms: float = 400.0
@@ -80,7 +80,11 @@ class RetryPolicy:
 
     def backoff_ms(self, attempt: int, rng: Optional[SeededRNG] = None) -> float:
         """Delay before retry number ``attempt`` (0-based), jittered via ``rng``."""
-        delay = min(self.base_ms * self.multiplier ** attempt, self.cap_ms)
+        try:
+            delay = min(self.base_ms * self.multiplier ** attempt, self.cap_ms)
+        except OverflowError:
+            # The growth passed cap_ms long before it left the float range.
+            delay = self.cap_ms if self.base_ms else 0.0
         if self.jitter > 0.0 and rng is not None:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay

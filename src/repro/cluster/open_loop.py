@@ -37,8 +37,8 @@ class OpenClientPool:
     def __init__(self, env: Environment, middlewares: Sequence[MiddlewareBase],
                  workload: Workload, collector: MetricsCollector,
                  arrival: ArrivalConfig, duration_ms: float,
-                 fleet: Optional[MiddlewareFleet] = None,
-                 retry: Optional[RetryPolicy] = None, seed: int = 0):
+                 fleet: Optional[MiddlewareFleet] = None, *,
+                 retry: RetryPolicy, seed: int = 0):
         if not middlewares:
             raise ValueError("at least one middleware is required")
         self.env = env

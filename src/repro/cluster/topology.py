@@ -3,8 +3,11 @@
 The paper's default deployment places the client and the middleware in Beijing
 together with one data node, and the remaining data nodes in Shanghai,
 Singapore and London; the measured RTTs from the middleware are 0, 27, 73 and
-251 ms (§VII-A3).  The multi-middleware experiment (Figure 15) adds a second
-middleware co-located with the London data node.
+251 ms (§VII-A3).  :meth:`TopologyConfig.multi_middleware` places K
+coordinators over the same data nodes, one per named region: the
+multi-middleware experiment (Figure 15) passes ``["beijing", "london"]``
+(the second middleware co-located with the London data node), a fleet of K
+co-located coordinators passes ``["beijing"] * K``.
 
 A :class:`TopologyConfig` captures data nodes (with region and SQL dialect),
 middlewares (with per-node RTT overrides or latency models) and cluster-wide
@@ -69,9 +72,6 @@ class MiddlewareSpec:
     rtt_overrides: Dict[str, float] = field(default_factory=dict)
     #: Per-data-node latency models (override everything else).
     latency_models: Dict[str, LatencyModel] = field(default_factory=dict)
-    #: Number of client terminals attached to this middleware (used by the
-    #: multi-middleware experiment; 0 means "decided by the experiment").
-    terminals: int = 0
 
 
 @dataclass
@@ -181,33 +181,17 @@ class TopologyConfig:
                    lock_wait_timeout_ms=lock_wait_timeout_ms)
 
     @classmethod
-    def multi_middleware(cls, num_nodes: int = 4,
+    def multi_middleware(cls, regions: Sequence[str], num_nodes: int = 4,
                          lock_wait_timeout_ms: float = 5000.0,
-                         num_middlewares: int = 2,
-                         middleware_regions: Optional[Sequence[str]] = None,
                          ) -> "TopologyConfig":
-        """K middlewares sharing the same data nodes.
+        """``len(regions)`` middlewares over the paper's data nodes.
 
-        The default (``num_middlewares=2``, no explicit regions) is the
-        paper's Figure 15 layout: one middleware in Beijing, one co-located
-        with the last (most remote) data node.  Other K default to a
-        co-located fleet — every middleware in Beijing next to the clients —
-        which is the load-balancing/failover deployment the ``fleet_*``
-        scenarios measure; pass ``middleware_regions`` to spread them.
+        Middleware ``dm{i+1}`` sits in ``regions[i]``: ``["beijing",
+        "london"]`` is the Figure 15 layout, ``["beijing"] * K`` the
+        co-located fleet the runner builds for ``middleware_count=K``.
         """
-        if num_middlewares < 1:
-            raise ValueError("num_middlewares must be >= 1")
-        topology = cls.paper_default(num_nodes=num_nodes,
-                                     lock_wait_timeout_ms=lock_wait_timeout_ms)
-        if middleware_regions is None:
-            if num_middlewares == 2:
-                middleware_regions = ["beijing", topology.data_nodes[-1].region]
-            else:
-                middleware_regions = ["beijing"] * num_middlewares
-        if len(middleware_regions) != num_middlewares:
-            raise ValueError("middleware_regions must name one region per "
-                             "middleware")
-        topology.middlewares = [
-            MiddlewareSpec(name=f"dm{index + 1}", region=region)
-            for index, region in enumerate(middleware_regions)]
-        return topology
+        return cls(
+            data_nodes=cls.paper_default(num_nodes=num_nodes).data_nodes,
+            middlewares=[MiddlewareSpec(name=f"dm{index + 1}", region=region)
+                         for index, region in enumerate(regions)],
+            lock_wait_timeout_ms=lock_wait_timeout_ms)

@@ -6,8 +6,7 @@ registers its :class:`~repro.plugins.SystemPlugin` /
 :func:`~repro.plugins.register_scenario_hook`, any scenarios) without touching
 ``repro.cluster.deployment`` or ``repro.bench.runner``.  The package imports
 its submodules in sorted order, so dropping a new module here is all it takes
-to add a system or workload; third-party distributions use the
-``repro.plugins`` entry-point group instead (see ``pyproject.toml``).
+to add a system or workload.
 """
 
 import importlib

@@ -5,7 +5,7 @@ The reproduction compares many *systems* (coordination protocols) over many
 self-describing plugins instead of closed ``if system == ...`` ladders:
 
 * :class:`SystemPlugin` — registered by each coordinator module (the seven
-  baselines, GeoTP, and any contrib/third-party variant).  A plugin carries
+  baselines, GeoTP, and any contrib variant).  A plugin carries
   the builder that instantiates its coordinator plus *capability flags*
   (``needs_agents``, ``colocated_with_ds0``, ``supports_active_probing``,
   ablation config factories); ``repro.cluster.deployment`` consumes only
@@ -17,12 +17,9 @@ self-describing plugins instead of closed ``if system == ...`` ladders:
 Registration happens as a side effect of importing the defining module;
 :func:`load_plugins` imports the builtin modules (``repro.baselines``,
 ``repro.core.geotp``, every ``repro.contrib`` submodule) and is invoked lazily
-on the first registry lookup.  Third-party distributions that advertise the
-``repro.plugins`` entry-point group are loaded by the first lookup the builtins
-cannot answer (an unknown name) or that enumerates a registry
-(``system_names()``, ``python -m repro.bench list``) — never by a hit.  Adding
-a ninth system or a third workload is therefore one self-registering module —
-no edits to the cluster, runner or CLI layers.
+on the first registry lookup.  Adding a ninth system or a third workload is
+therefore one self-registering module dropped into ``repro/contrib/`` — no
+edits to the cluster, runner or CLI layers.
 
 Name canonicalization lives here too: :func:`normalize_system` /
 :func:`normalize_workload` are the single canonicalizers every entry point
@@ -51,11 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time cycles avoided on purpose
     from repro.core.config import GeoTPConfig
     from repro.middleware.middleware import MiddlewareBase
     from repro.workloads.base import Workload, WorkloadConfig
-
-#: Entry-point group third-party distributions use to ship plugins: each entry
-#: names a module (imported for its registration side effects) or a zero-arg
-#: callable invoked after loading.
-ENTRY_POINT_GROUP = "repro.plugins"
 
 #: Modules whose import registers the builtin plugins.  ``repro.contrib`` in
 #: turn imports every module dropped into the contrib package.
@@ -228,7 +220,6 @@ WORKLOADS = PluginRegistry("workload")
 # ------------------------------------------------------------------- loading
 _plugins_loaded = False
 _plugins_loading = False
-_entry_points_scanned = False
 
 
 def load_plugins() -> None:
@@ -240,8 +231,7 @@ def load_plugins() -> None:
     and the next call retries the import instead of serving a silently
     half-empty registry.  Lookup helpers call this lazily, so merely
     importing ``repro.plugins`` (as the plugin modules themselves do) stays
-    side-effect free.  Third-party entry points are *not* scanned here —
-    see :func:`_scan_entry_points`.
+    side-effect free.
     """
     global _plugins_loaded, _plugins_loading
     if _plugins_loaded or _plugins_loading:
@@ -255,48 +245,9 @@ def load_plugins() -> None:
         _plugins_loading = False
 
 
-def _scan_entry_points() -> None:
-    """Load third-party plugins, once: on a registry miss or an enumeration.
-
-    Walking every installed distribution's metadata costs more than all the
-    builtin imports together, so a lookup that hits never gets here.  The
-    flag is set first (an entry-point module may itself enumerate) and
-    cleared again if a plugin fails to load, so a broken plugin keeps raising
-    instead of leaving a silently half-empty registry.
-    """
-    global _entry_points_scanned
-    load_plugins()
-    if _entry_points_scanned or _plugins_loading:
-        return
-    _entry_points_scanned = True
-    try:
-        _load_entry_point_plugins()
-    except BaseException:
-        _entry_points_scanned = False
-        raise
-
-
-def _load_entry_point_plugins() -> None:
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - importlib.metadata ships with 3.8+
-        return
-    try:
-        points = entry_points(group=ENTRY_POINT_GROUP)
-    except Exception:  # pragma: no cover - tolerate exotic metadata backends
-        return
-    for point in points:
-        loaded = point.load()
-        # A module registers on import; a callable hook is invoked explicitly.
-        if callable(loaded) and not isinstance(loaded, type):
-            loaded()
-
-
 def _normalize(registry: PluginRegistry, name: str) -> str:
-    """Canonical name in ``registry``; a miss scans the entry points first."""
+    """Canonical name in ``registry``, once the plugins are loaded."""
     load_plugins()
-    if not _entry_points_scanned and name not in registry:
-        _scan_entry_points()
     return registry.normalize(name)
 
 
@@ -318,13 +269,13 @@ def normalize_system(name: str) -> str:
 
 def system_names() -> List[str]:
     """Canonical names of every registered system, in registration order."""
-    _scan_entry_points()
+    load_plugins()
     return SYSTEMS.names()
 
 
 def system_plugins() -> List[SystemPlugin]:
     """Every registered system plugin, in registration order."""
-    _scan_entry_points()
+    load_plugins()
     return SYSTEMS.plugins()
 
 
@@ -346,13 +297,13 @@ def normalize_workload(name: str) -> str:
 
 def workload_names() -> List[str]:
     """Canonical names of every registered workload, in registration order."""
-    _scan_entry_points()
+    load_plugins()
     return WORKLOADS.names()
 
 
 def workload_plugins() -> List[WorkloadPlugin]:
     """Every registered workload plugin, in registration order."""
-    _scan_entry_points()
+    load_plugins()
     return WORKLOADS.plugins()
 
 
@@ -367,8 +318,8 @@ def register_scenario_hook(hook: Callable[[], None]) -> None:
     (the bench layer imports the cluster layer, which loads the plugins —
     a cycle).  Instead they pass a zero-arg hook here; the scenario module
     drains the queue once its registry is fully initialised.  If that has
-    already happened (a plugin loaded later, e.g. via an entry point), the
-    hook runs immediately.
+    already happened (a plugin module imported later), the hook runs
+    immediately.
     """
     scenarios = sys.modules.get("repro.bench.scenarios")
     if scenarios is not None and getattr(scenarios, "SCENARIOS_READY", False):

@@ -2,7 +2,7 @@
 
 Each workload module registers a :class:`~repro.plugins.WorkloadPlugin`;
 ``repro.bench.runner.make_workload`` and the CLI resolve workloads through
-that registry, so contrib/third-party workloads (e.g.
+that registry, so contrib workloads (e.g.
 ``repro.contrib.smallbank``) need no edits in this package.
 """
 

@@ -20,7 +20,6 @@ import pytest
 import repro.bench.cache as cache_module
 from repro.bench.cache import (CACHE_SCHEMA, SweepCache, canonical_repr,
                                config_hash, source_fingerprint)
-from repro.bench.goldens import resume_document
 from repro.bench.parallel import SweepRunner, run_sweep_point
 from repro.bench.runner import ExperimentConfig
 from repro.bench.scenarios import get_scenario
@@ -31,6 +30,14 @@ from tests.conftest import REPO_ROOT, SRC_DIR
 
 def smoke_sweep():
     return get_scenario("smoke").sweep()
+
+
+def sweep_payload(result) -> str:
+    """Per-point params plus the default (environment-free) summary dict:
+    what must be byte-identical whether a point was simulated now or
+    restored from the cache; wall-clock and RSS legitimately differ."""
+    return json.dumps([{"params": point.params, **point.summary.to_dict()}
+                       for point in result], sort_keys=True)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -241,10 +248,7 @@ def test_resumed_sweep_is_byte_identical_to_fresh_run(tmp_path):
         warm.store(sweep.name, point, run_sweep_point(point))
     resumed = SweepRunner(cache=SweepCache(tmp_path),
                           resume=True).run(smoke_sweep())
-    payload = lambda result: json.dumps(
-        [{"params": p.params, **p.summary.to_dict()} for p in result],
-        sort_keys=True)
-    assert payload(fresh) == payload(resumed)
+    assert sweep_payload(fresh) == sweep_payload(resumed)
 
 
 def test_cache_without_resume_records_but_never_reads(tmp_path):
@@ -265,15 +269,36 @@ def test_fully_cached_resume_simulates_nothing(tmp_path):
 
 
 # ------------------------------------------------------------ kill and resume
-def test_resume_round_trip_is_identical_under_each_engine():
+def resume_sweep():
+    """A 2x2 mini ``load_sweep`` (two systems x two rates) at smoke scale.
+
+    Small enough to run twice in a test, but a real open-system sweep: the
+    resume check below uses it to prove an interrupted-then-resumed sweep is
+    byte-identical to an uninterrupted one.
+    """
+    return get_scenario("load_sweep").sweep(
+        axes={"system": ["geotp", "ssp"], "rate_tps": [160.0, 320.0]},
+        duration_ms=1_500.0, warmup_ms=300.0,
+        ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200,
+        arrival__max_clients=64)
+
+
+def test_resume_round_trip_is_identical_under_each_engine(tmp_path):
     """The kill-and-resume workflow is byte-identical.
 
-    ``goldens resume`` runs a mini load_sweep fresh, replays an interrupted
-    run (first k points stored through the real worker path), resumes, and
-    compares the deterministic payloads.
+    Run the mini sweep uncached, then store only its first k points into a
+    cache through the real worker path (exactly what a killed ``--cache-dir``
+    run leaves behind), resume the full sweep against that cache and compare
+    the deterministic payloads.  The resumed run simulates exactly the
+    missing points.
     """
-    document = resume_document(interrupt_after=2)
-    assert document["identical"] is True
-    assert document["hits"] == 2
-    assert document["misses"] == document["points"] - 2
-    assert document["fresh_sha256"] == document["resumed_sha256"]
+    fresh = SweepRunner().run(resume_sweep())
+    interrupted = SweepCache(tmp_path)
+    sweep = resume_sweep()
+    for point in sweep.points()[:2]:
+        interrupted.store(sweep.name, point, run_sweep_point(point))
+    cache = SweepCache(tmp_path)
+    resumed = SweepRunner(cache=cache, resume=True).run(resume_sweep())
+    assert sweep_payload(resumed) == sweep_payload(fresh)
+    assert cache.hits == 2
+    assert cache.misses == len(fresh) - 2

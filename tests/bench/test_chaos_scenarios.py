@@ -15,7 +15,7 @@ The acceptance bar for the chaos combinator, pinned as tests:
 
 import pytest
 
-from repro.bench.goldens import chaos_config, determinism_document
+from repro.bench.equivalence import snapshot
 from repro.bench.runner import run_experiment
 from repro.bench.scenarios import SCENARIOS, get_scenario
 from repro.recovery.chaos import (
@@ -199,11 +199,24 @@ def test_smoke_scale_chaos_point_passes_every_invariant():
     assert summary.to_dict()["invariants"] == summary.invariants
 
 
+def chaos_config():
+    """One generated composed-fault point at smoke scale.
+
+    A dual (outage-inside-partition) plan under drifting DynamicLatency
+    schedules and Poisson arrivals, so plan execution, parked-delivery
+    re-interception, recovery and the invariant evaluation all must replay
+    bit for bit.
+    """
+    sweep = get_scenario("chaos_dual_drift_poisson_ycsb").sweep(
+        axes={"system": ["geotp"]},
+        duration_ms=4_000.0, warmup_ms=800.0, terminals=4,
+        ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
+    return sweep.points()[0].config
+
+
 def test_chaos_determinism_holds_on_every_engine():
-    # The config is repro.bench.goldens.chaos_config().
-    document = determinism_document("chaos")
-    assert document["identical"], (
-        f"chaos point diverged: {document['first']} != {document['second']}")
+    first, second = snapshot(chaos_config()), snapshot(chaos_config())
+    assert first == second, f"chaos point diverged: {first} != {second}"
 
 
 def test_chaos_config_matches_the_registered_scenario():

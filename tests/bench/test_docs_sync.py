@@ -11,7 +11,7 @@ doc refresh — killing table drift:
 """
 
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -64,6 +64,10 @@ def test_every_quoted_cli_command_is_a_live_subcommand(capsys):
     quoted = {}
     for name in COMMAND_QUOTING_FILES:
         text = (REPO_ROOT / name).read_text(encoding="utf-8")
+        # Any `python -m repro.<module>` must name a module that exists.
+        for module in re.findall(r"python3? -m (repro(?:\.\w+)*)", text):
+            assert importlib.util.find_spec(module) is not None, (
+                f"{name} quotes `python -m {module}`, which is no module")
         # \s+ also spans a line wrap between the module and the subcommand.
         for command in re.findall(r"python3? -m repro\.bench\s+([a-z][\w-]*)",
                                   text):

@@ -11,11 +11,11 @@ Two properties per scenario:
   the system must come back.
 """
 
-import hashlib
-
 import pytest
 
+from repro.bench.equivalence import snapshot
 from repro.bench.parallel import SweepRunner
+from repro.bench.runner import run_experiment
 from repro.bench.scenarios import (
     FAULT_SYSTEMS,
     fault_window,
@@ -31,7 +31,7 @@ SCALE = dict(duration_ms=4_000.0, warmup_ms=800.0, terminals=6,
              ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
 
 
-def run_point(scenario_name, system, seed=0, fault_free=False):
+def point_config(scenario_name, system, seed=0, fault_free=False):
     scenario = get_scenario(scenario_name)
     sweep = scenario.sweep(axes={"system": (system,)}, seed=seed, **SCALE)
     points = sweep.points()
@@ -39,19 +39,11 @@ def run_point(scenario_name, system, seed=0, fault_free=False):
     config = points[0].config
     if fault_free:
         config.fault_plan = None
-    from repro.bench.runner import run_experiment
-    return run_experiment(config)
+    return config
 
 
-def digest(result):
-    samples = list(result.latency.samples)
-    return {
-        "committed": result.committed,
-        "aborted": result.aborted,
-        "abort_reasons": result.collector.abort_reasons(),
-        "latency_sha256": hashlib.sha256(repr(samples).encode()).hexdigest(),
-        "faults": result.faults,
-    }
+def run_point(scenario_name, system, seed=0, fault_free=False):
+    return run_experiment(point_config(scenario_name, system, seed, fault_free))
 
 
 # ---------------------------------------------------------------- registration
@@ -87,8 +79,8 @@ def test_fault_plan_is_derived_per_point_and_stays_inside_the_run():
 @pytest.mark.parametrize("scenario_name", FAULT_SCENARIOS)
 @pytest.mark.parametrize("system", ("ssp", "geotp"))
 def test_same_seed_fault_runs_are_byte_identical(scenario_name, system):
-    first = digest(run_point(scenario_name, system, seed=11))
-    second = digest(run_point(scenario_name, system, seed=11))
+    first = snapshot(point_config(scenario_name, system, seed=11))
+    second = snapshot(point_config(scenario_name, system, seed=11))
     assert first == second
 
 

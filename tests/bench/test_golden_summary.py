@@ -29,14 +29,33 @@ verify the equivalence suite passes, then update the constants below from the
 failure output — and say so in the commit message.  Goldens must be re-pinned
 at most once per PR.
 
-The pinned configurations live in :mod:`repro.bench.goldens`, so
-``python -m repro.bench.goldens snapshot NAME`` replays the very same runs
-outside pytest.
+Each pin reduces its run with :func:`repro.bench.equivalence.snapshot`, the
+one snapshot helper every determinism check shares; the pinned
+configurations are defined below, next to the constants they must produce.
 """
 
 from __future__ import annotations
 
-from repro.bench.goldens import snapshot_document
+from repro.bench.equivalence import snapshot
+from repro.bench.runner import ExperimentConfig
+from repro.bench.scenarios import get_scenario
+from repro.workloads.ycsb import YCSBConfig
+
+
+def contended_config(system: str) -> ExperimentConfig:
+    """The high-contention pin: lock waits, timeouts and admission aborts."""
+    return ExperimentConfig(
+        system=system, terminals=24, duration_ms=9_000.0, warmup_ms=1_000.0,
+        ycsb=YCSBConfig(skew=1.1, distributed_ratio=0.5,
+                        records_per_node=100, preload_rows_per_node=100),
+        seed=7)
+
+
+def scale_config() -> ExperimentConfig:
+    """The medium-scale pin: heap compaction and lock-timer churn territory."""
+    return ExperimentConfig(
+        system="geotp", terminals=32, duration_ms=10_000.0, warmup_ms=1_000.0,
+        ycsb=YCSBConfig(skew=0.9, distributed_ratio=0.2))
 
 
 #: Exact summaries of the registered ``smoke`` scenario (seed 0), per system.
@@ -129,23 +148,23 @@ GOLDEN_SCALE = {
 
 
 def test_smoke_scenario_summary_is_byte_identical_to_snapshot():
-    snapshots = snapshot_document("smoke")["snapshot"]
+    snapshots = {point.params["system"]: snapshot(point.config)
+                 for point in get_scenario("smoke").sweep().points()}
     assert set(snapshots) == set(GOLDEN_SMOKE)
-    for system, snapshot in snapshots.items():
-        assert snapshot == GOLDEN_SMOKE[system], (
+    for system, pinned in snapshots.items():
+        assert pinned == GOLDEN_SMOKE[system], (
             f"smoke[{system}] diverged from the golden snapshot")
 
 
 def test_contended_run_summary_is_byte_identical_to_snapshot():
-    snapshot = snapshot_document("contended_geotp")["snapshot"]
-    assert snapshot == GOLDEN_CONTENDED, "contended geotp run diverged"
+    assert snapshot(contended_config("geotp")) == GOLDEN_CONTENDED, (
+        "contended geotp run diverged")
 
 
 def test_contended_ssp_run_summary_is_byte_identical_to_snapshot():
-    snapshot = snapshot_document("contended_ssp")["snapshot"]
-    assert snapshot == GOLDEN_CONTENDED_SSP, "contended ssp run diverged"
+    assert snapshot(contended_config("ssp")) == GOLDEN_CONTENDED_SSP, (
+        "contended ssp run diverged")
 
 
 def test_medium_scale_run_summary_is_byte_identical_to_snapshot():
-    snapshot = snapshot_document("scale")["snapshot"]
-    assert snapshot == GOLDEN_SCALE, "medium-scale run diverged"
+    assert snapshot(scale_config()) == GOLDEN_SCALE, "medium-scale run diverged"

@@ -12,7 +12,7 @@ sample — is pinned on the collector itself, ``tests/metrics``):
   high-water mark, so in-process measurements would only compound).
 * **Same-seed runs are byte-identical** — the arrival stream,
   the pool's shed/reuse churn and the reservoirs all replay bit for bit
-  (pinned via the ``load_sweep`` determinism golden).
+  (pinned by running one saturated point twice).
 """
 
 import json
@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.bench.goldens import determinism_document
+from repro.bench.equivalence import snapshot
 from repro.bench.parallel import SweepRunner
 from repro.bench.scenarios import get_scenario
 from repro.metrics import DEFAULT_RESERVOIR_SIZE
@@ -98,11 +98,23 @@ def test_every_point_reports_streaming_books_and_rss(knee_curve):
 
 
 # ----------------------------------------------------------------- determinism
+def load_sweep_config():
+    """One saturated ``load_sweep`` point at reduced scale, past the knee.
+
+    The arrival generator, the bounded pool's shed/reuse churn and the
+    collector's reservoirs all must replay bit for bit.
+    """
+    sweep = get_scenario("load_sweep").sweep(
+        axes={"system": ["geotp"], "rate_tps": [320.0]},
+        duration_ms=5_000.0, warmup_ms=1_000.0,
+        ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200,
+        arrival__max_clients=128)
+    return sweep.points()[0].config
+
+
 def test_load_sweep_determinism_holds_on_every_engine():
-    # Config: repro.bench.goldens.load_sweep_config() — one saturated point.
-    document = determinism_document("load_sweep")
-    assert document["identical"], (
-        f"load_sweep diverged: {document['first']} != {document['second']}")
+    first, second = snapshot(load_sweep_config()), snapshot(load_sweep_config())
+    assert first == second, f"load_sweep diverged: {first} != {second}"
 
 
 # ---------------------------------------------------------------------- memory

@@ -97,12 +97,16 @@ def test_unavailable_pool_warns_and_falls_back_to_serial(monkeypatch):
 
 
 def test_importing_the_bench_package_does_not_load_the_pool_machinery():
-    code = ("import sys, repro.bench; "
-            "print(int('concurrent.futures.process' in sys.modules))")
+    # Nor package metadata: the plugin registries are filled by imports alone,
+    # even after an enumeration.
+    code = ("import sys, repro.bench, repro.plugins as p; "
+            "assert 'geotp' in p.system_names(); "
+            "print(int('concurrent.futures.process' in sys.modules), "
+            "int('importlib.metadata' in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "0"
+    assert out.strip() == "0 0"
 
 
 def test_sweep_runner_repeated_runs_are_deterministic():

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ExperimentConfig, GeoTPConfig, TPCCConfig, TopologyConfig, YCSBConfig, run_experiment
 from repro.bench.runner import make_workload
+from repro.cluster import RetryPolicy
 from repro.cluster import TopologyConfig as ClusterTopology
 from repro.cluster import build_cluster, start_terminals
 from repro.metrics import MetricsCollector
@@ -21,7 +22,8 @@ def test_terminals_drive_transactions_closed_loop():
     cluster.load_workload(workload)
     collector = MetricsCollector()
     terminals = start_terminals(cluster.env, cluster.middlewares, workload, collector,
-                                terminal_count=4, duration_ms=3000)
+                                terminal_count=4, duration_ms=3000,
+                                retry=RetryPolicy())
     cluster.env.run(until=3000)
     assert len(terminals) == 4
     assert collector.committed_count() > 0
@@ -35,10 +37,10 @@ def test_start_terminals_validates_arguments():
     collector = MetricsCollector()
     with pytest.raises(ValueError):
         start_terminals(cluster.env, cluster.middlewares, workload, collector,
-                        terminal_count=0, duration_ms=100)
+                        terminal_count=0, duration_ms=100, retry=RetryPolicy())
     with pytest.raises(ValueError):
         start_terminals(cluster.env, [], workload, collector,
-                        terminal_count=1, duration_ms=100)
+                        terminal_count=1, duration_ms=100, retry=RetryPolicy())
 
 
 def test_run_experiment_returns_consistent_metrics():
@@ -109,7 +111,8 @@ def test_run_experiment_tpcc_reports_per_type_metrics():
 def test_run_experiment_timeline_and_multi_middleware():
     config = ExperimentConfig(system="geotp", terminals=8, duration_ms=4000,
                               warmup_ms=500, ycsb=SMALL_YCSB,
-                              topology=TopologyConfig.multi_middleware(),
+                              topology=TopologyConfig.multi_middleware(
+                                  ["beijing", "london"]),
                               timeline_bucket_ms=1000)
     result = run_experiment(config, keep_cluster=True)
     assert result.timeline is not None
@@ -123,6 +126,8 @@ def test_middleware_count_builds_a_fleet_topology():
                               middleware_count=3)
     result = run_experiment(config, keep_cluster=True)
     assert [m.name for m in result.cluster.middlewares] == ["dm1", "dm2", "dm3"]
+    # One layout rule for every K: the fleet is co-located with the clients.
+    assert {m.region for m in result.cluster.topology.middlewares} == {"beijing"}
     assert result.fleet is not None
     assert result.fleet["middlewares"] == ["dm1", "dm2", "dm3"]
     # Every coordinator served traffic under the default round-robin policy.
@@ -134,7 +139,8 @@ def test_middleware_count_must_match_an_explicit_topology():
     with pytest.raises(ValueError, match="middleware_count"):
         run_experiment(ExperimentConfig(
             system="ssp", duration_ms=3000, warmup_ms=500,
-            topology=TopologyConfig.multi_middleware(), middleware_count=3))
+            topology=TopologyConfig.multi_middleware(["beijing", "london"]),
+            middleware_count=3))
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(duration_ms=3000, warmup_ms=500,
                                         middleware_count=0))

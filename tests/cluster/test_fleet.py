@@ -7,14 +7,14 @@ of the fleet layer is pinned independently of the full experiment runner:
 * routing policies and their registry (including a custom registered policy),
 * the failure detector's refusal-streak and health-probe channels,
 * :class:`RetryPolicy` backoff math, jitter determinism and validation,
-* the client terminal's failover loop, budgets and the deprecated
-  ``RETRY_BACKOFF_MS`` fallback.
+* the client terminal's failover loop, budgets and the default fixed pause.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.runner import ExperimentConfig
 from repro.cluster.client import ClientTerminal
 from repro.cluster.fleet import (
     FleetConfig,
@@ -116,6 +116,14 @@ def test_backoff_jitter_is_bounded_and_seed_deterministic():
     assert first == [policy.backoff_ms(1, SeededRNG(42)) for _ in range(5)]
     for delay in [policy.backoff_ms(1, SeededRNG(seed)) for seed in range(50)]:
         assert 160.0 <= delay <= 240.0  # 200ms +- 20%
+
+
+def test_backoff_stops_growing_at_the_cap_instead_of_overflowing():
+    policy = RetryPolicy()
+    assert policy.backoff_ms(10_000) == policy.cap_ms
+    for attempt in range(65):
+        assert policy.backoff_ms(attempt) == min(
+            policy.base_ms * policy.multiplier ** attempt, policy.cap_ms)
 
 
 def test_backoff_without_rng_is_the_undithered_delay():
@@ -289,7 +297,12 @@ def test_health_probe_marks_crashed_middlewares_down_and_back_up():
 
 
 # ---------------------------------------------------- client terminal loop
-def _run_terminal(env, middlewares, stop_at_ms, fleet=None, retry=None):
+#: The ``ExperimentConfig.retry`` default: a fixed 50ms pause, no jitter.
+DEFAULT_RETRY = ExperimentConfig().retry
+
+
+def _run_terminal(env, middlewares, stop_at_ms, fleet=None,
+                  retry=DEFAULT_RETRY):
     collector = _RecordingCollector()
     terminal = ClientTerminal(
         env, 0, middlewares[0], _WORKLOAD, collector, stop_at_ms=stop_at_ms,
@@ -298,8 +311,11 @@ def _run_terminal(env, middlewares, stop_at_ms, fleet=None, retry=None):
     return terminal, collector
 
 
-def test_legacy_fixed_backoff_applies_without_a_retry_policy():
-    """Deprecated ``RETRY_BACKOFF_MS`` fallback: no policy, fixed 50ms pauses."""
+def test_default_retry_policy_is_a_fixed_50ms_pause():
+    rng = SeededRNG(5)
+    untouched = rng.getstate()
+    assert [DEFAULT_RETRY.backoff_ms(n, rng) for n in (0, 1, 2_000)] == [50.0] * 3
+    assert rng.getstate() == untouched  # no jitter: nothing is drawn
     env = Environment()
     middleware = _StubMiddleware(env, "dm1", refuse=True)
     terminal, collector = _run_terminal(env, [middleware], stop_at_ms=200.0)

@@ -48,7 +48,7 @@ def test_from_latency_models_uses_given_models():
 
 
 def test_multi_middleware_topology_places_second_dm_remotely():
-    topology = TopologyConfig.multi_middleware()
+    topology = TopologyConfig.multi_middleware(["beijing", "london"])
     assert len(topology.middlewares) == 2
     dm2 = topology.middlewares[1]
     # dm2 is co-located with the last (London) data node.
@@ -57,21 +57,14 @@ def test_multi_middleware_topology_places_second_dm_remotely():
 
 
 def test_multi_middleware_scales_to_k_coordinators():
-    for k in (1, 3, 4):
-        topology = TopologyConfig.multi_middleware(num_middlewares=k)
+    for k in (1, 2, 3, 4):
+        topology = TopologyConfig.multi_middleware(["beijing"] * k)
         assert [m.name for m in topology.middlewares] == [
             f"dm{i + 1}" for i in range(k)]
-        # Beyond the legacy K=2 geo-split, the fleet is co-located.
-        if k != 2:
-            assert {m.region for m in topology.middlewares} == {"beijing"}
-    custom = TopologyConfig.multi_middleware(
-        num_middlewares=2, middleware_regions=["beijing", "beijing"])
-    assert {m.region for m in custom.middlewares} == {"beijing"}
-    with pytest.raises(ValueError):
-        TopologyConfig.multi_middleware(num_middlewares=0)
-    with pytest.raises(ValueError):
-        TopologyConfig.multi_middleware(num_middlewares=2,
-                                        middleware_regions=["beijing"])
+        assert {m.region for m in topology.middlewares} == {"beijing"}
+        assert topology.node_names() == ["ds0", "ds1", "ds2", "ds3"]
+    with pytest.raises(ValueError, match="at least one middleware"):
+        TopologyConfig.multi_middleware([])
 
 
 def test_duplicate_middleware_names_are_rejected():
@@ -84,7 +77,7 @@ def test_duplicate_middleware_names_are_rejected():
 
 
 def test_cluster_middleware_named_lookup():
-    topology = TopologyConfig.multi_middleware()
+    topology = TopologyConfig.multi_middleware(["beijing", "london"])
     cluster = build_cluster("ssp", topology,
                             ModuloPartitioner(topology.node_names()))
     assert cluster.middleware_named("dm2").name == "dm2"

@@ -18,6 +18,7 @@ coordinator dm1 mid-run while dm2 keeps serving, then assert
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.cluster import RetryPolicy
 from repro.metrics.availability import middleware_of
 from repro.recovery import FaultEvent, FaultKind, FaultPlan
 from repro.workloads.ycsb import YCSBConfig
@@ -45,7 +46,8 @@ def fleet_crash_config(**overrides):
 def crash_run():
     """The run, with every ``(txn_id, committed)`` it recorded on ``.recorded``."""
     with recorded_completions() as recorded:
-        result = run_experiment(fleet_crash_config(), keep_cluster=True)
+        result = run_experiment(fleet_crash_config(retry=RetryPolicy()),
+                                keep_cluster=True)
     result.recorded = recorded
     return result
 

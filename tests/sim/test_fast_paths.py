@@ -343,11 +343,21 @@ def test_wheel_ticks_cover_distinct_slots():
 
 
 # -------------------------------------------------- determinism of the engine
-def test_same_seed_twice_is_byte_identical():
-    from repro.bench.goldens import determinism_document
+def determinism_config():
+    """A small contended run: lock waits, timeouts and the wheel all fire."""
+    from repro.bench.runner import ExperimentConfig
+    from repro.workloads.ycsb import YCSBConfig
 
-    # The config is repro.bench.goldens.determinism_config().
-    document = determinism_document()
-    assert document["identical"], (
-        "two runs of the same seed diverged: "
-        f"{document['first']} != {document['second']}")
+    return ExperimentConfig(
+        system="geotp", terminals=8, duration_ms=3_000.0, warmup_ms=500.0,
+        ycsb=YCSBConfig(skew=1.0, distributed_ratio=0.5,
+                        records_per_node=100, preload_rows_per_node=100),
+        seed=13)
+
+
+def test_same_seed_twice_is_byte_identical():
+    from repro.bench.equivalence import snapshot
+
+    first, second = snapshot(determinism_config()), snapshot(determinism_config())
+    assert first == second, (
+        f"two runs of the same seed diverged: {first} != {second}")
