@@ -359,23 +359,24 @@ def _run_chaos(args: argparse.Namespace) -> int:
     from repro.recovery.chaos import sample_chaos_scenarios
     from repro.recovery.invariants import violations as invariant_violations
 
-    names = sample_chaos_scenarios(args.sample, seed=args.sample_seed)
-    if not names:
-        print("error: no chaos scenarios registered", file=sys.stderr)
-        return 2
-    runner = SweepRunner(max_workers=args.workers)
-    scenarios = []
-    all_violations: List[dict] = []
-    points_run = 0
-    for name in names:
-        sweep = get_scenario(name).sweep(
+    try:
+        names = sample_chaos_scenarios(args.sample, seed=args.sample_seed)
+        runner = SweepRunner(max_workers=args.workers)
+        results = [runner.run(get_scenario(name).sweep(
             duration_ms=args.duration_ms, warmup_ms=args.warmup_ms,
             terminals=args.terminals,
             # Shrink the modelled tables with the run so smoke points stay
             # cheap; chaos bases all carry a YCSB config even when another
             # workload axis value is active (harmless there).
-            ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
-        result = runner.run(sweep)
+            ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200))
+            for name in names]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    scenarios = []
+    all_violations: List[dict] = []
+    points_run = 0
+    for name, result in zip(names, results):
         points_run += len(result)
         rows = []
         for point in result:

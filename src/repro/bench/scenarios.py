@@ -24,6 +24,7 @@ module-level *apply* function — no new runner loop is ever written.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -40,7 +41,7 @@ from repro.plugins import (
     normalize_system,
     normalize_workload,
 )
-from repro.recovery.failures import FaultEvent, FaultKind, FaultPlan
+from repro.recovery.failures import FaultPlan
 from repro.sim.latency import DynamicLatency, RandomLatency
 from repro.sim.rng import SeededRNG
 from repro.workloads.arrivals import ARRIVAL_PROCESSES, ArrivalConfig
@@ -438,46 +439,18 @@ def _apply_extra_geotp(config: ExperimentConfig,
 #: §V-A recovery protocol runs identically under all three coordinators.
 FAULT_SYSTEMS = ("ssp", "ssp_local", "geotp")
 
-#: When the fault strikes / how long it lasts, as fractions of the run
-#: duration — so CLI ``--duration-ms`` overrides keep the fault inside the
-#: measured window (injection at 40 % sits past the default warm-up at every
-#: scale the suite uses).
-FAULT_AT_FRACTION = 0.4
-FAULT_DURATION_FRACTION = 0.15
 
+def _apply_fault(fault: str, config: ExperimentConfig,
+                 params: Dict[str, Any],
+                 middleware: Optional[str] = None) -> ExperimentConfig:
+    """Install the catalogue plan ``fault``, windowed on the final duration.
 
-def fault_window(duration_ms: float) -> Tuple[float, float]:
-    """``(at_ms, duration_ms)`` of the fault for a run of ``duration_ms``."""
-    return duration_ms * FAULT_AT_FRACTION, duration_ms * FAULT_DURATION_FRACTION
-
-
-def _fault_plan(config: ExperimentConfig, kind: FaultKind,
-                **kwargs: Any) -> ExperimentConfig:
-    at_ms, duration_ms = fault_window(config.duration_ms)
-    config.fault_plan = FaultPlan(events=(
-        FaultEvent(kind=kind, at_ms=at_ms, duration_ms=duration_ms, **kwargs),))
+    Each fault scenario binds its plan name with ``functools.partial``; the
+    function is module-level so the bound apply pickles across sweep workers.
+    """
+    config.fault_plan = FaultPlan.named(fault, config.duration_ms,
+                                        middleware=middleware)
     return config
-
-
-def _apply_fault_middleware_crash(config: ExperimentConfig,
-                                  params: Dict[str, Any]) -> ExperimentConfig:
-    return _fault_plan(config, FaultKind.MIDDLEWARE_CRASH)
-
-
-def _apply_fault_ds_crash(config: ExperimentConfig,
-                          params: Dict[str, Any]) -> ExperimentConfig:
-    return _fault_plan(config, FaultKind.DATASOURCE_CRASH, target="ds1")
-
-
-def _apply_fault_region_outage(config: ExperimentConfig,
-                               params: Dict[str, Any]) -> ExperimentConfig:
-    return _fault_plan(config, FaultKind.REGION_OUTAGE, target="ds2")
-
-
-def _apply_fault_latency_spike(config: ExperimentConfig,
-                               params: Dict[str, Any]) -> ExperimentConfig:
-    return _fault_plan(config, FaultKind.LATENCY_SPIKE, target=None,
-                       factor=params.get("factor", 4.0))
 
 
 # --------------------------------------------------------------- fleet family
@@ -488,16 +461,6 @@ FLEET_SYSTEMS = ("ssp", "geotp")
 
 #: Middleware killed by ``fleet_failover`` (the middle one of three).
 FLEET_FAILOVER_TARGET = "dm2"
-
-
-def _apply_fleet_failover(config: ExperimentConfig,
-                          params: Dict[str, Any]) -> ExperimentConfig:
-    """Kill one of the three fleet middlewares inside the fault window."""
-    at_ms, duration_ms = fault_window(config.duration_ms)
-    config.fault_plan = FaultPlan(events=(
-        FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=at_ms,
-                   duration_ms=duration_ms, target=FLEET_FAILOVER_TARGET),))
-    return config
 
 
 # --------------------------------------------------------- registered scenarios
@@ -694,7 +657,7 @@ register(ScenarioSpec(
                 "down for 15%)",
     base=_base(),
     axes=(Axis("system", FAULT_SYSTEMS),),
-    apply=_apply_fault_middleware_crash,
+    apply=functools.partial(_apply_fault, "mw_crash"),
 ))
 
 register(ScenarioSpec(
@@ -703,7 +666,7 @@ register(ScenarioSpec(
                 "lost, siblings roll back, prepared ones recover",
     base=_base(),
     axes=(Axis("system", FAULT_SYSTEMS),),
-    apply=_apply_fault_ds_crash,
+    apply=functools.partial(_apply_fault, "ds_crash"),
 ))
 
 register(ScenarioSpec(
@@ -712,7 +675,7 @@ register(ScenarioSpec(
                 "heal); throughput dips and self-recovers without restarts",
     base=_base(),
     axes=(Axis("system", FAULT_SYSTEMS),),
-    apply=_apply_fault_region_outage,
+    apply=functools.partial(_apply_fault, "outage"),
 ))
 
 register(ScenarioSpec(
@@ -721,7 +684,7 @@ register(ScenarioSpec(
                 "(a routing flap, not an outage)",
     base=_base(),
     axes=(Axis("system", FAULT_SYSTEMS),),
-    apply=_apply_fault_latency_spike,
+    apply=functools.partial(_apply_fault, "lat_spike"),
 ))
 
 register(ScenarioSpec(
@@ -740,7 +703,8 @@ register(ScenarioSpec(
                 "in-doubt branches while the survivors serve",
     base=_base(middleware_count=3, fleet=FleetConfig(), retry=RetryPolicy()),
     axes=(Axis("system", FLEET_SYSTEMS),),
-    apply=_apply_fleet_failover,
+    apply=functools.partial(_apply_fault, "mw_crash",
+                            middleware=FLEET_FAILOVER_TARGET),
 ))
 
 register(ScenarioSpec(

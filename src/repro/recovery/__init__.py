@@ -1,7 +1,6 @@
 """Failure injection and recovery (§V-A of the paper)."""
 
 from repro.recovery.failures import (
-    FailureInjector,
     FaultEvent,
     FaultInjector,
     FaultKind,
@@ -11,7 +10,6 @@ from repro.recovery.failures import (
 from repro.recovery.recovery_manager import RecoveryManager, RecoveryReport
 
 __all__ = [
-    "FailureInjector",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

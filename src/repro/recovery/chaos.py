@@ -3,13 +3,12 @@
 PR 5 made failures declarative (:class:`~repro.recovery.failures.FaultPlan`)
 and the fig11b work made link latency a schedule
 (:class:`~repro.sim.latency.DynamicLatency`), but every combination still had
-to be wired by hand.  This module is the combinator: a
-:class:`ChaosMatrix` crosses
+to be wired by hand.  This module is the combinator:
+:func:`register_chaos_scenarios` crosses
 
-* **fault modes** — all five ``FaultKind``\\ s plus two composed multi-fault
-  plans (``dual``: a region outage inside a longer cross-target partition
-  window, exercising parked-delivery re-interception; ``cascade``: a latency
-  spike followed by a datasource crash in sequential windows),
+* **fault modes** — every plan of the fault catalogue
+  (:data:`~repro.recovery.failures.FAULT_NAMES`: all five ``FaultKind``\\ s
+  plus the composed ``dual`` and ``cascade`` plans),
 * **latency profiles** — static paper topology, a slow 4-phase drift and a
   12-phase churn of ``DynamicLatency`` schedules,
 * **arrival shapes** — the closed terminal loop plus the three open-system
@@ -22,14 +21,11 @@ scenario *family* so the registry tables stay readable.  Every generated
 point flows through the ordinary sweep/CLI machinery and is judged post-run
 by :mod:`repro.recovery.invariants`.
 
-Budget control is two-level and deterministic:
-
-* **pruning at generation** — ``ChaosMatrix(max_scenarios=N, seed=...)``
-  keeps a seeded, order-preserving sample of the cross-product;
-* **sampling at run time** — :func:`sample_chaos_scenarios` picks a seeded
-  subset of the registered names for smoke runs (the CI ``chaos-smoke`` job
-  and ``python -m repro.bench chaos``), executed at reduced scale through
-  ``SweepRunner --workers``.
+The full product is always registered; the budget is chosen at run time.
+:func:`sample_chaos_scenarios` picks a seeded, order-preserving subset of the
+registered names for smoke runs (the CI ``chaos-smoke`` job and ``python -m
+repro.bench chaos --sample N``), executed at reduced scale through
+``SweepRunner --workers``.  The same seed always picks the same names.
 
 The module also registers the two graceful-degradation families from ROADMAP
 item 1's follow-on: ``admission_knee`` (admission on/off at and past each
@@ -44,35 +40,28 @@ names exist.  Module-level imports stay outside ``repro.bench``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+import itertools
+from typing import Any, Dict, List, Tuple
 
 from repro.plugins import get_system_plugin
-from repro.recovery.failures import FaultEvent, FaultKind, FaultPlan
+from repro.recovery.failures import FAULT_NAMES, FaultPlan
 from repro.sim.latency import DynamicLatency
 from repro.sim.rng import SeededRNG
 from repro.workloads.arrivals import ArrivalConfig
 
 __all__ = [
-    "CHAOS_FAULTS",
     "CHAOS_LATENCY_PROFILES",
     "CHAOS_SHAPES",
     "CHAOS_WORKLOADS",
     "CHAOS_SYSTEMS",
     "KNEE_TPS",
-    "ChaosMatrix",
-    "build_chaos_fault_plan",
     "register_chaos_scenarios",
     "sample_chaos_scenarios",
     "chaos_scenario_names",
 ]
 
 # ----------------------------------------------------------------- axis values
-#: Fault-mode axis: the five single-event kinds plus two composed plans.
-CHAOS_FAULTS: Tuple[str, ...] = (
-    "mw_crash", "ds_crash", "outage", "partition", "lat_spike",
-    "dual", "cascade",
-)
+# The fault-mode axis is the fault catalogue itself: FAULT_NAMES.
 
 #: Latency-profile axis: ``flat`` keeps the paper topology; ``drift`` and
 #: ``churn`` replace it with seeded piecewise-constant schedules (4 and 12
@@ -110,57 +99,8 @@ KNEE_TPS: Dict[str, float] = {"ssp": 50.0, "scalardb_plus": 120.0,
 #: Name of the scenario family all generated chaos points register under.
 CHAOS_FAMILY = "chaos"
 
-
-# ------------------------------------------------------------ fault-plan forms
-def build_chaos_fault_plan(fault: str, duration_ms: float) -> FaultPlan:
-    """The :class:`FaultPlan` for one fault-mode axis value.
-
-    Windows are fractions of ``duration_ms`` (the same 40%/15% anchors as the
-    hand-written fault family), so CLI duration overrides keep the fault
-    inside the measured window at any scale.
-    """
-    at_ms = 0.4 * duration_ms
-    dur_ms = 0.15 * duration_ms
-    if fault == "mw_crash":
-        events = (FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=at_ms,
-                             duration_ms=dur_ms),)
-    elif fault == "ds_crash":
-        events = (FaultEvent(kind=FaultKind.DATASOURCE_CRASH, at_ms=at_ms,
-                             duration_ms=dur_ms, target="ds1"),)
-    elif fault == "outage":
-        events = (FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=at_ms,
-                             duration_ms=dur_ms, target="ds2"),)
-    elif fault == "partition":
-        events = (FaultEvent(kind=FaultKind.PARTITION, at_ms=at_ms,
-                             duration_ms=dur_ms, target="ds1", peer="ds2"),)
-    elif fault == "lat_spike":
-        events = (FaultEvent(kind=FaultKind.LATENCY_SPIKE, at_ms=at_ms,
-                             duration_ms=dur_ms, factor=4.0),)
-    elif fault == "dual":
-        # Cross-target concurrency: the ds2 outage heals while the ds1<->ds2
-        # partition is still up, so deliveries parked by the outage are
-        # re-intercepted by the partition on release (the policy documented
-        # on FaultPlan._reject_overlaps, asserted by the chaos plan tests).
-        events = (
-            FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=at_ms,
-                       duration_ms=dur_ms, target="ds2"),
-            FaultEvent(kind=FaultKind.PARTITION, at_ms=at_ms + dur_ms / 3.0,
-                       duration_ms=dur_ms, target="ds1", peer="ds2"),
-        )
-    elif fault == "cascade":
-        # Strictly sequential windows: a WAN-wide latency spike, recovery,
-        # then a datasource crash — the "bad day" ordering.
-        events = (
-            FaultEvent(kind=FaultKind.LATENCY_SPIKE, at_ms=0.2 * duration_ms,
-                       duration_ms=0.1 * duration_ms, factor=3.0),
-            FaultEvent(kind=FaultKind.DATASOURCE_CRASH,
-                       at_ms=0.45 * duration_ms,
-                       duration_ms=0.12 * duration_ms, target="ds1"),
-        )
-    else:
-        raise ValueError(f"unknown chaos fault mode {fault!r}; "
-                         f"known: {', '.join(CHAOS_FAULTS)}")
-    return FaultPlan(events=events)
+#: Root seed of every generated point's ``chaos_seed`` (its latency schedules).
+CHAOS_SEED = 2025
 
 
 # -------------------------------------------------------------- apply function
@@ -173,7 +113,7 @@ def _apply_chaos(config: Any, params: Dict[str, Any]) -> Any:
     latency phases and diurnal period with the run.
     """
     duration_ms = config.duration_ms
-    config.fault_plan = build_chaos_fault_plan(params["fault"], duration_ms)
+    config.fault_plan = FaultPlan.named(params["fault"], duration_ms)
 
     profile = params["latency"]
     if profile != "flat":
@@ -220,90 +160,8 @@ def _apply_admission_knee(config: Any, params: Dict[str, Any]) -> Any:
 def _apply_chaos_saturated(config: Any, params: Dict[str, Any]) -> Any:
     """Crash a component while the open system is offered exactly its knee."""
     config.arrival.rate_tps = KNEE_TPS[config.system]
-    config.fault_plan = build_chaos_fault_plan(params["fault"],
-                                               config.duration_ms)
+    config.fault_plan = FaultPlan.named(params["fault"], config.duration_ms)
     return config
-
-
-# ------------------------------------------------------------------ the matrix
-@dataclass(frozen=True)
-class ChaosMatrix:
-    """The cross-product generator behind the ``chaos_*`` namespace.
-
-    Axis tuples default to the full matrix; ``max_scenarios`` prunes the
-    cross-product to a seeded, order-preserving sample at *generation* time
-    (every prune with the same seed keeps the same combos, so scenario names
-    stay stable across processes and sessions).
-    """
-
-    faults: Tuple[str, ...] = CHAOS_FAULTS
-    latency_profiles: Tuple[str, ...] = CHAOS_LATENCY_PROFILES
-    shapes: Tuple[str, ...] = CHAOS_SHAPES
-    workloads: Tuple[str, ...] = CHAOS_WORKLOADS
-    systems: Tuple[str, ...] = CHAOS_SYSTEMS
-    #: Seeds the pruning sample *and* every point's latency schedules.
-    seed: int = 2025
-    #: Keep only this many combos (seeded sample); ``None`` = all.
-    max_scenarios: Optional[int] = None
-
-    def combos(self) -> List[Dict[str, Any]]:
-        """The (optionally pruned) cross-product, in deterministic order.
-
-        Each combo carries a ``chaos_seed`` derived from its position in the
-        *full* product, so a pruned matrix generates byte-identical configs
-        for the combos it keeps.
-        """
-        out: List[Dict[str, Any]] = []
-        index = 0
-        for fault in self.faults:
-            for latency in self.latency_profiles:
-                for shape in self.shapes:
-                    for workload in self.workloads:
-                        out.append({
-                            "fault": fault, "latency": latency,
-                            "shape": shape, "workload": workload,
-                            "chaos_seed": SeededRNG(self.seed).spawn(index).seed,
-                        })
-                        index += 1
-        if self.max_scenarios is not None and len(out) > self.max_scenarios:
-            keep = sorted(SeededRNG(self.seed).sample(
-                range(len(out)), self.max_scenarios))
-            out = [out[i] for i in keep]
-        return out
-
-    @staticmethod
-    def scenario_name(combo: Dict[str, Any]) -> str:
-        return (f"chaos_{combo['fault']}_{combo['latency']}"
-                f"_{combo['shape']}_{combo['workload']}")
-
-    def register_all(self) -> List[str]:
-        """Build and register one ``ScenarioSpec`` per combo; returns names."""
-        from repro.bench.scenarios import (Axis, ScenarioSpec, _base,
-                                           register, register_family)
-        register_family(
-            CHAOS_FAMILY,
-            "Generated chaos matrix: fault modes (incl. composed dual/cascade "
-            "plans) x latency profiles x arrival shapes x workload mixes, "
-            "each swept over ssp vs geotp and checked by the robustness "
-            "invariants")
-        names: List[str] = []
-        for combo in self.combos():
-            name = self.scenario_name(combo)
-            spec = ScenarioSpec(
-                name=name,
-                description=(f"Generated chaos point: {combo['fault']} fault, "
-                             f"{combo['latency']} latency, {combo['shape']} "
-                             f"arrivals, {combo['workload']} workload"),
-                base=_base(workload=combo["workload"]),
-                axes=(Axis("system", self.systems),),
-                fixed={key: combo[key] for key in
-                       ("fault", "latency", "shape", "chaos_seed")},
-                apply=_apply_chaos,
-                family=CHAOS_FAMILY,
-            )
-            register(spec)
-            names.append(name)
-        return names
 
 
 def chaos_scenario_names() -> List[str]:
@@ -320,6 +178,9 @@ def sample_chaos_scenarios(count: int, seed: int = 0) -> List[str]:
     repro.bench chaos`` pick ~10 of the hundreds of generated points; the
     same seed always picks the same ones.
     """
+    if count < 1:
+        raise ValueError(f"a chaos sample needs at least one scenario "
+                         f"(got {count})")
     names = chaos_scenario_names()
     if count >= len(names):
         return names
@@ -328,17 +189,42 @@ def sample_chaos_scenarios(count: int, seed: int = 0) -> List[str]:
 
 
 # --------------------------------------------------------------- registration
-def register_chaos_scenarios(matrix: Optional[ChaosMatrix] = None) -> List[str]:
+def register_chaos_scenarios() -> List[str]:
     """Register the chaos matrix plus the graceful-degradation families.
 
     Called by ``repro.bench.scenarios`` once its own registry machinery is
     defined (just before plugin hooks drain), so the generated namespace is
-    discoverable everywhere the hand-written scenarios are.
+    discoverable everywhere the hand-written scenarios are.  Returns the
+    generated ``chaos_*`` names in product order.
     """
     from repro.bench.scenarios import (Axis, ScenarioSpec, _base,
-                                       _open_system_ycsb, register)
+                                       _open_system_ycsb, register,
+                                       register_family)
 
-    names = (matrix or ChaosMatrix()).register_all()
+    register_family(
+        CHAOS_FAMILY,
+        "Generated chaos matrix: fault modes (incl. composed dual/cascade "
+        "plans) x latency profiles x arrival shapes x workload mixes, "
+        "each swept over ssp vs geotp and checked by the robustness "
+        "invariants")
+    root = SeededRNG(CHAOS_SEED)
+    names: List[str] = []
+    combos = itertools.product(FAULT_NAMES, CHAOS_LATENCY_PROFILES,
+                               CHAOS_SHAPES, CHAOS_WORKLOADS)
+    for index, (fault, latency, shape, workload) in enumerate(combos):
+        name = f"chaos_{fault}_{latency}_{shape}_{workload}"
+        register(ScenarioSpec(
+            name=name,
+            description=(f"Generated chaos point: {fault} fault, {latency} "
+                         f"latency, {shape} arrivals, {workload} workload"),
+            base=_base(workload=workload),
+            axes=(Axis("system", CHAOS_SYSTEMS),),
+            fixed={"fault": fault, "latency": latency, "shape": shape,
+                   "chaos_seed": root.spawn(index).seed},
+            apply=_apply_chaos,
+            family=CHAOS_FAMILY,
+        ))
+        names.append(name)
 
     register(ScenarioSpec(
         name="admission_knee",

@@ -1,80 +1,42 @@
-"""Fault injection: primitive crash/restart helpers and scheduled fault plans.
+"""Fault injection: declarative fault plans, their catalogue and the injector.
 
-Two layers live here:
-
-* :class:`FailureInjector` — the low-level primitives the recovery tests use
-  directly: crash/restart one middleware or data source.
-* The **scheduled fault subsystem** — a declarative :class:`FaultPlan` (timed
-  :class:`FaultEvent`\\ s: middleware/data-source crash-and-restart, region
-  outage, network partition, transient latency degradation) executed by a
-  :class:`FaultInjector` against a live
-  :class:`~repro.cluster.deployment.Cluster`.  The experiment runner wires one
-  up whenever ``ExperimentConfig.fault_plan`` is set, so every registered
-  scenario, the sweep runner and the CLI can run fault experiments unchanged.
+A :class:`FaultPlan` is a schedule of timed :class:`FaultEvent`\\ s
+(middleware/data-source crash-and-restart, region outage, network partition,
+transient latency degradation).  :meth:`FaultPlan.named` is the one catalogue
+of ready-made plans (:data:`FAULT_NAMES`) that the ``fault_*``,
+``fleet_failover`` and ``chaos_*`` scenarios build from.  A
+:class:`FaultInjector` executes a plan against a live
+:class:`~repro.cluster.deployment.Cluster`; the experiment runner wires one up
+whenever ``ExperimentConfig.fault_plan`` is set, so every registered
+scenario, the sweep runner and the CLI can run fault experiments unchanged.
 
 The injector owns the full fault lifecycle: it schedules each event on the
 simulation clock, performs the disruption (interrupting in-flight coordinator
 work and rolling back the orphaned database sessions a real crash would kill),
-schedules the heal/restart, runs the §V-A recovery protocol
-(:class:`~repro.recovery.recovery_manager.RecoveryManager`) after every
-restart, and keeps a timeline of everything it did for the experiment summary
-(see :func:`FaultInjector.summarize` and
-:mod:`repro.metrics.availability`).
+schedules the heal/restart, runs the one §V-A recovery pass
+(:meth:`~repro.recovery.recovery_manager.RecoveryManager.resolve_in_doubt`)
+after every middleware or data-source restart, and keeps a timeline of
+everything it did for the experiment summary (see
+:func:`FaultInjector.summarize` and :mod:`repro.metrics.availability`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import protocol
 from repro.middleware.middleware import MiddlewareBase
 from repro.recovery.recovery_manager import RecoveryManager
-from repro.sim import Environment
-from repro.sim.network import DROP, Network, NetworkInterface, PARK
+from repro.sim.network import DROP, NetworkInterface, PARK
 from repro.storage.datasource import DataSource
 from repro.storage.transaction import TxnState
 
 if TYPE_CHECKING:  # pragma: no cover - cluster imports recovery consumers
     from repro.cluster.deployment import Cluster
     from repro.metrics.collector import MetricsCollector
-
-
-class FailureInjector:
-    """Crashes and restarts simulated nodes (the low-level primitives)."""
-
-    def __init__(self, env: Environment, network: Network):
-        self.env = env
-        self.network = network
-        self.net: NetworkInterface = network.interface("failure-injector")
-        self.injected: Dict[str, int] = {}
-
-    def crash_middleware(self, middleware: MiddlewareBase) -> None:
-        """Crash a middleware: it stops reacting to replies and async messages.
-
-        The middleware is stateless (its in-flight coordinator processes are
-        abandoned); only the flushed decision log survives, exactly as §V-A
-        assumes.
-        """
-        middleware.crashed = True
-        middleware.active_contexts.clear()
-        self.injected["middleware"] = self.injected.get("middleware", 0) + 1
-
-    def restart_middleware(self, middleware: MiddlewareBase) -> None:
-        """Bring a crashed middleware back (with an empty in-memory state)."""
-        middleware.crashed = False
-
-    def crash_datasource(self, datasource: DataSource):
-        """Generator: crash a data source node (yields until acknowledged)."""
-        self.injected["datasource"] = self.injected.get("datasource", 0) + 1
-        reply = yield self.net.request(datasource.name, protocol.MSG_CRASH, {})
-        return reply
-
-    def restart_datasource(self, datasource: DataSource):
-        """Generator: restart a crashed data source."""
-        reply = yield self.net.request(datasource.name, protocol.MSG_RESTART, {})
-        return reply
 
 
 # ---------------------------------------------------------------- fault plans
@@ -223,14 +185,79 @@ class FaultPlan:
                         f"overlapping fault windows for {a.describe()} and "
                         f"{b.describe()}; sequential windows only")
 
-    def first_at_ms(self) -> float:
-        """Injection time of the earliest event."""
-        return min(event.at_ms for event in self.events)
+    @classmethod
+    def named(cls, fault: str, duration_ms: float,
+              middleware: Optional[str] = None) -> "FaultPlan":
+        """The catalogue plan ``fault`` (see :data:`FAULT_NAMES`) for a run of
+        ``duration_ms``.
 
-    def outage_windows(self) -> List[Tuple[float, float]]:
-        """``(start_ms, end_ms)`` of every repaired fault, in schedule order."""
-        return [(event.at_ms, event.at_ms + event.duration_ms)
-                for event in self.events if event.duration_ms > 0]
+        Windows are fractions of ``duration_ms`` (:func:`fault_window`), so
+        duration overrides keep the fault inside the measured window at any
+        scale.  ``middleware`` names the ``mw_crash`` victim (default: the
+        first middleware).
+        """
+        at_ms, dur_ms = fault_window(duration_ms)
+        if fault == "mw_crash":
+            events = (FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=at_ms,
+                                 duration_ms=dur_ms, target=middleware),)
+        elif fault == "ds_crash":
+            events = (FaultEvent(kind=FaultKind.DATASOURCE_CRASH, at_ms=at_ms,
+                                 duration_ms=dur_ms, target="ds1"),)
+        elif fault == "outage":
+            events = (FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=at_ms,
+                                 duration_ms=dur_ms, target="ds2"),)
+        elif fault == "partition":
+            events = (FaultEvent(kind=FaultKind.PARTITION, at_ms=at_ms,
+                                 duration_ms=dur_ms, target="ds1", peer="ds2"),)
+        elif fault == "lat_spike":
+            events = (FaultEvent(kind=FaultKind.LATENCY_SPIKE, at_ms=at_ms,
+                                 duration_ms=dur_ms, factor=4.0),)
+        elif fault == "dual":
+            # Cross-target concurrency: the ds2 outage heals while the ds1<->ds2
+            # partition is still up, so deliveries parked by the outage are
+            # re-intercepted by the partition on release (the policy documented
+            # on _reject_overlaps, asserted by the chaos plan tests).
+            events = (
+                FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=at_ms,
+                           duration_ms=dur_ms, target="ds2"),
+                FaultEvent(kind=FaultKind.PARTITION, at_ms=at_ms + dur_ms / 3.0,
+                           duration_ms=dur_ms, target="ds1", peer="ds2"),
+            )
+        elif fault == "cascade":
+            # Strictly sequential windows: a WAN-wide latency spike, recovery,
+            # then a datasource crash — the "bad day" ordering.
+            events = (
+                FaultEvent(kind=FaultKind.LATENCY_SPIKE, at_ms=0.2 * duration_ms,
+                           duration_ms=0.1 * duration_ms, factor=3.0),
+                FaultEvent(kind=FaultKind.DATASOURCE_CRASH,
+                           at_ms=0.45 * duration_ms,
+                           duration_ms=0.12 * duration_ms, target="ds1"),
+            )
+        else:
+            raise ValueError(f"unknown fault {fault!r}; "
+                             f"known: {', '.join(FAULT_NAMES)}")
+        return cls(events=events)
+
+
+# ------------------------------------------------------------ fault catalogue
+#: The names :meth:`FaultPlan.named` builds: the five single-event kinds plus
+#: two composed plans (``dual``: a region outage inside a longer cross-target
+#: partition window; ``cascade``: a latency spike, then a data-source crash,
+#: in sequential windows).  The ``fault_*`` and ``fleet_failover`` scenarios
+#: and the fault axis of every ``chaos_*`` point all build from here.
+FAULT_NAMES: Tuple[str, ...] = (
+    "mw_crash", "ds_crash", "outage", "partition", "lat_spike",
+    "dual", "cascade",
+)
+
+
+def fault_window(duration_ms: float) -> Tuple[float, float]:
+    """``(at_ms, duration_ms)`` of a catalogue fault in a run of ``duration_ms``.
+
+    The fault strikes at 40 % of the run and lasts 15 % of it: past the
+    default warm-up at every scale the suite uses, and over before the end.
+    """
+    return duration_ms * 0.4, duration_ms * 0.15
 
 
 class FaultInjector:
@@ -248,7 +275,10 @@ class FaultInjector:
         self.plan = plan
         self.env = cluster.env
         self.network = cluster.network
-        self.failures = FailureInjector(self.env, self.network)
+        self.net: NetworkInterface = self.network.interface("failure-injector")
+        #: How many crashes of each node kind (``middleware``/``datasource``)
+        #: were injected.
+        self.injected: Counter = Counter()
         #: Timeline of executed actions: ``{"at_ms", "action", "event"}``.
         self.log: List[Dict[str, Any]] = []
         #: One entry per completed recovery pass (see ``_recover``).
@@ -262,22 +292,28 @@ class FaultInjector:
         node name fails here — before the run starts — instead of raising
         from a timer callback four simulated seconds in (or, worse, silently
         disrupting nothing and reporting fault-free data as fault results).
+        The plan's overlap check then runs again on the resolved targets: a
+        middleware crash with the default target and one naming the first
+        middleware crash the same node.
         """
+        FaultPlan._reject_overlaps(
+            tuple(self._resolve_targets(event) for event in self.plan.events))
         now = self.env.now
         for event in self.plan.events:
-            self._resolve_targets(event)
             self.env.call_at(max(event.at_ms - now, 0.0), self._fire, event)
 
-    def _resolve_targets(self, event: FaultEvent) -> None:
+    def _resolve_targets(self, event: FaultEvent) -> FaultEvent:
+        """``event`` with every target checked and the default one named."""
         datasources = self.cluster.datasources
         if event.kind is FaultKind.MIDDLEWARE_CRASH:
-            self._middleware(event.target)  # raises KeyError on a bad name
-            return
+            # Raises KeyError on a bad name.
+            return replace(event, target=self._middleware(event.target).name)
         for name in filter(None, (event.target, event.peer)):
             if name not in datasources:
                 raise KeyError(
                     f"fault target {name!r} is not a data node of this "
                     f"cluster (known: {', '.join(datasources)})")
+        return event
 
     def _fire(self, event: FaultEvent) -> None:
         self._log("inject", event)
@@ -318,11 +354,14 @@ class FaultInjector:
         # Abandon the in-flight coordinators first (their clients observe the
         # connection drop), then flip the crash flag and roll back the
         # orphaned database sessions, exactly as the servers would when the
-        # coordinator's connections reset.
+        # coordinator's connections reset.  The middleware is stateless: its
+        # flushed decision log is all that survives (§V-A).
         for process in list(middleware.active_processes.values()):
             if process.is_alive:
                 process.interrupt("middleware crash")
-        self.failures.crash_middleware(middleware)
+        middleware.crashed = True
+        middleware.active_contexts.clear()
+        self.injected["middleware"] += 1
         middleware.active_processes.clear()
         self._kill_orphaned_sessions(middleware)
         if event.duration_ms > 0:
@@ -347,7 +386,8 @@ class FaultInjector:
     # ------------------------------------------------------- data source crash
     def _crash_datasource_proc(self, event: FaultEvent):
         datasource = self.cluster.datasources[event.target]
-        yield from self.failures.crash_datasource(datasource)
+        self.injected["datasource"] += 1
+        yield self.net.request(datasource.name, protocol.MSG_CRASH, {})
         if event.duration_ms > 0:
             remaining = event.at_ms + event.duration_ms - self.env.now
             self.env.call_at(max(remaining, 0.0), self._restart_datasource,
@@ -360,7 +400,7 @@ class FaultInjector:
 
     def _restart_datasource_proc(self, datasource: DataSource,
                                  event: FaultEvent):
-        yield from self.failures.restart_datasource(datasource)
+        yield self.net.request(datasource.name, protocol.MSG_RESTART, {})
         self._log("restart", event)
         for middleware in self.cluster.middlewares:
             if not middleware.crashed:
@@ -387,7 +427,7 @@ class FaultInjector:
         if middleware.crashed:
             # The restart completes only once recovery has resolved every
             # in-doubt branch; submissions are refused until then.
-            self.failures.restart_middleware(middleware)
+            middleware.crashed = False
         self.recovery_reports.append({
             "kind": event.kind.value,
             "target": event.target or middleware.name,
@@ -467,7 +507,7 @@ class FaultInjector:
             "plan": [event.to_dict() for event in self.plan.events],
             "log": list(self.log),
             "recoveries": list(self.recovery_reports),
-            "injected": dict(self.failures.injected),
+            "injected": dict(self.injected),
             "availability": availability.to_dict(),
             "time_to_recover_ms": time_to_recover,
             # Per-event pre-fault baseline (tps).  0.0 means the fault struck

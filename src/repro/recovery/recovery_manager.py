@@ -1,23 +1,28 @@
 """The middleware's failure-recovery protocol (§V-A).
 
 Recovery answers three questions: *which* transactions need recovery, *where*
-the information needed to decide them lives, and *how* to finish them.
+the information needed to decide them lives, and *how* to finish them.  One
+pass, :meth:`RecoveryManager.resolve_in_doubt`, answers them for both crash
+kinds: it collects the prepared-but-undecided branches from the data sources
+and consults the coordinator's flushed decision log.  Branches whose
+transaction has a logged decision are driven to that decision; branches
+without one are rolled back, because the transaction can never have entered
+the commit phase (AC3/AC4).
 
-* After a **middleware crash**, the restarted (stateless) middleware collects
-  the prepared-but-undecided branches from every data source and consults its
-  own flushed decision log: branches whose transaction has a logged decision
-  are driven to that decision; branches without one are rolled back, because
-  the transaction can never have entered the commit phase (AC3/AC4).
-* After a **data source crash**, branches that had not reached the prepared
-  state are gone (the engine aborts them on restart); the middleware rolls back
-  their sibling branches on the other data sources, and completes transactions
-  that do have a logged decision.
+* After a **middleware crash**, the database servers roll back the dead
+  coordinator's unprepared sessions (``DataSource.kill_sessions``) and the
+  restarted (stateless) middleware runs the pass over every data source.
+* After a **data source crash**, the node itself drops its lost, unprepared
+  branches (``DataSource._rollback_lost_branch``).  Their live coordinators
+  see the refusal and abort the transaction, rolling back the siblings.  On
+  restart each live middleware runs the pass over the restarted node only,
+  skipping its still-active transactions, which only it may decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro import protocol
 from repro.middleware.middleware import MiddlewareBase
@@ -30,11 +35,6 @@ class RecoveryReport:
 
     committed: List[str] = field(default_factory=list)
     rolled_back: List[str] = field(default_factory=list)
-    already_finished: List[str] = field(default_factory=list)
-
-    @property
-    def total_handled(self) -> int:
-        return len(self.committed) + len(self.rolled_back) + len(self.already_finished)
 
 
 class RecoveryManager:
@@ -42,22 +42,6 @@ class RecoveryManager:
 
     def __init__(self, middleware: MiddlewareBase):
         self.middleware = middleware
-
-    # ------------------------------------------------------------------ helpers
-    def _decision_for(self, branch_xid: str) -> LogRecordType:
-        """The logged global decision governing ``branch_xid`` (ABORT if none).
-
-        Branch xids are ``<global txn id>.<index>``; the decision log is keyed
-        by the global id.
-        """
-        global_txn_id = branch_xid.rsplit(".", 1)[0]
-        decision = self.middleware.wal.last_decision(global_txn_id)
-        return decision if decision is not None else LogRecordType.ABORT
-
-    # ----------------------------------------------------- middleware restart
-    def recover_after_middleware_crash(self):
-        """Generator: resolve every prepared-but-undecided branch in the cluster."""
-        return (yield from self.resolve_in_doubt())
 
     def resolve_in_doubt(self, participant_names: Optional[Iterable[str]] = None,
                          skip_global_ids: Iterable[str] = (),
@@ -83,6 +67,7 @@ class RecoveryManager:
         """
         report = RecoveryReport()
         skip = set(skip_global_ids)
+        wal = self.middleware.wal
         participants = self.middleware.participants
         if participant_names is None:
             selected = participants.items()
@@ -93,13 +78,14 @@ class RecoveryManager:
                 handle, protocol.MSG_LIST_PREPARED, {})
             prepared = reply.get("prepared", []) if isinstance(reply, dict) else []
             for branch_xid in prepared:
+                # Branch xids are ``<global txn id>.<index>``; the decision
+                # log is keyed by the global id.
                 global_txn_id = branch_xid.rsplit(".", 1)[0]
                 if global_txn_id in skip:
                     continue
                 if owned_prefix is not None and not global_txn_id.startswith(owned_prefix):
                     continue
-                decision = self._decision_for(branch_xid)
-                if decision is LogRecordType.COMMIT:
+                if wal.last_decision(global_txn_id) is LogRecordType.COMMIT:
                     yield self.middleware.request_participant(
                         handle, protocol.MSG_XA_COMMIT, {"xid": branch_xid})
                     report.committed.append(f"{name}:{branch_xid}")
@@ -108,52 +94,3 @@ class RecoveryManager:
                         handle, protocol.MSG_XA_ROLLBACK, {"xid": branch_xid})
                     report.rolled_back.append(f"{name}:{branch_xid}")
         return report
-
-    # ---------------------------------------------------- data source restart
-    def recover_after_datasource_crash(self, datasource_name: str,
-                                       involved_branches: Dict[str, List[str]]):
-        """Generator: resolve transactions that touched the crashed data source.
-
-        ``involved_branches`` maps each participant name to the branch xids of
-        the affected transactions on that participant (the middleware knows
-        this from its transaction contexts or, after its own restart, from the
-        data sources' prepared lists).
-        """
-        report = RecoveryReport()
-        crashed_handle = self.middleware.participants[datasource_name]
-        for branch_xid in involved_branches.get(datasource_name, []):
-            reply = yield self.middleware.request_participant(
-                crashed_handle, protocol.MSG_TXN_STATE, {"xid": branch_xid})
-            state = reply.get("state") if isinstance(reply, dict) else "unknown"
-            decision = self._decision_for(branch_xid)
-            if state == "prepared" and decision is LogRecordType.COMMIT:
-                yield self.middleware.request_participant(
-                    crashed_handle, protocol.MSG_XA_COMMIT, {"xid": branch_xid})
-                report.committed.append(f"{datasource_name}:{branch_xid}")
-            elif state == "committed":
-                report.already_finished.append(f"{datasource_name}:{branch_xid}")
-            else:
-                # The branch's work was lost in the crash (or the transaction
-                # was never decided): abort it everywhere.  The rollback is
-                # idempotent if the restarted data source already dropped it.
-                yield self.middleware.request_participant(
-                    crashed_handle, protocol.MSG_XA_ROLLBACK, {"xid": branch_xid})
-                report.rolled_back.append(f"{datasource_name}:{branch_xid}")
-                yield from self._rollback_siblings(branch_xid, datasource_name,
-                                                   involved_branches, report)
-        return report
-
-    def _rollback_siblings(self, failed_branch: str, crashed_name: str,
-                           involved_branches: Dict[str, List[str]],
-                           report: RecoveryReport):
-        global_txn_id = failed_branch.rsplit(".", 1)[0]
-        for name, branches in involved_branches.items():
-            if name == crashed_name:
-                continue
-            handle = self.middleware.participants[name]
-            for branch_xid in branches:
-                if not branch_xid.startswith(global_txn_id + "."):
-                    continue
-                yield self.middleware.request_participant(
-                    handle, protocol.MSG_XA_ROLLBACK, {"xid": branch_xid})
-                report.rolled_back.append(f"{name}:{branch_xid}")

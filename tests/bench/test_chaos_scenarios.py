@@ -3,12 +3,13 @@
 The acceptance bar for the chaos combinator, pinned as tests:
 
 * **Registration** — the full matrix generates >= 200 ``chaos_*`` scenarios
-  (7 faults x 3 latency profiles x 4 arrival shapes x 3 workloads = 252),
-  all under the ``chaos`` scenario family, plus the two graceful-degradation
-  specs (``admission_knee``, ``chaos_saturated``).
-* **Deterministic budgets** — generation-time pruning and run-time sampling
-  are seeded: the same seed always keeps the same combos, and a pruned
-  matrix derives byte-identical configs for the combos it keeps.
+  (7 catalogue faults x 3 latency profiles x 4 arrival shapes x 3 workloads
+  = 252), all under the ``chaos`` scenario family, plus the two
+  graceful-degradation specs (``admission_knee``, ``chaos_saturated``).
+* **Fault plans** — every fault mode comes from the one fault catalogue,
+  :meth:`~repro.recovery.failures.FaultPlan.named`.
+* **Deterministic budget** — the run-time sample is seeded: the same seed
+  always picks the same scenarios.
 * **Invariants** — a smoke-scale chaos point runs clean through the full
   robustness-invariant catalog, and same-seed runs replay bit for bit.
 """
@@ -19,18 +20,15 @@ from repro.bench.equivalence import snapshot
 from repro.bench.runner import run_experiment
 from repro.bench.scenarios import SCENARIOS, get_scenario
 from repro.recovery.chaos import (
-    CHAOS_FAULTS,
     CHAOS_LATENCY_PROFILES,
     CHAOS_SHAPES,
     CHAOS_SYSTEMS,
     CHAOS_WORKLOADS,
     KNEE_TPS,
-    ChaosMatrix,
-    build_chaos_fault_plan,
     chaos_scenario_names,
     sample_chaos_scenarios,
 )
-from repro.recovery.failures import FaultKind
+from repro.recovery.failures import FAULT_NAMES, FaultKind, FaultPlan
 from repro.recovery.invariants import all_passed, violations
 
 #: Reduced scale shared by the run tests (mirrors the fault-family tests).
@@ -49,7 +47,7 @@ def expand_point(name, system, **overrides):
 # ---------------------------------------------------------------- registration
 def test_full_matrix_registers_at_least_200_chaos_scenarios():
     names = chaos_scenario_names()
-    expected = (len(CHAOS_FAULTS) * len(CHAOS_LATENCY_PROFILES)
+    expected = (len(FAULT_NAMES) * len(CHAOS_LATENCY_PROFILES)
                 * len(CHAOS_SHAPES) * len(CHAOS_WORKLOADS))
     assert expected == 252
     assert len(names) == expected
@@ -86,7 +84,7 @@ def test_graceful_degradation_scenarios_are_registered():
 
 # ----------------------------------------------------------------- fault plans
 def test_dual_plan_overlaps_across_targets_by_design():
-    plan = build_chaos_fault_plan("dual", 10_000.0)
+    plan = FaultPlan.named("dual", 10_000.0)
     outage, partition = plan.events
     assert outage.kind is FaultKind.REGION_OUTAGE
     assert partition.kind is FaultKind.PARTITION
@@ -97,7 +95,7 @@ def test_dual_plan_overlaps_across_targets_by_design():
 
 
 def test_cascade_plan_windows_are_strictly_sequential():
-    plan = build_chaos_fault_plan("cascade", 10_000.0)
+    plan = FaultPlan.named("cascade", 10_000.0)
     spike, crash = plan.events
     assert spike.kind is FaultKind.LATENCY_SPIKE
     assert crash.kind is FaultKind.DATASOURCE_CRASH
@@ -105,41 +103,19 @@ def test_cascade_plan_windows_are_strictly_sequential():
 
 
 def test_every_fault_mode_builds_a_plan_inside_the_run():
-    for fault in CHAOS_FAULTS:
-        plan = build_chaos_fault_plan(fault, 3_000.0)
+    for fault in FAULT_NAMES:
+        plan = FaultPlan.named(fault, 3_000.0)
         for event in plan.events:
             assert 0.0 < event.at_ms
             assert event.at_ms + event.duration_ms < 3_000.0
 
 
 def test_unknown_fault_mode_is_rejected():
-    with pytest.raises(ValueError, match="unknown chaos fault mode"):
-        build_chaos_fault_plan("gremlins", 1_000.0)
+    with pytest.raises(ValueError, match="unknown fault 'gremlins'"):
+        FaultPlan.named("gremlins", 1_000.0)
 
 
-# ------------------------------------------------------------- budget controls
-def test_pruned_matrix_is_a_deterministic_subset_of_the_full_product():
-    full = ChaosMatrix().combos()
-    pruned_a = ChaosMatrix(max_scenarios=25).combos()
-    pruned_b = ChaosMatrix(max_scenarios=25).combos()
-    assert pruned_a == pruned_b
-    assert len(pruned_a) == 25
-    # Order-preserving sample of the full product, chaos_seeds intact: a
-    # pruned matrix generates byte-identical configs for the combos it keeps.
-    full_names = [ChaosMatrix.scenario_name(c) for c in full]
-    kept_names = [ChaosMatrix.scenario_name(c) for c in pruned_a]
-    positions = [full_names.index(name) for name in kept_names]
-    assert positions == sorted(positions)
-    for combo in pruned_a:
-        assert combo == full[full_names.index(ChaosMatrix.scenario_name(combo))]
-
-
-def test_different_prune_seeds_keep_different_subsets():
-    a = ChaosMatrix(max_scenarios=25).combos()
-    b = ChaosMatrix(max_scenarios=25, seed=7).combos()
-    assert a != b
-
-
+# -------------------------------------------------------------- budget control
 def test_sample_chaos_scenarios_is_seeded_and_bounded():
     first = sample_chaos_scenarios(10, seed=3)
     second = sample_chaos_scenarios(10, seed=3)
@@ -149,6 +125,9 @@ def test_sample_chaos_scenarios_is_seeded_and_bounded():
     assert sample_chaos_scenarios(10, seed=4) != first
     everything = sample_chaos_scenarios(10_000)
     assert everything == chaos_scenario_names()
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="at least one"):
+            sample_chaos_scenarios(count)
 
 
 # -------------------------------------------------------------- materialisation

@@ -137,6 +137,18 @@ def test_invalid_values_fail_cleanly_without_tracebacks(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--sample", "0"],
+    ["chaos", "--sample", "-2"],
+    ["chaos", "--sample", "1", "--warmup-ms", "600", "--duration-ms", "500"],
+])
+def test_chaos_argument_errors_exit_2_without_tracebacks(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [[], ["run"]])
 def test_missing_arguments_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -16,12 +16,9 @@ import pytest
 from repro.bench.equivalence import snapshot
 from repro.bench.parallel import SweepRunner
 from repro.bench.runner import run_experiment
-from repro.bench.scenarios import (
-    FAULT_SYSTEMS,
-    fault_window,
-    get_scenario,
-)
-from repro.recovery.failures import post_recovery_band
+from repro.bench.scenarios import FAULT_SYSTEMS, get_scenario
+from repro.recovery.chaos import sample_chaos_scenarios
+from repro.recovery.failures import FaultPlan, fault_window, post_recovery_band
 
 FAULT_SCENARIOS = ("fault_middleware_crash", "fault_ds_crash",
                    "fault_region_outage", "fault_latency_spike")
@@ -62,6 +59,31 @@ def test_fault_window_scales_with_duration():
     assert at == 4_000.0 and dur == 1_500.0
     at_small, dur_small = fault_window(4_000.0)
     assert at_small == 1_600.0 and dur_small == 600.0
+
+
+#: The catalogue entry, ``(fault, middleware)``, behind each scenario whose
+#: points do not carry a ``fault`` param of their own.
+CATALOGUE_ENTRY = {
+    "fault_middleware_crash": ("mw_crash", None),
+    "fault_ds_crash": ("ds_crash", None),
+    "fault_region_outage": ("outage", None),
+    "fault_latency_spike": ("lat_spike", None),
+    "fleet_failover": ("mw_crash", "dm2"),
+}
+
+
+@pytest.mark.parametrize("duration_ms",
+                         (10_000.0, 4_000.0, 3_000.0, 2_500.0, 7_777.7))
+def test_every_fault_scenario_plan_is_its_catalogue_entry(duration_ms):
+    """The catalogue is the one source of fault plans: no family drifts."""
+    names = (list(CATALOGUE_ENTRY) + ["chaos_saturated"]
+             + sample_chaos_scenarios(12, seed=1))
+    for name in names:
+        for point in get_scenario(name).sweep(duration_ms=duration_ms).points():
+            fault, middleware = CATALOGUE_ENTRY.get(
+                name, (point.params.get("fault"), None))
+            expected = FaultPlan.named(fault, duration_ms, middleware=middleware)
+            assert point.config.fault_plan == expected, (name, point.params)
 
 
 def test_fault_plan_is_derived_per_point_and_stays_inside_the_run():

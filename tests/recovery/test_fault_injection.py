@@ -98,12 +98,10 @@ def test_fault_plan_rejects_reversed_partition_pairs():
 
 
 def test_cross_target_overlap_is_allowed_for_composed_plans():
-    """Different targets may overlap: the chaos 'dual' plan depends on it."""
-    from repro.recovery.chaos import build_chaos_fault_plan
-
+    """Different targets may overlap: the catalogue's 'dual' plan depends on it."""
     # An outage healing inside a still-active cross-target partition window
     # validates (the re-interception test below shows why it is safe).
-    plan = build_chaos_fault_plan("dual", 10_000.0)
+    plan = FaultPlan.named("dual", 10_000.0)
     outage, partition = plan.events
     assert outage.at_ms + outage.duration_ms < \
         partition.at_ms + partition.duration_ms
@@ -121,13 +119,12 @@ def test_cross_target_overlap_is_allowed_for_composed_plans():
 def test_dual_plan_released_deliveries_are_re_intercepted():
     """The injector-driven version of the network re-interception test.
 
-    The generated ``dual`` plan heals the ds2 outage while the ds1<->ds2
+    The catalogue's ``dual`` plan heals the ds2 outage while the ds1<->ds2
     partition is still active; a message parked by the outage must be
     re-parked by the partition on release, not tunnel through it.
     """
     from types import SimpleNamespace
 
-    from repro.recovery.chaos import build_chaos_fault_plan
     from repro.sim import ConstantLatency, Environment, Network
 
     env = Environment()
@@ -138,7 +135,7 @@ def test_dual_plan_released_deliveries_are_re_intercepted():
                               datasources={"ds1": None, "ds2": None},
                               agents={}, middlewares=[])
     # Outage on ds2 over [4000, 5500); partition ds1<->ds2 over [4500, 6000).
-    plan = build_chaos_fault_plan("dual", 10_000.0)
+    plan = FaultPlan.named("dual", 10_000.0)
     injector = FaultInjector(cluster, plan)
     injector.install()
     received = []
@@ -174,10 +171,28 @@ def test_unknown_fault_target_fails_before_the_run_starts():
         run_experiment(fault_config(plan=bad_middleware))
 
 
+def test_default_and_named_middleware_crashes_overlap_on_one_node():
+    """``target=None`` is the first middleware: a second crash of ``dm``
+    inside the first one's window must be refused before the run starts."""
+    def crashes(first_target, second_at_ms):
+        return FaultPlan(events=(
+            FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=1_000.0,
+                       duration_ms=500.0, target=first_target),
+            FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=second_at_ms,
+                       duration_ms=1_000.0, target="dm")))
+
+    with pytest.raises(ValueError, match="overlapping"):
+        crashes("dm", 1_200.0)  # both named: the plan itself refuses
+    mixed = crashes(None, 1_200.0)  # only the cluster knows None is dm
+    with pytest.raises(ValueError, match="overlapping"):
+        run_experiment(fault_config(system="ssp", plan=mixed))
+    sequential = crashes(None, 2_500.0)
+    result = run_experiment(fault_config(system="ssp", plan=sequential))
+    assert result.faults["injected"] == {"middleware": 2}
+
+
 def test_fault_plan_windows_and_description():
     plan = one_event_plan(FaultKind.REGION_OUTAGE, target="ds2")
-    assert plan.first_at_ms() == 2_000.0
-    assert plan.outage_windows() == [(2_000.0, 3_000.0)]
     event = plan.events[0]
     assert "region_outage(ds2)" in event.describe()
     assert event.to_dict()["mode"] == "park"

@@ -1,12 +1,13 @@
 """Recovery and atomicity tests (§V of the paper).
 
-These tests drive transactions part-way, crash the middleware or a data
-source, run the recovery manager and then assert the atomic-commitment
-properties: every branch of a transaction ends in the same state, decisions
-are never reversed, and transactions without a logged decision are aborted.
+These tests stage transactions part-way, then make exactly the calls the
+fault injector makes: ``MSG_CRASH``/``MSG_RESTART`` requests to a data node,
+``DataSource.kill_sessions`` for a dead coordinator's connections, and the one
+recovery pass, ``RecoveryManager.resolve_in_doubt``.  They then assert the
+atomic-commitment properties: every branch of a transaction ends in the same
+state, decisions are never reversed, and transactions without a logged
+decision are aborted.
 """
-
-import pytest
 
 from repro import protocol
 from repro.common import Operation, OpType, TxnOutcome
@@ -17,7 +18,7 @@ from repro.middleware import (
     TransactionSpec,
     TwoPhaseCommitCoordinator,
 )
-from repro.recovery import FailureInjector, RecoveryManager
+from repro.recovery import RecoveryManager
 from repro.sim import ConstantLatency, Environment, Network
 from repro.storage import DataSource, DataSourceConfig, MySQLDialect, TxnState
 from repro.storage.wal import LogRecordType
@@ -36,12 +37,16 @@ def build_cluster(rtts=(10.0, 100.0)):
         net.set_link("dm", name, ConstantLatency(rtt))
     dm = TwoPhaseCommitCoordinator(env, net, MiddlewareConfig(name="dm"),
                                    participants, ModuloPartitioner(names))
-    injector = FailureInjector(env, net)
+    injector = net.interface("failure-injector")
     return env, net, dm, datasources, injector
 
 
 def update(key, value=1):
     return Operation(op_type=OpType.UPDATE, table="usertable", key=key, value={"v": value})
+
+
+def visible(datasource, key):
+    return datasource.engine.read("p", "usertable", key).value
 
 
 def prepare_branch_by_hand(env, net, ds_name, xid, key):
@@ -61,6 +66,29 @@ def prepare_branch_by_hand(env, net, ds_name, xid, key):
     assert done.get("ok")
 
 
+def node_request(env, injector, ds_name, msg_type):
+    """Send a node the injector's ``MSG_CRASH``/``MSG_RESTART``; wait for the ack."""
+    return env.run(until=injector.request(ds_name, msg_type, {}))
+
+
+def recover(env, dm, **kwargs):
+    """Run one ``resolve_in_doubt`` pass to completion; returns its report."""
+    return env.run(until=env.process(
+        RecoveryManager(dm).resolve_in_doubt(**kwargs)))
+
+
+def crash_and_restart_middleware(env, dm, datasources):
+    """The injector's middleware crash-and-restart calls.
+
+    The servers roll back the dead coordinator's open sessions, then the
+    restarted middleware resolves its in-doubt branches on every data source.
+    """
+    for datasource in datasources.values():
+        datasource.kill_sessions("dm-")
+    return recover(env, dm, skip_global_ids=list(dm.active_contexts),
+                   owned_prefix="dm-")
+
+
 def test_middleware_recovery_commits_logged_transactions():
     env, net, dm, datasources, injector = build_cluster()
     net.set_link("manual-client", "ds0", ConstantLatency(1))
@@ -72,24 +100,12 @@ def test_middleware_recovery_commits_logged_transactions():
     prepare_branch_by_hand(env, net, "ds1", "dm-t77.2", 1)
     dm.wal.append(LogRecordType.COMMIT, "dm-t77", env.now)
 
-    injector.crash_middleware(dm)
-    injector.restart_middleware(dm)
+    report = crash_and_restart_middleware(env, dm, datasources)
 
-    manager = RecoveryManager(dm)
-    report_holder = {}
-
-    def recover():
-        report = yield from manager.recover_after_middleware_crash()
-        report_holder["report"] = report
-
-    env.process(recover())
-    env.run()
-
-    report = report_holder["report"]
     assert len(report.committed) == 2
     assert datasources["ds0"].transactions["dm-t77.1"].state is TxnState.COMMITTED
     assert datasources["ds1"].transactions["dm-t77.2"].state is TxnState.COMMITTED
-    assert datasources["ds0"].engine.read("p", "usertable", 0).value == {"v": 99}
+    assert visible(datasources["ds0"], 0) == {"v": 99}
 
 
 def test_middleware_recovery_aborts_undecided_transactions():
@@ -102,23 +118,13 @@ def test_middleware_recovery_aborts_undecided_transactions():
     prepare_branch_by_hand(env, net, "ds0", "dm-t88.1", 2)
     prepare_branch_by_hand(env, net, "ds1", "dm-t88.2", 3)
 
-    injector.crash_middleware(dm)
-    injector.restart_middleware(dm)
+    report = crash_and_restart_middleware(env, dm, datasources)
 
-    manager = RecoveryManager(dm)
-    holder = {}
-
-    def recover():
-        holder["report"] = yield from manager.recover_after_middleware_crash()
-
-    env.process(recover())
-    env.run()
-
-    assert len(holder["report"].rolled_back) == 2
+    assert len(report.rolled_back) == 2
     assert datasources["ds0"].transactions["dm-t88.1"].state is TxnState.ABORTED
     assert datasources["ds1"].transactions["dm-t88.2"].state is TxnState.ABORTED
     # The prepared-but-aborted write never became visible.
-    assert datasources["ds0"].engine.read("p", "usertable", 2).value == {"v": 0}
+    assert visible(datasources["ds0"], 2) == {"v": 0}
 
 
 def test_all_branches_reach_the_same_outcome_after_recovery():
@@ -131,13 +137,7 @@ def test_all_branches_reach_the_same_outcome_after_recovery():
     prepare_branch_by_hand(env, net, "ds1", "dm-t90.2", 5)
     dm.wal.append(LogRecordType.ABORT, "dm-t90", env.now)
 
-    manager = RecoveryManager(dm)
-
-    def recover():
-        yield from manager.recover_after_middleware_crash()
-
-    env.process(recover())
-    env.run()
+    crash_and_restart_middleware(env, dm, datasources)
 
     states = {datasources["ds0"].transactions["dm-t90.1"].state,
               datasources["ds1"].transactions["dm-t90.2"].state}
@@ -146,60 +146,55 @@ def test_all_branches_reach_the_same_outcome_after_recovery():
 
 
 def test_datasource_crash_loses_unprepared_work_and_siblings_roll_back():
+    """ds0 crashes while its branch executes, under a live coordinator.
+
+    The node drops the lost, unprepared branch itself; the coordinator sees
+    the failed execute, aborts the transaction and rolls back the ds1
+    sibling.  The restart-time recovery pass then finds nothing to decide.
+    """
     env, net, dm, datasources, injector = build_cluster()
-    net.set_link("manual-client", "ds0", ConstantLatency(1))
-    net.set_link("manual-client", "ds1", ConstantLatency(1))
-    client = net.interface("manual-client")
+    ds0, ds1 = datasources["ds0"], datasources["ds1"]
+    proc = dm.submit(TransactionSpec.from_operations([update(6, 50), update(7, 50)]))
+    while not ds0.transactions:  # until ds0 starts executing its branch
+        env.step()
+    (lost,) = ds0.transactions.values()
+    assert lost.state is TxnState.ACTIVE
 
-    progress = {}
+    node_request(env, injector, "ds0", protocol.MSG_CRASH)
+    result = env.run(until=proc)
 
-    def driver():
-        # Branch on ds1 prepared; branch on ds0 only executed (not prepared).
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "dm-t91.2"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t91.2", "operations": [update(7, 50)]})
-        yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "dm-t91.2"})
-        yield client.request("ds0", protocol.MSG_XA_START, {"xid": "dm-t91.1"})
-        yield client.request("ds0", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t91.1", "operations": [update(6, 50)]})
-        progress["staged"] = True
-        # Crash and restart ds0: its unprepared branch disappears.
-        yield from injector.crash_datasource(datasources["ds0"])
-        yield from injector.restart_datasource(datasources["ds0"])
-        manager = RecoveryManager(dm)
-        report = yield from manager.recover_after_datasource_crash(
-            "ds0", {"ds0": ["dm-t91.1"], "ds1": ["dm-t91.2"]})
-        progress["report"] = report
+    assert result.outcome is TxnOutcome.ABORTED
+    branches = [txn for ds in (ds0, ds1) for txn in ds.transactions.values()
+                if txn.global_txn_id == result.txn_id]
+    assert len(branches) == 2
+    assert all(txn.state is TxnState.ABORTED for txn in branches)
+    assert visible(ds0, 6) == {"v": 0}
+    assert visible(ds1, 7) == {"v": 0}
 
-    env.process(driver())
-    env.run()
-
-    assert progress.get("staged")
-    report = progress["report"]
-    # ds0's branch had not prepared: it is rolled back together with its sibling.
-    assert any("ds0" in entry for entry in report.rolled_back)
-    assert any("ds1" in entry for entry in report.rolled_back)
-    assert datasources["ds1"].transactions["dm-t91.2"].state is TxnState.ABORTED
-    assert datasources["ds1"].engine.read("p", "usertable", 7).value == {"v": 0}
+    node_request(env, injector, "ds0", protocol.MSG_RESTART)
+    report = recover(env, dm, participant_names=["ds0"],
+                     skip_global_ids=list(dm.active_contexts),
+                     owned_prefix="dm-")
+    assert report.committed == [] and report.rolled_back == []
 
 
 def test_datasource_crash_with_sibling_mid_prepare_rolls_back_every_branch():
-    """Decision-log-absent path: ALL siblings roll back, whatever their state.
+    """The dead-coordinator case: ALL branches roll back, whatever their state.
 
     The transaction spans three data sources: its branch on ds0 had executed
-    but not prepared when ds0 crashed (lost), the sibling on ds1 is PREPARED,
-    and the sibling on ds2 is still ACTIVE — caught mid-prepare.  With no
-    logged decision the transaction can never have entered the commit phase
-    (AC3/AC4), so recovery must roll back the prepared *and* the active
-    sibling, not just the branch on the crashed node.
+    but not prepared when ds0 crashed (the node drops it), the sibling on ds1
+    is PREPARED, and the sibling on ds2 is still ACTIVE — caught mid-prepare.
+    Its coordinator is dead and logged no decision, so the transaction can
+    never have entered the commit phase (AC3/AC4).  The middleware's
+    crash-and-restart calls roll back both siblings: ``kill_sessions`` the
+    active one, the recovery pass the prepared one.
     """
     env, net, dm, datasources, injector = build_cluster(rtts=(10.0, 50.0, 100.0))
     for name in ("ds0", "ds1", "ds2"):
         net.set_link("manual-client", name, ConstantLatency(1))
     client = net.interface("manual-client")
-    progress = {}
 
-    def driver():
+    def stage():
         # ds1: prepared sibling.
         yield client.request("ds1", protocol.MSG_XA_START, {"xid": "dm-t95.2"})
         yield client.request("ds1", protocol.MSG_EXECUTE,
@@ -209,30 +204,46 @@ def test_datasource_crash_with_sibling_mid_prepare_rolls_back_every_branch():
         yield client.request("ds2", protocol.MSG_XA_START, {"xid": "dm-t95.3"})
         yield client.request("ds2", protocol.MSG_EXECUTE,
                              {"xid": "dm-t95.3", "operations": [update(11, 7)]})
-        # ds0: executed-only branch, then the node crashes and restarts.
+        # ds0: executed-only branch.
         yield client.request("ds0", protocol.MSG_XA_START, {"xid": "dm-t95.1"})
         yield client.request("ds0", protocol.MSG_EXECUTE,
                              {"xid": "dm-t95.1", "operations": [update(9, 7)]})
-        yield from injector.crash_datasource(datasources["ds0"])
-        yield from injector.restart_datasource(datasources["ds0"])
-        manager = RecoveryManager(dm)
-        report = yield from manager.recover_after_datasource_crash(
-            "ds0", {"ds0": ["dm-t95.1"], "ds1": ["dm-t95.2"],
-                    "ds2": ["dm-t95.3"]})
-        progress["report"] = report
 
-    env.process(driver())
-    env.run()
+    env.run(until=env.process(stage()))
+    node_request(env, injector, "ds0", protocol.MSG_CRASH)
+    node_request(env, injector, "ds0", protocol.MSG_RESTART)
+    assert datasources["ds0"].transactions["dm-t95.1"].state is TxnState.ABORTED
 
-    report = progress["report"]
-    assert sorted(report.rolled_back) == [
-        "ds0:dm-t95.1", "ds1:dm-t95.2", "ds2:dm-t95.3"]
+    report = crash_and_restart_middleware(env, dm, datasources)
+
+    assert report.rolled_back == ["ds1:dm-t95.2"]
     assert report.committed == []
     for name, branch, key in (("ds0", "dm-t95.1", 9), ("ds1", "dm-t95.2", 10),
                               ("ds2", "dm-t95.3", 11)):
         assert datasources[name].transactions[branch].state is TxnState.ABORTED
         # No sibling's write ever became visible (AC1).
-        assert datasources[name].engine.read("p", "usertable", key).value == {"v": 0}
+        assert visible(datasources[name], key) == {"v": 0}
+
+
+def test_datasource_restart_commits_a_prepared_branch_whose_commit_is_logged():
+    """Prepared work survives a node crash; the restart pass finishes it."""
+    env, net, dm, datasources, injector = build_cluster()
+    net.set_link("manual-client", "ds0", ConstantLatency(1))
+    prepare_branch_by_hand(env, net, "ds0", "dm-t93.1", 3)
+    dm.wal.append(LogRecordType.COMMIT, "dm-t93", env.now)
+
+    node_request(env, injector, "ds0", protocol.MSG_CRASH)
+    node_request(env, injector, "ds0", protocol.MSG_RESTART)
+    branch = datasources["ds0"].transactions["dm-t93.1"]
+    assert branch.state is TxnState.PREPARED
+    assert visible(datasources["ds0"], 3) == {"v": 0}
+
+    report = recover(env, dm, participant_names=["ds0"], owned_prefix="dm-")
+
+    assert report.committed == ["ds0:dm-t93.1"]
+    assert report.rolled_back == []
+    assert branch.state is TxnState.COMMITTED
+    assert visible(datasources["ds0"], 3) == {"v": 99}
 
 
 def test_resolve_in_doubt_skips_live_and_foreign_transactions():
@@ -250,18 +261,10 @@ def test_resolve_in_doubt_skips_live_and_foreign_transactions():
     prepare_branch_by_hand(env, net, "ds0", "dm-t97.1", 13)   # live coordinator
     prepare_branch_by_hand(env, net, "ds0", "dm2-t5.1", 14)   # other middleware
 
-    manager = RecoveryManager(dm)
-    holder = {}
+    report = recover(env, dm, participant_names=["ds0"],
+                     skip_global_ids=["dm-t97"], owned_prefix="dm-")
 
-    def recover():
-        holder["report"] = yield from manager.resolve_in_doubt(
-            participant_names=["ds0"], skip_global_ids=["dm-t97"],
-            owned_prefix="dm-")
-
-    env.process(recover())
-    env.run()
-
-    assert holder["report"].rolled_back == ["ds0:dm-t96.1"]
+    assert report.rolled_back == ["ds0:dm-t96.1"]
     assert datasources["ds0"].transactions["dm-t96.1"].state is TxnState.ABORTED
     assert datasources["ds0"].transactions["dm-t97.1"].state is TxnState.PREPARED
     assert datasources["ds0"].transactions["dm2-t5.1"].state is TxnState.PREPARED
@@ -274,21 +277,14 @@ def test_recovery_is_idempotent():
     prepare_branch_by_hand(env, net, "ds0", "dm-t92.1", 8)
     dm.wal.append(LogRecordType.COMMIT, "dm-t92", env.now)
 
-    manager = RecoveryManager(dm)
-    reports = []
+    first = crash_and_restart_middleware(env, dm, datasources)
+    second = crash_and_restart_middleware(env, dm, datasources)
 
-    def recover_twice():
-        first = yield from manager.recover_after_middleware_crash()
-        second = yield from manager.recover_after_middleware_crash()
-        reports.extend([first, second])
-
-    env.process(recover_twice())
-    env.run()
-
+    assert first.committed == ["ds0:dm-t92.1"]
     assert datasources["ds0"].transactions["dm-t92.1"].state is TxnState.COMMITTED
-    assert datasources["ds0"].engine.read("p", "usertable", 8).value == {"v": 99}
+    assert visible(datasources["ds0"], 8) == {"v": 99}
     # The second pass finds nothing prepared and changes nothing.
-    assert reports[1].total_handled == 0
+    assert second.committed == [] and second.rolled_back == []
 
 
 def test_client_facing_outcome_matches_data_source_state():
