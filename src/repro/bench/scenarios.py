@@ -731,14 +731,14 @@ LOAD_SWEEP_SYSTEMS = ("ssp", "scalardb_plus", "geotp")
 #: client pool sheds most arrivals.
 LOAD_SWEEP_RATES = (50.0, 100.0, 200.0, 400.0, 800.0)
 
-#: YCSB table for the open-system families: moderate keyspace, **fully
-#: materialised at load time**.  Lazily-created cold rows would otherwise grow
-#: the modelled database for the entire run (the zipfian tail keeps finding
-#: fresh keys), which a long saturated point cannot distinguish from a
-#: middleware leak.  With the table preloaded, database state is identical at
-#: every run length and the flat-RSS property being measured is the
-#: middleware's and the metrics pipeline's alone.  Contention is governed by
-#: the skew, not the table size, so the knee story is unchanged.
+#: YCSB table for the open-system families: moderate keyspace, **every row
+#: preloaded** (a view, so the preload itself costs nothing).  Lazily-created
+#: cold rows would otherwise grow the modelled key set for the entire run (the
+#: zipfian tail keeps finding fresh keys), which a long saturated point cannot
+#: distinguish from a middleware leak.  With every key preloaded, the key set
+#: is identical at every run length and the flat-RSS property being measured
+#: is the middleware's and the metrics pipeline's alone.  Contention is
+#: governed by the skew, not the table size, so the knee story is unchanged.
 def _open_system_ycsb() -> YCSBConfig:
     return default_ycsb(records_per_node=10_000, preload_rows_per_node=10_000)
 

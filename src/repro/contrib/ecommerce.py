@@ -28,6 +28,7 @@ from repro.common import Operation, OpType
 from repro.middleware.router import ModuloPartitioner
 from repro.middleware.statements import TransactionSpec
 from repro.plugins import WorkloadPlugin, register_scenario_hook, register_workload
+from repro.storage.engine import SharedRows
 from repro.workloads.base import Workload, WorkloadConfig
 
 PRODUCTS = "products"
@@ -45,8 +46,8 @@ class EcommerceConfig(WorkloadConfig):
 
     #: Catalog rows per data node.
     products_per_node: int = 10_000
-    #: Products materialised per node at load time (cold rows are created
-    #: lazily on first write, like the YCSB loader's memory bound).
+    #: Products preloaded per node (cold rows are created on first write,
+    #: like the YCSB loader's ``preload_rows_per_node``).
     preload_products_per_node: int = 1_000
     #: Customers (and their carts) per data node, all preloaded.
     customers_per_node: int = 500
@@ -98,21 +99,19 @@ class EcommerceWorkload(Workload):
     def make_partitioner(self) -> ModuloPartitioner:
         return self._partitioner
 
-    def initial_data(self) -> Dict[str, Dict[str, Dict]]:
+    def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
         config = self.config
         preload = min(config.products_per_node, config.preload_products_per_node)
-        data: Dict[str, Dict[str, Dict]] = {}
+        product = {"stock": 1_000, "price": 10.0}
+        customer, cart = {"balance": 10_000.0}, {"items": 0}
+        keys_for_node = self._partitioner.keys_for_node
+        data: Dict[str, Dict[str, SharedRows]] = {}
         for node_index, name in enumerate(self.datasource_names):
-            products, customers, carts = {}, {}, {}
-            for sequence in range(preload):
-                key = self._partitioner.key_for_node(node_index, sequence)
-                products[key] = {"stock": 1_000, "price": 10.0}
-            for sequence in range(config.customers_per_node):
-                key = self._partitioner.key_for_node(node_index, sequence)
-                customers[key] = {"balance": 10_000.0}
-                carts[key] = {"items": 0}
-            data[name] = {PRODUCTS: products, CUSTOMERS: customers,
-                          CARTS: carts}
+            customers = keys_for_node(node_index, config.customers_per_node)
+            data[name] = {
+                PRODUCTS: SharedRows(keys_for_node(node_index, preload), product),
+                CUSTOMERS: SharedRows(customers, customer),
+                CARTS: SharedRows(customers, cart)}
         return data
 
     def next_transaction(self, terminal_id: int = 0) -> TransactionSpec:

@@ -26,6 +26,7 @@ from repro.common import Operation, OpType
 from repro.middleware.router import ModuloPartitioner
 from repro.middleware.statements import TransactionSpec
 from repro.plugins import WorkloadPlugin, register_scenario_hook, register_workload
+from repro.storage.engine import SharedRows
 from repro.workloads.base import Workload, WorkloadConfig
 
 SAVINGS = "savings"
@@ -50,8 +51,8 @@ class SmallBankConfig(WorkloadConfig):
 
     #: Customer accounts per data node (each owns a savings + a checking row).
     accounts_per_node: int = 20_000
-    #: Accounts materialised per node at load time (cold accounts are created
-    #: lazily on first write, mirroring the YCSB loader's memory bound).
+    #: Accounts preloaded per node (cold accounts are created on first write,
+    #: like the YCSB loader's ``preload_rows_per_node``).
     preload_accounts_per_node: int = 2_000
     #: Probability that an account draw comes from the hot set.
     hotspot_probability: float = 0.25
@@ -103,18 +104,15 @@ class SmallBankWorkload(Workload):
     def make_partitioner(self) -> ModuloPartitioner:
         return self._partitioner
 
-    def initial_data(self) -> Dict[str, Dict[str, Dict]]:
+    def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
         preload = min(self.config.accounts_per_node,
                       self.config.preload_accounts_per_node)
         balance = {"balance": self.config.initial_balance}
-        data: Dict[str, Dict[str, Dict]] = {}
+        data: Dict[str, Dict[str, SharedRows]] = {}
         for node_index, name in enumerate(self.datasource_names):
-            savings, checking = {}, {}
-            for sequence in range(preload):
-                account = self._partitioner.key_for_node(node_index, sequence)
-                savings[account] = dict(balance)
-                checking[account] = dict(balance)
-            data[name] = {SAVINGS: savings, CHECKING: checking}
+            accounts = self._partitioner.keys_for_node(node_index, preload)
+            data[name] = {SAVINGS: SharedRows(accounts, balance),
+                          CHECKING: SharedRows(accounts, balance)}
         return data
 
     def next_transaction(self, terminal_id: int = 0) -> TransactionSpec:

@@ -16,7 +16,7 @@ must coexist.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 
 class Partitioner:
@@ -55,6 +55,11 @@ class ModuloPartitioner(Partitioner):
         if not 0 <= node_index < self.node_count:
             raise ValueError(f"node index {node_index} out of range")
         return sequence * self.node_count + node_index
+
+    def keys_for_node(self, node_index: int, count: int) -> range:
+        """The first ``count`` keys that live on data source ``node_index``."""
+        return range(self.key_for_node(node_index, 0), count * self.node_count,
+                     self.node_count)
 
 
 class WarehousePartitioner(Partitioner):
@@ -106,10 +111,10 @@ class WarehousePartitioner(Partitioner):
                 int(warehouse_id))
             return node
 
-    def warehouses_on_node(self, node_index: int) -> List[int]:
+    def warehouses_on_node(self, node_index: int) -> range:
         """The warehouse ids stored on data source ``node_index``."""
         start = node_index * self.warehouses_per_node + 1
-        return list(range(start, start + self.warehouses_per_node))
+        return range(start, start + self.warehouses_per_node)
 
 
 class TableAwarePartitioner(Partitioner):

@@ -103,8 +103,14 @@ class ZipfianGenerator:
         # consulted: next() resolves both items through its closed-form
         # branches before reaching eta, so any finite value is safe.
         denominator = 1.0 - self._zeta2 / self._zetan
-        self._eta = ((1.0 - math.pow(2.0 / item_count, 1.0 - theta)) / denominator
-                     if theta != 1.0 and denominator != 0.0 else 0.0)
+        if denominator == 0.0:
+            self._eta = 0.0
+        elif theta == 1.0:
+            # The limit of next()'s (eta u - eta + 1) ** alpha as theta -> 1 is
+            # exp(eta (u - 1)) with this eta: rank 2 still starts at zeta(2).
+            self._eta = math.log(item_count / 2.0) / denominator
+        else:
+            self._eta = (1.0 - math.pow(2.0 / item_count, 1.0 - theta)) / denominator
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -135,11 +141,10 @@ class ZipfianGenerator:
         if uz < 1.0 + self._half_pow_theta:
             return 1
         if self.theta == 1.0:
-            # Inverse CDF is not closed-form at theta == 1; fall back to a
-            # harmonic-series inversion via exponentiation of the uniform draw.
-            return int(self.item_count ** u) - 1 if self.item_count ** u >= 1 else 0
-        value = int(self.item_count * math.pow(
-            self._eta * u - self._eta + 1.0, self._alpha))
+            value = int(self.item_count * math.exp(self._eta * (u - 1.0)))
+        else:
+            value = int(self.item_count * math.pow(
+                self._eta * u - self._eta + 1.0, self._alpha))
         return min(max(value, 0), self.item_count - 1)
 
     def sample_many(self, count: int, distinct: bool = False) -> List[int]:

@@ -13,7 +13,7 @@ together into a network-attached node process.
 
 from repro.storage.dialects import Dialect, MySQLDialect, PostgreSQLDialect
 from repro.storage.datasource import DataSource, DataSourceConfig
-from repro.storage.engine import StorageEngine, Table
+from repro.storage.engine import SharedRows, StorageEngine, Table
 from repro.storage.lock_manager import (
     DeadlockError,
     LockManager,
@@ -37,6 +37,7 @@ __all__ = [
     "MySQLDialect",
     "PostgreSQLDialect",
     "Record",
+    "SharedRows",
     "StorageEngine",
     "Table",
     "TxnState",

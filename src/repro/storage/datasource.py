@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional
+from typing import Deque, Dict, Hashable, List, Mapping, Optional
 
 from repro.common import AbortReason, Operation, OperationResult, OpType, SubtxnResult, Vote
 from repro import protocol
@@ -117,7 +117,7 @@ class DataSource:
         self.net.inbox.set_consumer(self._dispatch)
 
     # ------------------------------------------------------------------ loading
-    def load_table(self, table_name: str, rows: Dict[Hashable, object]) -> None:
+    def load_table(self, table_name: str, rows: Mapping[Hashable, object]) -> None:
         """Bulk-load committed rows into a table (setup only, no locking)."""
         self.engine.bulk_load(table_name, rows)
 

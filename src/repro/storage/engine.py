@@ -9,22 +9,62 @@ installed at commit time, which makes rollback trivial and matches the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from itertools import product
+from math import prod
+from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.storage.record import Record, RecordSnapshot
 
 RecordId = Tuple[str, Hashable]
 
 
+class SharedRows(Mapping):
+    """A read-only preloaded table in O(1) memory: every key maps to ``row``.
+
+    ``keys`` is a ``range`` of ``int`` keys, or a grid: a tuple of ``range``
+    axes whose keys are the tuples of their product, last axis fastest (the
+    order nested loops would insert them in).  Only an exact ``int`` ever
+    reaches ``range`` membership: ``"k" in range(...)`` is a linear scan.
+    """
+
+    __slots__ = ("_keys", "_row")
+
+    def __init__(self, keys: Union[range, Tuple[range, ...]], row: Any):
+        self._keys = keys
+        self._row = row
+
+    def __contains__(self, key: object) -> bool:
+        keys = self._keys
+        if type(keys) is range:
+            return type(key) is int and key in keys
+        return (type(key) is tuple and len(key) == len(keys)
+                and all(type(part) is int and part in axis
+                        for part, axis in zip(key, keys)))
+
+    def __getitem__(self, key: Hashable) -> Any:
+        if key in self:
+            return self._row
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        keys = self._keys
+        return iter(keys) if type(keys) is range else product(*keys)
+
+    def __len__(self) -> int:
+        keys = self._keys
+        return len(keys) if type(keys) is range else prod(map(len, keys))
+
+
 class Table:
     """A named collection of records in two layers.
 
-    ``_base`` is the preloaded ``{key: value}`` mapping, adopted as is from
-    the workload and possibly shared with other tables and later clusters in
-    this process: it — and every value in it — is never mutated.  ``_records``
-    is this table's private overlay of :class:`Record` objects; a base row is
-    materialised into it (``version=1``, written by ``"loader"``) the first
-    time it is touched, so a table costs O(rows touched), not O(rows loaded).
+    ``_base`` is the preloaded ``{key: value}`` mapping — usually a
+    :class:`SharedRows` view — adopted as is from the workload and possibly
+    shared with other tables: it, and every value in it, is never mutated.
+    ``_records`` is this table's private overlay of :class:`Record` objects; a
+    base row is materialised into it (``version=1``, written by ``"loader"``)
+    the first time it is touched, so a table costs O(rows touched), not
+    O(rows loaded).
     """
 
     def __init__(self, name: str):
@@ -104,9 +144,10 @@ class StorageEngine:
         """Load many committed rows at once (setup fast path).
 
         An empty table — the overwhelming case, since preloads target fresh
-        clusters — adopts ``rows`` as its base layer without copying or
-        building a single record, so the caller must never mutate ``rows`` or
-        its values afterwards (see :class:`Table`).  Loading into a table that
+        clusters — adopts ``rows`` (a :class:`SharedRows` view or any other
+        mapping) as its base layer without copying or building a single
+        record, so the caller must never mutate ``rows`` or its values
+        afterwards (see :class:`Table`).  Loading into a table that
         already has rows falls back to one :meth:`Table.put` per row, which
         preserves reload semantics (version bump for existing keys).
         """

@@ -9,9 +9,8 @@ interaction rounds — the four knobs the paper's experiments sweep.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 from repro.middleware.router import Partitioner
 from repro.middleware.statements import TransactionSpec
@@ -28,14 +27,6 @@ class WorkloadConfig:
     rounds: int = 1
     #: RNG seed for the generator.
     seed: int = 0
-
-
-#: The most recent ``initial_data()`` result of this process and the
-#: ``(workload class, data source names, config)`` that produced it.  One
-#: entry is enough: the consecutive points of a sweep worker (and ``ssp`` then
-#: ``geotp`` of one seed) repeat the same preload, and tables adopt the rows
-#: without copying them (:meth:`repro.storage.engine.StorageEngine.bulk_load`).
-_last_initial_data: Optional[Tuple[Tuple[Any, ...], Dict[str, Dict[str, Dict]]]] = None
 
 
 class Workload:
@@ -55,13 +46,14 @@ class Workload:
         """The partitioner that routes this workload's keys."""
         raise NotImplementedError
 
-    def initial_data(self) -> Dict[str, Dict[str, Dict]]:
-        """Initial rows per data source: ``{datasource: {table: {key: value}}}``.
+    def initial_data(self) -> Dict[str, Dict[str, Mapping]]:
+        """Initial rows per data source: ``{datasource: {table: {key: row}}}``.
 
-        The result is loaded without being copied and is shared between
-        clusters, so nothing may mutate it — neither the mappings nor the row
-        values — and it should be a pure function of the data source names
-        and ``config``; drawing from ``self.rng`` opts out of the sharing.
+        Each table is a read-only mapping — a
+        :class:`~repro.storage.engine.SharedRows` view when its rows start
+        equal — so a preload costs O(nodes × tables) at any row count.  The
+        tables adopt these mappings without a copy, so nothing may mutate
+        them or a row in them.
         """
         raise NotImplementedError
 
@@ -72,17 +64,7 @@ class Workload:
     # --------------------------------------------------------------- helpers
     def load_into(self, datasources: Dict[str, object]) -> None:
         """Bulk-load the initial data into :class:`~repro.storage.DataSource` objects."""
-        global _last_initial_data
-        key = (type(self), tuple(self.datasource_names), self.config)
-        if _last_initial_data is not None and _last_initial_data[0] == key:
-            data = _last_initial_data[1]
-        else:
-            rng_state = self.rng.getstate()
-            data = self.initial_data()
-            if self.rng.getstate() == rng_state:
-                # The key keeps its own copy of the (mutable) config.
-                _last_initial_data = (deepcopy(key), data)
-        for ds_name, tables in data.items():
+        for ds_name, tables in self.initial_data().items():
             datasource = datasources.get(ds_name)
             if datasource is None:
                 continue

@@ -12,12 +12,13 @@ node* with the configured probability (§VII-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.common import Operation, OpType
 from repro.middleware.router import WarehousePartitioner
 from repro.middleware.statements import TransactionSpec
 from repro.plugins import WorkloadPlugin, register_workload
+from repro.storage.engine import SharedRows
 from repro.workloads.base import Workload, WorkloadConfig
 
 #: Standard TPC-C transaction mix.
@@ -68,7 +69,7 @@ class TPCCWorkload(Workload):
             raise ValueError(f"unknown transaction types in mix: {sorted(unknown)}")
         self._partitioner = WarehousePartitioner(
             self.datasource_names, warehouses_per_node=config.warehouses_per_node)
-        self._order_counter = 3000  # order ids continue after the loaded history
+        self._order_counter = 3000  # = d_next_o_id; no order history is loaded
 
     # --------------------------------------------------------------- interface
     def make_partitioner(self) -> WarehousePartitioner:
@@ -79,28 +80,27 @@ class TPCCWorkload(Workload):
         """Warehouses across the whole cluster."""
         return self._partitioner.total_warehouses
 
-    def initial_data(self) -> Dict[str, Dict[str, Dict]]:
-        data: Dict[str, Dict[str, Dict]] = {}
+    def initial_data(self) -> Dict[str, Dict[str, Mapping]]:
+        districts = range(1, DISTRICTS_PER_WAREHOUSE + 1)
+        customers = range(1, self.config.customers_per_district + 1)
+        items = range(1, self.config.item_count + 1)
+        district = {"d_ytd": 0.0, "d_tax": 0.05, "d_next_o_id": 3000}
+        customer = {"c_balance": -10.0, "c_ytd_payment": 10.0, "c_payment_cnt": 1}
+        stock = {"s_quantity": 100, "s_ytd": 0, "s_order_cnt": 0}
+        # The item catalogue is replicated: every node shares this one dict.
+        catalogue = {item_id: {"i_price": 9.99, "i_name": f"item-{item_id}"}
+                     for item_id in items}
+        data: Dict[str, Dict[str, Mapping]] = {}
         for node_index, name in enumerate(self.datasource_names):
-            tables: Dict[str, Dict] = {
-                "warehouse": {}, "district": {}, "customer": {}, "stock": {},
-                "item": {}, "order": {}, "neworder": {}, "orderline": {}, "history": {},
+            warehouses = self._partitioner.warehouses_on_node(node_index)
+            data[name] = {
+                "warehouse": SharedRows((warehouses,), {"w_ytd": 0.0, "w_tax": 0.05}),
+                "district": SharedRows((warehouses, districts), district),
+                "customer": SharedRows((warehouses, districts, customers), customer),
+                "stock": SharedRows((warehouses, items), stock),
+                "item": catalogue,
+                "order": {}, "neworder": {}, "orderline": {}, "history": {},
             }
-            for warehouse_id in self._partitioner.warehouses_on_node(node_index):
-                tables["warehouse"][(warehouse_id,)] = {"w_ytd": 0.0, "w_tax": 0.05}
-                for district_id in range(1, DISTRICTS_PER_WAREHOUSE + 1):
-                    tables["district"][(warehouse_id, district_id)] = {
-                        "d_ytd": 0.0, "d_tax": 0.05, "d_next_o_id": 3000}
-                    for customer_id in range(1, self.config.customers_per_district + 1):
-                        tables["customer"][(warehouse_id, district_id, customer_id)] = {
-                            "c_balance": -10.0, "c_ytd_payment": 10.0, "c_payment_cnt": 1}
-                for item_id in range(1, self.config.item_count + 1):
-                    tables["stock"][(warehouse_id, item_id)] = {
-                        "s_quantity": 100, "s_ytd": 0, "s_order_cnt": 0}
-            # The item catalogue is replicated on every node.
-            for item_id in range(1, self.config.item_count + 1):
-                tables["item"][item_id] = {"i_price": 9.99, "i_name": f"item-{item_id}"}
-            data[name] = tables
         return data
 
     def next_transaction(self, terminal_id: int = 0) -> TransactionSpec:

@@ -18,6 +18,7 @@ from repro.middleware.router import ModuloPartitioner
 from repro.middleware.statements import TransactionSpec
 from repro.plugins import WorkloadPlugin, register_workload
 from repro.sim.rng import ZipfianGenerator
+from repro.storage.engine import SharedRows
 from repro.workloads.base import Workload, WorkloadConfig
 
 #: The paper's skew factors for low / medium / high contention.
@@ -34,10 +35,11 @@ class YCSBConfig(WorkloadConfig):
     #: simulation defaults to a smaller key space (contention behaviour is
     #: governed by the skew, not the absolute table size).
     records_per_node: int = 100_000
-    #: Rows actually materialised per node at load time.  Only the hottest keys
-    #: matter for contention; cold keys are created lazily on first write and
-    #: read as missing before that, which keeps memory bounded without changing
-    #: locking behaviour (locks are taken on keys, not on stored rows).
+    #: Rows preloaded per node: the first keys of the node's stripe.  A preload
+    #: is a :class:`~repro.storage.engine.SharedRows` view and costs nothing at
+    #: any size, so this is a model parameter, not a memory bound: keys past
+    #: it read as missing until first written (locks are taken on keys, not on
+    #: stored rows).  Set it to ``records_per_node`` to load every row.
     preload_rows_per_node: int = 5_000
     #: Zipfian skew factor (theta).
     skew: float = 0.9
@@ -78,19 +80,15 @@ class YCSBWorkload(Workload):
     def make_partitioner(self) -> ModuloPartitioner:
         return self._partitioner
 
-    def initial_data(self) -> Dict[str, Dict[str, Dict]]:
-        payload = "x" * self.config.value_size_bytes
+    def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
         preload = min(self.config.records_per_node, self.config.preload_rows_per_node)
-        data: Dict[str, Dict[str, Dict]] = {}
         # Every preloaded row starts from the same synthetic value, and writes
         # replace record values wholesale (nothing mutates them in place), so
-        # all rows can share a single dict instead of allocating one per key.
-        row = {"field0": payload}
-        for node_index, name in enumerate(self.datasource_names):
-            key_for_node = self._partitioner.key_for_node
-            data[name] = {TABLE: {key_for_node(node_index, sequence): row
-                                  for sequence in range(preload)}}
-        return data
+        # all rows share a single dict.
+        row = {"field0": "x" * self.config.value_size_bytes}
+        keys_for_node = self._partitioner.keys_for_node
+        return {name: {TABLE: SharedRows(keys_for_node(node_index, preload), row)}
+                for node_index, name in enumerate(self.datasource_names)}
 
     def next_transaction(self, terminal_id: int = 0) -> TransactionSpec:
         node_count = len(self.datasource_names)

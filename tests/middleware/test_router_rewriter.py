@@ -51,7 +51,7 @@ def test_warehouse_partitioner_maps_warehouses_to_nodes():
     assert partitioner.node_for_warehouse(4) == "ds0"
     assert partitioner.node_for_warehouse(5) == "ds1"
     assert partitioner.node_for_warehouse(16) == "ds3"
-    assert partitioner.warehouses_on_node(2) == [9, 10, 11, 12]
+    assert list(partitioner.warehouses_on_node(2)) == [9, 10, 11, 12]
 
 
 def test_warehouse_partitioner_uses_tuple_keys_and_replicates_item():

@@ -105,6 +105,24 @@ def test_zipfian_two_item_key_space_does_not_divide_by_zero():
     assert set(samples) <= {0, 1}
 
 
+def test_zipfian_theta_one_lies_between_its_neighbours():
+    """Regression: the theta == 1 branch drew rank 2 about 50 times in 200 k
+    (against ~10 k at 0.99 and 1.01); every hot rank must now sit between
+    its frequencies at the two neighbouring skews."""
+    def hot_counts(theta):
+        generator = ZipfianGenerator(1_000, theta, rng=SeededRNG(1))
+        counts = [0] * 10
+        for _ in range(200_000):
+            rank = generator.next()
+            if rank < 10:
+                counts[rank] += 1
+        return counts
+
+    below, at, above = hot_counts(0.99), hot_counts(1.0), hot_counts(1.01)
+    for rank, (low, mid, high) in enumerate(zip(below, at, above)):
+        assert 0.95 * min(low, high) <= mid <= 1.05 * max(low, high), (rank, low, mid, high)
+
+
 @given(item_count=st.integers(min_value=1, max_value=100_000),
        theta=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
        seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -1,10 +1,11 @@
 """Model test: a base-layer table must be indistinguishable from an eager one.
 
-``StorageEngine.bulk_load`` into an empty table adopts the caller's mapping as
-an immutable base layer and materialises records on first touch.  The
-reference here is the same engine class driven through its per-row path
-(``load`` = one ``Table.put`` per row, the fallback ``bulk_load`` itself uses
-for non-empty tables), which builds every record up front.  Random operation
+``StorageEngine.bulk_load`` into an empty table adopts the caller's mapping (a
+dict or a ``SharedRows`` view) as an immutable base layer and materialises
+records on first touch.  The reference here is the same engine class driven
+through its per-row path (``load`` = one ``Table.put`` per row, the fallback
+``bulk_load`` itself uses for non-empty tables), which builds every record up
+front.  Random operation
 sequences must leave both engines answering every question identically, and
 must never mutate the mapping that was handed to ``bulk_load``.
 """
@@ -18,7 +19,7 @@ from repro import protocol
 from repro.sim import Environment
 from repro.sim.network import Network
 from repro.storage.datasource import DataSource, DataSourceConfig
-from repro.storage.engine import StorageEngine
+from repro.storage.engine import SharedRows, StorageEngine
 
 TABLES = ("t", "u")
 KEYS = st.integers(min_value=0, max_value=11)
@@ -26,8 +27,13 @@ VALUES = st.one_of(st.integers(-3, 3), st.fixed_dictionaries({"f": st.integers(0
 TXNS = st.sampled_from(["x1", "x2", "x3"])
 TABLE = st.sampled_from(TABLES)
 
+ROWS = st.one_of(
+    st.dictionaries(KEYS, VALUES, max_size=8),
+    st.builds(SharedRows, st.builds(range, st.integers(0, 4), st.integers(0, 12),
+                                    st.integers(1, 3)), VALUES))
+
 OPS = st.one_of(
-    st.tuples(st.just("bulk_load"), TABLE, st.dictionaries(KEYS, VALUES, max_size=8)),
+    st.tuples(st.just("bulk_load"), TABLE, ROWS),
     st.tuples(st.just("get"), TABLE, KEYS),
     st.tuples(st.just("put"), TABLE, KEYS, VALUES),
     st.tuples(st.just("kv_put_if_version"), TABLE, KEYS, VALUES, st.integers(0, 3)),
