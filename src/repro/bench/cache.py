@@ -163,8 +163,9 @@ def source_fingerprint() -> str:
 class SweepCache:
     """Directory-backed store of executed sweep points.
 
-    One instance serves one sweep run (the hit/miss/invalidation counters are
-    per-run statistics, reported in the CLI JSON).  All filesystem access
+    The hit/miss/invalidation counters cover the instance's whole life (the
+    CLI JSON reports them); :class:`~repro.bench.parallel.SweepRunner` reports
+    each sweep's own share on its result.  All filesystem access
     happens in the coordinating process — worker processes never see the
     cache — so no cross-process locking is needed.
     """

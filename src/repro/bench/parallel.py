@@ -23,7 +23,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.bench.cache import SweepCache
 from repro.bench.runner import ExperimentSummary, run_experiment
@@ -69,8 +69,8 @@ class SweepResult:
     workers: int = 1
     #: Sweep-cache accounting of this run (all zero without a cache): points
     #: served from cache, points actually simulated, and stale/corrupt
-    #: entries that were discarded.  ``hits + misses == len(results)`` when a
-    #: resume consulted the cache.
+    #: entries that were discarded.  ``hits + misses == len(results)``
+    #: whenever a cache is attached, however many sweeps the runner ran.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
@@ -144,6 +144,7 @@ class SweepRunner:
         """
         points = sweep.points()
         started = time.perf_counter()
+        before = self._cache_counts()
         cached: List[PointResult] = []
         pending = points
         if self.resume:
@@ -156,29 +157,28 @@ class SweepRunner:
                 else:
                     pending.append(point)
         if self.max_workers <= 1 or len(pending) <= 1:
-            # Cache-less runs keep the exact pre-cache call shape: no wrapper
-            # frame in the hot path (the perf profiles pin the kernel frames
-            # in their top rows, and an extra near-total-cumtime frame would
-            # displace one).
-            if self.cache is None:
-                computed = [run_sweep_point(p) for p in pending]
-            else:
-                computed = [self._run_and_store(sweep.name, p)
-                            for p in pending]
+            computed = [self._store(sweep.name, p, run_sweep_point(p))
+                        for p in pending]
             used_workers = 1
         else:
             computed, used_workers = self._run_parallel(sweep.name, pending)
-        cache_stats = self.cache.stats() if self.cache is not None else {}
+        # The cache's counters run over its whole life: report this run's share.
+        hits, misses, invalidations = (
+            now - then for now, then in zip(self._cache_counts(), before))
         return SweepResult(sweep_name=sweep.name, results=cached + computed,
                            wall_clock_s=time.perf_counter() - started,
-                           workers=used_workers,
-                           cache_hits=cache_stats.get("hits", 0),
-                           cache_misses=cache_stats.get("misses", 0),
-                           cache_invalidations=cache_stats.get(
-                               "invalidations", 0))
+                           workers=used_workers, cache_hits=hits,
+                           cache_misses=misses, cache_invalidations=invalidations)
 
-    def _run_and_store(self, sweep_name: str, point: SweepPoint) -> PointResult:
-        result = run_sweep_point(point)
+    def _cache_counts(self) -> Tuple[int, int, int]:
+        cache = self.cache
+        if cache is None:
+            return 0, 0, 0
+        return cache.hits, cache.misses, cache.invalidations
+
+    def _store(self, sweep_name: str, point: SweepPoint,
+               result: PointResult) -> PointResult:
+        """Persist one simulated point, if a cache is attached."""
         if self.cache is not None:
             # Points not routed through lookup() (cache attached without
             # --resume) still count as misses: they were simulated.
@@ -200,15 +200,11 @@ class SweepRunner:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(run_sweep_point, point) for point in points]
                 for future in as_completed(futures):
+                    # Persist as results arrive, not at sweep end: a killed
+                    # run keeps every finished point.
                     result = future.result()
-                    if self.cache is not None:
-                        # Persist as results arrive, not at sweep end: a
-                        # killed run keeps every finished point.
-                        if not self.resume:
-                            self.cache.misses += 1
-                        self.cache.store(sweep_name, by_index[result.index],
-                                         result)
-                    completed.append(result)
+                    completed.append(self._store(
+                        sweep_name, by_index[result.index], result))
             return completed, workers
         except (BrokenProcessPool, OSError, PermissionError) as exc:
             if completed:
@@ -218,5 +214,5 @@ class SweepRunner:
                 raise
             warnings.warn(f"process pool unavailable ({exc!r}); "
                           f"falling back to serial execution", RuntimeWarning)
-            return [self._run_and_store(sweep_name, point)
+            return [self._store(sweep_name, point, run_sweep_point(point))
                     for point in points], 1

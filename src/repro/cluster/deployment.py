@@ -14,7 +14,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.topology import MiddlewareSpec, TopologyConfig
@@ -113,18 +113,14 @@ def build_cluster(system: str, topology: TopologyConfig, partitioner: Partitione
     datasources = _build_datasources(env, network, topology)
     agents: Dict[str, GeoAgent] = {}
     if plugin.needs_agents:
-        agents = _build_agents(env, network, topology, geotp_config)
+        agents = _build_agents(env, network, topology)
 
     middlewares: List[MiddlewareBase] = []
     for index, dm_spec in enumerate(topology.middlewares):
         _wire_middleware_links(network, topology, dm_spec, plugin, agents)
         participants = _participant_handles(topology, agents)
-        config = middleware_config or MiddlewareConfig()
-        config = MiddlewareConfig(
-            name=dm_spec.name, analysis_cost_ms=config.analysis_cost_ms,
-            log_flush_cost_ms=config.log_flush_cost_ms,
-            request_overhead_ms=config.request_overhead_ms,
-            connection_pool_capacity=config.connection_pool_capacity)
+        config = replace(middleware_config or MiddlewareConfig(),
+                         name=dm_spec.name)
         middleware = plugin.build(BuildContext(
             env=env, network=network, middleware_config=config,
             participants=participants, partitioner=partitioner,
@@ -154,14 +150,12 @@ def _agent_name(node_name: str) -> str:
     return f"agent-{node_name}"
 
 
-def _build_agents(env: Environment, network: Network, topology: TopologyConfig,
-                  geotp_config: Optional[GeoTPConfig]) -> Dict[str, GeoAgent]:
-    geotp_config = geotp_config or GeoTPConfig()
+def _build_agents(env: Environment, network: Network,
+                  topology: TopologyConfig) -> Dict[str, GeoAgent]:
     agents = {}
     for node in topology.data_nodes:
         agent = GeoAgent(env, network, GeoAgentConfig(
-            name=_agent_name(node.name), datasource=node.name,
-            enable_early_abort=geotp_config.enable_early_abort))
+            name=_agent_name(node.name), datasource=node.name))
         agents[node.name] = agent
         network.set_link(agent.name, node.name,
                          ConstantLatency(topology.lan_rtt_ms))

@@ -9,17 +9,19 @@ multi-middleware experiment (Figure 15) passes ``["beijing", "london"]``
 (the second middleware co-located with the London data node), a fleet of K
 co-located coordinators passes ``["beijing"] * K``.
 
-A :class:`TopologyConfig` captures data nodes (with region and SQL dialect),
-middlewares (with per-node RTT overrides or latency models) and cluster-wide
-settings such as the LAN RTT between a geo-agent and its data source.
+A :class:`TopologyConfig` captures data nodes (with region, SQL dialect and an
+optional explicit link to the first middleware), middlewares (name and region)
+and cluster-wide settings such as the LAN RTT between a geo-agent and its data
+source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.storage.lock_manager import LOCK_WAIT_TIMEOUT_MS
 
 #: Round-trip times (ms) between the regions used in the paper, measured from
 #: public cloud latency tables; exact values only matter for the inter-agent
@@ -68,10 +70,6 @@ class MiddlewareSpec:
 
     name: str = "dm"
     region: str = "beijing"
-    #: Per-data-node RTT overrides (ms).
-    rtt_overrides: Dict[str, float] = field(default_factory=dict)
-    #: Per-data-node latency models (override everything else).
-    latency_models: Dict[str, LatencyModel] = field(default_factory=dict)
 
 
 @dataclass
@@ -82,7 +80,7 @@ class TopologyConfig:
     middlewares: List[MiddlewareSpec] = field(default_factory=lambda: [MiddlewareSpec()])
     #: Geo-agent <-> data source round trip.
     lan_rtt_ms: float = 0.5
-    lock_wait_timeout_ms: float = 5000.0
+    lock_wait_timeout_ms: float = LOCK_WAIT_TIMEOUT_MS
 
     def __post_init__(self) -> None:
         if not self.data_nodes:
@@ -114,10 +112,6 @@ class TopologyConfig:
     def middleware_link_model(self, middleware: MiddlewareSpec,
                               node: DataNodeSpec) -> LatencyModel:
         """Latency model of the link between a middleware and a data node."""
-        if node.name in middleware.latency_models:
-            return middleware.latency_models[node.name]
-        if node.name in middleware.rtt_overrides:
-            return ConstantLatency(middleware.rtt_overrides[node.name])
         if middleware is self.middlewares[0]:
             if node.latency_model is not None:
                 return node.latency_model
@@ -139,8 +133,8 @@ class TopologyConfig:
 
     # -------------------------------------------------------------- factories
     @classmethod
-    def paper_default(cls, num_nodes: int = 4, dialects: Optional[Sequence[str]] = None,
-                      lock_wait_timeout_ms: float = 5000.0) -> "TopologyConfig":
+    def paper_default(cls, num_nodes: int = 4,
+                      dialects: Optional[Sequence[str]] = None) -> "TopologyConfig":
         """The paper's default deployment: Beijing / Shanghai / Singapore / London."""
         if not 1 <= num_nodes <= len(PAPER_REGIONS):
             raise ValueError(f"num_nodes must be between 1 and {len(PAPER_REGIONS)}")
@@ -150,12 +144,11 @@ class TopologyConfig:
             dialect = dialects[index] if index < len(dialects) else "mysql"
             nodes.append(DataNodeSpec(name=f"ds{index}", region=PAPER_REGIONS[index],
                                       dialect=dialect))
-        return cls(data_nodes=nodes, middlewares=[MiddlewareSpec(region="beijing")],
-                   lock_wait_timeout_ms=lock_wait_timeout_ms)
+        return cls(data_nodes=nodes, middlewares=[MiddlewareSpec(region="beijing")])
 
     @classmethod
-    def from_rtts(cls, rtts_ms: Sequence[float], dialects: Optional[Sequence[str]] = None,
-                  lock_wait_timeout_ms: float = 5000.0) -> "TopologyConfig":
+    def from_rtts(cls, rtts_ms: Sequence[float],
+                  dialects: Optional[Sequence[str]] = None) -> "TopologyConfig":
         """A synthetic topology with explicit middleware RTTs per node."""
         if not rtts_ms:
             raise ValueError("at least one RTT is required")
@@ -165,25 +158,21 @@ class TopologyConfig:
             dialect = dialects[index] if index < len(dialects) else "mysql"
             nodes.append(DataNodeSpec(name=f"ds{index}", region=f"region{index}",
                                       dialect=dialect, rtt_to_dm_ms=float(rtt)))
-        return cls(data_nodes=nodes, middlewares=[MiddlewareSpec()],
-                   lock_wait_timeout_ms=lock_wait_timeout_ms)
+        return cls(data_nodes=nodes, middlewares=[MiddlewareSpec()])
 
     @classmethod
-    def from_latency_models(cls, models: Sequence[LatencyModel],
-                            lock_wait_timeout_ms: float = 5000.0) -> "TopologyConfig":
+    def from_latency_models(cls, models: Sequence[LatencyModel]) -> "TopologyConfig":
         """A synthetic topology with a full latency model per node (Figs. 10–11)."""
         if not models:
             raise ValueError("at least one latency model is required")
         nodes = [DataNodeSpec(name=f"ds{index}", region=f"region{index}",
                               latency_model=model)
                  for index, model in enumerate(models)]
-        return cls(data_nodes=nodes, middlewares=[MiddlewareSpec()],
-                   lock_wait_timeout_ms=lock_wait_timeout_ms)
+        return cls(data_nodes=nodes, middlewares=[MiddlewareSpec()])
 
     @classmethod
-    def multi_middleware(cls, regions: Sequence[str], num_nodes: int = 4,
-                         lock_wait_timeout_ms: float = 5000.0,
-                         ) -> "TopologyConfig":
+    def multi_middleware(cls, regions: Sequence[str],
+                         num_nodes: int = 4) -> "TopologyConfig":
         """``len(regions)`` middlewares over the paper's data nodes.
 
         Middleware ``dm{i+1}`` sits in ``regions[i]``: ``["beijing",
@@ -193,5 +182,4 @@ class TopologyConfig:
         return cls(
             data_nodes=cls.paper_default(num_nodes=num_nodes).data_nodes,
             middlewares=[MiddlewareSpec(name=f"dm{index + 1}", region=region)
-                         for index, region in enumerate(regions)],
-            lock_wait_timeout_ms=lock_wait_timeout_ms)
+                         for index, region in enumerate(regions)])

@@ -38,7 +38,6 @@ class AbortReason(enum.Enum):
     """Why a transaction aborted (used for abort-rate breakdowns)."""
 
     LOCK_TIMEOUT = "lock_timeout"
-    DEADLOCK = "deadlock"
     ADMISSION_BLOCKED = "admission_blocked"
     PEER_ABORT = "peer_abort"
     PREPARE_FAILED = "prepare_failed"

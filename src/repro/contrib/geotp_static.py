@@ -48,9 +48,7 @@ class GeoTPStaticCoordinator(GeoTPCoordinator):
 
 def _build(ctx: BuildContext) -> GeoTPStaticCoordinator:
     base = ctx.geotp_config or GeoTPConfig()
-    frozen = replace(base,
-                     enable_high_contention_optimization=False,
-                     enable_active_probing=False)
+    frozen = replace(base, enable_high_contention_optimization=False)
     return GeoTPStaticCoordinator(ctx.env, ctx.network, ctx.middleware_config,
                                   ctx.participants, ctx.partitioner,
                                   geotp_config=frozen, rng=SeededRNG(ctx.seed))

@@ -1,8 +1,9 @@
 """Configuration of the GeoTP optimizations.
 
-The three switches mirror the paper's ablation (Figure 12):
+The paper's ablation (Figure 12) adds the optimizations in order:
 
-* ``O1`` — decentralized prepare + early abort (§IV-A);
+* ``O1`` — decentralized prepare + early abort (§IV-A).  Every GeoTP variant
+  runs it, so it is GeoTP's protocol rather than a switch;
 * ``O2`` — latency-aware scheduling of subtransaction start times (§IV-B);
 * ``O3`` — high-contention optimizations: hotspot statistics, local execution
   latency forecasting and late transaction scheduling (§IV-C).
@@ -10,17 +11,13 @@ The three switches mirror the paper's ablation (Figure 12):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass
 class GeoTPConfig:
     """Tunable knobs of the GeoTP coordinator."""
 
-    #: O1: initiate the prepare phase from the geo-agent after the last statement.
-    enable_decentralized_prepare: bool = True
-    #: O1 companion: geo-agents proactively notify peers on abort.
-    enable_early_abort: bool = True
     #: O2: postpone subtransaction dispatch according to per-link latency.
     enable_latency_aware_scheduling: bool = True
     #: O3: hotspot statistics + forecasting + late transaction scheduling.
@@ -32,8 +29,6 @@ class GeoTPConfig:
     #: simulation defaults to a coarser probe and also learns passively from
     #: every observed round trip).
     probe_interval_ms: float = 1000.0
-    #: Enable the active probing process in addition to passive measurements.
-    enable_active_probing: bool = False
 
     #: Weighted-average coefficient alpha of Eq. (4).
     hotspot_alpha: float = 0.7
@@ -59,33 +54,17 @@ class GeoTPConfig:
     #: probability is below this threshold... kept at 1.0 to follow Alg. 2.
     admission_threshold: float = 1.0
 
-    #: Round-trip time between a geo-agent and its co-located data source.
-    lan_rtt_ms: float = 0.5
-
     def ablation_o1(self) -> "GeoTPConfig":
         """GeoTP(O1): decentralized prepare only."""
-        return GeoTPConfig(
-            enable_decentralized_prepare=True,
-            enable_early_abort=True,
-            enable_latency_aware_scheduling=False,
-            enable_high_contention_optimization=False,
-            ewma_alpha=self.ewma_alpha,
-            hotspot_alpha=self.hotspot_alpha,
-            hotspot_capacity=self.hotspot_capacity,
-            forecast_scale=self.forecast_scale,
-            admission_max_retries=self.admission_max_retries,
-            admission_backoff_ms=self.admission_backoff_ms,
-            lan_rtt_ms=self.lan_rtt_ms,
-        )
+        return replace(self, enable_latency_aware_scheduling=False,
+                       enable_high_contention_optimization=False)
 
     def ablation_o1_o2(self) -> "GeoTPConfig":
         """GeoTP(O1~O2): decentralized prepare + latency-aware scheduling."""
-        config = self.ablation_o1()
-        config.enable_latency_aware_scheduling = True
-        return config
+        return replace(self, enable_latency_aware_scheduling=True,
+                       enable_high_contention_optimization=False)
 
     def ablation_o1_o3(self) -> "GeoTPConfig":
         """GeoTP(O1~O3): all optimizations (the full system)."""
-        config = self.ablation_o1_o2()
-        config.enable_high_contention_optimization = True
-        return config
+        return replace(self, enable_latency_aware_scheduling=True,
+                       enable_high_contention_optimization=True)

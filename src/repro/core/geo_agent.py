@@ -37,7 +37,6 @@ class GeoAgentConfig:
     datasource: str
     #: Extra processing cost per forwarded message (encode/decode, Fig. 6c "Others").
     forward_overhead_ms: float = 0.1
-    enable_early_abort: bool = True
     #: How many global-txn-id -> branch-xid mappings (and poisoned ids) the
     #: agent remembers.  The mappings only matter while a transaction is in
     #: flight — a peer rollback for an id nobody remembers is simply re-poisoned
@@ -45,7 +44,7 @@ class GeoAgentConfig:
     #: through one agent.  Without it the agent's bookkeeping grows by two
     #: strings per distributed transaction forever, which open-system runs at
     #: 10⁶+ transactions turn into hundreds of megabytes.
-    xid_retention: Optional[int] = 4_096
+    xid_retention: int = 4_096
 
 
 #: Verbs forwarded verbatim to the co-located data source.
@@ -148,7 +147,6 @@ class GeoAgent:
         coordinator = payload.get("coordinator", message.sender)
         peers = payload.get("peers", ())
         is_last = bool(payload.get("is_last", False))
-        decentralized = bool(payload.get("decentralized_prepare", False))
         self.stats.executes += 1
         self._remember_xid(global_txn_id, xid)
 
@@ -180,7 +178,7 @@ class GeoAgent:
         if message.reply_event is not None:
             self.net.reply(message, result)
 
-        if is_last and decentralized:
+        if is_last:
             yield from self._async_prepare(global_txn_id, xid, peers, coordinator)
 
     def _on_agent_prepare(self, message: Message):
@@ -224,14 +222,13 @@ class GeoAgent:
     # ------------------------------------------------ Algorithm 1: AsyncRollback
     def _async_rollback(self, global_txn_id: str, xid: str, peers, coordinator: str,
                         already_aborted: bool = False):
-        if self.config.enable_early_abort:
-            for peer in peers:
-                if peer == self.name:
-                    continue
-                self.stats.early_abort_notifications += 1
-                self.net.send(peer, protocol.MSG_PEER_ROLLBACK,
-                              {"global_txn_id": global_txn_id,
-                               "coordinator": coordinator})
+        for peer in peers:
+            if peer == self.name:
+                continue
+            self.stats.early_abort_notifications += 1
+            self.net.send(peer, protocol.MSG_PEER_ROLLBACK,
+                          {"global_txn_id": global_txn_id,
+                           "coordinator": coordinator})
         if not already_aborted:
             yield self.net.request(self.datasource, protocol.MSG_XA_ROLLBACK,
                                    {"xid": xid})
@@ -279,8 +276,6 @@ class GeoAgent:
         the rollback had arrived before the execute.
         """
         retention = self.config.xid_retention
-        if retention is None:
-            return
         order = self._xid_order
         order.append(global_txn_id)
         while len(order) > retention:

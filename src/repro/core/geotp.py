@@ -82,7 +82,7 @@ class _VoteBox:
 
 
 class GeoTPCoordinator(TwoPhaseCommitCoordinator):
-    """GeoTP middleware coordinator (O1 + O2 + O3, individually switchable)."""
+    """GeoTP middleware coordinator: O1 always, O2 and O3 individually switchable."""
 
     system_name = "GeoTP"
 
@@ -177,7 +177,6 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
         # statement (the workloads annotate it explicitly; the middleware
         # also knows it is final because the client submitted the spec).
         payload["is_last"] = is_final_round
-        payload["decentralized_prepare"] = self.geotp.enable_decentralized_prepare
         return payload
 
     def _peers(self, ctx: TransactionContext, participant: str) -> List[str]:
@@ -206,13 +205,12 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
                  delays: Dict[str, float], is_final_round: bool,
                  verb: str = protocol.MSG_EXECUTE) -> Event:
         """Under O1 a round travels through the geo-agents (``agent_execute``)."""
-        if self.geotp.enable_decentralized_prepare:
-            verb = protocol.MSG_AGENT_EXECUTE
-            self._vote_box(ctx)  # the box must exist before any vote can arrive
-            if is_final_round:
-                self._notify_unplanned_participants(
-                    ctx, {plan.datasource for plan in plans})
-        return super()._fan_out(ctx, plans, delays, is_final_round, verb)
+        self._vote_box(ctx)  # the box must exist before any vote can arrive
+        if is_final_round:
+            self._notify_unplanned_participants(
+                ctx, {plan.datasource for plan in plans})
+        return super()._fan_out(ctx, plans, delays, is_final_round,
+                                protocol.MSG_AGENT_EXECUTE)
 
     def _notify_unplanned_participants(self, ctx: TransactionContext,
                                        planned: Set[str]) -> None:
@@ -230,9 +228,6 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
     # ------------------------------------------------------------------- commit
     def _commit_distributed(self, ctx: TransactionContext):
         """O1: wait for the decentralized prepare votes, then one commit round trip."""
-        if not self.geotp.enable_decentralized_prepare:
-            return (yield from super()._commit_distributed(ctx))
-
         box = self._vote_box(ctx)
         waits = [box.wait_for(name, _TERMINAL_STATES) for name in ctx.participants]
         condition = yield self.env.all_of(waits)
@@ -249,10 +244,7 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
 
     def _abort_all(self, ctx: TransactionContext):
         """Early abort (O1): the agents already aborted each other; await confirmation."""
-        early_abort_active = (self.geotp.enable_decentralized_prepare
-                              and self.geotp.enable_early_abort
-                              and len(ctx.participants) > 1)
-        if not early_abort_active:
+        if len(ctx.participants) <= 1:
             return (yield from super()._abort_all(ctx))
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
         yield from self._flush_decision_log(ctx, commit=False)

@@ -2,13 +2,14 @@
 
 This models the record-level locking behaviour of MySQL/InnoDB and PostgreSQL
 that GeoTP's scheduling reasons about: shared/exclusive locks, FIFO wait
-queues, lock-wait timeouts (``innodb_lock_wait_timeout`` is 5 s in the paper's
-setup) and an optional wait-for-graph deadlock detector.
+queues and lock-wait timeouts (``innodb_lock_wait_timeout`` is 5 s in the
+paper's setup).  There is no deadlock detector: as in the paper's setup, a
+cyclic wait ends when one of its waits times out.
 
 The manager is written against the simulation engine: :meth:`LockManager.acquire`
 returns an event that the data-source process yields on; the event fires with
 the grant once the lock is available, or fails with :class:`LockTimeoutError`
-(or :class:`DeadlockError`) otherwise.
+otherwise.
 
 :class:`LockRequest` and :class:`_LockEntry` are plain slotted classes:
 requests compare by identity, since each carries a unique :class:`Event`.
@@ -21,6 +22,11 @@ from typing import Dict, Hashable, List, Optional, Set
 
 from .environment import Environment, WheelTimer
 from .events import PENDING, Event
+
+
+#: The lock-wait timeout unless a topology sets its own: the paper configures
+#: ``innodb_lock_wait_timeout`` = 5 s on MySQL and PostgreSQL alike.
+LOCK_WAIT_TIMEOUT_MS = 5000.0
 
 
 class LockMode(enum.Enum):
@@ -38,15 +44,6 @@ class LockTimeoutError(Exception):
         self.txn_id = txn_id
         self.key = key
         self.waited_ms = waited_ms
-
-
-class DeadlockError(Exception):
-    """The deadlock detector chose this transaction as a victim."""
-
-    def __init__(self, txn_id: str, cycle: List[str]):
-        super().__init__(f"txn {txn_id} aborted to break deadlock cycle {cycle}")
-        self.txn_id = txn_id
-        self.cycle = cycle
 
 
 def _compatible(held: LockMode, requested: LockMode) -> bool:
@@ -89,8 +86,7 @@ class LockRequest:
 class _LockEntry:
     """Per-record lock state: current holders and the FIFO wait queue.
 
-    ``holders`` is in grant order (a plain dict keeps insertion order), which
-    the deadlock search relies on.
+    ``holders`` is in grant order (a plain dict keeps insertion order).
     """
 
     __slots__ = ("holders", "queue")
@@ -101,7 +97,11 @@ class _LockEntry:
 
 
 class LockStats:
-    """Counters describing lock manager activity."""
+    """Counters describing lock manager activity.
+
+    ``deadlocks`` is always 0 (there is no deadlock detector); it stays for
+    readers that still sum it.
+    """
 
     __slots__ = ("acquisitions", "waits", "timeouts", "deadlocks",
                  "total_wait_ms")
@@ -117,15 +117,13 @@ class LockStats:
 class LockManager:
     """Record-level strict 2PL with FIFO waiting and timeout-based abort."""
 
-    __slots__ = ("env", "lock_wait_timeout_ms", "enable_deadlock_detection",
-                 "_locks", "_held_by_txn", "_pending_by_txn", "stats",
-                 "_granted")
+    __slots__ = ("env", "lock_wait_timeout_ms", "_locks", "_held_by_txn",
+                 "_pending_by_txn", "stats", "_granted")
 
-    def __init__(self, env: Environment, lock_wait_timeout_ms: float = 5000.0,
-                 enable_deadlock_detection: bool = False):
+    def __init__(self, env: Environment,
+                 lock_wait_timeout_ms: float = LOCK_WAIT_TIMEOUT_MS):
         self.env = env
         self.lock_wait_timeout_ms = lock_wait_timeout_ms
-        self.enable_deadlock_detection = enable_deadlock_detection
         self._locks: Dict[Hashable, _LockEntry] = {}
         # Keys per transaction in *acquisition order*, each with its lock
         # entry (which stays in ``_locks`` for as long as it has a holder), so
@@ -171,8 +169,8 @@ class LockManager:
                 timeout_ms: Optional[float] = None) -> Event:
         """Request a lock; the returned event fires when granted or fails.
 
-        The event's value is the wait time in milliseconds.  Failure modes are
-        :class:`LockTimeoutError` and :class:`DeadlockError`.
+        The event's value is the wait time in milliseconds.  A wait that
+        outlasts the timeout fails with :class:`LockTimeoutError`.
 
         A lock that can be granted at once (a free record — the overwhelmingly
         common case — a compatible share, a re-entrant request) is granted in
@@ -204,16 +202,6 @@ class LockManager:
                               event=Event(self.env), requested_at=self.env.now)
         self.stats.waits += 1
         entry.queue.append(request)
-
-        if self.enable_deadlock_detection:
-            victim_cycle = self._find_cycle_from(txn_id)
-            if victim_cycle:
-                self.stats.deadlocks += 1
-                entry.queue.remove(request)
-                request.event.defused = True
-                request.event.fail(DeadlockError(txn_id, victim_cycle))
-                return request.event
-
         self._pending_by_txn.setdefault(txn_id, []).append(request)
 
         if timeout_ms != float("inf"):
@@ -335,45 +323,3 @@ class LockManager:
                 entry.queue.pop(0)
                 self._grant(entry, head)
                 progressed = True
-
-    # ------------------------------------------------------- deadlock detection
-    def _wait_for_edges(self) -> Dict[str, Dict[str, None]]:
-        """Ordered ``waiter -> holders`` edges of the current wait-for graph.
-
-        Holders are listed in lock-grant order (never hash order), so the
-        deadlock search below visits them deterministically across processes.
-        """
-        graph: Dict[str, Dict[str, None]] = {}
-        for entry in self._locks.values():
-            for request in entry.queue:
-                blockers = graph.setdefault(request.txn_id, {})
-                for holder in entry.holders:
-                    if holder != request.txn_id:
-                        blockers[holder] = None
-        return {waiter: blockers for waiter, blockers in graph.items() if blockers}
-
-    def wait_for_graph(self) -> Dict[str, Set[str]]:
-        """Edges ``waiter -> holder`` of the current wait-for graph."""
-        return {waiter: set(blockers)
-                for waiter, blockers in self._wait_for_edges().items()}
-
-    def _find_cycle_from(self, start: str) -> Optional[List[str]]:
-        graph = self._wait_for_edges()
-        path: List[str] = []
-        visited: Set[str] = set()
-
-        def visit(node: str) -> Optional[List[str]]:
-            if node in path:
-                return path[path.index(node):] + [node]
-            if node in visited:
-                return None
-            visited.add(node)
-            path.append(node)
-            for neighbour in graph.get(node, ()):
-                cycle = visit(neighbour)
-                if cycle:
-                    return cycle
-            path.pop()
-            return None
-
-        return visit(start)

@@ -15,7 +15,6 @@ from repro.storage.dialects import Dialect, MySQLDialect, PostgreSQLDialect
 from repro.storage.datasource import DataSource, DataSourceConfig
 from repro.storage.engine import SharedRows, StorageEngine, Table
 from repro.storage.lock_manager import (
-    DeadlockError,
     LockManager,
     LockMode,
     LockTimeoutError,
@@ -27,7 +26,6 @@ from repro.storage.wal import LogRecordType, WALRecord, WriteAheadLog
 __all__ = [
     "DataSource",
     "DataSourceConfig",
-    "DeadlockError",
     "Dialect",
     "LocalTransaction",
     "LockManager",

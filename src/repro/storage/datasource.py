@@ -28,7 +28,7 @@ from repro.sim.network import Message, Network, NetworkInterface
 from repro.storage.dialects import Dialect, MySQLDialect
 from repro.storage.engine import StorageEngine
 from repro.storage.lock_manager import (
-    DeadlockError,
+    LOCK_WAIT_TIMEOUT_MS,
     LockManager,
     LockMode,
     LockTimeoutError,
@@ -44,17 +44,16 @@ class DataSourceConfig:
     name: str
     dialect: Dialect = field(default_factory=MySQLDialect)
     #: Lock-wait timeout; the paper configures 5 s on MySQL/PostgreSQL.
-    lock_wait_timeout_ms: float = 5000.0
+    lock_wait_timeout_ms: float = LOCK_WAIT_TIMEOUT_MS
     #: Extra fixed cost charged per request for parsing / session handling.
     request_overhead_ms: float = 0.1
-    enable_deadlock_detection: bool = False
     #: How many *finished* (committed/aborted) branches stay queryable for
     #: idempotent decision re-delivery and ``txn_state`` probes before being
     #: evicted, oldest first.  Unfinished and PREPARED branches are never
-    #: evicted.  ``None`` retains everything (pre-eviction behaviour); the
-    #: default keeps memory O(1) over unbounded open-system runs while still
-    #: covering every idempotent-retry window by orders of magnitude.
-    finished_txn_retention: Optional[int] = 512
+    #: evicted.  The cap keeps memory O(1) over unbounded open-system runs
+    #: while still covering every idempotent-retry window by orders of
+    #: magnitude.
+    finished_txn_retention: int = 512
 
 
 class DataSourceStats:
@@ -82,10 +81,7 @@ class DataSource:
         self.dialect = config.dialect
         self.engine = StorageEngine(name=config.name)
         self.lock_manager = LockManager(
-            env,
-            lock_wait_timeout_ms=config.lock_wait_timeout_ms,
-            enable_deadlock_detection=config.enable_deadlock_detection,
-        )
+            env, lock_wait_timeout_ms=config.lock_wait_timeout_ms)
         self.wal = WriteAheadLog(flush_cost_ms=self.dialect.prepare_cost_ms)
         self.net: NetworkInterface = network.interface(config.name)
         self.stats = DataSourceStats()
@@ -231,18 +227,16 @@ class DataSource:
                 # Only a lock that actually waits suspends the batch.
                 try:
                     yield lock_event
-                except (LockTimeoutError, DeadlockError) as exc:
+                except LockTimeoutError as exc:
                     # Thrown in here, the exception gained a traceback that
                     # holds this frame, whose ``lock_event`` holds the
                     # exception: drop the traceback, or every timeout leaves
                     # a cycle behind.
                     exc.__traceback__ = None
-                    reason = (AbortReason.DEADLOCK if isinstance(exc, DeadlockError)
-                              else AbortReason.LOCK_TIMEOUT)
                     if not txn.is_finished:
                         yield from self._abort_locally(txn)
                     self._reply_failed(message, xid, results, started,
-                                       str(exc), reason)
+                                       str(exc), AbortReason.LOCK_TIMEOUT)
                     return
             if txn.first_lock_at is None:
                 txn.first_lock_at = env.now
@@ -408,8 +402,6 @@ class DataSource:
         branches are ever evicted, so recovery's PREPARED scan is unaffected.
         """
         retention = self.config.finished_txn_retention
-        if retention is None:
-            return
         finished = self._finished_xids
         finished.append(txn.xid)
         while len(finished) > retention:

@@ -3,12 +3,12 @@
 The implementation lives in the simulation kernel,
 :mod:`repro.sim._kernel.locks`, because its grant/release/wheel-timer paths run
 once per record access and are part of the simulator's hot loop.  See that
-module for the design notes on lock compatibility, FIFO hand-off, wheel-timer
-timeouts and the wait-for-graph deadlock detector.
+module for the design notes on lock compatibility, FIFO hand-off and
+wheel-timer timeouts.
 """
 
 from repro.sim._kernel.locks import (
-    DeadlockError,
+    LOCK_WAIT_TIMEOUT_MS,
     LockManager,
     LockMode,
     LockRequest,
@@ -17,7 +17,7 @@ from repro.sim._kernel.locks import (
 )
 
 __all__ = [
-    "DeadlockError",
+    "LOCK_WAIT_TIMEOUT_MS",
     "LockManager",
     "LockMode",
     "LockRequest",

@@ -59,9 +59,9 @@ class WriteAheadLog:
     """Append-only durable log with a fixed flush latency and checkpointing."""
 
     def __init__(self, flush_cost_ms: float = 1.0,
-                 checkpoint_records: Optional[int] = DEFAULT_CHECKPOINT_RECORDS):
-        if checkpoint_records is not None and checkpoint_records < 1:
-            raise ValueError("checkpoint_records must be >= 1 (or None)")
+                 checkpoint_records: int = DEFAULT_CHECKPOINT_RECORDS):
+        if checkpoint_records < 1:
+            raise ValueError("checkpoint_records must be >= 1")
         self.flush_cost_ms = flush_cost_ms
         self.checkpoint_records = checkpoint_records
         self.checkpoints = 0
@@ -79,8 +79,7 @@ class WriteAheadLog:
         record = WALRecord(record_type, xid, timestamp,
                            _NO_PAYLOAD if payload is None else payload)
         self._records.append(record)
-        if (self.checkpoint_records is not None
-                and len(self._records) >= 2 * self.checkpoint_records):
+        if len(self._records) >= 2 * self.checkpoint_records:
             self.checkpoint()
         return record
 
@@ -95,8 +94,7 @@ class WriteAheadLog:
         so checkpointing can never perturb a run.
         """
         records = self._records
-        horizon = (len(records) - self.checkpoint_records
-                   if self.checkpoint_records is not None else 0)
+        horizon = len(records) - self.checkpoint_records
         if horizon <= 0:
             return 0
         decided = {r.xid for r in records

@@ -260,6 +260,15 @@ def test_cache_without_resume_records_but_never_reads(tmp_path):
     assert len(list((tmp_path / "smoke").glob("*.pkl"))) == len(result)
 
 
+def test_a_runner_reports_each_sweeps_own_cache_counts(tmp_path):
+    runner = SweepRunner(cache=SweepCache(tmp_path), resume=True)
+    first = runner.run(smoke_sweep())
+    second = runner.run(smoke_sweep())
+    assert (first.cache_hits, first.cache_misses) == (0, len(first))
+    assert (second.cache_hits, second.cache_misses) == (len(second), 0)
+    assert second.cache_invalidations == 0
+
+
 def test_fully_cached_resume_simulates_nothing(tmp_path):
     SweepRunner(cache=SweepCache(tmp_path)).run(smoke_sweep())
     result = SweepRunner(cache=SweepCache(tmp_path),

@@ -1,10 +1,12 @@
 """Unit tests for topologies and cluster deployment."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import TopologyConfig, build_cluster, region_rtt_ms
 from repro.cluster.topology import DataNodeSpec, MiddlewareSpec
-from repro.middleware import ModuloPartitioner
+from repro.middleware import MiddlewareConfig, ModuloPartitioner
 from repro.sim import JitterLatency
 
 
@@ -85,12 +87,34 @@ def test_cluster_middleware_named_lookup():
         cluster.middleware_named("dm9")
 
 
-def test_rtt_overrides_take_precedence():
+def test_node_link_overrides_apply_to_the_first_middleware_only():
+    model = JitterLatency(40, std_ms=5)
     topology = TopologyConfig(
-        data_nodes=[DataNodeSpec(name="ds0", region="beijing", rtt_to_dm_ms=40.0)],
-        middlewares=[MiddlewareSpec(rtt_overrides={"ds0": 5.0})])
-    dm = topology.middlewares[0]
-    assert topology.middleware_link_model(dm, topology.data_nodes[0]).rtt_at(0) == 5.0
+        data_nodes=[DataNodeSpec(name="ds0", region="london", rtt_to_dm_ms=40.0),
+                    DataNodeSpec(name="ds1", region="london", rtt_to_dm_ms=40.0,
+                                 latency_model=model)],
+        middlewares=[MiddlewareSpec(name="dm1"), MiddlewareSpec(name="dm2")])
+    dm1, dm2 = topology.middlewares
+    ds0, ds1 = topology.data_nodes
+    # A node's latency model beats its explicit RTT, which beats the regions.
+    assert topology.middleware_link_model(dm1, ds1) is model
+    assert topology.middleware_link_model(dm1, ds0).rtt_at(0) == 40.0
+    # Later middlewares always use the region matrix.
+    assert topology.middleware_link_model(dm2, ds0).rtt_at(0) == 251.0
+    assert topology.middleware_link_model(dm2, ds1).rtt_at(0) == 251.0
+
+
+def test_build_cluster_keeps_every_middleware_config_field():
+    custom = MiddlewareConfig(name="ignored", analysis_cost_ms=2.0,
+                              log_flush_cost_ms=3.0, request_overhead_ms=0.7,
+                              connection_pool_capacity=3)
+    topology = TopologyConfig.multi_middleware(["beijing", "london"])
+    cluster = build_cluster("ssp", topology,
+                            ModuloPartitioner(topology.node_names()),
+                            middleware_config=custom)
+    for middleware in cluster.middlewares:
+        assert middleware.config == replace(custom, name=middleware.name)
+    assert [m.name for m in cluster.middlewares] == ["dm1", "dm2"]
 
 
 def test_build_cluster_for_every_supported_system():

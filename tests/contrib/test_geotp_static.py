@@ -1,5 +1,6 @@
 """Tests for the contrib ``geotp_static`` system variant (frozen adaptation)."""
 
+from repro import protocol
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.cluster import TopologyConfig, build_cluster, get_system_plugin
 from repro.contrib.geotp_static import GeoTPStaticCoordinator
@@ -26,7 +27,6 @@ def test_plugin_builds_the_static_coordinator_with_agents():
 def test_frozen_config_disables_forecasting_and_probing():
     middleware = _cluster().middleware
     assert middleware.geotp.enable_high_contention_optimization is False
-    assert middleware.geotp.enable_active_probing is False
     # Scheduling itself stays on (that is the point of the variant).
     assert middleware.geotp.enable_latency_aware_scheduling is True
 
@@ -47,10 +47,19 @@ def test_latency_estimates_never_move_from_the_primed_rtts():
     assert geotp.middleware.latency_monitor.estimate("ds1") != moving
 
 
+def _pings_after_probing(system):
+    cluster = _cluster(system=system)
+    middleware = cluster.middleware
+    middleware.start_probing()
+    cluster.env.run(until=5 * middleware.geotp.probe_interval_ms)
+    return cluster.network.stats.messages_by_type.get(protocol.MSG_PING, 0)
+
+
 def test_start_probing_is_a_no_op():
-    middleware = _cluster().middleware
-    middleware.start_probing()  # must not spawn a probe loop
-    assert middleware.env.peek() is None or middleware.env.now == 0.0
+    # Five probe intervals pass without a single probe from the static variant,
+    # while the adaptive coordinator pings every participant each interval.
+    assert _pings_after_probing("geotp_static") == 0
+    assert _pings_after_probing("geotp") >= 2 * 4
 
 
 def test_static_variant_runs_an_experiment_outside_deployment_and_runner():

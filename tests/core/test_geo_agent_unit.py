@@ -41,6 +41,7 @@ def test_agent_forwards_plain_xa_verbs_transparently():
 
 
 def test_agent_execute_with_last_statement_sends_async_prepared_vote():
+    # No opt-in flag: ``is_last`` alone starts the decentralized prepare.
     env, net, ds, agent, dm = build_agent_pair()
     votes = []
 
@@ -53,7 +54,7 @@ def test_agent_execute_with_last_statement_sends_async_prepared_vote():
     def driver():
         result = yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
             "xid": "g1.1", "global_txn_id": "g1", "operations": [update(1)],
-            "auto_start": True, "is_last": True, "decentralized_prepare": True,
+            "auto_start": True, "is_last": True,
             "peers": ["agent-ds1"], "coordinator": "dm"})
         assert result.success
 
@@ -76,7 +77,7 @@ def test_agent_centralized_transaction_reports_idle_instead_of_preparing():
     def driver():
         yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
             "xid": "g2.1", "global_txn_id": "g2", "operations": [update(2)],
-            "auto_start": True, "is_last": True, "decentralized_prepare": True,
+            "auto_start": True, "is_last": True,
             "peers": [], "coordinator": "dm"})
 
     env.process(vote_listener())
@@ -99,7 +100,7 @@ def test_peer_rollback_before_execute_poisons_the_transaction():
         yield env.timeout(10)
         result = yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
             "xid": "g3.1", "global_txn_id": "g3", "operations": [update(3)],
-            "auto_start": True, "is_last": True, "decentralized_prepare": True,
+            "auto_start": True, "is_last": True,
             "peers": ["peer"], "coordinator": "dm"})
         outcomes["result"] = result
 

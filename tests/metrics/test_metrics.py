@@ -202,11 +202,11 @@ def test_collector_incremental_counters_match_scans():
     collector.record(make_result(txn_id="c", committed=False,
                                  reason=AbortReason.LOCK_TIMEOUT))
     collector.record(make_result(txn_id="d", committed=False,
-                                 reason=AbortReason.DEADLOCK))
+                                 reason=AbortReason.PEER_ABORT))
     assert collector.committed_count() == 1
     assert collector.aborted_count() == 3
     assert collector.abort_rate() == 0.75
-    assert collector.abort_reasons() == {"lock_timeout": 2, "deadlock": 1}
+    assert collector.abort_reasons() == {"lock_timeout": 2, "peer_abort": 1}
     # Filtered queries still scan and agree with the running counters.
     assert collector.committed_count(txn_type="generic") == 1
     assert collector.aborted_count(txn_type="generic") == 3

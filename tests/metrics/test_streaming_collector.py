@@ -35,7 +35,7 @@ def synthetic_stream(count=800, seed=4, middlewares=("geotp-0", "geotp-1")):
     """A deterministic mixed stream: commits/aborts, types, phases, warmup."""
     rng = random.Random(seed)
     reasons = [AbortReason.LOCK_TIMEOUT, AbortReason.ADMISSION_BLOCKED,
-               AbortReason.DEADLOCK]
+               AbortReason.PEER_ABORT]
     stream = []
     for i in range(count):
         committed = rng.random() < 0.7

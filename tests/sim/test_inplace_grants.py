@@ -159,10 +159,9 @@ def reference_acquire(lm, txn_id, key, mode, timeout_ms=None):
 class _Side:
     """One lock manager under test plus the outcomes its events reported."""
 
-    def __init__(self, in_place: bool, detect_deadlocks: bool):
+    def __init__(self, in_place: bool):
         self.env = Environment()
-        self.lm = LockManager(self.env, lock_wait_timeout_ms=20.0,
-                              enable_deadlock_detection=detect_deadlocks)
+        self.lm = LockManager(self.env, lock_wait_timeout_ms=20.0)
         self.in_place = in_place
         self.outcomes = []
 
@@ -199,7 +198,7 @@ class _Side:
                       for key, entry in lm._locks.items()},
             "held": {txn: list(keys) for txn, keys in lm._held_by_txn.items()},
             "stats": (stats.acquisitions, stats.waits, stats.timeouts,
-                      stats.deadlocks, stats.total_wait_ms),
+                      stats.total_wait_ms),
             "outcomes": self.outcomes,
         }
 
@@ -209,10 +208,10 @@ KEYS = st.sampled_from(["a", "b", "c"])
 
 
 class InPlaceGrantsMatchTheRequestPath(RuleBasedStateMachine):
-    @initialize(detect_deadlocks=st.booleans())
-    def build(self, detect_deadlocks):
-        self.fast = _Side(True, detect_deadlocks)
-        self.reference = _Side(False, detect_deadlocks)
+    @initialize()
+    def build(self):
+        self.fast = _Side(True)
+        self.reference = _Side(False)
         self.next_ident = 0
 
     @rule(txn=TXNS, key=KEYS, mode=st.sampled_from([S, X]),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.storage import DeadlockError, LockManager, LockMode, LockTimeoutError
+from repro.storage import LockManager, LockMode, LockTimeoutError
 
 
 def run(env, gen):
@@ -240,56 +240,35 @@ def test_release_all_clears_bookkeeping():
     assert lm.holders("b") == {}
 
 
-def test_wait_for_graph_reports_blocking_edges():
+def test_cyclic_wait_resolves_by_lock_timeout():
+    # No deadlock detector: one wait of the cycle times out, its transaction
+    # releases its locks, and the other transaction gets the lock it waited for.
     env = Environment()
-    lm = LockManager(env, lock_wait_timeout_ms=10_000)
-
-    def holder():
-        yield lm.acquire("h", "k", LockMode.EXCLUSIVE)
-        yield env.timeout(500)
-        lm.release_all("h")
-
-    def waiter():
-        yield env.timeout(1)
-        yield lm.acquire("w", "k", LockMode.EXCLUSIVE)
-        lm.release_all("w")
-
-    env.process(holder())
-    env.process(waiter())
-    env.run(until=100)
-    assert lm.wait_for_graph() == {"w": {"h"}}
-
-
-def test_deadlock_detection_aborts_victim():
-    env = Environment()
-    lm = LockManager(env, lock_wait_timeout_ms=100_000, enable_deadlock_detection=True)
+    lm = LockManager(env, lock_wait_timeout_ms=100)
     outcome = []
 
-    def txn_a():
-        yield lm.acquire("A", "x", LockMode.EXCLUSIVE)
-        yield env.timeout(10)
+    def txn(name, first, second, pause):
+        yield lm.acquire(name, first, LockMode.EXCLUSIVE)
+        yield env.timeout(pause)
         try:
-            yield lm.acquire("A", "y", LockMode.EXCLUSIVE)
-            outcome.append("A got y")
-        except DeadlockError:
-            outcome.append("A deadlock")
-            lm.release_all("A")
+            yield lm.acquire(name, second, LockMode.EXCLUSIVE)
+            outcome.append((name, "granted", env.now))
+        except LockTimeoutError:
+            outcome.append((name, "timeout", env.now))
+        lm.release_all(name)
 
-    def txn_b():
-        yield lm.acquire("B", "y", LockMode.EXCLUSIVE)
-        yield env.timeout(20)
-        try:
-            yield lm.acquire("B", "x", LockMode.EXCLUSIVE)
-            outcome.append("B got x")
-        except DeadlockError:
-            outcome.append("B deadlock")
-            lm.release_all("B")
-
-    env.process(txn_a())
-    env.process(txn_b())
-    env.run(until=50_000)
-    assert "B deadlock" in outcome or "A deadlock" in outcome
-    assert lm.stats.deadlocks >= 1
+    env.process(txn("A", "x", "y", 10))
+    env.process(txn("B", "y", "x", 20))
+    env.run()
+    assert [entry[:2] for entry in outcome] == [("A", "timeout"), ("B", "granted")]
+    # A's wait began at t=10 and expires about one timeout later.
+    assert outcome[0][2] >= 110
+    assert lm.stats.timeouts == 1
+    assert lm.stats.deadlocks == 0
+    for name in ("A", "B"):
+        assert lm.locks_held(name) == set()
+    assert lm.holders("x") == {} and lm.holders("y") == {}
+    assert lm.queue_length("x") == 0 and lm.queue_length("y") == 0
 
 
 def test_queue_length_and_waiting_transactions():

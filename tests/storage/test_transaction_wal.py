@@ -143,12 +143,12 @@ def test_wal_checkpoint_keeps_in_doubt_branches_forever():
 
 
 def test_wal_checkpoint_is_explicit_and_counts_drops():
-    wal = WriteAheadLog(checkpoint_records=None)  # retain everything
+    wal = WriteAheadLog(checkpoint_records=1000)  # never reached below
     for i in range(100):
         wal.append(LogRecordType.PREPARE, f"t{i}", float(i))
         wal.append(LogRecordType.ABORT, f"t{i}", float(i) + 0.5)
     assert len(wal) == 200
-    assert wal.checkpoint() == 0  # None horizon: no-op
+    assert wal.checkpoint() == 0  # nothing older than the horizon: no-op
     wal.checkpoint_records = 10
     dropped = wal.checkpoint()
     assert dropped == 190
