@@ -23,7 +23,7 @@ scenario = ScenarioSpec(
     description="GeoTP vs SSP across load and contention",
     base=ExperimentConfig(
         duration_ms=4_000.0, warmup_ms=1_000.0,
-        ycsb=YCSBConfig(records_per_node=10_000, preload_rows_per_node=1_000)),
+        ycsb=YCSBConfig(records_per_node=10_000)),
     axes=(
         Axis("system", ("ssp", "geotp")),
         Axis("terminals", (8, 24)),

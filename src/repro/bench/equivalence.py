@@ -73,16 +73,14 @@ class EquivalenceCase:
 def _contended_wan(system: str, seed: int) -> ExperimentConfig:
     return ExperimentConfig(
         system=system, terminals=16, duration_ms=6_000.0, warmup_ms=1_000.0,
-        ycsb=YCSBConfig(skew=1.1, distributed_ratio=0.5,
-                        records_per_node=100, preload_rows_per_node=100),
+        ycsb=YCSBConfig(skew=1.1, distributed_ratio=0.5, records_per_node=100),
         seed=seed)
 
 
 def _contended_wan_wide(system: str, seed: int) -> ExperimentConfig:
     return ExperimentConfig(
         system=system, terminals=24, duration_ms=6_000.0, warmup_ms=1_000.0,
-        ycsb=YCSBConfig(skew=0.9, distributed_ratio=0.8,
-                        records_per_node=200, preload_rows_per_node=200),
+        ycsb=YCSBConfig(skew=0.9, distributed_ratio=0.8, records_per_node=200),
         seed=seed)
 
 

@@ -731,26 +731,14 @@ LOAD_SWEEP_SYSTEMS = ("ssp", "scalardb_plus", "geotp")
 #: client pool sheds most arrivals.
 LOAD_SWEEP_RATES = (50.0, 100.0, 200.0, 400.0, 800.0)
 
-#: YCSB table for the open-system families: moderate keyspace, **every row
-#: preloaded** (a view, so the preload itself costs nothing).  Lazily-created
-#: cold rows would otherwise grow the modelled key set for the entire run (the
-#: zipfian tail keeps finding fresh keys), which a long saturated point cannot
-#: distinguish from a middleware leak.  With every key preloaded, the key set
-#: is identical at every run length and the flat-RSS property being measured
-#: is the middleware's and the metrics pipeline's alone.  Contention is
-#: governed by the skew, not the table size, so the knee story is unchanged.
-def _open_system_ycsb() -> YCSBConfig:
-    return default_ycsb(records_per_node=10_000, preload_rows_per_node=10_000)
-
-
 register(ScenarioSpec(
     name="load_sweep",
     description="Open-system goodput/latency knee: Poisson offered load swept "
-                "past every system's saturation point (streaming O(1)-memory "
+                "past every system's saturation point (bounded-reservoir "
                 "metrics; reports drop/admission counters per point)",
     base=_base(arrival=ArrivalConfig(process="poisson", rate_tps=100.0,
                                      max_clients=256),
-               ycsb=_open_system_ycsb()),
+               ycsb=default_ycsb(records_per_node=10_000)),
     axes=(Axis("system", LOAD_SWEEP_SYSTEMS),
           Axis("rate_tps", LOAD_SWEEP_RATES, path="arrival.rate_tps")),
 ))
@@ -763,7 +751,7 @@ register(ScenarioSpec(
                 "tail)",
     base=_base(arrival=ArrivalConfig(rate_tps=150.0, max_clients=256,
                                      period_ms=8_000.0),
-               ycsb=_open_system_ycsb()),
+               ycsb=default_ycsb(records_per_node=10_000)),
     axes=(Axis("system", ("ssp", "geotp")),
           Axis("process", ARRIVAL_PROCESSES, path="arrival.process")),
 ))
@@ -772,8 +760,7 @@ register(ScenarioSpec(
     name="smoke",
     description="Tiny two-system sweep for CI smoke tests and quick sanity runs",
     base=_base(terminals=4, duration_ms=2_500.0, warmup_ms=500.0,
-               ycsb=default_ycsb(skew=0.5, records_per_node=1_000,
-                                 preload_rows_per_node=200)),
+               ycsb=default_ycsb(skew=0.5, records_per_node=1_000)),
     axes=(Axis("system", ("ssp", "geotp")),),
 ))
 

@@ -44,12 +44,9 @@ BROWSE, ADD_TO_CART, CHECKOUT, PAYMENT = "browse", "add_to_cart", "checkout", "p
 class EcommerceConfig(WorkloadConfig):
     """Knobs of the e-commerce session generator (sizes scaled for simulation)."""
 
-    #: Catalog rows per data node.
+    #: Catalog rows per data node, all loaded.
     products_per_node: int = 10_000
-    #: Products preloaded per node (cold rows are created on first write,
-    #: like the YCSB loader's ``preload_rows_per_node``).
-    preload_products_per_node: int = 1_000
-    #: Customers (and their carts) per data node, all preloaded.
+    #: Customers (and their carts) per data node, all loaded.
     customers_per_node: int = 500
     #: Probability that a product draw comes from the current hot window.
     hotspot_probability: float = 0.7
@@ -101,15 +98,15 @@ class EcommerceWorkload(Workload):
 
     def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
         config = self.config
-        preload = min(config.products_per_node, config.preload_products_per_node)
         product = {"stock": 1_000, "price": 10.0}
         customer, cart = {"balance": 10_000.0}, {"items": 0}
         keys_for_node = self._partitioner.keys_for_node
         data: Dict[str, Dict[str, SharedRows]] = {}
         for node_index, name in enumerate(self.datasource_names):
+            products = keys_for_node(node_index, config.products_per_node)
             customers = keys_for_node(node_index, config.customers_per_node)
             data[name] = {
-                PRODUCTS: SharedRows(keys_for_node(node_index, preload), product),
+                PRODUCTS: SharedRows(products, product),
                 CUSTOMERS: SharedRows(customers, customer),
                 CARTS: SharedRows(customers, cart)}
         return data

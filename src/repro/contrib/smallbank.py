@@ -49,11 +49,9 @@ DISTRIBUTED_CAPABLE = ("balance", "send_payment", "amalgamate")
 class SmallBankConfig(WorkloadConfig):
     """Configuration of the SmallBank generator (sizes scaled for simulation)."""
 
-    #: Customer accounts per data node (each owns a savings + a checking row).
+    #: Customer accounts per data node (each owns a savings + a checking row),
+    #: all loaded.
     accounts_per_node: int = 20_000
-    #: Accounts preloaded per node (cold accounts are created on first write,
-    #: like the YCSB loader's ``preload_rows_per_node``).
-    preload_accounts_per_node: int = 2_000
     #: Probability that an account draw comes from the hot set.
     hotspot_probability: float = 0.25
     #: Size of the per-node hot-account set.
@@ -105,12 +103,11 @@ class SmallBankWorkload(Workload):
         return self._partitioner
 
     def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
-        preload = min(self.config.accounts_per_node,
-                      self.config.preload_accounts_per_node)
         balance = {"balance": self.config.initial_balance}
         data: Dict[str, Dict[str, SharedRows]] = {}
         for node_index, name in enumerate(self.datasource_names):
-            accounts = self._partitioner.keys_for_node(node_index, preload)
+            accounts = self._partitioner.keys_for_node(
+                node_index, self.config.accounts_per_node)
             data[name] = {SAVINGS: SharedRows(accounts, balance),
                           CHECKING: SharedRows(accounts, balance)}
         return data

@@ -197,9 +197,8 @@ def register_chaos_scenarios() -> List[str]:
     discoverable everywhere the hand-written scenarios are.  Returns the
     generated ``chaos_*`` names in product order.
     """
-    from repro.bench.scenarios import (Axis, ScenarioSpec, _base,
-                                       _open_system_ycsb, register,
-                                       register_family)
+    from repro.bench.scenarios import (Axis, ScenarioSpec, _base, default_ycsb,
+                                       register, register_family)
 
     register_family(
         CHAOS_FAMILY,
@@ -234,7 +233,7 @@ def register_chaos_scenarios() -> List[str]:
                     "past saturation where off collapses)",
         base=_base(arrival=ArrivalConfig(process="poisson", rate_tps=120.0,
                                          max_clients=384),
-                   ycsb=_open_system_ycsb()),
+                   ycsb=default_ycsb(records_per_node=10_000)),
         axes=(Axis("system", ("scalardb_plus", "geotp")),
               Axis("admission", ("on", "off")),
               Axis("load_multiple", (1.0, 2.0))),
@@ -248,7 +247,7 @@ def register_chaos_scenarios() -> List[str]:
                     "system's saturation rate (recovery under zero headroom)",
         base=_base(arrival=ArrivalConfig(process="poisson", rate_tps=100.0,
                                          max_clients=256),
-                   ycsb=_open_system_ycsb()),
+                   ycsb=default_ycsb(records_per_node=10_000)),
         axes=(Axis("system", ("ssp", "scalardb_plus", "geotp")),
               Axis("fault", ("mw_crash", "ds_crash"))),
         apply=_apply_chaos_saturated,

@@ -491,17 +491,17 @@ class DataSource:
     def _on_kv_get(self, message: Message):
         payload = message.payload or {}
         yield self.config.request_overhead_ms + self.dialect.read_cost_ms
-        record = self.engine.table(payload["table"]).get(payload["key"])
-        if record is None:
+        snapshot = self.engine.read(None, payload["table"], payload["key"])
+        if snapshot is None:
             self._reply(message, {"found": False})
         else:
-            self._reply(message, {"found": True, "value": record.value,
-                                  "version": record.version})
+            self._reply(message, {"found": True, "value": snapshot.value,
+                                  "version": snapshot.version})
 
     def _on_kv_put(self, message: Message):
         payload = message.payload or {}
         yield self.config.request_overhead_ms + self.dialect.write_cost_ms
-        record = self.engine.table(payload["table"]).put(
+        record = self.engine.create_table(payload["table"]).put(
             payload["key"], payload["value"], writer=payload.get("writer", "kv"))
         self._reply(message, {"status": "ok", "version": record.version})
 
@@ -509,12 +509,11 @@ class DataSource:
         """Conditional write used by middleware-side concurrency control."""
         payload = message.payload or {}
         yield self.config.request_overhead_ms + self.dialect.write_cost_ms
-        table = self.engine.table(payload["table"])
-        record = table.get(payload["key"])
-        current_version = record.version if record else 0
+        snapshot = self.engine.read(None, payload["table"], payload["key"])
+        current_version = snapshot.version if snapshot else 0
         if current_version != payload["expected_version"]:
             self._reply(message, {"status": "conflict", "version": current_version})
             return
-        record = table.put(payload["key"], payload["value"],
-                           writer=payload.get("writer", "kv"))
+        record = self.engine.create_table(payload["table"]).put(
+            payload["key"], payload["value"], writer=payload.get("writer", "kv"))
         self._reply(message, {"status": "ok", "version": record.version})

@@ -49,11 +49,12 @@ class Workload:
     def initial_data(self) -> Dict[str, Dict[str, Mapping]]:
         """Initial rows per data source: ``{datasource: {table: {key: row}}}``.
 
-        Each table is a read-only mapping — a
-        :class:`~repro.storage.engine.SharedRows` view when its rows start
-        equal — so a preload costs O(nodes × tables) at any row count.  The
-        tables adopt these mappings without a copy, so nothing may mutate
-        them or a row in them.
+        Every row of the key space is loaded.  Each table is a read-only
+        mapping — a :class:`~repro.storage.engine.SharedRows` view when its
+        rows start equal — so a load costs O(nodes × tables) at any row
+        count, and reads answer from it without storing anything.  The tables
+        adopt these mappings without a copy, so nothing may mutate them or a
+        row in them.
         """
         raise NotImplementedError
 

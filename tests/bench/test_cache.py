@@ -43,8 +43,7 @@ def sweep_payload(result) -> str:
 def tiny_config(**overrides) -> ExperimentConfig:
     base = dict(system="geotp", terminals=2, duration_ms=300.0,
                 warmup_ms=50.0, seed=11,
-                ycsb=YCSBConfig(records_per_node=100,
-                                preload_rows_per_node=50))
+                ycsb=YCSBConfig(records_per_node=100))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -60,8 +59,7 @@ def test_config_hash_differs_on_any_semantic_change():
     assert config_hash(tiny_config(terminals=3)) != reference
     assert config_hash(tiny_config(duration_ms=301.0)) != reference
     assert config_hash(tiny_config(
-        ycsb=YCSBConfig(records_per_node=100, preload_rows_per_node=50,
-                        skew=1.2))) != reference
+        ycsb=YCSBConfig(records_per_node=100, skew=1.2))) != reference
 
 
 def test_config_hash_covers_every_registered_scenario():
@@ -288,8 +286,7 @@ def resume_sweep():
     return get_scenario("load_sweep").sweep(
         axes={"system": ["geotp", "ssp"], "rate_tps": [160.0, 320.0]},
         duration_ms=1_500.0, warmup_ms=300.0,
-        ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200,
-        arrival__max_clients=64)
+        ycsb__records_per_node=1_000, arrival__max_clients=64)
 
 
 def test_resume_round_trip_is_identical_under_each_engine(tmp_path):

@@ -33,7 +33,7 @@ from repro.recovery.invariants import all_passed, violations
 
 #: Reduced scale shared by the run tests (mirrors the fault-family tests).
 SCALE = dict(duration_ms=3_000.0, warmup_ms=600.0, terminals=4,
-             ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
+             ycsb__records_per_node=1_000)
 
 
 def expand_point(name, system, **overrides):
@@ -189,7 +189,7 @@ def chaos_config():
     sweep = get_scenario("chaos_dual_drift_poisson_ycsb").sweep(
         axes={"system": ["geotp"]},
         duration_ms=4_000.0, warmup_ms=800.0, terminals=4,
-        ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
+        ycsb__records_per_node=1_000)
     return sweep.points()[0].config
 
 

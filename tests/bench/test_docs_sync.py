@@ -134,6 +134,32 @@ def test_every_quoted_class_and_attribute_exists():
         + "\n  ".join(stale))
 
 
+def test_every_python_sample_class_lists_only_real_fields():
+    """A fenced ``python`` sample that declares ``class X(...)`` may list
+    only fields (``name: type``) that X really has."""
+    classes = _repro_classes()
+    checked = 0
+    stale = []
+    for name in DOC_FILES:
+        text = (REPO_ROOT / name).read_text(encoding="utf-8")
+        for block in re.findall(r"```python\n(.*?)```", text, re.S):
+            cls = None
+            for line in block.splitlines():
+                declared = re.match(r"class (\w+)\(", line)
+                if declared or (line and not line[0].isspace()):
+                    cls = declared and declared.group(1)
+                    continue
+                field = cls and re.match(r" +(\w+)\s*:", line)
+                if field:
+                    checked += 1
+                    if cls not in classes or not _has_attribute(
+                            classes[cls], field.group(1)):
+                        stale.append(f"{name}: {cls}.{field.group(1)}")
+    assert checked, "expected the docs to sample at least one config class"
+    assert not stale, ("the docs' code samples list fields their classes do "
+                       "not have:\n  " + "\n  ".join(stale))
+
+
 def test_every_quoted_file_path_exists():
     """A quoted path may be a suffix (`core/hotspot.py`) of a repo file's path.
     ROADMAP.md and CHANGES.md are not checked: they name deleted files."""

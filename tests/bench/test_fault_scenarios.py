@@ -25,7 +25,7 @@ FAULT_SCENARIOS = ("fault_middleware_crash", "fault_ds_crash",
 
 #: Reduced scale shared by every test here: 4 s simulated, light tables.
 SCALE = dict(duration_ms=4_000.0, warmup_ms=800.0, terminals=6,
-             ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
+             ycsb__records_per_node=1_000)
 
 
 def point_config(scenario_name, system, seed=0, fault_free=False):

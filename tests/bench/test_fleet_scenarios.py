@@ -25,7 +25,7 @@ FLEET_SCENARIOS = ("fleet_scaleout", "fleet_failover", "fleet_policies")
 
 #: Reduced scale shared by every test here (mirrors the fault-family tests).
 SCALE = dict(duration_ms=4_000.0, warmup_ms=800.0, terminals=6,
-             ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200)
+             ycsb__records_per_node=1_000)
 
 
 def point_config(scenario_name, system, seed=0, fault_free=False):

@@ -47,7 +47,7 @@ def contended_config(system: str) -> ExperimentConfig:
     return ExperimentConfig(
         system=system, terminals=24, duration_ms=9_000.0, warmup_ms=1_000.0,
         ycsb=YCSBConfig(skew=1.1, distributed_ratio=0.5,
-                        records_per_node=100, preload_rows_per_node=100),
+                        records_per_node=100),
         seed=7)
 
 

@@ -29,7 +29,7 @@ def _config(name: str, system: str) -> ExperimentConfig:
         system=system, workload="ycsb", duration_ms=10_000.0, warmup_ms=500.0,
         seed=11,
         ycsb=YCSBConfig(skew=0.9, operations_per_transaction=5,
-                        records_per_node=2_000, preload_rows_per_node=2_000),
+                        records_per_node=2_000),
         arrival=ArrivalConfig(process="poisson", rate_tps=400.0, max_clients=32))
 
 

@@ -27,11 +27,10 @@ from repro.bench.scenarios import get_scenario
 from repro.metrics import DEFAULT_RESERVOIR_SIZE
 from repro.workloads.arrivals import ARRIVAL_PROCESSES
 
-#: Reduced-scale overrides shared by every sweep in this module: a fully
-#: preloaded 1k-row table, a 128-session pool, 6 simulated seconds.
+#: Reduced-scale overrides shared by every sweep in this module: a 1k-row
+#: table, a 128-session pool, 6 simulated seconds.
 SCALE = dict(duration_ms=6_000.0, warmup_ms=1_000.0,
-             ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=1_000,
-             arrival__max_clients=128)
+             ycsb__records_per_node=1_000, arrival__max_clients=128)
 
 #: Offered rates bracketing the reduced-scale knee (geotp saturates ~80 tps
 #: at this scale; 320/640 are 4-8x past it).
@@ -45,10 +44,9 @@ def test_scenario_is_registered_with_system_and_rate_axes():
     assert axes == {"system", "rate_tps"}
     assert scenario.base.arrival is not None
     assert scenario.base.arrival.process == "poisson"
-    # The scenario table is fully materialised at load time so the modelled
-    # database is identical at every run length (see _open_system_ycsb).
-    assert scenario.base.ycsb.preload_rows_per_node >= \
-        scenario.base.ycsb.records_per_node
+    # Every row is loaded, so the modelled database is identical at every
+    # run length.
+    assert scenario.base.ycsb.preload_rows_per_node is None
 
 
 def test_load_shapes_scenario_covers_every_arrival_process():
@@ -107,8 +105,7 @@ def load_sweep_config():
     sweep = get_scenario("load_sweep").sweep(
         axes={"system": ["geotp"], "rate_tps": [320.0]},
         duration_ms=5_000.0, warmup_ms=1_000.0,
-        ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=200,
-        arrival__max_clients=128)
+        ycsb__records_per_node=1_000, arrival__max_clients=128)
     return sweep.points()[0].config
 
 
@@ -126,8 +123,7 @@ from repro.metrics.resources import process_peak_rss_bytes
 sweep = get_scenario("load_sweep").sweep(
     axes={"system": ["geotp"], "rate_tps": [320.0]},
     duration_ms=float(sys.argv[1]), warmup_ms=1_000.0,
-    ycsb__records_per_node=1_000, ycsb__preload_rows_per_node=1_000,
-    arrival__max_clients=128)
+    ycsb__records_per_node=1_000, arrival__max_clients=128)
 summary = run_experiment(sweep.points()[0].config)
 print(json.dumps({"completed": summary.open_loop["completed"],
                   "peak_rss_bytes": process_peak_rss_bytes()}))

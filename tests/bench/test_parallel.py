@@ -17,8 +17,7 @@ from repro.bench.parallel import (
 )
 from repro.bench.scenarios import Axis, SweepSpec, get_scenario
 
-TINY_YCSB = YCSBConfig(records_per_node=1_000, preload_rows_per_node=200,
-                       skew=0.5, distributed_ratio=0.2)
+TINY_YCSB = YCSBConfig(records_per_node=1_000, skew=0.5, distributed_ratio=0.2)
 
 
 def _tiny_sweep(**overrides):
@@ -176,7 +175,7 @@ def test_results_do_not_depend_on_the_process_hash_seed():
         "from repro import ExperimentConfig, YCSBConfig, run_experiment\n"
         "r = run_experiment(ExperimentConfig(system='geotp', terminals=6,\n"
         "    duration_ms=2500.0, warmup_ms=500.0, seed=3,\n"
-        "    ycsb=YCSBConfig(records_per_node=1000, preload_rows_per_node=200,\n"
+        "    ycsb=YCSBConfig(records_per_node=1000,\n"
         "                    skew=1.2, distributed_ratio=0.5)))\n"
         "print(r.committed, r.aborted, repr(round(r.throughput_tps, 6)))\n"
     )

@@ -67,7 +67,7 @@ def _micro_config(**overrides) -> ExperimentConfig:
     defaults = dict(
         terminals=1, duration_ms=600.0, warmup_ms=100.0,
         topology=TopologyConfig.from_rtts([5.0, 20.0]),
-        ycsb=YCSBConfig(records_per_node=200, preload_rows_per_node=50),
+        ycsb=YCSBConfig(records_per_node=200),
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)

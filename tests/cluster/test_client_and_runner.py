@@ -11,8 +11,7 @@ from repro.metrics import MetricsCollector
 from repro.workloads import YCSBWorkload
 
 
-SMALL_YCSB = YCSBConfig(records_per_node=1000, preload_rows_per_node=200,
-                        skew=0.5, distributed_ratio=0.2)
+SMALL_YCSB = YCSBConfig(records_per_node=1000, skew=0.5, distributed_ratio=0.2)
 
 
 def test_terminals_drive_transactions_closed_loop():
@@ -76,7 +75,7 @@ def test_make_workload_does_not_mutate_shared_workload_configs():
 
 def test_shared_workload_config_keeps_per_experiment_seeds():
     """Two experiments sharing one YCSBConfig must generate from their own seeds."""
-    shared = YCSBConfig(records_per_node=1000, preload_rows_per_node=200)
+    shared = YCSBConfig(records_per_node=1000)
     first = make_workload(ExperimentConfig(ycsb=shared, seed=1), ["ds0", "ds1"])
     second = make_workload(ExperimentConfig(ycsb=shared, seed=2), ["ds0", "ds1"])
     specs_first = [first.next_transaction(0) for _ in range(5)]

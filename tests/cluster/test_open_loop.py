@@ -22,7 +22,7 @@ def open_config(rate_tps=120.0, max_clients=64, duration_ms=4_000.0,
         system="geotp",
         arrival=ArrivalConfig(rate_tps=rate_tps, max_clients=max_clients),
         duration_ms=duration_ms, warmup_ms=warmup_ms,
-        ycsb=YCSBConfig(records_per_node=500, preload_rows_per_node=500),
+        ycsb=YCSBConfig(records_per_node=500),
         seed=seed, **kwargs)
 
 
@@ -106,7 +106,7 @@ def test_different_seed_changes_the_arrival_stream():
 def test_closed_loop_runs_have_no_open_loop_report(moderate_run):
     closed = run_experiment(ExperimentConfig(
         system="geotp", terminals=4, duration_ms=2_000.0, warmup_ms=500.0,
-        ycsb=YCSBConfig(records_per_node=500, preload_rows_per_node=500)))
+        ycsb=YCSBConfig(records_per_node=500)))
     assert closed.open_loop is None
     assert moderate_run.open_loop is not None
     # The load model is the one thing the runner reads to bound the latency

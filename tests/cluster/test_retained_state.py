@@ -4,8 +4,10 @@ A simulation point's resident memory must not grow with its history.  After a
 run (``keep_cluster=True``) :func:`census` walks every long-lived structure of
 the statement path and reports, by name, each one that outgrew its structural
 bound: the retention caps the structures declare themselves, plus whatever is
-still in flight.  The caps are shrunk for the test so a few simulated seconds
-overrun each of them many times.
+still in flight.  A table's overlay is bounded by the keys written: a read
+stores nothing, so no record in it may still carry the loader's name.  The
+caps are shrunk for the test so a few simulated seconds overrun each of them
+many times.
 """
 
 from dataclasses import replace
@@ -37,7 +39,7 @@ CLOSED_TPCC = ExperimentConfig(
 OPEN_YCSB = ExperimentConfig(
     system="geotp", duration_ms=3_000.0, warmup_ms=300.0, seed=1, geotp=GEOTP,
     topology=replace(TopologyConfig.paper_default(), lock_wait_timeout_ms=300.0),
-    ycsb=YCSBConfig(skew=1.2, records_per_node=200, preload_rows_per_node=200),
+    ycsb=YCSBConfig(skew=1.2, records_per_node=200),
     arrival=ArrivalConfig(process="poisson", rate_tps=400.0, max_clients=32))
 
 
@@ -90,6 +92,12 @@ def census(cluster, clients):
             if not entry.holders and not entry.queue:
                 problems.append((f"{where}.locks",
                                  f"entry {key!r} has neither holder nor waiter"))
+        unwritten = sum(record.last_writer == "loader"
+                        for table in ds.engine._tables.values()
+                        for record in table._records.values())
+        if unwritten:
+            problems.append((f"{where}.tables",
+                             f"{unwritten} records no transaction wrote"))
         if len(ds.engine._write_sets) > in_flight:
             problems.append((f"{where}.write_sets",
                              f"{len(ds.engine._write_sets)} write sets > "

@@ -118,13 +118,11 @@ def test_same_seed_generators_replay_byte_identically():
 
 
 def test_initial_data_preloads_catalog_customers_and_carts():
-    workload = make_workload(products_per_node=100,
-                             preload_products_per_node=10,
-                             customers_per_node=4)
+    workload = make_workload(products_per_node=100, customers_per_node=4)
     data = workload.initial_data()
     assert set(data) == set(NODES)
     for node_index, name in enumerate(NODES):
-        assert len(data[name]["products"]) == 10
+        assert len(data[name]["products"]) == 100
         assert len(data[name]["customers"]) == 4
         assert set(data[name]["carts"]) == set(data[name]["customers"])
         for key in data[name]["products"]:
@@ -173,7 +171,6 @@ def test_flash_crowd_scenario_smoke_run_commits_transactions():
         axes={"system": ("geotp",), "shift_every": (500,)},
         duration_ms=3_000.0, warmup_ms=600.0, terminals=4,
         workload_config__products_per_node=1_000,
-        workload_config__preload_products_per_node=200,
         workload_config__customers_per_node=100)
     (point,) = sweep.points()
     result = run_experiment(point.config)

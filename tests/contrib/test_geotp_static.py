@@ -67,7 +67,7 @@ def test_static_variant_runs_an_experiment_outside_deployment_and_runner():
     config = ExperimentConfig(
         system="geotp_static", terminals=2, duration_ms=1_500.0, warmup_ms=300.0,
         topology=TopologyConfig.from_rtts([5.0, 30.0]),
-        ycsb=YCSBConfig(records_per_node=500, preload_rows_per_node=100))
+        ycsb=YCSBConfig(records_per_node=500))
     result = run_experiment(config)
     assert result.system == "geotp_static"
     assert result.committed > 0

@@ -18,7 +18,7 @@ from repro.workloads.ycsb import YCSBConfig
 def fault_config(system="geotp", plan=None, **overrides):
     defaults = dict(
         system=system, terminals=6, duration_ms=5_000.0, warmup_ms=1_000.0,
-        ycsb=YCSBConfig(records_per_node=1_000, preload_rows_per_node=200),
+        ycsb=YCSBConfig(records_per_node=1_000),
         fault_plan=plan, seed=7)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)

@@ -33,7 +33,7 @@ def fleet_crash_config(**overrides):
     defaults = dict(
         system="geotp", terminals=6, duration_ms=5_000.0, warmup_ms=1_000.0,
         middleware_count=2,
-        ycsb=YCSBConfig(records_per_node=1_000, preload_rows_per_node=200),
+        ycsb=YCSBConfig(records_per_node=1_000),
         fault_plan=FaultPlan(events=(
             FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=CRASH_AT_MS,
                        duration_ms=CRASH_MS, target="dm1"),)),

@@ -97,8 +97,7 @@ def test_crash_inside_a_cost_window_with_a_fan_out_in_flight(
     config = ExperimentConfig(
         system=system, terminals=12, duration_ms=10_000.0, warmup_ms=500.0,
         seed=5,
-        ycsb=YCSBConfig(records_per_node=500, preload_rows_per_node=500,
-                        operations_per_transaction=4),
+        ycsb=YCSBConfig(records_per_node=500, operations_per_transaction=4),
         fault_plan=FaultPlan(events=(FaultEvent(
             kind=kind, at_ms=at_ms, duration_ms=800.0, target=target),)))
     result = run_experiment(config, keep_cluster=True)

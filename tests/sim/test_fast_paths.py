@@ -351,7 +351,7 @@ def determinism_config():
     return ExperimentConfig(
         system="geotp", terminals=8, duration_ms=3_000.0, warmup_ms=500.0,
         ycsb=YCSBConfig(skew=1.0, distributed_ratio=0.5,
-                        records_per_node=100, preload_rows_per_node=100),
+                        records_per_node=100),
         seed=13)
 
 

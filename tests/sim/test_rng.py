@@ -1,5 +1,7 @@
 """Unit and property-based tests for seeded RNG and Zipfian generator."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,22 @@ def test_zipfian_zeta_is_computed_once_per_keyspace_and_skew():
     assert ZipfianGenerator._zeta.cache_info().misses == misses
     assert second._zetan == first._zetan
     assert [first.next() for _ in range(5)] != [second.next() for _ in range(5)]
+
+
+def _exact_zeta(n, theta):
+    return math.fsum(1.0 / math.pow(i, theta) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9, 1.0, 1.5])
+def test_zipfian_zeta_integral_tail_is_within_1e_5_of_the_exact_sum(theta):
+    """Past 10,000 items zeta adds an integral for the tail (Gray et al.'s
+    generator at paper scale, 1 M keys per node); at 10,000 it is exact."""
+    zeta = ZipfianGenerator._zeta
+    assert zeta(10_000, theta) == pytest.approx(_exact_zeta(10_000, theta),
+                                                rel=1e-12)
+    for n in (100_000, 1_000_000):
+        exact = _exact_zeta(n, theta)
+        assert abs(zeta(n, theta) - exact) / exact < 1e-5, (n, theta)
 
 
 def test_zipfian_two_item_key_space_does_not_divide_by_zero():

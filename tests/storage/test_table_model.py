@@ -1,13 +1,13 @@
 """Model test: a base-layer table must be indistinguishable from an eager one.
 
 ``StorageEngine.bulk_load`` into an empty table adopts the caller's mapping (a
-dict or a ``SharedRows`` view) as an immutable base layer and materialises
-records on first touch.  The reference here is the same engine class driven
-through its per-row path (``load`` = one ``Table.put`` per row, the fallback
-``bulk_load`` itself uses for non-empty tables), which builds every record up
-front.  Random operation
-sequences must leave both engines answering every question identically, and
-must never mutate the mapping that was handed to ``bulk_load``.
+dict or a ``SharedRows`` view) as an immutable base layer; reads answer from
+it and only a write creates a record.  The reference here is the same engine
+class driven through its per-row path (one ``Table.put`` per row, the
+fallback ``bulk_load`` itself uses for non-empty tables), which builds every
+record up front.  Random operation sequences must leave both engines
+answering every read identically, and must never mutate the mapping that was
+handed to ``bulk_load``.
 """
 
 from copy import deepcopy
@@ -22,7 +22,8 @@ from repro.storage.datasource import DataSource, DataSourceConfig
 from repro.storage.engine import SharedRows, StorageEngine
 
 TABLES = ("t", "u")
-KEYS = st.integers(min_value=0, max_value=11)
+KEY_RANGE = range(12)
+KEYS = st.sampled_from(KEY_RANGE)
 VALUES = st.one_of(st.integers(-3, 3), st.fixed_dictionaries({"f": st.integers(0, 3)}))
 TXNS = st.sampled_from(["x1", "x2", "x3"])
 TABLE = st.sampled_from(TABLES)
@@ -34,17 +35,14 @@ ROWS = st.one_of(
 
 OPS = st.one_of(
     st.tuples(st.just("bulk_load"), TABLE, ROWS),
-    st.tuples(st.just("get"), TABLE, KEYS),
+    st.tuples(st.just("kv_get"), TABLE, KEYS),
     st.tuples(st.just("put"), TABLE, KEYS, VALUES),
     st.tuples(st.just("kv_put_if_version"), TABLE, KEYS, VALUES, st.integers(0, 3)),
     st.tuples(st.just("read"), TXNS, TABLE, KEYS),
     st.tuples(st.just("buffer_write"), TXNS, TABLE, KEYS, VALUES),
     st.tuples(st.just("commit_writes"), TXNS),
     st.tuples(st.just("discard_writes"), TXNS),
-    st.tuples(st.just("len"), TABLE),
-    st.tuples(st.just("in"), TABLE, KEYS),
-    st.tuples(st.just("keys"), TABLE),
-    st.tuples(st.just("record_count")),
+    st.tuples(st.just("write_count"), TXNS),
 )
 
 
@@ -53,54 +51,51 @@ def _view(record):
                                         record.last_writer)
 
 
+def _snapshot(snapshot):
+    return None if snapshot is None else (snapshot.key, snapshot.value,
+                                          snapshot.version)
+
+
+def _kv_get(engine, table, key):
+    """The body of DataSource._on_kv_get (ScalarDB baseline)."""
+    snapshot = engine.read(None, table, key)
+    return None if snapshot is None else (snapshot.value, snapshot.version)
+
+
 def _apply(engine, op, eager):
     """Run one operation; returns what an observer of the engine would see."""
     name, args = op[0], op[1:]
     if name == "bulk_load":
         table, rows = args
         if eager:
-            engine.create_table(table)
+            table = engine.create_table(table)
             for key, value in rows.items():
-                engine.load(table, key, value)
+                table.put(key, value)
         else:
             engine.bulk_load(table, rows)
         return None
-    if name == "get":
-        return _view(engine.table(args[0]).get(args[1]))
+    if name == "kv_get":
+        return _kv_get(engine, *args)
     if name == "put":
-        return _view(engine.table(args[0]).put(args[1], args[2], writer="kv"))
+        return _view(engine.create_table(args[0]).put(args[1], args[2], writer="kv"))
     if name == "kv_put_if_version":
         # The body of DataSource._on_kv_put_if_version (ScalarDB baseline).
-        table = engine.table(args[0])
-        record = table.get(args[1])
-        current = record.version if record else 0
+        current = (_kv_get(engine, args[0], args[1]) or (None, 0))[1]
         if current != args[3]:
             return ("conflict", current)
-        return ("ok", table.put(args[1], args[2], writer="kv").version)
+        return ("ok", engine.create_table(args[0]).put(
+            args[1], args[2], writer="kv").version)
     if name == "read":
-        snapshot = engine.read(*args)
-        return None if snapshot is None else (snapshot.key, snapshot.value,
-                                              snapshot.version)
-    if name == "buffer_write":
-        return engine.buffer_write(*args)
-    if name == "commit_writes":
-        return engine.commit_writes(*args)
-    if name == "discard_writes":
-        return engine.discard_writes(*args)
-    if name == "len":
-        return len(engine.table(args[0]))
-    if name == "in":
-        return args[1] in engine.table(args[0])
-    if name == "keys":
-        return list(engine.table(args[0]).keys())
-    assert name == "record_count"
-    return engine.record_count()
+        return _snapshot(engine.read(*args))
+    return getattr(engine, name)(*args)
 
 
 def _contents(engine):
-    return {name: {key: _view(engine.table(name).get(key))
-                   for key in engine.table(name).keys()}
-            for name in sorted(engine.table_names())}
+    """Every (table, key) of the finite key universe, through both read paths;
+    ``"v"`` is a table no operation ever creates."""
+    return {(table, key): (_snapshot(engine.read("reader", table, key)),
+                           _kv_get(engine, table, key))
+            for table in TABLES + ("v",) for key in KEY_RANGE}
 
 
 @settings(max_examples=300, deadline=None)
@@ -113,7 +108,7 @@ def test_base_layer_engine_agrees_with_eager_engine(ops):
             handed_over.append((op[2], deepcopy(op[2])))
         assert _apply(lazy, op, eager=False) == _apply(eager, op, eager=True), op
     assert _contents(lazy) == _contents(eager)
-    assert lazy.record_count() == eager.record_count()
+    assert "v" not in lazy._tables, "a read created a table"
     for rows, before in handed_over:
         assert rows == before, "bulk_load's mapping was mutated"
 
@@ -121,27 +116,29 @@ def test_base_layer_engine_agrees_with_eager_engine(ops):
 def test_untouched_base_rows_cost_no_records():
     engine = StorageEngine()
     engine.bulk_load("t", {key: {"f": 0} for key in range(1_000)})
-    table = engine.table("t")
-    assert len(table) == engine.record_count() == 1_000
-    assert 999 in table and 1_000 not in table
-    assert not table._records
-    engine.read("x", "t", 7)
+    table = engine._tables["t"]
+    for key in range(1_000):
+        assert engine.read("x", "t", key).version == 1
+    assert engine.read("x", "t", 1_000) is None
+    assert engine.read("x", "u", 0) is None
+    assert not table._records, "a read stored a record"
+    assert set(engine._tables) == {"t"}, "a read created a table"
     table.put(8, "v", writer="x")
     table.put(5_000, "new", writer="x")          # absent from the base
-    assert sorted(table._records) == [7, 8, 5_000]
-    assert len(table) == 1_001
-    assert list(table.keys())[-1] == 5_000
+    assert sorted(table._records) == [8, 5_000]
+    assert _view(table._records[8]) == (8, "v", 2, "x")
+    assert _view(table._records[5_000]) == (5_000, "new", 1, "x")
 
 
 def test_reload_over_a_base_layer_bumps_versions():
     engine = StorageEngine()
     engine.bulk_load("t", {1: "a", 2: "b"})
     engine.bulk_load("t", {2: "B", 3: "c"})
-    table = engine.table("t")
-    assert _view(table.get(1)) == (1, "a", 1, "loader")
-    assert _view(table.get(2)) == (2, "B", 2, "loader")
-    assert _view(table.get(3)) == (3, "c", 1, "loader")
-    assert list(table.keys()) == [1, 2, 3]
+    assert [_kv_get(engine, "t", key) for key in (1, 2, 3)] == [
+        ("a", 1), ("B", 2), ("c", 1)]
+    table = engine._tables["t"]
+    assert sorted(table._records) == [2, 3]
+    assert {table._records[key].last_writer for key in (2, 3)} == {"loader"}
 
 
 def test_kv_verbs_see_base_rows_through_a_datasource():
@@ -157,6 +154,10 @@ def test_kv_verbs_see_base_rows_through_a_datasource():
     assert call(protocol.MSG_KV_GET, key="x") == {
         "found": True, "value": "v0", "version": 1}
     assert call(protocol.MSG_KV_GET, key="y") == {"found": False}
+    assert call(protocol.MSG_KV_GET, table="nope", key="x") == {"found": False}
+    assert call(protocol.MSG_KV_PUT_IF_VERSION, table="nope", key="x", value="v",
+                expected_version=1) == {"status": "conflict", "version": 0}
+    assert "nope" not in datasource.engine._tables, "a read created a table"
     assert call(protocol.MSG_KV_PUT_IF_VERSION, key="x", value="v1",
                 expected_version=0)["status"] == "conflict"
     assert call(protocol.MSG_KV_PUT_IF_VERSION, key="x", value="v1",

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from repro import ExperimentConfig, TopologyConfig, build_cluster, run_experiment
+from repro import ExperimentConfig, TopologyConfig, build_cluster, protocol, run_experiment
 from repro.bench.runner import make_workload
 from repro.plugins import get_workload_plugin, workload_names
 from repro.storage.engine import SharedRows, StorageEngine
@@ -28,17 +28,18 @@ NODES = TOPOLOGY.node_names()
 
 
 def _config(name, seed=3):
+    # A smaller YCSB key space keeps the row-by-row reference cheap.
     return ExperimentConfig(system="ssp", workload=name, terminals=4,
-                            duration_ms=1_500.0, warmup_ms=300.0, seed=seed)
+                            duration_ms=1_500.0, warmup_ms=300.0, seed=seed,
+                            ycsb=YCSBConfig(records_per_node=5_000))
 
 
 # ---------------------------------------------------- row-by-row reference
 def _ycsb_rows(workload):
     config, key_for_node = workload.config, workload.make_partitioner().key_for_node
-    preload = min(config.records_per_node, config.preload_rows_per_node)
     return {name: {"usertable": {key_for_node(index, sequence):
                                  {"field0": "x" * config.value_size_bytes}
-                                 for sequence in range(preload)}}
+                                 for sequence in range(config.records_per_node)}}
             for index, name in enumerate(workload.datasource_names)}
 
 
@@ -68,10 +69,10 @@ def _tpcc_rows(workload):
 
 def _smallbank_rows(workload):
     config, key_for_node = workload.config, workload.make_partitioner().key_for_node
-    preload = min(config.accounts_per_node, config.preload_accounts_per_node)
     data = {}
     for index, name in enumerate(workload.datasource_names):
-        accounts = [key_for_node(index, sequence) for sequence in range(preload)]
+        accounts = [key_for_node(index, sequence)
+                    for sequence in range(config.accounts_per_node)]
         data[name] = {table: {account: {"balance": config.initial_balance}
                               for account in accounts}
                       for table in ("savings", "checking")}
@@ -80,13 +81,12 @@ def _smallbank_rows(workload):
 
 def _ecommerce_rows(workload):
     config, key_for_node = workload.config, workload.make_partitioner().key_for_node
-    preload = min(config.products_per_node, config.preload_products_per_node)
     data = {}
     for index, name in enumerate(workload.datasource_names):
         customers = [key_for_node(index, s) for s in range(config.customers_per_node)]
         data[name] = {
             "products": {key_for_node(index, s): {"stock": 1_000, "price": 10.0}
-                         for s in range(preload)},
+                         for s in range(config.products_per_node)},
             "customers": {key: {"balance": 10_000.0} for key in customers},
             "carts": {key: {"items": 0} for key in customers}}
     return data
@@ -145,13 +145,15 @@ def test_views_answer_foreign_keys_as_absent(name):
             if not isinstance(rows, SharedRows):
                 continue
             for key in (next(iter(rows)), list(rows)[-1]):
-                assert key in rows and key in engine.table(table)
+                assert key in rows
+                assert engine.read(None, table, key).value is rows[key]
                 for probe in _foreign_keys(key):
                     assert probe not in rows, (node, table, probe)
                     assert rows.get(probe) is None
                     with pytest.raises(KeyError):
                         rows[probe]
-                    assert probe not in engine.table(table), (node, table, probe)
+                    assert engine.read(None, table, probe) is None, (
+                        node, table, probe)
             # Every other node's keys are off this node's stripe or grid.
             for other, other_tables in data.items():
                 if other != node:
@@ -160,7 +162,7 @@ def test_views_answer_foreign_keys_as_absent(name):
 
 
 def test_a_foreign_lookup_on_a_million_row_view_is_not_a_scan():
-    config = YCSBConfig(records_per_node=1_000_000, preload_rows_per_node=1_000_000)
+    config = YCSBConfig(records_per_node=1_000_000)
     data = get_workload_plugin("ycsb").factory(NODES, config).initial_data()
     view = data[NODES[0]]["usertable"]
     assert len(view) == 1_000_000
@@ -171,8 +173,7 @@ def test_a_foreign_lookup_on_a_million_row_view_is_not_a_scan():
 
 
 @pytest.mark.parametrize("name, workload_config, rows_per_node", [
-    ("ycsb", YCSBConfig(records_per_node=1_000_000, preload_rows_per_node=1_000_000),
-     1_000_000),
+    ("ycsb", YCSBConfig(records_per_node=1_000_000), 1_000_000),
     # 64 x (warehouse + 10 districts + 300 customers + 200 stock) + 200 items.
     ("tpcc", TPCCConfig(warehouses_per_node=64), 64 * 511 + 200),
 ], ids=["ycsb", "tpcc"])
@@ -187,7 +188,8 @@ def test_a_paper_scale_preload_loads_in_constant_time_and_memory(
     started = time.perf_counter()
     cluster.load_workload(workload)
     elapsed = time.perf_counter() - started
-    rows = cluster.datasources[NODES[0]].engine.record_count()
+    rows = sum(len(table._base) for table in
+               cluster.datasources[NODES[0]].engine._tables.values())
     cluster.close()
     assert rows == rows_per_node
     assert elapsed < 0.050, f"{name}: a paper-scale load took {elapsed * 1e3:.1f} ms"
@@ -202,6 +204,40 @@ def test_a_paper_scale_preload_loads_in_constant_time_and_memory(
         tracemalloc.stop()
         cluster.close()
     assert peak - before < 1_000_000, f"{name}: a load allocated {peak - before} B"
+
+
+def test_paper_scale_reads_store_no_records():
+    """Reads answer from the base: 10,000 spread keys of a 1 M-row table
+    through ``engine.read`` and 100 through the ``kv_get`` verb store nothing
+    (a record per key read would retain about 1 MB)."""
+    workload = get_workload_plugin("ycsb").factory(
+        NODES, YCSBConfig(records_per_node=1_000_000))
+    cluster = build_cluster("ssp", TOPOLOGY, workload.make_partitioner(), seed=1)
+    try:
+        cluster.load_workload(workload)
+        ds = cluster.datasources[NODES[0]]
+        key_for_node = workload.make_partitioner().key_for_node
+        keys = [key_for_node(0, sequence) for sequence in range(0, 1_000_000, 100)]
+        client = cluster.network.interface("probe")
+
+        def kv_get(key):
+            return cluster.env.run(until=client.request(
+                ds.name, protocol.MSG_KV_GET, {"table": "usertable", "key": key}))
+
+        kv_get(keys[0])                     # warm the request path
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert all(ds.engine.read("reader", "usertable", key).version == 1
+                       for key in keys)
+            assert all(kv_get(key)["version"] == 1 for key in keys[::100])
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not ds.engine._tables["usertable"]._records
+        assert after - before < 10_000, f"reads retained {after - before} B"
+    finally:
+        cluster.close()
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -14,7 +14,7 @@ NODES = ["ds0", "ds1", "ds2"]
 
 
 def _workload(**overrides) -> SmallBankWorkload:
-    defaults = dict(accounts_per_node=1_000, preload_accounts_per_node=100)
+    defaults = dict(accounts_per_node=1_000)
     defaults.update(overrides)
     return SmallBankWorkload(NODES, SmallBankConfig(**defaults))
 
@@ -31,9 +31,9 @@ def test_initial_data_loads_savings_and_checking_per_node():
     assert set(data) == set(NODES)
     for node, tables in data.items():
         assert set(tables) == {SAVINGS, CHECKING}
-        assert len(tables[SAVINGS]) == 100
+        assert len(tables[SAVINGS]) == 1_000
         assert set(tables[SAVINGS]) == set(tables[CHECKING])
-        # Every preloaded account actually lives on its node.
+        # Every loaded account actually lives on its node.
         for account in tables[SAVINGS]:
             assert workload.make_partitioner().locate(SAVINGS, account) == node
 

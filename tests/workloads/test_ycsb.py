@@ -11,7 +11,7 @@ NODES = ["ds0", "ds1", "ds2", "ds3"]
 
 
 def make_workload(**overrides):
-    config = YCSBConfig(records_per_node=1000, preload_rows_per_node=100, **overrides)
+    config = YCSBConfig(records_per_node=1000, **overrides)
     return YCSBWorkload(NODES, config)
 
 
@@ -93,8 +93,16 @@ def test_initial_data_is_partition_consistent():
     assert set(data) == set(NODES)
     for node, tables in data.items():
         rows = tables["usertable"]
-        assert len(rows) == 100  # preload cap
+        assert len(rows) == 1000  # every row
         assert all(partitioner.locate("usertable", key) == node for key in rows)
+
+
+def test_the_ledgers_preload_spelling_still_loads_every_row():
+    # The perf ledger builds YCSBConfig(preload_rows_per_node=records_per_node).
+    spelled = YCSBWorkload(NODES, YCSBConfig(records_per_node=1000,
+                                             preload_rows_per_node=1000))
+    assert spelled.initial_data() == make_workload().initial_data()
+    assert YCSBConfig().preload_rows_per_node is None
 
 
 def test_same_seed_gives_same_transaction_stream():
@@ -129,7 +137,7 @@ def test_high_skew_concentrates_accesses():
 @settings(max_examples=40, deadline=None)
 def test_property_generated_specs_are_well_formed(ratio, skew, length):
     workload = YCSBWorkload(NODES, YCSBConfig(
-        records_per_node=500, preload_rows_per_node=10, distributed_ratio=ratio,
+        records_per_node=500, distributed_ratio=ratio,
         skew=skew, operations_per_transaction=length))
     spec = workload.next_transaction()
     assert spec.statement_count == length
