@@ -42,8 +42,10 @@ def main() -> None:
             rows.append((f"{int(remote_stock_ratio * 100)}%", system,
                          round(result.throughput_tps, 1),
                          round(result.average_latency_ms, 1),
-                         round(result.average_latency_for("new_order"), 1),
-                         round(result.average_latency_for("payment"), 1)))
+                         round(result.collector.average_latency_ms(
+                             txn_type="new_order"), 1),
+                         round(result.collector.average_latency_ms(
+                             txn_type="payment"), 1)))
 
     print_table(
         "Checkout performance vs share of orders needing remote stock",

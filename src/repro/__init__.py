@@ -26,7 +26,6 @@ PLUGINS.md for the plugin authoring guide.
 
 from repro.bench.runner import (
     ExperimentConfig,
-    ExperimentResult,
     ExperimentSummary,
     run_experiment,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Cluster",
     "DataNodeSpec",
     "ExperimentConfig",
-    "ExperimentResult",
     "ExperimentSummary",
     "FaultEvent",
     "FaultKind",

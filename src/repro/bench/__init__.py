@@ -12,8 +12,9 @@ The layer is one pipeline, registry scenario → :class:`SweepRunner` →
   seed, source fingerprint) that makes killed sweeps resumable;
 * ``figures`` — sanity-checked figure pipeline over the CLI's JSON documents
   (dict-of-columns data, registered checks, optional matplotlib rendering);
-* ``runner`` / ``report`` — the single-point experiment runner and the
-  plain-text tables (:func:`sweep_table`: one row per sweep point).
+* ``runner`` / ``report`` — the single-point experiment runner (one
+  :class:`ExperimentSummary` per point) and the plain-text tables
+  (:func:`sweep_table`: one row per sweep point).
 
 ``python -m repro.bench`` lists and runs registered scenarios from the shell.
 """
@@ -35,7 +36,6 @@ from repro.bench.parallel import (
 from repro.bench.report import format_table, print_table, sweep_table
 from repro.bench.runner import (
     ExperimentConfig,
-    ExperimentResult,
     ExperimentSummary,
     run_experiment,
 )
@@ -52,7 +52,6 @@ from repro.bench.scenarios import (
 __all__ = [
     "Axis",
     "ExperimentConfig",
-    "ExperimentResult",
     "ExperimentSummary",
     "Figure",
     "FigureCheckError",

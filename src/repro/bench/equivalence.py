@@ -120,7 +120,7 @@ def snapshot(config: ExperimentConfig) -> Dict[str, Any]:
         "p50": latency.p50 if samples else None,
         "p99": latency.p99 if samples else None,
         "abort_rate": result.abort_rate,
-        "abort_reasons": result.collector.abort_reasons(),
+        "abort_reasons": result.abort_reasons,
         "n_samples": len(samples),
         "latency_sha256": hashlib.sha256(repr(samples).encode()).hexdigest(),
     }

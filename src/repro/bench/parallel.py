@@ -4,8 +4,8 @@ Every :class:`~repro.bench.scenarios.SweepPoint` is an independent simulation
 (its config is a private deep copy, the simulator is fully seeded), so a sweep
 is embarrassingly parallel.  :class:`SweepRunner` expands a sweep and fans the
 points out over a :class:`concurrent.futures.ProcessPoolExecutor`; workers
-return the slim :class:`~repro.bench.runner.ExperimentSummary` (never the live
-collector or cluster), and results are re-ordered by point index so the output
+return the detached :class:`~repro.bench.runner.ExperimentSummary` (its live
+collector and cluster dropped by ``summary()``), and results are re-ordered by point index so the output
 is byte-identical no matter which worker finished first.
 
 ``max_workers=1`` (the default, unless ``REPRO_BENCH_WORKERS`` says otherwise)

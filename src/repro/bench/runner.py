@@ -90,21 +90,16 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _summary_row(self):
-    """A compact row used by the report tables."""
-    return (self.system, round(self.throughput_tps, 1),
-            round(self.average_latency_ms, 1), round(self.p99_latency_ms, 1),
-            round(self.abort_rate * 100, 1))
-
-
 @dataclass
 class ExperimentSummary:
-    """The slim, picklable aggregate of one experiment point.
+    """The outcome of one experiment point, as :func:`run_experiment` returns it.
 
-    This is what crosses process boundaries when sweeps run on a worker pool
-    (:class:`~repro.bench.parallel.SweepRunner`): plain scalars, sample lists
-    and small value objects — never the live ``collector`` or ``cluster``,
-    which hold simulation processes and stay local to the worker.
+    Plain scalars, sample lists and small value objects, plus two live
+    handles: the run's ``collector`` and, with ``keep_cluster=True``, its
+    ``cluster``.  Those hold simulation state, so :meth:`summary` detaches
+    them; the detached copy is what crosses process boundaries when sweeps
+    run on a worker pool (:class:`~repro.bench.parallel.SweepRunner`) and
+    what the sweep cache stores.
     """
 
     system: str
@@ -159,8 +154,15 @@ class ExperimentSummary:
     #: Robustness-invariant report produced by
     #: :func:`repro.recovery.invariants.check_invariants` — ``{name:
     #: {"status": "passed"|"failed"|"skipped", "detail": str}}``.  Computed
-    #: once per run in :meth:`ExperimentResult.summary`.
+    #: once per run in :func:`run_experiment`.
     invariants: Optional[Dict[str, Dict[str, str]]] = None
+    #: The run's live :class:`MetricsCollector` (per-type counts and
+    #: latencies, availability grids, attribution); ``None`` once detached.
+    collector: Optional[MetricsCollector] = field(
+        default=None, repr=False, compare=False)
+    #: The live cluster of a ``keep_cluster=True`` run (to read its parts'
+    #: ``stats`` or drive it further); ``None`` otherwise and once detached.
+    cluster: Optional[Cluster] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------ conveniences
     @property
@@ -176,7 +178,19 @@ class ExperimentSummary:
                    else self.centralized_latency_samples)
         return LatencyDistribution(samples)
 
-    summary_row = _summary_row
+    def summary_row(self):
+        """A compact row used by the report tables."""
+        return (self.system, round(self.throughput_tps, 1),
+                round(self.average_latency_ms, 1), round(self.p99_latency_ms, 1),
+                round(self.abort_rate * 100, 1))
+
+    def summary(self) -> "ExperimentSummary":
+        """A detached copy: the same fields without ``collector``/``cluster``.
+
+        Picklable; the sweep's worker processes return it and the sweep
+        cache stores it.
+        """
+        return replace(self, collector=None, cluster=None)
 
     def to_dict(self, include_samples: bool = False,
                 include_environment: bool = False) -> Dict:
@@ -234,97 +248,6 @@ class ExperimentSummary:
         return out
 
 
-@dataclass
-class ExperimentResult:
-    """Aggregated outcome of one experiment point."""
-
-    system: str
-    workload: str
-    terminals: int
-    measured_duration_ms: float
-    throughput_tps: float
-    average_latency_ms: float
-    p99_latency_ms: float
-    abort_rate: float
-    committed: int
-    aborted: int
-    latency: LatencyDistribution
-    breakdown: Dict[str, float]
-    resources: ResourceUsage
-    collector: MetricsCollector
-    timeline: Optional[ThroughputTimeline] = None
-    cluster: Optional[Cluster] = None
-    seed: int = 0
-    #: Total simulation queue entries dispatched (events + timers).
-    events_processed: int = 0
-    #: Fault/availability report of a fault-injection run (see
-    #: ``ExperimentSummary.faults``); ``None`` for fault-free runs.
-    faults: Optional[Dict[str, Any]] = None
-    #: Fleet report of a multi-middleware run (see ``ExperimentSummary.fleet``).
-    fleet: Optional[Dict[str, Any]] = None
-    #: See the same-named ``ExperimentSummary`` fields.
-    open_loop: Optional[Dict[str, Any]] = None
-    admission: Optional[Dict[str, int]] = None
-    peak_rss_bytes: int = 0
-    warmup_samples: int = 0
-
-    # ------------------------------------------------------------ conveniences
-    def throughput_for(self, txn_type: str) -> float:
-        """Committed transactions per second of one transaction type."""
-        return self.collector.throughput_tps(self.measured_duration_ms, txn_type)
-
-    def average_latency_for(self, txn_type: str) -> float:
-        """Average latency (ms) of one transaction type."""
-        return self.collector.average_latency_ms(txn_type=txn_type)
-
-    def latency_for(self, txn_type: Optional[str] = None,
-                    distributed: Optional[bool] = None) -> LatencyDistribution:
-        """Latency distribution filtered by transaction type / distribution."""
-        return self.collector.latency_distribution(txn_type=txn_type,
-                                                   distributed=distributed)
-
-    summary_row = _summary_row
-
-    def summary(self) -> ExperimentSummary:
-        """The picklable summary of this result (drops collector/cluster).
-
-        Robustness invariants are evaluated here — once, on the complete
-        summary — so every sweep point carries its own safety report without
-        callers having to opt in.
-        """
-        summary = ExperimentSummary(
-            system=self.system,
-            workload=self.workload,
-            terminals=self.terminals,
-            seed=self.seed,
-            measured_duration_ms=self.measured_duration_ms,
-            throughput_tps=self.throughput_tps,
-            average_latency_ms=self.average_latency_ms,
-            p99_latency_ms=self.p99_latency_ms,
-            abort_rate=self.abort_rate,
-            committed=self.committed,
-            aborted=self.aborted,
-            breakdown=dict(self.breakdown),
-            resources=self.resources,
-            abort_reasons=self.collector.abort_reasons(),
-            latency_samples=self.latency.samples,
-            centralized_latency_samples=self.collector.latency_distribution(
-                distributed=False).samples,
-            distributed_latency_samples=self.collector.latency_distribution(
-                distributed=True).samples,
-            timeline=self.timeline,
-            events_processed=self.events_processed,
-            faults=self.faults,
-            fleet=self.fleet,
-            open_loop=self.open_loop,
-            admission=self.admission,
-            peak_rss_bytes=self.peak_rss_bytes,
-            warmup_samples=self.warmup_samples,
-        )
-        summary.invariants = check_invariants(summary)
-        return summary
-
-
 def make_workload(config: ExperimentConfig, node_names) -> Workload:
     """Instantiate the workload generator selected by ``config``.
 
@@ -353,8 +276,11 @@ def make_workload(config: ExperimentConfig, node_names) -> Workload:
 
 
 def run_experiment(config: ExperimentConfig,
-                   keep_cluster: bool = False) -> ExperimentResult:
+                   keep_cluster: bool = False) -> ExperimentSummary:
     """Run one experiment point and aggregate its metrics.
+
+    The robustness invariants are evaluated once, on the finished result,
+    so every point carries its own safety report (``result.invariants``).
 
     The cluster lives for this call only: it is built, loaded, run and — on
     exit — closed (:meth:`~repro.cluster.deployment.Cluster.close`), so it is
@@ -389,7 +315,7 @@ def run_experiment(config: ExperimentConfig,
 
     needs_fleet = config.fleet is not None or config.middleware_count > 1
     timeline = (ThroughputTimeline(bucket_ms=config.timeline_bucket_ms)
-                if config.timeline_bucket_ms else None)
+                if config.timeline_bucket_ms is not None else None)
     # An open-system run has no bound on its transaction count, so its latency
     # distributions are bounded reservoirs; a closed loop keeps every sample.
     collector = MetricsCollector(
@@ -452,8 +378,7 @@ def run_experiment(config: ExperimentConfig,
         fleet_report["attribution"] = collector.attribution()
         fleet_report["availability_per_middleware"] = {
             name: report.to_dict()
-            for name, report in collector.per_middleware_availability(
-                config.duration_ms).items()}
+            for name, report in collector.per_middleware_availability().items()}
 
     admission_report = None
     schedulers = [m.admission for m in cluster.middlewares
@@ -467,8 +392,6 @@ def run_experiment(config: ExperimentConfig,
 
     measured = config.duration_ms - config.warmup_ms
     latency = collector.latency_distribution()
-    breakdown = collector.phase_breakdown()
-
     resources = ResourceUsage(
         work_units=sum(m.stats.work_units for m in cluster.middlewares),
         wan_messages=sum(m.stats.wan_messages for m in cluster.middlewares),
@@ -476,10 +399,11 @@ def run_experiment(config: ExperimentConfig,
         committed=sum(m.stats.committed for m in cluster.middlewares),
     )
 
-    result = ExperimentResult(
+    result = ExperimentSummary(
         system=config.system,
         workload=config.workload,
         terminals=config.terminals,
+        seed=config.seed,
         measured_duration_ms=measured,
         throughput_tps=collector.throughput_tps(measured),
         average_latency_ms=latency.mean,
@@ -487,22 +411,27 @@ def run_experiment(config: ExperimentConfig,
         abort_rate=collector.abort_rate(),
         committed=collector.committed_count(),
         aborted=collector.aborted_count(),
-        latency=latency,
-        breakdown=breakdown.average(),
+        breakdown=collector.phase_breakdown().average(),
         resources=resources,
-        collector=collector,
+        abort_reasons=collector.abort_reasons(),
+        latency_samples=latency.samples,
+        centralized_latency_samples=collector.latency_distribution(
+            distributed=False).samples,
+        distributed_latency_samples=collector.latency_distribution(
+            distributed=True).samples,
         timeline=timeline,
-        cluster=cluster if keep_cluster else None,
-        seed=config.seed,
         events_processed=cluster.env.events_processed,
-        faults=(fault_injector.summarize(collector, config.duration_ms)
+        faults=(fault_injector.summarize(collector)
                 if fault_injector is not None else None),
         fleet=fleet_report,
         open_loop=open_pool.report() if open_pool is not None else None,
         admission=admission_report,
         peak_rss_bytes=process_peak_rss_bytes(),
         warmup_samples=collector.warmup_samples,
+        collector=collector,
+        cluster=cluster if keep_cluster else None,
     )
+    result.invariants = check_invariants(result)
     if not keep_cluster:
         # End of the cluster's life: break its reference cycles so it is
         # freed here, by reference counting, not by a collection that would

@@ -48,7 +48,7 @@ class ClientTerminal:
 
     def __init__(self, env: Environment, terminal_id: int, middleware: MiddlewareBase,
                  workload: Workload, collector: MetricsCollector,
-                 stop_at_ms: float, think_time_ms: float = 0.0,
+                 stop_at_ms: float,
                  fleet: Optional[MiddlewareFleet] = None, *,
                  retry: RetryPolicy, seed: int = 0,
                  autostart: bool = True):
@@ -58,7 +58,6 @@ class ClientTerminal:
         self.workload = workload
         self.collector = collector
         self.stop_at_ms = stop_at_ms
-        self.think_time_ms = think_time_ms
         self.fleet = fleet
         self.retry = retry
         #: Failover retries spent so far (bounded by ``retry.budget``).
@@ -98,10 +97,6 @@ class ClientTerminal:
                     break
             else:
                 self._unavailable_streak = 0
-            if self.think_time_ms > 0:
-                yield self.env.timeout(self.think_time_ms)
-                if self.env.now >= self.stop_at_ms:
-                    break
 
     def _backoff_ms(self, attempt: int) -> float:
         if self._retry_rng is None:
@@ -148,7 +143,6 @@ class ClientTerminal:
 def start_terminals(env: Environment, middlewares: Sequence[MiddlewareBase],
                     workload: Workload, collector: MetricsCollector,
                     terminal_count: int, duration_ms: float,
-                    think_time_ms: float = 0.0,
                     fleet: Optional[MiddlewareFleet] = None, *,
                     retry: RetryPolicy,
                     seed: int = 0) -> List[ClientTerminal]:
@@ -168,6 +162,5 @@ def start_terminals(env: Environment, middlewares: Sequence[MiddlewareBase],
         middleware = middlewares[index % len(middlewares)]
         terminals.append(ClientTerminal(
             env, index, middleware, workload, collector,
-            stop_at_ms=duration_ms, think_time_ms=think_time_ms,
-            fleet=fleet, retry=retry, seed=seed))
+            stop_at_ms=duration_ms, fleet=fleet, retry=retry, seed=seed))
     return terminals

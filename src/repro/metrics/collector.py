@@ -41,13 +41,14 @@ class MetricsCollector:
     benchmark harnesses discard ramp-up measurements — except the optional
     ``timeline``, which is the Fig. 11b time series and covers the whole run.
 
-    The availability grid is allocated from ``duration_ms`` (no grid, and no
-    :meth:`availability_report`, without it).  ``track_middlewares``
-    (attribution + per-middleware timelines, for fleet runs) is opt-in because
-    it costs a txn-id parse per record.
+    The availability grid is fixed at construction: ``Availability``'s
+    default buckets over ``[warmup_ms, duration_ms)`` (no grid, and no
+    :meth:`availability_report`, without ``duration_ms``).
+    ``track_middlewares`` (attribution + per-middleware timelines, for fleet
+    runs) is opt-in because it costs a txn-id parse per record.
     """
 
-    __slots__ = ("warmup_ms", "duration_ms", "bucket_ms", "reservoir_size",
+    __slots__ = ("warmup_ms", "duration_ms", "reservoir_size",
                  "track_middlewares", "timeline", "warmup_samples",
                  "_seed", "_committed", "_aborted", "_abort_reasons",
                  "_latency_all", "_latency_central", "_latency_dist",
@@ -56,13 +57,11 @@ class MetricsCollector:
 
     def __init__(self, warmup_ms: float = 0.0,
                  duration_ms: Optional[float] = None,
-                 reservoir_size: Optional[int] = None,
-                 bucket_ms: float = 1000.0, seed: int = 0,
+                 reservoir_size: Optional[int] = None, seed: int = 0,
                  track_middlewares: bool = False,
                  timeline: Optional[ThroughputTimeline] = None):
         self.warmup_ms = warmup_ms
         self.duration_ms = duration_ms
-        self.bucket_ms = bucket_ms
         self.reservoir_size = reservoir_size
         self.track_middlewares = track_middlewares
         self.timeline = timeline
@@ -88,8 +87,7 @@ class MetricsCollector:
     def _new_availability(self) -> Optional[Availability]:
         if self.duration_ms is None:
             return None
-        return Availability(self.duration_ms, bucket_ms=self.bucket_ms,
-                            start_ms=self.warmup_ms)
+        return Availability(self.duration_ms, start_ms=self.warmup_ms)
 
     # ------------------------------------------------------------- recording
     def record(self, result: TransactionResult, txn_type: str = "generic") -> None:
@@ -199,22 +197,15 @@ class MetricsCollector:
         return dict(self._abort_reasons)
 
     # ------------------------------------------------------- derived accessors
-    def _check_grid(self, duration_ms: float, bucket_ms: float) -> None:
+    def _check_grid(self) -> None:
         if self._availability is None:
             raise RuntimeError("this MetricsCollector was built without "
                                "duration_ms; no availability timeline was "
                                "accumulated")
-        if duration_ms != self.duration_ms or bucket_ms != self.bucket_ms:
-            raise ValueError(
-                f"availability was accumulated on a "
-                f"(duration_ms={self.duration_ms}, bucket_ms={self.bucket_ms}) "
-                f"grid; cannot rebucket to (duration_ms={duration_ms}, "
-                f"bucket_ms={bucket_ms})")
 
-    def availability_report(self, duration_ms: float,
-                            bucket_ms: float = 1000.0) -> AvailabilityReport:
+    def availability_report(self) -> AvailabilityReport:
         """Per-bucket commit/abort timeline over ``[warmup_ms, duration_ms)``."""
-        self._check_grid(duration_ms, bucket_ms)
+        self._check_grid()
         return self._availability.report()
 
     def attribution(self) -> Dict[str, Dict[str, int]]:
@@ -225,9 +216,7 @@ class MetricsCollector:
         return {name: dict(counts)
                 for name, counts in self._mw_attribution.items()}
 
-    def per_middleware_availability(self, duration_ms: float,
-                                    bucket_ms: float = 1000.0
-                                    ) -> Dict[str, AvailabilityReport]:
+    def per_middleware_availability(self) -> Dict[str, AvailabilityReport]:
         """One availability timeline per middleware, on the shared bucket grid.
 
         The per-middleware timelines line up column-for-column with the
@@ -237,7 +226,7 @@ class MetricsCollector:
         if not self.track_middlewares:
             raise RuntimeError("per-middleware timelines were not tracked; "
                                "construct with track_middlewares=True")
-        self._check_grid(duration_ms, bucket_ms)
+        self._check_grid()
         return {name: grid.report()
                 for name, grid in sorted(self._mw_availability.items())}
 

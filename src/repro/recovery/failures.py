@@ -485,11 +485,9 @@ class FaultInjector:
         self._log("heal", event)
 
     # ------------------------------------------------------------------ report
-    def summarize(self, collector: "MetricsCollector", duration_ms: float,
-                  bucket_ms: float = 1000.0) -> Dict[str, Any]:
+    def summarize(self, collector: "MetricsCollector") -> Dict[str, Any]:
         """The picklable fault report stored in ``ExperimentSummary.faults``."""
-        availability = collector.availability_report(duration_ms,
-                                                     bucket_ms=bucket_ms)
+        availability = collector.availability_report()
         time_to_recover: Dict[str, Any] = {}
         baselines: Dict[str, float] = {}
         for event in self.plan.events:

@@ -10,7 +10,8 @@ Design rules:
 
 * Checkers are pure functions of the summary — no cluster access, no
   simulation state — so they are deterministic, engine-independent, and can
-  re-run on a deserialised summary dict just as well as on a live run.
+  re-run on an unpickled summary (what the sweep cache returns) just as well
+  as on a live run.
 * An invariant that does not apply to a run (e.g. open-system books on a
   closed-loop run) reports ``skipped``, never ``passed`` — a green report
   means every *applicable* safety property actually held.
@@ -34,7 +35,7 @@ The catalog (see ``INVARIANTS``):
     negative entries.
 ``throughput_accounting``
     ``throughput_tps`` is exactly ``committed / measured_duration`` — a
-    duplicated-commit detector on serialised summaries.
+    duplicated-commit detector on cached summaries.
 ``availability_recovers``
     After every repaired fault with enough post-heal runway, throughput
     returns to the recovery band (half the pre-fault baseline, the

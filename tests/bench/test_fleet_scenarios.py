@@ -133,8 +133,7 @@ def failover_run():
 
 def test_availability_stays_at_90_percent_of_fault_free(failover_run):
     fault_free = run_point("fleet_failover", "geotp", seed=3, fault_free=True)
-    baseline = fault_free.collector.availability_report(
-        4_000.0).availability()
+    baseline = fault_free.collector.availability_report().availability()
     faulted = failover_run.faults["availability"]["availability"]
     assert baseline > 0.0
     assert faulted >= 0.9 * baseline, (

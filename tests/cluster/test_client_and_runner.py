@@ -1,5 +1,8 @@
 """Integration tests: client terminals and the experiment runner."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro import ExperimentConfig, GeoTPConfig, TPCCConfig, TopologyConfig, YCSBConfig, run_experiment
@@ -8,6 +11,7 @@ from repro.cluster import RetryPolicy
 from repro.cluster import TopologyConfig as ClusterTopology
 from repro.cluster import build_cluster, start_terminals
 from repro.metrics import MetricsCollector
+from repro.recovery.invariants import all_passed
 from repro.workloads import YCSBWorkload
 
 
@@ -56,6 +60,34 @@ def test_run_experiment_returns_consistent_metrics():
     assert result.resources.committed >= result.committed
 
 
+def test_run_experiment_returns_a_summary_with_live_handles():
+    config = ExperimentConfig(system="geotp", terminals=4, duration_ms=2000,
+                              warmup_ms=500, ycsb=SMALL_YCSB, seed=4)
+    first = run_experiment(config)
+    second = run_experiment(config, keep_cluster=True)
+    assert first.invariants is not None and all_passed(first.invariants)
+    assert first.collector.committed_count() == first.committed
+    assert first.cluster is None and second.cluster is not None
+    detached = second.summary()
+    assert detached.collector is None and detached.cluster is None
+    assert second.collector is not None  # detaching leaves the original alone
+    # peak_rss_bytes is the process's high-water mark, which the first run
+    # may have raised; every simulated field must match.
+    assert first.summary() == replace(second, peak_rss_bytes=first.peak_rss_bytes)
+    assert pickle.loads(pickle.dumps(detached)) == detached
+    assert detached.to_dict(include_environment=True) \
+        == second.to_dict(include_environment=True)
+    second.cluster.close()
+
+
+def test_zero_timeline_width_is_rejected_not_ignored():
+    for width in (0.0, -1.0):
+        with pytest.raises(ValueError, match="bucket_ms"):
+            run_experiment(ExperimentConfig(
+                system="ssp", terminals=2, duration_ms=1000, warmup_ms=100,
+                ycsb=SMALL_YCSB, timeline_bucket_ms=width))
+
+
 def test_make_workload_does_not_mutate_shared_workload_configs():
     """Regression: the runner used to stamp ``config.seed`` onto the shared
     YCSB/TPC-C config in place, so a config reused across experiments silently
@@ -102,9 +134,13 @@ def test_run_experiment_tpcc_reports_per_type_metrics():
         tpcc=TPCCConfig(warehouses_per_node=2, customers_per_district=10,
                         item_count=50, mix={"payment": 1.0}))
     result = run_experiment(config)
+    collector = result.collector
     assert result.committed > 0
-    assert result.throughput_for("payment") == pytest.approx(result.throughput_tps)
-    assert result.average_latency_for("payment") > 0
+    assert collector.throughput_tps(result.measured_duration_ms, "payment") \
+        == pytest.approx(result.throughput_tps)
+    assert collector.average_latency_ms(txn_type="payment") > 0
+    assert collector.latency_distribution(txn_type="payment").samples \
+        == result.latency_samples
 
 
 def test_run_experiment_timeline_and_multi_middleware():

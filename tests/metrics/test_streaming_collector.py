@@ -102,8 +102,8 @@ def test_latency_aggregates_match_retained_exactly_below_capacity():
 
 def test_availability_timeline_matches_retained():
     retained, streaming = build_pair(synthetic_stream())
-    ours = streaming.availability_report(10_000.0)
-    theirs = retained.availability_report(10_000.0)
+    ours = streaming.availability_report()
+    theirs = retained.availability_report()
     assert ours.bucket_ms == theirs.bucket_ms
     assert ours.buckets == theirs.buckets
 
@@ -111,8 +111,8 @@ def test_availability_timeline_matches_retained():
 def test_attribution_and_per_middleware_timelines_match_retained():
     retained, streaming = build_pair(synthetic_stream())
     assert streaming.attribution() == retained.attribution()
-    ours = streaming.per_middleware_availability(10_000.0)
-    theirs = retained.per_middleware_availability(10_000.0)
+    ours = streaming.per_middleware_availability()
+    theirs = retained.per_middleware_availability()
     assert set(ours) == set(theirs)
     for name in ours:
         assert ours[name].buckets == theirs[name].buckets
@@ -157,21 +157,11 @@ def test_type_and_distribution_filters_cannot_be_combined():
             collector.average_latency_ms(txn_type="read", distributed=False)
 
 
-def test_availability_grid_mismatch_raises():
-    _, streaming = build_pair(synthetic_stream())
-    with pytest.raises(ValueError, match="grid"):
-        streaming.availability_report(10_000.0, bucket_ms=500.0)
-    with pytest.raises(ValueError, match="grid"):
-        streaming.availability_report(20_000.0)
-    with pytest.raises(ValueError):
-        streaming.per_middleware_availability(10_000.0, bucket_ms=500.0)
-
-
 def test_no_duration_means_no_timeline():
     streaming = MetricsCollector(duration_ms=None)
     streaming.record(make_result())
     with pytest.raises(RuntimeError, match="without duration_ms"):
-        streaming.availability_report(10_000.0)
+        streaming.availability_report()
 
 
 def test_untracked_middlewares_raise():
@@ -179,7 +169,7 @@ def test_untracked_middlewares_raise():
     with pytest.raises(RuntimeError, match="track_middlewares"):
         streaming.attribution()
     with pytest.raises(RuntimeError, match="track_middlewares"):
-        streaming.per_middleware_availability(10_000.0)
+        streaming.per_middleware_availability()
 
 
 # --------------------------------------------------------------------- memory

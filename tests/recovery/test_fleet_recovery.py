@@ -53,7 +53,7 @@ def crash_run():
 
 
 def test_survivor_serves_through_the_crash_window(crash_run):
-    per_middleware = crash_run.collector.per_middleware_availability(5_000.0)
+    per_middleware = crash_run.collector.per_middleware_availability()
     survivor = per_middleware["dm2"]
     window = [committed for start, committed, _ in survivor.buckets
               if CRASH_AT_MS <= start < RESTART_MS]

@@ -6,8 +6,11 @@ summary must pass everything applicable while skipping the rest.
 """
 
 import copy
+import pickle
 from types import SimpleNamespace
 
+from repro import ExperimentConfig, YCSBConfig, run_experiment
+from repro.bench.scenarios import get_scenario
 from repro.recovery.invariants import (
     INVARIANTS,
     all_passed,
@@ -15,6 +18,7 @@ from repro.recovery.invariants import (
     invariant,
     violations,
 )
+from repro.workloads.arrivals import ArrivalConfig
 
 
 def healthy_summary(**overrides):
@@ -220,3 +224,33 @@ def test_registry_is_pluggable():
 def test_every_catalog_invariant_has_a_description():
     for inv in INVARIANTS.values():
         assert inv.description
+
+
+# ------------------------------------------------------------ real summaries
+def _fault_ds_crash_config():
+    sweep = get_scenario("fault_ds_crash").sweep(
+        axes={"system": ("geotp",)}, duration_ms=4_000.0, warmup_ms=800.0,
+        terminals=6, ycsb__records_per_node=1_000)
+    (point,) = sweep.points()
+    return point.config
+
+
+def _open_loop_fleet_config():
+    return ExperimentConfig(
+        system="geotp", middleware_count=2, duration_ms=3_000.0,
+        warmup_ms=500.0, ycsb=YCSBConfig(records_per_node=1_000),
+        arrival=ArrivalConfig(rate_tps=150.0), seed=2)
+
+
+def test_invariants_rerun_identically_on_an_unpickled_summary():
+    """What the sweep cache returns is checkable exactly like the live run;
+    between them the two runs make every invariant applicable."""
+    applicable = set()
+    for config in (_fault_ds_crash_config(), _open_loop_fleet_config()):
+        summary = run_experiment(config)
+        assert all_passed(summary.invariants), violations(summary.invariants)
+        unpickled = pickle.loads(pickle.dumps(summary.summary()))
+        assert check_invariants(unpickled) == summary.invariants
+        applicable |= {name for name, entry in summary.invariants.items()
+                       if entry["status"] != "skipped"}
+    assert applicable == set(INVARIANTS)
