@@ -5,7 +5,8 @@ the paper re-implements on its middleware platform for comparison:
 
 * the prepare phase is merged into the execution phase (each participant
   prepares its branch as soon as it finishes executing, so commit needs only
-  one further round trip);
+  one further round trip; a participant without a statement in the final
+  round is prepared at commit as in SSP, and its NO vote aborts);
 * subtransactions on the *outer* regions (remote, high-latency) are executed
   first and the *inner* region (local, low-latency — where the hot records
   usually live) is executed last, so locks on hot records are held only
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.common import SubtxnResult, TxnOutcome
-from repro import protocol
-from repro.middleware.context import TransactionContext, TransactionPhase
+from repro.common import SubtxnResult
+from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.statements import Statement
@@ -68,27 +68,6 @@ class ChillerCoordinator(TwoPhaseCommitCoordinator):
 
         self.on_round_complete(ctx, results)
         return True, None
-
-    def _commit_distributed(self, ctx: TransactionContext):
-        """Participants prepared during execution: only the commit round trip remains."""
-        all_prepared = all(
-            result.prepared for result in ctx.results.values()) and ctx.results
-        if not all_prepared:
-            # Fall back to classic 2PC if any participant did not merge-prepare
-            # (e.g. it only appeared in a non-final round).
-            missing = [name for name in ctx.participants
-                       if not ctx.results.get(name) or not ctx.results[name].prepared]
-            votes = []
-            for name in missing:
-                handle = self.participants[name]
-                votes.append(self.timed_request_participant(
-                    handle, protocol.MSG_XA_PREPARE, {"xid": ctx.branch_xid(name)}))
-            if votes:
-                yield self.env.all_of(votes)
-        yield from self._flush_decision_log(ctx, commit=True)
-        ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
-        yield from self._dispatch_decision(ctx, protocol.MSG_XA_COMMIT)
-        return TxnOutcome.COMMITTED, None
 
 
 # ------------------------------------------------------------------- plugin

@@ -63,12 +63,6 @@ class ScalarDBCoordinator(MiddlewareBase):
         self._executor = Resource(env, capacity=self.scalardb.coordinator_slots)
 
     # ------------------------------------------------------------------- hooks
-    def schedule_execution_delays(self, ctx: TransactionContext,
-                                  records_by_participant: Dict[str, List[RecordId]]
-                                  ) -> Dict[str, float]:
-        """Dispatch postponement per participant; the base ScalarDB uses none."""
-        return {name: 0.0 for name in records_by_participant}
-
     def admit(self, ctx: TransactionContext):
         """Admission hook (ScalarDB+ overrides); base admits everything."""
         return (True, None)

@@ -9,65 +9,19 @@ blocks transactions that are very likely to fail validation on hot records.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.baselines.scalardb import ScalarDBConfig, ScalarDBCoordinator
-from repro.common import AbortReason
-from repro.core.admission import LateTransactionScheduler
-from repro.core.config import GeoTPConfig
-from repro.core.forecasting import LocalExecutionForecaster
-from repro.core.hotspot import HotspotFootprint
-from repro.core.latency_monitor import NetworkLatencyMonitor
-from repro.core.scheduler import GeoScheduler
+from repro.baselines.scalardb import ScalarDBCoordinator
+from repro.core.geotp import LatencyAwareMixin
 from repro.middleware.context import TransactionContext
-from repro.middleware.middleware import MiddlewareConfig, ParticipantHandle
-from repro.middleware.router import Partitioner
-from repro.sim import Environment
-from repro.sim.network import Network
 from repro.sim.rng import SeededRNG
 from repro.plugins import BuildContext, SystemPlugin, register_system
 
 
-class ScalarDBPlusCoordinator(ScalarDBCoordinator):
+class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
     """ScalarDB with latency-aware scheduling and admission control."""
 
     system_name = "ScalarDB+"
-
-    def __init__(self, env: Environment, network: Network, config: MiddlewareConfig,
-                 participants: Dict[str, ParticipantHandle], partitioner: Partitioner,
-                 scalardb_config: Optional[ScalarDBConfig] = None,
-                 geotp_config: Optional[GeoTPConfig] = None,
-                 rng: Optional[SeededRNG] = None):
-        super().__init__(env, network, config, participants, partitioner,
-                         scalardb_config=scalardb_config)
-        self.geotp = geotp_config or GeoTPConfig()
-        self.rng = rng or SeededRNG(0)
-        self.latency_monitor = NetworkLatencyMonitor(env, alpha=self.geotp.ewma_alpha)
-        self.footprint = HotspotFootprint(capacity=self.geotp.hotspot_capacity,
-                                          alpha=self.geotp.hotspot_alpha)
-        self.forecaster = LocalExecutionForecaster(self.footprint,
-                                                   scale=self.geotp.forecast_scale,
-                                                   cap_ms=self.geotp.forecast_cap_ms)
-        self.scheduler = GeoScheduler(
-            self.latency_monitor, self.forecaster,
-            use_forecast=self.geotp.enable_high_contention_optimization)
-        self.admission = LateTransactionScheduler(
-            self.footprint, self.rng,
-            max_retries=self.geotp.admission_max_retries,
-            backoff_ms=self.geotp.admission_backoff_ms,
-            threshold=self.geotp.admission_threshold)
-        for name, handle in self.participants.items():
-            self.latency_monitor.prime(name, self.network.rtt(self.name, handle.endpoint))
-
-    def record_network_rtt(self, participant: str, rtt_ms: float) -> None:
-        self.latency_monitor.record(participant, rtt_ms)
-
-    def schedule_execution_delays(self, ctx: TransactionContext,
-                                  records_by_participant: Dict[str, List]) -> Dict[str, float]:
-        if (not self.geotp.enable_latency_aware_scheduling
-                or len(records_by_participant) < 2):
-            return {name: 0.0 for name in records_by_participant}
-        return self.scheduler.schedule(records_by_participant).delays
 
     def _execute_round_ops(self, ctx: TransactionContext, statements):
         """Latency-aware execution: per-participant batches, postponed per Eq. (3).
@@ -86,7 +40,7 @@ class ScalarDBPlusCoordinator(ScalarDBCoordinator):
         records_by_participant = {
             name: [op.record_id for op in ops]
             for name, ops in by_participant.items()}
-        delays = self.schedule_execution_delays(ctx, records_by_participant)
+        delays = self._postponements(records_by_participant)
         processes = [self.env.process(
             self._read_batch(name, ops, delays.get(name, 0.0)),
             name=f"{ctx.txn_id}:scalardb+:{name}")
@@ -97,17 +51,6 @@ class ScalarDBPlusCoordinator(ScalarDBCoordinator):
             versions.update(condition[process])
         return versions
 
-    def admit(self, ctx: TransactionContext):
-        records = ctx.spec.record_ids()
-        if not self.geotp.enable_high_contention_optimization:
-            self.footprint.on_access_start(records)
-            return (True, None)
-        decision = yield from self.admission.admit(self.env, records)
-        if not decision.admitted:
-            return (False, AbortReason.ADMISSION_BLOCKED)
-        self.footprint.on_access_start(records)
-        return (True, None)
-
     def on_transaction_settled(self, ctx: TransactionContext, committed: bool) -> None:
         records = ctx.spec.record_ids()
         self.footprint.on_access_end(records, committed=committed)
@@ -116,8 +59,7 @@ class ScalarDBPlusCoordinator(ScalarDBCoordinator):
         prepare_ms = ctx.phase_durations.get("prepare", 0.0)
         if records and prepare_ms > 0:
             self.footprint.update_latency(records, prepare_ms)
-        self.stats.metadata_bytes = (self.footprint.memory_bytes()
-                                     + self.latency_monitor.memory_bytes())
+        self._record_metadata_bytes()
 
 
 # ------------------------------------------------------------------- plugin

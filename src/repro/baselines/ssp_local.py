@@ -25,17 +25,10 @@ class SSPLocalCoordinator(TwoPhaseCommitCoordinator):
     def _commit_distributed(self, ctx: TransactionContext):
         yield from self._flush_decision_log(ctx, commit=True)
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
-        acks = []
-        for name in ctx.participants:
-            handle = self.participants[name]
-            acks.append(self.timed_request_participant(
-                handle, protocol.MSG_COMMIT_ONE_PHASE,
-                {"xid": ctx.branch_xid(name)}))
-        condition = yield self.env.all_of(acks)
-        replies = [condition[ack] for ack in acks]
-        failed = [r for r in replies
-                  if not (isinstance(r, dict) and r.get("status") == "ok")]
-        if failed and len(failed) == len(replies):
+        replies = yield from self._dispatch_decision(
+            ctx, protocol.MSG_COMMIT_ONE_PHASE)
+        if not any(isinstance(reply, dict) and reply.get("status") == "ok"
+                   for reply in replies):
             # Every branch failed to commit: report an abort.  Partial commits
             # are reported as committed — that is precisely the atomicity gap
             # of this mode.

@@ -19,7 +19,7 @@ paper's Figure 13.
 
 from __future__ import annotations
 
-from repro.common import AbortReason, TxnOutcome, Vote
+from repro.common import AbortReason, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
@@ -47,32 +47,17 @@ class YugabyteCoordinator(TwoPhaseCommitCoordinator):
 
     def _commit_distributed(self, ctx: TransactionContext):
         """Multi-shard transactions: prepare round trip, then asynchronous decision."""
-        outcome, reason = yield from self._prepare_only(ctx)
-        if outcome is TxnOutcome.ABORTED:
-            return outcome, reason
+        ready = yield from self._prepare_round(ctx, ctx.participants)
+        yield from self._flush_decision_log(ctx, commit=ready)
+        if not ready:
+            yield from self._dispatch_decision(ctx, protocol.MSG_XA_ROLLBACK)
+            return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
         for name in ctx.participants:
             handle = self.participants[name]
             self.send_participant(handle, protocol.MSG_XA_COMMIT,
                                   {"xid": ctx.branch_xid(name)})
         return TxnOutcome.COMMITTED, None
-
-    def _prepare_only(self, ctx: TransactionContext):
-        vote_events = {}
-        for name in ctx.participants:
-            handle = self.participants[name]
-            vote_events[name] = self.timed_request_participant(
-                handle, protocol.MSG_XA_PREPARE, {"xid": ctx.branch_xid(name)})
-        condition = yield self.env.all_of(list(vote_events.values()))
-        for name, event in vote_events.items():
-            reply = condition[event]
-            vote = reply.get("vote", Vote.NO) if isinstance(reply, dict) else Vote.NO
-            ctx.record_vote(name, vote)
-        yield from self._flush_decision_log(ctx, commit=ctx.all_yes())
-        if ctx.all_yes():
-            return TxnOutcome.COMMITTED, None
-        yield from self._dispatch_decision(ctx, protocol.MSG_XA_ROLLBACK)
-        return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
 
 
 # ------------------------------------------------------------------- plugin

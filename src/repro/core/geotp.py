@@ -81,16 +81,20 @@ class _VoteBox:
         return event
 
 
-class GeoTPCoordinator(TwoPhaseCommitCoordinator):
-    """GeoTP middleware coordinator: O1 always, O2 and O3 individually switchable."""
+class LatencyAwareMixin:
+    """O2/O3 on a coordinator: GeoTP's, and ScalarDB+'s reuse of it (§VII-A1).
 
-    system_name = "GeoTP"
+    Builds the latency monitor, hotspot footprint, forecaster, geo-scheduler
+    and late transaction scheduler from one :class:`GeoTPConfig`, feeds the
+    monitor with passive RTT samples and admits transactions through the
+    late transaction scheduler.  List it before the coordinator base class.
+    """
 
     def __init__(self, env: Environment, network: Network, config: MiddlewareConfig,
                  participants: Dict[str, ParticipantHandle], partitioner: Partitioner,
-                 geotp_config: Optional[GeoTPConfig] = None,
-                 rng: Optional[SeededRNG] = None):
-        super().__init__(env, network, config, participants, partitioner)
+                 *, geotp_config: Optional[GeoTPConfig] = None,
+                 rng: Optional[SeededRNG] = None, **kwargs):
+        super().__init__(env, network, config, participants, partitioner, **kwargs)
         self.geotp = geotp_config or GeoTPConfig()
         self.rng = rng or SeededRNG(0)
         self.latency_monitor = NetworkLatencyMonitor(env, alpha=self.geotp.ewma_alpha)
@@ -107,22 +111,54 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
             max_retries=self.geotp.admission_max_retries,
             backoff_ms=self.geotp.admission_backoff_ms,
             threshold=self.geotp.admission_threshold)
-        self._vote_boxes: Dict[str, _VoteBox] = {}
-        self._endpoints = {name: handle.endpoint
-                           for name, handle in self.participants.items()}
         # Prime latency estimates with the nominal topology RTTs so the first
         # transactions are scheduled sensibly before any measurement exists.
         for name, handle in self.participants.items():
             self.latency_monitor.prime(name, self.network.rtt(self.name, handle.endpoint))
+
+    def record_network_rtt(self, participant: str, rtt_ms: float) -> None:
+        self.latency_monitor.record(participant, rtt_ms)
+
+    def admit(self, ctx: TransactionContext):
+        """O3 late transaction scheduling: block/shed likely-aborting transactions."""
+        records = ctx.spec.record_ids()
+        if not self.geotp.enable_high_contention_optimization:
+            self.footprint.on_access_start(records)
+            return (True, None)
+        decision = yield from self.admission.admit(self.env, records)
+        if not decision.admitted:
+            return (False, AbortReason.ADMISSION_BLOCKED)
+        self.footprint.on_access_start(records)
+        return (True, None)
+
+    def _postponements(self, records_by_participant: Dict[str, List]) -> Dict[str, float]:
+        """O2/O3: dispatch postponement per participant (Eq. 3 / Eq. 8)."""
+        if (not self.geotp.enable_latency_aware_scheduling
+                or len(records_by_participant) < 2):
+            return {name: 0.0 for name in records_by_participant}
+        return self.scheduler.schedule(records_by_participant).delays
+
+    def _record_metadata_bytes(self) -> None:
+        self.stats.metadata_bytes = (self.footprint.memory_bytes()
+                                     + self.latency_monitor.memory_bytes())
+
+
+class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
+    """GeoTP middleware coordinator: O1 always, O2 and O3 individually switchable."""
+
+    system_name = "GeoTP"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._vote_boxes: Dict[str, _VoteBox] = {}
+        self._endpoints = {name: handle.endpoint
+                           for name, handle in self.participants.items()}
 
     # ------------------------------------------------------------------ wiring
     def start_probing(self) -> None:
         """Start the active latency probe loop (optional, Figure 11b)."""
         self.latency_monitor.start_probing(self.net, self._endpoints,
                                            interval_ms=self.geotp.probe_interval_ms)
-
-    def record_network_rtt(self, participant: str, rtt_ms: float) -> None:
-        self.latency_monitor.record(participant, rtt_ms)
 
     def _vote_box(self, ctx: TransactionContext) -> _VoteBox:
         box = self._vote_boxes.get(ctx.txn_id)
@@ -145,26 +181,12 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
             box.deliver(participant, state)
 
     # -------------------------------------------------------------------- hooks
-    def admit(self, ctx: TransactionContext):
-        """O3 late transaction scheduling: block/shed likely-aborting transactions."""
-        records = ctx.spec.record_ids()
-        if not self.geotp.enable_high_contention_optimization:
-            self.footprint.on_access_start(records)
-            return (True, None)
-        decision = yield from self.admission.admit(self.env, records)
-        if not decision.admitted:
-            return (False, AbortReason.ADMISSION_BLOCKED)
-        self.footprint.on_access_start(records)
-        return (True, None)
-
     def schedule_round(self, ctx: TransactionContext,
                        plans: Dict[str, SubtransactionPlan],
                        is_final_round: bool) -> Dict[str, float]:
         """O2/O3: postpone dispatch on low-latency participants (Eq. 3 / Eq. 8)."""
-        if not self.geotp.enable_latency_aware_scheduling or len(plans) < 2:
-            return {name: 0.0 for name in plans}
-        return self.scheduler.schedule(
-            {name: plan.record_ids for name, plan in plans.items()}).delays
+        return self._postponements(
+            {name: plan.record_ids for name, plan in plans.items()})
 
     def execute_payload(self, ctx: TransactionContext, plan: SubtransactionPlan,
                         is_final_round: bool) -> Dict:
@@ -197,8 +219,7 @@ class GeoTPCoordinator(TwoPhaseCommitCoordinator):
         records = ctx.spec.record_ids()
         self.footprint.on_access_end(records, committed=outcome is TxnOutcome.COMMITTED)
         self._vote_boxes.pop(ctx.txn_id, None)
-        self.stats.metadata_bytes = (self.footprint.memory_bytes()
-                                     + self.latency_monitor.memory_bytes())
+        self._record_metadata_bytes()
 
     # -------------------------------------------------------------- subtxn send
     def _fan_out(self, ctx: TransactionContext, plans: List[SubtransactionPlan],

@@ -2,8 +2,8 @@
 
 The :class:`TransactionContext` tracks the state the coordinator needs across
 phases: the participants touched so far, the per-participant XA branch ids,
-prepare votes, and the time spent in each phase (which feeds the latency
-breakdown of Figure 6c).
+their latest execution results, and the time spent in each phase (which
+feeds the latency breakdown of Figure 6c).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.common import SubtxnResult, Vote
+from repro.common import SubtxnResult
 from repro.middleware.statements import TransactionSpec
 
 
@@ -37,8 +37,6 @@ class TransactionContext:
     #: Participants in first-touch order and their XA branch ids.
     participants: List[str] = field(default_factory=list)
     branch_xids: Dict[str, str] = field(default_factory=dict)
-    #: Prepare votes received so far, keyed by participant.
-    votes: Dict[str, Vote] = field(default_factory=dict)
     #: Execution results per participant (latest round).
     results: Dict[str, SubtxnResult] = field(default_factory=dict)
     #: Wall-clock (simulated) milliseconds spent per phase.
@@ -71,16 +69,3 @@ class TransactionContext:
         self.phase_durations[key] = self.phase_durations.get(key, 0.0) + elapsed
         self.phase = phase
         self._phase_started_at = now
-
-    # ------------------------------------------------------------------- votes
-    def record_vote(self, participant: str, vote: Vote) -> None:
-        """Store the prepare vote of ``participant``."""
-        self.votes[participant] = vote
-
-    def all_voted(self) -> bool:
-        """True once every participant has voted."""
-        return all(p in self.votes for p in self.participants)
-
-    def all_yes(self) -> bool:
-        """True if every participant voted YES (and all have voted)."""
-        return self.all_voted() and all(v is Vote.YES for v in self.votes.values())

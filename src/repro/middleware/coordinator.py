@@ -6,7 +6,7 @@ The flow per transaction is the classic one described in §II of the paper:
 2. *execution* — for each client interaction round, dispatch the per-data-source
    statement batches and wait for all results (one WAN round trip per round);
 3. *prepare* — on the client's commit, send ``XA PREPARE`` to every participant
-   and collect votes (a second WAN round trip);
+   not yet prepared and collect votes (a second WAN round trip);
 4. *commit* — flush the decision log, then send the final decision (a third WAN
    round trip).  Centralized (single-participant) transactions skip the prepare
    and commit with a single one-phase round trip.
@@ -198,25 +198,27 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
 
     def _commit_distributed(self, ctx: TransactionContext):
         """Classic 2PC: prepare round trip, log flush, commit round trip."""
-        vote_events = {}
-        for name in ctx.participants:
-            handle = self.participants[name]
-            vote_events[name] = self.timed_request_participant(
-                handle, protocol.MSG_XA_PREPARE, {"xid": ctx.branch_xid(name)})
-        condition = yield self.env.all_of(list(vote_events.values()))
-        for name, event in vote_events.items():
-            reply = condition[event]
-            vote = reply.get("vote", Vote.NO) if isinstance(reply, dict) else Vote.NO
-            ctx.record_vote(name, vote)
-
-        yield from self._flush_decision_log(ctx, commit=ctx.all_yes())
+        # A branch that prepared with its last statement batch (Chiller's
+        # merged prepare) is not asked again.
+        unprepared = [name for name in ctx.participants
+                      if not (name in ctx.results and ctx.results[name].prepared)]
+        ready = yield from self._prepare_round(ctx, unprepared)
+        yield from self._flush_decision_log(ctx, commit=ready)
 
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
-        if ctx.all_yes():
+        if ready:
             yield from self._dispatch_decision(ctx, protocol.MSG_XA_COMMIT)
             return TxnOutcome.COMMITTED, None
         yield from self._dispatch_decision(ctx, protocol.MSG_XA_ROLLBACK)
         return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
+
+    def _prepare_round(self, ctx: TransactionContext, names: List[str]):
+        """Send ``XA PREPARE`` to ``names``; True only if every reply votes YES."""
+        if not names:
+            return True
+        replies = yield from self._request_all(ctx, names, protocol.MSG_XA_PREPARE)
+        return all(isinstance(reply, dict) and reply.get("vote") is Vote.YES
+                   for reply in replies)
 
     def _flush_decision_log(self, ctx: TransactionContext, commit: bool):
         """Persist the global commit/abort decision before dispatching it."""
@@ -226,13 +228,16 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
                         payload={"participants": list(ctx.participants)})
 
     def _dispatch_decision(self, ctx: TransactionContext, verb: str):
-        """Send the final decision to every participant and wait for the acks."""
-        acks = []
-        for name in ctx.participants:
-            handle = self.participants[name]
-            acks.append(self.timed_request_participant(
-                handle, verb, {"xid": ctx.branch_xid(name)}))
-        yield self.env.all_of(acks)
+        """Send the final decision to every participant; returns their replies."""
+        return (yield from self._request_all(ctx, ctx.participants, verb))
+
+    def _request_all(self, ctx: TransactionContext, names: List[str], verb: str):
+        """One timed ``verb`` request per branch in ``names``; the replies in order."""
+        requests = [self.timed_request_participant(
+            self.participants[name], verb, {"xid": ctx.branch_xid(name)})
+            for name in names]
+        condition = yield self.env.all_of(requests)
+        return [condition[request] for request in requests]
 
     # ------------------------------------------------------------------- abort
     def _abort_all(self, ctx: TransactionContext):

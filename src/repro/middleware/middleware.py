@@ -109,7 +109,7 @@ class MiddlewareBase:
         self.rewriter = Rewriter(partitioner)
         self.pools = ConnectionPoolSet(env, capacity=config.connection_pool_capacity)
         self.net: NetworkInterface = network.interface(config.name)
-        self.wal = WriteAheadLog(flush_cost_ms=config.log_flush_cost_ms)
+        self.wal = WriteAheadLog()
         self.stats = MiddlewareStats()
         self.active_contexts: Dict[str, TransactionContext] = {}
         #: Live coordinator processes by transaction id; the fault injector

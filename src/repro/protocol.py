@@ -22,10 +22,7 @@ MSG_TXN_STATE = "txn_state"
 MSG_AGENT_EXECUTE = "agent_execute"          # forward statements; may carry last-statement flag
 MSG_AGENT_PREPARE = "agent_prepare"          # explicit prepare for participants without a last statement
 MSG_AGENT_PREPARE_RESULT = "agent_prepare_result"  # async vote back to the middleware
-MSG_AGENT_COMMIT = "agent_commit"
-MSG_AGENT_ROLLBACK = "agent_rollback"
 MSG_PEER_ROLLBACK = "peer_rollback"          # early-abort notification between geo-agents
-MSG_AGENT_BEGIN = "agent_begin"
 
 # --- Key-value verbs for the ScalarDB-style baseline -------------------------
 MSG_KV_GET = "kv_get"

@@ -13,7 +13,7 @@ the commit phase (AC3/AC4).
   coordinator's unprepared sessions (``DataSource.kill_sessions``) and the
   restarted (stateless) middleware runs the pass over every data source.
 * After a **data source crash**, the node itself drops its lost, unprepared
-  branches (``DataSource._rollback_lost_branch``).  Their live coordinators
+  branches (``DataSource._end_branch`` with ``served=False``).  Their live coordinators
   see the refusal and abort the transaction, rolling back the siblings.  On
   restart each live middleware runs the pass over the restarted node only,
   skipping its still-active transactions, which only it may decide.

@@ -82,7 +82,7 @@ class DataSource:
         self.engine = StorageEngine(name=config.name)
         self.lock_manager = LockManager(
             env, lock_wait_timeout_ms=config.lock_wait_timeout_ms)
-        self.wal = WriteAheadLog(flush_cost_ms=self.dialect.prepare_cost_ms)
+        self.wal = WriteAheadLog()
         self.net: NetworkInterface = network.interface(config.name)
         self.stats = DataSourceStats()
         self.transactions: Dict[str, LocalTransaction] = {}
@@ -349,22 +349,16 @@ class DataSource:
 
     def _finish_commit(self, message: Message, txn: LocalTransaction,
                        one_phase: bool) -> None:
-        """The commit cost is paid: apply, log, release (both commit verbs)."""
-        xid = txn.xid
-        if one_phase and txn.is_finished:
-            # Aborted (e.g. coordinator-crash session kill) while the commit
-            # cost was being paid: the branch's outcome already stuck.
+        """The commit cost is paid: commit the branch if it can take the verb.
+
+        ``xa_commit`` needs a PREPARED branch, ``commit_one_phase`` an
+        ACTIVE/IDLE one.  Any other state (a stray decision, or a rollback
+        that landed while the cost was being paid) is refused.
+        """
+        if not txn.can("commit_one_phase" if one_phase else "commit"):
             self._reply(message, {"status": "error", "error": "not committable"})
             return
-        self.engine.commit_writes(xid)
-        self.wal.append(LogRecordType.COMMIT, xid, self.env.now)
-        if one_phase:
-            txn.mark_committed_one_phase(self.env.now)
-        else:
-            txn.mark_committed(self.env.now)
-        self.lock_manager.release_all(xid)
-        self.stats.commits += 1
-        self._retire(txn)
+        self._end_branch(txn, commit=True)
         self._reply(message, {"status": "ok"})
 
     def _on_xa_rollback(self, message: Message):
@@ -418,11 +412,37 @@ class DataSource:
             # Another handler (e.g. a peer-abort rollback racing with a lock
             # timeout) finished the branch while we were paying the abort cost.
             return
-        self.engine.discard_writes(txn.xid)
-        self.wal.append(LogRecordType.ABORT, txn.xid, self.env.now)
-        txn.mark_aborted(self.env.now)
-        self.lock_manager.release_all(txn.xid)
-        self.stats.aborts += 1
+        self._end_branch(txn, commit=False)
+
+    def _end_branch(self, txn: LocalTransaction, commit: bool,
+                    served: bool = True) -> None:
+        """Apply or discard the writes, log, finish the branch, release its locks.
+
+        ``served=False`` drops a branch whose work is lost (the node-crash
+        sweep and :meth:`kill_sessions`): no WAL record and no
+        ``stats.aborts`` bump — crash-lost work is not a served abort, and
+        the two fault kinds must account identically.
+        """
+        xid = txn.xid
+        now = self.env.now
+        if commit:
+            self.engine.commit_writes(xid)
+        else:
+            self.engine.discard_writes(xid)
+        if served:
+            self.wal.append(LogRecordType.COMMIT if commit else LogRecordType.ABORT,
+                            xid, now)
+        if not commit:
+            txn.mark_aborted(now)
+        elif txn.state is TxnState.PREPARED:
+            txn.mark_committed(now)
+        else:
+            txn.mark_committed_one_phase(now)
+        self.lock_manager.release_all(xid)
+        if commit:
+            self.stats.commits += 1
+        elif served:
+            self.stats.aborts += 1
         self._retire(txn)
 
     # --------------------------------------------------------------- recovery
@@ -440,7 +460,7 @@ class DataSource:
         for txn in list(self.transactions.values()):
             if (txn.state in (TxnState.ACTIVE, TxnState.IDLE)
                     and txn.global_txn_id.startswith(global_txn_prefix)):
-                self._rollback_lost_branch(txn)
+                self._end_branch(txn, commit=False, served=False)
                 killed += 1
         return killed
 
@@ -456,25 +476,13 @@ class DataSource:
         txn = self.transactions.get(xid)
         self._reply(message, {"state": txn.state.value if txn else "unknown"})
 
-    def _rollback_lost_branch(self, txn: LocalTransaction) -> None:
-        """Drop an unfinished, unprepared branch whose work is lost.
-
-        Shared by the node-crash sweep and :meth:`kill_sessions`: no WAL
-        record and no ``stats.aborts`` bump — crash-lost work is not a served
-        abort, and the two fault kinds must account identically.
-        """
-        self.engine.discard_writes(txn.xid)
-        txn.mark_aborted(self.env.now)
-        self.lock_manager.release_all(txn.xid)
-        self._retire(txn)
-
     def _on_crash(self, message: Message):
         """Crash the node: in-flight work is lost, non-prepared branches abort."""
         yield self.env.timeout(0)
         self.crashed = True
         for txn in list(self.transactions.values()):
             if txn.state in (TxnState.ACTIVE, TxnState.IDLE):
-                self._rollback_lost_branch(txn)
+                self._end_branch(txn, commit=False, served=False)
         self._reply(message, {"status": "crashed"})
 
     def _on_restart(self, message: Message):

@@ -59,8 +59,12 @@ class LocalTransaction:
     #: Time of the first lock acquisition (start of the lock contention span).
     first_lock_at: Optional[float] = None
 
+    def can(self, verb: str) -> bool:
+        """True if ``verb`` is allowed in the current state."""
+        return self.state in _ALLOWED[verb]
+
     def _check(self, verb: str) -> None:
-        if self.state not in _ALLOWED[verb]:
+        if not self.can(verb):
             raise IllegalTransitionError(self.xid, self.state, verb)
 
     def mark_end(self) -> None:

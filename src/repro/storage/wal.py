@@ -1,9 +1,11 @@
 """Write-ahead log of a simulated data source (and of the middleware).
 
 Only the structure needed by the paper's recovery protocol (§V-A) is modelled:
-append-only records for PREPARE / COMMIT / ABORT decisions plus a flush cost in
-simulated milliseconds.  The recovery manager replays these records after a
-crash to decide the fate of in-doubt transactions.
+append-only records for PREPARE / COMMIT / ABORT decisions.  Appending costs
+no simulated time: the writer pays the flush (the data source's prepare and
+commit costs, the middleware's ``log_flush_cost_ms``).  The recovery manager
+replays these records after a crash to decide the fate of in-doubt
+transactions.
 
 Like a real log, this one is **checkpointed**: once the log grows past twice
 the retention horizon, records of *decided* transactions older than the
@@ -56,13 +58,11 @@ class WALRecord:
 
 
 class WriteAheadLog:
-    """Append-only durable log with a fixed flush latency and checkpointing."""
+    """Append-only durable log with checkpointing; it charges no time itself."""
 
-    def __init__(self, flush_cost_ms: float = 1.0,
-                 checkpoint_records: int = DEFAULT_CHECKPOINT_RECORDS):
+    def __init__(self, checkpoint_records: int = DEFAULT_CHECKPOINT_RECORDS):
         if checkpoint_records < 1:
             raise ValueError("checkpoint_records must be >= 1")
-        self.flush_cost_ms = flush_cost_ms
         self.checkpoint_records = checkpoint_records
         self.checkpoints = 0
         self._records: List[WALRecord] = []

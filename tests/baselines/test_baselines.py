@@ -11,8 +11,10 @@ from repro.baselines import (
     ScalarDBPlusCoordinator,
     YugabyteCoordinator,
 )
+from repro import protocol
 from repro.baselines.quro import reorder_statements
-from repro.common import Operation, OpType, TxnOutcome
+from repro.baselines.ssp import SSPCoordinator
+from repro.common import AbortReason, Operation, OpType, TxnOutcome
 from repro.middleware import (
     MiddlewareConfig,
     ModuloPartitioner,
@@ -21,7 +23,7 @@ from repro.middleware import (
     TransactionSpec,
 )
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect
+from repro.storage import DataSource, DataSourceConfig, MySQLDialect, TxnState
 
 
 def build(coordinator_cls, rtts=(10.0, 100.0), **kwargs):
@@ -177,3 +179,33 @@ def test_yugabyte_multi_shard_still_atomic():
     assert result.outcome is TxnOutcome.COMMITTED
     env.run()  # let the asynchronous commit messages drain
     assert datasources["ds1"].engine.read("p", "usertable", 1).value == {"v": 1}
+
+
+@pytest.mark.parametrize("coordinator_cls", [
+    SSPCoordinator, QUROCoordinator, ChillerCoordinator, YugabyteCoordinator])
+def test_a_no_vote_at_commit_aborts_and_rolls_back_every_branch(coordinator_cls):
+    """Round 1 touches only ds0, round 2 only ds1; ds0 loses its branch.
+
+    ds0 crashes (and restarts) while round 2 executes on ds1, so the branch
+    it dropped votes NO when the commit prepares it.  Every coordinator that
+    prepares at commit must then abort and roll back all branches — Chiller
+    included, whose ds1 branch already merge-prepared with its last batch.
+    """
+    env, dm, datasources = build(coordinator_cls)
+    ds0, ds1 = datasources["ds0"], datasources["ds1"]
+    injector = dm.network.interface("failure-injector")
+    proc = dm.submit(TransactionSpec.from_operations(
+        [update(0, 50), update(1, 50)], rounds=2))
+    while not ds1.transactions:  # until round 2 reaches ds1
+        env.step()
+    env.run(until=injector.request("ds0", protocol.MSG_CRASH, {}))
+    env.run(until=injector.request("ds0", protocol.MSG_RESTART, {}))
+    result = env.run(until=proc)
+    env.run()  # drain any asynchronous decision
+
+    assert result.outcome is TxnOutcome.ABORTED
+    assert result.abort_reason is AbortReason.PREPARE_FAILED
+    branches = [txn for ds in (ds0, ds1) for txn in ds.transactions.values()]
+    assert len(branches) == 2
+    assert all(txn.state is TxnState.ABORTED for txn in branches)
+    assert ds1.engine.read("p", "usertable", 1).value == {"v": 0}

@@ -213,6 +213,52 @@ def test_rollback_after_commit_is_rejected():
     assert replies["rollback"]["status"] == "error"
 
 
+def test_xa_commit_of_an_unprepared_branch_is_refused():
+    """A stray decision gets an error reply; it neither commits nor kills the run."""
+    env, net, ds, client = make_datasource()
+    ds.load_table("usertable", {"k": 1})
+    replies = {}
+
+    def coordinator():
+        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x"})
+        yield client.request("ds1", protocol.MSG_EXECUTE,
+                             {"xid": "x", "operations": [write_op("k", 5)]})
+        replies["commit"] = yield client.request("ds1", protocol.MSG_XA_COMMIT,
+                                                 {"xid": "x"})
+        replies["rollback"] = yield client.request("ds1", protocol.MSG_XA_ROLLBACK,
+                                                   {"xid": "x"})
+
+    env.process(coordinator())
+    env.run()
+    assert replies["commit"] == {"status": "error", "error": "not committable"}
+    assert replies["rollback"] == {"status": "ok"}
+    assert ds.transactions["x"].state is TxnState.ABORTED
+    assert ds.engine.read("p", "usertable", "k").value == 1
+    assert ds.stats.commits == 0 and ds.stats.aborts == 1
+
+
+def test_one_phase_commit_of_a_prepared_branch_is_refused():
+    env, net, ds, client = make_datasource()
+    ds.load_table("usertable", {"k": 1})
+    replies = {}
+
+    def coordinator():
+        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x"})
+        yield client.request("ds1", protocol.MSG_EXECUTE,
+                             {"xid": "x", "operations": [write_op("k", 5)]})
+        yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x"})
+        replies["one_phase"] = yield client.request(
+            "ds1", protocol.MSG_COMMIT_ONE_PHASE, {"xid": "x"})
+        replies["commit"] = yield client.request("ds1", protocol.MSG_XA_COMMIT,
+                                                 {"xid": "x"})
+
+    env.process(coordinator())
+    env.run()
+    assert replies["one_phase"] == {"status": "error", "error": "not committable"}
+    assert replies["commit"] == {"status": "ok"}
+    assert ds.engine.read("p", "usertable", "k").value == 5
+
+
 def test_list_prepared_reports_in_doubt_transactions():
     env, net, ds, client = make_datasource()
     ds.load_table("usertable", {"k": 1})
