@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.common import AbortReason, Operation, TxnOutcome
+from repro.common import COSTS, AbortReason, Operation, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.middleware import (
@@ -46,8 +46,6 @@ class ScalarDBConfig:
     #: ScalarDB performs all concurrency-control work on the middleware node,
     #: which is what bounds its scalability in the paper's Figure 5.
     coordinator_slots: int = 24
-    #: Cost of persisting the coordinator's commit-state record.
-    coordinator_state_write_ms: float = 1.0
 
 
 class ScalarDBCoordinator(MiddlewareBase):
@@ -73,7 +71,7 @@ class ScalarDBCoordinator(MiddlewareBase):
 
     # ------------------------------------------------------------- transaction
     def _run_transaction(self, ctx: TransactionContext):
-        yield self.env.timeout(self.config.analysis_cost_ms)
+        yield COSTS.analysis_ms
         self.stats.work_units += ctx.spec.statement_count
 
         slot = self._executor.request()
@@ -111,8 +109,8 @@ class ScalarDBCoordinator(MiddlewareBase):
             return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
 
         # Commit: persist the coordinator decision; record finalisation is async.
-        yield self.env.timeout(self.scalardb.coordinator_state_write_ms)
-        yield from self._flush_decision_log(ctx)
+        yield COSTS.scalardb_state_write_ms
+        yield COSTS.log_flush_ms
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
         self._finalize_async(ctx, write_set)
         return TxnOutcome.COMMITTED, None
@@ -179,9 +177,6 @@ class ScalarDBCoordinator(MiddlewareBase):
         condition = yield self.env.all_of(requests)
         replies = [condition[r] for r in requests]
         return all(isinstance(r, dict) and r.get("status") == "ok" for r in replies)
-
-    def _flush_decision_log(self, ctx: TransactionContext):
-        yield self.env.timeout(self.config.log_flush_cost_ms)
 
     def _finalize_async(self, ctx: TransactionContext,
                         write_set: Dict[RecordId, Operation]) -> None:

@@ -25,7 +25,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.percentiles import DEFAULT_RESERVOIR_SIZE, LatencyDistribution
 from repro.metrics.resources import ResourceUsage, process_peak_rss_bytes
 from repro.metrics.timeline import ThroughputTimeline
-from repro.middleware.middleware import MiddlewareConfig
 from repro.plugins import get_workload_plugin
 from repro.recovery.failures import FaultInjector, FaultPlan
 from repro.recovery.invariants import check_invariants
@@ -53,7 +52,6 @@ class ExperimentConfig:
     workload_config: Optional[WorkloadConfig] = None
     geotp: Optional[GeoTPConfig] = None
     scalardb: Optional[ScalarDBConfig] = None
-    middleware: Optional[MiddlewareConfig] = None
     #: Number of coordinator middlewares.  With the default topology, values
     #: above 1 build ``TopologyConfig.multi_middleware(["beijing"] * K)``, a
     #: fleet co-located with the clients for every K; with an explicit
@@ -307,7 +305,6 @@ def run_experiment(config: ExperimentConfig,
     workload = make_workload(config, topology.node_names())
     partitioner = workload.make_partitioner()
     cluster = build_cluster(config.system, topology, partitioner,
-                            middleware_config=config.middleware,
                             geotp_config=config.geotp,
                             scalardb_config=config.scalardb,
                             seed=config.seed)

@@ -2,7 +2,7 @@
 
 Keeping these small dataclasses and enums in one leaf module avoids import
 cycles between the data-source layer and the middleware layer, which both need
-to talk about operations, votes and transaction outcomes.
+to talk about operations, votes, outcomes and service times (:data:`COSTS`).
 """
 
 from __future__ import annotations
@@ -10,6 +10,43 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
+
+
+@dataclass(frozen=True, slots=True)
+class CostModel:
+    """Every service time the model charges, in simulated milliseconds.
+
+    Declared here once; every layer reads :data:`COSTS`.  ARCHITECTURE.md's
+    "Cost model" table says where each field is charged and which Fig. 6c
+    slice it lands in.  Statement, prepare, commit and local-abort costs are
+    per engine (Table I mixes MySQL and PostgreSQL nodes).
+    """
+
+    mysql_read_ms: float = 0.4
+    mysql_write_ms: float = 0.8
+    mysql_prepare_ms: float = 2.0
+    mysql_commit_ms: float = 1.0
+    mysql_abort_ms: float = 0.5
+    postgresql_read_ms: float = 0.5
+    postgresql_write_ms: float = 0.9
+    postgresql_prepare_ms: float = 2.5
+    postgresql_commit_ms: float = 1.2
+    postgresql_abort_ms: float = 0.6
+    datasource_request_ms: float = 0.1
+    node_restart_ms: float = 1.0
+    analysis_ms: float = 0.5
+    log_flush_ms: float = 1.0
+    middleware_request_ms: float = 0.2
+    agent_forward_ms: float = 0.1
+    scalardb_state_write_ms: float = 1.0
+
+    def engine(self, dialect: str) -> Tuple[float, ...]:
+        """``dialect``'s read, write, prepare, commit and local-abort costs."""
+        return tuple(getattr(self, f"{dialect}_{step}_ms")
+                     for step in ("read", "write", "prepare", "commit", "abort"))
+
+
+COSTS = CostModel()
 
 
 class OpType(enum.Enum):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Deque, Dict, Optional, Set
 
-from repro.common import AbortReason, SubtxnResult, Vote
+from repro.common import COSTS, AbortReason, SubtxnResult, Vote
 from repro import protocol
 from repro.sim import Environment, Event
 from repro.sim.network import Message, Network, NetworkInterface
@@ -35,8 +35,6 @@ class GeoAgentConfig:
 
     name: str
     datasource: str
-    #: Extra processing cost per forwarded message (encode/decode, Fig. 6c "Others").
-    forward_overhead_ms: float = 0.1
     #: How many global-txn-id -> branch-xid mappings (and poisoned ids) the
     #: agent remembers.  The mappings only matter while a transaction is in
     #: flight — a peer rollback for an id nobody remembers is simply re-poisoned
@@ -129,7 +127,7 @@ class GeoAgent:
     def _forward(self, message: Message) -> None:
         """Transparently forward a verb to the data source and relay the reply."""
         self.stats.forwarded += 1
-        self.env.call_at(self.config.forward_overhead_ms, self._forward_send, message)
+        self.env.call_at(COSTS.agent_forward_ms, self._forward_send, message)
 
     def _forward_send(self, message: Message) -> None:
         reply = self.net.request(self.datasource, message.msg_type, message.payload)
@@ -150,7 +148,7 @@ class GeoAgent:
         self.stats.executes += 1
         self._remember_xid(global_txn_id, xid)
 
-        yield self.config.forward_overhead_ms
+        yield COSTS.agent_forward_ms
 
         if global_txn_id in self._poisoned:
             # A peer already aborted this transaction: do not waste execution.
@@ -190,7 +188,7 @@ class GeoAgent:
         peers = payload.get("peers", ())
         if global_txn_id not in self._local_xids:
             self._remember_xid(global_txn_id, xid)
-        yield self.config.forward_overhead_ms
+        yield COSTS.agent_forward_ms
         if message.reply_event is not None:
             self.net.reply(message, {"status": "ok"})
         yield from self._async_prepare(global_txn_id, xid, peers, coordinator)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional
 
-from repro.common import AbortReason, SubtxnResult, TxnOutcome, Vote
+from repro.common import COSTS, AbortReason, SubtxnResult, TxnOutcome, Vote
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.middleware import MiddlewareBase
@@ -55,9 +55,8 @@ class _FanOut:
             connection.callbacks.append(partial(self._connected, index, plan, pool))
 
     def _connected(self, index, plan, pool, connection) -> None:
-        owner = self.owner
-        owner.env.call_at(owner.config.request_overhead_ms, self._send,
-                          index, plan, pool, connection)
+        self.owner.env.call_at(COSTS.middleware_request_ms, self._send,
+                               index, plan, pool, connection)
 
     def _send(self, index, plan, pool, connection) -> None:
         owner = self.owner
@@ -110,7 +109,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
 
     # ------------------------------------------------------------ transaction
     def _run_transaction(self, ctx: TransactionContext):
-        yield self.config.analysis_cost_ms
+        yield COSTS.analysis_ms
         self.stats.work_units += ctx.spec.statement_count
 
         admitted, admit_reason = yield from self.admit(ctx)
@@ -222,7 +221,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
 
     def _flush_decision_log(self, ctx: TransactionContext, commit: bool):
         """Persist the global commit/abort decision before dispatching it."""
-        yield self.config.log_flush_cost_ms
+        yield COSTS.log_flush_ms
         record_type = LogRecordType.COMMIT if commit else LogRecordType.ABORT
         self.wal.append(record_type, ctx.txn_id, self.env.now,
                         payload={"participants": list(ctx.participants)})

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, List, Optional
 
-from repro.common import AbortReason, TransactionResult, TxnOutcome
+from repro.common import COSTS, AbortReason, TransactionResult, TxnOutcome
 from repro.middleware.connection_pool import ConnectionPoolSet
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.rewriter import Rewriter
@@ -52,12 +52,6 @@ class MiddlewareConfig:
     """Static configuration of a middleware node."""
 
     name: str = "dm"
-    #: Cost of parsing/routing one transaction (the "Analysis" slice of Fig. 6c).
-    analysis_cost_ms: float = 0.5
-    #: Cost of flushing the commit/abort decision log (FlushLog in Alg. 1).
-    log_flush_cost_ms: float = 1.0
-    #: Per-message encode/decode overhead on the middleware.
-    request_overhead_ms: float = 0.2
     connection_pool_capacity: int = 256
 
 
@@ -146,7 +140,7 @@ class MiddlewareBase:
     def _refuse(self, txn_id: str, spec: TransactionSpec):
         """Fail a submission against a crashed middleware (connection refused)."""
         submitted_at = self.env.now
-        yield self.config.request_overhead_ms
+        yield COSTS.middleware_request_ms
         result = TransactionResult(
             txn_id=txn_id, outcome=TxnOutcome.ABORTED,
             start_time=submitted_at, end_time=self.env.now,

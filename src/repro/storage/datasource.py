@@ -21,7 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Hashable, List, Mapping, Optional
 
-from repro.common import AbortReason, Operation, OperationResult, OpType, SubtxnResult, Vote
+from repro.common import (COSTS, AbortReason, Operation, OperationResult, OpType,
+                          SubtxnResult, Vote)
 from repro import protocol
 from repro.sim import Environment
 from repro.sim.network import Message, Network, NetworkInterface
@@ -45,8 +46,6 @@ class DataSourceConfig:
     dialect: Dialect = field(default_factory=MySQLDialect)
     #: Lock-wait timeout; the paper configures 5 s on MySQL/PostgreSQL.
     lock_wait_timeout_ms: float = LOCK_WAIT_TIMEOUT_MS
-    #: Extra fixed cost charged per request for parsing / session handling.
-    request_overhead_ms: float = 0.1
     #: How many *finished* (committed/aborted) branches stay queryable for
     #: idempotent decision re-delivery and ``txn_state`` probes before being
     #: evicted, oldest first.  Unfinished and PREPARED branches are never
@@ -79,6 +78,8 @@ class DataSource:
         self.config = config
         self.name = config.name
         self.dialect = config.dialect
+        (self._read_ms, self._write_ms, self._prepare_ms, self._commit_ms,
+         self._abort_ms) = COSTS.engine(config.dialect.name)
         self.engine = StorageEngine(name=config.name)
         self.lock_manager = LockManager(
             env, lock_wait_timeout_ms=config.lock_wait_timeout_ms)
@@ -101,7 +102,7 @@ class DataSource:
             protocol.MSG_TXN_STATE: self._on_txn_state,
             protocol.MSG_KV_GET: self._on_kv_get,
             protocol.MSG_KV_PUT: self._on_kv_put,
-            protocol.MSG_KV_PUT_IF_VERSION: self._on_kv_put_if_version,
+            protocol.MSG_KV_PUT_IF_VERSION: self._on_kv_put,
             protocol.MSG_CRASH: self._on_crash,
             protocol.MSG_RESTART: self._on_restart,
             protocol.MSG_PING: self._on_ping,
@@ -176,7 +177,7 @@ class DataSource:
         payload = message.payload or {}
         xid = payload["xid"]
         global_txn_id = payload.get("global_txn_id", xid)
-        yield self.config.request_overhead_ms
+        yield COSTS.datasource_request_ms
         self.transactions[xid] = LocalTransaction(
             xid=xid, global_txn_id=global_txn_id, started_at=self.env.now)
         self._reply(message, {"status": "ok"})
@@ -207,11 +208,11 @@ class DataSource:
         engine = self.engine
         acquire = self.lock_manager.acquire
         granted = self.lock_manager._granted
-        read_cost = self.dialect.read_cost_ms
-        write_cost = self.dialect.write_cost_ms
+        read_cost = self._read_ms
+        write_cost = self._write_ms
         active = TxnState.ACTIVE
         started = env.now
-        yield self.config.request_overhead_ms
+        yield COSTS.datasource_request_ms
         results: List[OperationResult] = []
         for operation in operations:
             if txn.state is not active:
@@ -268,7 +269,7 @@ class DataSource:
             # Execute-and-prepare merging (used by the Chiller baseline): the
             # branch is prepared before the reply so the caller's execution
             # round trip doubles as its prepare round trip.
-            yield self.dialect.prepare_cost_ms
+            yield self._prepare_ms
             if txn.state is not active:
                 # Aborted while the prepare cost was being paid — same race
                 # as in _on_xa_prepare; report the failure instead of
@@ -302,7 +303,7 @@ class DataSource:
 
     def _on_xa_end(self, message: Message) -> None:
         txn = self.transactions.get((message.payload or {})["xid"])
-        self.env.call_at(self.config.request_overhead_ms, self._finish_xa_end,
+        self.env.call_at(COSTS.datasource_request_ms, self._finish_xa_end,
                          message, txn)
 
     def _finish_xa_end(self, message: Message,
@@ -316,11 +317,11 @@ class DataSource:
     def _on_xa_prepare(self, message: Message) -> None:
         txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None or txn.state not in (TxnState.ACTIVE, TxnState.IDLE):
-            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+            self.env.call_at(COSTS.datasource_request_ms, self._reply, message,
                              {"vote": Vote.NO, "error": "transaction not preparable"})
             return
         # Persist transaction state + WAL (the paper's prepare cost, Fig. 6c).
-        self.env.call_at(self.dialect.prepare_cost_ms, self._finish_xa_prepare,
+        self.env.call_at(self._prepare_ms, self._finish_xa_prepare,
                          message, txn)
 
     def _finish_xa_prepare(self, message: Message, txn: LocalTransaction) -> None:
@@ -337,14 +338,14 @@ class DataSource:
     def _on_xa_commit(self, message: Message) -> None:
         txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None:
-            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+            self.env.call_at(COSTS.datasource_request_ms, self._reply, message,
                              {"status": "error", "error": "unknown xid"})
         elif txn.state is TxnState.COMMITTED:
             # Idempotent: recovery may re-send the decision.
-            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+            self.env.call_at(COSTS.datasource_request_ms, self._reply, message,
                              {"status": "ok", "already": True})
         else:
-            self.env.call_at(self.dialect.commit_cost_ms, self._finish_commit,
+            self.env.call_at(self._commit_ms, self._finish_commit,
                              message, txn, False)
 
     def _finish_commit(self, message: Message, txn: LocalTransaction,
@@ -364,7 +365,7 @@ class DataSource:
     def _on_xa_rollback(self, message: Message):
         xid = (message.payload or {})["xid"]
         txn = self.transactions.get(xid)
-        yield self.config.request_overhead_ms
+        yield COSTS.datasource_request_ms
         if txn is None:
             self._reply(message, {"status": "ok", "already": True})
             return
@@ -381,10 +382,10 @@ class DataSource:
         """Single-source transactions commit without a separate prepare."""
         txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None or txn.is_finished:
-            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+            self.env.call_at(COSTS.datasource_request_ms, self._reply, message,
                              {"status": "error", "error": "not committable"})
         else:
-            self.env.call_at(self.dialect.commit_cost_ms, self._finish_commit,
+            self.env.call_at(self._commit_ms, self._finish_commit,
                              message, txn, True)
 
     def _retire(self, txn: LocalTransaction) -> None:
@@ -407,7 +408,7 @@ class DataSource:
     def _abort_locally(self, txn: LocalTransaction):
         if txn.is_finished:
             return
-        yield self.dialect.commit_cost_ms / 2
+        yield self._abort_ms
         if txn.is_finished:
             # Another handler (e.g. a peer-abort rollback racing with a lock
             # timeout) finished the branch while we were paying the abort cost.
@@ -465,14 +466,14 @@ class DataSource:
         return killed
 
     def _on_list_prepared(self, message: Message):
-        yield self.config.request_overhead_ms
+        yield COSTS.datasource_request_ms
         prepared = [xid for xid, txn in self.transactions.items()
                     if txn.state is TxnState.PREPARED]
         self._reply(message, {"prepared": prepared})
 
     def _on_txn_state(self, message: Message):
         xid = (message.payload or {})["xid"]
-        yield self.config.request_overhead_ms
+        yield COSTS.datasource_request_ms
         txn = self.transactions.get(xid)
         self._reply(message, {"state": txn.state.value if txn else "unknown"})
 
@@ -487,7 +488,7 @@ class DataSource:
 
     def _on_restart(self, message: Message):
         """Restart after a crash: prepared branches survive, the rest are gone."""
-        yield 1.0
+        yield COSTS.node_restart_ms
         self.crashed = False
         self._reply(message, {"status": "restarted"})
 
@@ -498,7 +499,7 @@ class DataSource:
     # ------------------------------------------------- key-value verbs (ScalarDB)
     def _on_kv_get(self, message: Message):
         payload = message.payload or {}
-        yield self.config.request_overhead_ms + self.dialect.read_cost_ms
+        yield COSTS.datasource_request_ms + self._read_ms
         snapshot = self.engine.read(None, payload["table"], payload["key"])
         if snapshot is None:
             self._reply(message, {"found": False})
@@ -507,21 +508,15 @@ class DataSource:
                                   "version": snapshot.version})
 
     def _on_kv_put(self, message: Message):
+        """Write a record (``kv_put_if_version``: only at ``expected_version``)."""
         payload = message.payload or {}
-        yield self.config.request_overhead_ms + self.dialect.write_cost_ms
-        record = self.engine.create_table(payload["table"]).put(
-            payload["key"], payload["value"], writer=payload.get("writer", "kv"))
-        self._reply(message, {"status": "ok", "version": record.version})
-
-    def _on_kv_put_if_version(self, message: Message):
-        """Conditional write used by middleware-side concurrency control."""
-        payload = message.payload or {}
-        yield self.config.request_overhead_ms + self.dialect.write_cost_ms
-        snapshot = self.engine.read(None, payload["table"], payload["key"])
-        current_version = snapshot.version if snapshot else 0
-        if current_version != payload["expected_version"]:
-            self._reply(message, {"status": "conflict", "version": current_version})
-            return
+        yield COSTS.datasource_request_ms + self._write_ms
+        if message.msg_type == protocol.MSG_KV_PUT_IF_VERSION:
+            snapshot = self.engine.read(None, payload["table"], payload["key"])
+            current_version = snapshot.version if snapshot else 0
+            if current_version != payload["expected_version"]:
+                self._reply(message, {"status": "conflict", "version": current_version})
+                return
         record = self.engine.create_table(payload["table"]).put(
             payload["key"], payload["value"], writer=payload.get("writer", "kv"))
         self._reply(message, {"status": "ok", "version": record.version})

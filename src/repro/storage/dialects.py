@@ -10,7 +10,7 @@ between them, from the middleware's point of view, is:
 * whether plain ``SELECT`` statements take shared record locks (InnoDB under
   serializable does; PostgreSQL needs the middleware to rewrite reads to
   ``SELECT ... FOR SHARE``, §VII-A);
-* local execution costs (per-statement CPU + I/O inside the engine).
+* local execution costs, which :class:`~repro.common.CostModel` keys by ``name``.
 
 A :class:`Dialect` bundles these differences so the data source, the rewriter
 and the geo-agent never special-case engine names directly.
@@ -27,13 +27,6 @@ class Dialect:
     """Behavioural profile of one database engine."""
 
     name: str
-    #: Per-operation execution cost inside the engine (milliseconds).
-    read_cost_ms: float
-    write_cost_ms: float
-    #: Cost of persisting the prepare record (local WAL flush).
-    prepare_cost_ms: float
-    #: Cost of applying the commit (installing versions, releasing locks).
-    commit_cost_ms: float
     #: True if the middleware must rewrite reads to lock explicitly
     #: (``SELECT ... FOR SHARE``) for shared locks to be taken at all.
     reads_need_explicit_lock_rewrite: bool
@@ -70,10 +63,6 @@ class MySQLDialect(Dialect):
     """MySQL 8.0 / InnoDB profile (XA verbs, implicit read locks under SERIALIZABLE)."""
 
     name: str = "mysql"
-    read_cost_ms: float = 0.4
-    write_cost_ms: float = 0.8
-    prepare_cost_ms: float = 2.0
-    commit_cost_ms: float = 1.0
     reads_need_explicit_lock_rewrite: bool = False
 
     def begin_statements(self, xid: str) -> List[str]:
@@ -94,10 +83,6 @@ class PostgreSQLDialect(Dialect):
     """PostgreSQL 15 profile (prepared transactions, explicit FOR SHARE reads)."""
 
     name: str = "postgresql"
-    read_cost_ms: float = 0.5
-    write_cost_ms: float = 0.9
-    prepare_cost_ms: float = 2.5
-    commit_cost_ms: float = 1.2
     reads_need_explicit_lock_rewrite: bool = True
 
     def begin_statements(self, xid: str) -> List[str]:

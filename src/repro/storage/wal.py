@@ -3,7 +3,7 @@
 Only the structure needed by the paper's recovery protocol (§V-A) is modelled:
 append-only records for PREPARE / COMMIT / ABORT decisions.  Appending costs
 no simulated time: the writer pays the flush (the data source's prepare and
-commit costs, the middleware's ``log_flush_cost_ms``).  The recovery manager
+commit costs, the middleware's log flush).  The recovery manager
 replays these records after a crash to decide the fate of in-doubt
 transactions.
 

@@ -9,12 +9,17 @@ the package.  A workload plugin's ``config_field="..."`` names the
 ``ExperimentConfig`` field the runner reads through ``getattr``, so it counts
 as a read too.  Matching is by name, not by type: the census finds dead
 fields, not duplicated ones.
+
+A second check keeps every service time in :class:`~repro.common.CostModel`:
+no option or dialect dataclass may declare a per-component cost field.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import repro
+from repro.common import CostModel
 
 PACKAGE = Path(repro.__file__).resolve().parent
 SPEC_CLASSES = {"DataNodeSpec", "MiddlewareSpec"}
@@ -39,12 +44,16 @@ def _is_option_class(name: str) -> bool:
     return name.endswith(("Config", "Policy")) or name in SPEC_CLASSES
 
 
-def option_fields(trees):
+def _may_not_hold_costs(name: str) -> bool:
+    return name.endswith(("Config", "Spec", "Policy", "Dialect"))
+
+
+def option_fields(trees, is_option_class=_is_option_class):
     """``(class, field)`` of every option dataclass under ``src/repro``."""
     fields = []
     for tree in trees.values():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.ClassDef) and _is_option_class(node.name)
+            if (isinstance(node, ast.ClassDef) and is_option_class(node.name)
                     and _is_dataclass(node)):
                 fields.extend((node.name, stmt.target.id) for stmt in node.body
                               if isinstance(stmt, ast.AnnAssign)
@@ -78,3 +87,28 @@ def test_every_option_field_is_read_somewhere():
     unread = [f"{cls}.{name}" for cls, name in option_fields(trees)
               if name not in reads]
     assert unread == [], f"option fields nothing reads: {unread}"
+
+
+def cost_copies(trees):
+    """``Class.field`` of every option or dialect field that is a service time."""
+    costs = {field.name for field in dataclasses.fields(CostModel)}
+    return [f"{cls}.{name}"
+            for cls, name in option_fields(trees, _may_not_hold_costs)
+            if name in costs or name.endswith(("_cost_ms", "_overhead_ms"))]
+
+
+def test_no_option_or_dialect_declares_a_service_time():
+    assert cost_copies(_trees()) == [], (
+        "declare service times once, in repro.common.CostModel")
+
+
+def test_cost_guard_names_each_copy():
+    tree = ast.parse("@dataclass(frozen=True)\n"
+                     "class FakeDialect:\n"
+                     "    name: str\n"
+                     "    analysis_ms: float = 0.5\n"
+                     "    statement_cost_ms: float = 0.4\n"
+                     "    hop_overhead_ms: float = 0.1\n")
+    assert cost_copies({Path("fake.py"): tree}) == [
+        "FakeDialect.analysis_ms", "FakeDialect.statement_cost_ms",
+        "FakeDialect.hop_overhead_ms"]

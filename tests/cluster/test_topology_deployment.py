@@ -105,9 +105,7 @@ def test_node_link_overrides_apply_to_the_first_middleware_only():
 
 
 def test_build_cluster_keeps_every_middleware_config_field():
-    custom = MiddlewareConfig(name="ignored", analysis_cost_ms=2.0,
-                              log_flush_cost_ms=3.0, request_overhead_ms=0.7,
-                              connection_pool_capacity=3)
+    custom = MiddlewareConfig(name="ignored", connection_pool_capacity=3)
     topology = TopologyConfig.multi_middleware(["beijing", "london"])
     cluster = build_cluster("ssp", topology,
                             ModuloPartitioner(topology.node_names()),

@@ -79,7 +79,7 @@ def _apply(engine, op, eager):
     if name == "put":
         return _view(engine.create_table(args[0]).put(args[1], args[2], writer="kv"))
     if name == "kv_put_if_version":
-        # The body of DataSource._on_kv_put_if_version (ScalarDB baseline).
+        # The body of DataSource._on_kv_put for kv_put_if_version (ScalarDB).
         current = (_kv_get(engine, args[0], args[1]) or (None, 0))[1]
         if current != args[3]:
             return ("conflict", current)
