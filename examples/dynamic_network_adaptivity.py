@@ -42,7 +42,6 @@ def main() -> None:
             duration_ms=duration_ms,
             warmup_ms=2_000,
             timeline_bucket_ms=phase_ms / 2,
-            active_probing=(system == "geotp"),
         )
         result = run_experiment(config)
         timelines[system] = dict(result.timeline.series(until_ms=duration_ms))

@@ -24,12 +24,18 @@ See README.md for a quickstart, ARCHITECTURE.md for the layer map and
 PLUGINS.md for the plugin authoring guide.
 """
 
+from repro.plugins import load_plugins
+
+# Register the builtin plugins before anything else is imported, so the
+# registry order (``system_names()``) is ``load_plugins``' module order and
+# not an accident of which module happens to import a coordinator first.
+load_plugins()
+
 from repro.bench.runner import (
     ExperimentConfig,
     ExperimentSummary,
     run_experiment,
 )
-from repro.baselines.scalardb import ScalarDBConfig
 from repro.cluster.deployment import Cluster, build_cluster
 from repro.cluster.topology import DataNodeSpec, MiddlewareSpec, TopologyConfig
 from repro.common import (
@@ -83,7 +89,6 @@ __all__ = [
     "Operation",
     "OpType",
     "SUPPORTED_SYSTEMS",
-    "ScalarDBConfig",
     "Statement",
     "SystemPlugin",
     "TPCCConfig",

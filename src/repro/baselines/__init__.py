@@ -10,7 +10,7 @@ from repro.baselines.ssp import SSPCoordinator
 from repro.baselines.ssp_local import SSPLocalCoordinator
 from repro.baselines.quro import QUROCoordinator
 from repro.baselines.chiller import ChillerCoordinator
-from repro.baselines.scalardb import ScalarDBCoordinator, ScalarDBConfig
+from repro.baselines.scalardb import ScalarDBCoordinator
 from repro.baselines.scalardb_plus import ScalarDBPlusCoordinator
 from repro.baselines.yugabyte import YugabyteCoordinator
 
@@ -19,7 +19,6 @@ __all__ = [
     "QUROCoordinator",
     "SSPCoordinator",
     "SSPLocalCoordinator",
-    "ScalarDBConfig",
     "ScalarDBCoordinator",
     "ScalarDBPlusCoordinator",
     "YugabyteCoordinator",

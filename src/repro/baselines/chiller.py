@@ -26,7 +26,7 @@ from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.statements import Statement
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 class ChillerCoordinator(TwoPhaseCommitCoordinator):
@@ -71,13 +71,8 @@ class ChillerCoordinator(TwoPhaseCommitCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> ChillerCoordinator:
-    return ChillerCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                              ctx.participants, ctx.partitioner)
-
-
 register_system(SystemPlugin(
     name="chiller",
     description="Chiller contention-centric outer/inner execution ordering",
-    builder=_build,
+    coordinator=ChillerCoordinator,
 ))

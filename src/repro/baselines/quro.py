@@ -20,7 +20,7 @@ from typing import List
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 from repro.middleware.statements import Statement, TransactionSpec
 from repro.sim import Process
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 def reorder_statements(statements: List[Statement]) -> List[Statement]:
@@ -52,13 +52,8 @@ class QUROCoordinator(TwoPhaseCommitCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> QUROCoordinator:
-    return QUROCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                           ctx.participants, ctx.partitioner)
-
-
 register_system(SystemPlugin(
     name="quro",
     description="QURO contention-aware operation reordering over middleware XA",
-    builder=_build,
+    coordinator=QUROCoordinator,
 ))

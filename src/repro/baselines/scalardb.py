@@ -19,46 +19,30 @@ Consequences the paper highlights and this model reproduces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.common import COSTS, AbortReason, Operation, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
-from repro.middleware.middleware import (
-    MiddlewareBase,
-    MiddlewareConfig,
-    ParticipantHandle,
-)
-from repro.middleware.router import Partitioner
-from repro.sim import Environment, Resource
-from repro.sim.network import Network
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.middleware.middleware import MiddlewareBase
+from repro.sim import Resource
+from repro.plugins import SystemPlugin, register_system
 
 RecordId = Tuple[str, Hashable]
-
-
-@dataclass
-class ScalarDBConfig:
-    """Knobs of the ScalarDB-style coordinator."""
-
-    #: Maximum transactions processed concurrently by the middleware executor.
-    #: ScalarDB performs all concurrency-control work on the middleware node,
-    #: which is what bounds its scalability in the paper's Figure 5.
-    coordinator_slots: int = 24
 
 
 class ScalarDBCoordinator(MiddlewareBase):
     """Optimistic middleware-level transaction manager over plain key-value stores."""
 
     system_name = "ScalarDB"
+    #: Maximum transactions processed concurrently by the middleware executor.
+    #: ScalarDB performs all concurrency-control work on the middleware node,
+    #: which is what bounds its scalability in the paper's Figure 5.
+    coordinator_slots = 24
 
-    def __init__(self, env: Environment, network: Network, config: MiddlewareConfig,
-                 participants: Dict[str, ParticipantHandle], partitioner: Partitioner,
-                 scalardb_config: Optional[ScalarDBConfig] = None):
-        super().__init__(env, network, config, participants, partitioner)
-        self.scalardb = scalardb_config or ScalarDBConfig()
-        self._executor = Resource(env, capacity=self.scalardb.coordinator_slots)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._executor = Resource(self.env, capacity=self.coordinator_slots)
 
     # ------------------------------------------------------------------- hooks
     def admit(self, ctx: TransactionContext):
@@ -190,14 +174,8 @@ class ScalarDBCoordinator(MiddlewareBase):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> ScalarDBCoordinator:
-    return ScalarDBCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                               ctx.participants, ctx.partitioner,
-                               scalardb_config=ctx.scalardb_config)
-
-
 register_system(SystemPlugin(
     name="scalardb",
     description="ScalarDB-style optimistic middleware transaction manager",
-    builder=_build,
+    coordinator=ScalarDBCoordinator,
 ))

@@ -14,8 +14,7 @@ from typing import Dict, List
 from repro.baselines.scalardb import ScalarDBCoordinator
 from repro.core.geotp import LatencyAwareMixin
 from repro.middleware.context import TransactionContext
-from repro.sim.rng import SeededRNG
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
@@ -63,17 +62,9 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> ScalarDBPlusCoordinator:
-    return ScalarDBPlusCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                                   ctx.participants, ctx.partitioner,
-                                   scalardb_config=ctx.scalardb_config,
-                                   geotp_config=ctx.geotp_config,
-                                   rng=SeededRNG(ctx.seed))
-
-
 register_system(SystemPlugin(
     name="scalardb_plus",
     description="ScalarDB extended with GeoTP's scheduling and admission control",
     aliases=("scalardb+", "scalardbplus"),
-    builder=_build,
+    coordinator=ScalarDBPlusCoordinator,
 ))

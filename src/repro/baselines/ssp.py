@@ -9,7 +9,7 @@ This subclass only pins the system name used in reports.
 from __future__ import annotations
 
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 class SSPCoordinator(TwoPhaseCommitCoordinator):
@@ -19,15 +19,10 @@ class SSPCoordinator(TwoPhaseCommitCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> SSPCoordinator:
-    return SSPCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                          ctx.participants, ctx.partitioner)
-
-
 register_system(SystemPlugin(
     name="ssp",
     description="ShardingSphere-style middleware XA 2PC (the paper's base system)",
     aliases=("shardingsphere",),
-    builder=_build,
+    coordinator=SSPCoordinator,
     ablation_reference=True,
 ))

@@ -14,7 +14,7 @@ from repro.common import AbortReason, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 class SSPLocalCoordinator(TwoPhaseCommitCoordinator):
@@ -37,14 +37,9 @@ class SSPLocalCoordinator(TwoPhaseCommitCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> SSPLocalCoordinator:
-    return SSPLocalCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                               ctx.participants, ctx.partitioner)
-
-
 register_system(SystemPlugin(
     name="ssp_local",
     description="ShardingSphere's non-atomic local transaction mode (no prepare)",
     aliases=("ssp(local)", "ssp_(local)", "ssplocal"),
-    builder=_build,
+    coordinator=SSPLocalCoordinator,
 ))

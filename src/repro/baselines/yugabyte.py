@@ -23,7 +23,7 @@ from repro.common import AbortReason, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 class YugabyteCoordinator(TwoPhaseCommitCoordinator):
@@ -61,15 +61,10 @@ class YugabyteCoordinator(TwoPhaseCommitCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> YugabyteCoordinator:
-    return YugabyteCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                               ctx.participants, ctx.partitioner)
-
-
 register_system(SystemPlugin(
     name="yugabyte",
     description="YugabyteDB-like kernel whose coordinator lives on a data node",
     aliases=("yugabytedb",),
-    builder=_build,
+    coordinator=YugabyteCoordinator,
     colocated_with_ds0=True,
 ))

@@ -14,7 +14,6 @@ import gc
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence
 
-from repro.baselines.scalardb import ScalarDBConfig
 from repro.cluster.client import start_terminals
 from repro.cluster.deployment import Cluster, build_cluster
 from repro.cluster.fleet import FleetConfig, MiddlewareFleet, RetryPolicy
@@ -28,6 +27,7 @@ from repro.metrics.timeline import ThroughputTimeline
 from repro.plugins import get_workload_plugin
 from repro.recovery.failures import FaultInjector, FaultPlan
 from repro.recovery.invariants import check_invariants
+from repro.sim.latency import DynamicLatency
 from repro.workloads.arrivals import ArrivalConfig
 from repro.workloads.base import Workload, WorkloadConfig
 from repro.workloads.tpcc import TPCCConfig
@@ -51,7 +51,6 @@ class ExperimentConfig:
     #: means "the plugin's default configuration".
     workload_config: Optional[WorkloadConfig] = None
     geotp: Optional[GeoTPConfig] = None
-    scalardb: Optional[ScalarDBConfig] = None
     #: Number of coordinator middlewares.  With the default topology, values
     #: above 1 build ``TopologyConfig.multi_middleware(["beijing"] * K)``, a
     #: fleet co-located with the clients for every K; with an explicit
@@ -71,9 +70,6 @@ class ExperimentConfig:
         base_ms=50.0, cap_ms=50.0, multiplier=1.0, jitter=0.0))
     #: Bucket width for the throughput time series (None disables the timeline).
     timeline_bucket_ms: Optional[float] = None
-    #: Enable GeoTP's active latency probing (needed when link latencies change
-    #: while the workload is not exercising them, Figure 11b).
-    active_probing: bool = False
     #: Scheduled faults (crashes, outages, partitions, latency spikes) to
     #: inject during the run; ``None`` runs fault-free.  When set, the runner
     #: wires up a :class:`~repro.recovery.failures.FaultInjector` and the
@@ -305,9 +301,7 @@ def run_experiment(config: ExperimentConfig,
     workload = make_workload(config, topology.node_names())
     partitioner = workload.make_partitioner()
     cluster = build_cluster(config.system, topology, partitioner,
-                            geotp_config=config.geotp,
-                            scalardb_config=config.scalardb,
-                            seed=config.seed)
+                            geotp_config=config.geotp, seed=config.seed)
     cluster.load_workload(workload)
 
     needs_fleet = config.fleet is not None or config.middleware_count > 1
@@ -321,7 +315,12 @@ def run_experiment(config: ExperimentConfig,
                         else None),
         seed=config.seed, track_middlewares=needs_fleet, timeline=timeline)
 
-    if config.active_probing:
+    # Active probing pays off only when link latencies move on their own
+    # schedule, outside the workload's view (Figure 11b): start it on every
+    # coordinator that can probe iff some data node's link is a
+    # DynamicLatency schedule.
+    if any(isinstance(node.latency_model, DynamicLatency)
+           for node in topology.data_nodes):
         for middleware in cluster.middlewares:
             if hasattr(middleware, "start_probing"):
                 middleware.start_probing()

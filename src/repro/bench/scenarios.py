@@ -36,7 +36,6 @@ from repro.core.config import GeoTPConfig
 from repro.plugins import (
     SYSTEMS,
     drain_scenario_hooks,
-    get_system_plugin,
     load_plugins,
     normalize_system,
     normalize_workload,
@@ -357,9 +356,6 @@ def _apply_fig11b(config: ExperimentConfig,
     config.duration_ms = phase_ms * phases
     config.warmup_ms = phase_ms / 4
     config.timeline_bucket_ms = phase_ms / 4
-    # Capability, not name comparison: any system whose plugin advertises
-    # active probing gets it when link latencies change outside the workload.
-    config.active_probing = get_system_plugin(config.system).supports_active_probing
     return config
 
 

@@ -2,31 +2,26 @@
 
 ``build_cluster`` wires up the network, data sources, geo-agents (for systems
 whose plugin declares ``needs_agents``) and one middleware per
-:class:`~repro.cluster.topology.MiddlewareSpec`.  Which systems exist, how
-their coordinators are constructed and how their links are wired is decided
-entirely by the :mod:`repro.plugins` system registry: every coordinator module
-registers a :class:`~repro.plugins.SystemPlugin` carrying its builder and
-capability flags, and this module consumes only those capabilities — it never
-compares system names.  ``python -m repro.bench list --systems`` prints the
-live registry; adding a system is one self-registering module, with no edits
-here.
+:class:`~repro.cluster.topology.MiddlewareSpec`.  Which systems exist and how
+their links are wired is decided entirely by the :mod:`repro.plugins` system
+registry: every coordinator module registers a
+:class:`~repro.plugins.SystemPlugin` carrying its coordinator class and
+capability flags.  Every coordinator is built by the same call, and this
+module consumes only those capabilities — it never compares system names.
+``python -m repro.bench list --systems`` prints the live registry; adding a
+system is one self-registering module, with no edits here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.cluster.topology import MiddlewareSpec, TopologyConfig
 from repro.core import GeoAgent, GeoAgentConfig, GeoTPConfig
-from repro.middleware.middleware import (
-    MiddlewareBase,
-    MiddlewareConfig,
-    ParticipantHandle,
-)
+from repro.middleware.middleware import MiddlewareBase, ParticipantHandle
 from repro.middleware.router import Partitioner
 from repro.plugins import (
-    BuildContext,
     SystemPlugin,
     get_system_plugin,
     normalize_system,
@@ -37,9 +32,6 @@ from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.storage.datasource import DataSource, DataSourceConfig
 from repro.storage.dialects import dialect_by_name
-
-if TYPE_CHECKING:  # annotation only: deployment knows no concrete system
-    from repro.baselines.scalardb import ScalarDBConfig
 
 
 def __getattr__(name: str):
@@ -96,9 +88,7 @@ class Cluster:
 
 def build_cluster(system: str, topology: TopologyConfig, partitioner: Partitioner,
                   env: Optional[Environment] = None,
-                  middleware_config: Optional[MiddlewareConfig] = None,
                   geotp_config: Optional[GeoTPConfig] = None,
-                  scalardb_config: Optional[ScalarDBConfig] = None,
                   seed: int = 0) -> Cluster:
     """Build a cluster running ``system`` on ``topology``.
 
@@ -119,14 +109,10 @@ def build_cluster(system: str, topology: TopologyConfig, partitioner: Partitione
     for index, dm_spec in enumerate(topology.middlewares):
         _wire_middleware_links(network, topology, dm_spec, plugin, agents)
         participants = _participant_handles(topology, agents)
-        config = replace(middleware_config or MiddlewareConfig(),
-                         name=dm_spec.name)
-        middleware = plugin.build(BuildContext(
-            env=env, network=network, middleware_config=config,
-            participants=participants, partitioner=partitioner,
-            geotp_config=geotp_config, scalardb_config=scalardb_config,
-            seed=seed + index))
-        middlewares.append(middleware)
+        # Each middleware gets its own RNG stream, offset by its index.
+        middlewares.append(plugin.coordinator(
+            env, network, dm_spec.name, participants, partitioner,
+            geotp_config=geotp_config, seed=seed + index))
 
     return Cluster(env=env, network=network, topology=topology, system=system,
                    partitioner=partitioner, datasources=datasources, agents=agents,

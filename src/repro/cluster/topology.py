@@ -120,7 +120,12 @@ class TopologyConfig:
         return ConstantLatency(region_rtt_ms(middleware.region, node.region))
 
     def inter_node_rtt_ms(self, node_a: DataNodeSpec, node_b: DataNodeSpec) -> float:
-        """RTT between two data nodes (region matrix, falling back to DM RTT sums)."""
+        """RTT between two data nodes.
+
+        The region matrix when both regions are in it; otherwise the larger
+        of the two nodes' RTTs from the first middleware at time 0.  Feeds the
+        agent-to-agent early-abort links and a co-located coordinator's links.
+        """
         if node_a.name == node_b.name:
             return 0.0
         try:

@@ -5,9 +5,8 @@ latency-aware scheduling but freezes every *adaptive* input:
 
 * the network latency monitor never updates — scheduling postponements are
   computed from the nominal topology RTTs primed at construction time;
-* active probing is disabled (``start_probing`` is a no-op, and the plugin
-  advertises ``supports_active_probing=False`` so scenario logic never turns
-  it on);
+* active probing is disabled (``start_probing`` is a no-op, so the runner's
+  probe start on a ``DynamicLatency`` topology does nothing);
 * the local-execution-latency forecast and late-transaction admission (O3)
   are switched off.
 
@@ -22,22 +21,23 @@ scenario requires zero edits to ``repro.cluster.deployment`` or
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 from repro.core.config import GeoTPConfig
 from repro.core.geotp import GeoTPCoordinator
-from repro.plugins import (
-    BuildContext,
-    SystemPlugin,
-    register_scenario_hook,
-    register_system,
-)
-from repro.sim.rng import SeededRNG
+from repro.plugins import SystemPlugin, register_scenario_hook, register_system
 
 
 class GeoTPStaticCoordinator(GeoTPCoordinator):
     """GeoTP scheduling on frozen, construction-time latency estimates."""
 
     system_name = "GeoTP(static)"
+
+    def __init__(self, *args, geotp_config: Optional[GeoTPConfig] = None,
+                 **kwargs):
+        frozen = replace(geotp_config or GeoTPConfig(),
+                         enable_high_contention_optimization=False)
+        super().__init__(*args, geotp_config=frozen, **kwargs)
 
     def start_probing(self) -> None:
         """Probing is frozen: the primed topology RTTs are never refreshed."""
@@ -46,20 +46,12 @@ class GeoTPStaticCoordinator(GeoTPCoordinator):
         """Passive RTT observations are dropped — estimates stay static."""
 
 
-def _build(ctx: BuildContext) -> GeoTPStaticCoordinator:
-    base = ctx.geotp_config or GeoTPConfig()
-    frozen = replace(base, enable_high_contention_optimization=False)
-    return GeoTPStaticCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                                  ctx.participants, ctx.partitioner,
-                                  geotp_config=frozen, rng=SeededRNG(ctx.seed))
-
-
 register_system(SystemPlugin(
     name="geotp_static",
     description="GeoTP with probing/forecasting frozen: schedules on the "
                 "nominal topology RTTs and never adapts",
     aliases=("geotp(static)", "geotpstatic"),
-    builder=_build,
+    coordinator=GeoTPStaticCoordinator,
     needs_agents=True,
 ))
 

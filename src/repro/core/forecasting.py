@@ -29,10 +29,8 @@ class LocalExecutionForecaster:
         self.footprint = footprint
         self.scale = scale
         self.cap_ms = cap_ms
-        self.predictions = 0
 
     def forecast(self, record_ids: Iterable[RecordId]) -> float:
         """dLEL for a subtransaction accessing ``record_ids`` (Eq. 5, scaled and capped)."""
-        self.predictions += 1
         raw = self.footprint.forecast_local_latency(record_ids) * self.scale
         return min(raw, self.cap_ms)

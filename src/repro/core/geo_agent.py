@@ -66,12 +66,10 @@ _FORWARDED_VERBS = (
 class GeoAgentStats:
     """Counters describing what the agent did (used in tests and reports)."""
 
-    __slots__ = ("executes", "decentralized_prepares",
-                 "early_abort_notifications", "peer_rollbacks_handled",
-                 "forwarded")
+    __slots__ = ("decentralized_prepares", "early_abort_notifications",
+                 "peer_rollbacks_handled", "forwarded")
 
     def __init__(self) -> None:
-        self.executes = 0
         self.decentralized_prepares = 0
         self.early_abort_notifications = 0
         self.peer_rollbacks_handled = 0
@@ -145,7 +143,6 @@ class GeoAgent:
         coordinator = payload.get("coordinator", message.sender)
         peers = payload.get("peers", ())
         is_last = bool(payload.get("is_last", False))
-        self.stats.executes += 1
         self._remember_xid(global_txn_id, xid)
 
         yield COSTS.agent_forward_ms

@@ -30,10 +30,10 @@ from repro.core.latency_monitor import NetworkLatencyMonitor
 from repro.core.scheduler import GeoScheduler
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.middleware.middleware import MiddlewareConfig, ParticipantHandle
+from repro.middleware.middleware import ParticipantHandle
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.router import Partitioner
-from repro.plugins import BuildContext, SystemPlugin, register_system
+from repro.plugins import SystemPlugin, register_system
 from repro.sim import Environment, Event
 from repro.sim.network import Message, Network
 from repro.sim.rng import SeededRNG
@@ -87,16 +87,16 @@ class LatencyAwareMixin:
     Builds the latency monitor, hotspot footprint, forecaster, geo-scheduler
     and late transaction scheduler from one :class:`GeoTPConfig`, feeds the
     monitor with passive RTT samples and admits transactions through the
-    late transaction scheduler.  List it before the coordinator base class.
+    late transaction scheduler, whose random draws come from ``seed``.  List
+    it before the coordinator base class.
     """
 
-    def __init__(self, env: Environment, network: Network, config: MiddlewareConfig,
+    def __init__(self, env: Environment, network: Network, name: str,
                  participants: Dict[str, ParticipantHandle], partitioner: Partitioner,
-                 *, geotp_config: Optional[GeoTPConfig] = None,
-                 rng: Optional[SeededRNG] = None, **kwargs):
-        super().__init__(env, network, config, participants, partitioner, **kwargs)
+                 *, geotp_config: Optional[GeoTPConfig] = None, seed: int = 0):
+        super().__init__(env, network, name, participants, partitioner)
         self.geotp = geotp_config or GeoTPConfig()
-        self.rng = rng or SeededRNG(0)
+        self.rng = SeededRNG(seed)
         self.latency_monitor = NetworkLatencyMonitor(env, alpha=self.geotp.ewma_alpha)
         self.footprint = HotspotFootprint(capacity=self.geotp.hotspot_capacity,
                                           alpha=self.geotp.hotspot_alpha)
@@ -280,20 +280,12 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
 
 
 # ------------------------------------------------------------------- plugin
-def _build(ctx: BuildContext) -> GeoTPCoordinator:
-    return GeoTPCoordinator(ctx.env, ctx.network, ctx.middleware_config,
-                            ctx.participants, ctx.partitioner,
-                            geotp_config=ctx.geotp_config,
-                            rng=SeededRNG(ctx.seed))
-
-
 register_system(SystemPlugin(
     name="geotp",
     description="GeoTP: decentralized prepare + latency-aware scheduling "
                 "+ high-contention optimizations (the paper's system)",
-    builder=_build,
+    coordinator=GeoTPCoordinator,
     needs_agents=True,
-    supports_active_probing=True,
     ablations={
         "o1": lambda: GeoTPConfig().ablation_o1(),
         "o1_o2": lambda: GeoTPConfig().ablation_o1_o2(),

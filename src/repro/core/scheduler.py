@@ -53,7 +53,6 @@ class GeoScheduler:
         self.latency_monitor = latency_monitor
         self.forecaster = forecaster
         self.use_forecast = use_forecast and forecaster is not None
-        self.decisions = 0
 
     def schedule(self, records_by_participant: Dict[str, list]) -> ScheduleDecision:
         """Schedule one round given each participant's records to access.
@@ -64,7 +63,6 @@ class GeoScheduler:
         decision = ScheduleDecision()
         if not records_by_participant:
             return decision
-        self.decisions += 1
 
         totals: Dict[str, float] = {}
         for participant, records in records_by_participant.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common import COSTS, AbortReason, TransactionResult, TxnOutcome
 from repro.middleware.connection_pool import ConnectionPoolSet
@@ -24,6 +24,9 @@ from repro.sim import Environment, Interrupt, Process
 from repro.sim.network import Message, Network, NetworkInterface
 from repro.storage.dialects import Dialect, MySQLDialect
 from repro.storage.wal import WriteAheadLog
+
+if TYPE_CHECKING:  # annotation only: repro.core imports this module
+    from repro.core.config import GeoTPConfig
 
 
 @dataclass(slots=True)
@@ -47,12 +50,8 @@ class ParticipantHandle:
             self.datasource_node = self.name
 
 
-@dataclass
-class MiddlewareConfig:
-    """Static configuration of a middleware node."""
-
-    name: str = "dm"
-    connection_pool_capacity: int = 256
+#: Connections each middleware keeps per data source.
+CONNECTION_POOL_CAPACITY = 256
 
 
 class MiddlewareStats:
@@ -92,17 +91,20 @@ class MiddlewareBase:
     #: Human-readable system name ("SSP", "GeoTP", ...), set by subclasses.
     system_name = "base"
 
-    def __init__(self, env: Environment, network: Network, config: MiddlewareConfig,
-                 participants: Dict[str, ParticipantHandle], partitioner: Partitioner):
+    def __init__(self, env: Environment, network: Network, name: str,
+                 participants: Dict[str, ParticipantHandle], partitioner: Partitioner,
+                 *, geotp_config: Optional[GeoTPConfig] = None, seed: int = 0):
+        # ``geotp_config`` and ``seed`` are read by the latency-aware
+        # coordinators only; taking them here gives every system one
+        # constructor.
         self.env = env
         self.network = network
-        self.config = config
-        self.name = config.name
+        self.name = name
         self.participants = dict(participants)
         self.partitioner = partitioner
         self.rewriter = Rewriter(partitioner)
-        self.pools = ConnectionPoolSet(env, capacity=config.connection_pool_capacity)
-        self.net: NetworkInterface = network.interface(config.name)
+        self.pools = ConnectionPoolSet(env, capacity=CONNECTION_POOL_CAPACITY)
+        self.net: NetworkInterface = network.interface(name)
         self.wal = WriteAheadLog()
         self.stats = MiddlewareStats()
         self.active_contexts: Dict[str, TransactionContext] = {}

@@ -5,19 +5,21 @@ The reproduction compares many *systems* (coordination protocols) over many
 self-describing plugins instead of closed ``if system == ...`` ladders:
 
 * :class:`SystemPlugin` — registered by each coordinator module (the seven
-  baselines, GeoTP, and any contrib variant).  A plugin carries
-  the builder that instantiates its coordinator plus *capability flags*
-  (``needs_agents``, ``colocated_with_ds0``, ``supports_active_probing``,
-  ablation config factories); ``repro.cluster.deployment`` consumes only
-  these capabilities and never compares system names.
+  baselines, GeoTP, and any contrib variant).  A plugin carries its
+  coordinator class plus *capability flags* (``needs_agents``,
+  ``colocated_with_ds0``, ablation config factories).  Every coordinator is
+  built by the same call (see :class:`SystemPlugin`), and
+  ``repro.cluster.deployment`` consumes only these capabilities and never
+  compares system names.
 * :class:`WorkloadPlugin` — registered by each workload module (YCSB, TPC-C,
   contrib workloads).  ``repro.bench.runner.make_workload`` instantiates
   whatever the registry returns.
 
 Registration happens as a side effect of importing the defining module;
 :func:`load_plugins` imports the builtin modules (``repro.baselines``,
-``repro.core.geotp``, every ``repro.contrib`` submodule) and is invoked lazily
-on the first registry lookup.  Adding a ninth system or a third workload is
+``repro.core.geotp``, every ``repro.contrib`` submodule) in that order;
+``import repro`` calls it before importing anything else, so the registry
+order is this module order.  Adding a ninth system or a third workload is
 therefore one self-registering module dropped into ``repro/contrib/`` — no
 edits to the cluster, runner or CLI layers.
 
@@ -46,7 +48,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import-time cycles avoided on purpose
     from repro.core.config import GeoTPConfig
-    from repro.middleware.middleware import MiddlewareBase
     from repro.workloads.base import Workload, WorkloadConfig
 
 #: Modules whose import registers the builtin plugins.  ``repro.contrib`` in
@@ -59,36 +60,17 @@ def canonical_key(name: str) -> str:
     return name.strip().lower().replace("-", "_").replace(" ", "_")
 
 
-# ------------------------------------------------------------------ build ctx
-@dataclass(frozen=True)
-class BuildContext:
-    """Everything a system plugin's builder may consume to wire a coordinator.
-
-    One context is created per middleware node; ``seed`` is already offset by
-    the middleware index so multi-middleware deployments get distinct RNG
-    streams.  Builders pick the fields they need and ignore the rest (an SSP
-    coordinator never looks at ``geotp_config``).
-    """
-
-    env: Any
-    network: Any
-    middleware_config: Any
-    participants: Dict[str, Any]
-    partitioner: Any
-    geotp_config: Optional["GeoTPConfig"] = None
-    scalardb_config: Any = None
-    seed: int = 0
-
-
 # ------------------------------------------------------------------- plugins
 @dataclass(frozen=True)
 class SystemPlugin:
-    """One system under test: its coordinator builder plus capability flags."""
+    """One system under test: its coordinator class plus capability flags."""
 
     #: Canonical system identifier (lowercase, underscores).
     name: str
-    #: ``builder(ctx) -> MiddlewareBase`` constructing one coordinator node.
-    builder: Callable[[BuildContext], "MiddlewareBase"]
+    #: The :class:`~repro.middleware.middleware.MiddlewareBase` subclass; the
+    #: deployment builds every node as ``coordinator(env, network, name,
+    #: participants, partitioner, geotp_config=..., seed=...)``.
+    coordinator: type
     description: str = ""
     #: Alternate spellings resolving to this plugin (already case-folded by
     #: :func:`canonical_key` at registration).
@@ -99,9 +81,6 @@ class SystemPlugin:
     #: The coordinator runs co-located with the first data node, so its link
     #: cost to every node is the inter-node RTT (YugabyteDB-style kernels).
     colocated_with_ds0: bool = False
-    #: The coordinator exposes ``start_probing()`` and benefits from active
-    #: latency probing when link latencies change outside the workload's view.
-    supports_active_probing: bool = False
     #: Include this system unchanged as the reference row of ablation studies.
     ablation_reference: bool = False
     #: Ablation variants: suffix -> factory of the config running it (the
@@ -112,10 +91,6 @@ class SystemPlugin:
         object.__setattr__(self, "aliases",
                            tuple(canonical_key(a) for a in self.aliases))
         object.__setattr__(self, "ablations", dict(self.ablations))
-
-    def build(self, ctx: BuildContext) -> "MiddlewareBase":
-        """Instantiate one coordinator middleware for this system."""
-        return self.builder(ctx)
 
 
 @dataclass(frozen=True)
@@ -229,9 +204,8 @@ def load_plugins() -> None:
     module that itself touches the registries from recursing, while the
     done flag is only set on success — a broken plugin module raises here
     and the next call retries the import instead of serving a silently
-    half-empty registry.  Lookup helpers call this lazily, so merely
-    importing ``repro.plugins`` (as the plugin modules themselves do) stays
-    side-effect free.
+    half-empty registry.  ``import repro`` calls it first; the lookup
+    helpers call it too, which is then a no-op.
     """
     global _plugins_loaded, _plugins_loading
     if _plugins_loaded or _plugins_loading:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Tuple
 
-from repro.plugins import get_system_plugin
 from repro.recovery.failures import FAULT_NAMES, FaultPlan
 from repro.sim.latency import DynamicLatency
 from repro.sim.rng import SeededRNG
@@ -128,10 +127,6 @@ def _apply_chaos(config: Any, params: Dict[str, Any]) -> Any:
                         for phase in range(phases)]
             models.append(DynamicLatency(schedule))
         config.topology = TopologyConfig.from_latency_models(models)
-        # Capability, not name comparison (same rule as fig11b): probing only
-        # helps when latencies move outside the workload's own traffic.
-        config.active_probing = get_system_plugin(
-            config.system).supports_active_probing
 
     shape = params["shape"]
     if shape != "closed":

@@ -49,13 +49,12 @@ class Message:
 class NetworkStats:
     """Aggregate counters of network activity (messages and bytes proxied)."""
 
-    __slots__ = ("messages_sent", "messages_by_type", "total_delay_ms",
-                 "messages_parked", "messages_dropped")
+    __slots__ = ("messages_sent", "messages_by_type", "messages_parked",
+                 "messages_dropped")
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_by_type: Dict[str, int] = {}
-        self.total_delay_ms = 0.0
         #: Deliveries held back by an active outage/partition (released on heal).
         self.messages_parked = 0
         #: Deliveries discarded by a drop-mode disruption (never released).
@@ -296,7 +295,6 @@ class Network:
         stats.messages_sent += 1
         by_type = stats.messages_by_type
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
-        stats.total_delay_ms += delay
 
         deliver = self._inboxes[message.recipient].put
         # Allocation-free delivery: the inbox's bound ``put`` plus args
@@ -306,7 +304,7 @@ class Network:
             adjusted = self._intercept(message.sender, message.recipient,
                                        delay, deliver, (message,))
             if adjusted is None:
-                return delay  # parked or dropped; nominal delay for the stats
+                return delay  # parked or dropped: the nominal delay
             delay = adjusted
         if delay == 0.0:
             env._soon.append((deliver, (message,)))

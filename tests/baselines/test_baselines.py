@@ -6,7 +6,6 @@ from repro.baselines import (
     ChillerCoordinator,
     QUROCoordinator,
     SSPLocalCoordinator,
-    ScalarDBConfig,
     ScalarDBCoordinator,
     ScalarDBPlusCoordinator,
     YugabyteCoordinator,
@@ -16,7 +15,6 @@ from repro.baselines.quro import reorder_statements
 from repro.baselines.ssp import SSPCoordinator
 from repro.common import AbortReason, Operation, OpType, TxnOutcome
 from repro.middleware import (
-    MiddlewareConfig,
     ModuloPartitioner,
     ParticipantHandle,
     Statement,
@@ -26,7 +24,7 @@ from repro.sim import ConstantLatency, Environment, Network
 from repro.storage import DataSource, DataSourceConfig, MySQLDialect, TxnState
 
 
-def build(coordinator_cls, rtts=(10.0, 100.0), **kwargs):
+def build(coordinator_cls, rtts=(10.0, 100.0)):
     env = Environment()
     net = Network(env)
     names = [f"ds{i}" for i in range(len(rtts))]
@@ -37,8 +35,7 @@ def build(coordinator_cls, rtts=(10.0, 100.0), **kwargs):
         datasources[name] = ds
         participants[name] = ParticipantHandle(name=name, endpoint=name)
         net.set_link("dm", name, ConstantLatency(rtt))
-    dm = coordinator_cls(env, net, MiddlewareConfig(name="dm"), participants,
-                         ModuloPartitioner(names), **kwargs)
+    dm = coordinator_cls(env, net, "dm", participants, ModuloPartitioner(names))
     return env, dm, datasources
 
 
@@ -119,9 +116,9 @@ def test_scalardb_commits_and_pays_per_operation_round_trips():
     assert result.phase_breakdown["execution"] >= 110
 
 
-def test_scalardb_conflicting_writers_abort_on_validation():
-    env, dm, datasources = build(ScalarDBCoordinator,
-                                 scalardb_config=ScalarDBConfig(coordinator_slots=8))
+def test_scalardb_conflicting_writers_abort_on_validation(monkeypatch):
+    monkeypatch.setattr(ScalarDBCoordinator, "coordinator_slots", 8)
+    env, dm, datasources = build(ScalarDBCoordinator)
     outcomes = []
 
     def client(value):
@@ -136,9 +133,9 @@ def test_scalardb_conflicting_writers_abort_on_validation():
     assert TxnOutcome.ABORTED in outcomes
 
 
-def test_scalardb_executor_slots_bound_concurrency():
-    env, dm, datasources = build(ScalarDBCoordinator,
-                                 scalardb_config=ScalarDBConfig(coordinator_slots=1))
+def test_scalardb_executor_slots_bound_concurrency(monkeypatch):
+    monkeypatch.setattr(ScalarDBCoordinator, "coordinator_slots", 1)
+    env, dm, datasources = build(ScalarDBCoordinator)
     finish_times = []
 
     def client(key):

@@ -30,6 +30,7 @@ from repro.recovery.chaos import (
 )
 from repro.recovery.failures import FAULT_NAMES, FaultKind, FaultPlan
 from repro.recovery.invariants import all_passed, violations
+from repro.sim import DynamicLatency
 
 #: Reduced scale shared by the run tests (mirrors the fault-family tests).
 SCALE = dict(duration_ms=3_000.0, warmup_ms=600.0, terminals=4,
@@ -135,11 +136,12 @@ def test_latency_profiles_materialise_dynamic_topologies():
     flat = expand_point("chaos_dual_flat_poisson_ycsb", "geotp")
     assert flat.topology is None
     drift = expand_point("chaos_dual_drift_poisson_ycsb", "geotp")
-    assert drift.topology is not None
-    assert drift.active_probing  # geotp probes when latencies move
     churn = expand_point("chaos_dual_churn_poisson_ycsb", "ssp")
-    assert churn.topology is not None
-    assert not churn.active_probing  # ssp has no probing machinery
+    # A DynamicLatency link is what turns on the runner's active probing.
+    for config in (drift, churn):
+        assert config.topology is not None
+        assert all(isinstance(node.latency_model, DynamicLatency)
+                   for node in config.topology.data_nodes)
 
 
 def test_fault_windows_scale_with_duration_overrides():

@@ -6,12 +6,14 @@ from dataclasses import replace
 import pytest
 
 from repro import ExperimentConfig, GeoTPConfig, TPCCConfig, TopologyConfig, YCSBConfig, run_experiment
+from repro import protocol
 from repro.bench.runner import make_workload
 from repro.cluster import RetryPolicy
 from repro.cluster import TopologyConfig as ClusterTopology
 from repro.cluster import build_cluster, start_terminals
 from repro.metrics import MetricsCollector
 from repro.recovery.invariants import all_passed
+from repro.sim import DynamicLatency
 from repro.workloads import YCSBWorkload
 
 
@@ -78,6 +80,31 @@ def test_run_experiment_returns_a_summary_with_live_handles():
     assert detached.to_dict(include_environment=True) \
         == second.to_dict(include_environment=True)
     second.cluster.close()
+
+
+def _probe_pings(system, topology):
+    """Probe pings sent during a run of a few probe intervals (1 s each)."""
+    result = run_experiment(ExperimentConfig(
+        system=system, terminals=2, duration_ms=3000, warmup_ms=500,
+        ycsb=SMALL_YCSB, topology=topology), keep_cluster=True)
+    pings = result.cluster.network.stats.messages_by_type.get(protocol.MSG_PING, 0)
+    result.cluster.close()
+    return pings
+
+
+def test_probing_runs_exactly_when_a_link_follows_a_latency_schedule():
+    def dynamic():
+        return TopologyConfig.from_latency_models([
+            DynamicLatency([(0.0, 20.0), (1000.0, 60.0)]),
+            DynamicLatency([(0.0, 80.0), (2000.0, 30.0)])])
+
+    # GeoTP probes every participant once per interval on a moving network...
+    assert _probe_pings("geotp", dynamic()) >= 2 * 2
+    # ...but not on constant links, where its passive samples suffice.
+    assert _probe_pings("geotp", TopologyConfig.from_rtts([20.0, 80.0])) == 0
+    # GeoTP(static) freezes its estimates and SSP has no latency monitor.
+    assert _probe_pings("geotp_static", dynamic()) == 0
+    assert _probe_pings("ssp", dynamic()) == 0
 
 
 def test_zero_timeline_width_is_rejected_not_ignored():

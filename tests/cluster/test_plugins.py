@@ -87,7 +87,6 @@ def test_supported_systems_spellings_agree_and_stay_live():
 
 def test_capability_flags_describe_the_builtin_systems():
     assert get_system_plugin("geotp").needs_agents
-    assert get_system_plugin("geotp").supports_active_probing
     assert get_system_plugin("yugabyte").colocated_with_ds0
     assert not get_system_plugin("ssp").needs_agents
     ssp = get_system_plugin("ssp")
@@ -106,23 +105,23 @@ def test_plugins_round_trip_through_lookups():
 def test_registry_rejects_non_canonical_names_and_alias_collisions():
     registry = PluginRegistry("demo")
     with pytest.raises(ValueError, match="not canonical"):
-        registry.register(SystemPlugin(name="Bad-Name", builder=lambda ctx: None))
-    registry.register(SystemPlugin(name="one", builder=lambda ctx: None,
+        registry.register(SystemPlugin(name="Bad-Name", coordinator=object))
+    registry.register(SystemPlugin(name="one", coordinator=object,
                                    aliases=("uno",)))
     with pytest.raises(ValueError, match="collides"):
-        registry.register(SystemPlugin(name="two", builder=lambda ctx: None,
+        registry.register(SystemPlugin(name="two", coordinator=object,
                                        aliases=("uno",)))
     with pytest.raises(ValueError, match="collides"):
-        registry.register(SystemPlugin(name="three", builder=lambda ctx: None,
+        registry.register(SystemPlugin(name="three", coordinator=object,
                                        aliases=("one",)))
     # A name equal to an existing alias would register unreachably (normalize
     # consults aliases first), so it is rejected too.
     with pytest.raises(ValueError, match="alias of 'one'"):
-        registry.register(SystemPlugin(name="uno", builder=lambda ctx: None))
+        registry.register(SystemPlugin(name="uno", coordinator=object))
     # The colliding plugins were rejected atomically; re-registering the same
     # name replaces the plugin (last wins).
     assert registry.names() == ["one"]
-    replacement = SystemPlugin(name="one", builder=lambda ctx: None)
+    replacement = SystemPlugin(name="one", coordinator=object)
     registry.register(replacement)
     assert registry.get("one") is replacement
 

@@ -1,12 +1,10 @@
 """Unit tests for topologies and cluster deployment."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import TopologyConfig, build_cluster, region_rtt_ms
 from repro.cluster.topology import DataNodeSpec, MiddlewareSpec
-from repro.middleware import MiddlewareConfig, ModuloPartitioner
+from repro.middleware import ModuloPartitioner
 from repro.sim import JitterLatency
 
 
@@ -47,6 +45,19 @@ def test_from_latency_models_uses_given_models():
     topology = TopologyConfig.from_latency_models([model, model])
     dm = topology.middlewares[0]
     assert topology.middleware_link_model(dm, topology.data_nodes[0]) is model
+
+
+def test_inter_node_rtt_is_the_region_matrix_else_the_larger_dm_rtt():
+    paper = TopologyConfig.paper_default()
+    ds0, ds1, _, ds3 = paper.data_nodes
+    assert paper.inter_node_rtt_ms(ds0, ds3) == 251.0  # beijing <-> london
+    assert paper.inter_node_rtt_ms(ds1, ds1) == 0.0
+    # Synthetic regions are not in the matrix: the larger of the two RTTs
+    # from the first middleware (not their sum).
+    synthetic = TopologyConfig.from_rtts([10, 80])
+    node_a, node_b = synthetic.data_nodes
+    assert synthetic.inter_node_rtt_ms(node_a, node_b) == 80.0
+    assert synthetic.inter_node_rtt_ms(node_b, node_a) == 80.0
 
 
 def test_multi_middleware_topology_places_second_dm_remotely():
@@ -102,17 +113,6 @@ def test_node_link_overrides_apply_to_the_first_middleware_only():
     # Later middlewares always use the region matrix.
     assert topology.middleware_link_model(dm2, ds0).rtt_at(0) == 251.0
     assert topology.middleware_link_model(dm2, ds1).rtt_at(0) == 251.0
-
-
-def test_build_cluster_keeps_every_middleware_config_field():
-    custom = MiddlewareConfig(name="ignored", connection_pool_capacity=3)
-    topology = TopologyConfig.multi_middleware(["beijing", "london"])
-    cluster = build_cluster("ssp", topology,
-                            ModuloPartitioner(topology.node_names()),
-                            middleware_config=custom)
-    for middleware in cluster.middlewares:
-        assert middleware.config == replace(custom, name=middleware.name)
-    assert [m.name for m in cluster.middlewares] == ["dm1", "dm2"]
 
 
 def test_build_cluster_for_every_supported_system():

@@ -21,7 +21,6 @@ def test_plugin_builds_the_static_coordinator_with_agents():
     assert set(cluster.agents) == {"ds0", "ds1"}  # needs_agents capability
     plugin = get_system_plugin("geotp_static")
     assert plugin.needs_agents
-    assert not plugin.supports_active_probing
 
 
 def test_frozen_config_disables_forecasting_and_probing():

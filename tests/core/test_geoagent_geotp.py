@@ -14,7 +14,6 @@ import pytest
 from repro.common import Operation, OpType, TxnOutcome
 from repro.core import GeoAgent, GeoAgentConfig, GeoTPConfig, GeoTPCoordinator
 from repro.middleware import (
-    MiddlewareConfig,
     ModuloPartitioner,
     ParticipantHandle,
     Statement,
@@ -53,8 +52,8 @@ def build_geotp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0,
                 net.set_link(f"agent-{a}", f"agent-{b}",
                              ConstantLatency(max(rtts[i], rtts[j])))
     partitioner = ModuloPartitioner(names)
-    dm = GeoTPCoordinator(env, net, MiddlewareConfig(name="dm"), participants,
-                          partitioner, geotp_config=geotp_config or GeoTPConfig())
+    dm = GeoTPCoordinator(env, net, "dm", participants, partitioner,
+                          geotp_config=geotp_config or GeoTPConfig())
     return env, net, dm, datasources, agents
 
 
@@ -116,8 +115,8 @@ def test_geotp_beats_ssp_latency_on_same_workload():
         ds.load_table("usertable", {key: {"v": 0} for key in range(10)})
         participants[name] = ParticipantHandle(name=name, endpoint=name)
         net.set_link("dm", name, ConstantLatency(rtt))
-    ssp = TwoPhaseCommitCoordinator(env, net, MiddlewareConfig(name="dm"),
-                                    participants, ModuloPartitioner(names))
+    ssp = TwoPhaseCommitCoordinator(env, net, "dm", participants,
+                                    ModuloPartitioner(names))
     proc = ssp.submit(TransactionSpec.from_operations([update(0), update(1)]))
     env.run(until=proc)
     ssp_latency = proc.value.latency_ms

@@ -4,12 +4,12 @@ import pytest
 
 from repro.common import Operation, OpType, TxnOutcome
 from repro.middleware import (
-    MiddlewareConfig,
     ModuloPartitioner,
     ParticipantHandle,
     TransactionSpec,
     TwoPhaseCommitCoordinator,
 )
+from repro.middleware.connection_pool import ConnectionPoolSet
 from repro.sim import ConstantLatency, Environment, Network
 from repro.storage import DataSource, DataSourceConfig, MySQLDialect
 
@@ -31,8 +31,7 @@ def build_ssp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0):
                                                dialect=MySQLDialect())
         net.set_link("dm", name, ConstantLatency(rtt))
     partitioner = ModuloPartitioner(names)
-    dm = TwoPhaseCommitCoordinator(env, net, MiddlewareConfig(name="dm"),
-                                   participants, partitioner)
+    dm = TwoPhaseCommitCoordinator(env, net, "dm", participants, partitioner)
     return env, net, dm, datasources, partitioner
 
 
@@ -184,9 +183,9 @@ def test_round_fan_out_waits_for_an_exhausted_pool_and_returns_every_connection(
         participants[name] = ParticipantHandle(name=name, endpoint=name,
                                                dialect=MySQLDialect())
         net.set_link("dm", name, ConstantLatency(rtt))
-    dm = TwoPhaseCommitCoordinator(
-        env, net, MiddlewareConfig(name="dm", connection_pool_capacity=1),
-        participants, ModuloPartitioner(names))
+    dm = TwoPhaseCommitCoordinator(env, net, "dm", participants,
+                                   ModuloPartitioner(names))
+    dm.pools = ConnectionPoolSet(env, capacity=1)
     # Three distributed transactions on disjoint keys, submitted together:
     # each round needs the single connection of both pools.
     procs = [dm.submit(TransactionSpec.from_operations(

@@ -12,7 +12,6 @@ decision are aborted.
 from repro import protocol
 from repro.common import Operation, OpType, TxnOutcome
 from repro.middleware import (
-    MiddlewareConfig,
     ModuloPartitioner,
     ParticipantHandle,
     TransactionSpec,
@@ -35,8 +34,8 @@ def build_cluster(rtts=(10.0, 100.0)):
         datasources[name] = ds
         participants[name] = ParticipantHandle(name=name, endpoint=name)
         net.set_link("dm", name, ConstantLatency(rtt))
-    dm = TwoPhaseCommitCoordinator(env, net, MiddlewareConfig(name="dm"),
-                                   participants, ModuloPartitioner(names))
+    dm = TwoPhaseCommitCoordinator(env, net, "dm", participants,
+                                   ModuloPartitioner(names))
     injector = net.interface("failure-injector")
     return env, net, dm, datasources, injector
 
