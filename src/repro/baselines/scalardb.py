@@ -19,7 +19,7 @@ Consequences the paper highlights and this model reproduces:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.common import COSTS, AbortReason, Operation, TxnOutcome
 from repro import protocol
@@ -29,6 +29,12 @@ from repro.sim import Resource
 from repro.plugins import SystemPlugin, register_system
 
 RecordId = Tuple[str, Hashable]
+
+
+def _read_version(reply: Dict[str, Any]) -> Optional[int]:
+    """The version a key-value read saw (0: no such row); ``None`` when the
+    read was refused (a crashed node's error reply carries no ``found``)."""
+    return reply.get("version", 0) if "found" in reply else None
 
 
 class ScalarDBCoordinator(MiddlewareBase):
@@ -81,6 +87,8 @@ class ScalarDBCoordinator(MiddlewareBase):
                 target = self.partitioner.locate(stmt.operation.table, stmt.operation.key)
                 ctx.branch_xid(target)
             versions = yield from self._execute_round_ops(ctx, statements)
+            if versions is None:
+                return TxnOutcome.ABORTED, AbortReason.UNAVAILABLE
             read_versions.update(versions)
             for stmt in statements:
                 if stmt.operation.is_write:
@@ -101,7 +109,7 @@ class ScalarDBCoordinator(MiddlewareBase):
 
     # ----------------------------------------------------------------- phases
     def _execute_round_ops(self, ctx: TransactionContext, statements):
-        """Execute one round's operations.
+        """Execute one round's operations; ``None`` once a read is refused.
 
         ScalarDB's client library issues storage operations one at a time —
         every read (and the version-establishing read of every write) is its
@@ -115,13 +123,15 @@ class ScalarDBCoordinator(MiddlewareBase):
             handle = self.participants[participant]
             reply = yield self.request_participant(handle, protocol.MSG_KV_GET, {
                 "table": operation.table, "key": operation.key})
-            version = reply.get("version", 0) if isinstance(reply, dict) else 0
-            versions[operation.record_id] = version if reply.get("found") else 0
+            version = _read_version(reply)
+            if version is None:
+                return None
+            versions[operation.record_id] = version
         return versions
 
     def _read_batch(self, participant: str, operations: List[Operation],
                     delay_ms: float):
-        """Read a batch of records on one participant in a single round trip.
+        """Read records on one participant in one round trip; ``None`` if refused.
 
         Not used by plain ScalarDB; ScalarDB+ dispatches per-participant
         batches with latency-aware postponement.
@@ -134,12 +144,9 @@ class ScalarDBCoordinator(MiddlewareBase):
             requests.append(self.request_participant(handle, protocol.MSG_KV_GET, {
                 "table": operation.table, "key": operation.key}))
         condition = yield self.env.all_of(requests)
-        versions: Dict[RecordId, int] = {}
-        for operation, request in zip(operations, requests):
-            reply = condition[request]
-            version = reply.get("version", 0) if isinstance(reply, dict) else 0
-            versions[operation.record_id] = version if reply.get("found") else 0
-        return versions
+        versions = {operation.record_id: _read_version(condition[request])
+                    for operation, request in zip(operations, requests)}
+        return None if None in versions.values() else versions
 
     def _prepare_writes(self, ctx: TransactionContext,
                         write_set: Dict[RecordId, Operation],

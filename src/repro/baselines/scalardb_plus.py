@@ -47,6 +47,8 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
         condition = yield self.env.all_of(processes)
         versions = {}
         for process in processes:
+            if condition[process] is None:
+                return None
             versions.update(condition[process])
         return versions
 

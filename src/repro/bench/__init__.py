@@ -11,7 +11,7 @@ The layer is one pipeline, registry scenario → :class:`SweepRunner` →
 * ``cache`` — opt-in per-point result cache keyed on (canonical config hash,
   seed, source fingerprint) that makes killed sweeps resumable;
 * ``figures`` — sanity-checked figure pipeline over the CLI's JSON documents
-  (dict-of-columns data, registered checks, optional matplotlib rendering);
+  (dict-of-columns data, registered checks, standard-library SVG rendering);
 * ``runner`` / ``report`` — the single-point experiment runner (one
   :class:`ExperimentSummary` per point) and the plain-text tables
   (:func:`sweep_table`: one row per sweep point).
@@ -22,8 +22,6 @@ The layer is one pipeline, registry scenario → :class:`SweepRunner` →
 from repro.bench.cache import SweepCache, canonical_repr, config_hash
 from repro.bench.figures import (
     Figure,
-    FigureCheckError,
-    assert_figure,
     build_figures,
     check_figure,
     emit_figures,
@@ -54,11 +52,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "Figure",
-    "FigureCheckError",
     "PointResult",
     "SCENARIOS",
     "SweepCache",
-    "assert_figure",
     "build_figures",
     "canonical_repr",
     "check_figure",

@@ -32,8 +32,8 @@ document (hits/misses/invalidations are reported in the JSON's ``cache``
 section).  ``figures NAME`` runs (or loads, with ``--input``) a scenario
 document and renders the paper-shaped figures from it — every figure must
 pass its registered sanity checks or nothing is emitted for it and the
-command fails.  PNG rendering needs matplotlib (the ``figures`` optional
-dependency); without it the checked data JSONs are still written.
+command fails.  Each checked figure is written as ``<name>.json`` (its data)
+and ``<name>.svg`` (its drawing); ``--data-only`` writes the JSONs alone.
 
 Host-time measurement lives outside this CLI, in ``perf_ledger/`` (see its
 README).
@@ -118,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="directory for the figure artifacts "
                               "(default: figures/)")
     figures.add_argument("--data-only", action="store_true",
-                         help="write only the per-figure data JSONs, even "
-                              "when matplotlib is available")
+                         help="write only the per-figure data JSONs, not "
+                              "the SVG drawings")
     _add_sweep_flags(figures, positional=False)
 
     chaos = commands.add_parser(
@@ -332,9 +332,6 @@ def _run_figures(args: argparse.Namespace) -> int:
     for entry in report["figures"]:
         print(f"figure {entry['figure']}: "
               f"{', '.join(entry['files'])}", file=sys.stderr)
-    if not report["rendered"] and not args.data_only:
-        print("note: matplotlib is not installed (pip install "
-              "'.[figures]'); wrote data JSONs only", file=sys.stderr)
     if report["violations"]:
         for violation in report["violations"]:
             for failure in violation["failures"]:

@@ -9,7 +9,7 @@ Two deliberate constraints shape the module:
 
 * **No pandas.**  A figure's backing data is a plain dict-of-columns
   (:class:`Figure.columns`): equal-length lists keyed by column name.  That is
-  all the structure the checks and the renderers need, and it keeps the bench
+  all the structure the checks and the renderer need, and it keeps the bench
   layer dependency-free.
 * **No unchecked artifacts** (the ``df_to_figure`` discipline from
   data-to-paper): every :class:`Figure` names the sanity checks registered
@@ -17,17 +17,15 @@ Two deliberate constraints shape the module:
   collector totals, no NaNs, no empty series, complete heatmap grids — and
   :func:`emit_figures` refuses to write *any* file for a figure whose backing
   data fails one.  A violation is a loud, actionable message, not a quietly
-  wrong PNG in a paper.
+  wrong SVG in a paper.
 
-Rendering uses matplotlib when it is installed (the ``figures`` optional
-dependency; CI installs it); without it the pipeline still runs every check
-and writes the per-figure data JSONs, so the checked layer is exercised on
-dependency-free machines too.  ``python -m repro.bench figures`` drives it.
+Rendering is a small standard-library SVG writer (:func:`render_svg`) whose
+bytes depend only on the figure, so a rendered artifact is as testable as its
+data.  ``python -m repro.bench figures`` drives the pipeline.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 from dataclasses import dataclass, field
@@ -87,17 +85,6 @@ class Figure:
                 "columns": self.columns}
 
 
-class FigureCheckError(RuntimeError):
-    """Raised when a figure's backing data fails its sanity checks."""
-
-    def __init__(self, figure_name: str, failures: Sequence[str]):
-        self.figure_name = figure_name
-        self.failures = list(failures)
-        super().__init__(f"figure {figure_name!r} failed "
-                         f"{len(self.failures)} sanity check(s):\n  - "
-                         + "\n  - ".join(self.failures))
-
-
 # ------------------------------------------------------------ check registry
 #: Registered sanity checks: name -> callable returning failure messages.
 FIGURE_CHECKS: Dict[str, Callable[[Figure], List[str]]] = {}
@@ -123,13 +110,6 @@ def check_figure(figure: Figure) -> List[str]:
             continue
         failures.extend(f"[{name}] {message}" for message in check(figure))
     return failures
-
-
-def assert_figure(figure: Figure) -> None:
-    """Raise :class:`FigureCheckError` unless every named check passes."""
-    failures = check_figure(figure)
-    if failures:
-        raise FigureCheckError(figure.name, failures)
 
 
 def _is_bad_number(value: Any) -> bool:
@@ -462,11 +442,6 @@ def build_figures(document: Dict[str, Any]) -> List[Figure]:
 
 
 # ------------------------------------------------------------------ rendering
-def matplotlib_available() -> bool:
-    """True when the optional ``figures`` dependency is importable."""
-    return importlib.util.find_spec("matplotlib") is not None
-
-
 #: Fixed categorical palette (validated colorblind-safe set, light mode) and
 #: the stable system -> slot assignment: a system keeps its color across every
 #: figure and filter, never its rank in one sweep.
@@ -477,105 +452,128 @@ _SYSTEM_SLOTS = {"geotp": 0, "ssp": 1, "scalardb_plus": 2, "ssp_local": 3,
 #: Status colors (reserved; never used for plain series).
 _STATUS_GOOD, _STATUS_BAD, _STATUS_NEUTRAL = "#0ca30c", "#e34948", "#f0efec"
 _INK_PRIMARY, _INK_SECONDARY, _SURFACE = "#0b0b0b", "#52514e", "#fcfcfb"
+#: Heatmap cell value -> (fill, legend label), in legend order.
+_STATUS_FILLS = {1.0: (_STATUS_GOOD, "passed"),
+                 0.5: (_STATUS_NEUTRAL, "skipped"), 0.0: (_STATUS_BAD, "failed")}
+#: Line/timeline canvas and plot area (px).
+_WIDTH, _HEIGHT, _LEFT, _TOP, _PLOT_W, _PLOT_H = 640, 400, 64, 40, 448, 312
 
 
 def _series_color(series_value: Any, fallback_index: int) -> str:
-    slot = _SYSTEM_SLOTS.get(str(series_value))
-    if slot is None:
-        slot = fallback_index % len(_PALETTE)
-    return _PALETTE[slot]
+    slot = _SYSTEM_SLOTS.get(str(series_value), fallback_index)
+    return _PALETTE[slot % len(_PALETTE)]
 
 
-def _style_axes(ax) -> None:
-    ax.set_facecolor(_SURFACE)
-    ax.grid(True, linewidth=0.6, alpha=0.25)
-    ax.tick_params(colors=_INK_SECONDARY, labelsize=8)
-    for spine in ("top", "right"):
-        ax.spines[spine].set_visible(False)
-    for spine in ("left", "bottom"):
-        ax.spines[spine].set_color(_INK_SECONDARY)
+def _el(tag: str, text: Any = None, **attrs: Any) -> str:
+    """One SVG element: float attributes at one decimal, ``_`` named ``-``,
+    text XML-escaped."""
+    fields = "".join(
+        f' {name.replace("_", "-")}="'
+        f'{f"{value:.1f}" if isinstance(value, float) else value}"'
+        for name, value in attrs.items())
+    if text is None:
+        return f"<{tag}{fields}/>"
+    text = str(text).replace("&", "&amp;").replace("<", "&lt;")
+    return f"<{tag}{fields}>{text.replace('>', '&gt;')}</{tag}>"
 
 
-def render_figure(figure: Figure, path: Path) -> None:
-    """Render one checked figure to ``path`` with matplotlib (Agg backend)."""
-    import matplotlib
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    fig, ax = plt.subplots(figsize=(6.4, 4.0), dpi=150)
-    fig.patch.set_facecolor(_SURFACE)
-    _style_axes(ax)
-    if figure.kind == "heatmap":
-        self_render = _render_heatmap
-    elif figure.kind == "timeline":
-        self_render = _render_timeline
-    else:
-        self_render = _render_line
-    self_render(figure, ax, plt)
-    ax.set_title(figure.title, color=_INK_PRIMARY, fontsize=10)
-    fig.tight_layout()
-    fig.savefig(path, facecolor=fig.get_facecolor())
-    plt.close(fig)
+def _legend(x: float, entries) -> List[str]:
+    """A swatch and a label per ``(color, label)`` entry, stacked downwards."""
+    return [element for i, (color, label) in enumerate(entries) for element in (
+        _el("rect", x=x, y=_TOP + 14 * i, width=10, height=10, fill=color),
+        _el("text", label, x=x + 14, y=_TOP + 14 * i + 9, fill=_INK_PRIMARY))]
 
 
-def _render_line(figure: Figure, ax, plt) -> None:
-    xs, ys = figure.columns[figure.x], figure.columns[figure.y]
-    series_values = figure.series_values() or [None]
-    for index, series_value in enumerate(series_values):
-        rows = (figure.rows_for(series_value) if figure.series
-                else list(range(len(xs))))
-        color = _series_color(series_value, index)
-        ax.plot([xs[i] for i in rows], [ys[i] for i in rows],
-                color=color, linewidth=2, marker="o", markersize=6,
-                label=str(series_value))
-        knee = (figure.annotations.get("knees") or {}).get(series_value)
-        if knee and knee.get("rate_tps") is not None \
-                and figure.y == "goodput_tps":
-            ax.plot([knee["rate_tps"]], [knee["goodput_tps"]], marker="o",
-                    markersize=10, markerfacecolor="none",
-                    markeredgecolor=color, markeredgewidth=2)
-    ax.set_xlabel(figure.x_label, color=_INK_SECONDARY, fontsize=9)
-    ax.set_ylabel(figure.y_label, color=_INK_SECONDARY, fontsize=9)
-    if len(series_values) > 1:
-        ax.legend(fontsize=8, frameon=False, labelcolor=_INK_PRIMARY)
-
-
-def _render_timeline(figure: Figure, ax, plt) -> None:
+def _xy_body(figure: Figure) -> List[str]:
+    """Line and timeline figures: one polyline with markers per series."""
     xs = figure.columns[figure.x]
-    ax.plot(xs, figure.columns["committed"], color=_PALETTE[0], linewidth=2,
-            marker="o", markersize=6, label="committed")
-    ax.plot(xs, figure.columns["aborted"], color=_STATUS_BAD, linewidth=2,
-            marker="o", markersize=6, label="aborted")
-    for window in figure.annotations.get("windows", []):
-        ax.axvspan(window["start_s"], window["end_s"], color=_INK_SECONDARY,
-                   alpha=0.15, linewidth=0)
-        ax.text(window["start_s"], ax.get_ylim()[1], window["label"],
-                fontsize=7, color=_INK_SECONDARY, va="top")
-    ax.set_xlabel(figure.x_label, color=_INK_SECONDARY, fontsize=9)
-    ax.set_ylabel(figure.y_label, color=_INK_SECONDARY, fontsize=9)
-    ax.legend(fontsize=8, frameon=False, labelcolor=_INK_PRIMARY)
+    if figure.kind == "timeline":
+        series = [(name, color, list(zip(xs, figure.columns[name])))
+                  for name, color in (("committed", _PALETTE[0]),
+                                      ("aborted", _STATUS_BAD))]
+    else:
+        ys = figure.columns[figure.y]
+        series = [(value, _series_color(value, i),
+                   [(xs[row], ys[row]) for row in figure.rows_for(value)])
+                  for i, value in enumerate(figure.series_values())]
+    windows = figure.annotations.get("windows", [])
+    knees = figure.annotations.get("knees", {}) \
+        if figure.y == "goodput_tps" else {}
+    all_x = xs + [w[edge] for w in windows for edge in ("start_s", "end_s")]
+    all_y = [y for _, _, points in series for _, y in points]
+    x_lo, x_hi, y_lo, y_hi = min(all_x), max(all_x), min(0, *all_y), max(all_y)
+    x_span, y_span = (x_hi - x_lo) or 1.0, (y_hi - y_lo) or 1.0
+
+    def sx(x: float) -> float:
+        return _LEFT + (x - x_lo) / x_span * _PLOT_W
+
+    def sy(y: float) -> float:
+        return _TOP + (y_hi - y) / y_span * _PLOT_H
+
+    out = [_el("path", d=f"M{_LEFT} {_TOP}v{_PLOT_H}h{_PLOT_W}", fill="none",
+               stroke=_INK_SECONDARY),
+           _el("text", figure.y_label, x=_LEFT, y=_TOP - 8, text_anchor="middle"),
+           _el("text", figure.x_label, x=_LEFT + _PLOT_W / 2, y=_HEIGHT - 10,
+               text_anchor="middle")]
+    for k in range(5):
+        tx, ty = x_lo + k * x_span / 4, y_lo + k * y_span / 4
+        out += [_el("text", f"{ty:.4g}", x=_LEFT - 6, y=sy(ty) + 3,
+                    text_anchor="end"),
+                _el("text", f"{tx:.4g}", x=sx(tx), y=_TOP + _PLOT_H + 14,
+                    text_anchor="middle")]
+    for w in windows:
+        start, end = sx(w["start_s"]), sx(w["end_s"])
+        out += [_el("rect", x=start, y=_TOP, width=end - start, height=_PLOT_H,
+                    fill=_INK_SECONDARY, fill_opacity="0.15"),
+                _el("text", w["label"], x=start + 2, y=_TOP + 10)]
+    for value, color, points in series:
+        out.append(_el("polyline", fill="none", stroke=color, stroke_width=2,
+                       points=" ".join(f"{sx(x):.1f},{sy(y):.1f}"
+                                       for x, y in points)))
+        out += [_el("circle", cx=sx(x), cy=sy(y), r=3, fill=color)
+                for x, y in points]
+        if value in knees:
+            out.append(_el("circle", cx=sx(knees[value]["rate_tps"]),
+                           cy=sy(knees[value]["goodput_tps"]), r=7,
+                           fill="none", stroke=color, stroke_width=2))
+    return out + _legend(_LEFT + _PLOT_W + 12,
+                         [(color, value) for value, color, _ in series])
 
 
-def _render_heatmap(figure: Figure, ax, plt) -> None:
-    from matplotlib.colors import BoundaryNorm, ListedColormap
-    from matplotlib.patches import Patch
+def _heatmap_body(figure: Figure) -> Tuple[int, int, List[str]]:
+    """The scenario x invariant grid: one status-colored 24x12 px cell each."""
+    rows, cols = figure.annotations["rows"], figure.annotations["cols"]
+    status = dict(zip(zip(figure.columns["scenario"],
+                          figure.columns["invariant"]), figure.columns["status"]))
+    left, bottom = 8 + 5 * max(map(len, rows)), _TOP + 12 * len(rows)
+    right = left + 24 * len(cols)
+    out = _legend(right + 12, _STATUS_FILLS.values())
+    for r, row in enumerate(rows):
+        out.append(_el("text", row, x=left - 4, y=_TOP + 12 * r + 9,
+                       text_anchor="end"))
+        out += [_el("rect", x=left + 24 * c, y=_TOP + 12 * r, width=24,
+                    height=12, fill=_STATUS_FILLS[status[row, col]][0],
+                    stroke=_SURFACE) for c, col in enumerate(cols)]
+    for c, col in enumerate(cols):
+        x = left + 24 * c + 12
+        out.append(_el("text", col, x=x, y=bottom + 6,
+                       transform=f"rotate(45 {x} {bottom + 6})"))
+    return right + 96, bottom + 8 + 5 * max(map(len, cols)), out
 
-    rows = figure.annotations["rows"]
-    cols = figure.annotations["cols"]
-    index = {(figure.columns["scenario"][i], figure.columns["invariant"][i]):
-             figure.columns["status"][i] for i in range(figure.n_rows())}
-    grid = [[index[(row, col)] for col in cols] for row in rows]
-    cmap = ListedColormap([_STATUS_BAD, _STATUS_NEUTRAL, _STATUS_GOOD])
-    norm = BoundaryNorm([-0.25, 0.25, 0.75, 1.25], cmap.N)
-    ax.imshow(grid, cmap=cmap, norm=norm, aspect="auto")
-    ax.set_xticks(range(len(cols)), cols, rotation=45, ha="right", fontsize=7)
-    ax.set_yticks(range(len(rows)), rows, fontsize=6)
-    ax.grid(False)
-    ax.legend(handles=[Patch(facecolor=_STATUS_GOOD, label="passed"),
-                       Patch(facecolor=_STATUS_NEUTRAL, label="skipped"),
-                       Patch(facecolor=_STATUS_BAD, label="failed")],
-              fontsize=7, frameon=False, loc="upper left",
-              bbox_to_anchor=(1.01, 1.0))
+
+def render_svg(figure: Figure) -> str:
+    """One checked figure as a standalone SVG document whose bytes depend
+    only on the figure: fixed-precision coordinates, drawing in column and
+    annotation order, and XML-escaped labels."""
+    width, height, body = _heatmap_body(figure) if figure.kind == "heatmap" \
+        else (_WIDTH, _HEIGHT, _xy_body(figure))
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" font-family="sans-serif" font-size="8" '
+        f'fill="{_INK_SECONDARY}">', _el("title", figure.title),
+        _el("rect", width=width, height=height, fill=_SURFACE),
+        _el("text", figure.title, x=width / 2, y=22, font_size=12,
+            fill=_INK_PRIMARY, text_anchor="middle"), *body, "</svg>", ""])
 
 
 # ------------------------------------------------------------------- emission
@@ -583,33 +581,29 @@ def emit_figures(figures: Sequence[Figure], output_dir: str,
                  render: bool = True) -> Dict[str, Any]:
     """Check every figure; write artifacts only for the ones that pass.
 
-    Each passing figure gets its backing data as ``<name>.json`` and — when
-    matplotlib is available and ``render`` is true — a ``<name>.png``.  A
-    failing figure gets *no* files; its failure messages are collected in the
-    returned report's ``violations`` list.  Callers (the CLI, CI) treat a
-    nonempty ``violations`` as a hard failure.
+    Each passing figure gets its backing data as ``<name>.json`` and, unless
+    ``render`` is false, its drawing as ``<name>.svg``.  A failing figure gets
+    *no* files; its failure messages are collected in the returned report's
+    ``violations`` list.  Callers (the CLI, CI) treat a nonempty
+    ``violations`` as a hard failure.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    render = render and matplotlib_available()
-    report: Dict[str, Any] = {"rendered": render, "figures": [],
-                              "violations": []}
+    report: Dict[str, Any] = {"figures": [], "violations": []}
     for figure in figures:
         failures = check_figure(figure)
         if failures:
             report["violations"].append({"figure": figure.name,
                                          "failures": failures})
             continue
-        files = []
-        data_path = out / f"{figure.name}.json"
-        with open(data_path, "w", encoding="utf-8") as handle:
-            json.dump(figure.to_dict(), handle, indent=2)
-            handle.write("\n")
-        files.append(str(data_path))
+        artifacts = {"json": json.dumps(figure.to_dict(), indent=2) + "\n"}
         if render:
-            png_path = out / f"{figure.name}.png"
-            render_figure(figure, png_path)
-            files.append(str(png_path))
+            artifacts["svg"] = render_svg(figure)
+        files = []
+        for suffix, text in artifacts.items():
+            path = out / f"{figure.name}.{suffix}"
+            path.write_text(text, encoding="utf-8")
+            files.append(str(path))
         report["figures"].append({"figure": figure.name, "checks":
                                   list(figure.checks), "files": files})
     return report

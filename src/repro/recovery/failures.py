@@ -283,6 +283,8 @@ class FaultInjector:
         self.log: List[Dict[str, Any]] = []
         #: One entry per completed recovery pass (see ``_recover``).
         self.recovery_reports: List[Dict[str, Any]] = []
+        #: Crash events whose restart began but whose recovery is unfinished.
+        self.recovery_pending: List[FaultEvent] = []
 
     # --------------------------------------------------------------- lifecycle
     def install(self) -> None:
@@ -380,8 +382,8 @@ class FaultInjector:
         # have opened a branch since; roll those sessions back before the
         # recovery pass decides the genuinely in-doubt (prepared) branches.
         self._kill_orphaned_sessions(middleware)
-        self.env.process(self._recover(middleware, event,
-                                       participant_names=None), daemon=True)
+        self.env.process(self._recovering(event, self._recover(
+            middleware, event, participant_names=None)), daemon=True)
 
     # ------------------------------------------------------- data source crash
     def _crash_datasource_proc(self, event: FaultEvent):
@@ -395,8 +397,9 @@ class FaultInjector:
 
     def _restart_datasource(self, datasource: DataSource,
                             event: FaultEvent) -> None:
-        self.env.process(self._restart_datasource_proc(datasource, event),
-                         daemon=True)
+        self.env.process(self._recovering(
+            event, self._restart_datasource_proc(datasource, event)),
+            daemon=True)
 
     def _restart_datasource_proc(self, datasource: DataSource,
                                  event: FaultEvent):
@@ -408,6 +411,12 @@ class FaultInjector:
                                          participant_names=[datasource.name])
 
     # ----------------------------------------------------------- §V-A recovery
+    def _recovering(self, event: FaultEvent, restart):
+        """Generator: run ``restart`` with ``event``'s recovery pending."""
+        self.recovery_pending.append(event)
+        yield from restart
+        self.recovery_pending.remove(event)
+
     def _recover(self, middleware: MiddlewareBase, event: FaultEvent,
                  participant_names: Optional[List[str]]):
         """Generator: run the recovery protocol and record what it did.
@@ -513,6 +522,7 @@ class FaultInjector:
             # which the availability invariant must treat as a skip, not a
             # violation (time_to_recover_ms is None in both cases).
             "recovery_baseline_tps": baselines,
+            "recovery_pending": [e.to_dict() for e in self.recovery_pending],
             "wal_in_doubt": self._wal_in_doubt(),
         }
 
@@ -522,15 +532,16 @@ class FaultInjector:
         A branch still ``PREPARED`` when the run stops is fine while its
         global transaction is live on some coordinator (decision pending) or
         its owner has logged a decision (the commit/rollback delivery is in
-        flight).  A prepared branch with *neither* is an orphan: §V-A
-        recovery should have resolved it, and the ``wal_in_doubt_empty``
-        invariant fails the run if any survive.
+        flight) or its owner is still down, which includes mid-recovery
+        (the pending pass owes it a verdict).  A prepared branch with *none*
+        of these is an orphan: §V-A recovery should have resolved it, and the
+        ``wal_in_doubt_empty`` invariant fails the run if any survive.
         """
         live_gids = set()
         for middleware in self.cluster.middlewares:
             live_gids.update(middleware.active_contexts)
         orphans: List[Dict[str, Any]] = []
-        prepared_at_end = 0
+        prepared_at_end = awaiting_recovery = 0
         for ds_name, datasource in self.cluster.datasources.items():
             for xid, txn in datasource.transactions.items():
                 if txn.state is not TxnState.PREPARED:
@@ -544,11 +555,15 @@ class FaultInjector:
                      if gid.startswith(f"{mw.name}-")), None)
                 if owner is not None and owner.wal.last_decision(gid) is not None:
                     continue
+                if owner is not None and owner.crashed:
+                    awaiting_recovery += 1
+                    continue
                 orphans.append({
                     "datasource": ds_name, "xid": xid, "gid": gid,
                     "owner": owner.name if owner is not None else None,
                 })
-        return {"prepared_at_end": prepared_at_end, "orphans": orphans}
+        return {"prepared_at_end": prepared_at_end,
+                "awaiting_recovery": awaiting_recovery, "orphans": orphans}
 
 
 def post_recovery_band(fault_free_committed: int, measured_ms: float,

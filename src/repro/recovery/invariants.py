@@ -42,10 +42,11 @@ The catalog (see ``INVARIANTS``):
     ``time_to_recover_ms`` contract) before the run ends.
 ``wal_in_doubt_empty``
     After crash recovery, no datasource holds a prepared branch that no
-    live coordinator owns and no decision log will ever resolve.
+    live coordinator owns and no decision log or pending recovery resolves.
 ``recovery_completed``
-    Every repaired crash produced at least one completed §V-A recovery
-    pass, and every pass finished with a non-negative duration.
+    Every repaired crash whose recovery is not still running at the end
+    produced at least one completed §V-A recovery pass, and every pass
+    finished with a non-negative duration.
 """
 
 from __future__ import annotations
@@ -162,6 +163,13 @@ def _repaired_events(faults: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 CRASH_KINDS = ("middleware_crash", "datasource_crash")
+
+
+def _recovered_crashes(faults: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Repaired crash events whose recovery is not still running at the end."""
+    pending = faults.get("recovery_pending", [])
+    return [event for event in _repaired_events(faults)
+            if event.get("kind") in CRASH_KINDS and event not in pending]
 
 
 # -------------------------------------------------------------------- catalog
@@ -308,8 +316,8 @@ def _wal_in_doubt_empty(summary: Any) -> Optional[str]:
 @invariant(
     "recovery_completed",
     "every repaired crash produced at least one completed recovery pass",
-    applies=lambda s: _faults(s) is not None and any(
-        e.get("kind") in CRASH_KINDS for e in _repaired_events(_faults(s))))
+    applies=lambda s: _faults(s) is not None
+    and bool(_recovered_crashes(_faults(s))))
 def _recovery_completed(summary: Any) -> Optional[str]:
     faults = _faults(summary)
     recoveries = faults.get("recoveries", [])
@@ -322,9 +330,7 @@ def _recovery_completed(summary: Any) -> Optional[str]:
     bucket_ms = float(availability.get("bucket_ms", 1000.0))
     series = availability.get("series", [])
     observed_end = (series[-1][0] + bucket_ms) if series else 0.0
-    for event in _repaired_events(faults):
-        if event.get("kind") not in CRASH_KINDS:
-            continue
+    for event in _recovered_crashes(faults):
         heal_at = float(event["at_ms"]) + float(event["duration_ms"])
         if heal_at >= observed_end:
             continue  # restart fired after the measured window; nothing to see

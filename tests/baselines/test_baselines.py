@@ -162,6 +162,19 @@ def test_scalardb_plus_keeps_occ_semantics_and_uses_scheduling():
     assert result.latency_ms < plain.latency_ms
 
 
+@pytest.mark.parametrize("coordinator_cls", [ScalarDBCoordinator,
+                                             ScalarDBPlusCoordinator])
+def test_scalardb_read_refused_by_a_crashed_node_aborts(coordinator_cls):
+    """A crashed node refuses the read; that is not "row absent"."""
+    env, dm, datasources = build(coordinator_cls)
+    injector = dm.network.interface("failure-injector")
+    env.run(until=injector.request("ds1", protocol.MSG_CRASH, {}))
+    result = run_txn(env, dm, TransactionSpec.from_operations(
+        [read(0), read(1)]))
+    assert result.outcome is TxnOutcome.ABORTED
+    assert result.abort_reason is AbortReason.UNAVAILABLE
+
+
 def test_yugabyte_single_shard_fast_path_is_cheap():
     env, dm, datasources = build(YugabyteCoordinator, rtts=(0.0, 100.0))
     result = run_txn(env, dm, TransactionSpec.from_operations([update(0), update(2)]))

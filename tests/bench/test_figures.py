@@ -3,21 +3,27 @@
 One broken-fixture test per registered sanity check — each must produce an
 actionable message naming the check — plus the end-to-end guarantees: a figure
 failing any check gets *no* artifact files, the builders reshape real CLI
-documents correctly, and the ``figures`` CLI fails loudly on broken input.
+documents correctly, every figure kind renders to well-formed SVG whose bytes
+depend only on the figure, and the ``figures`` CLI fails loudly on broken
+input.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
 from repro.bench.__main__ import main
-from repro.bench.figures import (FIGURE_CHECKS, Figure, FigureCheckError,
-                                 assert_figure, availability_figures,
+from repro.bench.figures import (FIGURE_CHECKS, Figure, availability_figures,
                                  build_figures, chaos_heatmap_figures,
                                  check_figure, emit_figures,
-                                 fleet_scaleout_figures, load_sweep_figures)
+                                 fleet_scaleout_figures, load_sweep_figures,
+                                 render_svg)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -40,7 +46,6 @@ def line_figure(**overrides) -> Figure:
 
 def test_well_formed_figure_passes_every_check():
     assert check_figure(line_figure()) == []
-    assert_figure(line_figure())  # does not raise
 
 
 # ------------------------------------------------ one broken fixture per check
@@ -174,15 +179,6 @@ def test_unregistered_check_name_fails_instead_of_passing_silently():
     assert any("not registered" in f for f in failures)
 
 
-def test_assert_figure_raises_with_figure_name_and_messages():
-    broken = line_figure()
-    broken.columns["goodput_tps"][0] = float("nan")
-    with pytest.raises(FigureCheckError) as excinfo:
-        assert_figure(broken)
-    assert excinfo.value.figure_name == "probe"
-    assert "no_nans" in str(excinfo.value)
-
-
 def test_every_registered_check_has_a_broken_fixture_test():
     # Guard for future checks: extend this map (and add a test) when
     # registering a new sanity check.
@@ -252,6 +248,79 @@ def test_build_figures_rejects_a_document_with_no_applicable_builder():
     with pytest.raises(ValueError, match="no figure builder applies"):
         build_figures({"scenario": "smoke", "rows": [
             {"params": {"system": "geotp"}, "throughput_tps": 1.0}]})
+
+
+# ------------------------------------------------------------------ rendering
+def one_figure_of_each_kind():
+    """A knee-marked line, a timeline with a fault window, and a heatmap whose
+    labels need XML escaping."""
+    line = line_figure(name="knee", y="goodput_tps", annotations={
+        "expected_series": ["a", "b"],
+        "knees": {"a": {"rate_tps": 200.0, "goodput_tps": 150.0}}})
+    timeline = timeline_figure(annotations={
+        "totals": {"committed": 18, "aborted": 3},
+        "windows": [{"start_s": 0.9, "end_s": 1.5, "label": "ds<1> & co"}]})
+    heatmap = heatmap_figure(
+        columns={"scenario": ["c [geotp]", "c [geotp]", "d <&>", "d <&>"],
+                 "invariant": ["i1", "i2", "i1", "i2"],
+                 "status": [1.0, 0.5, 1.0, 0.0]},
+        annotations={"rows": ["c [geotp]", "d <&>"], "cols": ["i1", "i2"]})
+    return [line, timeline, heatmap]
+
+
+def svg_texts(document):
+    return {node.firstChild.data
+            for node in document.getElementsByTagName("text")}
+
+
+def test_every_figure_kind_renders_to_well_formed_svg():
+    for figure in one_figure_of_each_kind():
+        assert check_figure(figure) == []
+        svg = render_svg(figure)
+        document = minidom.parseString(svg)
+        assert document.documentElement.tagName == "svg"
+        assert figure.title in svg_texts(document)
+        assert svg == render_svg(figure)
+    line, timeline, heatmap = one_figure_of_each_kind()
+    # Line: one polyline per series, a ring on the knee, a legend entry each.
+    document = minidom.parseString(render_svg(line))
+    assert len(document.getElementsByTagName("polyline")) == 2
+    rings = [c for c in document.getElementsByTagName("circle")
+             if c.getAttribute("fill") == "none"]
+    assert len(rings) == 1
+    assert {"a", "b"} <= svg_texts(document)
+    # Timeline: committed and aborted, the window shaded and labelled.
+    document = minidom.parseString(render_svg(timeline))
+    assert {"committed", "aborted", "ds<1> & co"} <= svg_texts(document)
+    assert [r.getAttribute("fill-opacity") for r
+            in document.getElementsByTagName("rect")].count("0.15") == 1
+    # Heatmap: one cell per pair in the three status colors, escaped labels.
+    svg = render_svg(heatmap)
+    document = minidom.parseString(svg)
+    cells = [r.getAttribute("fill") for r in document.getElementsByTagName(
+        "rect") if r.getAttribute("width") == "24"]
+    assert len(cells) == 4 and len(set(cells)) == 3
+    assert {"c [geotp]", "d <&>", "passed", "skipped", "failed"} <= \
+        svg_texts(document)
+    assert "d &lt;&amp;&gt;" in svg
+
+
+def test_svg_bytes_do_not_depend_on_the_hash_seed():
+    script = ("import sys, tests.bench.test_figures as t\n"
+              "from repro.bench.figures import render_svg\n"
+              "sys.stdout.write(''.join(render_svg(f) for f in "
+              "t.one_figure_of_each_kind()))\n")
+    root = Path(__file__).resolve().parents[2]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == "".join(render_svg(figure)
+                                 for figure in one_figure_of_each_kind())
 
 
 # ------------------------------------------------------------------- emission
@@ -331,13 +400,26 @@ def test_figures_cli_rejects_an_inapplicable_scenario_before_running_it(
     assert not out_dir.exists()
 
 
+def run_tiny_load_sweep(out_dir, *flags):
+    # The smallest real scenario with a figure builder: load_sweep collapsed
+    # to one rate and one tiny duration.
+    return main(["figures", "load_sweep", "--rate-tps", "80",
+                 "--duration-ms", "400", "--warmup-ms", "100",
+                 "--output-dir", str(out_dir), *flags])
+
+
 def test_figures_cli_runs_a_scenario_end_to_end(tmp_path, capsys):
-    # The smallest real scenario with a figure builder: collapse load_sweep
-    # to one rate and one tiny duration, then render (data-only) from it.
     out_dir = tmp_path / "figs"
-    status = main(["figures", "load_sweep", "--rate-tps", "80",
-                   "--duration-ms", "400", "--warmup-ms", "100",
-                   "--output-dir", str(out_dir), "--data-only"])
-    assert status == 0
-    emitted = sorted(path.name for path in out_dir.glob("*.json"))
+    assert run_tiny_load_sweep(out_dir, "--data-only") == 0
+    emitted = sorted(path.name for path in out_dir.iterdir())
     assert emitted == ["load_sweep_goodput.json", "load_sweep_p99.json"]
+
+
+def test_figures_cli_writes_an_svg_next_to_each_data_json(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    assert run_tiny_load_sweep(out_dir) == 0
+    emitted = sorted(path.name for path in out_dir.iterdir())
+    assert emitted == ["load_sweep_goodput.json", "load_sweep_goodput.svg",
+                       "load_sweep_p99.json", "load_sweep_p99.svg"]
+    for svg in out_dir.glob("*.svg"):
+        minidom.parse(str(svg))

@@ -12,6 +12,8 @@ from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.metrics.availability import Availability
 from repro.recovery import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.recovery.failures import post_recovery_band
+from repro.recovery.invariants import violations
+from repro.recovery.recovery_manager import RecoveryManager, RecoveryReport
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -356,3 +358,44 @@ def test_fault_report_is_in_the_picklable_summary():
     assert summary.faults["plan"][0]["kind"] == "latency_spike"
     assert "availability" in summary.to_dict()["faults"]
     pickle.loads(pickle.dumps(summary))  # must cross worker boundaries
+
+
+# ------------------------------------------------- a run ending mid-recovery
+def late_crash_run(system, event):
+    return run_experiment(ExperimentConfig(
+        system=system, terminals=8, duration_ms=5_000.0, seed=1,
+        fault_plan=FaultPlan(events=(event,))))
+
+
+@pytest.mark.parametrize("system", ["ssp", "geotp"])
+@pytest.mark.parametrize("event", [
+    FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=4_600.0,
+               duration_ms=300.0),
+    FaultEvent(kind=FaultKind.MIDDLEWARE_CRASH, at_ms=4_500.0,
+               duration_ms=1_000.0),
+    FaultEvent(kind=FaultKind.DATASOURCE_CRASH, at_ms=4_500.0,
+               duration_ms=400.0, target="ds3"),
+], ids=["mw-heals-late", "mw-still-down", "ds-heals-late"])
+def test_a_run_ending_before_recovery_finishes_is_not_a_violation(event,
+                                                                  system):
+    """Prepared branches a pending recovery owes a verdict are not orphans,
+    and a crash whose recovery pass is still running is skipped."""
+    summary = late_crash_run(system, event)
+    assert violations(summary.invariants) == []
+    pending = summary.faults["recovery_pending"]
+    assert pending == ([event.to_dict()] if event.duration_ms < 1_000.0
+                       else [])
+    if pending:
+        assert summary.invariants["recovery_completed"]["status"] == "skipped"
+
+
+def test_a_recovery_that_resolves_nothing_still_leaves_orphans(monkeypatch):
+    def resolve_nothing(self, **_kwargs):
+        yield self.middleware.env.timeout(0)
+        return RecoveryReport()
+
+    monkeypatch.setattr(RecoveryManager, "resolve_in_doubt", resolve_nothing)
+    summary = late_crash_run("geotp", FaultEvent(
+        kind=FaultKind.MIDDLEWARE_CRASH, at_ms=4_300.0, duration_ms=300.0))
+    assert summary.faults["recovery_pending"] == []
+    assert summary.invariants["wal_in_doubt_empty"]["status"] == "failed"
