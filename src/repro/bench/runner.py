@@ -417,8 +417,6 @@ def run_experiment(config: ExperimentConfig,
             distributed=True).samples,
         timeline=timeline,
         events_processed=cluster.env.events_processed,
-        faults=(fault_injector.summarize(collector)
-                if fault_injector is not None else None),
         fleet=fleet_report,
         open_loop=open_pool.report() if open_pool is not None else None,
         admission=admission_report,
@@ -427,6 +425,12 @@ def run_experiment(config: ExperimentConfig,
         collector=collector,
         cluster=cluster if keep_cluster else None,
     )
+    if fault_injector is not None:
+        # Every number above was read at the cut.  Drain (nothing new is
+        # submitted or recorded) until every heal, restart and recovery pass
+        # has run, then take the end-state census.
+        cluster.env.run(until=fault_injector.drain_until_ms(config.duration_ms))
+        result.faults = fault_injector.summarize(collector)
     result.invariants = check_invariants(result)
     if not keep_cluster:
         # End of the cluster's life: break its reference cycles so it is

@@ -86,6 +86,9 @@ class ClientTerminal:
         while self.env.now < self.stop_at_ms:
             spec = self.workload.next_transaction(self.terminal_id)
             result = yield from self._submit(spec)
+            if result.end_time > self.stop_at_ms:
+                # Finished while a fault run drains: neither counted nor recorded.
+                return
             self.transactions_run += 1
             self.collector.record(result, txn_type=spec.txn_type)
             if result.abort_reason is AbortReason.UNAVAILABLE:

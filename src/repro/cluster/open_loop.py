@@ -97,6 +97,8 @@ class OpenClientPool:
 
     def _session(self, terminal: ClientTerminal, spec):
         result = yield from terminal._submit(spec)
+        if result.end_time > self.duration_ms:
+            return  # finished while a fault run drains (see ClientTerminal._run)
         terminal.transactions_run += 1
         self.completed += 1
         self.collector.record(result, txn_type=spec.txn_type)

@@ -88,7 +88,8 @@ class GeoAgent:
         self.stats = GeoAgentStats()
         #: Maps global transaction ids to the local branch xid seen on this node.
         self._local_xids: Dict[str, str] = {}
-        #: Global transaction ids aborted by a peer before we even saw them.
+        #: Global transaction ids a peer aborted: an execute still to come (or
+        #: still paying its forwarding cost) is refused.
         self._poisoned: Set[str] = set()
         # FIFO of ids in insertion order, shared by both structures above:
         # once the retention cap is exceeded the oldest ids — long finished —
@@ -237,11 +238,11 @@ class GeoAgent:
         global_txn_id = payload["global_txn_id"]
         coordinator = payload.get("coordinator")
         self.stats.peer_rollbacks_handled += 1
+        # Poisoned even if an execute is here: one still paying its
+        # forwarding cost would otherwise start a branch after this rollback.
+        self._poison(global_txn_id)
         xid = self._local_xids.get(global_txn_id)
         if xid is None:
-            # We have not executed anything yet; poison the id so a late
-            # execute is rejected immediately instead of doing useless work.
-            self._poison(global_txn_id)
             yield self.env.timeout(0)
             return
         yield self.net.request(self.datasource, protocol.MSG_XA_ROLLBACK, {"xid": xid})
@@ -256,9 +257,10 @@ class GeoAgent:
         self._local_xids[global_txn_id] = xid
 
     def _poison(self, global_txn_id: str) -> None:
-        """Mark a never-seen transaction as aborted-by-peer (bounded)."""
+        """Mark a transaction as aborted-by-peer (bounded)."""
         if global_txn_id not in self._poisoned:
-            self._track(global_txn_id)
+            if global_txn_id not in self._local_xids:
+                self._track(global_txn_id)
             self._poisoned.add(global_txn_id)
 
     def _track(self, global_txn_id: str) -> None:

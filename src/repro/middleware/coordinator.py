@@ -60,6 +60,11 @@ class _FanOut:
 
     def _send(self, index, plan, pool, connection) -> None:
         owner = self.owner
+        if self.ctx.txn_id not in owner.active_contexts:
+            # Fenced: the coordinator crashed while this batch waited (a crash
+            # clears ``active_contexts``; ids never repeat).  Send nothing.
+            pool.release(connection)
+            return
         payload = owner.execute_payload(self.ctx, plan, self.is_final_round)
         reply = owner.request_participant(owner.participants[plan.datasource],
                                           self.verb, payload)

@@ -23,9 +23,9 @@ by :mod:`repro.recovery.invariants`.
 
 The full product is always registered; the budget is chosen at run time.
 :func:`sample_chaos_scenarios` picks a seeded, order-preserving subset of the
-registered names for smoke runs (the CI ``chaos-smoke`` job and ``python -m
-repro.bench chaos --sample N``), executed at reduced scale through
-``SweepRunner --workers``.  The same seed always picks the same names.
+registered names for smoke runs (``python -m repro.bench chaos --sample
+N``; the CI ``chaos-smoke`` job runs all 252), executed at reduced scale
+through ``SweepRunner --workers``.  The same seed picks the same names.
 
 The module also registers the two graceful-degradation families from ROADMAP
 item 1's follow-on: ``admission_knee`` (admission on/off at and past each
@@ -169,8 +169,8 @@ def chaos_scenario_names() -> List[str]:
 def sample_chaos_scenarios(count: int, seed: int = 0) -> List[str]:
     """A seeded, order-preserving sample of registered chaos scenarios.
 
-    The run-time budget knob: the CI ``chaos-smoke`` job and ``python -m
-    repro.bench chaos`` pick ~10 of the hundreds of generated points; the
+    The run-time budget knob: ``python -m repro.bench chaos`` picks 10 of
+    the hundreds of generated points by default (CI runs them all); the
     same seed always picks the same ones.
     """
     if count < 1:

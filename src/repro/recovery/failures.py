@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import protocol
+from repro.metrics.availability import middleware_of
 from repro.middleware.middleware import MiddlewareBase
 from repro.recovery.recovery_manager import RecoveryManager
 from repro.sim.network import DROP, NetworkInterface, PARK
@@ -283,8 +284,6 @@ class FaultInjector:
         self.log: List[Dict[str, Any]] = []
         #: One entry per completed recovery pass (see ``_recover``).
         self.recovery_reports: List[Dict[str, Any]] = []
-        #: Crash events whose restart began but whose recovery is unfinished.
-        self.recovery_pending: List[FaultEvent] = []
 
     # --------------------------------------------------------------- lifecycle
     def install(self) -> None:
@@ -365,25 +364,17 @@ class FaultInjector:
         middleware.active_contexts.clear()
         self.injected["middleware"] += 1
         middleware.active_processes.clear()
-        self._kill_orphaned_sessions(middleware)
+        for datasource in self.cluster.datasources.values():
+            datasource.kill_sessions(middleware.name + "-")
         if event.duration_ms > 0:
             self.env.call_at(event.duration_ms, self._restart_middleware,
                              middleware, event)
 
-    def _kill_orphaned_sessions(self, middleware: MiddlewareBase) -> None:
-        prefix = middleware.name + "-"
-        for datasource in self.cluster.datasources.values():
-            datasource.kill_sessions(prefix)
-
     def _restart_middleware(self, middleware: MiddlewareBase,
                             event: FaultEvent) -> None:
         self._log("restart", event)
-        # Stragglers: a subtransaction already past the crash-time sweep may
-        # have opened a branch since; roll those sessions back before the
-        # recovery pass decides the genuinely in-doubt (prepared) branches.
-        self._kill_orphaned_sessions(middleware)
-        self.env.process(self._recovering(event, self._recover(
-            middleware, event, participant_names=None)), daemon=True)
+        self.env.process(self._recover(middleware, event,
+                                       participant_names=None), daemon=True)
 
     # ------------------------------------------------------- data source crash
     def _crash_datasource_proc(self, event: FaultEvent):
@@ -397,35 +388,26 @@ class FaultInjector:
 
     def _restart_datasource(self, datasource: DataSource,
                             event: FaultEvent) -> None:
-        self.env.process(self._recovering(
-            event, self._restart_datasource_proc(datasource, event)),
-            daemon=True)
+        self.env.process(self._restart_datasource_proc(datasource, event),
+                         daemon=True)
 
     def _restart_datasource_proc(self, datasource: DataSource,
                                  event: FaultEvent):
         yield self.net.request(datasource.name, protocol.MSG_RESTART, {})
         self._log("restart", event)
+        # A crashed middleware's pass too: its own may have found this node
+        # down, and a pass decides from the flushed log alone.
         for middleware in self.cluster.middlewares:
-            if not middleware.crashed:
-                yield from self._recover(middleware, event,
-                                         participant_names=[datasource.name])
+            yield from self._recover(middleware, event,
+                                     participant_names=[datasource.name])
 
     # ----------------------------------------------------------- §V-A recovery
-    def _recovering(self, event: FaultEvent, restart):
-        """Generator: run ``restart`` with ``event``'s recovery pending."""
-        self.recovery_pending.append(event)
-        yield from restart
-        self.recovery_pending.remove(event)
-
     def _recover(self, middleware: MiddlewareBase, event: FaultEvent,
                  participant_names: Optional[List[str]]):
         """Generator: run the recovery protocol and record what it did.
 
-        Transactions that still have a live coordinator are skipped — only
-        their own coordinator may decide them (relevant after a data-source
-        restart, where other participants hold legitimately mid-prepare
-        branches).  After a middleware crash there are none: the crash
-        abandoned them all.
+        ``participant_names=None`` is a restarted middleware's own pass over
+        every data source; it ends the crash.
         """
         manager = RecoveryManager(middleware)
         restarted_at = self.env.now
@@ -433,7 +415,7 @@ class FaultInjector:
             participant_names=participant_names,
             skip_global_ids=list(middleware.active_contexts),
             owned_prefix=middleware.name + "-")
-        if middleware.crashed:
+        if participant_names is None:
             # The restart completes only once recovery has resolved every
             # in-doubt branch; submissions are refused until then.
             middleware.crashed = False
@@ -495,7 +477,11 @@ class FaultInjector:
 
     # ------------------------------------------------------------------ report
     def summarize(self, collector: "MetricsCollector") -> Dict[str, Any]:
-        """The picklable fault report stored in ``ExperimentSummary.faults``."""
+        """The picklable fault report stored in ``ExperimentSummary.faults``.
+
+        Taken after the drain, which the log and recovery passes cover; the
+        collector holds only what completed by the cut.
+        """
         availability = collector.availability_report()
         time_to_recover: Dict[str, Any] = {}
         baselines: Dict[str, float] = {}
@@ -522,48 +508,59 @@ class FaultInjector:
             # which the availability invariant must treat as a skip, not a
             # violation (time_to_recover_ms is None in both cases).
             "recovery_baseline_tps": baselines,
-            "recovery_pending": [e.to_dict() for e in self.recovery_pending],
             "wal_in_doubt": self._wal_in_doubt(),
         }
 
-    def _wal_in_doubt(self) -> Dict[str, Any]:
-        """End-of-run census of prepared branches nobody will ever resolve.
+    def drain_until_ms(self, duration_ms: float) -> float:
+        """When the drain after a run cut at ``duration_ms`` ends (read at the cut).
 
-        A branch still ``PREPARED`` when the run stops is fine while its
-        global transaction is live on some coordinator (decision pending) or
-        its owner has logged a decision (the commit/rollback delivery is in
-        flight) or its owner is still down, which includes mid-recovery
-        (the pending pass owes it a verdict).  A prepared branch with *none*
-        of these is an orphan: §V-A recovery should have resolved it, and the
-        ``wal_in_doubt_empty`` invariant fails the run if any survive.
+        The last strike or heal (or the cut, if later) plus one step per
+        statement of the largest live transaction and four for the recovery
+        passes; a step is a lock-wait timeout plus the largest round trip.
         """
-        live_gids = set()
-        for middleware in self.cluster.middlewares:
-            live_gids.update(middleware.active_contexts)
-        orphans: List[Dict[str, Any]] = []
-        prepared_at_end = awaiting_recovery = 0
+        middlewares = self.cluster.middlewares
+        last = max([duration_ms] + [event.at_ms + event.duration_ms
+                                    for event in self.plan.events])
+        lock_wait_ms = max(datasource.lock_manager.lock_wait_timeout_ms
+                           for datasource in self.cluster.datasources.values())
+        rtt_ms = max(self.network.rtt(middleware.name, handle.endpoint)
+                     for middleware in middlewares
+                     for handle in middleware.participants.values())
+        statements = max((ctx.spec.statement_count for middleware in middlewares
+                          for ctx in middleware.active_contexts.values()),
+                         default=0)
+        return last + (4 + statements) * (lock_wait_ms + rtt_ms)
+
+    def _wal_in_doubt(self) -> Dict[str, Any]:
+        """Census of the drained end state, for ``wal_in_doubt_empty``.
+
+        Every PREPARED branch (with its owner's logged decision, if any),
+        every crashed node still down and every transaction still live (the
+        drain was too short).  The one exemption is a node whose fault never
+        heals: its branches and, for a middleware, the branches it owns.
+        """
+        exempt = {self._resolve_targets(event).target
+                  for event in self.plan.events if event.duration_ms == 0}
+        owners = {middleware.name: middleware
+                  for middleware in self.cluster.middlewares}
+        prepared: List[Dict[str, Any]] = []
         for ds_name, datasource in self.cluster.datasources.items():
             for xid, txn in datasource.transactions.items():
-                if txn.state is not TxnState.PREPARED:
+                owner = middleware_of(txn.global_txn_id)
+                if (txn.state is not TxnState.PREPARED
+                        or exempt.intersection((ds_name, owner))):
                     continue
-                prepared_at_end += 1
-                gid = txn.global_txn_id
-                if gid in live_gids:
-                    continue
-                owner = next(
-                    (mw for mw in self.cluster.middlewares
-                     if gid.startswith(f"{mw.name}-")), None)
-                if owner is not None and owner.wal.last_decision(gid) is not None:
-                    continue
-                if owner is not None and owner.crashed:
-                    awaiting_recovery += 1
-                    continue
-                orphans.append({
-                    "datasource": ds_name, "xid": xid, "gid": gid,
-                    "owner": owner.name if owner is not None else None,
-                })
-        return {"prepared_at_end": prepared_at_end,
-                "awaiting_recovery": awaiting_recovery, "orphans": orphans}
+                decision = (owners[owner].wal.last_decision(txn.global_txn_id)
+                            if owner in owners else None)
+                prepared.append({"datasource": ds_name, "xid": xid,
+                                 "owner": owner,
+                                 "decision": decision and decision.value})
+        nodes = list(owners.values()) + list(self.cluster.datasources.values())
+        return {"prepared": prepared,
+                "down": [node.name for node in nodes
+                         if node.crashed and node.name not in exempt],
+                "live": [gid for middleware in owners.values()
+                         for gid in middleware.active_contexts]}
 
 
 def post_recovery_band(fault_free_committed: int, measured_ms: float,

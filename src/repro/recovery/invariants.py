@@ -41,12 +41,9 @@ The catalog (see ``INVARIANTS``):
     returns to the recovery band (half the pre-fault baseline, the
     ``time_to_recover_ms`` contract) before the run ends.
 ``wal_in_doubt_empty``
-    After crash recovery, no datasource holds a prepared branch that no
-    live coordinator owns and no decision log or pending recovery resolves.
-``recovery_completed``
-    Every repaired crash whose recovery is not still running at the end
-    produced at least one completed §V-A recovery pass, and every pass
-    finished with a non-negative duration.
+    The drained end state of a fault run (every heal, restart and recovery
+    pass done): no PREPARED branch, no crashed node still down and no
+    transaction still live, except on a node whose fault never heals.
 """
 
 from __future__ import annotations
@@ -160,16 +157,6 @@ def _repaired_events(faults: Dict[str, Any]) -> List[Dict[str, Any]]:
     """
     return [event for event in faults.get("plan", ())
             if float(event.get("duration_ms", 0.0)) > 0.0]
-
-
-CRASH_KINDS = ("middleware_crash", "datasource_crash")
-
-
-def _recovered_crashes(faults: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Repaired crash events whose recovery is not still running at the end."""
-    pending = faults.get("recovery_pending", [])
-    return [event for event in _repaired_events(faults)
-            if event.get("kind") in CRASH_KINDS and event not in pending]
 
 
 # -------------------------------------------------------------------- catalog
@@ -297,45 +284,20 @@ def _availability_recovers(summary: Any) -> Optional[str]:
 
 @invariant(
     "wal_in_doubt_empty",
-    "after crash recovery no datasource holds an orphaned prepared branch "
-    "(no live owner, no decision log to resolve it)",
+    "once the fault run has drained, no PREPARED branch is left, no crashed "
+    "node is still down and no transaction is still live",
     applies=lambda s: _faults(s) is not None
     and "wal_in_doubt" in _faults(s))
 def _wal_in_doubt_empty(summary: Any) -> Optional[str]:
-    in_doubt = _faults(summary)["wal_in_doubt"]
-    orphans = in_doubt.get("orphans", [])
-    if orphans:
-        shown = ", ".join(
-            f"{o['xid']}@{o['datasource']}" for o in orphans[:5])
-        more = f" (+{len(orphans) - 5} more)" if len(orphans) > 5 else ""
-        return (f"{len(orphans)} prepared branch(es) left in doubt with no "
-                f"owner and no decision: {shown}{more}")
-    return None
-
-
-@invariant(
-    "recovery_completed",
-    "every repaired crash produced at least one completed recovery pass",
-    applies=lambda s: _faults(s) is not None
-    and bool(_recovered_crashes(_faults(s))))
-def _recovery_completed(summary: Any) -> Optional[str]:
-    faults = _faults(summary)
-    recoveries = faults.get("recoveries", [])
-    for report in recoveries:
-        recovery_ms = report.get("recovery_ms")
-        if recovery_ms is None or recovery_ms < 0:
-            return (f"recovery pass for {report.get('target')} reports "
-                    f"recovery_ms={recovery_ms}")
-    availability = faults.get("availability", {})
-    bucket_ms = float(availability.get("bucket_ms", 1000.0))
-    series = availability.get("series", [])
-    observed_end = (series[-1][0] + bucket_ms) if series else 0.0
-    for event in _recovered_crashes(faults):
-        heal_at = float(event["at_ms"]) + float(event["duration_ms"])
-        if heal_at >= observed_end:
-            continue  # restart fired after the measured window; nothing to see
-        matching = [r for r in recoveries if r.get("kind") == event["kind"]]
-        if not matching:
-            return (f"{event['kind']} healed at {heal_at:.0f}ms but no "
-                    f"recovery pass of that kind ran")
-    return None
+    census = _faults(summary)["wal_in_doubt"]
+    branches = [f"{b['xid']}@{b['datasource']} ("
+                f"{'logged ' + b['decision'] if b['decision'] else 'no decision'})"
+                for b in census["prepared"]]
+    problems = [f"{len(items)} {what}: {', '.join(items[:5])}"
+                for what, items in (
+                    ("prepared branch(es) left in doubt", branches),
+                    ("node(s) still down after the heal", census["down"]),
+                    ("transaction(s) still live after the drain",
+                     census["live"]))
+                if items]
+    return "; ".join(problems) or None

@@ -12,11 +12,19 @@ the commit phase (AC3/AC4).
 * After a **middleware crash**, the database servers roll back the dead
   coordinator's unprepared sessions (``DataSource.kill_sessions``) and the
   restarted (stateless) middleware runs the pass over every data source.
+  Each listing kills those sessions again first: a batch sent before the
+  crash may have opened a branch since (per-link FIFO delivery puts it ahead
+  of the listing).
 * After a **data source crash**, the node itself drops its lost, unprepared
   branches (``DataSource._end_branch`` with ``served=False``).  Their live coordinators
   see the refusal and abort the transaction, rolling back the siblings.  On
-  restart each live middleware runs the pass over the restarted node only,
-  skipping its still-active transactions, which only it may decide.
+  restart every middleware, a crashed one too, runs the pass over the
+  restarted node only.  It skips a live transaction without a logged
+  decision, which only its coordinator may decide; a logged decision is
+  driven home, since its delivery may have hit the node while it was down.
+
+A fault run drains until every pass is done; its end state must then hold
+no PREPARED branch (the ``wal_in_doubt_empty`` invariant).
 """
 
 from __future__ import annotations
@@ -54,10 +62,12 @@ class RecoveryManager:
         entered the commit phase, so rollback is safe).
 
         ``skip_global_ids`` exempts transactions that still have a *live*
-        coordinator: after a data-source restart the other participants may
-        hold branches that are legitimately mid-prepare, and only their own
-        coordinator may decide them.  A restart-triggered recovery pass
-        therefore passes the middleware's active transaction ids here.
+        coordinator and no logged decision: after a data-source restart the
+        other participants may hold branches that are legitimately
+        mid-prepare, and only their own coordinator may decide them.  A
+        restart-triggered recovery pass therefore passes the middleware's
+        active transaction ids here.  A crashed middleware has none, so its
+        listings first kill its unprepared sessions (``kill_prefix``).
 
         ``owned_prefix`` restricts the pass to branches this middleware owns
         (global ids are prefixed with the coordinator name), so in
@@ -69,23 +79,26 @@ class RecoveryManager:
         skip = set(skip_global_ids)
         wal = self.middleware.wal
         participants = self.middleware.participants
+        listing = ({"kill_prefix": owned_prefix} if self.middleware.crashed
+                   else {})
         if participant_names is None:
             selected = participants.items()
         else:
             selected = [(name, participants[name]) for name in participant_names]
         for name, handle in selected:
             reply = yield self.middleware.request_participant(
-                handle, protocol.MSG_LIST_PREPARED, {})
+                handle, protocol.MSG_LIST_PREPARED, listing)
             prepared = reply.get("prepared", []) if isinstance(reply, dict) else []
             for branch_xid in prepared:
                 # Branch xids are ``<global txn id>.<index>``; the decision
                 # log is keyed by the global id.
                 global_txn_id = branch_xid.rsplit(".", 1)[0]
-                if global_txn_id in skip:
+                decision = wal.last_decision(global_txn_id)
+                if global_txn_id in skip and decision is None:
                     continue
                 if owned_prefix is not None and not global_txn_id.startswith(owned_prefix):
                     continue
-                if wal.last_decision(global_txn_id) is LogRecordType.COMMIT:
+                if decision is LogRecordType.COMMIT:
                     yield self.middleware.request_participant(
                         handle, protocol.MSG_XA_COMMIT, {"xid": branch_xid})
                     report.committed.append(f"{name}:{branch_xid}")

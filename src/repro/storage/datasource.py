@@ -466,7 +466,13 @@ class DataSource:
         return killed
 
     def _on_list_prepared(self, message: Message):
+        """XA RECOVER.  ``kill_prefix`` first kills a crashed coordinator's
+        sessions: a batch it sent before the crash arrived earlier (per-link
+        FIFO, as on every constant-latency link) and must not prepare."""
         yield COSTS.datasource_request_ms
+        prefix = (message.payload or {}).get("kill_prefix")
+        if prefix is not None:
+            self.kill_sessions(prefix)
         prepared = [xid for xid, txn in self.transactions.items()
                     if txn.state is TxnState.PREPARED]
         self._reply(message, {"prepared": prepared})

@@ -232,15 +232,15 @@ def test_chaos_builder_grids_every_point_and_marks_absent_as_skipped():
         {"scenario": "c1", "points": [
             {"params": {"system": "geotp"},
              "invariants": {"books_balance": {"status": "passed"},
-                            "recovery_completed": {"status": "failed"}}},
+                            "wal_in_doubt_empty": {"status": "failed"}}},
             {"params": {"system": "ssp"},
              "invariants": {"books_balance": {"status": "passed"}}}]}]}
     [figure] = chaos_heatmap_figures(document)
     assert figure.annotations["rows"] == ["c1 [geotp]", "c1 [ssp]"]
     index = {(figure.columns["scenario"][i], figure.columns["invariant"][i]):
              figure.columns["status"][i] for i in range(figure.n_rows())}
-    assert index[("c1 [geotp]", "recovery_completed")] == 0.0
-    assert index[("c1 [ssp]", "recovery_completed")] == 0.5  # never ran
+    assert index[("c1 [geotp]", "wal_in_doubt_empty")] == 0.0
+    assert index[("c1 [ssp]", "wal_in_doubt_empty")] == 0.5  # never ran
     assert check_figure(figure) == []
 
 

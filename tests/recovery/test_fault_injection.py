@@ -228,7 +228,8 @@ def test_middleware_crash_aborts_spike_then_service_recovers(system):
 
 
 def test_middleware_crash_leaves_no_orphaned_active_branches():
-    """Crash-time and restart-time sweeps roll the orphaned sessions back."""
+    """The crash-time sweep and the recovery listing roll the orphaned
+    sessions back."""
     plan = one_event_plan(FaultKind.MIDDLEWARE_CRASH)
     result = run_experiment(fault_config(system="ssp", plan=plan),
                             keep_cluster=True)
@@ -361,6 +362,9 @@ def test_fault_report_is_in_the_picklable_summary():
 
 
 # ------------------------------------------------- a run ending mid-recovery
+EMPTY_CENSUS = {"prepared": [], "down": [], "live": []}
+
+
 def late_crash_run(system, event):
     return run_experiment(ExperimentConfig(
         system=system, terminals=8, duration_ms=5_000.0, seed=1,
@@ -376,17 +380,15 @@ def late_crash_run(system, event):
     FaultEvent(kind=FaultKind.DATASOURCE_CRASH, at_ms=4_500.0,
                duration_ms=400.0, target="ds3"),
 ], ids=["mw-heals-late", "mw-still-down", "ds-heals-late"])
-def test_a_run_ending_before_recovery_finishes_is_not_a_violation(event,
-                                                                  system):
-    """Prepared branches a pending recovery owes a verdict are not orphans,
-    and a crash whose recovery pass is still running is skipped."""
+def test_a_run_ending_mid_recovery_drains_to_an_empty_census(event, system):
+    """The run drains past the cut until the restart and its recovery pass
+    are done; the end state then holds nothing in doubt."""
     summary = late_crash_run(system, event)
     assert violations(summary.invariants) == []
-    pending = summary.faults["recovery_pending"]
-    assert pending == ([event.to_dict()] if event.duration_ms < 1_000.0
-                       else [])
-    if pending:
-        assert summary.invariants["recovery_completed"]["status"] == "skipped"
+    assert summary.faults["wal_in_doubt"] == EMPTY_CENSUS
+    (recovery,) = [r for r in summary.faults["recoveries"]
+                   if r["kind"] == event.kind.value]
+    assert recovery["restarted_at_ms"] >= event.at_ms + event.duration_ms
 
 
 def test_a_recovery_that_resolves_nothing_still_leaves_orphans(monkeypatch):
@@ -397,5 +399,5 @@ def test_a_recovery_that_resolves_nothing_still_leaves_orphans(monkeypatch):
     monkeypatch.setattr(RecoveryManager, "resolve_in_doubt", resolve_nothing)
     summary = late_crash_run("geotp", FaultEvent(
         kind=FaultKind.MIDDLEWARE_CRASH, at_ms=4_300.0, duration_ms=300.0))
-    assert summary.faults["recovery_pending"] == []
+    assert summary.faults["wal_in_doubt"]["prepared"]
     assert summary.invariants["wal_in_doubt_empty"]["status"] == "failed"

@@ -39,7 +39,7 @@ def healthy_summary(**overrides):
         },
         "time_to_recover_ms": {"datasource_crash(ds1) @2000ms for 1000ms": 500.0},
         "recovery_baseline_tps": {"datasource_crash(ds1) @2000ms for 1000ms": 49.0},
-        "wal_in_doubt": {"prepared_at_end": 0, "orphans": []},
+        "wal_in_doubt": {"prepared": [], "down": [], "live": []},
     }
     base = dict(
         committed=200, aborted=20, warmup_samples=30,
@@ -73,8 +73,7 @@ def test_closed_loop_fault_free_summary_skips_the_specific_invariants():
     report = check_invariants(summary)
     assert all_passed(report)
     for name in ("books_balance", "no_lost_transactions", "attribution_sums",
-                 "availability_recovers", "wal_in_doubt_empty",
-                 "recovery_completed"):
+                 "availability_recovers", "wal_in_doubt_empty"):
         assert report[name]["status"] == "skipped"
     assert report["abort_reasons_bounded"]["status"] == "passed"
     assert report["throughput_accounting"]["status"] == "passed"
@@ -174,24 +173,37 @@ def test_short_post_heal_runway_is_not_a_violation():
     assert report["availability_recovers"]["status"] == "passed"
 
 
+def census(**parts):
+    return dict({"prepared": [], "down": [], "live": []}, **parts)
+
+
 def test_orphaned_prepared_branch_is_detected_with_its_xid():
     summary = healthy_summary()
     summary.faults = copy.deepcopy(summary.faults)
-    summary.faults["wal_in_doubt"] = {
-        "prepared_at_end": 2,
-        "orphans": [{"datasource": "ds1", "xid": "dm1-t17.0",
-                     "gid": "dm1-t17", "owner": "dm1"}]}
+    summary.faults["wal_in_doubt"] = census(prepared=[
+        {"datasource": "ds1", "xid": "dm1-t17.0", "owner": "dm1",
+         "decision": None},
+        {"datasource": "ds2", "xid": "dm1-t18.1", "owner": "dm1",
+         "decision": "commit"}])
     detail = failed(check_invariants(summary), "wal_in_doubt_empty")
-    assert "dm1-t17.0@ds1" in detail
-    assert "no decision" in detail
+    assert "dm1-t17.0@ds1 (no decision)" in detail
+    assert "dm1-t18.1@ds2 (logged commit)" in detail
 
 
-def test_missing_recovery_pass_is_detected():
+def test_node_still_down_after_its_heal_is_detected():
     summary = healthy_summary()
     summary.faults = copy.deepcopy(summary.faults)
-    summary.faults["recoveries"] = []
-    detail = failed(check_invariants(summary), "recovery_completed")
-    assert "datasource_crash" in detail and "no" in detail
+    summary.faults["wal_in_doubt"] = census(down=["ds1"])
+    detail = failed(check_invariants(summary), "wal_in_doubt_empty")
+    assert "still down" in detail and "ds1" in detail
+
+
+def test_transaction_still_live_after_the_drain_is_detected():
+    summary = healthy_summary()
+    summary.faults = copy.deepcopy(summary.faults)
+    summary.faults["wal_in_doubt"] = census(live=["dm1-t40"])
+    detail = failed(check_invariants(summary), "wal_in_doubt_empty")
+    assert "still live" in detail and "dm1-t40" in detail
 
 
 # ------------------------------------------------------------------ machinery
