@@ -25,4 +25,4 @@ def test_fig11b_dynamic_latency():
     print_table("Fig 11b — dynamic latency", *sweep_table(out))
     geotp = out.get(system="geotp")
     assert geotp.throughput_tps > out.get(system="ssp").throughput_tps
-    assert len(geotp.timeline.series(until_ms=3 * 5_000.0)) > 0
+    assert len(geotp.timeline["series"]) > 0

@@ -40,15 +40,17 @@ def main() -> None:
             topology=build_dynamic_topology(phase_ms, phases),
             terminals=32,
             duration_ms=duration_ms,
-            warmup_ms=2_000,
-            timeline_bucket_ms=phase_ms / 2,
+            # As in the Fig. 11b scenario: the warm-up is one bucket of the
+            # throughput series, so it ends on a bucket edge.
+            warmup_ms=phase_ms / 4,
+            timeline_bucket_ms=phase_ms / 4,
         )
         result = run_experiment(config)
-        timelines[system] = dict(result.timeline.series(until_ms=duration_ms))
+        timelines[system] = dict(result.timeline["series"])
         totals[system] = result.throughput_tps
 
     buckets = sorted(set(timelines["ssp"]) | set(timelines["geotp"]))
-    rows = [(f"{bucket / 1000:.0f}s",
+    rows = [(f"{bucket / 1000:g}s",
              round(timelines["ssp"].get(bucket, 0.0), 1),
              round(timelines["geotp"].get(bucket, 0.0), 1)) for bucket in buckets]
     print_table("Throughput over time while link latencies change every 10 s",

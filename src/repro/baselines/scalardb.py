@@ -31,10 +31,10 @@ from repro.plugins import SystemPlugin, register_system
 RecordId = Tuple[str, Hashable]
 
 
-def _read_version(reply: Dict[str, Any]) -> Optional[int]:
-    """The version a key-value read saw (0: no such row); ``None`` when the
-    read was refused (a crashed node's error reply carries no ``found``)."""
-    return reply.get("version", 0) if "found" in reply else None
+def _read_image(reply: Dict[str, Any]) -> Optional[Tuple[Any, int]]:
+    """The ``(value, version)`` a key-value read saw (``(None, 0)``: no row);
+    ``None`` when it was refused (an error reply carries no ``found``)."""
+    return (reply.get("value"), reply.get("version", 0)) if "found" in reply else None
 
 
 class ScalarDBCoordinator(MiddlewareBase):
@@ -79,24 +79,24 @@ class ScalarDBCoordinator(MiddlewareBase):
 
     def _run_occ(self, ctx: TransactionContext):
         ctx.enter_phase(TransactionPhase.EXECUTION, self.env.now)
-        read_versions: Dict[RecordId, int] = {}
+        read_images: Dict[RecordId, Tuple[Any, int]] = {}
         write_set: Dict[RecordId, Operation] = {}
 
         for statements in ctx.spec.rounds:
             for stmt in statements:
                 target = self.partitioner.locate(stmt.operation.table, stmt.operation.key)
                 ctx.branch_xid(target)
-            versions = yield from self._execute_round_ops(ctx, statements)
-            if versions is None:
+            images = yield from self._execute_round_ops(ctx, statements)
+            if images is None:
                 return TxnOutcome.ABORTED, AbortReason.UNAVAILABLE
-            read_versions.update(versions)
+            read_images.update(images)
             for stmt in statements:
                 if stmt.operation.is_write:
                     write_set[stmt.operation.record_id] = stmt.operation
 
         # Prepare: conditional writes; any version conflict aborts the transaction.
         ctx.enter_phase(TransactionPhase.PREPARE, self.env.now)
-        ok = yield from self._prepare_writes(ctx, write_set, read_versions)
+        ok = yield from self._prepare_writes(ctx, write_set, read_images)
         if not ok:
             return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
 
@@ -109,25 +109,25 @@ class ScalarDBCoordinator(MiddlewareBase):
 
     # ----------------------------------------------------------------- phases
     def _execute_round_ops(self, ctx: TransactionContext, statements):
-        """Execute one round's operations; ``None`` once a read is refused.
+        """Read one round's records (their images); ``None`` once refused.
 
         ScalarDB's client library issues storage operations one at a time —
         every read (and the version-establishing read of every write) is its
         own WAN round trip — which is the main reason the paper finds it slow
         and unscalable in geo-distributed deployments.
         """
-        versions: Dict[RecordId, int] = {}
+        images: Dict[RecordId, Tuple[Any, int]] = {}
         for stmt in statements:
             operation = stmt.operation
             participant = self.partitioner.locate(operation.table, operation.key)
             handle = self.participants[participant]
             reply = yield self.request_participant(handle, protocol.MSG_KV_GET, {
                 "table": operation.table, "key": operation.key})
-            version = _read_version(reply)
-            if version is None:
+            image = _read_image(reply)
+            if image is None:
                 return None
-            versions[operation.record_id] = version
-        return versions
+            images[operation.record_id] = image
+        return images
 
     def _read_batch(self, participant: str, operations: List[Operation],
                     delay_ms: float):
@@ -144,13 +144,13 @@ class ScalarDBCoordinator(MiddlewareBase):
             requests.append(self.request_participant(handle, protocol.MSG_KV_GET, {
                 "table": operation.table, "key": operation.key}))
         condition = yield self.env.all_of(requests)
-        versions = {operation.record_id: _read_version(condition[request])
-                    for operation, request in zip(operations, requests)}
-        return None if None in versions.values() else versions
+        images = {operation.record_id: _read_image(condition[request])
+                  for operation, request in zip(operations, requests)}
+        return None if None in images.values() else images
 
     def _prepare_writes(self, ctx: TransactionContext,
                         write_set: Dict[RecordId, Operation],
-                        read_versions: Dict[RecordId, int]):
+                        read_images: Dict[RecordId, Tuple[Any, int]]):
         if not write_set:
             return True
         requests = []
@@ -162,12 +162,26 @@ class ScalarDBCoordinator(MiddlewareBase):
                     "table": operation.table,
                     "key": operation.key,
                     "value": operation.value,
-                    "expected_version": read_versions.get(record_id, 0),
-                    "writer": ctx.txn_id,
+                    "expected_version": read_images[record_id][1],
                 }))
         condition = yield self.env.all_of(requests)
         replies = [condition[r] for r in requests]
-        return all(isinstance(r, dict) and r.get("status") == "ok" for r in replies)
+        landed = [isinstance(r, dict) and r.get("status") == "ok" for r in replies]
+        if all(landed):
+            return True
+        # Abort: restore the before-image of every write that landed, off the
+        # critical path, only while it holds the version it installed.
+        for (record_id, operation), reply, ok in zip(write_set.items(), replies,
+                                                     landed):
+            if ok:
+                value, version = read_images[record_id]
+                self.send_participant(self.participants[self.partitioner.locate(
+                    operation.table, operation.key)],
+                    protocol.MSG_KV_PUT_IF_VERSION, {
+                        "table": operation.table, "key": operation.key,
+                        "value": value, "expected_version": reply["version"],
+                        "restore_version": version})
+        return False
 
     def _finalize_async(self, ctx: TransactionContext,
                         write_set: Dict[RecordId, Operation]) -> None:
@@ -177,7 +191,7 @@ class ScalarDBCoordinator(MiddlewareBase):
             handle = self.participants[participant]
             self.send_participant(handle, protocol.MSG_KV_PUT, {
                 "table": operation.table, "key": operation.key,
-                "value": operation.value, "writer": ctx.txn_id})
+                "value": operation.value})
 
 
 # ------------------------------------------------------------------- plugin

@@ -23,7 +23,6 @@ from repro.core.config import GeoTPConfig
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.percentiles import DEFAULT_RESERVOIR_SIZE, LatencyDistribution
 from repro.metrics.resources import ResourceUsage, process_peak_rss_bytes
-from repro.metrics.timeline import ThroughputTimeline
 from repro.plugins import get_workload_plugin
 from repro.recovery.failures import FaultInjector, FaultPlan
 from repro.recovery.invariants import check_invariants
@@ -68,8 +67,8 @@ class ExperimentConfig:
     #: (``retry.base_ms``).
     retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(
         base_ms=50.0, cap_ms=50.0, multiplier=1.0, jitter=0.0))
-    #: Bucket width for the throughput time series (None disables the timeline).
-    timeline_bucket_ms: Optional[float] = None
+    #: Bucket width of the run's time grid (throughput series, availability).
+    timeline_bucket_ms: float = 1000.0
     #: Scheduled faults (crashes, outages, partitions, latency spikes) to
     #: inject during the run; ``None`` runs fault-free.  When set, the runner
     #: wires up a :class:`~repro.recovery.failures.FaultInjector` and the
@@ -117,7 +116,9 @@ class ExperimentSummary:
     latency_samples: Sequence[float]
     centralized_latency_samples: Sequence[float]
     distributed_latency_samples: Sequence[float]
-    timeline: Optional[ThroughputTimeline] = None
+    #: ``{"bucket_ms": width, "series": [[bucket_start_ms, tps], ...]}``, the
+    #: run's throughput series (``MetricsCollector.throughput_series``).
+    timeline: Optional[Dict[str, Any]] = None
     #: Total simulation queue entries dispatched (events + timers).
     events_processed: int = 0
     #: Fault/availability report of a fault-injection run (plan, injector log,
@@ -220,10 +221,7 @@ class ExperimentSummary:
             },
         }
         if self.timeline is not None:
-            out["timeline"] = {
-                "bucket_ms": self.timeline.bucket_ms,
-                "series": [list(pair) for pair in self.timeline.series()],
-            }
+            out["timeline"] = self.timeline
         if self.faults is not None:
             out["faults"] = self.faults
         if self.fleet is not None:
@@ -305,15 +303,14 @@ def run_experiment(config: ExperimentConfig,
     cluster.load_workload(workload)
 
     needs_fleet = config.fleet is not None or config.middleware_count > 1
-    timeline = (ThroughputTimeline(bucket_ms=config.timeline_bucket_ms)
-                if config.timeline_bucket_ms is not None else None)
     # An open-system run has no bound on its transaction count, so its latency
     # distributions are bounded reservoirs; a closed loop keeps every sample.
     collector = MetricsCollector(
         warmup_ms=config.warmup_ms, duration_ms=config.duration_ms,
         reservoir_size=(DEFAULT_RESERVOIR_SIZE if config.arrival is not None
                         else None),
-        seed=config.seed, track_middlewares=needs_fleet, timeline=timeline)
+        seed=config.seed, track_middlewares=needs_fleet,
+        bucket_ms=config.timeline_bucket_ms)
 
     # Active probing pays off only when link latencies move on their own
     # schedule, outside the workload's view (Figure 11b): start it on every
@@ -415,7 +412,8 @@ def run_experiment(config: ExperimentConfig,
             distributed=False).samples,
         distributed_latency_samples=collector.latency_distribution(
             distributed=True).samples,
-        timeline=timeline,
+        timeline={"bucket_ms": config.timeline_bucket_ms,
+                  "series": collector.throughput_series()},
         events_processed=cluster.env.events_processed,
         fleet=fleet_report,
         open_loop=open_pool.report() if open_pool is not None else None,

@@ -4,7 +4,7 @@ Each terminal repeatedly generates a transaction from the workload, submits it
 to a middleware, waits for the outcome and immediately submits the next one —
 the closed-loop, zero-think-time model the paper uses.  Every outcome is
 handed to one :class:`~repro.metrics.MetricsCollector`, which folds it into
-all the run's statistics (the optional throughput timeline included).
+all the run's statistics (the run's time grid included).
 
 Two routing modes exist:
 

@@ -11,7 +11,6 @@ from repro.metrics.percentiles import (
     LatencyDistribution,
     percentile,
 )
-from repro.metrics.timeline import ThroughputTimeline
 from repro.metrics.breakdown import PhaseBreakdown
 from repro.metrics.resources import ResourceUsage, process_peak_rss_bytes
 
@@ -23,7 +22,6 @@ __all__ = [
     "MetricsCollector",
     "PhaseBreakdown",
     "ResourceUsage",
-    "ThroughputTimeline",
     "middleware_of",
     "percentile",
     "process_peak_rss_bytes",

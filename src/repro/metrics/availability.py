@@ -1,24 +1,22 @@
-"""Availability and recovery metrics for fault-injection runs.
+"""The run's time grid and the availability and recovery metrics read off it.
 
-A fault experiment asks three questions the plain aggregates cannot answer:
-*when* was the system unable to commit work (the availability timeline), *how
-hard* did the fault hit the abort rate (the abort spike), and *how long* after
-the repair did throughput come back (time to recover).  :class:`Availability`
-counts commits and aborts per time bucket as the
-:class:`~repro.metrics.collector.MetricsCollector` records them — one index
-computation per completion on a grid allocated up front from the known run
-duration — and :class:`AvailabilityReport` derives all three from the buckets.
-
-Completions inside the warm-up window are discarded by the collector and
-therefore absent here, so bucketing starts at ``start_ms`` (the collector
-passes its ``warmup_ms``) — otherwise the warm-up buckets would be
-structurally empty and dilute every derived metric.  Fault plans should
-schedule their first event after the warm-up (the registered fault scenarios
-do).
+:class:`Availability` is a run's one commit/abort grid, which the
+:class:`~repro.metrics.collector.MetricsCollector` fills as it records each
+completion (one index computation on a grid allocated from the run duration).
+Two views read it: the committed-per-second series of Fig. 11b
+(:meth:`Availability.series`, the whole run) and :class:`AvailabilityReport`.
+A fault experiment asks the report *when* the system could not commit work
+(availability), *how hard* the fault hit the abort rate (the abort spike) and
+*how long* after the repair throughput came back (time to recover).  The
+report starts at ``start_ms`` (the collector's ``warmup_ms``), which the grid
+keeps on a bucket edge: warm-up buckets are outside the measured window and
+would only dilute every derived metric.  Fault plans should schedule their
+first event after the warm-up (the registered fault scenarios do).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -97,15 +95,16 @@ class AvailabilityReport:
 
 
 class Availability:
-    """Commit/abort counts bucketed at record time on a fixed time grid.
+    """Commit/abort counts bucketed at record time on one fixed time grid.
 
-    Buckets span ``[start_ms, duration_ms)`` (O(duration / bucket_ms) memory,
-    independent of transaction count), so quiet tail buckets show up as
-    unavailable instead of being silently truncated; ``start_ms`` is the
-    warm-up boundary so no bucket covers time that could never hold a sample.
+    Buckets tile ``[0, duration_ms)`` with an edge at ``start_ms`` (the first
+    one may start before 0): O(duration / bucket_ms) memory, independent of
+    transaction count, and quiet tail buckets show up as unavailable instead
+    of being silently truncated.
     """
 
-    __slots__ = ("bucket_ms", "start_ms", "_committed", "_aborted", "_count")
+    __slots__ = ("bucket_ms", "start_ms", "_lead", "_committed", "_aborted",
+                 "_count")
 
     def __init__(self, duration_ms: float, bucket_ms: float = 1000.0,
                  start_ms: float = 0.0):
@@ -114,7 +113,8 @@ class Availability:
         if not 0 <= start_ms < duration_ms:
             raise ValueError("start_ms must lie inside [0, duration_ms)")
         span = duration_ms - start_ms
-        self._count = max(
+        self._lead = math.ceil(start_ms / bucket_ms)   # buckets before start_ms
+        self._count = self._lead + max(
             int(span // bucket_ms) + (1 if span % bucket_ms else 0), 1)
         self.bucket_ms = bucket_ms
         self.start_ms = start_ms
@@ -123,7 +123,8 @@ class Availability:
 
     def record(self, finished_at_ms: float, committed: bool) -> None:
         """Count one transaction completion (clamped onto the grid)."""
-        index = int((finished_at_ms - self.start_ms) // self.bucket_ms)
+        index = self._lead + int(
+            (finished_at_ms - self.start_ms) // self.bucket_ms)
         if index < 0:
             index = 0
         elif index >= self._count:
@@ -133,12 +134,24 @@ class Availability:
         else:
             self._aborted[index] += 1
 
+    def _start_of(self, index: int) -> float:
+        return self.start_ms + (index - self._lead) * self.bucket_ms
+
     def report(self) -> AvailabilityReport:
-        """The accumulated buckets as an :class:`AvailabilityReport`."""
-        buckets = [(self.start_ms + index * self.bucket_ms,
-                    self._committed[index], self._aborted[index])
-                   for index in range(self._count)]
+        """The buckets from ``start_ms`` on as an :class:`AvailabilityReport`."""
+        buckets = [(self._start_of(index), self._committed[index],
+                    self._aborted[index])
+                   for index in range(self._lead, self._count)]
         return AvailabilityReport(bucket_ms=self.bucket_ms, buckets=buckets)
+
+    def series(self) -> List[List[float]]:
+        """``[bucket_start_ms, committed per second]`` pairs from the first
+        bucket to the last holding a commit (warm-up included)."""
+        committed = self._committed
+        last = max((index for index, count in enumerate(committed) if count),
+                   default=-1)
+        return [[self._start_of(index), committed[index] / (self.bucket_ms / 1000.0)]
+                for index in range(last + 1)]
 
 
 def middleware_of(txn_id: str) -> str:

@@ -4,8 +4,9 @@
 to.  It retains **nothing per transaction**: every completion is folded at
 record time into counters (total, per type, per abort reason), latency
 distributions (all / centralized / distributed, plus one per transaction
-type), the phase breakdown, the availability grid and — opt-in — the
-per-middleware attribution and the throughput timeline.
+type), the phase breakdown, the run's time grid (read by both the
+availability report and the Fig. 11b throughput series) and — opt-in — the
+per-middleware attribution and grids.
 
 The only thing that differs between a closed-loop and an open-system run is
 ``reservoir_size``: ``None`` keeps every latency sample (exact percentiles;
@@ -25,7 +26,6 @@ from repro.metrics.availability import (
 )
 from repro.metrics.breakdown import PhaseBreakdown
 from repro.metrics.percentiles import LatencyDistribution
-from repro.metrics.timeline import ThroughputTimeline
 
 
 def _derive_seed(seed: int, salt: int) -> int:
@@ -38,18 +38,18 @@ class MetricsCollector:
 
     Completions finishing before ``warmup_ms`` are counted separately
     (``warmup_samples``) and excluded from every statistic, mirroring how
-    benchmark harnesses discard ramp-up measurements — except the optional
-    ``timeline``, which is the Fig. 11b time series and covers the whole run.
+    benchmark harnesses discard ramp-up measurements — except the time grid,
+    which counts every completion and so covers the whole run.
 
-    The availability grid is fixed at construction: ``Availability``'s
-    default buckets over ``[warmup_ms, duration_ms)`` (no grid, and no
-    :meth:`availability_report`, without ``duration_ms``).
+    The time grid is fixed at construction: ``bucket_ms`` wide buckets over
+    ``[0, duration_ms)`` with an edge at ``warmup_ms`` (no grid, and no
+    report or series, without ``duration_ms``).
     ``track_middlewares`` (attribution + per-middleware timelines, for fleet
     runs) is opt-in because it costs a txn-id parse per record.
     """
 
     __slots__ = ("warmup_ms", "duration_ms", "reservoir_size",
-                 "track_middlewares", "timeline", "warmup_samples",
+                 "track_middlewares", "bucket_ms", "warmup_samples",
                  "_seed", "_committed", "_aborted", "_abort_reasons",
                  "_latency_all", "_latency_central", "_latency_dist",
                  "_per_type", "_breakdown", "_availability",
@@ -58,13 +58,12 @@ class MetricsCollector:
     def __init__(self, warmup_ms: float = 0.0,
                  duration_ms: Optional[float] = None,
                  reservoir_size: Optional[int] = None, seed: int = 0,
-                 track_middlewares: bool = False,
-                 timeline: Optional[ThroughputTimeline] = None):
+                 track_middlewares: bool = False, bucket_ms: float = 1000.0):
         self.warmup_ms = warmup_ms
         self.duration_ms = duration_ms
         self.reservoir_size = reservoir_size
         self.track_middlewares = track_middlewares
-        self.timeline = timeline
+        self.bucket_ms = bucket_ms
         self.warmup_samples = 0
         self._seed = seed
         self._committed = 0
@@ -87,14 +86,15 @@ class MetricsCollector:
     def _new_availability(self) -> Optional[Availability]:
         if self.duration_ms is None:
             return None
-        return Availability(self.duration_ms, start_ms=self.warmup_ms)
+        return Availability(self.duration_ms, bucket_ms=self.bucket_ms,
+                            start_ms=self.warmup_ms)
 
     # ------------------------------------------------------------- recording
     def record(self, result: TransactionResult, txn_type: str = "generic") -> None:
         """Fold the outcome of one transaction into the aggregates."""
         committed = result.committed
-        if committed and self.timeline is not None:
-            self.timeline.record(result.end_time)
+        if self._availability is not None:
+            self._availability.record(result.end_time, committed)
         if result.end_time < self.warmup_ms:
             self.warmup_samples += 1
             return
@@ -122,8 +122,6 @@ class MetricsCollector:
             if result.abort_reason is not None:
                 key = result.abort_reason.value
                 self._abort_reasons[key] = self._abort_reasons.get(key, 0) + 1
-        if self._availability is not None:
-            self._availability.record(result.end_time, committed)
         if self.track_middlewares:
             name = middleware_of(result.txn_id)
             counts = self._mw_attribution.get(name)
@@ -197,16 +195,19 @@ class MetricsCollector:
         return dict(self._abort_reasons)
 
     # ------------------------------------------------------- derived accessors
-    def _check_grid(self) -> None:
+    def _grid(self) -> Availability:
         if self._availability is None:
             raise RuntimeError("this MetricsCollector was built without "
-                               "duration_ms; no availability timeline was "
-                               "accumulated")
+                               "duration_ms; no time grid was accumulated")
+        return self._availability
 
     def availability_report(self) -> AvailabilityReport:
-        """Per-bucket commit/abort timeline over ``[warmup_ms, duration_ms)``."""
-        self._check_grid()
-        return self._availability.report()
+        """The time grid's commit/abort buckets from ``warmup_ms`` on."""
+        return self._grid().report()
+
+    def throughput_series(self) -> List[List[float]]:
+        """The time grid's committed-per-second series over the whole run."""
+        return self._grid().series()
 
     def attribution(self) -> Dict[str, Dict[str, int]]:
         """Commit/abort counts per middleware (sums to the collector totals)."""
@@ -226,7 +227,7 @@ class MetricsCollector:
         if not self.track_middlewares:
             raise RuntimeError("per-middleware timelines were not tracked; "
                                "construct with track_middlewares=True")
-        self._check_grid()
+        self._grid()                      # raises without duration_ms
         return {name: grid.report()
                 for name, grid in sorted(self._mw_availability.items())}
 

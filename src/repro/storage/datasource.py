@@ -514,7 +514,8 @@ class DataSource:
                                   "version": snapshot.version})
 
     def _on_kv_put(self, message: Message):
-        """Write a record (``kv_put_if_version``: only at ``expected_version``)."""
+        """Write a record (``kv_put_if_version``: only at ``expected_version``),
+        or with ``restore_version`` put back the value and version a read saw."""
         payload = message.payload or {}
         yield COSTS.datasource_request_ms + self._write_ms
         if message.msg_type == protocol.MSG_KV_PUT_IF_VERSION:
@@ -523,6 +524,10 @@ class DataSource:
             if current_version != payload["expected_version"]:
                 self._reply(message, {"status": "conflict", "version": current_version})
                 return
-        record = self.engine.create_table(payload["table"]).put(
-            payload["key"], payload["value"], writer=payload.get("writer", "kv"))
-        self._reply(message, {"status": "ok", "version": record.version})
+        table = self.engine.create_table(payload["table"])
+        version = payload.get("restore_version")
+        if version is None:
+            version = table.put(payload["key"], payload["value"]).version
+        else:
+            table.restore(payload["key"], payload["value"], version)
+        self._reply(message, {"status": "ok", "version": version})

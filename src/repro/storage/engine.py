@@ -88,7 +88,7 @@ class Table:
             return RecordSnapshot(key, base[key], 1)
         return None
 
-    def put(self, key: Hashable, value: Any, writer: str = "loader") -> Record:
+    def put(self, key: Hashable, value: Any) -> Record:
         """Insert or overwrite the committed value of ``key``."""
         record = self._records.get(key)
         if record is None:
@@ -98,8 +98,16 @@ class Table:
                 key, version=1 if key in self._base else 0)
         record.value = value
         record.version += 1
-        record.last_writer = writer
         return record
+
+    def restore(self, key: Hashable, value: Any, version: int) -> None:
+        """Put back the row :meth:`read` showed at ``version``; at the loaded
+        version (1 for a base row, 0 for none) the overlay record goes."""
+        if version <= (key in self._base):
+            del self._records[key]
+        else:
+            record = self._records[key]
+            record.value, record.version = value, version
 
 
 class StorageEngine:
@@ -182,7 +190,7 @@ class StorageEngine:
             table = tables.get(table_name)
             if table is None:
                 table = self.create_table(table_name)
-            table.put(key, value, writer=txn_id)
+            table.put(key, value)
         return len(write_set)
 
     def discard_writes(self, txn_id: str) -> int:

@@ -18,7 +18,6 @@ class Record:
     key: Hashable
     value: Any = None
     version: int = 0
-    last_writer: str = ""
 
 
 @dataclass(slots=True)

@@ -219,3 +219,48 @@ def test_a_no_vote_at_commit_aborts_and_rolls_back_every_branch(coordinator_cls)
     assert len(branches) == 2
     assert all(txn.state is TxnState.ABORTED for txn in branches)
     assert ds1.engine.read("p", "usertable", 1).value == {"v": 0}
+
+
+class _RacedScalarDB(ScalarDBCoordinator):
+    """Another writer commits key 1 on ds1 between this transaction's reads
+    and its prepare, so the prepare's second conditional write conflicts."""
+
+    racer = None
+
+    def _prepare_writes(self, *args):
+        self.racer.engine.create_table("usertable").put(1, {"v": 99})
+        return (yield from super()._prepare_writes(*args))
+
+
+def _raced():
+    env, dm, datasources = build(_RacedScalarDB)
+    dm.racer = datasources["ds1"]
+    return env, dm, datasources
+
+
+def test_scalardb_aborted_prepare_restores_its_installed_writes():
+    env, dm, datasources = _raced()
+    engine = datasources["ds0"].engine
+    before = engine.read(None, "usertable", 0)
+    result = run_txn(env, dm, TransactionSpec.from_operations(
+        [update(0, 7), update(1, 7)]))
+    assert result.outcome is TxnOutcome.ABORTED
+    assert result.abort_reason is AbortReason.PREPARE_FAILED
+    env.run()                                  # the rollback lands
+    assert engine.read(None, "usertable", 0) == before
+    assert not engine._tables["usertable"]._records
+
+
+def test_scalardb_rollback_never_undoes_a_later_writer():
+    env, dm, datasources = _raced()
+    table = datasources["ds0"].engine.create_table("usertable")
+    result = run_txn(env, dm, TransactionSpec.from_operations(
+        [update(0, 7), update(1, 7)]))
+    assert result.outcome is TxnOutcome.ABORTED
+    # A later writer lands after the prepare installed key 0 and before the
+    # rollback reaches ds0.
+    assert table.read(0).version == 2
+    table.put(0, {"v": 42})
+    env.run()
+    snapshot = table.read(0)
+    assert (snapshot.value, snapshot.version) == ({"v": 42}, 3)

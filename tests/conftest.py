@@ -1,5 +1,6 @@
-"""Shared test helpers: the repository paths, a child-interpreter environment
-and a recorder of the completions a collector sees."""
+"""Shared test helpers: the repository paths, a child-interpreter environment,
+a recorder of the completions a collector sees, and the Hypothesis profile of
+the config fuzz test's large budget."""
 
 from __future__ import annotations
 
@@ -9,9 +10,15 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 import pytest
+from hypothesis import settings
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
+
+#: ``pytest tests/recovery/test_config_fuzz.py --hypothesis-profile
+#: config-fuzz`` runs the config fuzz test with this budget instead of its
+#: tier-1 one.
+settings.register_profile("config-fuzz", max_examples=2_000)
 
 
 def subprocess_env() -> Dict[str, str]:

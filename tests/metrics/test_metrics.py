@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from repro.common import AbortReason, TransactionResult, TxnOutcome
 from repro.metrics import (
+    Availability,
     LatencyDistribution,
     MetricsCollector,
     PhaseBreakdown,
     ResourceUsage,
-    ThroughputTimeline,
     percentile,
 )
 
@@ -98,27 +98,25 @@ def test_collector_filters_by_type_and_distribution():
     assert collector.throughput_tps(0) == 0.0
 
 
-# --------------------------------------------------------------------- timeline
-def test_timeline_buckets_and_series():
-    timeline = ThroughputTimeline(bucket_ms=1000)
+# -------------------------------------------------------------------- time grid
+def test_time_grid_series_counts_commits_per_bucket():
+    grid = Availability(duration_ms=5_000.0, bucket_ms=1000)
     for t in (100, 900, 1500, 2500, 2600, 2700):
-        timeline.record(t)
-    series = dict(timeline.series())
-    assert series[0.0] == 2.0
-    assert series[1000.0] == 1.0
-    assert series[2000.0] == 3.0
-    assert timeline.total() == 6
+        grid.record(t, committed=True)
+    grid.record(3_500, committed=False)     # aborts are not throughput
+    assert grid.series() == [[0.0, 2.0], [1000.0, 1.0], [2000.0, 3.0]]
     with pytest.raises(ValueError):
-        ThroughputTimeline(bucket_ms=0)
-    assert ThroughputTimeline().series() == []
+        Availability(duration_ms=1_000.0, bucket_ms=0)
+    assert Availability(duration_ms=1_000.0).series() == []
 
 
-def test_timeline_series_extends_to_requested_end():
-    timeline = ThroughputTimeline(bucket_ms=1000)
-    timeline.record(500)
-    series = timeline.series(until_ms=3500)
-    assert len(series) == 4
-    assert series[-1][1] == 0.0
+def test_time_grid_anchors_the_warmup_on_a_bucket_edge():
+    grid = Availability(duration_ms=3_500.0, bucket_ms=1000, start_ms=1_500.0)
+    for t in (200, 1_400, 1_600, 3_500):    # 3,500 clamps onto the last bucket
+        grid.record(t, committed=True)
+    assert grid.series() == [[-500.0, 1.0], [500.0, 1.0], [1_500.0, 1.0],
+                             [2_500.0, 1.0]]
+    assert grid.report().buckets == [(1_500.0, 1, 0), (2_500.0, 1, 0)]
 
 
 # -------------------------------------------------------------------- breakdown

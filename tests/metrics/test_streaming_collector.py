@@ -18,7 +18,6 @@ from repro.common import AbortReason, TransactionResult, TxnOutcome
 from repro.metrics import (
     DEFAULT_RESERVOIR_SIZE,
     MetricsCollector,
-    ThroughputTimeline,
 )
 
 
@@ -188,18 +187,19 @@ def test_reservoirs_stay_bounded_past_capacity():
     assert not hasattr(streaming, "samples")
 
 
-# ------------------------------------------------------------------- timeline
-def test_timeline_counts_warmup_commits_the_collector_excludes():
-    timeline = ThroughputTimeline(bucket_ms=1_000.0)
-    collector = MetricsCollector(warmup_ms=1_000.0, timeline=timeline)
+# ------------------------------------------------------------------ time grid
+def test_time_grid_counts_warmup_completions_the_collector_excludes():
+    collector = MetricsCollector(warmup_ms=1_000.0, duration_ms=3_000.0)
     collector.record(make_result(txn_id="mw-t1", end=500.0))
     collector.record(make_result(txn_id="mw-t2", end=1_500.0))
     collector.record(make_result(txn_id="mw-t3", committed=False, end=1_600.0,
                                  reason=AbortReason.LOCK_TIMEOUT))
     assert collector.warmup_samples == 1
     assert collector.committed_count() == 1
-    assert timeline.total() == 2           # both commits, no abort
-    assert dict(timeline.series()) == {0.0: 1.0, 1_000.0: 1.0}
+    # The series covers the whole run; the report starts at the warm-up.
+    assert collector.throughput_series() == [[0.0, 1.0], [1_000.0, 1.0]]
+    assert collector.availability_report().buckets == [(1_000.0, 1, 1),
+                                                       (2_000.0, 0, 0)]
 
 
 # ------------------------------------------------------- reservoir stream pin

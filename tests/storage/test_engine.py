@@ -1,15 +1,16 @@
 """Unit tests for the storage engine and record types."""
 
 from repro.storage import StorageEngine
+from repro.storage.record import RecordSnapshot
 
 
-def test_table_put_bumps_version_and_names_the_writer():
+def test_table_put_bumps_version():
     engine = StorageEngine()
     table = engine.create_table("t")
-    record = table.put("k", 1, writer="t0")
-    assert (record.value, record.version, record.last_writer) == (1, 1, "t0")
-    assert table.put("k", 2, writer="t1") is record
-    assert (record.value, record.version, record.last_writer) == (2, 2, "t1")
+    record = table.put("k", 1)
+    assert (record.value, record.version) == (1, 1)
+    assert table.put("k", 2) is record
+    assert (record.value, record.version) == (2, 2)
 
 
 def test_engine_load_and_read():
@@ -96,3 +97,19 @@ def test_put_into_a_fresh_table_creates_its_only_record():
     table.put("k", 5)
     assert list(table._records) == ["k"]
     assert engine.read(None, "t", "k").version == 1
+
+
+def test_table_restore_puts_back_what_read_showed():
+    engine = StorageEngine()
+    engine.bulk_load("t", {"a": 1})
+    table = engine.create_table("t")
+    table.put("b", 1)
+    table.put("b", 2)
+    table.restore("b", 1, 1)
+    assert engine.read(None, "t", "b") == RecordSnapshot("b", 1, 1)
+    table.restore("b", None, 0)                 # the row did not exist
+    assert engine.read(None, "t", "b") is None
+    table.put("a", 5)
+    table.restore("a", 1, 1)                    # the loaded row answers again
+    assert engine.read(None, "t", "a") == RecordSnapshot("a", 1, 1)
+    assert not table._records

@@ -47,8 +47,7 @@ OPS = st.one_of(
 
 
 def _view(record):
-    return None if record is None else (record.key, record.value, record.version,
-                                        record.last_writer)
+    return None if record is None else (record.key, record.value, record.version)
 
 
 def _snapshot(snapshot):
@@ -77,14 +76,13 @@ def _apply(engine, op, eager):
     if name == "kv_get":
         return _kv_get(engine, *args)
     if name == "put":
-        return _view(engine.create_table(args[0]).put(args[1], args[2], writer="kv"))
+        return _view(engine.create_table(args[0]).put(args[1], args[2]))
     if name == "kv_put_if_version":
         # The body of DataSource._on_kv_put for kv_put_if_version (ScalarDB).
         current = (_kv_get(engine, args[0], args[1]) or (None, 0))[1]
         if current != args[3]:
             return ("conflict", current)
-        return ("ok", engine.create_table(args[0]).put(
-            args[1], args[2], writer="kv").version)
+        return ("ok", engine.create_table(args[0]).put(args[1], args[2]).version)
     if name == "read":
         return _snapshot(engine.read(*args))
     return getattr(engine, name)(*args)
@@ -123,11 +121,11 @@ def test_untouched_base_rows_cost_no_records():
     assert engine.read("x", "u", 0) is None
     assert not table._records, "a read stored a record"
     assert set(engine._tables) == {"t"}, "a read created a table"
-    table.put(8, "v", writer="x")
-    table.put(5_000, "new", writer="x")          # absent from the base
+    table.put(8, "v")
+    table.put(5_000, "new")                      # absent from the base
     assert sorted(table._records) == [8, 5_000]
-    assert _view(table._records[8]) == (8, "v", 2, "x")
-    assert _view(table._records[5_000]) == (5_000, "new", 1, "x")
+    assert _view(table._records[8]) == (8, "v", 2)
+    assert _view(table._records[5_000]) == (5_000, "new", 1)
 
 
 def test_reload_over_a_base_layer_bumps_versions():
@@ -138,7 +136,7 @@ def test_reload_over_a_base_layer_bumps_versions():
         ("a", 1), ("B", 2), ("c", 1)]
     table = engine._tables["t"]
     assert sorted(table._records) == [2, 3]
-    assert {table._records[key].last_writer for key in (2, 3)} == {"loader"}
+    assert {key: table._records[key].version for key in (2, 3)} == {2: 2, 3: 1}
 
 
 def test_kv_verbs_see_base_rows_through_a_datasource():
