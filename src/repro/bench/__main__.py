@@ -20,7 +20,7 @@ with one row per point.  Examples::
         --output-dir figures/
     PYTHONPATH=src python -m repro.bench figures chaos \\
         --input chaos_report.json --output-dir figures/
-    PYTHONPATH=src python -m repro.bench chaos --sample 10 --workers 2 \\
+    PYTHONPATH=src python -m repro.bench chaos --workers 2 \\
         --output chaos_report.json
 
 ``run --output FILE`` also prints the sweep's table (``report.sweep_table``, one
@@ -123,23 +123,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(figures, positional=False)
 
     chaos = commands.add_parser(
-        "chaos", help="run a seeded sample of generated chaos_* scenarios at "
-                      "smoke scale and fail on any robustness-invariant "
+        "chaos", help="run the `chaos` scenario (every fault-catalogue plan "
+                      "on ssp and geotp) and fail on any robustness-invariant "
                       "violation")
-    chaos.add_argument("--sample", type=int, default=10,
-                       help="number of chaos scenarios to sample (default 10)")
-    chaos.add_argument("--sample-seed", type=int, default=0,
-                       help="seed of the scenario sample (same seed = same "
-                            "scenarios, across machines and sessions)")
     chaos.add_argument("--workers", type=int, default=None,
                        help="process-pool size (default: REPRO_BENCH_WORKERS "
                             "or serial)")
-    chaos.add_argument("--duration-ms", type=float, default=3_000.0,
-                       help="simulated duration per point (default 3000)")
-    chaos.add_argument("--warmup-ms", type=float, default=600.0,
-                       help="warm-up window per point (default 600)")
-    chaos.add_argument("--terminals", type=int, default=4,
-                       help="closed-loop terminal count per point (default 4)")
+    chaos.add_argument("--duration-ms", type=float, default=None,
+                       help="simulated duration per point (default: the "
+                            "scenario's)")
+    chaos.add_argument("--warmup-ms", type=float, default=None,
+                       help="warm-up window per point (default: the "
+                            "scenario's)")
+    chaos.add_argument("--terminals", type=int, default=None,
+                       help="closed-loop terminal count per point (default: "
+                            "the scenario's)")
     chaos.add_argument("--output", default=None,
                        help="write the invariant report JSON here instead of "
                             "stdout")
@@ -346,76 +344,54 @@ def _run_figures(args: argparse.Namespace) -> int:
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
-    """Seeded chaos smoke: sample, run, judge by the robustness invariants.
+    """Run the ``chaos`` scenario and judge it by the robustness invariants.
 
     Exit 0 when every applicable invariant on every point passed; exit 1 with
     a per-violation listing otherwise.  The JSON document (``--output``) is
-    the CI artifact: one entry per point with its params, headline numbers
+    the CI artifact: one row per point with its params, headline numbers
     and full invariant report.
     """
-    from repro.recovery.chaos import sample_chaos_scenarios
     from repro.recovery.invariants import violations as invariant_violations
 
     try:
-        names = sample_chaos_scenarios(args.sample, seed=args.sample_seed)
-        runner = SweepRunner(max_workers=args.workers)
-        results = [runner.run(get_scenario(name).sweep(
-            duration_ms=args.duration_ms, warmup_ms=args.warmup_ms,
-            terminals=args.terminals,
-            # A smaller YCSB key space for the short smoke points (a table's
-            # size costs no memory; this sets the keys draws land on).  Chaos
-            # bases all carry a YCSB config even when another workload axis
-            # value is active (harmless there).
-            ycsb__records_per_node=1_000))
-            for name in names]
+        result = SweepRunner(max_workers=args.workers).run(
+            get_scenario("chaos").sweep(duration_ms=args.duration_ms,
+                                        warmup_ms=args.warmup_ms,
+                                        terminals=args.terminals))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    scenarios = []
+    rows = []
     all_violations: List[dict] = []
-    points_run = 0
-    for name, result in zip(names, results):
-        points_run += len(result)
-        rows = []
-        for point in result:
-            summary = point.summary
-            failed = invariant_violations(summary.invariants)
-            rows.append({
-                "params": point.params,
-                "committed": summary.committed,
-                "aborted": summary.aborted,
-                "throughput_tps": round(summary.throughput_tps, 2),
-                "invariants": summary.invariants,
-            })
-            for message in failed:
-                all_violations.append({"scenario": name,
-                                       "params": point.params,
-                                       "violation": message})
-        scenarios.append({"scenario": name, "points": rows})
-    document = {
-        "sample": args.sample,
-        "sample_seed": args.sample_seed,
-        "scenarios_run": names,
-        "points_run": points_run,
-        "violations": all_violations,
-        "results": scenarios,
-    }
+    for point in result:
+        summary = point.summary
+        rows.append({
+            "params": point.params,
+            "committed": summary.committed,
+            "aborted": summary.aborted,
+            "throughput_tps": round(summary.throughput_tps, 2),
+            "invariants": summary.invariants,
+        })
+        all_violations.extend(
+            {"params": point.params, "violation": message}
+            for message in invariant_violations(summary.invariants))
+    document = {"scenario": "chaos", "points": len(rows),
+                "violations": all_violations, "rows": rows}
     text = json.dumps(document, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        print(f"wrote {points_run} points ({len(names)} scenarios) to "
-              f"{args.output}", file=sys.stderr)
+        print(f"wrote {len(rows)} points to {args.output}", file=sys.stderr)
     else:
         print(text)
+    for entry in all_violations:
+        print(f"INVARIANT VIOLATION [{entry['params']}]: "
+              f"{entry['violation']}", file=sys.stderr)
     if all_violations:
-        for entry in all_violations:
-            print(f"INVARIANT VIOLATION [{entry['scenario']} "
-                  f"{entry['params']}]: {entry['violation']}", file=sys.stderr)
         print(f"{len(all_violations)} invariant violation(s) across "
-              f"{points_run} chaos points", file=sys.stderr)
+              f"{len(rows)} chaos points", file=sys.stderr)
         return 1
-    print(f"all robustness invariants held across {points_run} chaos points",
+    print(f"all robustness invariants held across {len(rows)} chaos points",
           file=sys.stderr)
     return 0
 

@@ -1,6 +1,6 @@
 """Resumable per-point result cache for scenario sweeps.
 
-Big sweeps (the chaos matrix, ``load_sweep``, the fleet families) are
+Big sweeps (``load_sweep``, the fleet families) are
 embarrassingly parallel *and* bit-deterministic: a point's
 :class:`~repro.bench.runner.ExperimentSummary` is fully determined by its
 ``(config, seed)`` and the simulator's source.  That makes every point safely

@@ -373,22 +373,20 @@ _INVARIANT_STATUS = {"failed": 0.0, "skipped": 0.5, "passed": 1.0}
 
 
 def chaos_heatmap_figures(document: Dict[str, Any]) -> List[Figure]:
-    """Scenario×invariant pass/fail heatmap from a ``chaos`` report document."""
+    """Fault×system by invariant pass/fail heatmap from a ``chaos`` report."""
     row_labels: List[str] = []
     cells: Dict[str, Dict[str, float]] = {}
     invariant_names: List[str] = []
-    for entry in document.get("results", []):
-        for point in entry.get("points", []):
-            system = point.get("params", {}).get("system", "?")
-            label = f"{entry['scenario']} [{system}]"
-            row_labels.append(label)
-            statuses = point.get("invariants") or {}
-            cells[label] = {}
-            for name, report in statuses.items():
-                if name not in invariant_names:
-                    invariant_names.append(name)
-                cells[label][name] = _INVARIANT_STATUS.get(
-                    report.get("status"), 0.0)
+    for row in document["rows"]:
+        params = row["params"]
+        label = f"{params['fault']} [{params['system']}]"
+        row_labels.append(label)
+        cells[label] = {}
+        for name, report in (row.get("invariants") or {}).items():
+            if name not in invariant_names:
+                invariant_names.append(name)
+            cells[label][name] = _INVARIANT_STATUS.get(report.get("status"),
+                                                       0.0)
     columns: Dict[str, List[Any]] = {"scenario": [], "invariant": [],
                                      "status": []}
     for label in row_labels:
@@ -399,9 +397,9 @@ def chaos_heatmap_figures(document: Dict[str, Any]) -> List[Figure]:
             columns["status"].append(cells[label].get(name, 0.5))
     return [Figure(
         name="chaos_invariants", kind="heatmap",
-        title="Chaos matrix: robustness invariants per scenario",
+        title="Robustness invariants per catalogue fault and system",
         columns=columns, x="invariant", y="status", series="scenario",
-        x_label="invariant", y_label="scenario",
+        x_label="invariant", y_label="fault [system]",
         checks=("columns_aligned", "no_nans", "heatmap_complete"),
         annotations={"rows": row_labels, "cols": invariant_names})]
 
@@ -410,7 +408,7 @@ def chaos_heatmap_figures(document: Dict[str, Any]) -> List[Figure]:
 FIGURE_BUILDERS: Tuple[Tuple[str, Callable[[Dict[str, Any]], bool],
                              Callable[[Dict[str, Any]], List[Figure]]], ...] = (
     ("chaos_heatmap",
-     lambda doc: bool(doc.get("results")) and "scenarios_run" in doc,
+     lambda doc: bool(doc.get("rows")) and "violations" in doc,
      chaos_heatmap_figures),
     ("load_knee",
      lambda doc: any(row.get("open_loop") is not None

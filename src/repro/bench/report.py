@@ -10,6 +10,7 @@ in sync by ``tests/bench/test_docs_sync.py`` plus the CI drift check.
 
 from __future__ import annotations
 
+import math
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -104,37 +105,17 @@ def registry_markdown() -> str:
     and EXPERIMENTS.md commits between its GENERATED REGISTRY TABLES markers;
     regenerating and diffing the two is how table drift is caught.
     """
-    from repro.bench.scenarios import (SCENARIO_FAMILIES, SCENARIOS,
-                                       scenario_names)
+    from repro.bench.scenarios import SCENARIOS, scenario_names
     from repro.plugins import system_plugins, workload_plugins
 
-    def point_count(scenario) -> int:
-        points = 1
-        for axis in scenario.axes:
-            points *= len(axis.values)
-        return points
-
-    # Generated scenario families (hundreds of members) collapse into one
-    # summary row each; only family-less scenarios get individual lines.
     scenario_rows = []
-    family_totals: dict = {}
     for name in scenario_names():
-        scenario = SCENARIOS[name]
-        if scenario.family is not None:
-            members, points = family_totals.get(scenario.family, (0, 0))
-            family_totals[scenario.family] = (members + 1,
-                                              points + point_count(scenario))
-            continue
-        axes = " × ".join(f"{axis.name}[{len(axis.values)}]"
-                          for axis in scenario.axes)
-        scenario_rows.append((f"`{name}`", axes, point_count(scenario),
-                              scenario.description))
-
-    family_rows = [(f"`{family}_*`", members, points,
-                    SCENARIO_FAMILIES.get(family, ""))
-                   for family, (members, points)
-                   in sorted(family_totals.items())]
-
+        spec = SCENARIOS[name]
+        scenario_rows.append((
+            f"`{name}`",
+            " × ".join(f"{axis.name}[{len(axis.values)}]" for axis in spec.axes),
+            math.prod(len(axis.values) for axis in spec.axes),
+            spec.description))
     system_rows = [(f"`{plugin.name}`", ", ".join(plugin.aliases) or "-",
                     system_capabilities(plugin), plugin.description)
                    for plugin in system_plugins()]
@@ -150,11 +131,6 @@ def registry_markdown() -> str:
         "#### Workloads\n\n" + format_markdown_table(
             ("workload", "aliases", "description"), workload_rows),
     ]
-    if family_rows:
-        sections.insert(1, "#### Generated scenario families\n\n"
-                        + format_markdown_table(
-                            ("family", "scenarios", "points", "description"),
-                            family_rows))
     return "\n\n".join(sections) + "\n"
 
 

@@ -180,11 +180,6 @@ class ScenarioSpec:
     axes: Tuple[Axis, ...]
     fixed: Dict[str, Any] = field(default_factory=dict)
     apply: Optional[Callable[[ExperimentConfig, Dict[str, Any]], ExperimentConfig]] = None
-    #: Optional family name for generated scenario namespaces (e.g. the
-    #: chaos matrix): family members collapse into one summary row in the
-    #: registry tables instead of hundreds of individual lines.  Register
-    #: the family's description with :func:`register_family`.
-    family: Optional[str] = None
 
     def sweep(self, axes: Optional[Mapping[str, Sequence[Any]]] = None,
               fixed: Optional[Mapping[str, Any]] = None,
@@ -229,20 +224,11 @@ class ScenarioSpec:
 
 SCENARIOS: Dict[str, ScenarioSpec] = {}
 
-#: Family name -> one-line description, for generated scenario namespaces
-#: (the registry tables show one row per family instead of one per member).
-SCENARIO_FAMILIES: Dict[str, str] = {}
-
 
 def register(scenario: ScenarioSpec) -> ScenarioSpec:
     """Add a scenario to the global registry (last registration wins)."""
     SCENARIOS[scenario.name] = scenario
     return scenario
-
-
-def register_family(name: str, description: str) -> None:
-    """Describe a scenario family (see :attr:`ScenarioSpec.family`)."""
-    SCENARIO_FAMILIES[name] = description
 
 
 def get_scenario(name: str) -> ScenarioSpec:
@@ -761,11 +747,10 @@ register(ScenarioSpec(
 ))
 
 
-# --------------------------------------------------------------- chaos matrix
-# The generated chaos_* namespace (hundreds of fault x latency x arrival x
-# workload combinations) plus the graceful-degradation families live in
-# repro.recovery.chaos; it imports this module's registry machinery lazily,
-# so calling it here — after everything it needs is defined — is safe.
+# ---------------------------------------------------------- chaos scenarios
+# The fault-catalogue `chaos` scenario and the graceful-degradation families
+# live in repro.recovery.chaos; it imports this module's registry machinery
+# lazily, so calling it here — after everything it needs is defined — is safe.
 from repro.recovery.chaos import register_chaos_scenarios  # noqa: E402
 
 register_chaos_scenarios()

@@ -7,7 +7,7 @@ checkout that reserves stock and a payment that settles it — so the
 transaction stream has the bursty read-then-write phase structure real
 storefronts show, not an i.i.d. mix.
 
-The chaos-matrix knob this plugin contributes is the **flash crowd**:
+The knob this plugin contributes is the **flash crowd**:
 ``hotspot_shift_every`` moves the hot-product window to a fresh region of the
 catalog every N generated transactions (transaction-count based, so it is
 deterministic under any scheduler).  A shifted hot set invalidates whatever
@@ -16,7 +16,8 @@ going viral mid-run.
 
 Like every contrib module this is a *plugin*: registering the workload and
 its scenarios requires zero edits to the cluster or bench layers, and the
-chaos matrix picks the workload up purely by its registry name.
+config fuzz test (``tests/recovery/test_config_fuzz.py``) draws the workload
+purely by its registry name.
 """
 
 from __future__ import annotations

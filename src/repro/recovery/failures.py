@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a schedule of timed :class:`FaultEvent`\\ s
 (middleware/data-source crash-and-restart, region outage, network partition,
 transient latency degradation).  :meth:`FaultPlan.named` is the one catalogue
 of ready-made plans (:data:`FAULT_NAMES`) that the ``fault_*``,
-``fleet_failover`` and ``chaos_*`` scenarios build from.  A
+``fleet_failover`` and ``chaos`` scenarios build from.  A
 :class:`FaultInjector` executes a plan against a live
 :class:`~repro.cluster.deployment.Cluster`; the experiment runner wires one up
 whenever ``ExperimentConfig.fault_plan`` is set, so every registered
@@ -244,8 +244,8 @@ class FaultPlan:
 #: The names :meth:`FaultPlan.named` builds: the five single-event kinds plus
 #: two composed plans (``dual``: a region outage inside a longer cross-target
 #: partition window; ``cascade``: a latency spike, then a data-source crash,
-#: in sequential windows).  The ``fault_*`` and ``fleet_failover`` scenarios
-#: and the fault axis of every ``chaos_*`` point all build from here.
+#: in sequential windows).  The ``fault_*``, ``fleet_failover``, ``chaos`` and
+#: ``chaos_saturated`` scenarios all build from here.
 FAULT_NAMES: Tuple[str, ...] = (
     "mw_crash", "ds_crash", "outage", "partition", "lat_spike",
     "dual", "cascade",

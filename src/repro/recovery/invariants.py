@@ -1,10 +1,10 @@
 """Post-run robustness invariants for chaos and fault experiments.
 
-Hundreds of generated chaos points (see :mod:`repro.recovery.chaos`) are only
-useful if "the run completed" can be upgraded to "the run provably stayed
-safe".  This module is that upgrade: a small, pluggable catalog of invariants
-evaluated against every :class:`~repro.bench.runner.ExperimentSummary` the
-runner produces, surfaced as ``summary.invariants`` and through the CLI JSON.
+Fault runs (the ``chaos`` scenario, the config fuzz test) are only useful if
+"the run completed" can be upgraded to "the run provably stayed safe".  This
+module is that upgrade: a small, pluggable catalog of invariants evaluated
+against every :class:`~repro.bench.runner.ExperimentSummary` the runner
+produces, surfaced as ``summary.invariants`` and through the CLI JSON.
 
 Design rules:
 

@@ -1,72 +1,48 @@
-"""The generated chaos matrix: registration, determinism, invariants.
+"""The ``chaos`` scenario and the graceful-degradation families.
 
-The acceptance bar for the chaos combinator, pinned as tests:
-
-* **Registration** — the full matrix generates >= 200 ``chaos_*`` scenarios
-  (7 catalogue faults x 3 latency profiles x 4 arrival shapes x 3 workloads
-  = 252), all under the ``chaos`` scenario family, plus the two
-  graceful-degradation specs (``admission_knee``, ``chaos_saturated``).
+* **Registration** — ``chaos`` sweeps every plan of the fault catalogue on
+  ssp and geotp (14 points); the graceful-degradation specs
+  (``admission_knee``, ``chaos_saturated``) sit beside it.
 * **Fault plans** — every fault mode comes from the one fault catalogue,
   :meth:`~repro.recovery.failures.FaultPlan.named`.
-* **Deterministic budget** — the run-time sample is seeded: the same seed
-  always picks the same scenarios.
 * **Invariants** — a smoke-scale chaos point runs clean through the full
   robustness-invariant catalog, and same-seed runs replay bit for bit.
+
+Random timings, latency schedules, arrival shapes and workloads are the
+config fuzz test's (``tests/recovery/test_config_fuzz.py``).
 """
 
 import pytest
 
 from repro.bench.equivalence import snapshot
 from repro.bench.runner import run_experiment
-from repro.bench.scenarios import SCENARIOS, get_scenario
-from repro.recovery.chaos import (
-    CHAOS_LATENCY_PROFILES,
-    CHAOS_SHAPES,
-    CHAOS_SYSTEMS,
-    CHAOS_WORKLOADS,
-    KNEE_TPS,
-    chaos_scenario_names,
-    sample_chaos_scenarios,
-)
+from repro.bench.scenarios import get_scenario, scenario_names
+from repro.recovery.chaos import KNEE_TPS
 from repro.recovery.failures import FAULT_NAMES, FaultKind, FaultPlan
 from repro.recovery.invariants import all_passed, violations
-from repro.sim import DynamicLatency
 
-#: Reduced scale shared by the run tests (mirrors the fault-family tests).
+#: Reduced scale of the graceful-degradation tests.
 SCALE = dict(duration_ms=3_000.0, warmup_ms=600.0, terminals=4,
              ycsb__records_per_node=1_000)
 
 
-def expand_point(name, system, **overrides):
-    sweep = get_scenario(name).sweep(axes={"system": (system,)},
-                                     **{**SCALE, **overrides})
-    points = sweep.points()
-    assert len(points) == 1
-    return points[0].config
+def chaos_point(fault, system, **overrides):
+    sweep = get_scenario("chaos").sweep(
+        axes={"fault": (fault,), "system": (system,)}, **overrides)
+    (point,) = sweep.points()
+    return point.config
 
 
 # ---------------------------------------------------------------- registration
-def test_full_matrix_registers_at_least_200_chaos_scenarios():
-    names = chaos_scenario_names()
-    expected = (len(FAULT_NAMES) * len(CHAOS_LATENCY_PROFILES)
-                * len(CHAOS_SHAPES) * len(CHAOS_WORKLOADS))
-    assert expected == 252
-    assert len(names) == expected
-    assert len(names) >= 200
+def test_chaos_sweeps_every_catalogue_fault_on_two_systems():
+    axes = {axis.name: axis.values for axis in get_scenario("chaos").axes}
+    assert axes == {"fault": FAULT_NAMES, "system": ("ssp", "geotp")}
+    assert len(get_scenario("chaos").sweep().points()) == 14
 
 
-def test_chaos_names_encode_their_axis_values():
-    for name in chaos_scenario_names():
-        assert name.startswith("chaos_")
-        spec = SCENARIOS[name]
-        assert spec.family == "chaos"
-        fault, latency, shape = (spec.fixed["fault"], spec.fixed["latency"],
-                                 spec.fixed["shape"])
-        workload = spec.base.workload
-        assert name == f"chaos_{fault}_{latency}_{shape}_{workload}"
-        (system_axis,) = spec.axes
-        assert system_axis.name == "system"
-        assert system_axis.values == CHAOS_SYSTEMS
+def test_no_generated_chaos_family_is_registered():
+    assert [name for name in scenario_names() if name.startswith("chaos")] \
+        == ["chaos", "chaos_saturated"]
 
 
 def test_graceful_degradation_scenarios_are_registered():
@@ -116,48 +92,13 @@ def test_unknown_fault_mode_is_rejected():
         FaultPlan.named("gremlins", 1_000.0)
 
 
-# -------------------------------------------------------------- budget control
-def test_sample_chaos_scenarios_is_seeded_and_bounded():
-    first = sample_chaos_scenarios(10, seed=3)
-    second = sample_chaos_scenarios(10, seed=3)
-    assert first == second
-    assert len(first) == 10
-    assert all(name in chaos_scenario_names() for name in first)
-    assert sample_chaos_scenarios(10, seed=4) != first
-    everything = sample_chaos_scenarios(10_000)
-    assert everything == chaos_scenario_names()
-    for count in (0, -2):
-        with pytest.raises(ValueError, match="at least one"):
-            sample_chaos_scenarios(count)
-
-
 # -------------------------------------------------------------- materialisation
-def test_latency_profiles_materialise_dynamic_topologies():
-    flat = expand_point("chaos_dual_flat_poisson_ycsb", "geotp")
-    assert flat.topology is None
-    drift = expand_point("chaos_dual_drift_poisson_ycsb", "geotp")
-    churn = expand_point("chaos_dual_churn_poisson_ycsb", "ssp")
-    # A DynamicLatency link is what turns on the runner's active probing.
-    for config in (drift, churn):
-        assert config.topology is not None
-        assert all(isinstance(node.latency_model, DynamicLatency)
-                   for node in config.topology.data_nodes)
-
-
 def test_fault_windows_scale_with_duration_overrides():
-    config = expand_point("chaos_ds_crash_flat_closed_ycsb", "geotp")
+    config = chaos_point("ds_crash", "geotp", duration_ms=2_000.0,
+                         warmup_ms=400.0)
     (event,) = config.fault_plan.events
     assert config.warmup_ms <= event.at_ms
     assert event.at_ms + event.duration_ms < config.duration_ms
-
-
-def test_open_shapes_set_the_below_knee_arrival_process():
-    config = expand_point("chaos_mw_crash_flat_mmpp_tpcc", "geotp")
-    assert config.arrival is not None
-    assert config.arrival.process == "mmpp"
-    assert config.arrival.rate_tps < min(KNEE_TPS.values())
-    closed = expand_point("chaos_mw_crash_flat_closed_tpcc", "geotp")
-    assert closed.arrival is None
 
 
 def test_admission_knee_points_toggle_the_scheduler_at_the_knee():
@@ -173,36 +114,18 @@ def test_admission_knee_points_toggle_the_scheduler_at_the_knee():
 
 # ------------------------------------------------- invariants and determinism
 def test_smoke_scale_chaos_point_passes_every_invariant():
-    config = expand_point("chaos_cascade_drift_poisson_ycsb", "geotp")
-    summary = run_experiment(config).summary()
+    summary = run_experiment(chaos_point("cascade", "geotp")).summary()
     assert summary.invariants is not None
     assert all_passed(summary.invariants), violations(summary.invariants)
     assert summary.to_dict()["invariants"] == summary.invariants
 
 
-def chaos_config():
-    """One generated composed-fault point at smoke scale.
-
-    A dual (outage-inside-partition) plan under drifting DynamicLatency
-    schedules and Poisson arrivals, so plan execution, parked-delivery
-    re-interception, recovery and the invariant evaluation all must replay
-    bit for bit.
-    """
-    sweep = get_scenario("chaos_dual_drift_poisson_ycsb").sweep(
-        axes={"system": ["geotp"]},
-        duration_ms=4_000.0, warmup_ms=800.0, terminals=4,
-        ycsb__records_per_node=1_000)
-    return sweep.points()[0].config
-
-
 def test_chaos_determinism_holds_on_every_engine():
-    first, second = snapshot(chaos_config()), snapshot(chaos_config())
-    assert first == second, f"chaos point diverged: {first} != {second}"
-
-
-def test_chaos_config_matches_the_registered_scenario():
-    config = chaos_config()
-    assert config.fault_plan is not None
+    # A dual (outage-inside-partition) plan: plan execution, parked-delivery
+    # re-interception, recovery and the invariant evaluation all must replay
+    # bit for bit.
+    config = chaos_point("dual", "geotp", duration_ms=4_000.0,
+                         warmup_ms=800.0)
     assert len(config.fault_plan.events) == 2
-    assert config.topology is not None
-    assert config.arrival is not None and config.arrival.process == "poisson"
+    first, second = snapshot(config), snapshot(config)
+    assert first == second, f"chaos point diverged: {first} != {second}"

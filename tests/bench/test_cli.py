@@ -138,15 +138,30 @@ def test_invalid_values_fail_cleanly_without_tracebacks(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["chaos", "--sample", "0"],
-    ["chaos", "--sample", "-2"],
-    ["chaos", "--sample", "1", "--warmup-ms", "600", "--duration-ms", "500"],
+    ["chaos", "--workers", "0"],
+    ["chaos", "--warmup-ms", "600", "--duration-ms", "500"],
 ])
 def test_chaos_argument_errors_exit_2_without_tracebacks(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_chaos_judges_fourteen_points_and_draws_their_heatmap(tmp_path,
+                                                              capsys):
+    report = tmp_path / "chaos.json"
+    assert main(["chaos", "--output", str(report)]) == 0
+    document = json.loads(report.read_text())
+    assert (document["points"], document["violations"]) == (14, [])
+    assert all(row["invariants"] for row in document["rows"])
+    assert main(["figures", "chaos", "--input", str(report), "--data-only",
+                 "--output-dir", str(tmp_path / "figures")]) == 0
+    heatmap = json.loads((tmp_path / "figures" / "chaos_invariants.json")
+                         .read_text())
+    rows = heatmap["annotations"]["rows"]
+    assert len(rows) == 14
+    assert rows[:2] == ["mw_crash [ssp]", "mw_crash [geotp]"]
 
 
 @pytest.mark.parametrize("argv", [[], ["run"]])

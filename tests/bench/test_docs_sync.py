@@ -26,7 +26,7 @@ from repro.bench.report import (
     registry_markdown,
     update_registry_block,
 )
-from repro.bench.scenarios import SCENARIO_FAMILIES, SCENARIOS, scenario_names
+from repro.bench.scenarios import scenario_names
 from repro.plugins import system_names, workload_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -183,29 +183,11 @@ def test_every_quoted_file_path_exists():
 def test_markdown_block_lists_every_registration():
     block = registry_markdown()
     for name in scenario_names():
-        scenario = SCENARIOS[name]
-        if scenario.family is not None:
-            # Generated families collapse into one summary row; the member
-            # scenarios stay discoverable via plain `list`.
-            assert f"`{scenario.family}_*`" in block
-        else:
-            assert f"`{name}`" in block
+        assert f"`{name}`" in block
     for name in system_names():
         assert f"`{name}`" in block
     for name in workload_names():
         assert f"`{name}`" in block
-
-
-def test_family_rows_carry_registered_descriptions():
-    block = registry_markdown()
-    assert "#### Generated scenario families" in block
-    for family, description in SCENARIO_FAMILIES.items():
-        assert f"`{family}_*`" in block
-        assert description in block
-    # Family members must NOT get individual rows (that is the point).
-    members = [n for n in scenario_names() if SCENARIOS[n].family is not None]
-    assert members, "expected at least one generated scenario family"
-    assert f"`{members[0]}`" not in block
 
 
 def test_update_registry_block_roundtrip(tmp_path):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.__main__ import main
 from repro.bench.figures import (FIGURE_CHECKS, Figure, availability_figures,
-                                 build_figures, chaos_heatmap_figures,
+                                 build_figures,
                                  check_figure, emit_figures,
                                  fleet_scaleout_figures, load_sweep_figures,
                                  render_svg)
@@ -228,19 +228,18 @@ def test_fleet_builder_computes_scaleout_efficiency_against_k1():
 
 
 def test_chaos_builder_grids_every_point_and_marks_absent_as_skipped():
-    document = {"scenarios_run": ["c1"], "results": [
-        {"scenario": "c1", "points": [
-            {"params": {"system": "geotp"},
-             "invariants": {"books_balance": {"status": "passed"},
-                            "wal_in_doubt_empty": {"status": "failed"}}},
-            {"params": {"system": "ssp"},
-             "invariants": {"books_balance": {"status": "passed"}}}]}]}
-    [figure] = chaos_heatmap_figures(document)
-    assert figure.annotations["rows"] == ["c1 [geotp]", "c1 [ssp]"]
+    document = {"scenario": "chaos", "violations": [], "rows": [
+        {"params": {"fault": "dual", "system": "geotp"},
+         "invariants": {"books_balance": {"status": "passed"},
+                        "wal_in_doubt_empty": {"status": "failed"}}},
+        {"params": {"fault": "dual", "system": "ssp"},
+         "invariants": {"books_balance": {"status": "passed"}}}]}
+    [figure] = build_figures(document)
+    assert figure.annotations["rows"] == ["dual [geotp]", "dual [ssp]"]
     index = {(figure.columns["scenario"][i], figure.columns["invariant"][i]):
              figure.columns["status"][i] for i in range(figure.n_rows())}
-    assert index[("c1 [geotp]", "wal_in_doubt_empty")] == 0.0
-    assert index[("c1 [ssp]", "wal_in_doubt_empty")] == 0.5  # never ran
+    assert index[("dual [geotp]", "wal_in_doubt_empty")] == 0.0
+    assert index[("dual [ssp]", "wal_in_doubt_empty")] == 0.5  # never ran
     assert check_figure(figure) == []
 
 

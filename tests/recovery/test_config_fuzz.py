@@ -1,17 +1,29 @@
 """Fuzz the configuration space: every drawn run drains with no invariant violation.
 
-Each example draws a whole experiment — a system (all nine), YCSB or TPC-C,
-1-8 terminals, a 1.5 s or 3 s run, a skew, a distributed ratio, up to two
-faults of any kind, target, strike time and heal length, and a seed — runs
-it, and checks every registered invariant on the result.  A fault run is
-judged after its drain, on the end state (see
-``FaultInjector.drain_until_ms``).  The checker reads only the result.
+Each example draws a whole experiment and runs it:
+
+* a system (all nine) and a workload (YCSB, TPC-C or the contrib e-commerce
+  sessions), 1-8 terminals, a 1.5 s or 3 s run, a skew, a distributed ratio
+  and a seed;
+* a latency profile: the paper topology, or a seeded 4- or 12-phase
+  ``DynamicLatency`` schedule per data node;
+* an arrival shape: closed terminals, or a Poisson, MMPP or diurnal open
+  system offered a rate below every system's knee;
+* faults: up to two random events of any kind, target, strike time and heal
+  length (a heal of 0 never heals), or one plan of the fault catalogue
+  (``FaultPlan.named``, which brings the composed ``dual`` and ``cascade``).
+
+Every registered invariant is checked on the result.  A fault run is judged
+after its drain, on the end state (see ``FaultInjector.drain_until_ms``).
+The checker reads only the result.
 
 Outages and partitions park the messages they cut.  The ``drop`` mode is not
 drawn: a dropped request is never answered, and no system in the model has
 the RPC timeout that :mod:`repro.sim.network` says drop mode needs, so every
-system leaves work live or in doubt under it.  The smallest such run is
-pinned below as an expected failure until the model has that timeout.
+system leaves work live or in doubt under it.  A region outage that never
+heals is not drawn either, for the same reason: the requests it parks are
+never answered.  The smallest run of each is pinned below as an expected
+failure until the model has that timeout.
 
 The run is derandomized, so tier-1 replays the same examples every time.
 Tier-1 runs :data:`TIER1_EXAMPLES` of them; CI's fuzz step passes
@@ -23,21 +35,33 @@ every finding is pinned below with ``@example``.
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from repro import ExperimentConfig, TopologyConfig, run_experiment
 from repro.plugins import system_names
 from repro.recovery import FaultEvent, FaultKind, FaultPlan
+from repro.recovery.chaos import KNEE_TPS
+from repro.recovery.failures import FAULT_NAMES
 from repro.recovery.invariants import violations
+from repro.sim.latency import DynamicLatency
 from repro.sim.network import DROP, PARK
+from repro.sim.rng import SeededRNG
+from repro.workloads.arrivals import ARRIVAL_PROCESSES, ArrivalConfig
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.ycsb import YCSBConfig
 
-#: Examples per tier-1 run (about 6 s on a 2-core host).
+#: Examples per tier-1 run (about 10 s on a 2-core host).
 TIER1_EXAMPLES = 400
 WARMUP_MS = 300.0
 DATA_NODES = TopologyConfig.paper_default().node_names()
+#: RTT range (ms) of a schedule's phases: it brackets the paper topology's
+#: 10-120 ms spread without dwarfing the fault windows.
+RTT_RANGE_MS = (15.0, 160.0)
+#: Offered rate of the open arrival shapes, below every system's knee
+#: (``KNEE_TPS``), so a run measures fault response, not saturation.
+OPEN_RATE_TPS = 40.0
+OPEN_MAX_CLIENTS = 96
 
 
 def _budget() -> int:
@@ -51,7 +75,9 @@ def _budget() -> int:
 def fault_events(draw, duration_ms: float) -> FaultEvent:
     kind = draw(st.sampled_from(FaultKind))
     at_ms = float(draw(st.integers(0, int(duration_ms) - 1)))
-    heal_ms = float(draw(st.integers(1, int(duration_ms))))
+    # 0 never heals; an outage always heals (see the module docstring).
+    never_heals = 1 if kind is FaultKind.REGION_OUTAGE else 0
+    heal_ms = float(draw(st.integers(never_heals, int(duration_ms))))
     node = st.sampled_from(DATA_NODES)
     if kind is FaultKind.MIDDLEWARE_CRASH:
         return FaultEvent(kind=kind, at_ms=at_ms, duration_ms=heal_ms)
@@ -73,24 +99,104 @@ def plan(*events: FaultEvent):
     return FaultPlan(events=events) if events else None
 
 
+def latency_schedules(phases: int, duration_ms: float,
+                      seed: int) -> TopologyConfig:
+    """A seeded ``phases``-phase ``DynamicLatency`` schedule per data node."""
+    rng = SeededRNG(seed)
+    phase_ms = duration_ms / phases
+    return TopologyConfig.from_latency_models([
+        DynamicLatency([(phase * phase_ms, rng.uniform(*RTT_RANGE_MS))
+                        for phase in range(phases)])
+        for _node in DATA_NODES])
+
+
+def open_arrivals(process: str, duration_ms: float) -> ArrivalConfig:
+    # One full diurnal wave fits the run.
+    return ArrivalConfig(process=process, rate_tps=OPEN_RATE_TPS,
+                         max_clients=OPEN_MAX_CLIENTS,
+                         period_ms=duration_ms / 2.0)
+
+
+@st.composite
+def fault_plans(draw, duration_ms: float):
+    """Up to two random events, or one plan of the fault catalogue."""
+    if draw(st.booleans()):
+        return FaultPlan.named(draw(st.sampled_from(FAULT_NAMES)), duration_ms)
+    events = draw(st.lists(fault_events(duration_ms), max_size=2))
+    try:
+        return plan(*events)
+    except ValueError:          # a second window over the first's same target
+        assume(False)
+
+
 @st.composite
 def configs(draw) -> ExperimentConfig:
     duration_ms = draw(st.sampled_from((1_500.0, 3_000.0)))
-    events = draw(st.lists(fault_events(duration_ms), max_size=2))
-    try:
-        fault_plan = plan(*events)
-    except ValueError:          # a second window over the first's same target
-        assume(False)
+    fault_plan = draw(fault_plans(duration_ms))
+    phases = draw(st.sampled_from((0, 4, 12)))    # 0: the paper topology
+    topology = (latency_schedules(phases, duration_ms,
+                                  draw(st.integers(0, 2**16)))
+                if phases else None)
+    process = draw(st.sampled_from((None,) + ARRIVAL_PROCESSES))
+    arrival = open_arrivals(process, duration_ms) if process else None
     distributed_ratio = draw(st.floats(0.0, 1.0))
     return ExperimentConfig(
         system=draw(st.sampled_from(system_names())),
-        workload=draw(st.sampled_from(("ycsb", "tpcc"))),
+        workload=draw(st.sampled_from(("ycsb", "tpcc", "ecommerce"))),
+        topology=topology, arrival=arrival,
         terminals=draw(st.integers(1, 8)),
         duration_ms=duration_ms, warmup_ms=WARMUP_MS,
         ycsb=YCSBConfig(skew=draw(st.floats(0.0, 1.5)),
                         distributed_ratio=distributed_ratio),
         tpcc=TPCCConfig(distributed_ratio=distributed_ratio),
         fault_plan=fault_plan, seed=draw(st.integers(0, 2**16)))
+
+
+def drawn_events(config: ExperimentConfig):
+    return config.fault_plan.events if config.fault_plan else ()
+
+
+#: What a drawn config holds on each axis the strategy must keep drawing.
+DRAWN = {
+    "system": lambda config: {config.system},
+    "workload": lambda config: {config.workload},
+    "latency phases": lambda config: {
+        len(config.topology.data_nodes[0].latency_model.schedule)
+        if config.topology else 0},
+    "arrival shape": lambda config: {
+        config.arrival.process if config.arrival else "closed"},
+    "fault kind": lambda config: {
+        event.kind for event in drawn_events(config)},
+    "catalogue plan": lambda config: {
+        name for name in FAULT_NAMES
+        if config.fault_plan == FaultPlan.named(name, config.duration_ms)},
+    "never heals": lambda config: {
+        event.kind for event in drawn_events(config)
+        if event.duration_ms == 0},
+}
+#: Spelled out, not read from the strategy's own constants, so dropping a
+#: value there fails the test below.
+AXIS_VALUES = (
+    [("system", name) for name in system_names()]
+    + [("workload", name) for name in ("ycsb", "tpcc", "ecommerce")]
+    + [("latency phases", phases) for phases in (0, 4, 12)]
+    + [("arrival shape", shape) for shape in ("closed",) + ARRIVAL_PROCESSES]
+    + [("fault kind", kind) for kind in FaultKind]
+    + [("catalogue plan", name) for name in FAULT_NAMES]
+    + [("never heals", kind) for kind in FaultKind
+       if kind is not FaultKind.REGION_OUTAGE])
+
+
+@pytest.mark.parametrize("axis, value", AXIS_VALUES)
+def test_the_strategy_draws_every_axis_value(axis, value):
+    """An edit that stops drawing a value fails here, not silently."""
+    find(configs(), lambda config: value in DRAWN[axis](config),
+         settings=settings(database=None, derandomize=True, max_examples=500,
+                           phases=[Phase.generate]))
+
+
+def test_open_arrivals_stay_below_every_knee():
+    assert OPEN_RATE_TPS < min(KNEE_TPS.values())
 
 
 def pinned(system, workload, terminals, seed, *events) -> ExperimentConfig:
@@ -125,5 +231,19 @@ def test_a_request_dropped_by_an_outage_is_resolved_after_the_drain():
         warmup_ms=WARMUP_MS, ycsb=YCSBConfig(skew=0.0, distributed_ratio=0.0),
         fault_plan=plan(FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=0.0,
                                    duration_ms=1.0, target="ds0", mode=DROP)),
+        seed=89)
+    assert violations(run_experiment(config).invariants) == []
+
+
+@pytest.mark.xfail(strict=True, reason="a request parked by a never-healing "
+                   "outage is never answered: no system has an RPC timeout")
+def test_a_request_parked_by_a_never_healing_outage_is_resolved_after_the_drain():
+    # The drop-mode run above with a park-mode outage that never heals: the
+    # drain exempts the cut node, but not the transaction waiting on it.
+    config = ExperimentConfig(
+        system="ssp", workload="ycsb", terminals=1, duration_ms=1_500.0,
+        warmup_ms=WARMUP_MS, ycsb=YCSBConfig(skew=0.0, distributed_ratio=0.0),
+        fault_plan=plan(FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=0.0,
+                                   duration_ms=0.0, target="ds0")),
         seed=89)
     assert violations(run_experiment(config).invariants) == []

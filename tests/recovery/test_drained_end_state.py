@@ -21,7 +21,6 @@ that, unguarded, leaves a branch PREPARED forever with its locks held:
 import pytest
 
 from repro import ExperimentConfig, run_experiment
-from repro.bench.scenarios import get_scenario
 from repro.plugins import system_names
 from repro.recovery import FaultEvent, FaultKind, FaultPlan
 from repro.recovery.invariants import violations
@@ -95,10 +94,9 @@ def test_a_crash_healing_after_the_run_is_recovered_in_the_drain():
 
 
 def test_a_peer_rollback_is_not_overtaken_by_a_late_execute():
-    sweep = get_scenario("chaos_cascade_flat_closed_ecommerce").sweep(
-        axes={"system": ("geotp",)}, duration_ms=3_000.0, warmup_ms=600.0,
-        terminals=4, ycsb__records_per_node=1_000)
-    (point,) = sweep.points()
-    summary = run_experiment(point.config)
+    summary = run_experiment(ExperimentConfig(
+        system="geotp", workload="ecommerce", terminals=4,
+        duration_ms=3_000.0, warmup_ms=600.0,
+        fault_plan=FaultPlan.named("cascade", 3_000.0)))
     assert_drained_clean(summary)
     assert (summary.committed, summary.aborted) == (46, 4)
