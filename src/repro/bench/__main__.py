@@ -56,7 +56,8 @@ from repro.plugins import system_plugins, workload_plugins
 
 def _add_sweep_flags(parser: argparse.ArgumentParser,
                      positional: bool = True) -> None:
-    """The flags shared by ``run`` and ``figures``: overrides + cache."""
+    """The flags shared by ``run``, ``figures`` and ``chaos``: overrides +
+    cache."""
     if positional:
         parser.add_argument("scenario",
                             help="registered scenario name (see `list`)")
@@ -126,21 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos", help="run the `chaos` scenario (every fault-catalogue plan "
                       "on ssp and geotp) and fail on any robustness-invariant "
                       "violation")
-    chaos.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (default: REPRO_BENCH_WORKERS "
-                            "or serial)")
-    chaos.add_argument("--duration-ms", type=float, default=None,
-                       help="simulated duration per point (default: the "
-                            "scenario's)")
-    chaos.add_argument("--warmup-ms", type=float, default=None,
-                       help="warm-up window per point (default: the "
-                            "scenario's)")
-    chaos.add_argument("--terminals", type=int, default=None,
-                       help="closed-loop terminal count per point (default: "
-                            "the scenario's)")
+    _add_sweep_flags(chaos, positional=False)
     chaos.add_argument("--output", default=None,
-                       help="write the invariant report JSON here instead of "
-                            "stdout")
+                       help="write the JSON document here instead of stdout")
+    chaos.set_defaults(scenario="chaos")
     return parser
 
 
@@ -274,6 +264,11 @@ def _execute_scenario(args: argparse.Namespace, for_figures: bool = False):
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
+    """``run NAME``, or ``chaos``: the ``chaos`` scenario's document plus a
+    ``violations`` list of every failed robustness invariant, exit 1 when
+    that list is nonempty."""
+    from repro.recovery.invariants import violations
+
     try:
         result, document = _execute_scenario(args)
     except KeyError as exc:
@@ -282,6 +277,12 @@ def _run_scenario(args: argparse.Namespace) -> int:
     except (AttributeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    judged = args.command == "chaos"
+    if judged:
+        document["violations"] = [
+            {"params": row["params"], "violation": message}
+            for row in document["rows"]
+            for message in violations(row.get("invariants"))]
     text = json.dumps(document, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -291,6 +292,17 @@ def _run_scenario(args: argparse.Namespace) -> int:
         print(format_table(*sweep_table(result)), file=sys.stderr)
     else:
         print(text)
+    if not judged:
+        return 0
+    for entry in document["violations"]:
+        print(f"INVARIANT VIOLATION [{entry['params']}]: "
+              f"{entry['violation']}", file=sys.stderr)
+    if document["violations"]:
+        print(f"{len(document['violations'])} invariant violation(s) across "
+              f"{document['points']} chaos points", file=sys.stderr)
+        return 1
+    print(f"all robustness invariants held across {document['points']} "
+          f"chaos points", file=sys.stderr)
     return 0
 
 
@@ -343,66 +355,11 @@ def _run_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_chaos(args: argparse.Namespace) -> int:
-    """Run the ``chaos`` scenario and judge it by the robustness invariants.
-
-    Exit 0 when every applicable invariant on every point passed; exit 1 with
-    a per-violation listing otherwise.  The JSON document (``--output``) is
-    the CI artifact: one row per point with its params, headline numbers
-    and full invariant report.
-    """
-    from repro.recovery.invariants import violations as invariant_violations
-
-    try:
-        result = SweepRunner(max_workers=args.workers).run(
-            get_scenario("chaos").sweep(duration_ms=args.duration_ms,
-                                        warmup_ms=args.warmup_ms,
-                                        terminals=args.terminals))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = []
-    all_violations: List[dict] = []
-    for point in result:
-        summary = point.summary
-        rows.append({
-            "params": point.params,
-            "committed": summary.committed,
-            "aborted": summary.aborted,
-            "throughput_tps": round(summary.throughput_tps, 2),
-            "invariants": summary.invariants,
-        })
-        all_violations.extend(
-            {"params": point.params, "violation": message}
-            for message in invariant_violations(summary.invariants))
-    document = {"scenario": "chaos", "points": len(rows),
-                "violations": all_violations, "rows": rows}
-    text = json.dumps(document, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {len(rows)} points to {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    for entry in all_violations:
-        print(f"INVARIANT VIOLATION [{entry['params']}]: "
-              f"{entry['violation']}", file=sys.stderr)
-    if all_violations:
-        print(f"{len(all_violations)} invariant violation(s) across "
-              f"{len(rows)} chaos points", file=sys.stderr)
-        return 1
-    print(f"all robustness invariants held across {len(rows)} chaos points",
-          file=sys.stderr)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _run_list(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
     if args.command == "figures":
         return _run_figures(args)
     return _run_scenario(args)

@@ -373,7 +373,9 @@ _INVARIANT_STATUS = {"failed": 0.0, "skipped": 0.5, "passed": 1.0}
 
 
 def chaos_heatmap_figures(document: Dict[str, Any]) -> List[Figure]:
-    """Fault×system by invariant pass/fail heatmap from a ``chaos`` report."""
+    """Fault×system by invariant pass/fail heatmap of a document whose rows
+    all carry a ``fault`` param and an invariant report (``run chaos``,
+    ``chaos``)."""
     row_labels: List[str] = []
     cells: Dict[str, Dict[str, float]] = {}
     invariant_names: List[str] = []
@@ -408,7 +410,9 @@ def chaos_heatmap_figures(document: Dict[str, Any]) -> List[Figure]:
 FIGURE_BUILDERS: Tuple[Tuple[str, Callable[[Dict[str, Any]], bool],
                              Callable[[Dict[str, Any]], List[Figure]]], ...] = (
     ("chaos_heatmap",
-     lambda doc: bool(doc.get("rows")) and "violations" in doc,
+     lambda doc: bool(doc.get("rows"))
+     and all("invariants" in row and "fault" in row.get("params", {})
+             for row in doc["rows"]),
      chaos_heatmap_figures),
     ("load_knee",
      lambda doc: any(row.get("open_loop") is not None

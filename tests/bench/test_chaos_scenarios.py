@@ -5,8 +5,9 @@
   (``admission_knee``, ``chaos_saturated``) sit beside it.
 * **Fault plans** — every fault mode comes from the one fault catalogue,
   :meth:`~repro.recovery.failures.FaultPlan.named`.
-* **Invariants** — a smoke-scale chaos point runs clean through the full
-  robustness-invariant catalog, and same-seed runs replay bit for bit.
+* **Invariants** — a smoke-scale chaos point under drifting latency and
+  Poisson arrivals runs clean through the full robustness-invariant catalog,
+  and same-seed runs replay bit for bit.
 
 Random timings, latency schedules, arrival shapes and workloads are the
 config fuzz test's (``tests/recovery/test_config_fuzz.py``).
@@ -14,12 +15,16 @@ config fuzz test's (``tests/recovery/test_config_fuzz.py``).
 
 import pytest
 
+from repro import TopologyConfig
 from repro.bench.equivalence import snapshot
 from repro.bench.runner import run_experiment
 from repro.bench.scenarios import get_scenario, scenario_names
 from repro.recovery.chaos import KNEE_TPS
 from repro.recovery.failures import FAULT_NAMES, FaultKind, FaultPlan
 from repro.recovery.invariants import all_passed, violations
+from repro.sim.latency import DynamicLatency
+from repro.sim.rng import SeededRNG
+from repro.workloads.arrivals import ArrivalConfig
 
 #: Reduced scale of the graceful-degradation tests.
 SCALE = dict(duration_ms=3_000.0, warmup_ms=600.0, terminals=4,
@@ -31,6 +36,22 @@ def chaos_point(fault, system, **overrides):
         axes={"fault": (fault,), "system": (system,)}, **overrides)
     (point,) = sweep.points()
     return point.config
+
+
+def drifting_open_point(fault, system, **overrides):
+    """A chaos point under a seeded 4-phase ``DynamicLatency`` schedule per
+    data node (which turns on the runner's active probing) and Poisson
+    arrivals below every knee."""
+    config = chaos_point(fault, system, **overrides)
+    rng = SeededRNG(2025)
+    phase_ms = config.duration_ms / 4
+    config.topology = TopologyConfig.from_latency_models([
+        DynamicLatency([(phase * phase_ms, rng.uniform(15.0, 160.0))
+                        for phase in range(4)])
+        for _node in range(4)])
+    config.arrival = ArrivalConfig(process="poisson", rate_tps=40.0,
+                                   max_clients=96)
+    return config
 
 
 # ---------------------------------------------------------------- registration
@@ -114,18 +135,22 @@ def test_admission_knee_points_toggle_the_scheduler_at_the_knee():
 
 # ------------------------------------------------- invariants and determinism
 def test_smoke_scale_chaos_point_passes_every_invariant():
-    summary = run_experiment(chaos_point("cascade", "geotp")).summary()
+    config = drifting_open_point("cascade", "geotp")
+    summary = run_experiment(config).summary()
     assert summary.invariants is not None
     assert all_passed(summary.invariants), violations(summary.invariants)
     assert summary.to_dict()["invariants"] == summary.invariants
 
 
 def test_chaos_determinism_holds_on_every_engine():
-    # A dual (outage-inside-partition) plan: plan execution, parked-delivery
-    # re-interception, recovery and the invariant evaluation all must replay
-    # bit for bit.
-    config = chaos_point("dual", "geotp", duration_ms=4_000.0,
-                         warmup_ms=800.0)
+    # A dual (outage-inside-partition) plan under drifting latency and
+    # Poisson arrivals: plan execution, parked-delivery re-interception,
+    # probing, recovery and the invariant evaluation all must replay bit for
+    # bit.
+    config = drifting_open_point("dual", "geotp", duration_ms=4_000.0,
+                                 warmup_ms=800.0)
     assert len(config.fault_plan.events) == 2
+    assert all(isinstance(node.latency_model, DynamicLatency)
+               for node in config.topology.data_nodes)
     first, second = snapshot(config), snapshot(config)
     assert first == second, f"chaos point diverged: {first} != {second}"

@@ -162,6 +162,11 @@ def test_chaos_judges_fourteen_points_and_draws_their_heatmap(tmp_path,
     rows = heatmap["annotations"]["rows"]
     assert len(rows) == 14
     assert rows[:2] == ["mw_crash [ssp]", "mw_crash [geotp]"]
+    # Run directly, the scenario draws the same heatmap.
+    assert main(["figures", "chaos", "--data-only",
+                 "--output-dir", str(tmp_path / "direct")]) == 0
+    assert json.loads((tmp_path / "direct" / "chaos_invariants.json")
+                      .read_text()) == heatmap
 
 
 @pytest.mark.parametrize("argv", [[], ["run"]])

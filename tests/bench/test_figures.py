@@ -228,7 +228,7 @@ def test_fleet_builder_computes_scaleout_efficiency_against_k1():
 
 
 def test_chaos_builder_grids_every_point_and_marks_absent_as_skipped():
-    document = {"scenario": "chaos", "violations": [], "rows": [
+    document = {"scenario": "chaos", "rows": [
         {"params": {"fault": "dual", "system": "geotp"},
          "invariants": {"books_balance": {"status": "passed"},
                         "wal_in_doubt_empty": {"status": "failed"}}},

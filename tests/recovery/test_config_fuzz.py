@@ -5,8 +5,8 @@ Each example draws a whole experiment and runs it:
 * a system (all nine) and a workload (YCSB, TPC-C or the contrib e-commerce
   sessions), 1-8 terminals, a 1.5 s or 3 s run, a skew, a distributed ratio
   and a seed;
-* a latency profile: the paper topology, or a seeded 4- or 12-phase
-  ``DynamicLatency`` schedule per data node;
+* a latency profile: the paper topology, or a 4- or 12-phase
+  ``DynamicLatency`` schedule per data node, its round-trip times drawn;
 * an arrival shape: closed terminals, or a Poisson, MMPP or diurnal open
   system offered a rate below every system's knee;
 * faults: up to two random events of any kind, target, strike time and heal
@@ -46,7 +46,6 @@ from repro.recovery.failures import FAULT_NAMES
 from repro.recovery.invariants import violations
 from repro.sim.latency import DynamicLatency
 from repro.sim.network import DROP, PARK
-from repro.sim.rng import SeededRNG
 from repro.workloads.arrivals import ARRIVAL_PROCESSES, ArrivalConfig
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.ycsb import YCSBConfig
@@ -75,9 +74,12 @@ def _budget() -> int:
 def fault_events(draw, duration_ms: float) -> FaultEvent:
     kind = draw(st.sampled_from(FaultKind))
     at_ms = float(draw(st.integers(0, int(duration_ms) - 1)))
-    # 0 never heals; an outage always heals (see the module docstring).
-    never_heals = 1 if kind is FaultKind.REGION_OUTAGE else 0
-    heal_ms = float(draw(st.integers(never_heals, int(duration_ms))))
+    # One event in ten never heals (a heal of 0); an outage always heals
+    # (see the module docstring).
+    never_heals = (kind is not FaultKind.REGION_OUTAGE
+                   and draw(st.integers(0, 9)) == 0)
+    heal_ms = (0.0 if never_heals
+               else float(draw(st.integers(1, int(duration_ms)))))
     node = st.sampled_from(DATA_NODES)
     if kind is FaultKind.MIDDLEWARE_CRASH:
         return FaultEvent(kind=kind, at_ms=at_ms, duration_ms=heal_ms)
@@ -99,14 +101,19 @@ def plan(*events: FaultEvent):
     return FaultPlan(events=events) if events else None
 
 
-def latency_schedules(phases: int, duration_ms: float,
-                      seed: int) -> TopologyConfig:
-    """A seeded ``phases``-phase ``DynamicLatency`` schedule per data node."""
-    rng = SeededRNG(seed)
+@st.composite
+def latency_schedules(draw, duration_ms: float):
+    """The paper topology, or a 4- or 12-phase ``DynamicLatency`` schedule
+    per data node with drawn round-trip times."""
+    phases = draw(st.sampled_from((0, 4, 12)))
+    if not phases:
+        return None
+    rtts = st.lists(st.floats(*RTT_RANGE_MS), min_size=phases,
+                    max_size=phases)
     phase_ms = duration_ms / phases
     return TopologyConfig.from_latency_models([
-        DynamicLatency([(phase * phase_ms, rng.uniform(*RTT_RANGE_MS))
-                        for phase in range(phases)])
+        DynamicLatency([(phase * phase_ms, rtt)
+                        for phase, rtt in enumerate(draw(rtts))])
         for _node in DATA_NODES])
 
 
@@ -133,10 +140,7 @@ def fault_plans(draw, duration_ms: float):
 def configs(draw) -> ExperimentConfig:
     duration_ms = draw(st.sampled_from((1_500.0, 3_000.0)))
     fault_plan = draw(fault_plans(duration_ms))
-    phases = draw(st.sampled_from((0, 4, 12)))    # 0: the paper topology
-    topology = (latency_schedules(phases, duration_ms,
-                                  draw(st.integers(0, 2**16)))
-                if phases else None)
+    topology = draw(latency_schedules(duration_ms))
     process = draw(st.sampled_from((None,) + ARRIVAL_PROCESSES))
     arrival = open_arrivals(process, duration_ms) if process else None
     distributed_ratio = draw(st.floats(0.0, 1.0))
