@@ -28,7 +28,7 @@ from repro.core.forecasting import LocalExecutionForecaster
 from repro.core.hotspot import HotspotFootprint
 from repro.core.latency_monitor import NetworkLatencyMonitor
 from repro.core.scheduler import GeoScheduler
-from repro.middleware.context import TransactionContext, TransactionPhase
+from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 from repro.middleware.middleware import ParticipantHandle
 from repro.middleware.rewriter import SubtransactionPlan
@@ -247,29 +247,19 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
             })
 
     # ------------------------------------------------------------------- commit
-    def _commit_distributed(self, ctx: TransactionContext):
-        """O1: wait for the decentralized prepare votes, then one commit round trip."""
+    def _prepare_round(self, ctx: TransactionContext, names: List[str]):
+        """O1: no prepare round trip — wait for the decentralized votes."""
         box = self._vote_box(ctx)
-        waits = [box.wait_for(name, _TERMINAL_STATES) for name in ctx.participants]
+        waits = [box.wait_for(name, _TERMINAL_STATES) for name in names]
         condition = yield self.env.all_of(waits)
-        states = {name: condition[event] for name, event in zip(ctx.participants, waits)}
-        ready = all(state in _COMMITTABLE_STATES for state in states.values())
+        return all(condition[event] in _COMMITTABLE_STATES for event in waits)
 
-        yield from self._flush_decision_log(ctx, commit=ready)
-        ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
-        if ready:
-            yield from self._dispatch_decision(ctx, protocol.MSG_XA_COMMIT)
-            return TxnOutcome.COMMITTED, None
-        yield from self._await_rollbacks(ctx)
-        return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
-
-    def _abort_all(self, ctx: TransactionContext):
-        """Early abort (O1): the agents already aborted each other; await confirmation."""
-        if len(ctx.participants) <= 1:
-            return (yield from super()._abort_all(ctx))
-        ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
-        yield from self._flush_decision_log(ctx, commit=False)
-        yield from self._await_rollbacks(ctx)
+    def _dispatch_decision(self, ctx: TransactionContext, verb: str):
+        """Early abort (O1): the agents already rolled a distributed
+        transaction's branches back, so only await their confirmations."""
+        if verb == protocol.MSG_XA_ROLLBACK and ctx.is_distributed:
+            return (yield from self._await_rollbacks(ctx))
+        return (yield from super()._dispatch_decision(ctx, verb))
 
     def _await_rollbacks(self, ctx: TransactionContext):
         """Wait for every participant to confirm its branch rolled back."""

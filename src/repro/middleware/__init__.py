@@ -18,12 +18,10 @@ from repro.middleware.router import (
 )
 from repro.middleware.rewriter import Rewriter, SubtransactionPlan
 from repro.middleware.context import TransactionContext, TransactionPhase
-from repro.middleware.connection_pool import ConnectionPool
 from repro.middleware.middleware import MiddlewareBase, ParticipantHandle
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 
 __all__ = [
-    "ConnectionPool",
     "MiddlewareBase",
     "ModuloPartitioner",
     "ParseError",

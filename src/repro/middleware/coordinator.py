@@ -46,32 +46,23 @@ class _FanOut:
         self.missing = count
         self.done = Event(owner.env)
 
-    def connect(self, index: int, plan: SubtransactionPlan) -> None:
-        pool = self.owner.pools.pool(plan.datasource)
-        connection = pool.acquire()
-        if connection.callbacks is None:
-            self._connected(index, plan, pool, connection)
-        else:  # pool exhausted: continue when a connection is handed over
-            connection.callbacks.append(partial(self._connected, index, plan, pool))
-
-    def _connected(self, index, plan, pool, connection) -> None:
+    def dispatch(self, index: int, plan: SubtransactionPlan) -> None:
+        """Pay the request overhead, then send the batch."""
         self.owner.env.call_at(COSTS.middleware_request_ms, self._send,
-                               index, plan, pool, connection)
+                               index, plan)
 
-    def _send(self, index, plan, pool, connection) -> None:
+    def _send(self, index: int, plan: SubtransactionPlan) -> None:
         owner = self.owner
         if self.ctx.txn_id not in owner.active_contexts:
             # Fenced: the coordinator crashed while this batch waited (a crash
             # clears ``active_contexts``; ids never repeat).  Send nothing.
-            pool.release(connection)
             return
         payload = owner.execute_payload(self.ctx, plan, self.is_final_round)
         reply = owner.request_participant(owner.participants[plan.datasource],
                                           self.verb, payload)
-        reply.callbacks.append(partial(self._collect, index, pool, connection))
+        reply.callbacks.append(partial(self._collect, index))
 
-    def _collect(self, index, pool, connection, reply: Event) -> None:
-        pool.release(connection)
+    def _collect(self, index: int, reply: Event) -> None:
         self.results[index] = reply.value
         self.missing -= 1
         if not self.missing:
@@ -154,18 +145,17 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
                  verb: str = protocol.MSG_EXECUTE) -> Event:
         """Send each plan's statement batch to its participant, all at once.
 
-        Every batch waits out its scheduler postponement (if any), checks a
-        pooled connection out, pays the request overhead and sends ``verb``;
-        the reply callback returns the connection.  The returned event fires
-        once, with the :class:`SubtxnResult` list in plan order.
+        Every batch waits out its scheduler postponement (if any), pays the
+        request overhead and sends ``verb``.  The returned event fires once,
+        with the :class:`SubtxnResult` list in plan order.
         """
         fan = _FanOut(self, ctx, verb, is_final_round, len(plans))
         for index, plan in enumerate(plans):
             delay_ms = delays.get(plan.datasource, 0.0)
             if delay_ms > 0:
-                self.env.call_at(delay_ms, fan.connect, index, plan)
+                self.env.call_at(delay_ms, fan.dispatch, index, plan)
             else:
-                fan.connect(index, plan)
+                fan.dispatch(index, plan)
         if not plans:
             fan.done.succeed(fan.results)
         return fan.done

@@ -2,9 +2,9 @@
 
 :class:`MiddlewareBase` owns everything that is common to every coordinator in
 the reproduction — SSP, SSP(local), ScalarDB, QURO, Chiller and GeoTP — namely
-the network endpoint, the rewriter/router, connection pools, transaction-id
-assignment, per-phase accounting and the resource counters that substitute for
-the paper's CPU/memory measurements (Figure 6).  Subclasses implement
+the network endpoint, the rewriter/router, transaction-id assignment, the
+decision log, per-phase accounting and the resource counters that substitute
+for the paper's CPU/memory measurements (Figure 6).  Subclasses implement
 ``_run_transaction`` (the coordination protocol).
 """
 
@@ -15,7 +15,6 @@ from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common import COSTS, AbortReason, TransactionResult, TxnOutcome
-from repro.middleware.connection_pool import ConnectionPoolSet
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.rewriter import Rewriter
 from repro.middleware.router import Partitioner
@@ -48,10 +47,6 @@ class ParticipantHandle:
     def __post_init__(self) -> None:
         if self.datasource_node is None:
             self.datasource_node = self.name
-
-
-#: Connections each middleware keeps per data source.
-CONNECTION_POOL_CAPACITY = 256
 
 
 class MiddlewareStats:
@@ -103,7 +98,6 @@ class MiddlewareBase:
         self.participants = dict(participants)
         self.partitioner = partitioner
         self.rewriter = Rewriter(partitioner)
-        self.pools = ConnectionPoolSet(env, capacity=CONNECTION_POOL_CAPACITY)
         self.net: NetworkInterface = network.interface(name)
         self.wal = WriteAheadLog()
         self.stats = MiddlewareStats()

@@ -31,7 +31,7 @@ from repro import protocol
 from repro.metrics.availability import middleware_of
 from repro.middleware.middleware import MiddlewareBase
 from repro.recovery.recovery_manager import RecoveryManager
-from repro.sim.network import DROP, NetworkInterface, PARK
+from repro.sim.network import NetworkInterface
 from repro.storage.datasource import DataSource
 from repro.storage.transaction import TxnState
 
@@ -49,7 +49,8 @@ class FaultKind(enum.Enum):
     #: Crash a data source; restart plus in-doubt resolution after ``duration_ms``.
     DATASOURCE_CRASH = "datasource_crash"
     #: Cut every network link touching a data node (and its geo-agent) for
-    #: ``duration_ms``; in-flight messages are parked/dropped per ``mode``.
+    #: ``duration_ms``; messages sent across the cut are parked and
+    #: delivered after the heal (never dropped).
     REGION_OUTAGE = "region_outage"
     #: Cut the links between two regions (``target`` and ``peer``) only.
     PARTITION = "partition"
@@ -82,9 +83,6 @@ class FaultEvent:
     peer: Optional[str] = None
     #: Delay multiplier of a :attr:`FaultKind.LATENCY_SPIKE` (>= 1).
     factor: float = 1.0
-    #: Disruption mode of outages/partitions: ``"park"`` holds messages back
-    #: until the heal, ``"drop"`` discards them (see :mod:`repro.sim.network`).
-    mode: str = PARK
 
     def __post_init__(self) -> None:
         if self.at_ms < 0 or self.duration_ms < 0:
@@ -95,8 +93,6 @@ class FaultEvent:
             raise ValueError("a partition needs a peer region")
         if self.kind is FaultKind.LATENCY_SPIKE and self.factor < 1.0:
             raise ValueError("latency-spike factor must be >= 1")
-        if self.mode not in (PARK, DROP):
-            raise ValueError(f"unknown disruption mode {self.mode!r}")
 
     def describe(self) -> str:
         """Compact human-readable form used in logs and summaries."""
@@ -116,8 +112,6 @@ class FaultEvent:
             out["peer"] = self.peer
         if self.kind is FaultKind.LATENCY_SPIKE:
             out["factor"] = self.factor
-        if self.kind in (FaultKind.REGION_OUTAGE, FaultKind.PARTITION):
-            out["mode"] = self.mode
         return out
 
 
@@ -155,7 +149,7 @@ class FaultPlan:
         inside a longer partition window).  That is safe because the network
         re-intercepts parked deliveries on release — a message freed by one
         heal is re-checked against every still-active disruption and parked
-        (or dropped) again if another fault covers it; see
+        again if another fault covers it; see
         ``Network._release_parked`` and the chaos-plan re-interception test.
         """
         def key(event: FaultEvent):
@@ -433,7 +427,7 @@ class FaultInjector:
     def _start_outage(self, event: FaultEvent) -> None:
         members = self._region_members(event.target)
         for member in members:
-            self.network.disrupt_node(member, mode=event.mode)
+            self.network.disrupt_node(member)
         if event.duration_ms > 0:
             self.env.call_at(event.duration_ms, self._heal_outage,
                              members, event)
@@ -447,7 +441,7 @@ class FaultInjector:
         pairs = [(a, b) for a in self._region_members(event.target)
                  for b in self._region_members(event.peer)]
         for a, b in pairs:
-            self.network.disrupt_link(a, b, mode=event.mode)
+            self.network.disrupt_link(a, b)
         if event.duration_ms > 0:
             self.env.call_at(event.duration_ms, self._heal_partition,
                              pairs, event)

@@ -2,9 +2,8 @@
 
 Two primitives are provided:
 
-* :class:`Resource` — a counted resource with FIFO queuing (used for e.g.
-  bounded connection pools and the coordinator-thread model of the ScalarDB
-  baseline).
+* :class:`Resource` — a counted resource with FIFO queuing (used for the
+  coordinator-thread model of the ScalarDB baseline).
 * :class:`Store` — an unbounded FIFO message queue (used for node inboxes in
   the network model).
 """

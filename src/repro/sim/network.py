@@ -13,13 +13,18 @@ Two communication styles are supported:
   decentralized prepare votes and early-abort messages);
 * ``request`` — RPC-style: the caller gets an event that fires with the reply
   value after the full round trip plus the receiver's processing time.
+
+Fault injection (:mod:`repro.recovery.failures`) can cut a node's links or a
+single link and degrade link delays.  A delivery across a cut is parked and
+re-sent with a fresh link delay when the cut heals; no message is ever
+discarded, so an RPC caller blocked by an outage resumes after the heal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.sim._kernel.environment import Environment
 from repro.sim._kernel.events import PENDING, Event
@@ -49,24 +54,13 @@ class Message:
 class NetworkStats:
     """Aggregate counters of network activity (messages and bytes proxied)."""
 
-    __slots__ = ("messages_sent", "messages_by_type", "messages_parked",
-                 "messages_dropped")
+    __slots__ = ("messages_sent", "messages_by_type", "messages_parked")
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_by_type: Dict[str, int] = {}
         #: Deliveries held back by an active outage/partition (released on heal).
         self.messages_parked = 0
-        #: Deliveries discarded by a drop-mode disruption (never released).
-        self.messages_dropped = 0
-
-
-#: Disruption modes: ``park`` holds deliveries back and releases them on heal
-#: (a transient outage — TCP retransmits eventually get through); ``drop``
-#: discards them outright (callers waiting on a dropped RPC reply block until
-#: some higher-level timeout fires — use only when the model has one).
-PARK = "park"
-DROP = "drop"
 
 
 class _FaultState:
@@ -83,11 +77,11 @@ class _FaultState:
     __slots__ = ("blocked_nodes", "blocked_links", "degraded_nodes", "parked")
 
     def __init__(self) -> None:
-        #: Node name -> mode (:data:`PARK`/:data:`DROP`); blocks every link
-        #: touching the node in either direction (a region outage).
-        self.blocked_nodes: Dict[str, str] = {}
-        #: Directed (src, dst) link -> mode (a network partition).
-        self.blocked_links: Dict[Tuple[str, str], str] = {}
+        #: Nodes whose every link, in either direction, is cut (a region
+        #: outage).
+        self.blocked_nodes: Set[str] = set()
+        #: Cut directed (src, dst) links (a network partition).
+        self.blocked_links: Set[Tuple[str, str]] = set()
         #: Node name -> delay multiplier applied to every touching link.
         self.degraded_nodes: Dict[str, float] = {}
         #: Disruption key -> parked ``(src, dst, delay, fn, args)`` deliveries
@@ -100,17 +94,15 @@ class _FaultState:
         return not (self.blocked_nodes or self.blocked_links
                     or self.degraded_nodes or self.parked)
 
-    def block_key(self, src: str, dst: str):
-        """The (mode, park key) of the disruption blocking ``src -> dst``, if any."""
-        mode = self.blocked_nodes.get(src)
-        if mode is not None:
-            return mode, ("node", src)
-        mode = self.blocked_nodes.get(dst)
-        if mode is not None:
-            return mode, ("node", dst)
-        mode = self.blocked_links.get((src, dst))
-        if mode is not None:
-            return mode, ("link", (src, dst))
+    def block_key(self, src: str, dst: str) -> Optional[Tuple]:
+        """The park key of the disruption blocking ``src -> dst``, if any."""
+        nodes = self.blocked_nodes
+        if src in nodes:
+            return ("node", src)
+        if dst in nodes:
+            return ("node", dst)
+        if (src, dst) in self.blocked_links:
+            return ("link", (src, dst))
         return None
 
     def delay_factor(self, src: str, dst: str) -> float:
@@ -184,42 +176,37 @@ class Network:
         if self._faults is not None and self._faults.empty():
             self._faults = None
 
-    def disrupt_node(self, name: str, mode: str = PARK) -> None:
+    def disrupt_node(self, name: str) -> None:
         """Cut every link touching ``name`` (region outage semantics).
 
-        ``mode=PARK`` holds affected deliveries until :meth:`restore_node`;
-        ``mode=DROP`` discards them.
+        Affected deliveries are parked until :meth:`restore_node`.
         """
-        if mode not in (PARK, DROP):
-            raise ValueError(f"unknown disruption mode {mode!r}")
-        self._fault_state().blocked_nodes[name] = mode
+        self._fault_state().blocked_nodes.add(name)
 
     def restore_node(self, name: str) -> None:
         """Lift a node outage and release its parked deliveries in order."""
         faults = self._faults
-        if faults is None or faults.blocked_nodes.pop(name, None) is None:
+        if faults is None or name not in faults.blocked_nodes:
             return
+        faults.blocked_nodes.remove(name)
         self._release_parked(("node", name))
 
-    def disrupt_link(self, src: str, dst: str, mode: str = PARK,
-                     symmetric: bool = True) -> None:
+    def disrupt_link(self, src: str, dst: str, symmetric: bool = True) -> None:
         """Cut the ``src -> dst`` link (and its reverse when ``symmetric``)."""
-        if mode not in (PARK, DROP):
-            raise ValueError(f"unknown disruption mode {mode!r}")
         links = self._fault_state().blocked_links
-        links[(src, dst)] = mode
+        links.add((src, dst))
         if symmetric:
-            links[(dst, src)] = mode
+            links.add((dst, src))
 
     def restore_link(self, src: str, dst: str, symmetric: bool = True) -> None:
         """Heal a link partition and release its parked deliveries in order."""
         faults = self._faults
         if faults is None:
             return
-        if faults.blocked_links.pop((src, dst), None) is not None:
-            self._release_parked(("link", (src, dst)))
-        if symmetric and faults.blocked_links.pop((dst, src), None) is not None:
-            self._release_parked(("link", (dst, src)))
+        for link in ((src, dst), (dst, src)) if symmetric else ((src, dst),):
+            if link in faults.blocked_links:
+                faults.blocked_links.remove(link)
+                self._release_parked(("link", link))
         self._maybe_clear_faults()
 
     def degrade_node(self, name: str, factor: float) -> None:
@@ -241,18 +228,13 @@ class Network:
         """Apply active disruptions to one delivery.
 
         Returns the (possibly degraded) delay, or ``None`` when the delivery
-        was parked or dropped and must not be scheduled by the caller.
+        was parked and must not be scheduled by the caller.
         """
         faults = self._faults
-        blocked = faults.block_key(src, dst)
-        if blocked is not None:
-            mode, key = blocked
-            stats = self.stats
-            if mode == DROP:
-                stats.messages_dropped += 1
-            else:
-                stats.messages_parked += 1
-                faults.parked.setdefault(key, []).append((src, dst, delay, fn, args))
+        key = faults.block_key(src, dst)
+        if key is not None:
+            self.stats.messages_parked += 1
+            faults.parked.setdefault(key, []).append((src, dst, delay, fn, args))
             return None
         return delay * faults.delay_factor(src, dst)
 
@@ -272,7 +254,7 @@ class Network:
             if self._faults is not None:
                 delay = self._intercept(src, dst, delay, fn, args)
                 if delay is None:
-                    continue  # re-parked under (or dropped by) another fault
+                    continue  # re-parked under another fault
             if delay == 0.0:
                 env._soon.append((fn, args))
             else:
@@ -304,7 +286,7 @@ class Network:
             adjusted = self._intercept(message.sender, message.recipient,
                                        delay, deliver, (message,))
             if adjusted is None:
-                return delay  # parked or dropped: the nominal delay
+                return delay  # parked: the nominal delay
             delay = adjusted
         if delay == 0.0:
             env._soon.append((deliver, (message,)))
@@ -324,7 +306,7 @@ class Network:
 
         if self._faults is not None:
             # Replies travel recipient -> sender and honour disruptions too:
-            # an RPC caught by an outage mid-flight stalls (or dies) on the
+            # an RPC caught by an outage mid-flight stalls on the
             # reply leg exactly like a fresh message would.
             delay = self._intercept(original.recipient, original.sender, delay,
                                     self._fire_reply,

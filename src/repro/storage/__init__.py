@@ -3,12 +3,14 @@
 Each data source models the parts of MySQL / PostgreSQL that matter to the
 paper's experiments: key-value tables (:mod:`repro.storage.engine`), a strict
 two-phase-locking lock manager with FIFO waiting and lock-wait timeouts
-(:mod:`repro.storage.lock_manager`), a write-ahead log
-(:mod:`repro.storage.wal`), the XA local transaction state machine
+(:mod:`repro.storage.lock_manager`), the XA local transaction state machine
 (:mod:`repro.storage.transaction`) and SQL-dialect profiles capturing the
 differences between MySQL and PostgreSQL data sources
 (:mod:`repro.storage.dialects`).  :mod:`repro.storage.datasource` ties these
-together into a network-attached node process.
+together into a network-attached node process.  A data source keeps no log
+of its own: its PREPARED branches survive a crash in the branch table, which
+is what recovery lists.  :mod:`repro.storage.wal` is the middleware's
+decision log, the other half of what §V-A recovery reads.
 """
 
 from repro.storage.dialects import Dialect, MySQLDialect, PostgreSQLDialect

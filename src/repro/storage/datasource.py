@@ -35,7 +35,6 @@ from repro.storage.lock_manager import (
     LockTimeoutError,
 )
 from repro.storage.transaction import LocalTransaction, TxnState
-from repro.storage.wal import LogRecordType, WriteAheadLog
 
 
 @dataclass
@@ -83,7 +82,6 @@ class DataSource:
         self.engine = StorageEngine(name=config.name)
         self.lock_manager = LockManager(
             env, lock_wait_timeout_ms=config.lock_wait_timeout_ms)
-        self.wal = WriteAheadLog()
         self.net: NetworkInterface = network.interface(config.name)
         self.stats = DataSourceStats()
         self.transactions: Dict[str, LocalTransaction] = {}
@@ -276,7 +274,7 @@ class DataSource:
                 # preparing a dead branch.
                 self._reply_failed(message, xid, results, started)
                 return
-            self._log_prepare(txn)
+            self._mark_prepared(txn)
             prepared = True
 
         self._reply(message, SubtxnResult(
@@ -294,10 +292,8 @@ class DataSource:
             error=error, abort_reason=reason,
             local_execution_ms=self.env.now - started))
 
-    def _log_prepare(self, txn: LocalTransaction) -> None:
-        """Persist the branch's PREPARE record and move it to PREPARED."""
-        self.wal.append(LogRecordType.PREPARE, txn.xid, self.env.now,
-                        payload={"writes": self.engine.write_count(txn.xid)})
+    def _mark_prepared(self, txn: LocalTransaction) -> None:
+        """Move the branch to PREPARED and count the prepare (cost already paid)."""
         txn.mark_prepared()
         self.stats.prepares += 1
 
@@ -332,7 +328,7 @@ class DataSource:
             self._reply(message, {"vote": Vote.NO,
                                   "error": "transaction not preparable"})
             return
-        self._log_prepare(txn)
+        self._mark_prepared(txn)
         self._reply(message, {"vote": Vote.YES})
 
     def _on_xa_commit(self, message: Message) -> None:
@@ -417,12 +413,12 @@ class DataSource:
 
     def _end_branch(self, txn: LocalTransaction, commit: bool,
                     served: bool = True) -> None:
-        """Apply or discard the writes, log, finish the branch, release its locks.
+        """Apply or discard the writes, finish the branch, release its locks.
 
         ``served=False`` drops a branch whose work is lost (the node-crash
-        sweep and :meth:`kill_sessions`): no WAL record and no
-        ``stats.aborts`` bump — crash-lost work is not a served abort, and
-        the two fault kinds must account identically.
+        sweep and :meth:`kill_sessions`): no ``stats.aborts`` bump —
+        crash-lost work is not a served abort, and the two fault kinds must
+        account identically.
         """
         xid = txn.xid
         now = self.env.now
@@ -430,9 +426,6 @@ class DataSource:
             self.engine.commit_writes(xid)
         else:
             self.engine.discard_writes(xid)
-        if served:
-            self.wal.append(LogRecordType.COMMIT if commit else LogRecordType.ABORT,
-                            xid, now)
         if not commit:
             txn.mark_aborted(now)
         elif txn.state is TxnState.PREPARED:

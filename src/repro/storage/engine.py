@@ -176,10 +176,6 @@ class StorageEngine:
         self._write_sets.setdefault(txn_id, {})[
             record_id or (table_name, key)] = value
 
-    def write_count(self, txn_id: str) -> int:
-        """How many records ``txn_id`` has buffered writes for."""
-        return len(self._write_sets.get(txn_id, ()))
-
     def commit_writes(self, txn_id: str) -> int:
         """Install all buffered writes of ``txn_id``; return how many."""
         write_set = self._write_sets.pop(txn_id, None)

@@ -1,21 +1,23 @@
-"""Write-ahead log of a simulated data source (and of the middleware).
+"""Write-ahead decision log of a middleware coordinator.
 
 Only the structure needed by the paper's recovery protocol (§V-A) is modelled:
-append-only records for PREPARE / COMMIT / ABORT decisions.  Appending costs
-no simulated time: the writer pays the flush (the data source's prepare and
-commit costs, the middleware's log flush).  The recovery manager
-replays these records after a crash to decide the fate of in-doubt
-transactions.
+append-only records of the global COMMIT / ABORT decisions a coordinator
+flushes before dispatching them.  Appending costs no simulated time: the
+coordinator pays the flush (``COSTS.log_flush_ms``).  After a middleware
+crash the recovery manager reads this log to decide the fate of every
+in-doubt branch the data sources list; a branch whose transaction has no
+decision here is presumed aborted.  (A data source keeps no log of its own:
+its PREPARED branches survive the crash in its branch table.)
 
 Like a real log, this one is **checkpointed**: once the log grows past twice
 the retention horizon, records of *decided* transactions older than the
 newest ``checkpoint_records`` entries are dropped (their outcome is durable in
 the database itself).  Records of in-doubt transactions — a PREPARE with no
-final decision — are always kept, whatever their age, so recovery never loses
-the branches it exists for.  Open-system runs (10⁶+ transactions) rely on
-this to keep log memory O(1) with run length; every query a recovery manager
-issues (``prepared_xids``, ``last_decision`` on an in-doubt xid) is unaffected
-because it only concerns undecided or recently decided transactions.
+final decision — are always kept, whatever their age.  Open-system runs
+(10⁶+ transactions) rely on this to keep log memory O(1) with run length;
+every query a recovery manager issues (``last_decision`` on an in-doubt xid)
+is unaffected because it only concerns undecided or recently decided
+transactions.
 """
 
 from __future__ import annotations
@@ -132,7 +134,3 @@ class WriteAheadLog:
                     and record.xid not in decided and record.xid not in seen):
                 seen.append(record.xid)
         return seen
-
-    def truncate(self) -> None:
-        """Discard all records (only used to model log archiving in tests)."""
-        self._records.clear()

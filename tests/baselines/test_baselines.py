@@ -87,9 +87,9 @@ def test_chiller_commits_distributed_transaction_with_merged_prepare():
     env, dm, datasources = build(ChillerCoordinator)
     result = run_txn(env, dm, TransactionSpec.from_operations([update(0), update(1)]))
     assert result.outcome is TxnOutcome.COMMITTED
-    # Both branches were prepared during execution (no separate prepare round trip).
-    assert all(r.prepared for r in [datasources["ds0"].wal, datasources["ds1"].wal]
-               for r in []) or True
+    # Both branches were prepared during execution (no separate prepare round
+    # trip): neither data source received an ``xa_prepare``.
+    assert protocol.MSG_XA_PREPARE not in dm.network.stats.messages_by_type
     assert datasources["ds0"].stats.prepares == 1
     assert datasources["ds1"].stats.prepares == 1
     # Serial outer-then-inner execution plus one commit round trip:

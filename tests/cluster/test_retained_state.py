@@ -19,14 +19,13 @@ from repro import ExperimentConfig, TopologyConfig, YCSBConfig, run_experiment
 from repro.cluster import deployment
 from repro.core import GeoAgentConfig, GeoTPConfig
 from repro.middleware import middleware as middleware_module
-from repro.storage import datasource as datasource_module
 from repro.storage.datasource import DataSource, DataSourceConfig
 from repro.storage.transaction import LocalTransaction
 from repro.storage.wal import WriteAheadLog
 from repro.workloads.arrivals import ArrivalConfig
 
 RETENTION = 16          # finished branches per data source
-CHECKPOINT = 32         # WAL retention horizon
+CHECKPOINT = 16         # decision-log retention horizon
 XID_RETENTION = 32      # agent id maps
 HOTSPOT_CAPACITY = 64
 
@@ -51,7 +50,6 @@ def small_caps(monkeypatch):
     monkeypatch.setattr(deployment, "GeoAgentConfig", partial(
         GeoAgentConfig, xid_retention=XID_RETENTION))
     small_wal = partial(WriteAheadLog, checkpoint_records=CHECKPOINT)
-    monkeypatch.setattr(datasource_module, "WriteAheadLog", small_wal)
     monkeypatch.setattr(middleware_module, "WriteAheadLog", small_wal)
 
 
@@ -81,7 +79,6 @@ def census(cluster, clients):
                 if isinstance(value, (list, tuple, set, frozenset, dict)):
                     problems.append((f"{where}.transactions.{field}",
                                      f"{txn.xid} holds a {type(value).__name__}"))
-        problems += _wal_problem(f"{where}.wal", ds.wal)
         locks = ds.lock_manager
         held = sum(len(keys) for keys in locks._held_by_txn.values())
         waited = sum(len(requests) for requests in locks._pending_by_txn.values())
@@ -155,13 +152,11 @@ def test_the_caps_are_the_ones_the_census_reads(small_caps):
     try:
         assert {ds.config.finished_txn_retention
                 for ds in cluster.datasources.values()} == {RETENTION}
-        assert {ds.wal.checkpoint_records
-                for ds in cluster.datasources.values()} == {CHECKPOINT}
         assert cluster.middleware.wal.checkpoint_records == CHECKPOINT
         assert {agent.config.xid_retention
                 for agent in cluster.agents.values()} == {XID_RETENTION}
         assert cluster.middleware.footprint.capacity == HOTSPOT_CAPACITY
-        assert any(ds.wal.checkpoints for ds in cluster.datasources.values())
+        assert cluster.middleware.wal.checkpoints > 0
         assert cluster.middleware.footprint.evictions > 0
     finally:
         cluster.close()

@@ -11,6 +11,7 @@ timing claims:
 
 import pytest
 
+from repro import protocol
 from repro.common import Operation, OpType, TxnOutcome
 from repro.core import GeoAgent, GeoAgentConfig, GeoTPConfig, GeoTPCoordinator
 from repro.middleware import (
@@ -22,6 +23,8 @@ from repro.middleware import (
 )
 from repro.sim import ConstantLatency, Environment, Network
 from repro.storage import DataSource, DataSourceConfig, MySQLDialect
+from repro.storage.transaction import TxnState
+from repro.storage.wal import LogRecordType
 
 
 def build_geotp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0,
@@ -65,6 +68,24 @@ def run_txn(env, dm, spec):
     proc = dm.submit(spec)
     env.run(until=proc)
     return proc.value
+
+
+def record_requests(dm):
+    """Record ``(participant, verb)`` of every timed request ``dm`` sends."""
+    sent = []
+    request = dm.timed_request_participant
+
+    def recording(handle, msg_type, payload):
+        sent.append((handle.name, msg_type))
+        return request(handle, msg_type, payload)
+
+    dm.timed_request_participant = recording
+    return sent
+
+
+def decisions(dm, txn_id):
+    return [(r.record_type, r.payload["participants"])
+            for r in dm.wal.records() if r.xid == txn_id]
 
 
 def test_geotp_centralized_transaction_commits():
@@ -178,6 +199,66 @@ def test_geotp_early_abort_rolls_back_peers_without_extra_round_trip():
     assert datasources["ds1"].engine.read("p", "usertable", 3).value == {"v": 0}
     assert agents["ds0"].stats.early_abort_notifications >= 1
 
+
+
+def test_geotp_logs_the_commit_decision_then_sends_one_commit_per_branch():
+    env, net, dm, datasources, agents = build_geotp_cluster(rtts=(10.0, 100.0))
+    sent = record_requests(dm)
+    result = run_txn(env, dm, TransactionSpec.from_operations([update(0), update(1)]))
+    assert result.outcome is TxnOutcome.COMMITTED
+    assert decisions(dm, result.txn_id) == [(LogRecordType.COMMIT, ["ds0", "ds1"])]
+    # The votes came from the agents: no prepare request, one commit each.
+    assert sent == [("ds0", protocol.MSG_XA_COMMIT), ("ds1", protocol.MSG_XA_COMMIT)]
+
+
+def test_geotp_early_abort_logs_the_abort_and_sends_no_rollback():
+    env, net, dm, datasources, agents = build_geotp_cluster(
+        rtts=(10.0, 100.0), lock_wait_timeout_ms=10.0)
+    sent = record_requests(dm)
+    blocker = dm.submit(TransactionSpec.from_operations([update(0, 1), update(1, 1)]))
+
+    def victim():
+        yield env.timeout(5)
+        return (yield dm.submit(TransactionSpec.from_operations(
+            [update(0, 2), update(3, 2)])))
+
+    aborted = env.process(victim())
+    env.run()
+    assert blocker.value.outcome is TxnOutcome.COMMITTED
+    result = aborted.value
+    assert result.outcome is TxnOutcome.ABORTED
+    assert decisions(dm, result.txn_id) == [(LogRecordType.ABORT, ["ds0", "ds1"])]
+    # The agents rolled the branches back among themselves.
+    assert protocol.MSG_XA_ROLLBACK not in {verb for _name, verb in sent}
+    for ds in datasources.values():
+        (branch,) = [txn for xid, txn in ds.transactions.items()
+                     if xid.rpartition(".")[0] == result.txn_id]
+        assert branch.state is TxnState.ABORTED
+
+
+def test_geotp_centralized_abort_sends_its_rollback():
+    """A single-branch transaction has no peers to abort it early."""
+    config = GeoTPConfig(enable_latency_aware_scheduling=False,
+                         enable_high_contention_optimization=False)
+    env, net, dm, datasources, agents = build_geotp_cluster(
+        rtts=(10.0, 100.0), lock_wait_timeout_ms=10.0, geotp_config=config)
+    sent = record_requests(dm)
+    # The blocker holds key 0 on ds0 for about ds1's round trip.
+    blocker = dm.submit(TransactionSpec.from_operations([update(0, 1), update(1, 1)]))
+
+    def victim():
+        yield env.timeout(5)
+        return (yield dm.submit(TransactionSpec.from_operations(
+            [update(0, 2), update(2, 2)])))
+
+    aborted = env.process(victim())
+    env.run()
+    assert blocker.value.outcome is TxnOutcome.COMMITTED
+    result = aborted.value
+    assert result.outcome is TxnOutcome.ABORTED and not result.is_distributed
+    assert decisions(dm, result.txn_id) == [(LogRecordType.ABORT, ["ds0"])]
+    assert ("ds0", protocol.MSG_XA_ROLLBACK) in sent
+    assert datasources["ds0"].engine.read("p", "usertable", 2).value == {"v": 0}
 
 def test_geotp_concurrent_transactions_all_commit_without_conflicts():
     env, net, dm, datasources, agents = build_geotp_cluster(rtts=(10.0, 100.0))

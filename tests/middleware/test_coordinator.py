@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.common import Operation, OpType, TxnOutcome
+from repro import protocol
+from repro.common import COSTS, Operation, OpType, TxnOutcome
 from repro.middleware import (
     ModuloPartitioner,
     ParticipantHandle,
     TransactionSpec,
     TwoPhaseCommitCoordinator,
 )
-from repro.middleware.connection_pool import ConnectionPoolSet
 from repro.sim import ConstantLatency, Environment, Network
 from repro.storage import DataSource, DataSourceConfig, MySQLDialect
 
@@ -171,32 +171,24 @@ def test_decision_log_flushed_before_commit_dispatch():
     assert len(decisions) == 1
 
 
-def test_round_fan_out_waits_for_an_exhausted_pool_and_returns_every_connection():
-    """A batch that finds its pool empty is sent once a connection comes back."""
-    env = Environment()
-    net = Network(env)
-    names = ["ds0", "ds1"]
-    participants = {}
-    for name, rtt in zip(names, (10.0, 40.0)):
-        ds = DataSource(env, net, DataSourceConfig(name=name, dialect=MySQLDialect()))
-        ds.load_table("usertable", {key: {"v": 0} for key in range(20)})
-        participants[name] = ParticipantHandle(name=name, endpoint=name,
-                                               dialect=MySQLDialect())
-        net.set_link("dm", name, ConstantLatency(rtt))
-    dm = TwoPhaseCommitCoordinator(env, net, "dm", participants,
-                                   ModuloPartitioner(names))
-    dm.pools = ConnectionPoolSet(env, capacity=1)
-    # Three distributed transactions on disjoint keys, submitted together:
-    # each round needs the single connection of both pools.
+def test_concurrent_distributed_rounds_are_not_serialised():
+    """Rounds of transactions on disjoint keys travel side by side: no batch
+    waits for another transaction's batch to the same data source."""
+    env, net, dm, datasources, partitioner = build_ssp_cluster(rtts=(10.0, 40.0))
     procs = [dm.submit(TransactionSpec.from_operations(
         [update(2 * i), update(2 * i + 1)], rounds=2)) for i in range(3)]
-    env.run(until=0.6)      # past the analysis cost: the first round is out
-    assert dm.pools.pool("ds0").waiting == 2 and dm.pools.pool("ds0").in_use == 1
     env.run()
     assert [p.value.outcome for p in procs] == [TxnOutcome.COMMITTED] * 3
-    # Execution is serialised by the pool: the last one waits for two others.
-    latencies = sorted(p.value.latency_ms for p in procs)
-    assert latencies[0] < latencies[1] < latencies[2]
-    for name in names:
-        pool = dm.pools.pool(name)
-        assert pool.in_use == 0 and pool.waiting == 0
+    assert len({p.value.latency_ms for p in procs}) == 1
+
+
+def test_a_batch_whose_coordinator_crashed_while_it_waited_is_not_sent():
+    env, net, dm, datasources, partitioner = build_ssp_cluster()
+    dm.submit(TransactionSpec.from_operations([update(0), update(1)]))
+    # Past the analysis cost, inside the request overhead: both batches are
+    # waiting to be sent when a crash clears the coordinator's contexts.
+    env.run(until=COSTS.analysis_ms + COSTS.middleware_request_ms / 2)
+    dm.active_contexts.clear()
+    env.run(until=1_000.0)
+    assert protocol.MSG_EXECUTE not in net.stats.messages_by_type
+    assert all(not ds.transactions for ds in datasources.values())

@@ -17,13 +17,11 @@ Every registered invariant is checked on the result.  A fault run is judged
 after its drain, on the end state (see ``FaultInjector.drain_until_ms``).
 The checker reads only the result.
 
-Outages and partitions park the messages they cut.  The ``drop`` mode is not
-drawn: a dropped request is never answered, and no system in the model has
-the RPC timeout that :mod:`repro.sim.network` says drop mode needs, so every
-system leaves work live or in doubt under it.  A region outage that never
-heals is not drawn either, for the same reason: the requests it parks are
-never answered.  The smallest run of each is pinned below as an expected
-failure until the model has that timeout.
+Outages and partitions park the messages they cut and deliver them after
+the heal.  A region outage that never heals is not drawn: the requests it
+parks are never answered, and no system in the model has an RPC timeout, so
+every system leaves work live or in doubt under it.  Its smallest run is
+pinned below as an expected failure until the model has that timeout.
 
 The run is derandomized, so tier-1 replays the same examples every time.
 Tier-1 runs :data:`TIER1_EXAMPLES` of them; CI's fuzz step passes
@@ -45,7 +43,6 @@ from repro.recovery.chaos import KNEE_TPS
 from repro.recovery.failures import FAULT_NAMES
 from repro.recovery.invariants import violations
 from repro.sim.latency import DynamicLatency
-from repro.sim.network import DROP, PARK
 from repro.workloads.arrivals import ARRIVAL_PROCESSES, ArrivalConfig
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.ycsb import YCSBConfig
@@ -94,7 +91,7 @@ def fault_events(draw, duration_ms: float) -> FaultEvent:
     peer = (draw(node.filter(lambda name: name != target))
             if kind is FaultKind.PARTITION else None)
     return FaultEvent(kind=kind, at_ms=at_ms, duration_ms=heal_ms,
-                      target=target, peer=peer, mode=PARK)
+                      target=target, peer=peer)
 
 
 def plan(*events: FaultEvent):
@@ -225,25 +222,12 @@ def test_a_drawn_config_drains_with_no_invariant_violation(config):
     assert violations(summary.invariants) == []
 
 
-@pytest.mark.xfail(strict=True, reason="a dropped request is never answered: "
-                   "no system has an RPC timeout")
-def test_a_request_dropped_by_an_outage_is_resolved_after_the_drain():
-    # The fuzzer's shrunk drop-mode finding: the first request to ds0 is
-    # dropped, and the one transaction waits for its reply forever.
-    config = ExperimentConfig(
-        system="ssp", workload="ycsb", terminals=1, duration_ms=1_500.0,
-        warmup_ms=WARMUP_MS, ycsb=YCSBConfig(skew=0.0, distributed_ratio=0.0),
-        fault_plan=plan(FaultEvent(kind=FaultKind.REGION_OUTAGE, at_ms=0.0,
-                                   duration_ms=1.0, target="ds0", mode=DROP)),
-        seed=89)
-    assert violations(run_experiment(config).invariants) == []
-
-
 @pytest.mark.xfail(strict=True, reason="a request parked by a never-healing "
                    "outage is never answered: no system has an RPC timeout")
 def test_a_request_parked_by_a_never_healing_outage_is_resolved_after_the_drain():
-    # The drop-mode run above with a park-mode outage that never heals: the
-    # drain exempts the cut node, but not the transaction waiting on it.
+    # The smallest such run: the first request to ds0 is parked by an outage
+    # that never heals.  The drain exempts the cut node, but not the
+    # one transaction waiting forever for its reply.
     config = ExperimentConfig(
         system="ssp", workload="ycsb", terminals=1, duration_ms=1_500.0,
         warmup_ms=WARMUP_MS, ycsb=YCSBConfig(skew=0.0, distributed_ratio=0.0),

@@ -4,16 +4,20 @@ The never-blocking XA verbs are a start function plus a ``call_at`` finish
 function, and a round's batches travel as timers and callbacks instead of one
 process each.  A crash must treat both exactly as it treated the generators
 they replaced: the finish function still runs and re-checks the branch, the
-reply callback still returns the pooled connection.  Each case below strikes
-at an instant picked (from a fault-free probe of the same seed) to fall inside
-a verb's cost window while batches are in flight — the test checks that it
-did — and pins the run's outcome.
+reply callback still collects the batch's result.  Each case below strikes at
+an instant picked (from a fault-free probe of the same seed) to fall inside a
+verb's cost window while batches are in flight — an execute request or its
+reply is on the wire; the test checks that it did — and pins the run's
+outcome.
 """
 
 import pytest
 
+from repro import protocol
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.common import SubtxnResult
 from repro.recovery import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.sim.network import Message
 from repro.workloads.ycsb import YCSBConfig
 
 #: Timer callbacks of a verb whose cost is being paid / of a fan-out batch.
@@ -60,15 +64,27 @@ CASES = {
 }
 
 
-def _connections_in_use(cluster):
-    return sum(pool.in_use for middleware in cluster.middlewares
-               for pool in middleware.pools.pools().values())
+_EXECUTE_VERBS = {protocol.MSG_EXECUTE, protocol.MSG_AGENT_EXECUTE}
+
+
+def _executes_in_flight(cluster):
+    """Pending deliveries of a round's execute requests and of their replies."""
+    in_flight = 0
+    for entry in cluster.env._queue:
+        args = getattr(entry[3], "args", None)
+        if getattr(entry[3], "fn", None) is None or not args:
+            continue
+        if isinstance(args[0], Message):
+            in_flight += args[0].msg_type in _EXECUTE_VERBS
+        elif len(args) == 2:  # a reply: (reply event, value)
+            in_flight += isinstance(args[1], SubtxnResult)
+    return in_flight
 
 
 @pytest.fixture
 def strikes(monkeypatch):
     """Record, at the instant a fault strikes, which verb timers are pending
-    and how many pooled connections are checked out."""
+    and how many execute requests or replies are on the wire."""
     seen = []
 
     def snapshot(injector):
@@ -76,7 +92,7 @@ def strikes(monkeypatch):
         pending = {getattr(entry[3].fn, "__name__", "")
                    for entry in cluster.env._queue
                    if getattr(entry[3], "fn", None) is not None}
-        seen.append((pending & _VERB_TIMERS, _connections_in_use(cluster)))
+        seen.append((pending & _VERB_TIMERS, _executes_in_flight(cluster)))
 
     for name in ("_crash_middleware", "_crash_datasource_proc"):
         original = getattr(FaultInjector, name)
@@ -121,8 +137,8 @@ def test_crash_inside_a_cost_window_with_a_fan_out_in_flight(
             expected["p99_latency_ms"], rel=1e-9)
 
         # The run drained past ``duration_ms``, so what was in flight has
-        # finished: every connection a batch checked out must be back.
-        assert _connections_in_use(cluster) == 0
+        # finished: no execute request or reply is left on the wire.
+        assert _executes_in_flight(cluster) == 0
         for middleware in cluster.middlewares:
             assert not middleware.active_processes
     finally:

@@ -179,30 +179,6 @@ def test_disrupted_node_parks_messages_and_releases_them_on_heal():
     assert net.stats.messages_parked == 2
 
 
-def test_drop_mode_discards_messages_permanently():
-    env, net, a, b = make_net(rtt_ab=100)
-    received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append(msg.msg_type)
-
-    def sender():
-        net.disrupt_node("b", mode="drop")
-        a.send("b", "lost")
-        yield env.timeout(200)
-        net.restore_node("b")
-        a.send("b", "after_heal")
-        yield env.timeout(0)
-
-    env.process(receiver(), daemon=True)
-    env.process(sender())
-    env.run(until=1000)
-    assert received == ["after_heal"]
-    assert net.stats.messages_dropped == 1
-
-
 def test_outage_parks_the_reply_leg_of_an_rpc_in_flight():
     """An RPC whose request got through still stalls on the blocked reply."""
     env, net, a, b = make_net(rtt_ab=100)
@@ -316,9 +292,88 @@ def test_released_messages_still_honour_other_active_disruptions():
     assert net._faults is None
 
 
+def test_one_way_partition_parks_only_the_cut_direction():
+    env, net, a, b = make_net(rtt_ab=100)
+    received = []
+
+    def receiver(iface):
+        while True:
+            msg = yield iface.receive()
+            received.append((env.now, msg.msg_type))
+
+    def sender():
+        net.disrupt_link("a", "b", symmetric=False)
+        a.send("b", "a_to_b")
+        b.send("a", "b_to_a")       # the reverse link still flows
+        yield env.timeout(100)
+        net.restore_link("a", "b", symmetric=False)
+        yield env.timeout(0)
+
+    env.process(receiver(a), daemon=True)
+    env.process(receiver(b), daemon=True)
+    env.process(sender())
+    env.run(until=1000)
+    assert received == [(50.0, "b_to_a"), (150.0, "a_to_b")]
+    assert net.stats.messages_parked == 1
+    assert net._faults is None
+
+
+def test_a_node_cut_twice_is_released_by_one_heal():
+    env, net, a, b = make_net(rtt_ab=100)
+    received = []
+
+    def receiver():
+        while True:
+            msg = yield b.receive()
+            received.append((env.now, msg.msg_type))
+
+    def sender():
+        net.disrupt_node("b")
+        a.send("b", "first")
+        net.disrupt_node("b")       # already cut: the cut is not stacked
+        a.send("b", "second")
+        yield env.timeout(100)
+        net.restore_node("b")
+        yield env.timeout(0)
+
+    env.process(receiver(), daemon=True)
+    env.process(sender())
+    env.run(until=1000)
+    assert received == [(150.0, "first"), (150.0, "second")]
+    assert net._faults is None
+
+
+def test_healing_what_was_never_cut_changes_nothing():
+    env, net, a, b = make_net(rtt_ab=100)
+    net.restore_node("b")
+    net.restore_link("a", "b")
+    assert net._faults is None
+    received = []
+
+    def receiver():
+        while True:
+            msg = yield b.receive()
+            received.append((env.now, msg.msg_type))
+
+    def sender():
+        net.disrupt_node("b")
+        a.send("b", "parked")
+        net.restore_node("a")        # a is not cut
+        net.restore_link("a", "b")   # nor is the a-b link
+        yield env.timeout(100)
+        net.restore_node("b")
+        yield env.timeout(0)
+
+    env.process(receiver(), daemon=True)
+    env.process(sender())
+    env.run(until=1000)
+    # The unrelated heals neither released nor lost the parked message.
+    assert received == [(150.0, "parked")]
+    assert net.stats.messages_parked == 1
+    assert net._faults is None
+
+
 def test_degrade_factor_below_one_rejected():
     env, net, a, b = make_net()
     with pytest.raises(ValueError):
         net.degrade_node("b", 0.5)
-    with pytest.raises(ValueError):
-        net.disrupt_node("b", mode="teleport")

@@ -109,9 +109,7 @@ def test_result_records_are_the_batch_distinct_ids_in_first_touch_order():
     # The very tuples the operations carry; the lock table keys on them too.
     assert result.records[0] is batch[0].record_id
     assert ds.lock_manager.locks_held("x4") == set(result.records)
-    # The PREPARE record counts the distinct records written, not a copy of them.
-    (prepare,) = ds.wal.records_for("x4")
-    assert prepare.payload == {"writes": 2}
+    assert ds.transactions["x4"].state is TxnState.PREPARED
 
 
 def test_lock_timeout_aborts_subtransaction():

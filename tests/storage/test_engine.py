@@ -44,7 +44,6 @@ def test_commit_writes_installs_values_and_bumps_version():
     snapshot = engine.read("anyone", "t", "k")
     assert snapshot.value == "new"
     assert snapshot.version == 2
-    assert engine.write_count("txn") == 0
     assert "txn" not in engine._write_sets
 
 
@@ -75,18 +74,15 @@ def test_write_set_snapshot():
     assert engine.read("other", "tab", "k2") is None
 
 
-def test_write_count_counts_without_copying():
+def test_buffered_writes_commit_once_per_record():
     engine = StorageEngine()
-    assert engine.write_count("t") == 0
-    assert not engine._write_sets                     # asking creates nothing
     engine.buffer_write("t", "tab", "k1", 1)
     engine.buffer_write("t", "tab", "k2", 2)
     engine.buffer_write("t", "tab", "k1", 3)         # same record again
     engine.buffer_write("t", "tab", "k3", 4, record_id=("tab", "k3"))
-    assert engine.write_count("t") == 3
     assert engine.read("t", "tab", "k3", record_id=("tab", "k3")).value == 4
     assert engine.commit_writes("t") == 3
-    assert engine.write_count("t") == 0
+    assert not engine._write_sets
     assert engine.read("other", "tab", "k1").value == 3
 
 

@@ -42,7 +42,6 @@ OPS = st.one_of(
     st.tuples(st.just("buffer_write"), TXNS, TABLE, KEYS, VALUES),
     st.tuples(st.just("commit_writes"), TXNS),
     st.tuples(st.just("discard_writes"), TXNS),
-    st.tuples(st.just("write_count"), TXNS),
 )
 
 

@@ -107,13 +107,6 @@ def test_wal_abort_decision_recorded():
     assert wal.prepared_xids() == []
 
 
-def test_wal_truncate():
-    wal = WriteAheadLog()
-    wal.append(LogRecordType.COMMIT, "x", 1.0)
-    wal.truncate()
-    assert len(wal) == 0
-
-
 # ---------------------------------------------------------------- checkpointing
 def test_wal_checkpoint_drops_old_decided_records():
     wal = WriteAheadLog(checkpoint_records=4)
