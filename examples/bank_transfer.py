@@ -53,12 +53,12 @@ def run_transfer(system: str) -> None:
     env.run(until=proc)
     result = proc.value
 
-    # ...and one written as annotated SQL, going through the parser.
+    # ...and one written as SQL, going through the parser.
     parser = SqlParser()
     sql_spec = parser.parse_transaction([
         "BEGIN;",
         "UPDATE savings SET balance = 350 WHERE key = 1;",
-        "UPDATE savings SET balance = 1150 WHERE key = 0 /*+ LAST */;",
+        "UPDATE savings SET balance = 1150 WHERE key = 0;",
         "COMMIT;",
     ], txn_type="transfer")
     proc2 = middleware.submit(sql_spec)

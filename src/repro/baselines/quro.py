@@ -36,10 +36,8 @@ def reorder_statements(statements: List[Statement]) -> List[Statement]:
 def reorder_spec(spec: TransactionSpec) -> TransactionSpec:
     """A new spec with every round reordered the QURO way."""
     rounds = [reorder_statements(list(round_)) for round_ in spec.rounds]
-    reordered = TransactionSpec(rounds=rounds, txn_type=spec.txn_type,
-                                metadata=dict(spec.metadata))
-    reordered.mark_last_statements()
-    return reordered
+    return TransactionSpec(rounds=rounds, txn_type=spec.txn_type,
+                           metadata=dict(spec.metadata))
 
 
 class QUROCoordinator(TwoPhaseCommitCoordinator):

@@ -393,7 +393,7 @@ def _apply_fig15(config: ExperimentConfig,
     return config
 
 
-#: Table I deployment scenarios: per-node SQL dialects.
+#: Table I deployment scenarios: per-node engines.
 HETEROGENEOUS_SCENARIOS = {
     "S1": ["mysql", "mysql", "mysql", "mysql"],
     "S2": ["postgresql", "mysql", "postgresql", "mysql"],

@@ -31,7 +31,6 @@ from repro.sim import Environment
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.storage.datasource import DataSource, DataSourceConfig
-from repro.storage.dialects import dialect_by_name
 
 
 def __getattr__(name: str):
@@ -126,7 +125,7 @@ def _build_datasources(env: Environment, network: Network,
     for node in topology.data_nodes:
         config = DataSourceConfig(
             name=node.name,
-            dialect=dialect_by_name(node.dialect),
+            dialect=node.dialect,
             lock_wait_timeout_ms=topology.lock_wait_timeout_ms)
         datasources[node.name] = DataSource(env, network, config)
     return datasources
@@ -177,7 +176,5 @@ def _participant_handles(topology: TopologyConfig,
     handles = {}
     for node in topology.data_nodes:
         endpoint = _agent_name(node.name) if node.name in agents else node.name
-        handles[node.name] = ParticipantHandle(
-            name=node.name, endpoint=endpoint, dialect=dialect_by_name(node.dialect),
-            datasource_node=node.name)
+        handles[node.name] = ParticipantHandle(name=node.name, endpoint=endpoint)
     return handles

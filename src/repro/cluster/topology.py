@@ -9,7 +9,7 @@ multi-middleware experiment (Figure 15) passes ``["beijing", "london"]``
 (the second middleware co-located with the London data node), a fleet of K
 co-located coordinators passes ``["beijing"] * K``.
 
-A :class:`TopologyConfig` captures data nodes (with region, SQL dialect and an
+A :class:`TopologyConfig` captures data nodes (with region, engine and an
 optional explicit link to the first middleware), middlewares (name and region)
 and cluster-wide settings such as the LAN RTT between a geo-agent and its data
 source.
@@ -57,6 +57,8 @@ class DataNodeSpec:
 
     name: str
     region: str = "beijing"
+    #: The node's engine (``"mysql"`` or ``"postgresql"``): the name that keys
+    #: its ``CostModel`` row.
     dialect: str = "mysql"
     #: Explicit RTT from the (first) middleware; overrides the region matrix.
     rtt_to_dm_ms: Optional[float] = None

@@ -8,7 +8,7 @@ to talk about operations, votes, outcomes and service times (:data:`COSTS`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 
@@ -40,10 +40,20 @@ class CostModel:
     agent_forward_ms: float = 0.1
     scalardb_state_write_ms: float = 1.0
 
-    def engine(self, dialect: str) -> Tuple[float, ...]:
-        """``dialect``'s read, write, prepare, commit and local-abort costs."""
-        return tuple(getattr(self, f"{dialect}_{step}_ms")
-                     for step in ("read", "write", "prepare", "commit", "abort"))
+    def engine(self, name: str) -> Tuple[float, ...]:
+        """Engine ``name``'s read, write, prepare, commit and local-abort costs.
+
+        An engine exists exactly when it has a ``<name>_read_ms`` row; any
+        other name raises :class:`ValueError` listing the known engines.
+        """
+        try:
+            return tuple(getattr(self, f"{name}_{step}_ms")
+                         for step in ("read", "write", "prepare", "commit", "abort"))
+        except AttributeError:
+            known = [f.name[:-len("_read_ms")] for f in fields(self)
+                     if f.name.endswith("_read_ms")]
+            raise ValueError(f"unknown engine {name!r}; known engines: "
+                             f"{', '.join(known)}") from None
 
 
 COSTS = CostModel()

@@ -48,14 +48,12 @@ class GeoAgentConfig:
 #: Verbs forwarded verbatim to the co-located data source.
 _FORWARDED_VERBS = (
     protocol.MSG_EXECUTE,
-    protocol.MSG_XA_START,
     protocol.MSG_XA_END,
     protocol.MSG_XA_PREPARE,
     protocol.MSG_XA_COMMIT,
     protocol.MSG_XA_ROLLBACK,
     protocol.MSG_COMMIT_ONE_PHASE,
     protocol.MSG_LIST_PREPARED,
-    protocol.MSG_TXN_STATE,
     protocol.MSG_PING,
     protocol.MSG_KV_GET,
     protocol.MSG_KV_PUT,

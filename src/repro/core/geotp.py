@@ -3,10 +3,10 @@
 This is the paper's contribution assembled from its three techniques:
 
 * **O1 — decentralized prepare & early abort** (§IV-A): the coordinator talks to
-  geo-agents instead of raw data sources; statement batches carrying the
-  last-statement annotation trigger the prepare phase at the agent, and the
-  coordinator merely waits for the asynchronous votes before the commit round
-  trip.  On execution failure the agents abort each other directly.
+  geo-agents instead of raw data sources; the final round's statement batches
+  carry the last-statement flag that triggers the prepare phase at the agent,
+  and the coordinator merely waits for the asynchronous votes before the
+  commit round trip.  On execution failure the agents abort each other directly.
 * **O2 — latency-aware scheduling** (§IV-B): per interaction round, dispatch of
   each participant's batch is postponed by ``max_s tau_s - tau_j`` so that fast
   links stop holding locks while waiting for slow links.
@@ -195,9 +195,9 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
         payload = super().execute_payload(ctx, plan, is_final_round)
         payload["coordinator"] = self.name
         payload["peers"] = self._peers(ctx, plan.datasource)
-        # The final interaction round plays the role of the annotated last
-        # statement (the workloads annotate it explicitly; the middleware
-        # also knows it is final because the client submitted the spec).
+        # The final interaction round plays the role of the paper's annotated
+        # last statement: the client submitted the whole spec, so the
+        # middleware knows which round is final.
         payload["is_last"] = is_final_round
         return payload
 

@@ -10,7 +10,7 @@ for the paper's CPU/memory measurements (Figure 6).  Subclasses implement
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -21,7 +21,6 @@ from repro.middleware.router import Partitioner
 from repro.middleware.statements import TransactionSpec
 from repro.sim import Environment, Interrupt, Process
 from repro.sim.network import Message, Network, NetworkInterface
-from repro.storage.dialects import Dialect, MySQLDialect
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # annotation only: repro.core imports this module
@@ -39,14 +38,6 @@ class ParticipantHandle:
 
     name: str
     endpoint: str
-    dialect: Dialect = field(default_factory=MySQLDialect)
-    #: Name of the raw data source node (== name); kept explicit for clarity
-    #: when the endpoint is a geo-agent.
-    datasource_node: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.datasource_node is None:
-            self.datasource_node = self.name
 
 
 class MiddlewareStats:

@@ -2,15 +2,16 @@
 
 The real ShardingSphere embeds a full SQL engine; the experiments only ever
 issue key-predicate reads and updates, so the parser here recognises exactly
-that subset plus the GeoTP annotation that marks a transaction's last
-statement:
+that subset:
 
 * ``BEGIN`` / ``COMMIT`` / ``ROLLBACK``
 * ``SELECT <columns> FROM <table> WHERE <key_col> = <value> [FOR SHARE]``
 * ``UPDATE <table> SET <col> = <value> WHERE <key_col> = <value>``
 * ``INSERT INTO <table> (<key_col>, <col>) VALUES (<key>, <value>)``
-* annotations: a ``/*+ LAST */`` hint (prefix or suffix comment) or a
-  trailing ``/* last statement */`` comment.
+
+No run parses SQL: the workloads build statements from operations.  The
+parser serves the examples, its tests and the perf ledger's
+``middleware.parse_ns`` micro.
 
 Keys are returned as ``int`` when the literal looks numeric, otherwise as the
 unquoted string, which matches how the workloads generate keys.
@@ -30,7 +31,6 @@ class ParseError(Exception):
     """The SQL text did not match the supported grammar."""
 
 
-_ANNOTATION_RE = re.compile(r"/\*\+?\s*last(?:\s+statement)?\s*\*/", re.IGNORECASE)
 _SELECT_RE = re.compile(
     r"^select\s+.+?\s+from\s+(?P<table>\w+)\s+where\s+(?P<col>\w+)\s*=\s*(?P<key>[^;\s]+)"
     r"(?:\s+for\s+share|\s+for\s+update)?\s*$",
@@ -70,12 +70,10 @@ class SqlParser:
     """Parses SQL text into :class:`Statement` objects and transaction specs."""
 
     def parse_statement(self, sql: str) -> ParsedStatement:
-        """Parse one SQL statement (may carry a last-statement annotation)."""
-        original = sql
-        is_last = bool(_ANNOTATION_RE.search(sql))
-        text = _ANNOTATION_RE.sub("", sql).strip().rstrip(";").strip()
+        """Parse one SQL statement."""
+        text = sql.strip().rstrip(";").strip()
         if not text:
-            raise ParseError(f"empty statement: {original!r}")
+            raise ParseError(f"empty statement: {sql!r}")
 
         lowered = text.lower()
         if lowered == "begin" or lowered.startswith("start transaction"):
@@ -90,7 +88,7 @@ class SqlParser:
             operation = Operation(op_type=OpType.READ, table=select.group("table"),
                                   key=_unquote(select.group("key")))
             return ParsedStatement(kind="dml", statement=Statement(
-                operation=operation, sql=original.strip(), is_last=is_last))
+                operation=operation, sql=sql.strip()))
 
         update = _UPDATE_RE.match(text)
         if update:
@@ -99,34 +97,31 @@ class SqlParser:
             operation = Operation(op_type=OpType.UPDATE, table=update.group("table"),
                                   key=_unquote(update.group("key")), value=value)
             return ParsedStatement(kind="dml", statement=Statement(
-                operation=operation, sql=original.strip(), is_last=is_last))
+                operation=operation, sql=sql.strip()))
 
         insert = _INSERT_RE.match(text)
         if insert:
             cols = [c.strip() for c in insert.group("cols").split(",")]
             vals = [_unquote(v) for v in insert.group("vals").split(",")]
             if not cols or len(cols) != len(vals):
-                raise ParseError(f"column/value arity mismatch in {original!r}")
+                raise ParseError(f"column/value arity mismatch in {sql!r}")
             key = vals[0]
             value = dict(zip(cols[1:], vals[1:])) if len(vals) > 1 else None
             operation = Operation(op_type=OpType.WRITE, table=insert.group("table"),
                                   key=key, value=value)
             return ParsedStatement(kind="dml", statement=Statement(
-                operation=operation, sql=original.strip(), is_last=is_last))
+                operation=operation, sql=sql.strip()))
 
-        raise ParseError(f"unsupported SQL: {original!r}")
+        raise ParseError(f"unsupported SQL: {sql!r}")
 
     def parse_transaction(self, sql_lines: List[str], txn_type: str = "sql") -> TransactionSpec:
         """Parse a BEGIN...COMMIT block into a single-round transaction spec.
 
-        Statements between BEGIN and COMMIT form one round; the last DML
-        statement is annotated as the transaction's last statement unless an
-        explicit annotation appears earlier.
+        Statements between BEGIN and COMMIT form one round.
         """
         statements: List[Statement] = []
         saw_begin = False
         saw_commit = False
-        explicit_last = False
         for line in sql_lines:
             if not line.strip():
                 continue
@@ -140,11 +135,8 @@ class SqlParser:
                 raise ParseError("cannot build a transaction spec from a ROLLBACK block")
             else:
                 statements.append(parsed.statement)
-                explicit_last = explicit_last or parsed.statement.is_last
         if not saw_begin or not saw_commit:
             raise ParseError("transaction text must be wrapped in BEGIN ... COMMIT")
         if not statements:
             raise ParseError("transaction contains no DML statements")
-        if not explicit_last:
-            statements[-1].is_last = True
         return TransactionSpec(rounds=[statements], txn_type=txn_type)

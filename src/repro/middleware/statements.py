@@ -2,10 +2,9 @@
 
 A client transaction is a :class:`TransactionSpec`: an ordered list of
 *rounds*, each round being the batch of statements the client sends together
-before waiting for results (the paper's "interaction rounds", Fig. 14).  The
-last statement of a transaction may carry the annotation the paper relies on
-(``/*+ LAST */``) so that GeoTP's decentralized prepare can fire as soon as it
-has executed.
+before waiting for results (the paper's "interaction rounds", Fig. 14).
+GeoTP's decentralized prepare fires on the final round's batches, which the
+coordinator knows from the round index.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ _spec_ids = count(1)
 
 @dataclass(slots=True)
 class Statement:
-    """One SQL statement: the parsed operation plus annotations."""
+    """One SQL statement: the parsed operation and, if parsed, its text."""
 
     operation: Operation
     sql: Optional[str] = None
-    #: Client-provided annotation marking the transaction's last statement.
-    is_last: bool = False
 
     @property
     def record_id(self) -> Tuple[str, Hashable]:
@@ -92,18 +89,6 @@ class TransactionSpec:
         """The set of tables touched."""
         return {stmt.operation.table for stmt in self.all_statements}
 
-    # ------------------------------------------------------------ annotations
-    def mark_last_statements(self) -> None:
-        """Annotate every statement of the final round as a last statement.
-
-        The paper assumes the client (or a preprocessing step) marks the last
-        statement; when several statements are batched in the final round they
-        may each be the last one their target data source sees, so all of them
-        carry the hint.
-        """
-        for stmt in self.rounds[-1]:
-            stmt.is_last = True
-
     # -------------------------------------------------------------- factories
     @classmethod
     def from_operations(cls, operations: Iterable[Operation], txn_type: str = "generic",
@@ -118,6 +103,4 @@ class TransactionSpec:
         for start in range(0, len(ops), per_round):
             batch = [Statement(operation=op) for op in ops[start:start + per_round]]
             batches.append(batch)
-        spec = cls(rounds=batches, txn_type=txn_type, metadata=dict(metadata or {}))
-        spec.mark_last_statements()
-        return spec
+        return cls(rounds=batches, txn_type=txn_type, metadata=dict(metadata or {}))

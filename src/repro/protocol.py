@@ -8,15 +8,15 @@ controls used by the recovery tests.
 """
 
 # --- XA protocol verbs (middleware / geo-agent -> data source) --------------
+MSG_EXECUTE = "execute"                      # ``auto_start`` opens the branch
+#: Only perf_ledger/micro.py (``storage.xa_roundtrip_us``) sends this verb.
 MSG_XA_START = "xa_start"
-MSG_EXECUTE = "execute"
 MSG_XA_END = "xa_end"
 MSG_XA_PREPARE = "xa_prepare"
 MSG_XA_COMMIT = "xa_commit"
 MSG_XA_ROLLBACK = "xa_rollback"
 MSG_COMMIT_ONE_PHASE = "commit_one_phase"
 MSG_LIST_PREPARED = "list_prepared"
-MSG_TXN_STATE = "txn_state"
 
 # --- Geo-agent control (middleware -> geo-agent, geo-agent -> geo-agent) ----
 MSG_AGENT_EXECUTE = "agent_execute"          # forward statements; may carry last-statement flag

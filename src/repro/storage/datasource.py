@@ -7,9 +7,10 @@ sessions do in a real database server.
 
 Supported verbs (see :mod:`repro.protocol`):
 
-* XA lifecycle: ``xa_start``, ``execute``, ``xa_end``, ``xa_prepare``,
-  ``xa_commit``, ``xa_rollback``, ``commit_one_phase``;
-* recovery support: ``list_prepared``, ``txn_state``, ``crash``, ``restart``;
+* XA lifecycle: ``execute`` (whose ``auto_start`` opens the branch),
+  ``xa_end``, ``xa_prepare``, ``xa_commit``, ``xa_rollback``,
+  ``commit_one_phase`` and ``xa_start``;
+* recovery support: ``list_prepared``, ``crash``, ``restart``, ``ping``;
 * a plain key-value interface (``kv_get`` / ``kv_put`` / ``kv_put_if_version``)
   used by the ScalarDB-style baseline, which keeps concurrency control in the
   middleware instead of the data source.
@@ -18,7 +19,7 @@ Supported verbs (see :mod:`repro.protocol`):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Hashable, List, Mapping, Optional
 
 from repro.common import (COSTS, AbortReason, Operation, OperationResult, OpType,
@@ -26,7 +27,6 @@ from repro.common import (COSTS, AbortReason, Operation, OperationResult, OpType
 from repro import protocol
 from repro.sim import Environment
 from repro.sim.network import Message, Network, NetworkInterface
-from repro.storage.dialects import Dialect, MySQLDialect
 from repro.storage.engine import StorageEngine
 from repro.storage.lock_manager import (
     LOCK_WAIT_TIMEOUT_MS,
@@ -42,15 +42,15 @@ class DataSourceConfig:
     """Static configuration of one data source node."""
 
     name: str
-    dialect: Dialect = field(default_factory=MySQLDialect)
+    #: The node's engine: the name that keys its ``CostModel`` row.
+    dialect: str = "mysql"
     #: Lock-wait timeout; the paper configures 5 s on MySQL/PostgreSQL.
     lock_wait_timeout_ms: float = LOCK_WAIT_TIMEOUT_MS
     #: How many *finished* (committed/aborted) branches stay queryable for
-    #: idempotent decision re-delivery and ``txn_state`` probes before being
-    #: evicted, oldest first.  Unfinished and PREPARED branches are never
-    #: evicted.  The cap keeps memory O(1) over unbounded open-system runs
-    #: while still covering every idempotent-retry window by orders of
-    #: magnitude.
+    #: idempotent decision re-delivery before being evicted, oldest first.
+    #: Unfinished and PREPARED branches are never evicted.  The cap keeps
+    #: memory O(1) over unbounded open-system runs while still covering every
+    #: idempotent-retry window by orders of magnitude.
     finished_txn_retention: int = 512
 
 
@@ -78,7 +78,7 @@ class DataSource:
         self.name = config.name
         self.dialect = config.dialect
         (self._read_ms, self._write_ms, self._prepare_ms, self._commit_ms,
-         self._abort_ms) = COSTS.engine(config.dialect.name)
+         self._abort_ms) = COSTS.engine(config.dialect)
         self.engine = StorageEngine(name=config.name)
         self.lock_manager = LockManager(
             env, lock_wait_timeout_ms=config.lock_wait_timeout_ms)
@@ -97,7 +97,6 @@ class DataSource:
             protocol.MSG_XA_ROLLBACK: self._on_xa_rollback,
             protocol.MSG_COMMIT_ONE_PHASE: self._on_commit_one_phase,
             protocol.MSG_LIST_PREPARED: self._on_list_prepared,
-            protocol.MSG_TXN_STATE: self._on_txn_state,
             protocol.MSG_KV_GET: self._on_kv_get,
             protocol.MSG_KV_PUT: self._on_kv_put,
             protocol.MSG_KV_PUT_IF_VERSION: self._on_kv_put,
@@ -172,6 +171,8 @@ class DataSource:
 
     # --------------------------------------------------------------- XA verbs
     def _on_xa_start(self, message: Message):
+        # Every coordinator opens a branch with ``execute``'s ``auto_start``;
+        # only perf_ledger/micro.py (``storage.xa_roundtrip_us``) sends this.
         payload = message.payload or {}
         xid = payload["xid"]
         global_txn_id = payload.get("global_txn_id", xid)
@@ -389,8 +390,8 @@ class DataSource:
 
         Keeps :attr:`transactions` O(1) over unbounded runs while leaving the
         most recent ``finished_txn_retention`` finished branches queryable
-        (idempotent decision re-delivery, ``txn_state``).  Only finished
-        branches are ever evicted, so recovery's PREPARED scan is unaffected.
+        (idempotent decision re-delivery).  Only finished branches are ever
+        evicted, so recovery's PREPARED scan is unaffected.
         """
         retention = self.config.finished_txn_retention
         finished = self._finished_xids
@@ -469,12 +470,6 @@ class DataSource:
         prepared = [xid for xid, txn in self.transactions.items()
                     if txn.state is TxnState.PREPARED]
         self._reply(message, {"prepared": prepared})
-
-    def _on_txn_state(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        yield COSTS.datasource_request_ms
-        txn = self.transactions.get(xid)
-        self._reply(message, {"state": txn.state.value if txn else "unknown"})
 
     def _on_crash(self, message: Message):
         """Crash the node: in-flight work is lost, non-prepared branches abort."""

@@ -9,15 +9,13 @@ in-doubt branch the data sources list; a branch whose transaction has no
 decision here is presumed aborted.  (A data source keeps no log of its own:
 its PREPARED branches survive the crash in its branch table.)
 
-Like a real log, this one is **checkpointed**: once the log grows past twice
-the retention horizon, records of *decided* transactions older than the
-newest ``checkpoint_records`` entries are dropped (their outcome is durable in
-the database itself).  Records of in-doubt transactions — a PREPARE with no
-final decision — are always kept, whatever their age.  Open-system runs
-(10⁶+ transactions) rely on this to keep log memory O(1) with run length;
-every query a recovery manager issues (``last_decision`` on an in-doubt xid)
-is unaffected because it only concerns undecided or recently decided
-transactions.
+Like a real log, this one is **checkpointed**: once the log grows to twice
+the retention horizon, every record older than the newest
+``checkpoint_records`` entries is dropped (each one is a decision whose
+outcome is durable in the database itself).  Open-system runs (10⁶+
+transactions) rely on this to keep log memory O(1) with run length; every
+query a recovery manager issues (``last_decision`` on an in-doubt xid) is
+unaffected because it only concerns recently decided transactions.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ from types import MappingProxyType
 from typing import Any, List, Mapping, Optional
 
 #: Default retention horizon: how many of the newest records survive a
-#: checkpoint verbatim.  Compaction triggers at twice this, so the amortized
-#: cost per append is O(1) and the log never exceeds ~2x the horizon (plus
-#: records of still-undecided transactions, bounded by the in-flight count).
+#: checkpoint.  Compaction triggers at twice this, so the amortized cost per
+#: append is O(1) and the log never reaches 2x the horizon.
 #: Kept deliberately small: long-lived log records pin allocator arenas, so a
 #: generous horizon shows up directly as resident-set growth on long runs.
 DEFAULT_CHECKPOINT_RECORDS = 1024
@@ -43,6 +40,8 @@ _NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 class LogRecordType(enum.Enum):
     """The kinds of decisions persisted to the log."""
 
+    #: No coordinator logs a prepare; only perf_ledger/micro.py
+    #: (``storage.wal_append_ns``) appends one.
     PREPARE = "prepare"
     COMMIT = "commit"
     ABORT = "abort"
@@ -86,35 +85,23 @@ class WriteAheadLog:
         return record
 
     def checkpoint(self) -> int:
-        """Drop decided-transaction records older than the retention horizon.
+        """Drop every record older than the retention horizon.
 
-        The newest ``checkpoint_records`` entries are kept verbatim; from the
-        older prefix only records of transactions *without* a final
-        COMMIT/ABORT anywhere in the log survive (in-doubt branches).  Record
-        order is preserved.  Returns the number of records dropped.  Purely a
-        memory operation — no simulated time is charged and no RNG is drawn,
-        so checkpointing can never perturb a run.
+        The newest ``checkpoint_records`` entries are kept, in order.  Returns
+        the number of records dropped.  Purely a memory operation — no
+        simulated time is charged and no RNG is drawn, so checkpointing can
+        never perturb a run.
         """
-        records = self._records
-        horizon = len(records) - self.checkpoint_records
+        horizon = len(self._records) - self.checkpoint_records
         if horizon <= 0:
             return 0
-        decided = {r.xid for r in records
-                   if r.record_type is not LogRecordType.PREPARE}
-        kept = [r for r in records[:horizon] if r.xid not in decided]
-        kept.extend(records[horizon:])
-        dropped = len(records) - len(kept)
-        self._records = kept
+        del self._records[:horizon]
         self.checkpoints += 1
-        return dropped
+        return horizon
 
     def records(self) -> List[WALRecord]:
         """All records in append order."""
         return list(self._records)
-
-    def records_for(self, xid: str) -> List[WALRecord]:
-        """All records belonging to transaction ``xid``."""
-        return [r for r in self._records if r.xid == xid]
 
     def last_decision(self, xid: str) -> Optional[LogRecordType]:
         """The final COMMIT/ABORT decision recorded for ``xid``, if any."""
@@ -123,14 +110,3 @@ class WriteAheadLog:
                     LogRecordType.COMMIT, LogRecordType.ABORT):
                 return record.record_type
         return None
-
-    def prepared_xids(self) -> List[str]:
-        """Xids with a PREPARE record but no final decision (in-doubt)."""
-        decided = {r.xid for r in self._records
-                   if r.record_type in (LogRecordType.COMMIT, LogRecordType.ABORT)}
-        seen: List[str] = []
-        for record in self._records:
-            if (record.record_type is LogRecordType.PREPARE
-                    and record.xid not in decided and record.xid not in seen):
-                seen.append(record.xid)
-        return seen

@@ -21,7 +21,7 @@ from repro.middleware import (
     TransactionSpec,
 )
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect, TxnState
+from repro.storage import DataSource, DataSourceConfig, TxnState
 
 
 def build(coordinator_cls, rtts=(10.0, 100.0)):
@@ -30,7 +30,7 @@ def build(coordinator_cls, rtts=(10.0, 100.0)):
     names = [f"ds{i}" for i in range(len(rtts))]
     datasources, participants = {}, {}
     for name, rtt in zip(names, rtts):
-        ds = DataSource(env, net, DataSourceConfig(name=name, dialect=MySQLDialect()))
+        ds = DataSource(env, net, DataSourceConfig(name=name))
         ds.load_table("usertable", {key: {"v": 0} for key in range(100)})
         datasources[name] = ds
         participants[name] = ParticipantHandle(name=name, endpoint=name)

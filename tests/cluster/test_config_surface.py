@@ -11,7 +11,7 @@ as a read too.  Matching is by name, not by type: the census finds dead
 fields, not duplicated ones.
 
 A second check keeps every service time in :class:`~repro.common.CostModel`:
-no option or dialect dataclass may declare a per-component cost field.
+no option dataclass may declare a per-component cost field.
 """
 
 import ast
@@ -45,7 +45,7 @@ def _is_option_class(name: str) -> bool:
 
 
 def _may_not_hold_costs(name: str) -> bool:
-    return name.endswith(("Config", "Spec", "Policy", "Dialect"))
+    return name.endswith(("Config", "Spec", "Policy"))
 
 
 def option_fields(trees, is_option_class=_is_option_class):
@@ -90,25 +90,25 @@ def test_every_option_field_is_read_somewhere():
 
 
 def cost_copies(trees):
-    """``Class.field`` of every option or dialect field that is a service time."""
+    """``Class.field`` of every option field that is a service time."""
     costs = {field.name for field in dataclasses.fields(CostModel)}
     return [f"{cls}.{name}"
             for cls, name in option_fields(trees, _may_not_hold_costs)
             if name in costs or name.endswith(("_cost_ms", "_overhead_ms"))]
 
 
-def test_no_option_or_dialect_declares_a_service_time():
+def test_no_option_declares_a_service_time():
     assert cost_copies(_trees()) == [], (
         "declare service times once, in repro.common.CostModel")
 
 
 def test_cost_guard_names_each_copy():
     tree = ast.parse("@dataclass(frozen=True)\n"
-                     "class FakeDialect:\n"
+                     "class FakeConfig:\n"
                      "    name: str\n"
                      "    analysis_ms: float = 0.5\n"
                      "    statement_cost_ms: float = 0.4\n"
                      "    hop_overhead_ms: float = 0.1\n")
     assert cost_copies({Path("fake.py"): tree}) == [
-        "FakeDialect.analysis_ms", "FakeDialect.statement_cost_ms",
-        "FakeDialect.hop_overhead_ms"]
+        "FakeConfig.analysis_ms", "FakeConfig.statement_cost_ms",
+        "FakeConfig.hop_overhead_ms"]

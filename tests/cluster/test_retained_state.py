@@ -54,10 +54,8 @@ def small_caps(monkeypatch):
 
 
 def _wal_problem(name, wal):
-    in_doubt = len(wal.prepared_xids())
-    if len(wal) > 2 * wal.checkpoint_records + in_doubt:
-        return [(name, f"{len(wal)} records > 2 x {wal.checkpoint_records} "
-                       f"+ {in_doubt} in doubt")]
+    if len(wal) > 2 * wal.checkpoint_records:
+        return [(name, f"{len(wal)} records > 2 x {wal.checkpoint_records}")]
     return []
 
 
@@ -184,3 +182,10 @@ def test_a_per_record_collection_on_a_branch_trips_the_census_by_name(small_caps
         assert names == {f"datasource[{ds.name}].transactions.first_lock_at"}
     finally:
         cluster.close()
+
+
+def test_a_log_that_never_checkpoints_trips_the_census_by_name(
+        small_caps, monkeypatch):
+    monkeypatch.setattr(WriteAheadLog, "checkpoint", lambda self: 0)
+    _result, problems = _run(CLOSED_TPCC)
+    assert {name for name, _detail in problems} == {"middleware[dm].wal"}, problems

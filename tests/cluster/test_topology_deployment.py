@@ -148,8 +148,15 @@ def test_build_cluster_heterogeneous_dialects():
                                                       "mysql", "postgresql"])
     partitioner = ModuloPartitioner(topology.node_names())
     cluster = build_cluster("ssp", topology, partitioner)
-    assert cluster.datasources["ds0"].dialect.name == "mysql"
-    assert cluster.datasources["ds1"].dialect.name == "postgresql"
+    assert cluster.datasources["ds0"].dialect == "mysql"
+    assert cluster.datasources["ds1"].dialect == "postgresql"
+
+
+def test_an_unknown_engine_fails_at_build_cluster():
+    topology = TopologyConfig.paper_default(dialects=["mysql", "oracle"])
+    partitioner = ModuloPartitioner(topology.node_names())
+    with pytest.raises(ValueError, match=r"'oracle'.*mysql, postgresql"):
+        build_cluster("ssp", topology, partitioner)
 
 
 def test_yugabyte_coordinator_is_colocated_with_first_node():

@@ -4,14 +4,14 @@ from repro import protocol
 from repro.common import Operation, OpType
 from repro.core import GeoAgent, GeoAgentConfig
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect
+from repro.storage import DataSource, DataSourceConfig
 
 
 def build_agent_pair():
     """One data source with its geo-agent plus a fake coordinator endpoint."""
     env = Environment()
     net = Network(env)
-    ds = DataSource(env, net, DataSourceConfig(name="ds0", dialect=MySQLDialect()))
+    ds = DataSource(env, net, DataSourceConfig(name="ds0"))
     ds.load_table("usertable", {k: {"v": 0} for k in range(10)})
     agent = GeoAgent(env, net, GeoAgentConfig(name="agent-ds0", datasource="ds0"))
     net.set_link("agent-ds0", "ds0", ConstantLatency(0.5))
@@ -30,13 +30,13 @@ def test_agent_forwards_plain_xa_verbs_transparently():
 
     def driver():
         replies["ping"] = yield dm.request("agent-ds0", protocol.MSG_PING, {})
-        replies["state"] = yield dm.request("agent-ds0", protocol.MSG_TXN_STATE,
-                                            {"xid": "nope"})
+        replies["listing"] = yield dm.request("agent-ds0", protocol.MSG_LIST_PREPARED,
+                                              {})
 
     env.process(driver())
     env.run()
     assert replies["ping"]["status"] == "ok"
-    assert replies["state"]["state"] == "unknown"
+    assert replies["listing"] == {"prepared": []}
     assert agent.stats.forwarded == 2
 
 

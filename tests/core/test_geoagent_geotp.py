@@ -22,7 +22,7 @@ from repro.middleware import (
     TwoPhaseCommitCoordinator,
 )
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect
+from repro.storage import DataSource, DataSourceConfig
 from repro.storage.transaction import TxnState
 from repro.storage.wal import LogRecordType
 
@@ -36,15 +36,13 @@ def build_geotp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0,
     datasources, agents, participants = {}, {}, {}
     for name, rtt in zip(names, rtts):
         ds = DataSource(env, net, DataSourceConfig(
-            name=name, dialect=MySQLDialect(),
-            lock_wait_timeout_ms=lock_wait_timeout_ms))
+            name=name, lock_wait_timeout_ms=lock_wait_timeout_ms))
         ds.load_table("usertable", {key: {"v": 0} for key in range(keys_per_node)})
         datasources[name] = ds
         agent_name = f"agent-{name}"
         agents[name] = GeoAgent(env, net, GeoAgentConfig(name=agent_name,
                                                          datasource=name))
-        participants[name] = ParticipantHandle(name=name, endpoint=agent_name,
-                                               dialect=MySQLDialect())
+        participants[name] = ParticipantHandle(name=name, endpoint=agent_name)
         net.set_link("dm", agent_name, ConstantLatency(rtt))
         net.set_link(agent_name, name, ConstantLatency(0.5))
     # WAN links between agents (for early abort): approximate with the larger
@@ -132,7 +130,7 @@ def test_geotp_beats_ssp_latency_on_same_workload():
     names = ["ds0", "ds1"]
     participants = {}
     for name, rtt in zip(names, (10.0, 100.0)):
-        ds = DataSource(env, net, DataSourceConfig(name=name, dialect=MySQLDialect()))
+        ds = DataSource(env, net, DataSourceConfig(name=name))
         ds.load_table("usertable", {key: {"v": 0} for key in range(10)})
         participants[name] = ParticipantHandle(name=name, endpoint=name)
         net.set_link("dm", name, ConstantLatency(rtt))
@@ -292,7 +290,6 @@ def test_geotp_multi_round_transaction_prepares_participants_not_in_final_round(
         [Statement(operation=update(0)), Statement(operation=update(1))],
         [Statement(operation=update(2))],
     ])
-    spec.mark_last_statements()
     result = run_txn(env, dm, spec)
     assert result.outcome is TxnOutcome.COMMITTED
     assert datasources["ds1"].engine.read("p", "usertable", 1).value == {"v": 1}

@@ -11,7 +11,7 @@ from repro.middleware import (
     TwoPhaseCommitCoordinator,
 )
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect
+from repro.storage import DataSource, DataSourceConfig
 
 
 def build_ssp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0):
@@ -23,12 +23,10 @@ def build_ssp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0):
     participants = {}
     for name, rtt in zip(names, rtts):
         ds = DataSource(env, net, DataSourceConfig(
-            name=name, dialect=MySQLDialect(),
-            lock_wait_timeout_ms=lock_wait_timeout_ms))
+            name=name, lock_wait_timeout_ms=lock_wait_timeout_ms))
         ds.load_table("usertable", {key: {"v": 0} for key in range(200)})
         datasources[name] = ds
-        participants[name] = ParticipantHandle(name=name, endpoint=name,
-                                               dialect=MySQLDialect())
+        participants[name] = ParticipantHandle(name=name, endpoint=name)
         net.set_link("dm", name, ConstantLatency(rtt))
     partitioner = ModuloPartitioner(names)
     dm = TwoPhaseCommitCoordinator(env, net, "dm", participants, partitioner)

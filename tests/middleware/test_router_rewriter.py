@@ -12,7 +12,6 @@ from repro.middleware import (
     TableAwarePartitioner,
     WarehousePartitioner,
 )
-from repro.storage import MySQLDialect, PostgreSQLDialect
 
 
 NODES = ["ds0", "ds1", "ds2", "ds3"]
@@ -143,40 +142,21 @@ def statements_for(keys, write=True):
                                           key=key, value=key)) for key in keys]
 
 
-def test_rewriter_groups_by_datasource_and_tracks_last():
+def test_rewriter_groups_by_datasource():
     rewriter = Rewriter(ModuloPartitioner(NODES))
     statements = statements_for([0, 1, 4, 5])
-    statements[-1].is_last = True
     plans = rewriter.plan_round(statements)
     assert set(plans) == {"ds0", "ds1"}
     assert [op.key for op in plans["ds0"].operations] == [0, 4]
     assert [op.key for op in plans["ds1"].operations] == [1, 5]
-    for plan in plans.values():     # the three lists stay parallel
-        assert plan.operations == [stmt.operation for stmt in plan.statements]
+    assert plans["ds0"].operations[1] is statements[2].operation
+    for plan in plans.values():     # the two lists stay parallel
         assert plan.record_ids == [("usertable", op.key) for op in plan.operations]
         assert all(rid is op.record_id
                    for rid, op in zip(plan.record_ids, plan.operations))
-    assert plans["ds1"].contains_last
-    assert not plans["ds0"].contains_last
 
 
-def test_rewriter_participants_in_first_use_order():
+def test_rewriter_plans_in_first_use_order():
     rewriter = Rewriter(ModuloPartitioner(NODES))
-    statements = statements_for([2, 0, 6, 1])
-    assert rewriter.participants(statements) == ["ds2", "ds0", "ds1"]
-
-
-def test_rewriter_renders_dialect_specific_sql():
-    rewriter = Rewriter(ModuloPartitioner(NODES))
-    statements = statements_for([0], write=False) + statements_for([4])
-    plan = rewriter.plan_round(statements)["ds0"]
-
-    mysql_script = rewriter.render_subtransaction("x1", plan, MySQLDialect())
-    assert mysql_script[0] == "XA START 'x1';"
-    assert mysql_script[-1] == "XA PREPARE 'x1';"
-    assert not any("FOR SHARE" in line for line in mysql_script)
-
-    pg_script = rewriter.render_subtransaction("x1", plan, PostgreSQLDialect())
-    assert pg_script[0] == "BEGIN;"
-    assert pg_script[-1] == "PREPARE TRANSACTION 'x1';"
-    assert any("FOR SHARE" in line for line in pg_script)
+    plans = rewriter.plan_round(statements_for([2, 0, 6, 1]))
+    assert list(plans) == ["ds2", "ds0", "ds1"]

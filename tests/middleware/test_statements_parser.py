@@ -55,19 +55,18 @@ def test_spec_requires_at_least_one_statement():
         TransactionSpec.from_operations([])
 
 
-def test_from_operations_single_round_marks_last():
-    spec = TransactionSpec.from_operations(ops(5))
+def test_from_operations_single_round():
+    operations = ops(5)
+    spec = TransactionSpec.from_operations(operations)
     assert spec.round_count == 1
     assert spec.statement_count == 5
-    assert all(stmt.is_last for stmt in spec.rounds[-1])
+    assert [stmt.operation for stmt in spec.rounds[0]] == operations
 
 
 def test_from_operations_multiple_rounds_split_evenly():
     spec = TransactionSpec.from_operations(ops(6), rounds=3)
     assert spec.round_count == 3
     assert [len(r) for r in spec.rounds] == [2, 2, 2]
-    assert not any(stmt.is_last for stmt in spec.rounds[0])
-    assert all(stmt.is_last for stmt in spec.rounds[-1])
 
 
 def test_from_operations_rounds_capped_by_operation_count():
@@ -127,15 +126,6 @@ def test_parser_insert():
     assert op.value == {"amount": 19.5}
 
 
-def test_parser_last_statement_annotation():
-    parsed = SqlParser().parse_statement(
-        "UPDATE savings SET bal = 1 WHERE name = 'Bob' /*+ LAST */;")
-    assert parsed.statement.is_last
-    parsed2 = SqlParser().parse_statement(
-        "UPDATE savings SET bal = 1 WHERE name = 'Bob' /* last statement */;")
-    assert parsed2.statement.is_last
-
-
 def test_parser_control_statements():
     parser = SqlParser()
     assert parser.parse_statement("BEGIN;").kind == "begin"
@@ -159,21 +149,8 @@ def test_parse_transaction_block():
     ]
     spec = SqlParser().parse_transaction(sql, txn_type="transfer")
     assert spec.statement_count == 2
-    assert spec.rounds[0][-1].is_last
-    assert not spec.rounds[0][0].is_last
+    assert [stmt.operation.key for stmt in spec.rounds[0]] == ["Alice", "Bob"]
     assert spec.txn_type == "transfer"
-
-
-def test_parse_transaction_respects_explicit_annotation():
-    sql = [
-        "BEGIN;",
-        "UPDATE savings SET bal = 900 WHERE name = 'Alice' /*+ LAST */;",
-        "SELECT bal FROM savings WHERE name = 'Bob';",
-        "COMMIT;",
-    ]
-    spec = SqlParser().parse_transaction(sql)
-    assert spec.rounds[0][0].is_last
-    assert not spec.rounds[0][1].is_last
 
 
 def test_parse_transaction_requires_begin_commit():

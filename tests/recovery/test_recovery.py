@@ -19,7 +19,7 @@ from repro.middleware import (
 )
 from repro.recovery import RecoveryManager
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect, TxnState
+from repro.storage import DataSource, DataSourceConfig, TxnState
 from repro.storage.wal import LogRecordType
 
 
@@ -29,7 +29,7 @@ def build_cluster(rtts=(10.0, 100.0)):
     names = [f"ds{i}" for i in range(len(rtts))]
     datasources, participants = {}, {}
     for name, rtt in zip(names, rtts):
-        ds = DataSource(env, net, DataSourceConfig(name=name, dialect=MySQLDialect()))
+        ds = DataSource(env, net, DataSourceConfig(name=name))
         ds.load_table("usertable", {key: {"v": 0} for key in range(50)})
         datasources[name] = ds
         participants[name] = ParticipantHandle(name=name, endpoint=name)
@@ -54,9 +54,9 @@ def prepare_branch_by_hand(env, net, ds_name, xid, key):
     done = {}
 
     def driver():
-        yield client.request(ds_name, protocol.MSG_XA_START, {"xid": xid})
         yield client.request(ds_name, protocol.MSG_EXECUTE,
-                             {"xid": xid, "operations": [update(key, 99)]})
+                             {"xid": xid, "operations": [update(key, 99)],
+                              "auto_start": True})
         yield client.request(ds_name, protocol.MSG_XA_PREPARE, {"xid": xid})
         done["ok"] = True
 
@@ -195,18 +195,18 @@ def test_datasource_crash_with_sibling_mid_prepare_rolls_back_every_branch():
 
     def stage():
         # ds1: prepared sibling.
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "dm-t95.2"})
         yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t95.2", "operations": [update(10, 7)]})
+                             {"xid": "dm-t95.2", "operations": [update(10, 7)],
+                              "auto_start": True})
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "dm-t95.2"})
         # ds2: active sibling (its XA PREPARE never arrived).
-        yield client.request("ds2", protocol.MSG_XA_START, {"xid": "dm-t95.3"})
         yield client.request("ds2", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t95.3", "operations": [update(11, 7)]})
+                             {"xid": "dm-t95.3", "operations": [update(11, 7)],
+                              "auto_start": True})
         # ds0: executed-only branch.
-        yield client.request("ds0", protocol.MSG_XA_START, {"xid": "dm-t95.1"})
         yield client.request("ds0", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t95.1", "operations": [update(9, 7)]})
+                             {"xid": "dm-t95.1", "operations": [update(9, 7)],
+                              "auto_start": True})
 
     env.run(until=env.process(stage()))
     node_request(env, injector, "ds0", protocol.MSG_CRASH)

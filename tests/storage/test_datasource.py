@@ -3,20 +3,25 @@
 import pytest
 
 from repro import protocol
-from repro.common import AbortReason, Operation, OpType, Vote
+from repro.common import COSTS, AbortReason, Operation, OpType, Vote
 from repro.sim import ConstantLatency, Environment, Network
-from repro.storage import DataSource, DataSourceConfig, MySQLDialect, PostgreSQLDialect, TxnState
+from repro.storage import DataSource, DataSourceConfig, TxnState
 
 
-def make_datasource(rtt_ms=10.0, dialect=None, lock_wait_timeout_ms=5000.0):
+def make_datasource(rtt_ms=10.0, lock_wait_timeout_ms=5000.0):
     env = Environment()
     net = Network(env)
-    config = DataSourceConfig(name="ds1", dialect=dialect or MySQLDialect(),
-                              lock_wait_timeout_ms=lock_wait_timeout_ms)
+    config = DataSourceConfig(name="ds1", lock_wait_timeout_ms=lock_wait_timeout_ms)
     ds = DataSource(env, net, config)
     net.set_link("client", "ds1", ConstantLatency(rtt_ms))
     client = net.interface("client")
     return env, net, ds, client
+
+
+def execute(client, xid, *operations):
+    """Open branch ``xid`` with its first batch, as every coordinator does."""
+    return client.request("ds1", protocol.MSG_EXECUTE, {
+        "xid": xid, "operations": list(operations), "auto_start": True})
 
 
 def read_op(key, table="usertable"):
@@ -33,9 +38,7 @@ def test_xa_commit_cycle_updates_value():
     outcome = {}
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x1"})
-        result = yield client.request("ds1", protocol.MSG_EXECUTE,
-                                      {"xid": "x1", "operations": [write_op("alice", 50)]})
+        result = yield execute(client, "x1", write_op("alice", 50))
         assert result.success
         yield client.request("ds1", protocol.MSG_XA_END, {"xid": "x1"})
         vote = yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x1"})
@@ -56,9 +59,7 @@ def test_xa_rollback_discards_buffered_write():
     ds.load_table("usertable", {"bob": 10})
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x2"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "x2", "operations": [write_op("bob", 999)]})
+        yield execute(client, "x2", write_op("bob", 999))
         yield client.request("ds1", protocol.MSG_XA_ROLLBACK, {"xid": "x2"})
 
     env.process(coordinator())
@@ -73,9 +74,7 @@ def test_read_returns_committed_value_and_result_latency_accounts_cost():
     collected = {}
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x3"})
-        result = yield client.request("ds1", protocol.MSG_EXECUTE,
-                                      {"xid": "x3", "operations": [read_op("key")]})
+        result = yield execute(client, "x3", read_op("key"))
         collected["result"] = result
 
     env.process(coordinator())
@@ -87,6 +86,28 @@ def test_read_returns_committed_value_and_result_latency_accounts_cost():
     assert ("usertable", "key") in result.records
 
 
+@pytest.mark.parametrize("engine", ["mysql", "postgresql"])
+def test_the_engine_name_picks_the_cost_row_a_batch_pays(engine):
+    env = Environment()
+    net = Network(env)
+    ds = DataSource(env, net, DataSourceConfig(name="ds1", dialect=engine))
+    net.set_link("client", "ds1", ConstantLatency(10.0))
+    client = net.interface("client")
+    ds.load_table("usertable", {"a": 1, "b": 2})
+    collected = {}
+
+    def coordinator():
+        collected["result"] = yield execute(client, "x5", read_op("a"),
+                                            write_op("b", 3))
+
+    env.process(coordinator())
+    env.run()
+    read_ms, write_ms = COSTS.engine(engine)[:2]
+    assert ds.dialect == engine
+    assert collected["result"].local_execution_ms == pytest.approx(
+        COSTS.datasource_request_ms + read_ms + write_ms)
+
+
 def test_result_records_are_the_batch_distinct_ids_in_first_touch_order():
     env, net, ds, client = make_datasource()
     ds.load_table("usertable", {"a": 1, "b": 2, "c": 3})
@@ -95,9 +116,7 @@ def test_result_records_are_the_batch_distinct_ids_in_first_touch_order():
     collected = {}
 
     def coordinator():
-        collected["result"] = yield client.request(
-            "ds1", protocol.MSG_EXECUTE,
-            {"xid": "x4", "operations": batch, "auto_start": True})
+        collected["result"] = yield execute(client, "x4", *batch)
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x4"})
 
     env.process(coordinator())
@@ -118,18 +137,14 @@ def test_lock_timeout_aborts_subtransaction():
     outcomes = {}
 
     def holder():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "holder"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "holder", "operations": [write_op("hot", 1)]})
+        yield execute(client, "holder", write_op("hot", 1))
         # Keep the lock until well after the waiter times out.
         yield env.timeout(500)
         yield client.request("ds1", protocol.MSG_XA_ROLLBACK, {"xid": "holder"})
 
     def waiter():
         yield env.timeout(20)
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "waiter"})
-        result = yield client.request("ds1", protocol.MSG_EXECUTE,
-                                      {"xid": "waiter", "operations": [write_op("hot", 2)]})
+        result = yield execute(client, "waiter", write_op("hot", 2))
         outcomes["waiter"] = result
 
     env.process(holder())
@@ -146,9 +161,7 @@ def test_commit_one_phase_for_centralized_transaction():
     ds.load_table("usertable", {"k": 1})
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "c1"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "c1", "operations": [write_op("k", 2)]})
+        yield execute(client, "c1", write_op("k", 2))
         reply = yield client.request("ds1", protocol.MSG_COMMIT_ONE_PHASE, {"xid": "c1"})
         assert reply["status"] == "ok"
 
@@ -178,9 +191,7 @@ def test_commit_is_idempotent_for_recovery_retries():
     replies = []
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "x", "operations": [write_op("k", 5)]})
+        yield execute(client, "x", write_op("k", 5))
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x"})
         first = yield client.request("ds1", protocol.MSG_XA_COMMIT, {"xid": "x"})
         second = yield client.request("ds1", protocol.MSG_XA_COMMIT, {"xid": "x"})
@@ -199,9 +210,7 @@ def test_rollback_after_commit_is_rejected():
     replies = {}
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "x", "operations": [write_op("k", 5)]})
+        yield execute(client, "x", write_op("k", 5))
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x"})
         yield client.request("ds1", protocol.MSG_XA_COMMIT, {"xid": "x"})
         replies["rollback"] = yield client.request("ds1", protocol.MSG_XA_ROLLBACK, {"xid": "x"})
@@ -218,9 +227,7 @@ def test_xa_commit_of_an_unprepared_branch_is_refused():
     replies = {}
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "x", "operations": [write_op("k", 5)]})
+        yield execute(client, "x", write_op("k", 5))
         replies["commit"] = yield client.request("ds1", protocol.MSG_XA_COMMIT,
                                                  {"xid": "x"})
         replies["rollback"] = yield client.request("ds1", protocol.MSG_XA_ROLLBACK,
@@ -241,9 +248,7 @@ def test_one_phase_commit_of_a_prepared_branch_is_refused():
     replies = {}
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "x"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "x", "operations": [write_op("k", 5)]})
+        yield execute(client, "x", write_op("k", 5))
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x"})
         replies["one_phase"] = yield client.request(
             "ds1", protocol.MSG_COMMIT_ONE_PHASE, {"xid": "x"})
@@ -263,9 +268,7 @@ def test_list_prepared_reports_in_doubt_transactions():
     collected = {}
 
     def coordinator():
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "p1"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "p1", "operations": [write_op("k", 5)]})
+        yield execute(client, "p1", write_op("k", 5))
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "p1"})
         reply = yield client.request("ds1", protocol.MSG_LIST_PREPARED, {})
         collected["prepared"] = reply["prepared"]
@@ -281,13 +284,9 @@ def test_crash_aborts_active_but_keeps_prepared_transactions():
 
     def coordinator():
         # One prepared, one still active.
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "prep"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "prep", "operations": [write_op("a", 10)]})
+        yield execute(client, "prep", write_op("a", 10))
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "prep"})
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "active"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "active", "operations": [write_op("b", 20)]})
+        yield execute(client, "active", write_op("b", 20))
         yield client.request("ds1", protocol.MSG_CRASH, {})
         yield client.request("ds1", protocol.MSG_RESTART, {})
 
@@ -313,9 +312,7 @@ def test_crashed_node_refuses_requests_until_restart():
     def coordinator():
         yield client.request("ds1", protocol.MSG_CRASH, {})
         log["ping"] = yield client.request("ds1", protocol.MSG_PING, {})
-        log["execute"] = yield client.request(
-            "ds1", protocol.MSG_EXECUTE,
-            {"xid": "x9", "operations": [write_op("a", 1)], "auto_start": True})
+        log["execute"] = yield execute(client, "x9", write_op("a", 1))
         log["prepare"] = yield client.request("ds1", protocol.MSG_XA_PREPARE,
                                               {"xid": "x9"})
         yield client.request("ds1", protocol.MSG_RESTART, {})
@@ -371,33 +368,6 @@ def test_unknown_verb_returns_error():
     assert collected["reply"]["status"] == "error"
 
 
-def test_postgresql_dialect_statements_and_read_rewrite():
-    dialect = PostgreSQLDialect()
-    assert dialect.begin_statements("x") == ["BEGIN;"]
-    assert dialect.end_prepare_statements("x") == ["PREPARE TRANSACTION 'x';"]
-    assert dialect.commit_statements("x") == ["COMMIT PREPARED 'x';"]
-    rewritten = dialect.rewrite_read("SELECT * FROM t WHERE k = 1;")
-    assert rewritten.endswith("FOR SHARE;")
-    # Idempotent rewrite.
-    assert dialect.rewrite_read(rewritten).count("FOR SHARE") == 1
-
-
-def test_mysql_dialect_statements_no_rewrite():
-    dialect = MySQLDialect()
-    assert dialect.begin_statements("x") == ["XA START 'x';"]
-    assert dialect.end_prepare_statements("x") == ["XA END 'x';", "XA PREPARE 'x';"]
-    sql = "SELECT * FROM t;"
-    assert dialect.rewrite_read(sql) == sql
-
-
-def test_dialect_by_name_lookup():
-    from repro.storage.dialects import dialect_by_name
-    assert dialect_by_name("mysql").name == "mysql"
-    assert dialect_by_name("PostgreSQL").name == "postgresql"
-    with pytest.raises(ValueError):
-        dialect_by_name("oracle")
-
-
 def test_finished_transactions_are_evicted_beyond_retention():
     env, net, ds, client = make_datasource()
     ds.config.finished_txn_retention = 8
@@ -406,10 +376,7 @@ def test_finished_transactions_are_evicted_beyond_retention():
     def coordinator():
         for i in range(30):
             xid = f"r{i}"
-            yield client.request("ds1", protocol.MSG_XA_START, {"xid": xid})
-            yield client.request("ds1", protocol.MSG_EXECUTE,
-                                 {"xid": xid,
-                                  "operations": [write_op("carol", i)]})
+            yield execute(client, xid, write_op("carol", i))
             yield client.request("ds1", protocol.MSG_COMMIT_ONE_PHASE,
                                  {"xid": xid})
 
@@ -428,19 +395,13 @@ def test_in_doubt_transactions_survive_retention_pressure():
 
     def coordinator():
         # One branch parks in PREPARED (in doubt) ...
-        yield client.request("ds1", protocol.MSG_XA_START, {"xid": "doubt"})
-        yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "doubt",
-                              "operations": [write_op("k", 1)]})
+        yield execute(client, "doubt", write_op("k", 1))
         yield client.request("ds1", protocol.MSG_XA_END, {"xid": "doubt"})
         yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "doubt"})
         # ... while far more than `retention` transactions finish around it.
         for i in range(20):
             xid = f"f{i}"
-            yield client.request("ds1", protocol.MSG_XA_START, {"xid": xid})
-            yield client.request("ds1", protocol.MSG_EXECUTE,
-                                 {"xid": xid,
-                                  "operations": [write_op("other", i)]})
+            yield execute(client, xid, write_op("other", i))
             yield client.request("ds1", protocol.MSG_COMMIT_ONE_PHASE,
                                  {"xid": xid})
 

@@ -74,72 +74,52 @@ def test_lock_contention_span_computed_from_first_lock_to_finish():
 
 def test_wal_append_and_query():
     wal = WriteAheadLog()
-    wal.append(LogRecordType.PREPARE, "x1", 1.0)
     wal.append(LogRecordType.COMMIT, "x1", 2.0)
-    wal.append(LogRecordType.PREPARE, "x2", 3.0)
-    assert len(wal) == 3
+    wal.append(LogRecordType.ABORT, "x2", 3.0)
+    assert len(wal) == 2
     assert wal.last_decision("x1") is LogRecordType.COMMIT
-    assert wal.last_decision("x2") is None
-    assert wal.prepared_xids() == ["x2"]
-    assert [r.record_type for r in wal.records_for("x1")] == [
-        LogRecordType.PREPARE, LogRecordType.COMMIT]
+    assert wal.last_decision("x3") is None
+    assert [r.xid for r in wal.records()] == ["x1", "x2"]
 
 
 def test_wal_append_keeps_the_payload_it_is_handed():
     wal = WriteAheadLog()
-    payload = {"writes": 3}
-    prepared = wal.append(LogRecordType.PREPARE, "x1", 1.0, payload=payload)
-    committed = wal.append(LogRecordType.COMMIT, "x1", 2.0)
-    aborted = wal.append(LogRecordType.ABORT, "x2", 3.0)
-    assert prepared.payload is payload                      # stored, not copied
+    payload = {"participants": ["ds0", "ds1"]}
+    logged = wal.append(LogRecordType.COMMIT, "x1", 1.0, payload=payload)
+    committed = wal.append(LogRecordType.COMMIT, "x2", 2.0)
+    aborted = wal.append(LogRecordType.ABORT, "x3", 3.0)
+    assert logged.payload is payload                        # stored, not copied
     assert committed.payload is aborted.payload             # one shared empty
     assert committed.payload == {} and len(committed.payload) == 0
     with pytest.raises(TypeError):
         committed.payload["oops"] = 1                       # and it is read-only
-    assert wal.append(LogRecordType.ABORT, "x3", 4.0, payload={}).payload == {}
+    assert wal.append(LogRecordType.ABORT, "x4", 4.0, payload={}).payload == {}
 
 
 def test_wal_abort_decision_recorded():
     wal = WriteAheadLog()
-    wal.append(LogRecordType.PREPARE, "x", 1.0)
     wal.append(LogRecordType.ABORT, "x", 2.0)
     assert wal.last_decision("x") is LogRecordType.ABORT
-    assert wal.prepared_xids() == []
 
 
 # ---------------------------------------------------------------- checkpointing
 def test_wal_checkpoint_drops_old_decided_records():
     wal = WriteAheadLog(checkpoint_records=4)
-    for i in range(6):
-        wal.append(LogRecordType.PREPARE, f"t{i}", float(i))
-        wal.append(LogRecordType.COMMIT, f"t{i}", float(i) + 0.5)
-    # Auto-checkpointing kept the log under twice the horizon throughout.
-    assert len(wal) < 2 * 4
-    assert wal.checkpoints > 0
-    # The newest records survive verbatim, in order.
-    xids = [r.xid for r in wal.records()]
-    assert xids == sorted(xids, key=xids.index)  # order preserved
-    assert wal.last_decision("t5") is LogRecordType.COMMIT
-
-
-def test_wal_checkpoint_keeps_in_doubt_branches_forever():
-    wal = WriteAheadLog(checkpoint_records=4)
-    wal.append(LogRecordType.PREPARE, "in-doubt", 0.0)  # never decided
-    for i in range(50):
-        wal.append(LogRecordType.PREPARE, f"t{i}", float(i + 1))
-        wal.append(LogRecordType.COMMIT, f"t{i}", float(i + 1) + 0.5)
-    assert len(wal) < 2 * 4 + 1
-    # Recovery's two queries still see the undecided branch.
-    assert "in-doubt" in wal.prepared_xids()
-    assert wal.last_decision("in-doubt") is None
-    assert wal.records_for("in-doubt")
+    for i in range(12):
+        wal.append(LogRecordType.COMMIT, f"t{i}", float(i))
+        # Auto-checkpointing keeps the log under twice the horizon throughout.
+        assert len(wal) < 2 * 4
+    assert wal.checkpoints == 2
+    # The newest records survive, in order; every older one is gone.
+    assert [r.xid for r in wal.records()] == ["t8", "t9", "t10", "t11"]
+    assert wal.last_decision("t11") is LogRecordType.COMMIT
+    assert wal.last_decision("t0") is None
 
 
 def test_wal_checkpoint_is_explicit_and_counts_drops():
     wal = WriteAheadLog(checkpoint_records=1000)  # never reached below
-    for i in range(100):
-        wal.append(LogRecordType.PREPARE, f"t{i}", float(i))
-        wal.append(LogRecordType.ABORT, f"t{i}", float(i) + 0.5)
+    for i in range(200):
+        wal.append(LogRecordType.ABORT, f"t{i}", float(i))
     assert len(wal) == 200
     assert wal.checkpoint() == 0  # nothing older than the horizon: no-op
     wal.checkpoint_records = 10

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import TopologyConfig
 from repro.workloads import TPCCConfig, TPCCWorkload
 
 NODES = ["ds0", "ds1", "ds2", "ds3"]
@@ -109,3 +110,21 @@ def test_delivery_covers_requested_districts():
     districts = {stmt.operation.key[1] for stmt in spec.all_statements
                  if stmt.operation.table == "neworder"}
     assert len(districts) == 4
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "WarehousePartitioner.locate sends the replicated item table to "
+    "home_hint or ds0 and no caller passes home_hint, so a NewOrder homed "
+    "off ds0 also touches ds0 (ROADMAP: TPC-C item reads route to ds0)"))
+def test_a_spec_spans_data_sources_exactly_when_marked_distributed():
+    workload = TPCCWorkload(TopologyConfig.paper_default().node_names(),
+                            TPCCConfig(seed=1))
+    partitioner = workload.make_partitioner()
+    mismarked = []
+    for _ in range(300):
+        spec = workload.next_transaction()
+        nodes = {partitioner.locate(stmt.operation.table, stmt.operation.key)
+                 for stmt in spec.all_statements}
+        if (len(nodes) > 1) != spec.metadata["distributed"]:
+            mismarked.append((spec.txn_type, sorted(nodes)))
+    assert mismarked == []
