@@ -52,7 +52,7 @@ class ChillerCoordinator(TwoPhaseCommitCoordinator):
                        is_final_round: bool):
         plans = self.rewriter.plan_round(statements)
         for name in plans:
-            ctx.branch_xid(name)
+            ctx.touch(name)
         if len(plans) < 2:
             return (yield from super()._execute_round(ctx, statements, is_final_round))
 

@@ -85,7 +85,7 @@ class ScalarDBCoordinator(MiddlewareBase):
         for statements in ctx.spec.rounds:
             for stmt in statements:
                 target = self.partitioner.locate(stmt.operation.table, stmt.operation.key)
-                ctx.branch_xid(target)
+                ctx.touch(target)
             images = yield from self._execute_round_ops(ctx, statements)
             if images is None:
                 return TxnOutcome.ABORTED, AbortReason.UNAVAILABLE

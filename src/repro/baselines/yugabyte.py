@@ -42,7 +42,7 @@ class YugabyteCoordinator(TwoPhaseCommitCoordinator):
         yield from self._flush_decision_log(ctx, commit=True)
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
         self.send_participant(handle, protocol.MSG_COMMIT_ONE_PHASE,
-                              {"xid": ctx.branch_xid(name)})
+                              {"xid": ctx.txn_id})
         return TxnOutcome.COMMITTED, None
 
     def _commit_distributed(self, ctx: TransactionContext):
@@ -56,7 +56,7 @@ class YugabyteCoordinator(TwoPhaseCommitCoordinator):
         for name in ctx.participants:
             handle = self.participants[name]
             self.send_participant(handle, protocol.MSG_XA_COMMIT,
-                                  {"xid": ctx.branch_xid(name)})
+                                  {"xid": ctx.txn_id})
         return TxnOutcome.COMMITTED, None
 
 

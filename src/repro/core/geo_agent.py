@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Optional, Set
 
 from repro.common import COSTS, AbortReason, SubtxnResult, Vote
 from repro import protocol
@@ -35,13 +35,13 @@ class GeoAgentConfig:
 
     name: str
     datasource: str
-    #: How many global-txn-id -> branch-xid mappings (and poisoned ids) the
-    #: agent remembers.  The mappings only matter while a transaction is in
-    #: flight — a peer rollback for an id nobody remembers is simply re-poisoned
-    #: — so the cap just needs to exceed the maximum concurrent transactions
-    #: through one agent.  Without it the agent's bookkeeping grows by two
-    #: strings per distributed transaction forever, which open-system runs at
-    #: 10⁶+ transactions turn into hundreds of megabytes.
+    #: How many transaction ids (seen branches and poisoned ids) the agent
+    #: remembers.  An id only matters while its transaction is in flight — a
+    #: peer rollback for an id nobody remembers is simply re-poisoned — so the
+    #: cap just needs to exceed the maximum concurrent transactions through
+    #: one agent.  Without it the agent's bookkeeping grows by one id per
+    #: distributed transaction forever, which open-system runs at 10⁶+
+    #: transactions turn into hundreds of megabytes.
     xid_retention: int = 4_096
 
 
@@ -84,10 +84,12 @@ class GeoAgent:
         self.datasource = config.datasource
         self.net: NetworkInterface = network.interface(config.name)
         self.stats = GeoAgentStats()
-        #: Maps global transaction ids to the local branch xid seen on this node.
-        self._local_xids: Dict[str, str] = {}
-        #: Global transaction ids a peer aborted: an execute still to come (or
-        #: still paying its forwarding cost) is refused.
+        #: Xids of the branches this agent was asked to execute or prepare.  A
+        #: branch's xid is its global transaction id, so a peer rollback names
+        #: the branch to roll back directly.
+        self._seen: Set[str] = set()
+        #: Xids a peer aborted: an execute still to come (or still paying its
+        #: forwarding cost) is refused.
         self._poisoned: Set[str] = set()
         # FIFO of ids in insertion order, shared by both structures above:
         # once the retention cap is exceeded the oldest ids — long finished —
@@ -138,22 +140,21 @@ class GeoAgent:
     def _on_agent_execute(self, message: Message):
         payload = message.payload or {}
         xid = payload["xid"]
-        global_txn_id = payload.get("global_txn_id", xid)
         coordinator = payload.get("coordinator", message.sender)
         peers = payload.get("peers", ())
         is_last = bool(payload.get("is_last", False))
-        self._remember_xid(global_txn_id, xid)
+        self._remember(xid)
 
         yield COSTS.agent_forward_ms
 
-        if global_txn_id in self._poisoned:
+        if xid in self._poisoned:
             # A peer already aborted this transaction: do not waste execution.
             result = SubtxnResult(xid=xid, datasource=self.datasource, success=False,
                                   error="aborted by peer before execution",
                                   abort_reason=AbortReason.PEER_ABORT)
             if message.reply_event is not None:
                 self.net.reply(message, result)
-            self._send_state(coordinator, global_txn_id, protocol.STATE_ROLLBACKED)
+            self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
             return
 
         # The data source reads its own keys (xid, operations, auto_start,
@@ -165,7 +166,7 @@ class GeoAgent:
             # Execution failed (typically a lock timeout): early abort.
             if message.reply_event is not None:
                 self.net.reply(message, result)
-            yield from self._async_rollback(global_txn_id, xid, peers, coordinator,
+            yield from self._async_rollback(xid, peers, coordinator,
                                             already_aborted=True)
             return
 
@@ -173,34 +174,32 @@ class GeoAgent:
             self.net.reply(message, result)
 
         if is_last:
-            yield from self._async_prepare(global_txn_id, xid, peers, coordinator)
+            yield from self._async_prepare(xid, peers, coordinator)
 
     def _on_agent_prepare(self, message: Message):
         """Explicit prepare request for participants without a last statement."""
         payload = message.payload or {}
         xid = payload["xid"]
-        global_txn_id = payload.get("global_txn_id", xid)
         coordinator = payload.get("coordinator", message.sender)
         peers = payload.get("peers", ())
-        if global_txn_id not in self._local_xids:
-            self._remember_xid(global_txn_id, xid)
+        self._remember(xid)
         yield COSTS.agent_forward_ms
         if message.reply_event is not None:
             self.net.reply(message, {"status": "ok"})
-        yield from self._async_prepare(global_txn_id, xid, peers, coordinator)
+        yield from self._async_prepare(xid, peers, coordinator)
 
     # ------------------------------------------------- Algorithm 1: AsyncPrepare
-    def _async_prepare(self, global_txn_id: str, xid: str, peers, coordinator: str):
+    def _async_prepare(self, xid: str, peers, coordinator: str):
         if not peers:
             # Centralized transaction: nothing to prepare, report IDLE (Alg. 1 l.7-9).
-            self._send_state(coordinator, global_txn_id, protocol.STATE_IDLE)
+            self._send_state(coordinator, xid, protocol.STATE_IDLE)
             return
 
         end_reply = yield self.net.request(self.datasource, protocol.MSG_XA_END,
                                            {"xid": xid})
         if not (isinstance(end_reply, dict) and end_reply.get("status") == "ok"):
-            self._send_state(coordinator, global_txn_id, protocol.STATE_ROLLBACK_ONLY)
-            yield from self._async_rollback(global_txn_id, xid, peers, coordinator)
+            self._send_state(coordinator, xid, protocol.STATE_ROLLBACK_ONLY)
+            yield from self._async_rollback(xid, peers, coordinator)
             return
 
         prepare_reply = yield self.net.request(self.datasource, protocol.MSG_XA_PREPARE,
@@ -208,60 +207,58 @@ class GeoAgent:
         vote = prepare_reply.get("vote") if isinstance(prepare_reply, dict) else None
         if vote is Vote.YES:
             self.stats.decentralized_prepares += 1
-            self._send_state(coordinator, global_txn_id, protocol.STATE_PREPARED)
+            self._send_state(coordinator, xid, protocol.STATE_PREPARED)
         else:
-            self._send_state(coordinator, global_txn_id, protocol.STATE_FAILURE)
-            yield from self._async_rollback(global_txn_id, xid, peers, coordinator)
+            self._send_state(coordinator, xid, protocol.STATE_FAILURE)
+            yield from self._async_rollback(xid, peers, coordinator)
 
     # ------------------------------------------------ Algorithm 1: AsyncRollback
-    def _async_rollback(self, global_txn_id: str, xid: str, peers, coordinator: str,
+    def _async_rollback(self, xid: str, peers, coordinator: str,
                         already_aborted: bool = False):
         for peer in peers:
             if peer == self.name:
                 continue
             self.stats.early_abort_notifications += 1
             self.net.send(peer, protocol.MSG_PEER_ROLLBACK,
-                          {"global_txn_id": global_txn_id,
-                           "coordinator": coordinator})
+                          {"xid": xid, "coordinator": coordinator})
         if not already_aborted:
             yield self.net.request(self.datasource, protocol.MSG_XA_ROLLBACK,
                                    {"xid": xid})
         else:
             yield self.env.timeout(0)
-        self._send_state(coordinator, global_txn_id, protocol.STATE_ROLLBACKED)
+        self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
 
     def _on_peer_rollback(self, message: Message):
         """A peer agent told us to abort our branch of a failing transaction."""
         payload = message.payload or {}
-        global_txn_id = payload["global_txn_id"]
+        xid = payload["xid"]
         coordinator = payload.get("coordinator")
         self.stats.peer_rollbacks_handled += 1
         # Poisoned even if an execute is here: one still paying its
         # forwarding cost would otherwise start a branch after this rollback.
-        self._poison(global_txn_id)
-        xid = self._local_xids.get(global_txn_id)
-        if xid is None:
+        self._poison(xid)
+        if xid not in self._seen:
             yield self.env.timeout(0)
             return
         yield self.net.request(self.datasource, protocol.MSG_XA_ROLLBACK, {"xid": xid})
         if coordinator:
-            self._send_state(coordinator, global_txn_id, protocol.STATE_ROLLBACKED)
+            self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
 
     # ------------------------------------------------------------------ helpers
-    def _remember_xid(self, global_txn_id: str, xid: str) -> None:
-        """Record the local branch xid for a global transaction (bounded)."""
-        if global_txn_id not in self._local_xids:
-            self._track(global_txn_id)
-        self._local_xids[global_txn_id] = xid
+    def _remember(self, xid: str) -> None:
+        """Record that this node holds (or was asked for) branch ``xid`` (bounded)."""
+        if xid not in self._seen:
+            self._track(xid)
+            self._seen.add(xid)
 
-    def _poison(self, global_txn_id: str) -> None:
+    def _poison(self, xid: str) -> None:
         """Mark a transaction as aborted-by-peer (bounded)."""
-        if global_txn_id not in self._poisoned:
-            if global_txn_id not in self._local_xids:
-                self._track(global_txn_id)
-            self._poisoned.add(global_txn_id)
+        if xid not in self._poisoned:
+            if xid not in self._seen:
+                self._track(xid)
+            self._poisoned.add(xid)
 
-    def _track(self, global_txn_id: str) -> None:
+    def _track(self, xid: str) -> None:
         """Enter an id into the retention FIFO, forgetting the oldest ids.
 
         Retention only needs to outlast a transaction's in-flight window (the
@@ -272,18 +269,14 @@ class GeoAgent:
         """
         retention = self.config.xid_retention
         order = self._xid_order
-        order.append(global_txn_id)
+        order.append(xid)
         while len(order) > retention:
             old = order.popleft()
-            self._local_xids.pop(old, None)
+            self._seen.discard(old)
             self._poisoned.discard(old)
 
-    def _send_state(self, coordinator: Optional[str], global_txn_id: str,
-                    state: str) -> None:
+    def _send_state(self, coordinator: Optional[str], xid: str, state: str) -> None:
         if not coordinator:
             return
         self.net.send(coordinator, protocol.MSG_AGENT_PREPARE_RESULT,
-                      {"global_txn_id": global_txn_id,
-                       "datasource": self.datasource,
-                       "agent": self.name,
-                       "state": state})
+                      {"xid": xid, "datasource": self.datasource, "state": state})

@@ -171,7 +171,7 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
         if message.msg_type != protocol.MSG_AGENT_PREPARE_RESULT:
             return
         payload = message.payload or {}
-        txn_id = payload.get("global_txn_id")
+        txn_id = payload.get("xid")
         participant = payload.get("datasource")
         state = payload.get("state")
         if txn_id is None or participant is None or state is None:
@@ -240,8 +240,7 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
             if name in planned:
                 continue
             self.send_participant(self.participants[name], protocol.MSG_AGENT_PREPARE, {
-                "xid": ctx.branch_xid(name),
-                "global_txn_id": ctx.txn_id,
+                "xid": ctx.txn_id,
                 "coordinator": self.name,
                 "peers": self._peers(ctx, name),
             })

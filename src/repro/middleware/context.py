@@ -1,9 +1,8 @@
 """Per-transaction context objects kept by the middleware.
 
 The :class:`TransactionContext` tracks the state the coordinator needs across
-phases: the participants touched so far, the per-participant XA branch ids,
-their latest execution results, and the time spent in each phase (which
-feeds the latency breakdown of Figure 6c).
+phases: the participants touched so far, their latest execution results, and
+the time spent in each phase (which feeds the latency breakdown of Figure 6c).
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ class TransactionContext:
     spec: TransactionSpec
     submitted_at: float
     phase: TransactionPhase = TransactionPhase.ANALYSIS
-    #: Participants in first-touch order and their XA branch ids.
+    #: Participants in first-touch order.  Each holds one XA branch, whose
+    #: xid is ``txn_id``: one branch per data source needs no qualifier.
     participants: List[str] = field(default_factory=list)
-    branch_xids: Dict[str, str] = field(default_factory=dict)
     #: Execution results per participant (latest round).
     results: Dict[str, SubtxnResult] = field(default_factory=dict)
     #: Wall-clock (simulated) milliseconds spent per phase.
@@ -47,14 +46,10 @@ class TransactionContext:
         self._phase_started_at = self.submitted_at
 
     # ------------------------------------------------------------ participants
-    def branch_xid(self, participant: str) -> str:
-        """The XA branch id of this transaction on ``participant`` (stable)."""
-        if participant not in self.branch_xids:
-            index = len(self.branch_xids) + 1
-            self.branch_xids[participant] = f"{self.txn_id}.{index}"
+    def touch(self, participant: str) -> None:
+        """Register ``participant`` (once, in first-touch order)."""
         if participant not in self.participants:
             self.participants.append(participant)
-        return self.branch_xids[participant]
 
     @property
     def is_distributed(self) -> bool:

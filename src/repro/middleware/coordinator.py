@@ -93,8 +93,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
                         is_final_round: bool) -> Dict:
         """Payload of the execute request sent to a participant."""
         return {
-            "xid": ctx.branch_xid(plan.datasource),
-            "global_txn_id": ctx.txn_id,
+            "xid": ctx.txn_id,
             "operations": plan.operations,
             "auto_start": True,
         }
@@ -131,7 +130,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
         plans = self.rewriter.plan_round(statements)
         delays = self.schedule_round(ctx, plans, is_final_round)
         for name in plans:
-            ctx.branch_xid(name)  # register the participants in first-touch order
+            ctx.touch(name)
         results = yield self._fan_out(ctx, list(plans.values()), delays,
                                       is_final_round)
         reason = self._absorb_results(ctx, results)
@@ -185,7 +184,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
         handle = self.participants[name]
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
         reply = yield self.timed_request_participant(
-            handle, protocol.MSG_COMMIT_ONE_PHASE, {"xid": ctx.branch_xid(name)})
+            handle, protocol.MSG_COMMIT_ONE_PHASE, {"xid": ctx.txn_id})
         if isinstance(reply, dict) and reply.get("status") == "ok":
             return TxnOutcome.COMMITTED, None
         return TxnOutcome.ABORTED, AbortReason.FAILURE
@@ -228,7 +227,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
     def _request_all(self, ctx: TransactionContext, names: List[str], verb: str):
         """One timed ``verb`` request per branch in ``names``; the replies in order."""
         requests = [self.timed_request_participant(
-            self.participants[name], verb, {"xid": ctx.branch_xid(name)})
+            self.participants[name], verb, {"xid": ctx.txn_id})
             for name in names]
         condition = yield self.env.all_of(requests)
         return [condition[request] for request in requests]

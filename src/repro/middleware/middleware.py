@@ -50,7 +50,7 @@ class MiddlewareStats:
     """
 
     __slots__ = ("submitted", "committed", "aborted", "work_units",
-                 "metadata_bytes", "wan_messages", "aborts_by_reason")
+                 "metadata_bytes", "wan_messages")
 
     def __init__(self) -> None:
         self.submitted = 0
@@ -59,16 +59,12 @@ class MiddlewareStats:
         self.work_units = 0
         self.metadata_bytes = 0
         self.wan_messages = 0
-        self.aborts_by_reason: Dict[str, int] = {}
 
     def record_outcome(self, result: TransactionResult) -> None:
         if result.committed:
             self.committed += 1
         else:
             self.aborted += 1
-            if result.abort_reason is not None:
-                key = result.abort_reason.value
-                self.aborts_by_reason[key] = self.aborts_by_reason.get(key, 0) + 1
 
 
 class MiddlewareBase:

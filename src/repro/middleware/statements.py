@@ -10,13 +10,9 @@ coordinator knows from the round index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.common import Operation, OpType
-
-_spec_ids = count(1)
-
 
 @dataclass(slots=True)
 class Statement:
@@ -47,7 +43,6 @@ class TransactionSpec:
     rounds: List[List[Statement]]
     txn_type: str = "generic"
     metadata: Dict = field(default_factory=dict)
-    spec_id: int = field(default_factory=_spec_ids.__next__)
     #: Memo of :meth:`record_ids`: admission, settlement and validation each
     #: ask for it, and the rounds do not change once the spec is submitted.
     _record_ids: Optional[List[Tuple[str, Hashable]]] = field(

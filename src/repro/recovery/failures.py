@@ -540,11 +540,11 @@ class FaultInjector:
         prepared: List[Dict[str, Any]] = []
         for ds_name, datasource in self.cluster.datasources.items():
             for xid, txn in datasource.transactions.items():
-                owner = middleware_of(txn.global_txn_id)
+                owner = middleware_of(xid)
                 if (txn.state is not TxnState.PREPARED
                         or exempt.intersection((ds_name, owner))):
                     continue
-                decision = (owners[owner].wal.last_decision(txn.global_txn_id)
+                decision = (owners[owner].wal.last_decision(xid)
                             if owner in owners else None)
                 prepared.append({"datasource": ds_name, "xid": xid,
                                  "owner": owner,

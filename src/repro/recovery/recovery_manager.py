@@ -89,21 +89,20 @@ class RecoveryManager:
             reply = yield self.middleware.request_participant(
                 handle, protocol.MSG_LIST_PREPARED, listing)
             prepared = reply.get("prepared", []) if isinstance(reply, dict) else []
-            for branch_xid in prepared:
-                # Branch xids are ``<global txn id>.<index>``; the decision
-                # log is keyed by the global id.
-                global_txn_id = branch_xid.rsplit(".", 1)[0]
-                decision = wal.last_decision(global_txn_id)
-                if global_txn_id in skip and decision is None:
+            for xid in prepared:
+                # A branch's xid is its global transaction id, the key of
+                # the decision log.
+                decision = wal.last_decision(xid)
+                if xid in skip and decision is None:
                     continue
-                if owned_prefix is not None and not global_txn_id.startswith(owned_prefix):
+                if owned_prefix is not None and not xid.startswith(owned_prefix):
                     continue
                 if decision is LogRecordType.COMMIT:
                     yield self.middleware.request_participant(
-                        handle, protocol.MSG_XA_COMMIT, {"xid": branch_xid})
-                    report.committed.append(f"{name}:{branch_xid}")
+                        handle, protocol.MSG_XA_COMMIT, {"xid": xid})
+                    report.committed.append(f"{name}:{xid}")
                 else:
                     yield self.middleware.request_participant(
-                        handle, protocol.MSG_XA_ROLLBACK, {"xid": branch_xid})
-                    report.rolled_back.append(f"{name}:{branch_xid}")
+                        handle, protocol.MSG_XA_ROLLBACK, {"xid": xid})
+                    report.rolled_back.append(f"{name}:{xid}")
         return report

@@ -175,10 +175,8 @@ class DataSource:
         # only perf_ledger/micro.py (``storage.xa_roundtrip_us``) sends this.
         payload = message.payload or {}
         xid = payload["xid"]
-        global_txn_id = payload.get("global_txn_id", xid)
         yield COSTS.datasource_request_ms
-        self.transactions[xid] = LocalTransaction(
-            xid=xid, global_txn_id=global_txn_id, started_at=self.env.now)
+        self.transactions[xid] = LocalTransaction(xid=xid, started_at=self.env.now)
         self._reply(message, {"status": "ok"})
 
     def _on_execute(self, message: Message):
@@ -189,9 +187,7 @@ class DataSource:
         if txn is None and payload.get("auto_start"):
             # XA START pipelined with the first statement batch, as real
             # middlewares do to avoid spending a WAN round trip on BEGIN.
-            txn = LocalTransaction(xid=xid,
-                                   global_txn_id=payload.get("global_txn_id", xid),
-                                   started_at=self.env.now)
+            txn = LocalTransaction(xid=xid, started_at=self.env.now)
             self.transactions[xid] = txn
         if txn is None or txn.state is not TxnState.ACTIVE:
             state = txn.state.value if txn else "missing"
@@ -441,20 +437,20 @@ class DataSource:
         self._retire(txn)
 
     # --------------------------------------------------------------- recovery
-    def kill_sessions(self, global_txn_prefix: str) -> int:
+    def kill_sessions(self, xid_prefix: str) -> int:
         """Abort unfinished, unprepared branches of one coordinator's sessions.
 
         When a middleware crashes, the database server sees its connections
         drop and rolls back their in-progress (not yet prepared) branches —
         prepared branches survive for recovery, exactly as in §V-A.  Branch
-        ownership is recognised by the global-transaction-id prefix the
-        middleware stamps on every branch.  Returns the number of branches
-        rolled back.
+        ownership is recognised by the xid prefix: a branch's xid is its global
+        transaction id, which the middleware prefixes with its name.  Returns
+        the number of branches rolled back.
         """
         killed = 0
         for txn in list(self.transactions.values()):
             if (txn.state in (TxnState.ACTIVE, TxnState.IDLE)
-                    and txn.global_txn_id.startswith(global_txn_prefix)):
+                    and txn.xid.startswith(xid_prefix)):
                 self._end_branch(txn, commit=False, served=False)
                 killed += 1
         return killed

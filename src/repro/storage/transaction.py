@@ -51,8 +51,9 @@ _ALLOWED = {
 class LocalTransaction:
     """State of one subtransaction executing on a data source."""
 
+    #: The branch's XA xid: its global transaction id.  A transaction holds
+    #: at most one branch per data source, so no branch qualifier is needed.
     xid: str
-    global_txn_id: str
     state: TxnState = TxnState.ACTIVE
     started_at: float = 0.0
     finished_at: Optional[float] = None

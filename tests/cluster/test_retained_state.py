@@ -26,7 +26,7 @@ from repro.workloads.arrivals import ArrivalConfig
 
 RETENTION = 16          # finished branches per data source
 CHECKPOINT = 16         # decision-log retention horizon
-XID_RETENTION = 32      # agent id maps
+XID_RETENTION = 32      # agent id sets
 HOTSPOT_CAPACITY = 64
 
 GEOTP = GeoTPConfig(hotspot_capacity=HOTSPOT_CAPACITY)
@@ -101,7 +101,7 @@ def census(cluster, clients):
                              f"{in_flight} branches in flight"))
     for agent in cluster.agents.values():
         retention = agent.config.xid_retention
-        for field in ("_local_xids", "_poisoned", "_xid_order"):
+        for field in ("_seen", "_poisoned", "_xid_order"):
             if len(getattr(agent, field)) > retention:
                 problems.append((f"agent[{agent.name}].{field}",
                                  f"{len(getattr(agent, field))} ids > {retention}"))

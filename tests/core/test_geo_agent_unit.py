@@ -53,7 +53,7 @@ def test_agent_execute_with_last_statement_sends_async_prepared_vote():
 
     def driver():
         result = yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
-            "xid": "g1.1", "global_txn_id": "g1", "operations": [update(1)],
+            "xid": "g1", "operations": [update(1)],
             "auto_start": True, "is_last": True,
             "peers": ["agent-ds1"], "coordinator": "dm"})
         assert result.success
@@ -76,7 +76,7 @@ def test_agent_centralized_transaction_reports_idle_instead_of_preparing():
 
     def driver():
         yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
-            "xid": "g2.1", "global_txn_id": "g2", "operations": [update(2)],
+            "xid": "g2", "operations": [update(2)],
             "auto_start": True, "is_last": True,
             "peers": [], "coordinator": "dm"})
 
@@ -96,10 +96,10 @@ def test_peer_rollback_before_execute_poisons_the_transaction():
     def driver():
         # The peer's early-abort notification arrives before the execute.
         peer.send("agent-ds0", protocol.MSG_PEER_ROLLBACK,
-                  {"global_txn_id": "g3", "coordinator": "dm"})
+                  {"xid": "g3", "coordinator": "dm"})
         yield env.timeout(10)
         result = yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
-            "xid": "g3.1", "global_txn_id": "g3", "operations": [update(3)],
+            "xid": "g3", "operations": [update(3)],
             "auto_start": True, "is_last": True,
             "peers": ["peer"], "coordinator": "dm"})
         outcomes["result"] = result
@@ -120,18 +120,17 @@ def test_agent_bookkeeping_is_bounded_by_xid_retention():
     def driver():
         for i in range(100):
             yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
-                "xid": f"g{i}.1", "global_txn_id": f"g{i}",
-                "operations": [update(i % 10)], "auto_start": True,
+                "xid": f"g{i}", "operations": [update(i % 10)], "auto_start": True,
                 "is_last": False, "peers": [], "coordinator": "dm"})
             yield dm.request("agent-ds0", protocol.MSG_COMMIT_ONE_PHASE,
-                             {"xid": f"g{i}.1"})
+                             {"xid": f"g{i}"})
 
     env.process(driver())
     env.run()
     # 100 transactions flowed through; only the newest ids are remembered.
-    assert len(agent._local_xids) <= 16
+    assert len(agent._seen) <= 16
     assert len(agent._xid_order) <= 16
-    assert "g99" in agent._local_xids and "g0" not in agent._local_xids
+    assert "g99" in agent._seen and "g0" not in agent._seen
 
 
 def test_peer_rollback_for_forgotten_id_takes_the_poison_path():
@@ -141,8 +140,7 @@ def test_peer_rollback_for_forgotten_id_takes_the_poison_path():
     def driver():
         # A rollback for an id this agent has never seen (or long forgot).
         net.interface("peer").send("agent-ds0", protocol.MSG_PEER_ROLLBACK,
-                                   {"global_txn_id": "ancient",
-                                    "coordinator": "dm"})
+                                   {"xid": "ancient", "coordinator": "dm"})
         yield env.timeout(50)
 
     net.set_link("peer", "agent-ds0", ConstantLatency(1))

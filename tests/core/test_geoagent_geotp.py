@@ -207,6 +207,10 @@ def test_geotp_logs_the_commit_decision_then_sends_one_commit_per_branch():
     assert decisions(dm, result.txn_id) == [(LogRecordType.COMMIT, ["ds0", "ds1"])]
     # The votes came from the agents: no prepare request, one commit each.
     assert sent == [("ds0", protocol.MSG_XA_COMMIT), ("ds1", protocol.MSG_XA_COMMIT)]
+    # Each data source holds its branch under the transaction's own id.
+    for ds in datasources.values():
+        assert list(ds.transactions) == [result.txn_id]
+        assert ds.transactions[result.txn_id].state is TxnState.COMMITTED
 
 
 def test_geotp_early_abort_logs_the_abort_and_sends_no_rollback():
@@ -229,9 +233,7 @@ def test_geotp_early_abort_logs_the_abort_and_sends_no_rollback():
     # The agents rolled the branches back among themselves.
     assert protocol.MSG_XA_ROLLBACK not in {verb for _name, verb in sent}
     for ds in datasources.values():
-        (branch,) = [txn for xid, txn in ds.transactions.items()
-                     if xid.rpartition(".")[0] == result.txn_id]
-        assert branch.state is TxnState.ABORTED
+        assert ds.transactions[result.txn_id].state is TxnState.ABORTED
 
 
 def test_geotp_centralized_abort_sends_its_rollback():

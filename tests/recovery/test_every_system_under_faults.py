@@ -47,15 +47,14 @@ def full_retention(monkeypatch):
 
 
 def split_decisions(cluster):
-    """Global ids with a COMMITTED and an ABORTED branch across data sources."""
+    """Xids (global ids) with a COMMITTED and an ABORTED branch across data sources."""
     decisions = defaultdict(set)
     for datasource in cluster.datasources.values():
         assert len(datasource._finished_xids) < RETENTION, "a branch was evicted"
         for xid, txn in datasource.transactions.items():
             if txn.state in (TxnState.COMMITTED, TxnState.ABORTED):
-                gid = xid.rpartition(".")[0]  # branch xid "{gid}.{n}"
-                decisions[gid].add(txn.state)
-    return sorted(gid for gid, states in decisions.items() if len(states) > 1)
+                decisions[xid].add(txn.state)
+    return sorted(xid for xid, states in decisions.items() if len(states) > 1)
 
 
 @pytest.mark.parametrize("fault", ["ds_crash", "mw_crash"])
@@ -80,9 +79,8 @@ def test_split_decisions_flags_a_committed_and_an_aborted_branch():
     def datasource(**states):
         transactions = {}
         for gid, state in states.items():
-            xid = f"dm-{gid}.0"
-            transactions[xid] = LocalTransaction(xid=xid, global_txn_id=f"dm-{gid}",
-                                                 state=state)
+            xid = f"dm-{gid}"
+            transactions[xid] = LocalTransaction(xid=xid, state=state)
         return SimpleNamespace(_finished_xids=(), transactions=transactions)
 
     cluster = SimpleNamespace(datasources={

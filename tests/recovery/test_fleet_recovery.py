@@ -78,7 +78,7 @@ def test_restart_pass_resolves_dm1_in_doubt_branches(crash_run):
     # prepared ones to their logged outcome.
     for datasource in crash_run.cluster.datasources.values():
         for txn in datasource.transactions.values():
-            if not txn.global_txn_id.startswith("dm1-"):
+            if not txn.xid.startswith("dm1-"):
                 continue
             if txn.state.value in ("active", "idle", "prepared"):
                 assert txn.started_at > RESTART_MS, (

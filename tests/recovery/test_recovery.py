@@ -95,15 +95,15 @@ def test_middleware_recovery_commits_logged_transactions():
 
     # Both branches prepared, and the middleware logged a COMMIT decision
     # before crashing: recovery must commit both branches.
-    prepare_branch_by_hand(env, net, "ds0", "dm-t77.1", 0)
-    prepare_branch_by_hand(env, net, "ds1", "dm-t77.2", 1)
+    prepare_branch_by_hand(env, net, "ds0", "dm-t77", 0)
+    prepare_branch_by_hand(env, net, "ds1", "dm-t77", 1)
     dm.wal.append(LogRecordType.COMMIT, "dm-t77", env.now)
 
     report = crash_and_restart_middleware(env, dm, datasources)
 
     assert len(report.committed) == 2
-    assert datasources["ds0"].transactions["dm-t77.1"].state is TxnState.COMMITTED
-    assert datasources["ds1"].transactions["dm-t77.2"].state is TxnState.COMMITTED
+    assert datasources["ds0"].transactions["dm-t77"].state is TxnState.COMMITTED
+    assert datasources["ds1"].transactions["dm-t77"].state is TxnState.COMMITTED
     assert visible(datasources["ds0"], 0) == {"v": 99}
 
 
@@ -114,14 +114,14 @@ def test_middleware_recovery_aborts_undecided_transactions():
 
     # Branches prepared but no decision logged: the transaction never entered
     # the commit phase, so recovery must abort it (AC3/AC4).
-    prepare_branch_by_hand(env, net, "ds0", "dm-t88.1", 2)
-    prepare_branch_by_hand(env, net, "ds1", "dm-t88.2", 3)
+    prepare_branch_by_hand(env, net, "ds0", "dm-t88", 2)
+    prepare_branch_by_hand(env, net, "ds1", "dm-t88", 3)
 
     report = crash_and_restart_middleware(env, dm, datasources)
 
     assert len(report.rolled_back) == 2
-    assert datasources["ds0"].transactions["dm-t88.1"].state is TxnState.ABORTED
-    assert datasources["ds1"].transactions["dm-t88.2"].state is TxnState.ABORTED
+    assert datasources["ds0"].transactions["dm-t88"].state is TxnState.ABORTED
+    assert datasources["ds1"].transactions["dm-t88"].state is TxnState.ABORTED
     # The prepared-but-aborted write never became visible.
     assert visible(datasources["ds0"], 2) == {"v": 0}
 
@@ -132,14 +132,14 @@ def test_all_branches_reach_the_same_outcome_after_recovery():
     net.set_link("manual-client", "ds0", ConstantLatency(1))
     net.set_link("manual-client", "ds1", ConstantLatency(1))
 
-    prepare_branch_by_hand(env, net, "ds0", "dm-t90.1", 4)
-    prepare_branch_by_hand(env, net, "ds1", "dm-t90.2", 5)
+    prepare_branch_by_hand(env, net, "ds0", "dm-t90", 4)
+    prepare_branch_by_hand(env, net, "ds1", "dm-t90", 5)
     dm.wal.append(LogRecordType.ABORT, "dm-t90", env.now)
 
     crash_and_restart_middleware(env, dm, datasources)
 
-    states = {datasources["ds0"].transactions["dm-t90.1"].state,
-              datasources["ds1"].transactions["dm-t90.2"].state}
+    states = {datasources["ds0"].transactions["dm-t90"].state,
+              datasources["ds1"].transactions["dm-t90"].state}
     assert len(states) == 1
     assert states.pop() is TxnState.ABORTED
 
@@ -163,10 +163,8 @@ def test_datasource_crash_loses_unprepared_work_and_siblings_roll_back():
     result = env.run(until=proc)
 
     assert result.outcome is TxnOutcome.ABORTED
-    branches = [txn for ds in (ds0, ds1) for txn in ds.transactions.values()
-                if txn.global_txn_id == result.txn_id]
-    assert len(branches) == 2
-    assert all(txn.state is TxnState.ABORTED for txn in branches)
+    assert ds0.transactions[result.txn_id].state is TxnState.ABORTED
+    assert ds1.transactions[result.txn_id].state is TxnState.ABORTED
     assert visible(ds0, 6) == {"v": 0}
     assert visible(ds1, 7) == {"v": 0}
 
@@ -196,53 +194,61 @@ def test_datasource_crash_with_sibling_mid_prepare_rolls_back_every_branch():
     def stage():
         # ds1: prepared sibling.
         yield client.request("ds1", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t95.2", "operations": [update(10, 7)],
+                             {"xid": "dm-t95", "operations": [update(10, 7)],
                               "auto_start": True})
-        yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "dm-t95.2"})
+        yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "dm-t95"})
         # ds2: active sibling (its XA PREPARE never arrived).
         yield client.request("ds2", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t95.3", "operations": [update(11, 7)],
+                             {"xid": "dm-t95", "operations": [update(11, 7)],
                               "auto_start": True})
         # ds0: executed-only branch.
         yield client.request("ds0", protocol.MSG_EXECUTE,
-                             {"xid": "dm-t95.1", "operations": [update(9, 7)],
+                             {"xid": "dm-t95", "operations": [update(9, 7)],
                               "auto_start": True})
 
     env.run(until=env.process(stage()))
     node_request(env, injector, "ds0", protocol.MSG_CRASH)
     node_request(env, injector, "ds0", protocol.MSG_RESTART)
-    assert datasources["ds0"].transactions["dm-t95.1"].state is TxnState.ABORTED
+    assert datasources["ds0"].transactions["dm-t95"].state is TxnState.ABORTED
 
     report = crash_and_restart_middleware(env, dm, datasources)
 
-    assert report.rolled_back == ["ds1:dm-t95.2"]
+    assert report.rolled_back == ["ds1:dm-t95"]
     assert report.committed == []
-    for name, branch, key in (("ds0", "dm-t95.1", 9), ("ds1", "dm-t95.2", 10),
-                              ("ds2", "dm-t95.3", 11)):
+    for name, branch, key in (("ds0", "dm-t95", 9), ("ds1", "dm-t95", 10),
+                              ("ds2", "dm-t95", 11)):
         assert datasources[name].transactions[branch].state is TxnState.ABORTED
         # No sibling's write ever became visible (AC1).
         assert visible(datasources[name], key) == {"v": 0}
 
 
 def test_datasource_restart_commits_a_prepared_branch_whose_commit_is_logged():
-    """Prepared work survives a node crash; the restart pass finishes it."""
+    """Prepared work survives a node crash; the restart pass finishes it.
+
+    A real 2PC run: ds1 crashes between its vote and the commit.  The restart
+    pass lists the branch under the transaction's own id, the decision log's
+    key, and commits it.
+    """
     env, net, dm, datasources, injector = build_cluster()
-    net.set_link("manual-client", "ds0", ConstantLatency(1))
-    prepare_branch_by_hand(env, net, "ds0", "dm-t93.1", 3)
-    dm.wal.append(LogRecordType.COMMIT, "dm-t93", env.now)
+    ds1 = datasources["ds1"]
+    proc = dm.submit(TransactionSpec.from_operations([update(4, 5), update(5, 5)]))
+    while not dm.wal.records():  # until the commit decision is logged
+        env.step()
+    (txn_id,) = dm.active_contexts
 
-    node_request(env, injector, "ds0", protocol.MSG_CRASH)
-    node_request(env, injector, "ds0", protocol.MSG_RESTART)
-    branch = datasources["ds0"].transactions["dm-t93.1"]
+    node_request(env, injector, "ds1", protocol.MSG_CRASH)
+    assert env.run(until=proc).outcome is TxnOutcome.COMMITTED
+    node_request(env, injector, "ds1", protocol.MSG_RESTART)
+    branch = ds1.transactions[txn_id]
     assert branch.state is TxnState.PREPARED
-    assert visible(datasources["ds0"], 3) == {"v": 0}
+    assert visible(ds1, 5) == {"v": 0}
 
-    report = recover(env, dm, participant_names=["ds0"], owned_prefix="dm-")
+    report = recover(env, dm, participant_names=["ds1"], owned_prefix="dm-")
 
-    assert report.committed == ["ds0:dm-t93.1"]
+    assert report.committed == [f"ds1:{txn_id}"]
     assert report.rolled_back == []
     assert branch.state is TxnState.COMMITTED
-    assert visible(datasources["ds0"], 3) == {"v": 99}
+    assert visible(ds1, 5) == {"v": 5}
 
 
 def test_resolve_in_doubt_skips_live_and_foreign_transactions():
@@ -256,31 +262,31 @@ def test_resolve_in_doubt_skips_live_and_foreign_transactions():
     env, net, dm, datasources, injector = build_cluster()
     net.set_link("manual-client", "ds0", ConstantLatency(1))
 
-    prepare_branch_by_hand(env, net, "ds0", "dm-t96.1", 12)   # in doubt: ours
-    prepare_branch_by_hand(env, net, "ds0", "dm-t97.1", 13)   # live coordinator
-    prepare_branch_by_hand(env, net, "ds0", "dm2-t5.1", 14)   # other middleware
+    prepare_branch_by_hand(env, net, "ds0", "dm-t96", 12)   # in doubt: ours
+    prepare_branch_by_hand(env, net, "ds0", "dm-t97", 13)   # live coordinator
+    prepare_branch_by_hand(env, net, "ds0", "dm2-t5", 14)   # other middleware
 
     report = recover(env, dm, participant_names=["ds0"],
                      skip_global_ids=["dm-t97"], owned_prefix="dm-")
 
-    assert report.rolled_back == ["ds0:dm-t96.1"]
-    assert datasources["ds0"].transactions["dm-t96.1"].state is TxnState.ABORTED
-    assert datasources["ds0"].transactions["dm-t97.1"].state is TxnState.PREPARED
-    assert datasources["ds0"].transactions["dm2-t5.1"].state is TxnState.PREPARED
+    assert report.rolled_back == ["ds0:dm-t96"]
+    assert datasources["ds0"].transactions["dm-t96"].state is TxnState.ABORTED
+    assert datasources["ds0"].transactions["dm-t97"].state is TxnState.PREPARED
+    assert datasources["ds0"].transactions["dm2-t5"].state is TxnState.PREPARED
 
 
 def test_recovery_is_idempotent():
     """Running recovery twice must not change outcomes (AC2: decisions stick)."""
     env, net, dm, datasources, injector = build_cluster()
     net.set_link("manual-client", "ds0", ConstantLatency(1))
-    prepare_branch_by_hand(env, net, "ds0", "dm-t92.1", 8)
+    prepare_branch_by_hand(env, net, "ds0", "dm-t92", 8)
     dm.wal.append(LogRecordType.COMMIT, "dm-t92", env.now)
 
     first = crash_and_restart_middleware(env, dm, datasources)
     second = crash_and_restart_middleware(env, dm, datasources)
 
-    assert first.committed == ["ds0:dm-t92.1"]
-    assert datasources["ds0"].transactions["dm-t92.1"].state is TxnState.COMMITTED
+    assert first.committed == ["ds0:dm-t92"]
+    assert datasources["ds0"].transactions["dm-t92"].state is TxnState.COMMITTED
     assert visible(datasources["ds0"], 8) == {"v": 99}
     # The second pass finds nothing prepared and changes nothing.
     assert second.committed == [] and second.rolled_back == []
@@ -295,6 +301,6 @@ def test_client_facing_outcome_matches_data_source_state():
     result = proc.value
     assert result.outcome is TxnOutcome.COMMITTED
     for name, key in (("ds0", 0), ("ds1", 1)):
-        branch = [t for t in datasources[name].transactions.values()
-                  if t.global_txn_id == result.txn_id]
-        assert branch and branch[0].state is TxnState.COMMITTED
+        # The branch's xid is the transaction's id: no per-branch qualifier.
+        assert list(datasources[name].transactions) == [result.txn_id]
+        assert datasources[name].transactions[result.txn_id].state is TxnState.COMMITTED

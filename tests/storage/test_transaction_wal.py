@@ -7,7 +7,7 @@ from repro.storage.transaction import IllegalTransitionError
 
 
 def make_txn():
-    return LocalTransaction(xid="x1", global_txn_id="g1", started_at=0.0)
+    return LocalTransaction(xid="x1", started_at=0.0)
 
 
 def test_normal_commit_path():
