@@ -138,7 +138,6 @@ class OperationResult:
 class SubtxnResult:
     """Result of executing a batch of operations of one subtransaction."""
 
-    xid: str
     datasource: str
     success: bool
     results: List[OperationResult] = field(default_factory=list)

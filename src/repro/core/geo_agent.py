@@ -75,7 +75,7 @@ class GeoAgentStats:
 
 
 class GeoAgent:
-    """The per-data-source agent process."""
+    """The per-data-source agent."""
 
     def __init__(self, env: Environment, network: Network, config: GeoAgentConfig):
         self.env = env
@@ -101,7 +101,7 @@ class GeoAgent:
                           protocol.MSG_PEER_ROLLBACK: self._on_peer_rollback}
         for verb in _FORWARDED_VERBS:
             self._handlers[verb] = self._forward
-        # Direct-consumer inbox: see DataSource — one handler spawn per
+        # Direct-consumer inbox: see DataSource — one handler call per
         # message, no server loop or get-event round trip.
         self.net.inbox.set_consumer(self._dispatch)
 
@@ -111,12 +111,10 @@ class GeoAgent:
 
     # ------------------------------------------------------------------ server
     def _dispatch(self, message: Message) -> None:
-        # Generator verbs are spawned; start/finish pairs schedule their own
-        # timer and return None (the same rule as ``DataSource._dispatch``).
-        handler = self._handlers.get(message.msg_type) or self._on_unknown
-        generator = handler(message)
-        if generator is not None:
-            self.env.process(generator, name=message.msg_type, daemon=True)
+        # One handler protocol, as in ``DataSource._dispatch``: no verb here
+        # can wait on a lock, so every one is a start function plus
+        # ``call_at`` timers and reply callbacks, one small method per step.
+        (self._handlers.get(message.msg_type) or self._on_unknown)(message)
 
     def _on_unknown(self, message: Message) -> None:
         if message.reply_event is not None:
@@ -136,113 +134,118 @@ class GeoAgent:
     def _relay(self, message: Message, reply: Event) -> None:
         self.net.reply(message, reply.value)
 
+    def _request(self, verb: str, xid: str, then, *args) -> None:
+        """Send ``verb`` for branch ``xid``; ``then(*args, reply)`` gets the answer."""
+        reply = self.net.request(self.datasource, verb, {"xid": xid})
+        reply.callbacks.append(partial(then, *args))
+
     # ----------------------------------------------------------- GeoTP execute
-    def _on_agent_execute(self, message: Message):
-        payload = message.payload or {}
+    def _on_agent_execute(self, message: Message) -> None:
+        self._remember(message.payload["xid"])
+        self.env.call_at(COSTS.agent_forward_ms, self._execute, message)
+
+    def _execute(self, message: Message) -> None:
+        """The forwarding cost is paid: run the batch unless a peer aborted."""
+        payload = message.payload
         xid = payload["xid"]
-        coordinator = payload.get("coordinator", message.sender)
-        peers = payload.get("peers", ())
-        is_last = bool(payload.get("is_last", False))
-        self._remember(xid)
-
-        yield COSTS.agent_forward_ms
-
         if xid in self._poisoned:
             # A peer already aborted this transaction: do not waste execution.
-            result = SubtxnResult(xid=xid, datasource=self.datasource, success=False,
-                                  error="aborted by peer before execution",
-                                  abort_reason=AbortReason.PEER_ABORT)
             if message.reply_event is not None:
-                self.net.reply(message, result)
-            self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
+                self.net.reply(message, SubtxnResult(
+                    datasource=self.datasource, success=False,
+                    error="aborted by peer before execution",
+                    abort_reason=AbortReason.PEER_ABORT))
+            self._send_state(_coordinator(message), xid,
+                             protocol.STATE_ROLLBACKED)
             return
-
         # The data source reads its own keys (xid, operations, auto_start,
         # ...) and ignores the agent's: forward the payload as it came.
-        result = yield self.net.request(self.datasource, protocol.MSG_EXECUTE,
-                                        payload)
+        reply = self.net.request(self.datasource, protocol.MSG_EXECUTE, payload)
+        reply.callbacks.append(partial(self._executed, message))
 
-        if isinstance(result, SubtxnResult) and not result.success:
-            # Execution failed (typically a lock timeout): early abort.
-            if message.reply_event is not None:
-                self.net.reply(message, result)
-            yield from self._async_rollback(xid, peers, coordinator,
-                                            already_aborted=True)
-            return
-
+    def _executed(self, message: Message, reply: Event) -> None:
+        result = reply.value
         if message.reply_event is not None:
             self.net.reply(message, result)
+        payload = message.payload
+        if isinstance(result, SubtxnResult) and not result.success:
+            # Execution failed (typically a lock timeout): early abort.
+            self._async_rollback(payload["xid"], payload.get("peers", ()),
+                                 _coordinator(message), already_aborted=True)
+        elif payload.get("is_last"):
+            self._async_prepare(payload["xid"], payload.get("peers", ()),
+                                _coordinator(message))
 
-        if is_last:
-            yield from self._async_prepare(xid, peers, coordinator)
-
-    def _on_agent_prepare(self, message: Message):
+    def _on_agent_prepare(self, message: Message) -> None:
         """Explicit prepare request for participants without a last statement."""
-        payload = message.payload or {}
-        xid = payload["xid"]
-        coordinator = payload.get("coordinator", message.sender)
-        peers = payload.get("peers", ())
-        self._remember(xid)
-        yield COSTS.agent_forward_ms
+        self._remember(message.payload["xid"])
+        self.env.call_at(COSTS.agent_forward_ms, self._start_prepare, message)
+
+    def _start_prepare(self, message: Message) -> None:
         if message.reply_event is not None:
             self.net.reply(message, {"status": "ok"})
-        yield from self._async_prepare(xid, peers, coordinator)
+        payload = message.payload
+        self._async_prepare(payload["xid"], payload.get("peers", ()),
+                            _coordinator(message))
 
     # ------------------------------------------------- Algorithm 1: AsyncPrepare
-    def _async_prepare(self, xid: str, peers, coordinator: str):
+    def _async_prepare(self, xid: str, peers, coordinator: str) -> None:
         if not peers:
             # Centralized transaction: nothing to prepare, report IDLE (Alg. 1 l.7-9).
             self._send_state(coordinator, xid, protocol.STATE_IDLE)
             return
+        self._request(protocol.MSG_XA_END, xid, self._ended, xid, peers,
+                      coordinator)
 
-        end_reply = yield self.net.request(self.datasource, protocol.MSG_XA_END,
-                                           {"xid": xid})
+    def _ended(self, xid: str, peers, coordinator: str, reply: Event) -> None:
+        end_reply = reply.value
         if not (isinstance(end_reply, dict) and end_reply.get("status") == "ok"):
             self._send_state(coordinator, xid, protocol.STATE_ROLLBACK_ONLY)
-            yield from self._async_rollback(xid, peers, coordinator)
+            self._async_rollback(xid, peers, coordinator)
             return
+        self._request(protocol.MSG_XA_PREPARE, xid, self._voted, xid, peers,
+                      coordinator)
 
-        prepare_reply = yield self.net.request(self.datasource, protocol.MSG_XA_PREPARE,
-                                               {"xid": xid})
+    def _voted(self, xid: str, peers, coordinator: str, reply: Event) -> None:
+        prepare_reply = reply.value
         vote = prepare_reply.get("vote") if isinstance(prepare_reply, dict) else None
         if vote is Vote.YES:
             self.stats.decentralized_prepares += 1
             self._send_state(coordinator, xid, protocol.STATE_PREPARED)
         else:
             self._send_state(coordinator, xid, protocol.STATE_FAILURE)
-            yield from self._async_rollback(xid, peers, coordinator)
+            self._async_rollback(xid, peers, coordinator)
 
     # ------------------------------------------------ Algorithm 1: AsyncRollback
     def _async_rollback(self, xid: str, peers, coordinator: str,
-                        already_aborted: bool = False):
+                        already_aborted: bool = False) -> None:
         for peer in peers:
             if peer == self.name:
                 continue
             self.stats.early_abort_notifications += 1
             self.net.send(peer, protocol.MSG_PEER_ROLLBACK,
                           {"xid": xid, "coordinator": coordinator})
-        if not already_aborted:
-            yield self.net.request(self.datasource, protocol.MSG_XA_ROLLBACK,
-                                   {"xid": xid})
+        if already_aborted:
+            self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
         else:
-            yield self.env.timeout(0)
+            self._request(protocol.MSG_XA_ROLLBACK, xid, self._rolled_back,
+                          coordinator, xid)
+
+    def _rolled_back(self, coordinator: Optional[str], xid: str,
+                     reply: Event) -> None:
         self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
 
-    def _on_peer_rollback(self, message: Message):
+    def _on_peer_rollback(self, message: Message) -> None:
         """A peer agent told us to abort our branch of a failing transaction."""
         payload = message.payload or {}
         xid = payload["xid"]
-        coordinator = payload.get("coordinator")
         self.stats.peer_rollbacks_handled += 1
         # Poisoned even if an execute is here: one still paying its
         # forwarding cost would otherwise start a branch after this rollback.
         self._poison(xid)
-        if xid not in self._seen:
-            yield self.env.timeout(0)
-            return
-        yield self.net.request(self.datasource, protocol.MSG_XA_ROLLBACK, {"xid": xid})
-        if coordinator:
-            self._send_state(coordinator, xid, protocol.STATE_ROLLBACKED)
+        if xid in self._seen:
+            self._request(protocol.MSG_XA_ROLLBACK, xid, self._rolled_back,
+                          payload.get("coordinator"), xid)
 
     # ------------------------------------------------------------------ helpers
     def _remember(self, xid: str) -> None:
@@ -280,3 +283,8 @@ class GeoAgent:
             return
         self.net.send(coordinator, protocol.MSG_AGENT_PREPARE_RESULT,
                       {"xid": xid, "datasource": self.datasource, "state": state})
+
+
+def _coordinator(message: Message) -> str:
+    """Where a GeoTP request's state reports go: its coordinator, else its sender."""
+    return message.payload.get("coordinator", message.sender)

@@ -129,13 +129,16 @@ class Store:
     mutually exclusive by design.
     """
 
-    __slots__ = ("env", "_items", "_getters", "_consumer")
+    __slots__ = ("env", "_items", "_getters", "consumer")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self._items: Deque[Any] = deque()
         self._getters: Deque[StoreGet] = deque()
-        self._consumer: Optional[Callable[[Any], None]] = None
+        #: The direct consumer (:meth:`set_consumer`), or None.  Read-only
+        #: for everything but :meth:`set_consumer` and the network's
+        #: ``close``: a sender may call it in place of :meth:`put`.
+        self.consumer: Optional[Callable[[Any], None]] = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -155,11 +158,11 @@ class Store:
         """
         if self._items or self._getters:
             raise RuntimeError("set_consumer on a store that is already in use")
-        self._consumer = fn
+        self.consumer = fn
 
     def put(self, item: Any) -> None:
         """Append ``item``, waking the oldest waiting getter if any."""
-        consumer = self._consumer
+        consumer = self.consumer
         if consumer is not None:
             consumer(item)
             return
@@ -173,7 +176,7 @@ class Store:
 
     def get(self) -> StoreGet:
         """Return an event that fires with the next item."""
-        if self._consumer is not None:
+        if self.consumer is not None:
             # Puts are routed straight to the consumer; a getter's event
             # could never fire.  Fail fast instead of deadlocking the caller.
             raise RuntimeError("get() on a direct-consumer store would never "

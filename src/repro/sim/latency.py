@@ -45,6 +45,11 @@ class ConstantLatency(LatencyModel):
     def rtt_at(self, now: float) -> float:
         return self.rtt_ms
 
+    def sample_one_way(self, now: float) -> float:
+        # The base class's arithmetic without its ``rtt_at`` call: this is
+        # the model of nearly every simulated message.
+        return self.rtt_ms / 2.0
+
     def describe(self) -> str:
         return f"constant(rtt={self.rtt_ms:.1f}ms)"
 

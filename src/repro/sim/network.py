@@ -22,16 +22,13 @@ discarded, so an RPC caller blocked by an outage resumes after the heal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.sim._kernel.environment import Environment
 from repro.sim._kernel.events import PENDING, Event
 from repro.sim._kernel.resources import Store
 from repro.sim.latency import ConstantLatency, LatencyModel
-
-_message_ids = count(1)
 
 
 @dataclass(slots=True)
@@ -42,13 +39,8 @@ class Message:
     recipient: str
     msg_type: str
     payload: Any = None
-    message_id: int = field(default_factory=_message_ids.__next__)
     #: Event to trigger on the sender's side when the recipient replies.
     reply_event: Optional[Event] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Message #{self.message_id} {self.msg_type} "
-                f"{self.sender}->{self.recipient}>")
 
 
 class NetworkStats:
@@ -163,7 +155,7 @@ class Network:
         """Unplug every inbox consumer (they are bound methods of the nodes,
         which in turn hold this network) and forget parked deliveries."""
         for inbox in self._inboxes.values():
-            inbox._consumer = None
+            inbox.consumer = None
         self._faults = None
 
     # ------------------------------------------------------------ disruptions
@@ -263,7 +255,8 @@ class Network:
     # ------------------------------------------------------------- messaging
     def send(self, message: Message) -> float:
         """Deliver ``message`` after the one-way link delay; return the delay."""
-        if message.recipient not in self._inboxes:
+        inbox = self._inboxes.get(message.recipient)
+        if inbox is None:
             raise KeyError(f"unknown network node {message.recipient!r}")
         env = self.env
         if message.sender == message.recipient:
@@ -278,10 +271,11 @@ class Network:
         by_type = stats.messages_by_type
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
 
-        deliver = self._inboxes[message.recipient].put
-        # Allocation-free delivery: the inbox's bound ``put`` plus args
-        # instead of a per-message closure.  Zero-delay links (self-sends and
-        # colocated nodes) skip the heap entirely via the same-time microqueue.
+        # Allocation-free delivery: the inbox's consumer (or its bound
+        # ``put``) plus args instead of a per-message closure.  Zero-delay
+        # links (self-sends and colocated nodes) skip the heap entirely via
+        # the same-time microqueue.
+        deliver = inbox.consumer or inbox.put
         if self._faults is not None:
             adjusted = self._intercept(message.sender, message.recipient,
                                        delay, deliver, (message,))
@@ -301,7 +295,8 @@ class Network:
         if original.sender == original.recipient:
             delay = 0.0
         else:
-            model = self.link_model(original.recipient, original.sender)
+            model = self._links.get((original.recipient, original.sender),
+                                    self.default_model)
             delay = model.sample_one_way(self.env.now)
 
         if self._faults is not None:
@@ -344,11 +339,8 @@ class NetworkInterface:
     def __init__(self, network: Network, name: str):
         self.network = network
         self.name = name
+        self.env: Environment = network.env
         self.inbox: Store = network.register_node(name)
-
-    @property
-    def env(self) -> Environment:
-        return self.network.env
 
     def send(self, recipient: str, msg_type: str, payload: Any = None) -> Message:
         """Fire-and-forget message to ``recipient``."""

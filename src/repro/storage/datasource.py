@@ -1,9 +1,11 @@
 """A network-attached simulated data source (MySQL- or PostgreSQL-like node).
 
-The data source is a simulation process listening on its network inbox.  Every
-incoming request is handled in its own sub-process so that many subtransactions
-can execute concurrently and block on record locks independently, exactly as
-sessions do in a real database server.
+The data source consumes its network inbox directly: every incoming request
+is handed to its verb's handler.  Only a statement batch (``execute``) runs as
+a process of its own, because only it can wait on a record lock; many batches
+can then execute concurrently and block independently, exactly as sessions do
+in a real database server.  Every other verb is a start function plus
+``call_at`` timers that pay its costs and reply.
 
 Supported verbs (see :mod:`repro.protocol`):
 
@@ -104,10 +106,9 @@ class DataSource:
             protocol.MSG_RESTART: self._on_restart,
             protocol.MSG_PING: self._on_ping,
         }
-        # Direct-consumer inbox: every delivered message spawns its handler
-        # generator straight from the network's delivery dispatch — no server
-        # loop, no get-event, no extra resume per message.  The handler runs
-        # inline until its first yield (run-to-first-yield processes).
+        # Direct-consumer inbox: every delivered message reaches its handler
+        # straight from the network's delivery dispatch — no server loop, no
+        # get-event, no extra resume per message.
         self.net.inbox.set_consumer(self._dispatch)
 
     # ------------------------------------------------------------------ loading
@@ -121,11 +122,9 @@ class DataSource:
 
     # ------------------------------------------------------------------- server
     def _dispatch(self, message: Message) -> None:
-        # A verb is either a generator (it may wait on a lock or pays several
-        # costs; spawned as a daemon process, straight from the table so no
-        # wrapper frame sits on every resume) or a start/finish pair: the
-        # start function makes the checks due before the verb's one cost,
-        # schedules the finish function with ``call_at`` and returns None.
+        # One handler protocol: call the handler.  It makes the checks due
+        # before the verb's first cost and schedules the rest with ``call_at``
+        # (``execute`` spawns the one process that can wait on a lock).
         if self.crashed and message.msg_type != protocol.MSG_RESTART:
             # A crashed *process* refuses connections immediately (the OS
             # resets them), so callers fail fast and can abort/retry instead
@@ -134,10 +133,7 @@ class DataSource:
             self._refuse_crashed(message)
             return
         self.stats.requests_handled += 1
-        handler = self._handlers.get(message.msg_type) or self._on_unknown
-        generator = handler(message)
-        if generator is not None:
-            self.env.process(generator, name=message.msg_type, daemon=True)
+        (self._handlers.get(message.msg_type) or self._on_unknown)(message)
 
     def _on_unknown(self, message: Message) -> None:
         self._reply(message, {"status": "error",
@@ -154,10 +150,8 @@ class DataSource:
         if message.reply_event is None:
             return
         if message.msg_type == protocol.MSG_EXECUTE:
-            payload = message.payload or {}
             reply = SubtxnResult(
-                xid=payload.get("xid", "?"), datasource=self.name,
-                success=False, error="data source crashed",
+                datasource=self.name, success=False, error="data source crashed",
                 abort_reason=AbortReason.UNAVAILABLE)
         elif message.msg_type == protocol.MSG_XA_PREPARE:
             reply = {"vote": Vote.NO, "error": "data source crashed"}
@@ -170,19 +164,19 @@ class DataSource:
             self.net.reply(message, value)
 
     # --------------------------------------------------------------- XA verbs
-    def _on_xa_start(self, message: Message):
+    def _on_xa_start(self, message: Message) -> None:
         # Every coordinator opens a branch with ``execute``'s ``auto_start``;
         # only perf_ledger/micro.py (``storage.xa_roundtrip_us``) sends this.
-        payload = message.payload or {}
-        xid = payload["xid"]
-        yield COSTS.datasource_request_ms
+        self.env.call_at(COSTS.datasource_request_ms, self._finish_xa_start,
+                         message, (message.payload or {})["xid"])
+
+    def _finish_xa_start(self, message: Message, xid: str) -> None:
         self.transactions[xid] = LocalTransaction(xid=xid, started_at=self.env.now)
         self._reply(message, {"status": "ok"})
 
-    def _on_execute(self, message: Message):
+    def _on_execute(self, message: Message) -> None:
         payload = message.payload or {}
         xid = payload["xid"]
-        operations: List[Operation] = payload.get("operations", [])
         txn = self.transactions.get(xid)
         if txn is None and payload.get("auto_start"):
             # XA START pipelined with the first statement batch, as real
@@ -192,11 +186,17 @@ class DataSource:
         if txn is None or txn.state is not TxnState.ACTIVE:
             state = txn.state.value if txn else "missing"
             self._reply(message, SubtxnResult(
-                xid=xid, datasource=self.name, success=False,
+                datasource=self.name, success=False,
                 error=f"transaction {xid} not active ({state})",
                 abort_reason=AbortReason.FAILURE))
             return
+        self.env.process(self._execute(message, payload, txn),
+                         name=protocol.MSG_EXECUTE, daemon=True)
 
+    def _execute(self, message: Message, payload: dict, txn: LocalTransaction):
+        """The statement batch: the one verb body that can wait on a lock."""
+        xid = txn.xid
+        operations: List[Operation] = payload.get("operations", [])
         # Everything the per-operation loop needs, looked up once per batch.
         env = self.env
         stats = self.stats
@@ -213,7 +213,7 @@ class DataSource:
             if txn.state is not active:
                 # The branch was rolled back (peer abort / coordinator rollback)
                 # while this statement batch was still executing or waiting.
-                self._reply_failed(message, xid, results, started)
+                self._reply_failed(message, results, started)
                 return
             is_write = operation.op_type is not OpType.READ
             record_id = operation.record_id
@@ -230,8 +230,9 @@ class DataSource:
                     # a cycle behind.
                     exc.__traceback__ = None
                     if not txn.is_finished:
-                        yield from self._abort_locally(txn)
-                    self._reply_failed(message, xid, results, started,
+                        yield self._abort_ms
+                        self._finish_abort(txn)
+                    self._reply_failed(message, results, started,
                                        str(exc), AbortReason.LOCK_TIMEOUT)
                     return
             if txn.first_lock_at is None:
@@ -244,7 +245,7 @@ class DataSource:
                 # or a coordinator-crash session kill): buffering the write
                 # now would resurrect a write set the abort already
                 # discarded, and success=True would misreport a dead branch.
-                self._reply_failed(message, xid, results, started)
+                self._reply_failed(message, results, started)
                 return
             stats.operations_executed += 1
             stats.busy_ms += cost
@@ -269,23 +270,23 @@ class DataSource:
                 # Aborted while the prepare cost was being paid — same race
                 # as in _on_xa_prepare; report the failure instead of
                 # preparing a dead branch.
-                self._reply_failed(message, xid, results, started)
+                self._reply_failed(message, results, started)
                 return
             self._mark_prepared(txn)
             prepared = True
 
         self._reply(message, SubtxnResult(
-            xid=xid, datasource=self.name, success=True, results=results,
+            datasource=self.name, success=True, results=results,
             local_execution_ms=env.now - started, prepared=prepared,
             records=list(dict.fromkeys([op.record_id for op in operations]))))
 
-    def _reply_failed(self, message: Message, xid: str,
+    def _reply_failed(self, message: Message,
                       results: List[OperationResult], started: float,
                       error: str = "transaction aborted concurrently",
                       reason: AbortReason = AbortReason.PEER_ABORT) -> None:
         """Answer an execute whose batch stopped early (``results`` so far)."""
         self._reply(message, SubtxnResult(
-            xid=xid, datasource=self.name, success=False, results=results,
+            datasource=self.name, success=False, results=results,
             error=error, abort_reason=reason,
             local_execution_ms=self.env.now - started))
 
@@ -355,20 +356,23 @@ class DataSource:
         self._end_branch(txn, commit=True)
         self._reply(message, {"status": "ok"})
 
-    def _on_xa_rollback(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
-        yield COSTS.datasource_request_ms
-        if txn is None:
+    def _on_xa_rollback(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
+        self.env.call_at(COSTS.datasource_request_ms, self._rollback_branch,
+                         message, txn)
+
+    def _rollback_branch(self, message: Message,
+                         txn: Optional[LocalTransaction]) -> None:
+        """The request cost is paid: pay the abort cost, or answer now."""
+        if txn is None or txn.state is TxnState.ABORTED:
             self._reply(message, {"status": "ok", "already": True})
-            return
-        if txn.state is TxnState.ABORTED:
-            self._reply(message, {"status": "ok", "already": True})
-            return
-        if txn.state is TxnState.COMMITTED:
+        elif txn.state is TxnState.COMMITTED:
             self._reply(message, {"status": "error", "error": "already committed"})
-            return
-        yield from self._abort_locally(txn)
+        else:
+            self.env.call_at(self._abort_ms, self._finish_rollback, message, txn)
+
+    def _finish_rollback(self, message: Message, txn: LocalTransaction) -> None:
+        self._finish_abort(txn)
         self._reply(message, {"status": "ok"})
 
     def _on_commit_one_phase(self, message: Message) -> None:
@@ -398,15 +402,12 @@ class DataSource:
             if old is not None and old.is_finished:
                 del self.transactions[xid]
 
-    def _abort_locally(self, txn: LocalTransaction):
-        if txn.is_finished:
-            return
-        yield self._abort_ms
-        if txn.is_finished:
-            # Another handler (e.g. a peer-abort rollback racing with a lock
-            # timeout) finished the branch while we were paying the abort cost.
-            return
-        self._end_branch(txn, commit=False)
+    def _finish_abort(self, txn: LocalTransaction) -> None:
+        """The abort cost is paid (a rollback's, or a lock-wait timeout's)."""
+        # Another handler (e.g. a peer-abort rollback racing with a lock
+        # timeout) may have finished the branch while the cost was paid.
+        if not txn.is_finished:
+            self._end_branch(txn, commit=False)
 
     def _end_branch(self, txn: LocalTransaction, commit: bool,
                     served: bool = True) -> None:
@@ -455,11 +456,14 @@ class DataSource:
                 killed += 1
         return killed
 
-    def _on_list_prepared(self, message: Message):
+    def _on_list_prepared(self, message: Message) -> None:
+        self.env.call_at(COSTS.datasource_request_ms, self._finish_list_prepared,
+                         message)
+
+    def _finish_list_prepared(self, message: Message) -> None:
         """XA RECOVER.  ``kill_prefix`` first kills a crashed coordinator's
         sessions: a batch it sent before the crash arrived earlier (per-link
         FIFO, as on every constant-latency link) and must not prepare."""
-        yield COSTS.datasource_request_ms
         prefix = (message.payload or {}).get("kill_prefix")
         if prefix is not None:
             self.kill_sessions(prefix)
@@ -467,29 +471,32 @@ class DataSource:
                     if txn.state is TxnState.PREPARED]
         self._reply(message, {"prepared": prepared})
 
-    def _on_crash(self, message: Message):
+    def _on_crash(self, message: Message) -> None:
         """Crash the node: in-flight work is lost, non-prepared branches abort."""
-        yield self.env.timeout(0)
         self.crashed = True
         for txn in list(self.transactions.values()):
             if txn.state in (TxnState.ACTIVE, TxnState.IDLE):
                 self._end_branch(txn, commit=False, served=False)
         self._reply(message, {"status": "crashed"})
 
-    def _on_restart(self, message: Message):
+    def _on_restart(self, message: Message) -> None:
+        self.env.call_at(COSTS.node_restart_ms, self._finish_restart, message)
+
+    def _finish_restart(self, message: Message) -> None:
         """Restart after a crash: prepared branches survive, the rest are gone."""
-        yield COSTS.node_restart_ms
         self.crashed = False
         self._reply(message, {"status": "restarted"})
 
-    def _on_ping(self, message: Message):
-        yield self.env.timeout(0)
+    def _on_ping(self, message: Message) -> None:
         self._reply(message, {"status": "ok", "time": self.env.now})
 
     # ------------------------------------------------- key-value verbs (ScalarDB)
-    def _on_kv_get(self, message: Message):
+    def _on_kv_get(self, message: Message) -> None:
+        self.env.call_at(COSTS.datasource_request_ms + self._read_ms,
+                         self._finish_kv_get, message)
+
+    def _finish_kv_get(self, message: Message) -> None:
         payload = message.payload or {}
-        yield COSTS.datasource_request_ms + self._read_ms
         snapshot = self.engine.read(None, payload["table"], payload["key"])
         if snapshot is None:
             self._reply(message, {"found": False})
@@ -497,11 +504,14 @@ class DataSource:
             self._reply(message, {"found": True, "value": snapshot.value,
                                   "version": snapshot.version})
 
-    def _on_kv_put(self, message: Message):
+    def _on_kv_put(self, message: Message) -> None:
+        self.env.call_at(COSTS.datasource_request_ms + self._write_ms,
+                         self._finish_kv_put, message)
+
+    def _finish_kv_put(self, message: Message) -> None:
         """Write a record (``kv_put_if_version``: only at ``expected_version``),
         or with ``restore_version`` put back the value and version a read saw."""
         payload = message.payload or {}
-        yield COSTS.datasource_request_ms + self._write_ms
         if message.msg_type == protocol.MSG_KV_PUT_IF_VERSION:
             snapshot = self.engine.read(None, payload["table"], payload["key"])
             current_version = snapshot.version if snapshot else 0

@@ -115,30 +115,34 @@ class YCSBWorkload(Workload):
 
     # ----------------------------------------------------------------- helpers
     def _generate_operations(self, target_nodes: List[int]) -> List[Operation]:
-        count = self.config.operations_per_transaction
+        # A key is ``zipf() * node_count + node`` (``key_for_node``, inlined),
+        # drawn up to 20 times until it is new to the transaction, then once
+        # more regardless; the read/update coin is ``rng.bernoulli``'s draw.
+        node_count = self._partitioner.node_count
+        zipf = self._zipf.next
+        coin = self.rng.random
+        read_ratio = self.config.read_ratio
+        targets = len(target_nodes)
         operations: List[Operation] = []
         used_keys = set()
-        for index in range(count):
+        for index in range(self.config.operations_per_transaction):
             # Spread operations over the target nodes round-robin so that every
             # chosen node is actually touched (which is what makes the
             # transaction distributed).
-            node = target_nodes[index % len(target_nodes)]
-            key = self._draw_key(node, used_keys)
+            node = target_nodes[index % targets]
+            for _attempt in range(20):
+                key = zipf() * node_count + node
+                if key not in used_keys:
+                    break
+            else:
+                key = zipf() * node_count + node
             used_keys.add(key)
-            if self.rng.bernoulli(self.config.read_ratio):
+            if coin() < read_ratio:
                 operations.append(Operation(op_type=OpType.READ, table=TABLE, key=key))
             else:
                 operations.append(Operation(op_type=OpType.UPDATE, table=TABLE,
                                             key=key, value={"field0": "updated"}))
         return operations
-
-    def _draw_key(self, node_index: int, used_keys) -> int:
-        for _attempt in range(20):
-            local = self._zipf.next()
-            key = self._partitioner.key_for_node(node_index, local)
-            if key not in used_keys:
-                return key
-        return self._partitioner.key_for_node(node_index, self._zipf.next())
 
 
 # ------------------------------------------------------------------- plugin

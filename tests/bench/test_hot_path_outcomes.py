@@ -6,11 +6,17 @@ committed/aborted counts, the abort reasons, the throughput and the p99 equal
 the values captured on the commit before the change, while
 ``events_processed`` — which counted every grant dispatched to nobody and
 every forwarding process — is strictly lower than it was there.
+
+The ScalarDB runs pin the key-value verbs' timer pairs the same way: their
+outcomes equal the values captured while those verbs were still processes,
+and no event was added.  Only a statement batch, the one verb body that can
+wait on a lock, may spawn a process on a data source or a geo-agent.
 """
 
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.sim._kernel.process import Process
 from repro.workloads.arrivals import ArrivalConfig
 from repro.workloads.ycsb import YCSBConfig
 
@@ -63,16 +69,62 @@ PARENT = {
         events_processed=14829),
 }
 
+#: (run, system) -> its summary while the key-value verbs were processes.
+PARENT_KV = {
+    ("open_overload", "scalardb_plus"): dict(
+        committed=987, aborted=210,
+        abort_reasons={"admission_blocked": 24, "prepare_failed": 186},
+        throughput_tps=103.89473684210526, p99_latency_ms=626.9380820104385,
+        events_processed=59097),
+    ("ycsb_contended", "scalardb"): dict(
+        committed=239, aborted=85, abort_reasons={"prepare_failed": 85},
+        throughput_tps=34.142857142857146, p99_latency_ms=1511.9,
+        events_processed=14638),
+}
 
-@pytest.mark.parametrize("name, system", list(PARENT),
-                         ids=[f"{name}-{system}" for name, system in PARENT])
-def test_outcome_equals_the_parents_with_fewer_events(name, system):
-    parent = PARENT[(name, system)]
-    summary = run_experiment(_config(name, system)).summary()
+
+def _assert_outcome(summary, parent):
     assert summary.committed == parent["committed"]
     assert summary.aborted == parent["aborted"]
     assert dict(summary.abort_reasons) == parent["abort_reasons"]
     assert summary.throughput_tps == parent["throughput_tps"]
     assert summary.p99_latency_ms == pytest.approx(parent["p99_latency_ms"],
                                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("name, system", list(PARENT),
+                         ids=[f"{name}-{system}" for name, system in PARENT])
+def test_outcome_equals_the_parents_with_fewer_events(name, system):
+    parent = PARENT[(name, system)]
+    summary = run_experiment(_config(name, system)).summary()
+    _assert_outcome(summary, parent)
     assert summary.events_processed < parent["events_processed"]
+
+
+@pytest.mark.parametrize("name, system", list(PARENT_KV),
+                         ids=[f"{name}-{system}" for name, system in PARENT_KV])
+def test_kv_verb_timers_keep_the_outcome_and_add_no_event(name, system):
+    parent = PARENT_KV[(name, system)]
+    summary = run_experiment(_config(name, system)).summary()
+    _assert_outcome(summary, parent)
+    assert summary.events_processed <= parent["events_processed"]
+
+
+def test_only_a_statement_batch_spawns_a_process_on_a_node(monkeypatch):
+    spawned = []
+    spawn = Process.__init__
+
+    def spy(self, env, generator, *args, **kwargs):
+        spawned.append(generator.__qualname__)
+        spawn(self, env, generator, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", spy)
+    # Contended YCSB takes the rollback, lock-timeout and peer-rollback paths.
+    run_experiment(_config("ycsb_contended", "ssp"))
+    run_experiment(_config("ycsb_contended", "geotp"))
+    run_experiment(ExperimentConfig(
+        system="scalardb_plus", workload="ycsb", terminals=8,
+        duration_ms=1_500.0, warmup_ms=0.0, seed=11, ycsb=YCSBConfig(skew=1.2)))
+    on_nodes = {name for name in spawned
+                if name.startswith(("DataSource.", "GeoAgent."))}
+    assert on_nodes == {"DataSource._execute"}

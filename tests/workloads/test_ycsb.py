@@ -1,5 +1,7 @@
 """Unit and property tests for the YCSB workload generator."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +147,30 @@ def test_property_generated_specs_are_well_formed(ratio, skew, length):
     for stmt in spec.all_statements:
         assert 0 <= stmt.operation.key < 500 * len(NODES)
         assert partitioner.locate("usertable", stmt.operation.key) in NODES
+
+
+def spec_stream_digest(config, count=2_000):
+    """SHA-256 over the first ``count`` specs' metadata, op types, keys and values."""
+    workload = YCSBWorkload(NODES, config)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        spec = workload.next_transaction()
+        digest.update(repr((sorted(spec.metadata.items()), [
+            [(s.operation.op_type.name, s.operation.key, s.operation.value)
+             for s in statements] for statements in spec.rounds])).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("config, expected", [
+    (YCSBConfig(seed=7),
+     "4f941f577af05c8ad8a3273200b377d85ed9e9d753f94aebe217147a01fd01dc"),
+    # Four keys per node and six operations: every centralized transaction
+    # exhausts the 20 redraws and takes the final unchecked draw.
+    (YCSBConfig(seed=3, records_per_node=4, skew=1.5,
+                operations_per_transaction=6, distributed_ratio=0.5, rounds=2),
+     "db860889d35594dcce51f73a5d38c1ced428c0ab1d49144a61b23bfefc1c69cd"),
+], ids=["default", "retry-exhausted"])
+def test_spec_stream_is_pinned_to_its_rng_call_sequence(config, expected):
+    # Captured while keys came from ``key_for_node`` and coins from
+    # ``rng.bernoulli``: inlining either must not move one RNG draw.
+    assert spec_stream_digest(config) == expected
