@@ -19,12 +19,12 @@ Consequences the paper highlights and this model reproduces:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.common import COSTS, AbortReason, Operation, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
-from repro.middleware.middleware import MiddlewareBase
+from repro.middleware.middleware import MiddlewareBase, Replies
 from repro.sim import Resource
 from repro.plugins import SystemPlugin, register_system
 
@@ -129,43 +129,23 @@ class ScalarDBCoordinator(MiddlewareBase):
             images[operation.record_id] = image
         return images
 
-    def _read_batch(self, participant: str, operations: List[Operation],
-                    delay_ms: float):
-        """Read records on one participant in one round trip; ``None`` if refused.
-
-        Not used by plain ScalarDB; ScalarDB+ dispatches per-participant
-        batches with latency-aware postponement.
-        """
-        if delay_ms > 0:
-            yield self.env.timeout(delay_ms)
-        handle = self.participants[participant]
-        requests = []
-        for operation in operations:
-            requests.append(self.request_participant(handle, protocol.MSG_KV_GET, {
-                "table": operation.table, "key": operation.key}))
-        condition = yield self.env.all_of(requests)
-        images = {operation.record_id: _read_image(condition[request])
-                  for operation, request in zip(operations, requests)}
-        return None if None in images.values() else images
-
     def _prepare_writes(self, ctx: TransactionContext,
                         write_set: Dict[RecordId, Operation],
                         read_images: Dict[RecordId, Tuple[Any, int]]):
         if not write_set:
             return True
-        requests = []
-        for record_id, operation in write_set.items():
+        puts = Replies(self.env, len(write_set))
+        for index, (record_id, operation) in enumerate(write_set.items()):
             participant = self.partitioner.locate(operation.table, operation.key)
             handle = self.participants[participant]
-            requests.append(self.request_participant(
+            puts.watch(index, self.request_participant(
                 handle, protocol.MSG_KV_PUT_IF_VERSION, {
                     "table": operation.table,
                     "key": operation.key,
                     "value": operation.value,
                     "expected_version": read_images[record_id][1],
                 }))
-        condition = yield self.env.all_of(requests)
-        replies = [condition[r] for r in requests]
+        replies = yield puts.done
         landed = [isinstance(r, dict) and r.get("status") == "ok" for r in replies]
         if all(landed):
             return True

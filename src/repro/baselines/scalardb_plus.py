@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.scalardb import ScalarDBCoordinator
+from repro import protocol
+from repro.baselines.scalardb import ScalarDBCoordinator, _read_image
+from repro.common import Operation
 from repro.core.geotp import LatencyAwareMixin
 from repro.middleware.context import TransactionContext
+from repro.middleware.middleware import Replies
 from repro.plugins import SystemPlugin, register_system
 
 
@@ -36,21 +39,36 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
             participant = self.partitioner.locate(stmt.operation.table,
                                                   stmt.operation.key)
             by_participant.setdefault(participant, []).append(stmt.operation)
-        records_by_participant = {
+        delays = self._postponements({
             name: [op.record_id for op in ops]
-            for name, ops in by_participant.items()}
-        delays = self._postponements(records_by_participant)
-        processes = [self.env.process(
-            self._read_batch(name, ops, delays.get(name, 0.0)),
-            name=f"{ctx.txn_id}:scalardb+:{name}")
-            for name, ops in by_participant.items()]
-        condition = yield self.env.all_of(processes)
-        versions = {}
-        for process in processes:
-            if condition[process] is None:
+            for name, ops in by_participant.items()})
+        reads = Replies(self.env, len(statements))
+        operations: List[Operation] = []     # in slot order
+        for name, ops in by_participant.items():
+            delay_ms = delays.get(name, 0.0)
+            if delay_ms > 0:
+                self.env.call_at(delay_ms, self._send_reads, reads,
+                                 len(operations), name, ops)
+            else:
+                self._send_reads(reads, len(operations), name, ops)
+            operations.extend(ops)
+        replies = yield reads.done
+        images = {}
+        for operation, reply in zip(operations, replies):
+            image = _read_image(reply)
+            if image is None:
                 return None
-            versions.update(condition[process])
-        return versions
+            images[operation.record_id] = image
+        return images
+
+    def _send_reads(self, reads: Replies, first: int, participant: str,
+                    operations: List[Operation]) -> None:
+        """Send one participant's reads; they fill ``reads`` from slot ``first``."""
+        handle = self.participants[participant]
+        for index, operation in enumerate(operations, first):
+            reads.watch(index, self.request_participant(
+                handle, protocol.MSG_KV_GET,
+                {"table": operation.table, "key": operation.key}))
 
     def on_transaction_settled(self, ctx: TransactionContext, committed: bool) -> None:
         records = ctx.spec.record_ids()

@@ -18,7 +18,7 @@ This is the paper's contribution assembled from its three techniques:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.common import AbortReason, SubtxnResult, TxnOutcome
 from repro import protocol
@@ -30,7 +30,7 @@ from repro.core.latency_monitor import NetworkLatencyMonitor
 from repro.core.scheduler import GeoScheduler
 from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.middleware.middleware import ParticipantHandle
+from repro.middleware.middleware import ParticipantHandle, Replies
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.router import Partitioner
 from repro.plugins import SystemPlugin, register_system
@@ -44,41 +44,46 @@ _COMMITTABLE_STATES = {protocol.STATE_PREPARED, protocol.STATE_IDLE}
 _TERMINAL_STATES = {protocol.STATE_PREPARED, protocol.STATE_IDLE,
                     protocol.STATE_FAILURE, protocol.STATE_ROLLBACK_ONLY,
                     protocol.STATE_ROLLBACKED}
+#: The one state that ends a wait for rollback confirmations.
+_ROLLED_BACK = {protocol.STATE_ROLLBACKED}
 
 
 class _VoteBox:
-    """Collects asynchronous per-participant state reports for one transaction."""
+    """Collects asynchronous per-participant state reports for one transaction.
+
+    The coordinator waits on at most one set of participants at a time (the
+    prepare votes, then the rollback confirmations); each waited participant's
+    first report in the awaited states fills its slot of one :class:`Replies`.
+    """
 
     def __init__(self, env: Environment):
         self.env = env
         self._history: Dict[str, List[str]] = {}
-        self._waiters: List[Tuple[str, Set[str], Event]] = []
+        self._replies: Optional[Replies] = None
+        self._awaited: Set[str] = set()
+        #: Waited participant -> its slot, until it reports an awaited state.
+        self._slots: Dict[str, int] = {}
 
     def deliver(self, participant: str, state: str) -> None:
-        """Record a state report and wake any matching waiters."""
+        """Record a state report and fill the participant's slot if awaited."""
         self._history.setdefault(participant, []).append(state)
-        remaining = []
-        for waited_participant, states, event in self._waiters:
-            if waited_participant == participant and state in states and not event.triggered:
-                event.succeed(state)
+        if state in self._awaited and participant in self._slots:
+            self._replies.put(self._slots.pop(participant), state)
+
+    def expect(self, participants: List[str], states: Set[str]) -> Event:
+        """Event firing, with one state per participant in order, once each of
+        ``participants`` has reported any state in ``states``."""
+        replies = self._replies = Replies(self.env, len(participants))
+        self._awaited = states
+        self._slots = {}
+        for index, participant in enumerate(participants):
+            reported = next((state for state in self._history.get(participant, ())
+                             if state in states), None)
+            if reported is None:
+                self._slots[participant] = index
             else:
-                remaining.append((waited_participant, states, event))
-        self._waiters = remaining
-
-    def states(self, participant: str) -> List[str]:
-        """All states reported so far by ``participant``."""
-        return list(self._history.get(participant, []))
-
-    def wait_for(self, participant: str, states: Set[str]) -> Event:
-        """Event firing once ``participant`` has reported any state in ``states``."""
-        for state in self._history.get(participant, []):
-            if state in states:
-                event = Event(self.env)
-                event.succeed(state)
-                return event
-        event = Event(self.env)
-        self._waiters.append((participant, set(states), event))
-        return event
+                replies.put(index, reported)
+        return replies.done
 
 
 class LatencyAwareMixin:
@@ -248,10 +253,8 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
     # ------------------------------------------------------------------- commit
     def _prepare_round(self, ctx: TransactionContext, names: List[str]):
         """O1: no prepare round trip — wait for the decentralized votes."""
-        box = self._vote_box(ctx)
-        waits = [box.wait_for(name, _TERMINAL_STATES) for name in names]
-        condition = yield self.env.all_of(waits)
-        return all(condition[event] in _COMMITTABLE_STATES for event in waits)
+        votes = yield self._vote_box(ctx).expect(names, _TERMINAL_STATES)
+        return all(vote in _COMMITTABLE_STATES for vote in votes)
 
     def _dispatch_decision(self, ctx: TransactionContext, verb: str):
         """Early abort (O1): the agents already rolled a distributed
@@ -262,10 +265,7 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
 
     def _await_rollbacks(self, ctx: TransactionContext):
         """Wait for every participant to confirm its branch rolled back."""
-        box = self._vote_box(ctx)
-        waits = [box.wait_for(name, {protocol.STATE_ROLLBACKED})
-                 for name in ctx.participants]
-        yield self.env.all_of(waits)
+        yield self._vote_box(ctx).expect(ctx.participants, _ROLLED_BACK)
 
 
 # ------------------------------------------------------------------- plugin

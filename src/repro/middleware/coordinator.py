@@ -17,34 +17,30 @@ scheduling / admission / commit hooks.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional
 
 from repro.common import COSTS, AbortReason, SubtxnResult, TxnOutcome, Vote
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
-from repro.middleware.middleware import MiddlewareBase
+from repro.middleware.middleware import MiddlewareBase, Replies
 from repro.middleware.rewriter import SubtransactionPlan
 from repro.middleware.statements import Statement
 from repro.sim import Event
 from repro.storage.wal import LogRecordType
 
 
-class _FanOut:
+class _FanOut(Replies):
     """One round's RPCs in flight: timers and callbacks, no process per batch."""
 
-    __slots__ = ("owner", "ctx", "verb", "is_final_round", "results",
-                 "missing", "done")
+    __slots__ = ("owner", "ctx", "verb", "is_final_round")
 
     def __init__(self, owner: "TwoPhaseCommitCoordinator", ctx: TransactionContext,
                  verb: str, is_final_round: bool, count: int):
+        super().__init__(owner.env, count)
         self.owner = owner
         self.ctx = ctx
         self.verb = verb
         self.is_final_round = is_final_round
-        self.results: list = [None] * count
-        self.missing = count
-        self.done = Event(owner.env)
 
     def dispatch(self, index: int, plan: SubtransactionPlan) -> None:
         """Pay the request overhead, then send the batch."""
@@ -58,15 +54,8 @@ class _FanOut:
             # clears ``active_contexts``; ids never repeat).  Send nothing.
             return
         payload = owner.execute_payload(self.ctx, plan, self.is_final_round)
-        reply = owner.request_participant(owner.participants[plan.datasource],
-                                          self.verb, payload)
-        reply.callbacks.append(partial(self._collect, index))
-
-    def _collect(self, index: int, reply: Event) -> None:
-        self.results[index] = reply.value
-        self.missing -= 1
-        if not self.missing:
-            self.done.succeed(self.results)
+        self.watch(index, owner.request_participant(
+            owner.participants[plan.datasource], self.verb, payload))
 
 
 class TwoPhaseCommitCoordinator(MiddlewareBase):
@@ -155,8 +144,6 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
                 self.env.call_at(delay_ms, fan.dispatch, index, plan)
             else:
                 fan.dispatch(index, plan)
-        if not plans:
-            fan.done.succeed(fan.results)
         return fan.done
 
     @staticmethod
@@ -226,11 +213,11 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
 
     def _request_all(self, ctx: TransactionContext, names: List[str], verb: str):
         """One timed ``verb`` request per branch in ``names``; the replies in order."""
-        requests = [self.timed_request_participant(
-            self.participants[name], verb, {"xid": ctx.txn_id})
-            for name in names]
-        condition = yield self.env.all_of(requests)
-        return [condition[request] for request in requests]
+        replies = Replies(self.env, len(names))
+        for index, name in enumerate(names):
+            replies.watch(index, self.timed_request_participant(
+                self.participants[name], verb, {"xid": ctx.txn_id}))
+        return (yield replies.done)
 
     # ------------------------------------------------------------------- abort
     def _abort_all(self, ctx: TransactionContext):

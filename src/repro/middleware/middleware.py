@@ -5,21 +5,23 @@ the reproduction — SSP, SSP(local), ScalarDB, QURO, Chiller and GeoTP — name
 the network endpoint, the rewriter/router, transaction-id assignment, the
 decision log, per-phase accounting and the resource counters that substitute
 for the paper's CPU/memory measurements (Figure 6).  Subclasses implement
-``_run_transaction`` (the coordination protocol).
+``_run_transaction`` (the coordination protocol).  :class:`Replies` is the one
+way a coordinator waits for N replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.common import COSTS, AbortReason, TransactionResult, TxnOutcome
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.rewriter import Rewriter
 from repro.middleware.router import Partitioner
 from repro.middleware.statements import TransactionSpec
-from repro.sim import Environment, Interrupt, Process
+from repro.sim import Environment, Event, Interrupt, Process
 from repro.sim.network import Message, Network, NetworkInterface
 from repro.storage.wal import WriteAheadLog
 
@@ -38,6 +40,40 @@ class ParticipantHandle:
 
     name: str
     endpoint: str
+
+
+class Replies:
+    """``n`` reply slots and one ``done`` event that fires, once every slot is
+    filled, with the values in slot order: every N-way wait of a coordinator
+    round (execute fan-out, prepare votes, decision acks, key-value reads and
+    conditional writes) gathers through one of these."""
+
+    __slots__ = ("values", "missing", "done")
+
+    def __init__(self, env: Environment, n: int):
+        self.values: List[Any] = [None] * n
+        self.missing = n
+        self.done = Event(env)
+        if not n:
+            self.done.succeed(self.values)
+
+    def put(self, index: int, value: Any) -> None:
+        """Fill slot ``index``; the last slot filled fires ``done``."""
+        self.values[index] = value
+        self.missing -= 1
+        if not self.missing:
+            self.done.succeed(self.values)
+
+    def watch(self, index: int, reply: Event) -> None:
+        """Fill slot ``index`` with ``reply``'s value once it is processed
+        (at once if it already is, e.g. a lock's shared granted event)."""
+        if reply.callbacks is None:
+            self.put(index, reply.value)
+        else:
+            reply.callbacks.append(partial(self._collect, index))
+
+    def _collect(self, index: int, reply: Event) -> None:
+        self.put(index, reply.value)
 
 
 class MiddlewareStats:

@@ -15,7 +15,7 @@ event fires.  All timestamps are floats in simulated milliseconds.
 """
 
 from repro.sim._kernel.environment import EmptySchedule, Environment
-from repro.sim._kernel.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim._kernel.events import Event, Interrupt, Timeout
 from repro.sim._kernel.process import Process
 from repro.sim._kernel.resources import Resource, ResourceRequest, Store
 from repro.sim.latency import (
@@ -36,8 +36,6 @@ def active_engine() -> str:
 
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "ConstantLatency",
     "DynamicLatency",
     "EmptySchedule",

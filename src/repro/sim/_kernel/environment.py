@@ -46,10 +46,10 @@ from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heappush
 from math import ceil
-from typing import (Any, Callable, ClassVar, Deque, Dict, Final, Iterable,
+from typing import (Any, Callable, ClassVar, Deque, Dict, Final,
                     List, Optional, Set, Tuple)
 
-from .events import PENDING, AllOf, AnyOf, Condition, Event, Timeout
+from .events import PENDING, Event, Timeout
 from .process import Process
 
 #: Scheduling priorities: interrupts preempt normal events at the same time.
@@ -339,17 +339,6 @@ class Environment:
                 self._cancelled -= 1
         return float("inf")
 
-    # ------------------------------------------------------------- factories
-    # ``event``/``timeout``/``process`` are declared attributes bound to
-    # partial objects in ``__init__`` (see class body above).
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
-
     # --------------------------------------------------------------- teardown
     def close(self) -> None:
         """Abandon the simulation so that it dies by reference counting.
@@ -367,9 +356,6 @@ class Environment:
             target = process._target
             if target is not None:
                 target.callbacks = None
-                if isinstance(target, Condition):
-                    for child in target._events:
-                        child.callbacks = None
             process._target = None
             process._sleep = None
             process.callbacks = None

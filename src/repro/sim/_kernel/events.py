@@ -5,9 +5,10 @@ on events by yielding them; when the event *succeeds* (or *fails*) the waiting
 process is resumed with the event's value (or the failure exception is thrown
 into it).
 
-The composite events :class:`AllOf` and :class:`AnyOf` allow a process to wait
-for several events at once, which the middleware coordinators use to wait for
-prepare votes from many data sources.
+There is no composite event: code that waits for several replies at once (a
+coordinator's round, prepare votes, decision acks) subscribes to each with a
+plain callback and gathers the values itself
+(:class:`repro.middleware.middleware.Replies`).
 
 Everything here is on the simulation's hot path: the classes are slotted, and
 triggering appends straight onto the environment's same-time microqueue
@@ -21,7 +22,7 @@ with the environment module.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .environment import Environment
@@ -147,84 +148,3 @@ class Timeout(Event):
         else:
             env._eid = eid = env._eid + 1
             heappush(env._queue, (env.now + delay, 1, eid, self))
-
-
-class ConditionValue:
-    """Dict-like access to the values of the events a condition waited on."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: List[Event]):
-        self.events = events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-
-class Condition(Event):
-    """Base class for composite events over a list of child events."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events: List[Event] = list(events)
-        self._count: int = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events belong to different environments")
-
-        if not self._events:
-            self.succeed(ConditionValue([]))
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        elif self._satisfied(self._count, len(self._events)):
-            done = [e for e in self._events
-                    if e._value is not PENDING and e._ok]
-            self.succeed(ConditionValue(done))
-
-
-class AllOf(Condition):
-    """Succeeds once *all* child events have succeeded (fails on first failure)."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Succeeds as soon as *any* child event succeeds."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1

@@ -10,12 +10,15 @@ every forwarding process — is strictly lower than it was there.
 The ScalarDB runs pin the key-value verbs' timer pairs the same way: their
 outcomes equal the values captured while those verbs were still processes,
 and no event was added.  Only a statement batch, the one verb body that can
-wait on a lock, may spawn a process on a data source or a geo-agent.
+wait on a lock, may spawn a process on a data source or a geo-agent, and a
+coordinator spawns only the transaction's own process: every N-way wait of a
+round gathers through ``Replies`` callbacks.
 """
 
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.plugins import system_plugins
 from repro.sim._kernel.process import Process
 from repro.workloads.arrivals import ArrivalConfig
 from repro.workloads.ycsb import YCSBConfig
@@ -67,6 +70,12 @@ PARENT = {
         abort_reasons={"admission_blocked": 18, "lock_timeout": 6},
         throughput_tps=19.36842105263158, p99_latency_ms=5307.152900446155,
         events_processed=14829),
+    # Captured while ScalarDB+ spawned a process per read batch.
+    ("ycsb_contended", "scalardb_plus"): dict(
+        committed=613, aborted=321,
+        abort_reasons={"admission_blocked": 64, "prepare_failed": 257},
+        throughput_tps=87.57142857142857, p99_latency_ms=554.163474531205,
+        events_processed=44611),
 }
 
 #: (run, system) -> its summary while the key-value verbs were processes.
@@ -128,3 +137,10 @@ def test_only_a_statement_batch_spawns_a_process_on_a_node(monkeypatch):
     on_nodes = {name for name in spawned
                 if name.startswith(("DataSource.", "GeoAgent."))}
     assert on_nodes == {"DataSource._execute"}
+    coordinator_classes = {cls.__name__ for plugin in system_plugins()
+                           for cls in plugin.coordinator.__mro__}
+    on_coordinators = {name for name in spawned
+                       if name.split(".")[0] in coordinator_classes}
+    assert "MiddlewareBase._coordinate" in on_coordinators
+    assert on_coordinators <= {"MiddlewareBase._coordinate",
+                               "MiddlewareBase._refuse"}

@@ -193,10 +193,13 @@ def test_hit_storms_do_not_grow_the_heap():
 #: a run evicts thousands of times, both older idle records and newcomers.
 #: ScalarDB+ was re-pinned once when an aborted prepare began restoring the
 #: records it had installed (320/56 committed/aborted before, 318/54 after).
+#: Both event counts were re-pinned, every other field unchanged, when votes
+#: and ScalarDB+ reads began gathering through callbacks instead of per-vote
+#: events and per-batch processes (19612 and 71614 before).
 SMALL_FOOTPRINT_RUNS = {
-    "geotp": [268, 4, 19612, "59.55555555555556", "1195.3568323459353",
+    "geotp": [268, 4, 19296, "59.55555555555556", "1195.3568323459353",
               [("admission_blocked", 4)]],
-    "scalardb_plus": [318, 54, 71614, "70.66666666666667", "564.1999999999999",
+    "scalardb_plus": [318, 54, 70342, "70.66666666666667", "564.1999999999999",
                       [("admission_blocked", 6), ("prepare_failed", 48)]],
 }
 

@@ -161,52 +161,6 @@ def test_event_value_unavailable_before_trigger():
         _ = ev.value
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    times = []
-
-    def proc():
-        t1 = env.timeout(10, value="a")
-        t2 = env.timeout(25, value="b")
-        result = yield env.all_of([t1, t2])
-        times.append(env.now)
-        assert result[t1] == "a"
-        assert result[t2] == "b"
-
-    env.process(proc())
-    env.run()
-    assert times == [25]
-
-
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    times = []
-
-    def proc():
-        t1 = env.timeout(10, value="a")
-        t2 = env.timeout(25, value="b")
-        result = yield env.any_of([t1, t2])
-        times.append(env.now)
-        assert t1 in result
-
-    env.process(proc())
-    env.run()
-    assert times == [10]
-
-
-def test_all_of_empty_list_fires_immediately():
-    env = Environment()
-    done = []
-
-    def proc():
-        yield env.all_of([])
-        done.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert done == [0]
-
-
 def test_interrupt_raises_inside_process():
     env = Environment()
     outcome = []

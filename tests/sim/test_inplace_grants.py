@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Resource
+from repro.sim import Environment, Event, Resource
 from repro.sim._kernel.locks import _LockEntry
 from repro.storage.lock_manager import LockManager, LockMode, LockRequest
 
@@ -79,19 +79,6 @@ def test_a_process_consumes_the_grant_inline():
     assert env.events_processed == 1    # the sleep, nothing else
 
 
-def test_granted_events_work_as_condition_children():
-    env = Environment()
-    lm = LockManager(env)
-    pending = Event(env)
-    both = AllOf(env, [lm.acquire("t1", "a", X), lm.acquire("t1", "b", X)])
-    either = AnyOf(env, [pending, lm.acquire("t2", "c", S)])
-    mixed = AllOf(env, [lm.acquire("t3", "d", X), pending])
-    assert both.triggered and either.triggered and not mixed.triggered
-    pending.succeed("late")
-    env.run()
-    assert mixed.processed and len(mixed.value) == 2
-
-
 def test_the_shared_granted_event_is_never_mutated():
     env = Environment()
     lm = LockManager(env)
@@ -99,7 +86,6 @@ def test_the_shared_granted_event_is_never_mutated():
 
     def proc():
         yield lm.acquire("t2", "b", X)
-        yield AllOf(env, [lm.acquire("t2", "c", S), lm.acquire("t2", "d", S)])
         yield lm.acquire("t2", "a", X, timeout_ms=5.0)   # waits, then times out
 
     process = env.process(proc())
@@ -121,7 +107,6 @@ def test_free_resource_unit_is_handed_over_in_place():
     third = resource.request()
     assert not third.triggered and resource.queue_length == 1
     assert not env._soon and env.events_processed == 0
-    assert AllOf(env, [first, second]).triggered
 
     def user():
         with resource.request() as req:     # queued behind ``third``
