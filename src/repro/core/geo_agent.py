@@ -101,8 +101,6 @@ class GeoAgent:
                           protocol.MSG_PEER_ROLLBACK: self._on_peer_rollback}
         for verb in _FORWARDED_VERBS:
             self._handlers[verb] = self._forward
-        # Direct-consumer inbox: see DataSource — one handler call per
-        # message, no server loop or get-event round trip.
         self.net.inbox.set_consumer(self._dispatch)
 
     def close(self) -> None:

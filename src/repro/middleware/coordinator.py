@@ -204,8 +204,7 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
         """Persist the global commit/abort decision before dispatching it."""
         yield COSTS.log_flush_ms
         record_type = LogRecordType.COMMIT if commit else LogRecordType.ABORT
-        self.wal.append(record_type, ctx.txn_id, self.env.now,
-                        payload={"participants": list(ctx.participants)})
+        self.wal.append(record_type, ctx.txn_id, self.env.now)
 
     def _dispatch_decision(self, ctx: TransactionContext, verb: str):
         """Send the final decision to every participant; returns their replies."""

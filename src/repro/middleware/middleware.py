@@ -130,9 +130,6 @@ class MiddlewareBase:
         self.active_processes: Dict[str, Process] = {}
         self._txn_counter = count(1)
         self.crashed = False
-        # Direct-consumer inbox: asynchronous messages (decentralized prepare
-        # votes, early-abort notices) are routed at delivery dispatch instead
-        # of through a server loop's get-event round trip.
         self.net.inbox.set_consumer(self._dispatch_message)
 
     # ----------------------------------------------------------------- intake

@@ -17,7 +17,7 @@ event fires.  All timestamps are floats in simulated milliseconds.
 from repro.sim._kernel.environment import EmptySchedule, Environment
 from repro.sim._kernel.events import Event, Interrupt, Timeout
 from repro.sim._kernel.process import Process
-from repro.sim._kernel.resources import Resource, ResourceRequest, Store
+from repro.sim._kernel.resources import Resource, ResourceRequest
 from repro.sim.latency import (
     ConstantLatency,
     DynamicLatency,
@@ -52,7 +52,6 @@ __all__ = [
     "Resource",
     "ResourceRequest",
     "SeededRNG",
-    "Store",
     "Timeout",
     "ZipfianGenerator",
     "active_engine",

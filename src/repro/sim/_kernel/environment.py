@@ -6,9 +6,10 @@ two scheduling structures:
 * a **microqueue** (plain deque) of work that fires *now* — triggered events,
   finished processes and zero-delay callbacks.  Same-time work is dispatched
   in FIFO order without ever touching the heap;
-* a **priority heap** of future work: ``(time, priority, sequence, entry)``
-  tuples where ``entry`` is an :class:`~repro.sim._kernel.events.Event` or a
-  lightweight :class:`Timer` created by :meth:`Environment.call_at`.
+* a **heap** of future work: ``(time, sequence, entry)`` tuples where
+  ``entry`` is an :class:`~repro.sim._kernel.events.Event`, a lightweight
+  :class:`Timer` created by :meth:`Environment.call_at` or a process's sleep
+  carrier.
 
 :meth:`Environment.run` drains the microqueue first, then pops the heap,
 advancing the clock only on heap entries (microqueue work is by construction
@@ -21,8 +22,8 @@ Ordering contract (relaxed since the reordering fast paths landed)
 ------------------------------------------------------------------
 
 Entries are totally ordered by time; *within* one timestamp the engine
-guarantees FIFO order per structure (microqueue first, then heap by priority
-and sequence) but makes **no promise that this interleaving matches the old
+guarantees FIFO order per structure (microqueue first, then heap by
+sequence) but makes **no promise that this interleaving matches the old
 heap-only engine byte for byte**.  Any change to same-timestamp interleaving
 is validated by the statistical-equivalence harness
 (:mod:`repro.bench.equivalence`) instead of byte-identical golden pins.
@@ -51,10 +52,6 @@ from typing import (Any, Callable, ClassVar, Deque, Dict, Final,
 
 from .events import PENDING, Event, Timeout
 from .process import Process
-
-#: Scheduling priorities: interrupts preempt normal events at the same time.
-PRIORITY_URGENT: Final[int] = 0
-PRIORITY_NORMAL: Final[int] = 1
 
 #: Compact the heap when at least this many cancelled entries are buried in it
 #: (and they outnumber the live ones); small queues are never worth compacting.
@@ -198,7 +195,7 @@ class Environment:
         self.active_process: Optional[Process] = None
         #: Number of queue entries dispatched so far (microqueue + heap).
         self.events_processed: int = 0
-        self._queue: List[Tuple[float, int, int, Any]] = []
+        self._queue: List[Tuple[float, int, Any]] = []
         #: Same-time work in FIFO order: triggered Events / finished Processes,
         #: or ``(fn, args)`` tuples from :meth:`call_soon`.
         self._soon: Deque[Any] = deque()
@@ -216,12 +213,6 @@ class Environment:
         self.process = partial(Process, self)
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = PRIORITY_NORMAL) -> None:
-        """Enqueue ``event`` to be processed ``delay`` ms from now."""
-        self._eid = eid = self._eid + 1
-        heappush(self._queue, (self.now + delay, priority, eid, event))
-
     def call_at(self, delay: float, fn: Callable[..., None],
                 *args: Any) -> Timer:
         """Run ``fn(*args)`` ``delay`` ms from now; returns a cancellable handle.
@@ -232,7 +223,7 @@ class Environment:
         """
         timer = Timer(fn, args, self)
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self.now + delay, PRIORITY_NORMAL, eid, timer))
+        heappush(self._queue, (self.now + delay, eid, timer))
         return timer
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
@@ -315,8 +306,8 @@ class Environment:
         """
         queue = self._queue
         queue[:] = [entry for entry in queue
-                    if entry[3].callbacks is not None
-                    or entry[3].fn is not None]
+                    if entry[2].callbacks is not None
+                    or entry[2].fn is not None]
         heapify(queue)
         self._cancelled = 0
 
@@ -331,7 +322,7 @@ class Environment:
         queue = self._queue
         while queue:
             head = queue[0]
-            entry = head[3]
+            entry = head[2]
             if entry.callbacks is not None or entry.fn is not None:
                 return head[0]
             heappop(queue)
@@ -396,7 +387,7 @@ class Environment:
         queue = self._queue
         while True:
             try:
-                when, _priority, _eid, event = heappop(queue)
+                when, _eid, event = heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
             callbacks = event.callbacks
@@ -476,7 +467,7 @@ class Environment:
 
             while queue:
                 head = queue[0]
-                entry = head[3]
+                entry = head[2]
                 if entry.callbacks is not None or entry.fn is not None:
                     break
                 heappop(queue)
@@ -496,7 +487,7 @@ class Environment:
                 return None
 
             heappop(queue)
-            event = head[3]
+            event = head[2]
             self.now = when
             self.events_processed += 1
             callbacks = event.callbacks

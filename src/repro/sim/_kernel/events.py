@@ -15,8 +15,8 @@ triggering appends straight onto the environment's same-time microqueue
 (``env._soon``) — an event always triggers *at the current simulated time*, so
 the heap (whose job is ordering *future* work) is never involved.  Only
 :class:`Timeout` still pushes onto the heap, because its firing time lies in
-the future; its entry layout ``(time, priority, sequence, event)`` is shared
-with the environment module.
+the future; its entry layout ``(time, sequence, event)`` is shared with the
+environment module.
 """
 
 from __future__ import annotations
@@ -147,4 +147,4 @@ class Timeout(Event):
             env._soon.append(self)
         else:
             env._eid = eid = env._eid + 1
-            heappush(env._queue, (env.now + delay, 1, eid, self))
+            heappush(env._queue, (env.now + delay, eid, self))

@@ -117,11 +117,9 @@ class Process(Event):
         """Throw an :class:`Interrupt` into the process at the current time.
 
         The interrupt preempts same-time work: it jumps to the *front* of
-        the microqueue, like the old engine's urgent heap priority preempted
-        normal same-time events.  Unlike the old engine, *multiple* pending
-        same-timestamp interrupts are delivered LIFO rather than FIFO — no
-        current caller double-interrupts within one timestamp, so the
-        simpler front-of-queue rule wins.
+        the microqueue.  *Multiple* pending same-timestamp interrupts are
+        therefore delivered LIFO — no caller double-interrupts within one
+        timestamp, so the simple front-of-queue rule suffices.
         """
         if self._value is not PENDING:
             raise RuntimeError("cannot interrupt a finished process")
@@ -219,8 +217,7 @@ class Process(Event):
                         self._sleep = entry = _SleepEntry(self)
                     entry.fn = entry._bound
                     env._eid = eid = env._eid + 1
-                    heappush(env._queue,
-                             (env.now + next_event, 1, eid, entry))
+                    heappush(env._queue, (env.now + next_event, eid, entry))
                     env.active_process = None
                     return
                 env.active_process = None

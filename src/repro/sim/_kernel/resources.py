@@ -1,17 +1,13 @@
 """Shared resources for simulation processes (kernel module).
 
-Two primitives are provided:
-
-* :class:`Resource` — a counted resource with FIFO queuing (used for the
-  coordinator-thread model of the ScalarDB baseline).
-* :class:`Store` — an unbounded FIFO message queue (used for node inboxes in
-  the network model).
+:class:`Resource` is a counted resource with FIFO queuing (used for the
+coordinator-thread model of the ScalarDB baseline).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, List
 
 from .events import PENDING, Event
 
@@ -107,89 +103,3 @@ class Resource:
             self._users.append(req)
             req.succeed(None)
 
-
-class StoreGet(Event):
-    """Pending retrieval from a :class:`Store`."""
-
-    __slots__ = ()
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``.
-
-    ``put`` never blocks; ``get`` returns an event that fires with the oldest
-    item as soon as one is available.
-
-    A store can alternatively run in **direct-consumer** mode
-    (:meth:`set_consumer`): every ``put`` hands the item straight to a
-    callback instead of queueing it.  The server loops (``DataSource``,
-    ``GeoAgent``, the middleware inbox) use this to skip the whole
-    get-event/resume round trip — one per network message — that the
-    ``yield receive()`` pattern costs.  Consumer mode and ``get`` are
-    mutually exclusive by design.
-    """
-
-    __slots__ = ("env", "_items", "_getters", "consumer")
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
-        #: The direct consumer (:meth:`set_consumer`), or None.  Read-only
-        #: for everything but :meth:`set_consumer` and the network's
-        #: ``close``: a sender may call it in place of :meth:`put`.
-        self.consumer: Optional[Callable[[Any], None]] = None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> List[Any]:
-        """Snapshot of the queued items (oldest first)."""
-        return list(self._items)
-
-    def set_consumer(self, fn: Callable[[Any], None]) -> None:
-        """Switch to direct-consumer mode: every ``put`` calls ``fn(item)``.
-
-        Must be set before any items are queued or getters are waiting; the
-        consumer is invoked synchronously at delivery-dispatch time, which is
-        when a ``yield receive()`` loop would have been resumed anyway (minus
-        the event round trip).
-        """
-        if self._items or self._getters:
-            raise RuntimeError("set_consumer on a store that is already in use")
-        self.consumer = fn
-
-    def put(self, item: Any) -> None:
-        """Append ``item``, waking the oldest waiting getter if any."""
-        consumer = self.consumer
-        if consumer is not None:
-            consumer(item)
-            return
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter._value is not PENDING:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> StoreGet:
-        """Return an event that fires with the next item."""
-        if self.consumer is not None:
-            # Puts are routed straight to the consumer; a getter's event
-            # could never fire.  Fail fast instead of deadlocking the caller.
-            raise RuntimeError("get() on a direct-consumer store would never "
-                               "complete; the two modes are mutually exclusive")
-        get_event = StoreGet(self.env)
-        if self._items:
-            get_event.succeed(self._items.popleft())
-        else:
-            self._getters.append(get_event)
-        return get_event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: the next item, or None if the store is empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

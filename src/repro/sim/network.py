@@ -3,13 +3,15 @@
 The model mirrors the paper's deployment: a database middleware host and a set
 of geo-distributed data source hosts connected by WAN links of very different
 round-trip times, plus LAN links between a geo-agent and its co-located data
-source.  Nodes are named endpoints with an inbox; the :class:`Network` routes
-messages between them applying the per-link :class:`~repro.sim.latency.LatencyModel`.
+source.  Nodes are named endpoints, each with one message handler (its
+:class:`Inbox`); the :class:`Network` routes messages between them applying the
+per-link :class:`~repro.sim.latency.LatencyModel` and calls the recipient's
+handler at delivery time.
 
 Two communication styles are supported:
 
-* one-way ``send`` — deliver a :class:`Message` to the destination inbox after
-  the one-way link delay (used for asynchronous notifications such as the
+* one-way ``send`` — deliver a :class:`Message` to the destination's handler
+  after the one-way link delay (used for asynchronous notifications such as the
   decentralized prepare votes and early-abort messages);
 * ``request`` — RPC-style: the caller gets an event that fires with the reply
   value after the full round trip plus the receiver's processing time.
@@ -27,7 +29,6 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.sim._kernel.environment import Environment
 from repro.sim._kernel.events import PENDING, Event
-from repro.sim._kernel.resources import Store
 from repro.sim.latency import ConstantLatency, LatencyModel
 
 
@@ -41,6 +42,20 @@ class Message:
     payload: Any = None
     #: Event to trigger on the sender's side when the recipient replies.
     reply_event: Optional[Event] = None
+
+
+class Inbox:
+    """A node's message handler: the network calls ``handler(message)`` once
+    per delivered message, at its delivery time."""
+
+    __slots__ = ("handler",)
+
+    def __init__(self) -> None:
+        self.handler: Optional[Callable[[Message], None]] = None
+
+    def set_consumer(self, fn: Callable[[Message], None]) -> None:
+        """Install ``fn`` as the node's handler."""
+        self.handler = fn
 
 
 class NetworkStats:
@@ -116,18 +131,19 @@ class Network:
         self.env = env
         self.default_model: LatencyModel = ConstantLatency(default_rtt_ms)
         self._links: Dict[Tuple[str, str], LatencyModel] = {}
-        self._inboxes: Dict[str, Store] = {}
+        self._inboxes: Dict[str, Inbox] = {}
         self.stats = NetworkStats()
         #: Active disruptions, or None while the network is healthy (the
         #: common case — the hot send path checks only this attribute).
         self._faults: Optional[_FaultState] = None
 
     # ---------------------------------------------------------------- wiring
-    def register_node(self, name: str) -> Store:
+    def register_node(self, name: str) -> Inbox:
         """Create (or return) the inbox for node ``name``."""
-        if name not in self._inboxes:
-            self._inboxes[name] = Store(self.env)
-        return self._inboxes[name]
+        inbox = self._inboxes.get(name)
+        if inbox is None:
+            self._inboxes[name] = inbox = Inbox()
+        return inbox
 
     def set_link(self, src: str, dst: str, model: LatencyModel,
                  symmetric: bool = True) -> None:
@@ -152,10 +168,10 @@ class Network:
         return NetworkInterface(self, name)
 
     def close(self) -> None:
-        """Unplug every inbox consumer (they are bound methods of the nodes,
-        which in turn hold this network) and forget parked deliveries."""
+        """Unplug every handler (they are bound methods of the nodes, which in
+        turn hold this network) and forget parked deliveries."""
         for inbox in self._inboxes.values():
-            inbox.consumer = None
+            inbox.handler = None
         self._faults = None
 
     # ------------------------------------------------------------ disruptions
@@ -258,6 +274,10 @@ class Network:
         inbox = self._inboxes.get(message.recipient)
         if inbox is None:
             raise KeyError(f"unknown network node {message.recipient!r}")
+        deliver = inbox.handler
+        if deliver is None:
+            raise RuntimeError(
+                f"network node {message.recipient!r} has no message handler")
         env = self.env
         if message.sender == message.recipient:
             delay = 0.0
@@ -271,11 +291,9 @@ class Network:
         by_type = stats.messages_by_type
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
 
-        # Allocation-free delivery: the inbox's consumer (or its bound
-        # ``put``) plus args instead of a per-message closure.  Zero-delay
-        # links (self-sends and colocated nodes) skip the heap entirely via
-        # the same-time microqueue.
-        deliver = inbox.consumer or inbox.put
+        # Allocation-free delivery: the handler plus args instead of a
+        # per-message closure.  Zero-delay links (self-sends and colocated
+        # nodes) skip the heap entirely via the same-time microqueue.
         if self._faults is not None:
             adjusted = self._intercept(message.sender, message.recipient,
                                        delay, deliver, (message,))
@@ -340,7 +358,7 @@ class NetworkInterface:
         self.network = network
         self.name = name
         self.env: Environment = network.env
-        self.inbox: Store = network.register_node(name)
+        self.inbox: Inbox = network.register_node(name)
 
     def send(self, recipient: str, msg_type: str, payload: Any = None) -> Message:
         """Fire-and-forget message to ``recipient``."""
@@ -359,12 +377,8 @@ class NetworkInterface:
         return reply_event
 
     def reply(self, message: Message, value: Any) -> None:
-        """Answer an RPC message previously received in our inbox."""
+        """Answer an RPC message our handler was given."""
         self.network.deliver_reply(message, value)
-
-    def receive(self) -> Event:
-        """Event firing with the next message in our inbox."""
-        return self.inbox.get()
 
     def rtt_to(self, other: str) -> float:
         """Nominal RTT to another node at the current simulated time."""

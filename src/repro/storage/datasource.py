@@ -106,9 +106,6 @@ class DataSource:
             protocol.MSG_RESTART: self._on_restart,
             protocol.MSG_PING: self._on_ping,
         }
-        # Direct-consumer inbox: every delivered message reaches its handler
-        # straight from the network's delivery dispatch — no server loop, no
-        # get-event, no extra resume per message.
         self.net.inbox.set_consumer(self._dispatch)
 
     # ------------------------------------------------------------------ loading

@@ -21,9 +21,8 @@ unaffected because it only concerns recently decided transactions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Any, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 #: Default retention horizon: how many of the newest records survive a
 #: checkpoint.  Compaction triggers at twice this, so the amortized cost per
@@ -31,10 +30,6 @@ from typing import Any, List, Mapping, Optional
 #: Kept deliberately small: long-lived log records pin allocator arenas, so a
 #: generous horizon shows up directly as resident-set growth on long runs.
 DEFAULT_CHECKPOINT_RECORDS = 1024
-
-#: The payload of every record appended without one (most COMMIT/ABORT
-#: records): shared and read-only instead of one empty dict per record.
-_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
 
 class LogRecordType(enum.Enum):
@@ -54,8 +49,6 @@ class WALRecord:
     record_type: LogRecordType
     xid: str
     timestamp: float
-    #: Stored as handed to :meth:`WriteAheadLog.append` — not copied.
-    payload: Mapping[str, Any] = field(default_factory=lambda: _NO_PAYLOAD)
 
 
 class WriteAheadLog:
@@ -71,14 +64,10 @@ class WriteAheadLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, record_type: LogRecordType, xid: str, timestamp: float,
-               payload: Optional[Mapping[str, Any]] = None) -> WALRecord:
-        """Append a record (the caller is responsible for charging flush time).
-
-        ``payload`` is kept as is: the caller must not mutate it afterwards.
-        """
-        record = WALRecord(record_type, xid, timestamp,
-                           _NO_PAYLOAD if payload is None else payload)
+    def append(self, record_type: LogRecordType, xid: str,
+               timestamp: float) -> WALRecord:
+        """Append a record (the caller is responsible for charging flush time)."""
+        record = WALRecord(record_type, xid, timestamp)
         self._records.append(record)
         if len(self._records) >= 2 * self.checkpoint_records:
             self.checkpoint()

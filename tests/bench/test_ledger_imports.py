@@ -7,10 +7,16 @@ every ``perf_ledger/*.py`` (without importing it), collects each
 ``from repro... import name`` and each counted-function spec of
 ``perf_ledger/layers.py``, and resolves them against the package, one test id
 per reference.
+
+A name can resolve while the attribute a benchmark calls on it is gone (a
+removed ``inbox.set_consumer``, say), and ``micro.run_all`` turns the
+``AttributeError`` into a silent null metric.  So the kernel, lock, network and
+storage microbenchmarks are also run here, each on a handful of operations.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,8 +67,23 @@ def _resolve(reference):
     return target
 
 
+def _micro_names(*layers):
+    """The names ``perf_ledger/micro.py`` registers with ``@micro`` in ``layers``."""
+    tree = ast.parse((LEDGER_DIR / "micro.py").read_text(encoding="utf-8"))
+    names = []
+    for node in tree.body:
+        for decorator in getattr(node, "decorator_list", ()):
+            if (isinstance(decorator, ast.Call)
+                    and getattr(decorator.func, "id", None) == "micro"):
+                name = decorator.args[0].value
+                if name.split(".")[0] in layers:
+                    names.append(name)
+    return names
+
+
 IMPORTED = sorted(_imported_names())
 COUNTED = _counted_functions()
+KERNEL_MICROS = _micro_names("sim_kernel", "locks", "network", "storage")
 
 
 @pytest.mark.parametrize("reference", sorted(set(IMPORTED) - set(KNOWN_STALE)))
@@ -84,3 +105,29 @@ def test_known_stale_references_are_still_stale(reference):
 
 def test_active_engine_reports_the_one_kernel():
     assert repro.sim.active_engine() == "pure"
+
+
+@pytest.fixture(scope="module")
+def ledger_micro():
+    """``perf_ledger/micro.py``, imported with the ledger's directory on the
+    path; the ledger's own modules leave ``sys.modules`` again afterwards."""
+    sys.path.insert(0, str(LEDGER_DIR))
+    try:
+        micro = importlib.import_module("micro")
+    finally:
+        sys.path.remove(str(LEDGER_DIR))
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == LEDGER_DIR:
+                del sys.modules[name]
+    return micro
+
+
+def test_the_kernel_micros_are_all_found():
+    assert "network.request_reply_ns" in KERNEL_MICROS
+    assert len(KERNEL_MICROS) >= 8
+
+
+@pytest.mark.parametrize("name", KERNEL_MICROS)
+def test_a_kernel_layer_micro_runs_on_the_current_api(ledger_micro, name):
+    bench, _operations = ledger_micro.MICROBENCHMARKS[name]
+    assert bench(20) >= 0.0

@@ -155,3 +155,34 @@ def test_decision_is_plain_dataclass():
     decision = AdmissionDecision(admitted=True, success_probability=1.0,
                                  retries_used=0)
     assert decision == AdmissionDecision(True, 1.0, 0)
+
+
+# ------------------------------------------------ a rejection and live holders
+@pytest.mark.xfail(strict=True, reason=(
+    "known O3 defect: admit() starts footprint accesses only for an admitted "
+    "transaction, but geotp's on_transaction_finished and scalardb_plus's "
+    "on_transaction_settled end them for a rejected one too, so every "
+    "rejection decrements the a_cnt of records live transactions hold"))
+@pytest.mark.parametrize("system", ["geotp", "scalardb_plus"])
+def test_a_rejected_transaction_leaves_a_live_holders_a_cnt_unchanged(system):
+    from repro.cluster import TopologyConfig, build_cluster
+    from repro.common import AbortReason, Operation, OpType
+    from repro.core import GeoTPConfig
+    from repro.middleware import ModuloPartitioner, TransactionSpec
+
+    topology = TopologyConfig.from_rtts([5.0])
+    cluster = build_cluster(system, topology,
+                            ModuloPartitioner(topology.node_names()),
+                            geotp_config=GeoTPConfig(admission_max_retries=0))
+    dm = cluster.middleware
+    record = ("usertable", 0)
+    # Two live holders that have never committed: Eq. 9 gives the record a
+    # success probability of (0 / 2) ^ (2 - 1) = 0, so admission rejects.
+    dm.footprint.on_access_start([record])
+    dm.footprint.on_access_start([record])
+    spec = TransactionSpec.from_operations([Operation(
+        op_type=OpType.UPDATE, table="usertable", key=0, value={"v": 1})])
+    proc = dm.submit(spec)
+    cluster.env.run(until=proc)
+    assert proc.value.abort_reason is AbortReason.ADMISSION_BLOCKED
+    assert dm.footprint.get_or_create(record).a_cnt == 2

@@ -17,6 +17,9 @@ def build_agent_pair():
     net.set_link("agent-ds0", "ds0", ConstantLatency(0.5))
     net.set_link("dm", "agent-ds0", ConstantLatency(20))
     coordinator = net.interface("dm")
+    # The fake coordinator drops the agent's asynchronous state reports
+    # unless a test installs its own listener.
+    coordinator.inbox.set_consumer(lambda message: None)
     return env, net, ds, agent, coordinator
 
 
@@ -45,11 +48,11 @@ def test_agent_execute_with_last_statement_sends_async_prepared_vote():
     env, net, ds, agent, dm = build_agent_pair()
     votes = []
 
-    def vote_listener():
-        while True:
-            message = yield dm.receive()
-            if message.msg_type == protocol.MSG_AGENT_PREPARE_RESULT:
-                votes.append(message.payload["state"])
+    def vote_listener(message):
+        if message.msg_type == protocol.MSG_AGENT_PREPARE_RESULT:
+            votes.append(message.payload["state"])
+
+    dm.inbox.set_consumer(vote_listener)
 
     def driver():
         result = yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
@@ -58,7 +61,6 @@ def test_agent_execute_with_last_statement_sends_async_prepared_vote():
             "peers": ["agent-ds1"], "coordinator": "dm"})
         assert result.success
 
-    env.process(vote_listener())
     env.process(driver())
     env.run(until=500)
     assert votes == [protocol.STATE_PREPARED]
@@ -68,11 +70,7 @@ def test_agent_execute_with_last_statement_sends_async_prepared_vote():
 def test_agent_centralized_transaction_reports_idle_instead_of_preparing():
     env, net, ds, agent, dm = build_agent_pair()
     votes = []
-
-    def vote_listener():
-        while True:
-            message = yield dm.receive()
-            votes.append(message.payload["state"])
+    dm.inbox.set_consumer(lambda message: votes.append(message.payload["state"]))
 
     def driver():
         yield dm.request("agent-ds0", protocol.MSG_AGENT_EXECUTE, {
@@ -80,7 +78,6 @@ def test_agent_centralized_transaction_reports_idle_instead_of_preparing():
             "auto_start": True, "is_last": True,
             "peers": [], "coordinator": "dm"})
 
-    env.process(vote_listener())
     env.process(driver())
     env.run(until=500)
     assert votes == [protocol.STATE_IDLE]

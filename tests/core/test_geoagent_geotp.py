@@ -82,8 +82,7 @@ def record_requests(dm):
 
 
 def decisions(dm, txn_id):
-    return [(r.record_type, r.payload["participants"])
-            for r in dm.wal.records() if r.xid == txn_id]
+    return [r.record_type for r in dm.wal.records() if r.xid == txn_id]
 
 
 def test_geotp_centralized_transaction_commits():
@@ -204,7 +203,7 @@ def test_geotp_logs_the_commit_decision_then_sends_one_commit_per_branch():
     sent = record_requests(dm)
     result = run_txn(env, dm, TransactionSpec.from_operations([update(0), update(1)]))
     assert result.outcome is TxnOutcome.COMMITTED
-    assert decisions(dm, result.txn_id) == [(LogRecordType.COMMIT, ["ds0", "ds1"])]
+    assert decisions(dm, result.txn_id) == [LogRecordType.COMMIT]
     # The votes came from the agents: no prepare request, one commit each.
     assert sent == [("ds0", protocol.MSG_XA_COMMIT), ("ds1", protocol.MSG_XA_COMMIT)]
     # Each data source holds its branch under the transaction's own id.
@@ -229,7 +228,7 @@ def test_geotp_early_abort_logs_the_abort_and_sends_no_rollback():
     assert blocker.value.outcome is TxnOutcome.COMMITTED
     result = aborted.value
     assert result.outcome is TxnOutcome.ABORTED
-    assert decisions(dm, result.txn_id) == [(LogRecordType.ABORT, ["ds0", "ds1"])]
+    assert decisions(dm, result.txn_id) == [LogRecordType.ABORT]
     # The agents rolled the branches back among themselves.
     assert protocol.MSG_XA_ROLLBACK not in {verb for _name, verb in sent}
     for ds in datasources.values():
@@ -256,7 +255,7 @@ def test_geotp_centralized_abort_sends_its_rollback():
     assert blocker.value.outcome is TxnOutcome.COMMITTED
     result = aborted.value
     assert result.outcome is TxnOutcome.ABORTED and not result.is_distributed
-    assert decisions(dm, result.txn_id) == [(LogRecordType.ABORT, ["ds0"])]
+    assert decisions(dm, result.txn_id) == [LogRecordType.ABORT]
     assert ("ds0", protocol.MSG_XA_ROLLBACK) in sent
     assert datasources["ds0"].engine.read("p", "usertable", 2).value == {"v": 0}
 

@@ -135,17 +135,12 @@ def test_dual_plan_released_deliveries_are_re_intercepted():
     injector = FaultInjector(cluster, plan)
     injector.install()
     received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append((env.now, msg.msg_type))
+    b.inbox.set_consumer(lambda msg: received.append((env.now, msg.msg_type)))
 
     def sender():
         yield env.timeout(4_200.0)   # inside the outage, before the partition
         a.send("ds2", "caught_twice")
 
-    env.process(receiver(), daemon=True)
     env.process(sender())
     env.run(until=10_000.0)
     # Released by the outage heal at t=5500, re-parked under the partition,

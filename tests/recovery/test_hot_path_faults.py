@@ -71,8 +71,8 @@ def _executes_in_flight(cluster):
     """Pending deliveries of a round's execute requests and of their replies."""
     in_flight = 0
     for entry in cluster.env._queue:
-        args = getattr(entry[3], "args", None)
-        if getattr(entry[3], "fn", None) is None or not args:
+        args = getattr(entry[-1], "args", None)
+        if getattr(entry[-1], "fn", None) is None or not args:
             continue
         if isinstance(args[0], Message):
             in_flight += args[0].msg_type in _EXECUTE_VERBS
@@ -89,9 +89,9 @@ def strikes(monkeypatch):
 
     def snapshot(injector):
         cluster = injector.cluster
-        pending = {getattr(entry[3].fn, "__name__", "")
+        pending = {getattr(entry[-1].fn, "__name__", "")
                    for entry in cluster.env._queue
-                   if getattr(entry[3], "fn", None) is not None}
+                   if getattr(entry[-1], "fn", None) is not None}
         seen.append((pending & _VERB_TIMERS, _executes_in_flight(cluster)))
 
     for name in ("_crash_middleware", "_crash_datasource_proc"):

@@ -4,7 +4,7 @@ timer wheel."""
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Interrupt, Store
+from repro.sim import EmptySchedule, Environment, Interrupt, Network
 
 
 # -------------------------------------------------------- run-to-first-yield
@@ -226,25 +226,18 @@ def test_cancelling_triggered_events_does_not_inflate_heap_accounting():
     env.run()
 
 
-# ---------------------------------------------------- direct-consumer stores
-def test_consumer_store_routes_puts_and_rejects_get():
+# ------------------------------------------------------ a node is its handler
+def test_zero_delay_deliveries_reach_the_handler_in_order_without_the_heap():
     env = Environment()
-    store = Store(env)
+    net = Network(env)
+    a, b = net.interface("a"), net.interface("b")
     seen = []
-    store.set_consumer(seen.append)
-    store.put("a")
-    store.put("b")
-    assert seen == ["a", "b"]
-    with pytest.raises(RuntimeError, match="direct-consumer"):
-        store.get()
-
-
-def test_set_consumer_on_a_store_in_use_is_rejected():
-    env = Environment()
-    store = Store(env)
-    store.put("queued")
-    with pytest.raises(RuntimeError, match="already in use"):
-        store.set_consumer(lambda item: None)
+    b.inbox.set_consumer(lambda message: seen.append(message.payload))
+    a.send("b", "m", "x")
+    a.send("b", "m", "y")
+    assert env._queue == [] and seen == []
+    env.run()
+    assert seen == ["x", "y"]
 
 
 # ----------------------------------------------------------------- timer wheel

@@ -14,19 +14,24 @@ def make_net(rtt_ab=100.0):
     return env, net, a, b
 
 
+def record_arrivals(env, iface):
+    """Install a handler on ``iface`` that logs ``(now, msg_type)`` per message."""
+    received = []
+    iface.inbox.set_consumer(
+        lambda msg: received.append((env.now, msg.msg_type)))
+    return received
+
+
 def test_send_delivers_after_one_way_delay():
     env, net, a, b = make_net(rtt_ab=100)
     received = []
-
-    def receiver():
-        msg = yield b.receive()
-        received.append((env.now, msg.msg_type, msg.payload))
+    b.inbox.set_consumer(
+        lambda msg: received.append((env.now, msg.msg_type, msg.payload)))
 
     def sender():
         yield env.timeout(0)
         a.send("b", "hello", payload=123)
 
-    env.process(receiver())
     env.process(sender())
     env.run()
     assert received == [(50.0, "hello", 123)]
@@ -34,16 +39,11 @@ def test_send_delivers_after_one_way_delay():
 
 def test_send_to_self_has_zero_delay():
     env, net, a, b = make_net()
-    received = []
-
-    def proc():
-        a.send("a", "loopback")
-        msg = yield a.receive()
-        received.append(env.now)
-
-    env.process(proc())
+    received = record_arrivals(env, a)
+    a.send("a", "loopback")
+    assert received == []  # delivered by the dispatch loop, not inline
     env.run()
-    assert received == [0.0]
+    assert received == [(0.0, "loopback")]
 
 
 def test_send_to_unknown_node_raises():
@@ -52,20 +52,22 @@ def test_send_to_unknown_node_raises():
         a.send("nowhere", "x")
 
 
+def test_send_to_a_node_without_a_handler_names_the_node():
+    env, net, a, b = make_net()
+    with pytest.raises(RuntimeError, match="'b' has no message handler"):
+        a.send("b", "x")
+    assert net.stats.messages_sent == 0
+
+
 def test_request_reply_takes_full_round_trip():
     env, net, a, b = make_net(rtt_ab=100)
     results = []
-
-    def server():
-        while True:
-            msg = yield b.receive()
-            b.reply(msg, msg.payload * 2)
+    b.inbox.set_consumer(lambda msg: b.reply(msg, msg.payload * 2))
 
     def client():
         value = yield a.request("b", "double", payload=21)
         results.append((env.now, value))
 
-    env.process(server())
     env.process(client())
     env.run(until=1000)
     assert results == [(100.0, 42)]
@@ -74,17 +76,12 @@ def test_request_reply_takes_full_round_trip():
 def test_request_reply_includes_server_processing_time():
     env, net, a, b = make_net(rtt_ab=100)
     results = []
-
-    def server():
-        msg = yield b.receive()
-        yield env.timeout(7)
-        b.reply(msg, "ok")
+    b.inbox.set_consumer(lambda msg: env.call_at(7, b.reply, msg, "ok"))
 
     def client():
         value = yield a.request("b", "work")
         results.append(env.now)
 
-    env.process(server())
     env.process(client())
     env.run()
     assert results == [pytest.approx(107.0)]
@@ -117,20 +114,12 @@ def test_default_link_model_applies_to_unknown_pairs():
 
 def test_network_stats_count_messages_by_type():
     env, net, a, b = make_net()
-
-    def receiver():
-        while True:
-            yield b.receive()
-
-    def sender():
-        a.send("b", "ping")
-        a.send("b", "ping")
-        a.send("b", "data")
-        yield env.timeout(0)
-
-    env.process(receiver())
-    env.process(sender())
+    received = record_arrivals(env, b)
+    a.send("b", "ping")
+    a.send("b", "ping")
+    a.send("b", "data")
     env.run(until=500)
+    assert len(received) == 3
     assert net.stats.messages_sent == 3
     assert net.stats.messages_by_type["ping"] == 2
     assert net.stats.messages_by_type["data"] == 1
@@ -138,30 +127,18 @@ def test_network_stats_count_messages_by_type():
 
 def test_reply_without_request_rejected():
     env, net, a, b = make_net()
-
-    def receiver():
-        msg = yield b.receive()
-        with pytest.raises(ValueError):
-            b.reply(msg, "oops")
-
-    def sender():
-        a.send("b", "one_way")
-        yield env.timeout(0)
-
-    env.process(receiver())
-    env.process(sender())
+    received = []
+    b.inbox.set_consumer(received.append)
+    a.send("b", "one_way")
     env.run()
+    with pytest.raises(ValueError):
+        b.reply(received[0], "oops")
 
 
 # ------------------------------------------------------------- fault support
 def test_disrupted_node_parks_messages_and_releases_them_on_heal():
     env, net, a, b = make_net(rtt_ab=100)
-    received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append((env.now, msg.msg_type))
+    received = record_arrivals(env, b)
 
     def sender():
         net.disrupt_node("b")
@@ -171,7 +148,6 @@ def test_disrupted_node_parks_messages_and_releases_them_on_heal():
         net.restore_node("b")
         yield env.timeout(0)
 
-    env.process(receiver(), daemon=True)
     env.process(sender())
     env.run(until=1000)
     # Released in park order, redelivered one link delay after the heal.
@@ -184,11 +160,12 @@ def test_outage_parks_the_reply_leg_of_an_rpc_in_flight():
     env, net, a, b = make_net(rtt_ab=100)
     events = {}
 
-    def server():
-        msg = yield b.receive()
+    def server(msg):
         # The outage strikes while the request is being processed.
         net.disrupt_node("b")
         b.reply(msg, "pong")
+
+    b.inbox.set_consumer(server)
 
     def client():
         reply = yield a.request("b", "ping")
@@ -198,7 +175,6 @@ def test_outage_parks_the_reply_leg_of_an_rpc_in_flight():
         yield env.timeout(400)
         net.restore_node("b")
 
-    env.process(server())
     env.process(client())
     env.process(healer())
     env.run(until=2000)
@@ -211,11 +187,9 @@ def test_partitioned_link_is_directional_pairs_and_heals():
     net.set_link("a", "c", ConstantLatency(10.0))
     c = net.interface("c")
     received = []
-
-    def receiver(iface):
-        while True:
-            msg = yield iface.receive()
-            received.append((env.now, msg.recipient, msg.msg_type))
+    for iface in (b, c):
+        iface.inbox.set_consumer(lambda msg: received.append(
+            (env.now, msg.recipient, msg.msg_type)))
 
     def sender():
         net.disrupt_link("a", "b")
@@ -225,8 +199,6 @@ def test_partitioned_link_is_directional_pairs_and_heals():
         net.restore_link("a", "b")
         yield env.timeout(0)
 
-    env.process(receiver(b), daemon=True)
-    env.process(receiver(c), daemon=True)
     env.process(sender())
     env.run(until=1000)
     assert (5.0, "c", "unaffected") in received
@@ -235,12 +207,7 @@ def test_partitioned_link_is_directional_pairs_and_heals():
 
 def test_degraded_node_multiplies_link_delay_and_heals():
     env, net, a, b = make_net(rtt_ab=100)
-    received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append((env.now, msg.msg_type))
+    received = record_arrivals(env, b)
 
     def sender():
         net.degrade_node("b", 3.0)
@@ -250,7 +217,6 @@ def test_degraded_node_multiplies_link_delay_and_heals():
         a.send("b", "fast")
         yield env.timeout(0)
 
-    env.process(receiver(), daemon=True)
     env.process(sender())
     env.run(until=1000)
     assert received == [(150.0, "slow"), (250.0, "fast")]
@@ -265,12 +231,7 @@ def test_released_messages_still_honour_other_active_disruptions():
     delivered once that outage heals too.
     """
     env, net, a, b = make_net(rtt_ab=100)
-    received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append((env.now, msg.msg_type))
+    received = record_arrivals(env, b)
 
     def sender():
         net.disrupt_node("a")          # source down first: parks under "a"
@@ -282,7 +243,6 @@ def test_released_messages_still_honour_other_active_disruptions():
         net.restore_node("b")
         yield env.timeout(0)
 
-    env.process(receiver(), daemon=True)
     env.process(sender())
     env.run(until=2000)
     # Released at t=200 but re-parked under b's outage; delivered one link
@@ -295,11 +255,9 @@ def test_released_messages_still_honour_other_active_disruptions():
 def test_one_way_partition_parks_only_the_cut_direction():
     env, net, a, b = make_net(rtt_ab=100)
     received = []
-
-    def receiver(iface):
-        while True:
-            msg = yield iface.receive()
-            received.append((env.now, msg.msg_type))
+    for iface in (a, b):
+        iface.inbox.set_consumer(
+            lambda msg: received.append((env.now, msg.msg_type)))
 
     def sender():
         net.disrupt_link("a", "b", symmetric=False)
@@ -309,8 +267,6 @@ def test_one_way_partition_parks_only_the_cut_direction():
         net.restore_link("a", "b", symmetric=False)
         yield env.timeout(0)
 
-    env.process(receiver(a), daemon=True)
-    env.process(receiver(b), daemon=True)
     env.process(sender())
     env.run(until=1000)
     assert received == [(50.0, "b_to_a"), (150.0, "a_to_b")]
@@ -320,12 +276,7 @@ def test_one_way_partition_parks_only_the_cut_direction():
 
 def test_a_node_cut_twice_is_released_by_one_heal():
     env, net, a, b = make_net(rtt_ab=100)
-    received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append((env.now, msg.msg_type))
+    received = record_arrivals(env, b)
 
     def sender():
         net.disrupt_node("b")
@@ -336,7 +287,6 @@ def test_a_node_cut_twice_is_released_by_one_heal():
         net.restore_node("b")
         yield env.timeout(0)
 
-    env.process(receiver(), daemon=True)
     env.process(sender())
     env.run(until=1000)
     assert received == [(150.0, "first"), (150.0, "second")]
@@ -348,12 +298,7 @@ def test_healing_what_was_never_cut_changes_nothing():
     net.restore_node("b")
     net.restore_link("a", "b")
     assert net._faults is None
-    received = []
-
-    def receiver():
-        while True:
-            msg = yield b.receive()
-            received.append((env.now, msg.msg_type))
+    received = record_arrivals(env, b)
 
     def sender():
         net.disrupt_node("b")
@@ -364,7 +309,6 @@ def test_healing_what_was_never_cut_changes_nothing():
         net.restore_node("b")
         yield env.timeout(0)
 
-    env.process(receiver(), daemon=True)
     env.process(sender())
     env.run(until=1000)
     # The unrelated heals neither released nor lost the parked message.

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -84,78 +84,3 @@ def test_resource_cancel_withdraws_waiting_request():
     res.release(first)
     assert not second.triggered
 
-
-def test_store_put_then_get_returns_fifo_order():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    store.put("y")
-    received = []
-
-    def consumer():
-        for _ in range(2):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(consumer())
-    env.run()
-    assert received == ["x", "y"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer():
-        item = yield store.get()
-        received.append((env.now, item))
-
-    def producer():
-        yield env.timeout(40)
-        store.put("late")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert received == [(40, "late")]
-
-
-def test_store_multiple_getters_served_in_order():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer(name):
-        item = yield store.get()
-        received.append((name, item))
-
-    env.process(consumer("g1"))
-    env.process(consumer("g2"))
-
-    def producer():
-        yield env.timeout(1)
-        store.put("first")
-        store.put("second")
-
-    env.process(producer())
-    env.run()
-    assert received == [("g1", "first"), ("g2", "second")]
-
-
-def test_store_try_get_nonblocking():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(7)
-    assert store.try_get() == 7
-    assert len(store) == 0
-
-
-def test_store_len_and_items_snapshot():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    assert store.items == [1, 2]

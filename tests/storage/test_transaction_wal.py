@@ -82,20 +82,6 @@ def test_wal_append_and_query():
     assert [r.xid for r in wal.records()] == ["x1", "x2"]
 
 
-def test_wal_append_keeps_the_payload_it_is_handed():
-    wal = WriteAheadLog()
-    payload = {"participants": ["ds0", "ds1"]}
-    logged = wal.append(LogRecordType.COMMIT, "x1", 1.0, payload=payload)
-    committed = wal.append(LogRecordType.COMMIT, "x2", 2.0)
-    aborted = wal.append(LogRecordType.ABORT, "x3", 3.0)
-    assert logged.payload is payload                        # stored, not copied
-    assert committed.payload is aborted.payload             # one shared empty
-    assert committed.payload == {} and len(committed.payload) == 0
-    with pytest.raises(TypeError):
-        committed.payload["oops"] = 1                       # and it is read-only
-    assert wal.append(LogRecordType.ABORT, "x4", 4.0, payload={}).payload == {}
-
-
 def test_wal_abort_decision_recorded():
     wal = WriteAheadLog()
     wal.append(LogRecordType.ABORT, "x", 2.0)
