@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.topology import MiddlewareSpec, TopologyConfig
-from repro.core import GeoAgent, GeoAgentConfig, GeoTPConfig
+from repro.core import GeoAgent, GeoTPConfig
 from repro.middleware.middleware import MiddlewareBase, ParticipantHandle
 from repro.middleware.router import Partitioner
 from repro.plugins import (
@@ -139,8 +139,7 @@ def _build_agents(env: Environment, network: Network,
                   topology: TopologyConfig) -> Dict[str, GeoAgent]:
     agents = {}
     for node in topology.data_nodes:
-        agent = GeoAgent(env, network, GeoAgentConfig(
-            name=_agent_name(node.name), datasource=node.name))
+        agent = GeoAgent(env, network, _agent_name(node.name), node.name)
         agents[node.name] = agent
         network.set_link(agent.name, node.name,
                          ConstantLatency(topology.lan_rtt_ms))

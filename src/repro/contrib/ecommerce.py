@@ -40,28 +40,30 @@ CUSTOMERS = "customers"
 #: Session stages, in order; ``next_transaction`` advances one stage per call.
 BROWSE, ADD_TO_CART, CHECKOUT, PAYMENT = "browse", "add_to_cart", "checkout", "payment"
 
+# Sizes are scaled for simulation.
+#: Catalog rows per data node, all loaded.
+PRODUCTS_PER_NODE = 10_000
+#: Customers (and their carts) per data node, all loaded.
+CUSTOMERS_PER_NODE = 500
+#: Probability that a product draw comes from the current hot window.
+HOTSPOT_PROBABILITY = 0.7
+#: Size of the hot-product window.
+HOTSPOT_PRODUCTS = 50
+#: Browse transactions per session, drawn uniformly from [1, max].
+MAX_BROWSES = 3
+#: Cart-add transactions per session, drawn uniformly from [1, max].
+MAX_CART_ADDS = 2
+#: Line items reserved by a checkout.
+ITEMS_PER_CHECKOUT = 2
+
 
 @dataclass
 class EcommerceConfig(WorkloadConfig):
-    """Knobs of the e-commerce session generator (sizes scaled for simulation)."""
+    """Knobs of the e-commerce session generator."""
 
-    #: Catalog rows per data node, all loaded.
-    products_per_node: int = 10_000
-    #: Customers (and their carts) per data node, all loaded.
-    customers_per_node: int = 500
-    #: Probability that a product draw comes from the current hot window.
-    hotspot_probability: float = 0.7
-    #: Size of the hot-product window.
-    hotspot_products: int = 50
     #: Flash-crowd knob: move the hot window to a fresh catalog region every
     #: N generated transactions; 0 keeps it static for the whole run.
     hotspot_shift_every: int = 0
-    #: Browse transactions per session, drawn uniformly from [1, max].
-    max_browses: int = 3
-    #: Cart-add transactions per session, drawn uniformly from [1, max].
-    max_cart_adds: int = 2
-    #: Line items reserved by a checkout.
-    items_per_checkout: int = 2
 
 
 class EcommerceWorkload(Workload):
@@ -72,10 +74,6 @@ class EcommerceWorkload(Workload):
     def __init__(self, datasource_names, config: EcommerceConfig):
         super().__init__(datasource_names, config)
         self.config: EcommerceConfig = config
-        if config.products_per_node < 2:
-            raise ValueError("products_per_node must be >= 2")
-        if config.customers_per_node < 1:
-            raise ValueError("customers_per_node must be >= 1")
         if not 0 <= config.distributed_ratio <= 1:
             raise ValueError("distributed_ratio must be in [0, 1]")
         if config.hotspot_shift_every < 0:
@@ -98,14 +96,13 @@ class EcommerceWorkload(Workload):
         return self._partitioner
 
     def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
-        config = self.config
         product = {"stock": 1_000, "price": 10.0}
         customer, cart = {"balance": 10_000.0}, {"items": 0}
         keys_for_node = self._partitioner.keys_for_node
         data: Dict[str, Dict[str, SharedRows]] = {}
         for node_index, name in enumerate(self.datasource_names):
-            products = keys_for_node(node_index, config.products_per_node)
-            customers = keys_for_node(node_index, config.customers_per_node)
+            products = keys_for_node(node_index, PRODUCTS_PER_NODE)
+            customers = keys_for_node(node_index, CUSTOMERS_PER_NODE)
             data[name] = {
                 PRODUCTS: SharedRows(products, product),
                 CUSTOMERS: SharedRows(customers, customer),
@@ -127,18 +124,17 @@ class EcommerceWorkload(Workload):
 
     # ----------------------------------------------------------------- session
     def _new_session(self) -> Dict:
-        config = self.config
         node_count = len(self.datasource_names)
         home = self.rng.randint(0, node_count - 1)
-        stages = ([BROWSE] * self.rng.randint(1, max(1, config.max_browses))
-                  + [ADD_TO_CART] * self.rng.randint(1, max(1, config.max_cart_adds))
+        stages = ([BROWSE] * self.rng.randint(1, MAX_BROWSES)
+                  + [ADD_TO_CART] * self.rng.randint(1, MAX_CART_ADDS)
                   + [CHECKOUT, PAYMENT])
         customer = self._partitioner.key_for_node(
-            home, self.rng.randint(0, config.customers_per_node - 1))
+            home, self.rng.randint(0, CUSTOMERS_PER_NODE - 1))
         # The checkout's distribution draw is fixed at session start so the
         # cart adds and the checkout tell one coherent story.
         distributed = (node_count > 1
-                       and self.rng.bernoulli(config.distributed_ratio))
+                       and self.rng.bernoulli(self.config.distributed_ratio))
         remote = home
         if distributed:
             others = [i for i in range(node_count) if i != home]
@@ -164,14 +160,13 @@ class EcommerceWorkload(Workload):
         return ops, False
 
     def _checkout(self, session: Dict):
-        config = self.config
-        products = list(session["cart_products"])
-        while len(products) < config.items_per_checkout:
+        products = session["cart_products"][:ITEMS_PER_CHECKOUT]
+        while len(products) < ITEMS_PER_CHECKOUT:
             node = (session["remote"] if session["distributed"]
                     else session["home"])
             products.append(self._draw_product(node))
         ops = [self._read(CARTS, session["customer"])]
-        for product in products[:config.items_per_checkout]:
+        for product in products:
             ops += [self._read(PRODUCTS, product),
                     self._update(PRODUCTS, product, {"stock": "reserved"})]
         ops.append(self._write(ORDERS, session["customer"],
@@ -180,8 +175,7 @@ class EcommerceWorkload(Workload):
         # (keys stripe by modulo, matching ModuloPartitioner.locate).
         home = session["home"]
         node_count = len(self.datasource_names)
-        distributed = any(p % node_count != home
-                          for p in products[:config.items_per_checkout])
+        distributed = any(p % node_count != home for p in products)
         return ops, distributed
 
     def _payment(self, session: Dict):
@@ -204,17 +198,16 @@ class EcommerceWorkload(Workload):
         if config.hotspot_shift_every <= 0:
             return 0
         shift = self._generated // config.hotspot_shift_every
-        span = max(config.products_per_node - config.hotspot_products, 1)
+        span = PRODUCTS_PER_NODE - HOTSPOT_PRODUCTS
         return (shift * 7_919) % span
 
     def _draw_product(self, node_index: int) -> int:
-        config = self.config
-        if self.rng.bernoulli(config.hotspot_probability):
-            window = min(config.hotspot_products, config.products_per_node)
-            sequence = self._hot_window_base() + self.rng.randint(0, window - 1)
-            sequence %= config.products_per_node
+        if self.rng.bernoulli(HOTSPOT_PROBABILITY):
+            sequence = self._hot_window_base() + self.rng.randint(
+                0, HOTSPOT_PRODUCTS - 1)
+            sequence %= PRODUCTS_PER_NODE
         else:
-            sequence = self.rng.randint(0, config.products_per_node - 1)
+            sequence = self.rng.randint(0, PRODUCTS_PER_NODE - 1)
         return self._partitioner.key_for_node(node_index, sequence)
 
     @staticmethod

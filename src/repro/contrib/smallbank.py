@@ -44,22 +44,24 @@ DEFAULT_MIX = {
 #: Transaction types that have a two-node (distributed) variant.
 DISTRIBUTED_CAPABLE = ("balance", "send_payment", "amalgamate")
 
+# Sizes are scaled for simulation.
+#: Customer accounts per data node (each owns a savings + a checking row),
+#: all loaded.
+ACCOUNTS_PER_NODE = 20_000
+#: Probability that an account draw comes from the hot set.
+HOTSPOT_PROBABILITY = 0.25
+#: Size of the per-node hot-account set.
+HOTSPOT_ACCOUNTS = 100
+#: Initial balance loaded into each savings/checking row.
+INITIAL_BALANCE = 1_000.0
+
 
 @dataclass
 class SmallBankConfig(WorkloadConfig):
-    """Configuration of the SmallBank generator (sizes scaled for simulation)."""
+    """Configuration of the SmallBank generator."""
 
-    #: Customer accounts per data node (each owns a savings + a checking row),
-    #: all loaded.
-    accounts_per_node: int = 20_000
-    #: Probability that an account draw comes from the hot set.
-    hotspot_probability: float = 0.25
-    #: Size of the per-node hot-account set.
-    hotspot_accounts: int = 100
     #: Transaction mix; must sum to 1.  ``amalgamate`` may appear here too.
     mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
-    #: Initial balance loaded into each savings/checking row.
-    initial_balance: float = 1_000.0
 
 
 class SmallBankWorkload(Workload):
@@ -70,8 +72,6 @@ class SmallBankWorkload(Workload):
     def __init__(self, datasource_names, config: SmallBankConfig):
         super().__init__(datasource_names, config)
         self.config: SmallBankConfig = config
-        if config.accounts_per_node < 2:
-            raise ValueError("accounts_per_node must be >= 2")
         if not 0 <= config.distributed_ratio <= 1:
             raise ValueError("distributed_ratio must be in [0, 1]")
         total = sum(config.mix.values())
@@ -103,11 +103,10 @@ class SmallBankWorkload(Workload):
         return self._partitioner
 
     def initial_data(self) -> Dict[str, Dict[str, SharedRows]]:
-        balance = {"balance": self.config.initial_balance}
+        balance = {"balance": INITIAL_BALANCE}
         data: Dict[str, Dict[str, SharedRows]] = {}
         for node_index, name in enumerate(self.datasource_names):
-            accounts = self._partitioner.keys_for_node(
-                node_index, self.config.accounts_per_node)
+            accounts = self._partitioner.keys_for_node(node_index, ACCOUNTS_PER_NODE)
             data[name] = {SAVINGS: SharedRows(accounts, balance),
                           CHECKING: SharedRows(accounts, balance)}
         return data
@@ -178,18 +177,15 @@ class SmallBankWorkload(Workload):
         return next(iter(mix))
 
     def _draw_account(self, node_index: int, exclude: int = -1) -> int:
-        config = self.config
         for _attempt in range(20):
-            if self.rng.bernoulli(config.hotspot_probability):
-                sequence = self.rng.randint(
-                    0, min(config.hotspot_accounts, config.accounts_per_node) - 1)
+            if self.rng.bernoulli(HOTSPOT_PROBABILITY):
+                sequence = self.rng.randint(0, HOTSPOT_ACCOUNTS - 1)
             else:
-                sequence = self.rng.randint(0, config.accounts_per_node - 1)
+                sequence = self.rng.randint(0, ACCOUNTS_PER_NODE - 1)
             account = self._partitioner.key_for_node(node_index, sequence)
             if account != exclude:
                 return account
-        return self._partitioner.key_for_node(
-            node_index, config.accounts_per_node - 1)
+        return self._partitioner.key_for_node(node_index, ACCOUNTS_PER_NODE - 1)
 
     @staticmethod
     def _read(table: str, account: int) -> Operation:

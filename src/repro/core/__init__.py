@@ -14,7 +14,7 @@
 from repro.core.admission import AdmissionDecision, LateTransactionScheduler
 from repro.core.config import GeoTPConfig
 from repro.core.forecasting import LocalExecutionForecaster
-from repro.core.geo_agent import GeoAgent, GeoAgentConfig
+from repro.core.geo_agent import GeoAgent
 from repro.core.geotp import GeoTPCoordinator
 from repro.core.hotspot import HotspotEntry, HotspotFootprint
 from repro.core.latency_monitor import NetworkLatencyMonitor
@@ -23,7 +23,6 @@ from repro.core.scheduler import GeoScheduler, ScheduleDecision
 __all__ = [
     "AdmissionDecision",
     "GeoAgent",
-    "GeoAgentConfig",
     "GeoScheduler",
     "GeoTPConfig",
     "GeoTPCoordinator",

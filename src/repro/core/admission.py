@@ -32,24 +32,28 @@ class AdmissionDecision:
 class LateTransactionScheduler:
     """Implements Algorithm 2's admission loop (lines 11–18)."""
 
+    #: Wait between admission retries.
+    BACKOFF_MS = 5.0
+
     def __init__(self, footprint: HotspotFootprint, rng: SeededRNG,
-                 max_retries: int = 10, backoff_ms: float = 5.0,
-                 threshold: float = 1.0):
+                 max_retries: int = 10, threshold: float = 1.0):
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if backoff_ms < 0:
-            raise ValueError("backoff_ms must be non-negative")
         self.footprint = footprint
         self.rng = rng
         self.max_retries = max_retries
-        self.backoff_ms = backoff_ms
         self.threshold = threshold
         self.admitted_count = 0
         self.blocked_count = 0
         self.rejected_count = 0
 
     def evaluate(self, record_ids: Iterable[RecordId]) -> AdmissionDecision:
-        """One admission draw without retrying (used by tests and ScalarDB+)."""
+        """One admission draw without retrying and without counting it.
+
+        Only the tests and the perf ledger's ``core.admission_evaluate_ns``
+        micro call it; coordinators (GeoTP and ScalarDB+) admit through
+        :meth:`admit`.
+        """
         probability = self.footprint.success_probability(record_ids)
         admitted = probability >= self.threshold or self.rng.random() < probability
         return AdmissionDecision(admitted=admitted, success_probability=probability,
@@ -77,5 +81,4 @@ class LateTransactionScheduler:
                                          retries_used=retries)
             retries += 1
             self.blocked_count += 1
-            if self.backoff_ms > 0:
-                yield env.timeout(self.backoff_ms)
+            yield env.timeout(self.BACKOFF_MS)

@@ -25,13 +25,7 @@ class GeoTPConfig:
 
     #: EWMA coefficient for the network latency monitor (larger = smoother).
     ewma_alpha: float = 0.8
-    #: Interval of the active latency probe (the paper pings every 10 ms; the
-    #: simulation defaults to a coarser probe and also learns passively from
-    #: every observed round trip).
-    probe_interval_ms: float = 1000.0
 
-    #: Weighted-average coefficient alpha of Eq. (4).
-    hotspot_alpha: float = 0.7
     #: Maximum number of hot records tracked before LRU eviction.
     hotspot_capacity: int = 4096
     #: Scale factor applied to forecasted local execution latency before it is
@@ -48,8 +42,6 @@ class GeoTPConfig:
 
     #: Maximum admission retries before a transaction is aborted (Alg. 2 line 16).
     admission_max_retries: int = 10
-    #: Wait between admission retries.
-    admission_backoff_ms: float = 5.0
     #: Only apply admission control to transactions whose predicted success
     #: probability is below this threshold... kept at 1.0 to follow Alg. 2.
     admission_threshold: float = 1.0

@@ -12,14 +12,14 @@ millisecond) and gives GeoTP two abilities the plain middleware lacks:
   the peer agents to roll back their branches, without waiting for the
   middleware (Algorithm 1's ``AsyncRollback``), halving the abort latency.
 
-The agent also transparently forwards ordinary XA verbs to its data source so
-that commit, rollback and recovery traffic flow through it unchanged.
+The agent also transparently forwards the XA verbs that reach it — the
+decision, a one-phase commit, recovery's prepared-branch listing and latency
+probes — to its data source, so that traffic flows through it unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Deque, Optional, Set
 
@@ -29,35 +29,16 @@ from repro.sim import Environment, Event
 from repro.sim.network import Message, Network, NetworkInterface
 
 
-@dataclass
-class GeoAgentConfig:
-    """Static configuration of one geo-agent."""
-
-    name: str
-    datasource: str
-    #: How many transaction ids (seen branches and poisoned ids) the agent
-    #: remembers.  An id only matters while its transaction is in flight — a
-    #: peer rollback for an id nobody remembers is simply re-poisoned — so the
-    #: cap just needs to exceed the maximum concurrent transactions through
-    #: one agent.  Without it the agent's bookkeeping grows by one id per
-    #: distributed transaction forever, which open-system runs at 10⁶+
-    #: transactions turn into hundreds of megabytes.
-    xid_retention: int = 4_096
-
-
-#: Verbs forwarded verbatim to the co-located data source.
+#: Verbs forwarded verbatim to the co-located data source: the ones a
+#: coordinator, recovery or a latency probe sends to an agent.  A statement
+#: batch arrives as ``agent_execute`` and the agent itself sends XA END and
+#: XA PREPARE, so a plain ``execute`` or a kv verb is answered as unknown.
 _FORWARDED_VERBS = (
-    protocol.MSG_EXECUTE,
-    protocol.MSG_XA_END,
-    protocol.MSG_XA_PREPARE,
     protocol.MSG_XA_COMMIT,
     protocol.MSG_XA_ROLLBACK,
     protocol.MSG_COMMIT_ONE_PHASE,
     protocol.MSG_LIST_PREPARED,
     protocol.MSG_PING,
-    protocol.MSG_KV_GET,
-    protocol.MSG_KV_PUT,
-    protocol.MSG_KV_PUT_IF_VERSION,
 )
 
 
@@ -75,14 +56,23 @@ class GeoAgentStats:
 
 
 class GeoAgent:
-    """The per-data-source agent."""
+    """The per-data-source agent ``name``, co-located with ``datasource``."""
 
-    def __init__(self, env: Environment, network: Network, config: GeoAgentConfig):
+    #: How many transaction ids (seen branches and poisoned ids) the agent
+    #: remembers.  An id only matters while its transaction is in flight — a
+    #: peer rollback for an id nobody remembers is simply re-poisoned — so the
+    #: cap just needs to exceed the maximum concurrent transactions through
+    #: one agent.  Without it the agent's bookkeeping grows by one id per
+    #: distributed transaction forever, which open-system runs at 10⁶+
+    #: transactions turn into hundreds of megabytes.
+    XID_RETENTION = 4_096
+
+    def __init__(self, env: Environment, network: Network, name: str,
+                 datasource: str):
         self.env = env
-        self.config = config
-        self.name = config.name
-        self.datasource = config.datasource
-        self.net: NetworkInterface = network.interface(config.name)
+        self.name = name
+        self.datasource = datasource
+        self.net: NetworkInterface = network.interface(name)
         self.stats = GeoAgentStats()
         #: Xids of the branches this agent was asked to execute or prepare.  A
         #: branch's xid is its global transaction id, so a peer rollback names
@@ -263,12 +253,12 @@ class GeoAgent:
         """Enter an id into the retention FIFO, forgetting the oldest ids.
 
         Retention only needs to outlast a transaction's in-flight window (the
-        client pool bounds concurrency far below the default cap of 4096), so
+        client pool bounds concurrency far below the cap of 4096), so
         forgetting the oldest ids never touches a live transaction.  A stale
         peer rollback for a forgotten id takes the poison path, exactly as if
         the rollback had arrived before the execute.
         """
-        retention = self.config.xid_retention
+        retention = self.XID_RETENTION
         order = self._xid_order
         order.append(xid)
         while len(order) > retention:

@@ -103,8 +103,7 @@ class LatencyAwareMixin:
         self.geotp = geotp_config or GeoTPConfig()
         self.rng = SeededRNG(seed)
         self.latency_monitor = NetworkLatencyMonitor(env, alpha=self.geotp.ewma_alpha)
-        self.footprint = HotspotFootprint(capacity=self.geotp.hotspot_capacity,
-                                          alpha=self.geotp.hotspot_alpha)
+        self.footprint = HotspotFootprint(capacity=self.geotp.hotspot_capacity)
         self.forecaster = LocalExecutionForecaster(self.footprint,
                                                    scale=self.geotp.forecast_scale,
                                                    cap_ms=self.geotp.forecast_cap_ms)
@@ -114,7 +113,6 @@ class LatencyAwareMixin:
         self.admission = LateTransactionScheduler(
             self.footprint, self.rng,
             max_retries=self.geotp.admission_max_retries,
-            backoff_ms=self.geotp.admission_backoff_ms,
             threshold=self.geotp.admission_threshold)
         # Prime latency estimates with the nominal topology RTTs so the first
         # transactions are scheduled sensibly before any measurement exists.
@@ -162,8 +160,7 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
     # ------------------------------------------------------------------ wiring
     def start_probing(self) -> None:
         """Start the active latency probe loop (optional, Figure 11b)."""
-        self.latency_monitor.start_probing(self.net, self._endpoints,
-                                           interval_ms=self.geotp.probe_interval_ms)
+        self.latency_monitor.start_probing(self.net, self._endpoints)
 
     def _vote_box(self, ctx: TransactionContext) -> _VoteBox:
         box = self._vote_boxes.get(ctx.txn_id)

@@ -47,13 +47,13 @@ class HotspotEntry:
 class HotspotFootprint:
     """Bounded, LRU-evicted statistics over hot records."""
 
-    def __init__(self, capacity: int = 4096, alpha: float = 0.7):
+    #: Weighted-average coefficient alpha of Eq. (4).
+    ALPHA = 0.7
+
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
         self.capacity = capacity
-        self.alpha = alpha
         self._entries: Dict[RecordId, HotspotEntry] = {}
         # Eviction candidates: ``(stamp, record id)`` pushed when a call leaves
         # an entry idle, cleaned lazily.  An item is live only while its entry
@@ -162,7 +162,7 @@ class HotspotFootprint:
         entries = [self.get_or_create(record_id) for record_id in record_ids]
         if not entries:
             return
-        alpha = self.alpha
+        alpha = self.ALPHA
         total_weight = sum(entry.w_lat for entry in entries)
         for entry in entries:
             if total_weight > 0:

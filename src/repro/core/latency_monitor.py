@@ -4,12 +4,12 @@ The paper's implementation runs a dedicated thread that pings every data source
 every 10 ms and smooths the measurements with an EWMA (§VI, §VII-D "online
 adaptivity").  The simulated monitor learns the same way: passively from every
 observed request/response round trip, and optionally from an active probing
-process that pings each participant endpoint at a configurable interval.
+process that pings each participant endpoint once a second.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro import protocol
 from repro.sim import Environment
@@ -18,6 +18,11 @@ from repro.sim.network import NetworkInterface
 
 class NetworkLatencyMonitor:
     """Tracks an EWMA estimate of the RTT to each participant."""
+
+    #: Interval of the active latency probe (the paper pings every 10 ms; the
+    #: simulation probes more coarsely and also learns passively from every
+    #: observed round trip).
+    PROBE_INTERVAL_MS = 1000.0
 
     def __init__(self, env: Environment, alpha: float = 0.8,
                  default_rtt_ms: float = 0.0):
@@ -64,10 +69,8 @@ class NetworkLatencyMonitor:
         return len(self._estimates) * 48
 
     # ---------------------------------------------------------------- probing
-    def start_probing(self, net: NetworkInterface, endpoints: Dict[str, str],
-                      interval_ms: float = 1000.0,
-                      until_ms: Optional[float] = None) -> None:
-        """Start an active probe loop pinging each endpoint every ``interval_ms``.
+    def start_probing(self, net: NetworkInterface, endpoints: Dict[str, str]) -> None:
+        """Start an active probe loop pinging each endpoint every ``PROBE_INTERVAL_MS``.
 
         ``endpoints`` maps participant names to network node names.  Passive
         measurement usually suffices; active probing matters when a link's
@@ -75,12 +78,12 @@ class NetworkLatencyMonitor:
         """
 
         def probe_loop(participant: str, endpoint: str):
-            while until_ms is None or self.env.now < until_ms:
+            while True:
                 sent_at = self.env.now
                 reply = net.request(endpoint, protocol.MSG_PING, {})
                 yield reply
                 self.record(participant, self.env.now - sent_at)
-                yield self.env.timeout(interval_ms)
+                yield self.env.timeout(self.PROBE_INTERVAL_MS)
 
         for participant, endpoint in endpoints.items():
             self.env.process(probe_loop(participant, endpoint),

@@ -48,12 +48,6 @@ class DataSourceConfig:
     dialect: str = "mysql"
     #: Lock-wait timeout; the paper configures 5 s on MySQL/PostgreSQL.
     lock_wait_timeout_ms: float = LOCK_WAIT_TIMEOUT_MS
-    #: How many *finished* (committed/aborted) branches stay queryable for
-    #: idempotent decision re-delivery before being evicted, oldest first.
-    #: Unfinished and PREPARED branches are never evicted.  The cap keeps
-    #: memory O(1) over unbounded open-system runs while still covering every
-    #: idempotent-retry window by orders of magnitude.
-    finished_txn_retention: int = 512
 
 
 class DataSourceStats:
@@ -73,6 +67,13 @@ class DataSourceStats:
 
 class DataSource:
     """One simulated database node."""
+
+    #: How many *finished* (committed/aborted) branches stay queryable for
+    #: idempotent decision re-delivery before being evicted, oldest first.
+    #: Unfinished and PREPARED branches are never evicted.  The cap keeps
+    #: memory O(1) over unbounded open-system runs while still covering every
+    #: idempotent-retry window by orders of magnitude.
+    FINISHED_TXN_RETENTION = 512
 
     def __init__(self, env: Environment, network: Network, config: DataSourceConfig):
         self.env = env
@@ -386,11 +387,11 @@ class DataSource:
         """Queue a finished branch for eviction once the retention cap is hit.
 
         Keeps :attr:`transactions` O(1) over unbounded runs while leaving the
-        most recent ``finished_txn_retention`` finished branches queryable
+        most recent :attr:`FINISHED_TXN_RETENTION` finished branches queryable
         (idempotent decision re-delivery).  Only finished branches are ever
         evicted, so recovery's PREPARED scan is unaffected.
         """
-        retention = self.config.finished_txn_retention
+        retention = self.FINISHED_TXN_RETENTION
         finished = self._finished_xids
         finished.append(txn.xid)
         while len(finished) > retention:

@@ -14,12 +14,12 @@ Three processes cover the classic open-system shapes:
 * :class:`PoissonArrivals` — memoryless arrivals at a constant mean rate, the
   M/·/· baseline every queueing result is stated against;
 * :class:`MMPPArrivals` — a two-state Markov-modulated Poisson process that
-  alternates between a quiet state and a burst state (rate × ``burst_factor``)
+  alternates between a quiet state and a burst state (rate × ``BURST_FACTOR``)
   with exponentially distributed dwell times, modelling flash crowds while
   keeping the configured *mean* rate exact;
 * :class:`DiurnalArrivals` — a sinusoidal day/night wave implemented by
   thinning a peak-rate Poisson stream, so the instantaneous rate follows
-  ``rate · (1 + amplitude · sin(2πt/period))`` exactly.
+  ``rate · (1 + AMPLITUDE · sin(2πt/period))`` exactly.
 
 All randomness flows through one :class:`~repro.sim.rng.SeededRNG`, so a given
 ``(config, seed)`` reproduces the same arrival timestamps bit for bit — the
@@ -53,16 +53,8 @@ class ArrivalConfig:
     #: Bound on concurrently open client sessions; arrivals beyond it are
     #: shed (counted, never queued), which keeps client-side memory O(1).
     max_clients: int = 256
-    #: MMPP: burst-state rate multiplier (>= 1).
-    burst_factor: float = 8.0
-    #: MMPP: long-run fraction of time spent in the burst state (0 < f < 1).
-    burst_fraction: float = 0.1
-    #: MMPP: mean dwell time of one burst, in ms.
-    mean_burst_ms: float = 500.0
     #: Diurnal: period of the rate wave, in ms.
     period_ms: float = 60_000.0
-    #: Diurnal: relative swing of the wave (0 = flat, 1 = rate touches zero).
-    amplitude: float = 0.8
     #: RNG seed of the arrival stream; the runner stamps the experiment seed
     #: here (same contract as ``WorkloadConfig.seed``).
     seed: int = 0
@@ -76,16 +68,8 @@ class ArrivalConfig:
             raise ValueError("rate_tps must be positive")
         if self.max_clients < 1:
             raise ValueError("max_clients must be >= 1")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if not 0.0 < self.burst_fraction < 1.0:
-            raise ValueError("burst_fraction must lie inside (0, 1)")
-        if self.mean_burst_ms <= 0:
-            raise ValueError("mean_burst_ms must be positive")
         if self.period_ms <= 0:
             raise ValueError("period_ms must be positive")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must lie inside [0, 1)")
 
     def stamped(self, seed: int) -> "ArrivalConfig":
         """A copy with the experiment seed stamped on (never mutates shared
@@ -129,22 +113,29 @@ class MMPPArrivals(ArrivalProcess):
     The quiet-state rate is derated so the *long-run mean* equals the
     configured ``rate_tps`` exactly::
 
-        mean = (1 - f) · r_quiet + f · r_quiet · burst_factor  =  rate_tps
+        mean = (1 - f) · r_quiet + f · r_quiet · BURST_FACTOR  =  rate_tps
 
-    State dwell times are exponential (mean ``mean_burst_ms`` in the burst
+    with ``f = BURST_FRACTION``.  State dwell times are exponential (mean
+    ``MEAN_BURST_MS`` in the burst
     state, scaled by the odds ratio in the quiet state), and arrivals are
     drawn with the memoryless-restart construction: a candidate gap that
     crosses the next state switch is discarded and redrawn from the switch
     point at the new state's rate, which is exact for exponential gaps.
     """
 
+    #: Burst-state rate multiplier.
+    BURST_FACTOR = 8.0
+    #: Long-run fraction of time spent in the burst state.
+    BURST_FRACTION = 0.1
+    #: Mean dwell time of one burst, in ms.
+    MEAN_BURST_MS = 500.0
+
     def __init__(self, config: ArrivalConfig):
         super().__init__(config)
-        f, b = config.burst_fraction, config.burst_factor
+        f, b = self.BURST_FRACTION, self.BURST_FACTOR
         quiet_rate = config.rate_tps / ((1.0 - f) + f * b)
         self._gap_ms = (1000.0 / quiet_rate, 1000.0 / (quiet_rate * b))
-        self._dwell_ms = (config.mean_burst_ms * (1.0 - f) / f,
-                          config.mean_burst_ms)
+        self._dwell_ms = (self.MEAN_BURST_MS * (1.0 - f) / f, self.MEAN_BURST_MS)
         self._state = 0  # start quiet; the seeded dwell draw decides the rest
         self._switch_at_ms = self.rng.exponential(self._dwell_ms[0])
 
@@ -164,21 +155,24 @@ class MMPPArrivals(ArrivalProcess):
 class DiurnalArrivals(ArrivalProcess):
     """Sinusoidal day/night rate wave via Poisson thinning.
 
-    Candidates are generated at the peak rate ``rate · (1 + amplitude)`` and
+    Candidates are generated at the peak rate ``rate · (1 + AMPLITUDE)`` and
     accepted with probability ``rate(t) / peak``; the accepted stream is an
     exact non-homogeneous Poisson process with the sinusoidal intensity.
     """
 
+    #: Relative swing of the wave (0 = flat, 1 = rate touches zero).
+    AMPLITUDE = 0.8
+
     def __init__(self, config: ArrivalConfig):
         super().__init__(config)
-        self._peak_rate = config.rate_tps * (1.0 + config.amplitude)
+        self._peak_rate = config.rate_tps * (1.0 + self.AMPLITUDE)
         self._mean_gap_ms = 1000.0 / self._peak_rate
         self._omega = 2.0 * math.pi / config.period_ms
 
     def rate_at(self, t_ms: float) -> float:
         """Instantaneous arrival rate (tps) at simulated time ``t_ms``."""
         return self.config.rate_tps * (
-            1.0 + self.config.amplitude * math.sin(self._omega * t_ms))
+            1.0 + self.AMPLITUDE * math.sin(self._omega * t_ms))
 
     def next_gap_ms(self, now_ms: float) -> float:
         at = now_ms

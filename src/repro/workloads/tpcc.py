@@ -31,6 +31,8 @@ DEFAULT_MIX = {
 }
 
 DISTRICTS_PER_WAREHOUSE = 10
+#: Items ordered by a NewOrder transaction: uniform in [min, max].
+MIN_ORDER_LINES, MAX_ORDER_LINES = 5, 15
 
 
 @dataclass
@@ -41,14 +43,9 @@ class TPCCConfig(WorkloadConfig):
     customers_per_district: int = 30
     #: Number of items in the (replicated) item catalogue.
     item_count: int = 200
-    #: Items ordered by a NewOrder transaction: uniform in [min, max].
-    min_order_lines: int = 5
-    max_order_lines: int = 15
     #: Transaction mix; must sum to 1.  Use e.g. ``{"payment": 1.0}`` to run a
     #: single transaction type as in Figure 9.
     mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
-    #: Districts processed by one Delivery transaction (10 in the spec).
-    delivery_districts: int = 10
 
 
 class TPCCWorkload(Workload):
@@ -175,8 +172,7 @@ class TPCCWorkload(Workload):
             Operation(OpType.WRITE, "neworder", (warehouse_id, district_id, order_id),
                       value={}),
         ]
-        line_count = self.rng.randint(self.config.min_order_lines,
-                                      self.config.max_order_lines)
+        line_count = self.rng.randint(MIN_ORDER_LINES, MAX_ORDER_LINES)
         warehouses_touched = [warehouse_id]
         for line_number in range(1, line_count + 1):
             item_id = self._item()
@@ -235,7 +231,8 @@ class TPCCWorkload(Workload):
 
     def _delivery(self, warehouse_id: int):
         operations: List[Operation] = []
-        for district_id in range(1, self.config.delivery_districts + 1):
+        # One Delivery transaction processes every district (as in the spec).
+        for district_id in range(1, DISTRICTS_PER_WAREHOUSE + 1):
             order_id = self.rng.randint(2990, 3000)
             operations.append(Operation(OpType.UPDATE, "neworder",
                                         (warehouse_id, district_id, order_id),

@@ -25,6 +25,10 @@ from repro.workloads.base import Workload, WorkloadConfig
 CONTENTION_SKEW = {"low": 0.3, "medium": 0.9, "high": 1.5}
 
 TABLE = "usertable"
+#: Data nodes a distributed transaction touches.
+NODES_PER_DISTRIBUTED_TXN = 2
+#: Payload stored in each record.
+VALUE_SIZE_BYTES = 100
 
 
 @dataclass
@@ -46,10 +50,6 @@ class YCSBConfig(WorkloadConfig):
     operations_per_transaction: int = 5
     #: Probability that an operation is a read (the rest are updates).
     read_ratio: float = 0.5
-    #: Number of data nodes a distributed transaction touches.
-    nodes_per_distributed_txn: int = 2
-    #: Payload stored in each record.
-    value_size_bytes: int = 100
     #: When set, every transaction is homed on this node index: centralized
     #: transactions touch only it and distributed transactions always include
     #: it.  Used by the Figure 1b motivation experiment ("80 % centralized
@@ -69,8 +69,6 @@ class YCSBWorkload(Workload):
             raise ValueError("records_per_node must be positive")
         if not 0 <= config.distributed_ratio <= 1:
             raise ValueError("distributed_ratio must be in [0, 1]")
-        if config.nodes_per_distributed_txn < 2:
-            raise ValueError("a distributed transaction needs at least 2 nodes")
         self._zipf = ZipfianGenerator(config.records_per_node, config.skew,
                                       rng=self.rng.spawn(9999))
         self._partitioner = ModuloPartitioner(self.datasource_names)
@@ -87,7 +85,7 @@ class YCSBWorkload(Workload):
         # Every preloaded row starts from the same synthetic value, and writes
         # replace record values wholesale (nothing mutates them in place), so
         # all rows share a single dict.
-        row = {"field0": "x" * config.value_size_bytes}
+        row = {"field0": "x" * VALUE_SIZE_BYTES}
         keys_for_node = self._partitioner.keys_for_node
         return {name: {TABLE: SharedRows(keys_for_node(node_index, rows), row)}
                 for node_index, name in enumerate(self.datasource_names)}
@@ -101,9 +99,8 @@ class YCSBWorkload(Workload):
         is_distributed = (node_count > 1
                           and self.rng.bernoulli(self.config.distributed_ratio))
         if is_distributed:
-            target_count = min(self.config.nodes_per_distributed_txn, node_count)
             others = [i for i in range(node_count) if i != home]
-            targets = [home] + self.rng.sample(others, target_count - 1)
+            targets = [home] + self.rng.sample(others, NODES_PER_DISTRIBUTED_TXN - 1)
         else:
             targets = [home]
 

@@ -218,11 +218,11 @@ def test_single_middleware_runs_report_no_fleet():
 
 def test_geotp_ablations_keep_every_tuning_knob():
     base = GeoTPConfig(forecast_cap_ms=7.0, admission_threshold=0.0,
-                       probe_interval_ms=250.0)
+                       ewma_alpha=0.5)
     for variant in (base.ablation_o1(), base.ablation_o1_o2(), base.ablation_o1_o3()):
         assert variant.forecast_cap_ms == 7.0
         assert variant.admission_threshold == 0.0
-        assert variant.probe_interval_ms == 250.0
+        assert variant.ewma_alpha == 0.5
     assert not base.ablation_o1().enable_latency_aware_scheduling
     assert not base.ablation_o1_o2().enable_high_contention_optimization
     assert base.ablation_o1_o3() == base

@@ -16,10 +16,9 @@ from functools import partial
 import pytest
 
 from repro import ExperimentConfig, TopologyConfig, YCSBConfig, run_experiment
-from repro.cluster import deployment
-from repro.core import GeoAgentConfig, GeoTPConfig
+from repro.core import GeoAgent, GeoTPConfig
 from repro.middleware import middleware as middleware_module
-from repro.storage.datasource import DataSource, DataSourceConfig
+from repro.storage.datasource import DataSource
 from repro.storage.transaction import LocalTransaction
 from repro.storage.wal import WriteAheadLog
 from repro.workloads.arrivals import ArrivalConfig
@@ -45,10 +44,8 @@ OPEN_YCSB = ExperimentConfig(
 @pytest.fixture
 def small_caps(monkeypatch):
     """Build clusters whose retention caps a toy run overruns many times."""
-    monkeypatch.setattr(deployment, "DataSourceConfig", partial(
-        DataSourceConfig, finished_txn_retention=RETENTION))
-    monkeypatch.setattr(deployment, "GeoAgentConfig", partial(
-        GeoAgentConfig, xid_retention=XID_RETENTION))
+    monkeypatch.setattr(DataSource, "FINISHED_TXN_RETENTION", RETENTION)
+    monkeypatch.setattr(GeoAgent, "XID_RETENTION", XID_RETENTION)
     small_wal = partial(WriteAheadLog, checkpoint_records=CHECKPOINT)
     monkeypatch.setattr(middleware_module, "WriteAheadLog", small_wal)
 
@@ -66,7 +63,7 @@ def census(cluster, clients):
         where = f"datasource[{ds.name}]"
         finished = sum(1 for txn in ds.transactions.values() if txn.is_finished)
         in_flight = len(ds.transactions) - finished
-        retention = ds.config.finished_txn_retention
+        retention = ds.FINISHED_TXN_RETENTION
         if finished > retention:
             problems.append((f"{where}.transactions",
                              f"{finished} finished branches > retention "
@@ -100,7 +97,7 @@ def census(cluster, clients):
                              f"{len(ds.engine._write_sets)} write sets > "
                              f"{in_flight} branches in flight"))
     for agent in cluster.agents.values():
-        retention = agent.config.xid_retention
+        retention = agent.XID_RETENTION
         for field in ("_seen", "_poisoned", "_xid_order"):
             if len(getattr(agent, field)) > retention:
                 problems.append((f"agent[{agent.name}].{field}",
@@ -148,10 +145,10 @@ def test_the_caps_are_the_ones_the_census_reads(small_caps):
     result = run_experiment(CLOSED_TPCC, keep_cluster=True)
     cluster = result.cluster
     try:
-        assert {ds.config.finished_txn_retention
+        assert {ds.FINISHED_TXN_RETENTION
                 for ds in cluster.datasources.values()} == {RETENTION}
         assert cluster.middleware.wal.checkpoint_records == CHECKPOINT
-        assert {agent.config.xid_retention
+        assert {agent.XID_RETENTION
                 for agent in cluster.agents.values()} == {XID_RETENTION}
         assert cluster.middleware.footprint.capacity == HOTSPOT_CAPACITY
         assert cluster.middleware.wal.checkpoints > 0

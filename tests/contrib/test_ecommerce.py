@@ -4,11 +4,17 @@ import pytest
 
 from repro.bench.runner import run_experiment
 from repro.bench.scenarios import get_scenario
+from repro.contrib import ecommerce
 from repro.contrib.ecommerce import (
     ADD_TO_CART,
     BROWSE,
     CHECKOUT,
+    CUSTOMERS_PER_NODE,
+    HOTSPOT_PRODUCTS,
+    MAX_BROWSES,
+    MAX_CART_ADDS,
     PAYMENT,
+    PRODUCTS_PER_NODE,
     EcommerceConfig,
     EcommerceWorkload,
 )
@@ -50,10 +56,6 @@ def test_flash_crowd_scenario_is_registered():
 
 
 def test_config_validation_rejects_bad_knobs():
-    with pytest.raises(ValueError, match="products_per_node"):
-        make_workload(products_per_node=1)
-    with pytest.raises(ValueError, match="customers_per_node"):
-        make_workload(customers_per_node=0)
     with pytest.raises(ValueError, match="hotspot_shift_every"):
         make_workload(hotspot_shift_every=-1)
     with pytest.raises(ValueError, match="distributed_ratio"):
@@ -69,10 +71,10 @@ def test_sessions_follow_the_browse_cart_checkout_payment_arc():
         assert stages[checkout_at:] == [CHECKOUT, PAYMENT]
         browses = stages[:stages.index(ADD_TO_CART)]
         assert browses and all(s == BROWSE for s in browses)
-        assert 1 <= len(browses) <= workload.config.max_browses
+        assert 1 <= len(browses) <= MAX_BROWSES
         adds = stages[len(browses):checkout_at]
         assert adds and all(s == ADD_TO_CART for s in adds)
-        assert 1 <= len(adds) <= workload.config.max_cart_adds
+        assert 1 <= len(adds) <= MAX_CART_ADDS
 
 
 def test_terminals_hold_independent_sessions():
@@ -110,12 +112,12 @@ def test_same_seed_generators_replay_byte_identically():
 
 
 def test_initial_data_preloads_catalog_customers_and_carts():
-    workload = make_workload(products_per_node=100, customers_per_node=4)
+    workload = make_workload()
     data = workload.initial_data()
     assert set(data) == set(NODES)
     for node_index, name in enumerate(NODES):
-        assert len(data[name]["products"]) == 100
-        assert len(data[name]["customers"]) == 4
+        assert len(data[name]["products"]) == PRODUCTS_PER_NODE
+        assert len(data[name]["customers"]) == CUSTOMERS_PER_NODE
         assert set(data[name]["carts"]) == set(data[name]["customers"])
         for key in data[name]["products"]:
             assert key % len(NODES) == node_index
@@ -132,7 +134,7 @@ def test_static_hot_window_never_moves():
 
 
 def test_flash_crowd_shifts_scatter_the_hot_window():
-    workload = make_workload(hotspot_shift_every=10, products_per_node=10_000)
+    workload = make_workload(hotspot_shift_every=10)
     bases = []
     for _ in range(40):
         drain_session(workload)
@@ -140,30 +142,28 @@ def test_flash_crowd_shifts_scatter_the_hot_window():
         if not bases or bases[-1] != base:
             bases.append(base)
     assert len(bases) >= 3, "the hot window never shifted"
-    span = workload.config.products_per_node - workload.config.hotspot_products
+    span = PRODUCTS_PER_NODE - HOTSPOT_PRODUCTS
     assert all(0 <= base < span for base in bases)
     # Successive windows jump, they don't slide.
     gaps = [abs(b - a) for a, b in zip(bases, bases[1:])]
-    assert min(gaps) > workload.config.hotspot_products
+    assert min(gaps) > HOTSPOT_PRODUCTS
 
 
-def test_hot_draws_land_inside_the_current_window():
-    workload = make_workload(hotspot_probability=1.0, hotspot_products=50,
-                             products_per_node=1_000, hotspot_shift_every=0)
+def test_hot_draws_land_inside_the_current_window(monkeypatch):
+    monkeypatch.setattr(ecommerce, "HOTSPOT_PROBABILITY", 1.0)
+    workload = make_workload(hotspot_shift_every=0)
     node_count = len(NODES)
     for _ in range(200):
         key = workload._draw_product(1)
         assert key % node_count == 1
-        assert 0 <= key // node_count < 50
+        assert 0 <= key // node_count < HOTSPOT_PRODUCTS
 
 
 # ------------------------------------------------------------------ end to end
 def test_flash_crowd_scenario_smoke_run_commits_transactions():
     sweep = get_scenario("ecommerce_flash_crowd").sweep(
         axes={"system": ("geotp",), "shift_every": (500,)},
-        duration_ms=3_000.0, warmup_ms=600.0, terminals=4,
-        workload_config__products_per_node=1_000,
-        workload_config__customers_per_node=100)
+        duration_ms=3_000.0, warmup_ms=600.0, terminals=4)
     (point,) = sweep.points()
     result = run_experiment(point.config)
     assert result.committed > 0

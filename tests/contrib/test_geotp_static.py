@@ -5,6 +5,7 @@ from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.cluster import TopologyConfig, build_cluster, get_system_plugin
 from repro.contrib.geotp_static import GeoTPStaticCoordinator
 from repro.core.geotp import GeoTPCoordinator
+from repro.core.latency_monitor import NetworkLatencyMonitor
 from repro.middleware import ModuloPartitioner
 from repro.workloads.ycsb import YCSBConfig
 
@@ -50,7 +51,7 @@ def _pings_after_probing(system):
     cluster = _cluster(system=system)
     middleware = cluster.middleware
     middleware.start_probing()
-    cluster.env.run(until=5 * middleware.geotp.probe_interval_ms)
+    cluster.env.run(until=5 * NetworkLatencyMonitor.PROBE_INTERVAL_MS)
     return cluster.network.stats.messages_by_type.get(protocol.MSG_PING, 0)
 
 

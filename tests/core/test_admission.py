@@ -54,8 +54,7 @@ def test_admit_partitions_outcomes_across_counters():
     # p = 0.5 with one active waiter: some admitted, some rejected, and every
     # retry increments blocked_count.
     footprint = make_hot_footprint(10, 5, 2)
-    admission = LateTransactionScheduler(footprint, SeededRNG(42),
-                                         max_retries=2, backoff_ms=1.0)
+    admission = LateTransactionScheduler(footprint, SeededRNG(42), max_retries=2)
     env = Environment()
     decisions = [run_admit(admission, env, [("t", "hot")]) for _ in range(50)]
 
@@ -103,21 +102,9 @@ def test_threshold_above_probability_falls_back_to_draw():
 
 
 # --------------------------------------------------------------------- backoff
-def test_zero_backoff_retries_without_advancing_time():
-    footprint = make_hot_footprint(100, 0, 5)  # p == 0, every attempt blocks
-    admission = LateTransactionScheduler(footprint, SeededRNG(1),
-                                         max_retries=4, backoff_ms=0.0)
-    env = Environment()
-    decision = run_admit(admission, env, [("t", "hot")])
-    assert not decision.admitted
-    assert decision.retries_used == 4
-    assert env.now == 0.0
-
-
 def test_max_retries_zero_rejects_immediately():
     footprint = make_hot_footprint(100, 0, 5)
-    admission = LateTransactionScheduler(footprint, SeededRNG(1),
-                                         max_retries=0, backoff_ms=10.0)
+    admission = LateTransactionScheduler(footprint, SeededRNG(1), max_retries=0)
     env = Environment()
     decision = run_admit(admission, env, [("t", "hot")])
     assert not decision.admitted
@@ -129,12 +116,11 @@ def test_max_retries_zero_rejects_immediately():
 
 def test_backoff_accumulates_once_per_block():
     footprint = make_hot_footprint(100, 0, 5)
-    admission = LateTransactionScheduler(footprint, SeededRNG(1),
-                                         max_retries=3, backoff_ms=7.5)
+    admission = LateTransactionScheduler(footprint, SeededRNG(1), max_retries=3)
     env = Environment()
     decision = run_admit(admission, env, [("t", "hot")])
     assert decision.retries_used == 3
-    assert env.now == pytest.approx(3 * 7.5)
+    assert env.now == pytest.approx(3 * LateTransactionScheduler.BACKOFF_MS)
 
 
 # ----------------------------------------------------------------- determinism
@@ -142,7 +128,7 @@ def test_same_seed_same_decisions():
     def trace(seed):
         footprint = make_hot_footprint(10, 5, 2)
         admission = LateTransactionScheduler(footprint, SeededRNG(seed),
-                                             max_retries=2, backoff_ms=1.0)
+                                             max_retries=2)
         env = Environment()
         return [run_admit(admission, env, [("t", "hot")])
                 for _ in range(25)]

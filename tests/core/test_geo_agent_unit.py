@@ -2,7 +2,7 @@
 
 from repro import protocol
 from repro.common import Operation, OpType
-from repro.core import GeoAgent, GeoAgentConfig
+from repro.core import GeoAgent
 from repro.sim import ConstantLatency, Environment, Network
 from repro.storage import DataSource, DataSourceConfig
 
@@ -13,7 +13,7 @@ def build_agent_pair():
     net = Network(env)
     ds = DataSource(env, net, DataSourceConfig(name="ds0"))
     ds.load_table("usertable", {k: {"v": 0} for k in range(10)})
-    agent = GeoAgent(env, net, GeoAgentConfig(name="agent-ds0", datasource="ds0"))
+    agent = GeoAgent(env, net, "agent-ds0", "ds0")
     net.set_link("agent-ds0", "ds0", ConstantLatency(0.5))
     net.set_link("dm", "agent-ds0", ConstantLatency(20))
     coordinator = net.interface("dm")
@@ -41,6 +41,23 @@ def test_agent_forwards_plain_xa_verbs_transparently():
     assert replies["ping"]["status"] == "ok"
     assert replies["listing"] == {"prepared": []}
     assert agent.stats.forwarded == 2
+
+
+def test_agent_answers_a_verb_nothing_sends_it_as_unknown():
+    # A key-value read goes to a data source directly (ScalarDB runs without
+    # agents), so an agent forwards no kv verb.
+    env, net, ds, agent, dm = build_agent_pair()
+    replies = {}
+
+    def driver():
+        replies["kv_get"] = yield dm.request("agent-ds0", protocol.MSG_KV_GET,
+                                             {"table": "usertable", "key": 1})
+
+    env.process(driver())
+    env.run()
+    assert replies["kv_get"] == {"status": "error",
+                                 "error": f"unknown verb {protocol.MSG_KV_GET}"}
+    assert agent.stats.forwarded == 0
 
 
 def test_agent_execute_with_last_statement_sends_async_prepared_vote():
@@ -112,7 +129,7 @@ def test_peer_rollback_before_execute_poisons_the_transaction():
 
 def test_agent_bookkeeping_is_bounded_by_xid_retention():
     env, net, ds, agent, dm = build_agent_pair()
-    agent.config.xid_retention = 16
+    agent.XID_RETENTION = 16
 
     def driver():
         for i in range(100):
@@ -132,7 +149,7 @@ def test_agent_bookkeeping_is_bounded_by_xid_retention():
 
 def test_peer_rollback_for_forgotten_id_takes_the_poison_path():
     env, net, ds, agent, dm = build_agent_pair()
-    agent.config.xid_retention = 16
+    agent.XID_RETENTION = 16
 
     def driver():
         # A rollback for an id this agent has never seen (or long forgot).

@@ -13,7 +13,7 @@ import pytest
 
 from repro import protocol
 from repro.common import Operation, OpType, TxnOutcome
-from repro.core import GeoAgent, GeoAgentConfig, GeoTPConfig, GeoTPCoordinator
+from repro.core import GeoAgent, GeoTPConfig, GeoTPCoordinator
 from repro.middleware import (
     ModuloPartitioner,
     ParticipantHandle,
@@ -40,8 +40,7 @@ def build_geotp_cluster(rtts=(10.0, 100.0), lock_wait_timeout_ms=5000.0,
         ds.load_table("usertable", {key: {"v": 0} for key in range(keys_per_node)})
         datasources[name] = ds
         agent_name = f"agent-{name}"
-        agents[name] = GeoAgent(env, net, GeoAgentConfig(name=agent_name,
-                                                         datasource=name))
+        agents[name] = GeoAgent(env, net, agent_name, name)
         participants[name] = ParticipantHandle(name=name, endpoint=agent_name)
         net.set_link("dm", agent_name, ConstantLatency(rtt))
         net.set_link(agent_name, name, ConstantLatency(0.5))
@@ -298,7 +297,7 @@ def test_geotp_multi_round_transaction_prepares_participants_not_in_final_round(
 
 
 def test_geotp_admission_control_sheds_hopeless_transactions():
-    config = GeoTPConfig(admission_max_retries=2, admission_backoff_ms=1.0)
+    config = GeoTPConfig(admission_max_retries=2)
     env, net, dm, datasources, agents = build_geotp_cluster(geotp_config=config)
     # Poison the footprint so key 0 looks like a hopeless hotspot.
     entry = dm.footprint.get_or_create(("usertable", 0))

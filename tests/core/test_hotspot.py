@@ -10,13 +10,12 @@ from repro.core import HotspotFootprint
 R1 = ("usertable", 1)
 R2 = ("usertable", 2)
 R3 = ("orders", (1, 5))
+ALPHA = HotspotFootprint.ALPHA
 
 
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         HotspotFootprint(capacity=0)
-    with pytest.raises(ValueError):
-        HotspotFootprint(alpha=1.5)
 
 
 def test_access_counters_track_start_end_commit():
@@ -42,27 +41,27 @@ def test_access_end_for_unknown_record_is_noop():
 
 
 def test_latency_update_bootstraps_with_uniform_shares():
-    footprint = HotspotFootprint(alpha=0.5)
+    footprint = HotspotFootprint()
     footprint.update_latency([R1, R2], 100.0)
-    # Each record gets half of the observation, folded with alpha = 0.5.
-    assert footprint.entry(R1).w_lat == pytest.approx(25.0)
-    assert footprint.entry(R2).w_lat == pytest.approx(25.0)
+    # Each record gets half of the observation, folded in with weight 1 - alpha.
+    assert footprint.entry(R1).w_lat == pytest.approx((1 - ALPHA) * 50.0)
+    assert footprint.entry(R2).w_lat == pytest.approx((1 - ALPHA) * 50.0)
 
 
 def test_latency_update_weights_by_existing_w_lat():
-    footprint = HotspotFootprint(alpha=0.0)  # no smoothing: w_lat = new observation share
-    footprint.update_latency([R1], 100.0)    # R1.w_lat = 100
-    footprint.update_latency([R2], 20.0)     # R2.w_lat = 20
+    footprint = HotspotFootprint()
+    footprint.get_or_create(R1).w_lat = 100.0
+    footprint.get_or_create(R2).w_lat = 20.0
     footprint.update_latency([R1, R2], 60.0)
-    # R1 share = 100/120, R2 share = 20/120.
-    assert footprint.entry(R1).w_lat == pytest.approx(50.0)
-    assert footprint.entry(R2).w_lat == pytest.approx(10.0)
+    # R1 observes 100/120 of 60 ms = 50, R2 observes 20/120 of it = 10.
+    assert footprint.entry(R1).w_lat == pytest.approx(ALPHA * 100 + (1 - ALPHA) * 50)
+    assert footprint.entry(R2).w_lat == pytest.approx(ALPHA * 20 + (1 - ALPHA) * 10)
 
 
 def test_forecast_sums_w_lat_of_known_records_only():
-    footprint = HotspotFootprint(alpha=0.0)
-    footprint.update_latency([R1], 40.0)
-    footprint.update_latency([R2], 10.0)
+    footprint = HotspotFootprint()
+    footprint.get_or_create(R1).w_lat = 40.0
+    footprint.get_or_create(R2).w_lat = 10.0
     assert footprint.forecast_local_latency([R1, R2]) == pytest.approx(50.0)
     assert footprint.forecast_local_latency([R1, ("unknown", 9)]) == pytest.approx(40.0)
     assert footprint.forecast_local_latency([]) == 0.0
@@ -112,7 +111,7 @@ def test_memory_bytes_and_hottest():
     st.tuples(st.booleans(), st.floats(min_value=0, max_value=1000)), min_size=1))
 @settings(max_examples=60, deadline=None)
 def test_property_w_lat_never_negative_and_bounded(observations):
-    footprint = HotspotFootprint(alpha=0.7)
+    footprint = HotspotFootprint()
     max_seen = 0.0
     for use_both, latency in observations:
         records = [R1, R2] if use_both else [R1]

@@ -78,9 +78,9 @@ def test_scheduler_never_returns_negative_delays():
 def test_scheduler_with_forecast_uses_eq8():
     """Eq. 8: delays account for predicted local execution latency."""
     monitor = make_monitor(estimates={"fast": 10, "slow": 100})
-    footprint = HotspotFootprint(alpha=0.0)
+    footprint = HotspotFootprint()
     # The fast node hosts a hotspot with 50 ms of expected local latency.
-    footprint.update_latency([("t", "hot")], 50.0)
+    footprint.get_or_create(("t", "hot")).w_lat = 50.0
     forecaster = LocalExecutionForecaster(footprint, scale=1.0)
     scheduler = GeoScheduler(monitor, forecaster, use_forecast=True)
     decision = scheduler.schedule({
@@ -102,8 +102,8 @@ def test_scheduler_empty_round_yields_empty_decision():
 
 # ------------------------------------------------------------------ forecaster
 def test_forecaster_applies_scale_factor():
-    footprint = HotspotFootprint(alpha=0.0)
-    footprint.update_latency([("t", 1)], 100.0)
+    footprint = HotspotFootprint()
+    footprint.get_or_create(("t", 1)).w_lat = 100.0
     forecaster = LocalExecutionForecaster(footprint, scale=0.5)
     assert forecaster.forecast([("t", 1)]) == pytest.approx(50.0)
     with pytest.raises(ValueError):
@@ -112,12 +112,13 @@ def test_forecaster_applies_scale_factor():
 
 def test_forecaster_observe_updates_footprint_and_counters():
     """The forecaster observes what the coordinator feeds the footprint."""
-    footprint = HotspotFootprint(alpha=0.0)
+    footprint = HotspotFootprint()
     forecaster = LocalExecutionForecaster(footprint)
     footprint.on_access_start([("t", 1)])
     footprint.update_latency([("t", 1)], 30.0)
     footprint.on_access_end([("t", 1)], committed=True)
-    assert forecaster.forecast([("t", 1)]) == pytest.approx(30.0)
+    assert forecaster.forecast([("t", 1)]) == pytest.approx(
+        (1 - HotspotFootprint.ALPHA) * 30.0)
     assert footprint.entry(("t", 1)).c_cnt == 1
 
 
@@ -144,8 +145,7 @@ def test_admission_rejects_hopeless_transactions_after_max_retries():
     footprint = HotspotFootprint()
     entry = footprint.get_or_create(("t", "hot"))
     entry.t_cnt, entry.c_cnt, entry.a_cnt = 100, 0, 5  # success probability 0
-    admission = LateTransactionScheduler(footprint, SeededRNG(1),
-                                         max_retries=3, backoff_ms=10)
+    admission = LateTransactionScheduler(footprint, SeededRNG(1), max_retries=3)
     decisions = []
 
     def proc():
@@ -157,7 +157,7 @@ def test_admission_rejects_hopeless_transactions_after_max_retries():
     decision, finished_at = decisions[0]
     assert not decision.admitted
     assert decision.retries_used == 3
-    assert finished_at == pytest.approx(30.0)  # three backoffs of 10 ms
+    assert finished_at == pytest.approx(15.0)  # three backoffs of 5 ms
     assert admission.rejected_count == 1
 
 
@@ -175,5 +175,3 @@ def test_admission_parameter_validation():
     footprint = HotspotFootprint()
     with pytest.raises(ValueError):
         LateTransactionScheduler(footprint, SeededRNG(0), max_retries=-1)
-    with pytest.raises(ValueError):
-        LateTransactionScheduler(footprint, SeededRNG(0), backoff_ms=-1)

@@ -9,17 +9,15 @@ lost to a crash.
 """
 
 from collections import defaultdict
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.cluster import deployment
 from repro.plugins import system_names
 from repro.recovery.failures import FaultPlan
 from repro.recovery.invariants import violations
-from repro.storage.datasource import DataSourceConfig
+from repro.storage.datasource import DataSource
 from repro.storage.transaction import LocalTransaction, TxnState
 
 DURATION_MS = 4_000.0
@@ -42,8 +40,7 @@ KNOWN_SPLITS = {("ssp_local", "mw_crash"): "dm-t39"}
 @pytest.fixture
 def full_retention(monkeypatch):
     """Build clusters whose data sources evict no finished branch."""
-    monkeypatch.setattr(deployment, "DataSourceConfig", partial(
-        DataSourceConfig, finished_txn_retention=RETENTION))
+    monkeypatch.setattr(DataSource, "FINISHED_TXN_RETENTION", RETENTION)
 
 
 def split_decisions(cluster):

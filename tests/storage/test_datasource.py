@@ -370,7 +370,7 @@ def test_unknown_verb_returns_error():
 
 def test_finished_transactions_are_evicted_beyond_retention():
     env, net, ds, client = make_datasource()
-    ds.config.finished_txn_retention = 8
+    ds.FINISHED_TXN_RETENTION = 8
     ds.load_table("usertable", {"carol": 1})
 
     def coordinator():
@@ -391,7 +391,7 @@ def test_finished_transactions_are_evicted_beyond_retention():
 
 def test_in_doubt_transactions_survive_retention_pressure():
     env, net, ds, client = make_datasource()
-    ds.config.finished_txn_retention = 4
+    ds.FINISHED_TXN_RETENTION = 4
 
     def coordinator():
         # One branch parks in PREPARED (in doubt) ...

@@ -31,13 +31,7 @@ def drain(arrivals, horizon_ms):
     dict(rate_tps=0.0),
     dict(rate_tps=-5.0),
     dict(max_clients=0),
-    dict(burst_factor=0.5),
-    dict(burst_fraction=0.0),
-    dict(burst_fraction=1.0),
-    dict(mean_burst_ms=0.0),
     dict(period_ms=0.0),
-    dict(amplitude=-0.1),
-    dict(amplitude=1.0),
 ])
 def test_validate_rejects_out_of_range_knobs(bad):
     with pytest.raises(ValueError):
@@ -91,7 +85,7 @@ def test_long_run_mean_rate_matches_config(process):
     # 10 minutes of simulated time at 200 tps -> ~120k arrivals; the MMPP
     # stream has the widest variance (state dwells correlate arrivals), so the
     # tolerance is loose but still catches a mis-derated quiet rate (ratio
-    # error 0.57 for the naive construction at burst_factor=8).
+    # error 0.57 for the naive construction at the burst factor of 8).
     config = ArrivalConfig(process=process, rate_tps=200.0, seed=11,
                            period_ms=30_000.0)
     horizon_ms = 600_000.0
@@ -103,8 +97,7 @@ def test_long_run_mean_rate_matches_config(process):
 def test_mmpp_is_burstier_than_poisson():
     # Index of dispersion of per-second counts: ~1 for Poisson, >> 1 for MMPP.
     def dispersion(process):
-        config = ArrivalConfig(process=process, rate_tps=200.0, seed=7,
-                               burst_factor=8.0, burst_fraction=0.1)
+        config = ArrivalConfig(process=process, rate_tps=200.0, seed=7)
         stamps = drain(make_arrivals(config), 120_000.0)
         counts = [0] * 120
         for t in stamps:
@@ -117,17 +110,17 @@ def test_mmpp_is_burstier_than_poisson():
 
 # --------------------------------------------------------------------- diurnal
 def test_diurnal_rate_at_follows_the_wave():
-    config = ArrivalConfig(process="diurnal", rate_tps=100.0,
-                           amplitude=0.5, period_ms=1_000.0)
+    assert DiurnalArrivals.AMPLITUDE == 0.8
+    config = ArrivalConfig(process="diurnal", rate_tps=100.0, period_ms=1_000.0)
     arrivals = make_arrivals(config)
     assert arrivals.rate_at(0.0) == pytest.approx(100.0)
-    assert arrivals.rate_at(250.0) == pytest.approx(150.0)   # peak
-    assert arrivals.rate_at(750.0) == pytest.approx(50.0)    # trough
+    assert arrivals.rate_at(250.0) == pytest.approx(180.0)   # peak
+    assert arrivals.rate_at(750.0) == pytest.approx(20.0)    # trough
     assert arrivals.rate_at(1_000.0) == pytest.approx(100.0)
 
 
 def test_diurnal_arrivals_concentrate_at_the_peak():
-    config = ArrivalConfig(process="diurnal", rate_tps=200.0, amplitude=0.8,
+    config = ArrivalConfig(process="diurnal", rate_tps=200.0,
                            period_ms=10_000.0, seed=5)
     stamps = drain(make_arrivals(config), 200_000.0)
     # Split each period into the rising half (around the peak at T/4) and the

@@ -16,11 +16,12 @@ import pytest
 
 from repro import ExperimentConfig, TopologyConfig, build_cluster, protocol, run_experiment
 from repro.bench.runner import make_workload
+from repro.contrib import ecommerce, smallbank
 from repro.plugins import get_workload_plugin, workload_names
 from repro.storage.engine import SharedRows, StorageEngine
 from repro.workloads.base import Workload, WorkloadConfig
 from repro.workloads.tpcc import DISTRICTS_PER_WAREHOUSE, TPCCConfig
-from repro.workloads.ycsb import YCSBConfig
+from repro.workloads.ycsb import VALUE_SIZE_BYTES, YCSBConfig
 
 WORKLOADS = workload_names()
 TOPOLOGY = TopologyConfig.paper_default()
@@ -38,7 +39,7 @@ def _config(name, seed=3):
 def _ycsb_rows(workload):
     config, key_for_node = workload.config, workload.make_partitioner().key_for_node
     return {name: {"usertable": {key_for_node(index, sequence):
-                                 {"field0": "x" * config.value_size_bytes}
+                                 {"field0": "x" * VALUE_SIZE_BYTES}
                                  for sequence in range(config.records_per_node)}}
             for index, name in enumerate(workload.datasource_names)}
 
@@ -68,25 +69,26 @@ def _tpcc_rows(workload):
 
 
 def _smallbank_rows(workload):
-    config, key_for_node = workload.config, workload.make_partitioner().key_for_node
+    key_for_node = workload.make_partitioner().key_for_node
     data = {}
     for index, name in enumerate(workload.datasource_names):
         accounts = [key_for_node(index, sequence)
-                    for sequence in range(config.accounts_per_node)]
-        data[name] = {table: {account: {"balance": config.initial_balance}
+                    for sequence in range(smallbank.ACCOUNTS_PER_NODE)]
+        data[name] = {table: {account: {"balance": smallbank.INITIAL_BALANCE}
                               for account in accounts}
                       for table in ("savings", "checking")}
     return data
 
 
 def _ecommerce_rows(workload):
-    config, key_for_node = workload.config, workload.make_partitioner().key_for_node
+    key_for_node = workload.make_partitioner().key_for_node
     data = {}
     for index, name in enumerate(workload.datasource_names):
-        customers = [key_for_node(index, s) for s in range(config.customers_per_node)]
+        customers = [key_for_node(index, s)
+                     for s in range(ecommerce.CUSTOMERS_PER_NODE)]
         data[name] = {
             "products": {key_for_node(index, s): {"stock": 1_000, "price": 10.0}
-                         for s in range(config.products_per_node)},
+                         for s in range(ecommerce.PRODUCTS_PER_NODE)},
             "customers": {key: {"balance": 10_000.0} for key in customers},
             "carts": {key: {"items": 0} for key in customers}}
     return data

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import OpType
 from repro.contrib.smallbank import (
+    ACCOUNTS_PER_NODE,
     CHECKING,
     SAVINGS,
     SmallBankConfig,
@@ -14,9 +15,7 @@ NODES = ["ds0", "ds1", "ds2"]
 
 
 def _workload(**overrides) -> SmallBankWorkload:
-    defaults = dict(accounts_per_node=1_000)
-    defaults.update(overrides)
-    return SmallBankWorkload(NODES, SmallBankConfig(**defaults))
+    return SmallBankWorkload(NODES, SmallBankConfig(**overrides))
 
 
 def _touched_nodes(workload, spec):
@@ -31,7 +30,7 @@ def test_initial_data_loads_savings_and_checking_per_node():
     assert set(data) == set(NODES)
     for node, tables in data.items():
         assert set(tables) == {SAVINGS, CHECKING}
-        assert len(tables[SAVINGS]) == 1_000
+        assert len(tables[SAVINGS]) == ACCOUNTS_PER_NODE
         assert set(tables[SAVINGS]) == set(tables[CHECKING])
         # Every loaded account actually lives on its node.
         for account in tables[SAVINGS]:
@@ -98,8 +97,6 @@ def test_config_validation():
         _workload(mix={"balance": 0.5, "wire_fraud": 0.5})
     with pytest.raises(ValueError, match="distributed_ratio"):
         _workload(distributed_ratio=1.5)
-    with pytest.raises(ValueError, match="accounts_per_node"):
-        _workload(accounts_per_node=1)
 
 
 def test_pure_balance_mix_still_supports_distribution():

@@ -4,6 +4,7 @@ import pytest
 
 from repro import TopologyConfig
 from repro.workloads import TPCCConfig, TPCCWorkload
+from repro.workloads.tpcc import DISTRICTS_PER_WAREHOUSE
 
 NODES = ["ds0", "ds1", "ds2", "ds3"]
 
@@ -104,12 +105,12 @@ def test_read_only_transactions_are_centralized_and_read_only():
         assert all(not stmt.operation.is_write for stmt in spec.all_statements)
 
 
-def test_delivery_covers_requested_districts():
-    workload = make_workload(mix={"delivery": 1.0}, delivery_districts=4)
+def test_delivery_covers_every_district():
+    workload = make_workload(mix={"delivery": 1.0})
     spec = workload.next_transaction()
     districts = {stmt.operation.key[1] for stmt in spec.all_statements
                  if stmt.operation.table == "neworder"}
-    assert len(districts) == 4
+    assert districts == set(range(1, DISTRICTS_PER_WAREHOUSE + 1))
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -29,8 +29,6 @@ def test_rejects_invalid_configuration():
     with pytest.raises(ValueError):
         YCSBWorkload(NODES, YCSBConfig(distributed_ratio=1.5))
     with pytest.raises(ValueError):
-        YCSBWorkload(NODES, YCSBConfig(nodes_per_distributed_txn=1))
-    with pytest.raises(ValueError):
         YCSBWorkload([], YCSBConfig())
 
 
@@ -56,8 +54,8 @@ def test_centralized_transactions_touch_one_node():
         assert spec.metadata["distributed"] is False
 
 
-def test_distributed_transactions_touch_requested_node_count():
-    workload = make_workload(distributed_ratio=1.0, nodes_per_distributed_txn=2)
+def test_distributed_transactions_touch_two_nodes():
+    workload = make_workload(distributed_ratio=1.0)
     for _ in range(30):
         spec = workload.next_transaction()
         assert len(participants_of(workload, spec)) == 2
