@@ -38,6 +38,19 @@ def test_validate_rejects_out_of_range_knobs(bad):
         ArrivalConfig(**bad).validate()
 
 
+# The shape constants are not validated at run time, so each is held to the
+# range its model needs here: a burst at least the mean rate, a burst share
+# inside (0, 1), a positive dwell, and a wave that never reaches zero.
+@pytest.mark.parametrize("value, in_range", [
+    (MMPPArrivals.BURST_FACTOR, lambda v: v >= 1.0),
+    (MMPPArrivals.BURST_FRACTION, lambda v: 0.0 < v < 1.0),
+    (MMPPArrivals.MEAN_BURST_MS, lambda v: v > 0.0),
+    (DiurnalArrivals.AMPLITUDE, lambda v: 0.0 <= v < 1.0),
+], ids=["burst_factor", "burst_fraction", "mean_burst_ms", "amplitude"])
+def test_shape_constants_lie_in_their_models_range(value, in_range):
+    assert in_range(value)
+
+
 def test_make_arrivals_covers_every_registered_process():
     classes = {"poisson": PoissonArrivals, "mmpp": MMPPArrivals,
                "diurnal": DiurnalArrivals}
