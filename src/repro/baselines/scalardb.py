@@ -56,26 +56,22 @@ class ScalarDBCoordinator(MiddlewareBase):
         return (True, None)
         yield  # pragma: no cover
 
-    def on_transaction_settled(self, ctx: TransactionContext, committed: bool) -> None:
-        """Hook after the outcome is known (ScalarDB+ updates its statistics)."""
-
     # ------------------------------------------------------------- transaction
     def _run_transaction(self, ctx: TransactionContext):
         yield COSTS.analysis_ms
         self.stats.work_units += ctx.spec.statement_count
 
         slot = self._executor.request()
-        yield slot
         try:
+            # Inside the try: a crash that interrupts the wait withdraws the
+            # request, so the next release cannot grant it to a dead process.
+            yield slot
             admitted, admit_reason = yield from self.admit(ctx)
             if not admitted:
-                self.on_transaction_settled(ctx, committed=False)
                 return TxnOutcome.ABORTED, admit_reason or AbortReason.ADMISSION_BLOCKED
-            outcome, reason = yield from self._run_occ(ctx)
+            return (yield from self._run_occ(ctx))
         finally:
             self._executor.release(slot)
-        self.on_transaction_settled(ctx, committed=outcome is TxnOutcome.COMMITTED)
-        return outcome, reason
 
     def _run_occ(self, ctx: TransactionContext):
         ctx.enter_phase(TransactionPhase.EXECUTION, self.env.now)

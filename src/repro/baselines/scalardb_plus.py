@@ -9,11 +9,11 @@ blocks transactions that are very likely to fail validation on hot records.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro import protocol
 from repro.baselines.scalardb import ScalarDBCoordinator, _read_image
-from repro.common import Operation
+from repro.common import AbortReason, Operation, TxnOutcome
 from repro.core.geotp import LatencyAwareMixin
 from repro.middleware.context import TransactionContext
 from repro.middleware.middleware import Replies
@@ -70,9 +70,10 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
                 handle, protocol.MSG_KV_GET,
                 {"table": operation.table, "key": operation.key}))
 
-    def on_transaction_settled(self, ctx: TransactionContext, committed: bool) -> None:
+    def on_transaction_finished(self, ctx: TransactionContext, outcome: TxnOutcome,
+                                reason: Optional[AbortReason]) -> None:
         records = ctx.spec.record_ids()
-        self.footprint.on_access_end(records, committed=committed)
+        self.footprint.on_access_end(records, committed=outcome is TxnOutcome.COMMITTED)
         # Approximate per-record latency with the transaction's prepare-phase
         # duration (the window in which optimistic conflicts materialise).
         prepare_ms = ctx.phase_durations.get("prepare", 0.0)

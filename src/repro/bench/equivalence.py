@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.bench.runner import ExperimentConfig, ExperimentSummary, run_experiment
 from repro.workloads.ycsb import YCSBConfig
 
 #: Systems whose ordering the paper trend asserts, *strongest first*:
@@ -98,37 +98,43 @@ CASES: Tuple[EquivalenceCase, ...] = (
 )
 
 
-def snapshot(config: ExperimentConfig) -> Dict[str, Any]:
-    """Run one experiment and reduce it to a comparable summary dict.
+def reduce(summary: ExperimentSummary) -> Dict[str, Any]:
+    """Reduce one run's summary to a comparable dict.
 
-    The one snapshot every comparison uses: the golden pins, the same-seed
-    determinism checks and the equivalence cases.  ``latency_sha256``
-    digests every latency sample, so two snapshots are equal only if the
-    runs were bit-identical.  A fault run also carries its fault report and
-    a fleet run its fleet report (routing counters, health transitions, down
-    episodes), so recovery and failover must replay bit for bit too; a run
-    with neither reduces to exactly the ten keys the golden pins compare.
+    The one reduction every comparison uses: the exact pins of
+    ``tests/bench/data/pins.json``, the same-seed determinism checks and the
+    equivalence cases.  ``latency_sha256`` digests every latency sample, so
+    two reductions are equal only if the runs were bit-identical.  A fault
+    run also carries its fault report and a fleet run its fleet report
+    (routing counters, health transitions, down episodes), so recovery and
+    failover must replay bit for bit too.
     """
-    result = run_experiment(config)
-    latency = result.latency
-    samples = list(latency.samples)
+    samples = list(summary.latency_samples)
+    latency = summary.latency
     document = {
-        "throughput_tps": result.throughput_tps,
-        "committed": result.committed,
-        "aborted": result.aborted,
-        "average_latency_ms": result.average_latency_ms,
+        "throughput_tps": summary.throughput_tps,
+        "committed": summary.committed,
+        "aborted": summary.aborted,
+        "average_latency_ms": summary.average_latency_ms,
         "p50": latency.p50 if samples else None,
         "p99": latency.p99 if samples else None,
-        "abort_rate": result.abort_rate,
-        "abort_reasons": result.abort_reasons,
+        "abort_rate": summary.abort_rate,
+        "abort_reasons": summary.abort_reasons,
         "n_samples": len(samples),
         "latency_sha256": hashlib.sha256(repr(samples).encode()).hexdigest(),
+        "events_processed": summary.events_processed,
+        "timeline": summary.timeline,
     }
-    if result.faults is not None:
-        document["faults"] = result.faults
-    if result.fleet is not None:
-        document["fleet"] = result.fleet
+    if summary.faults is not None:
+        document["faults"] = summary.faults
+    if summary.fleet is not None:
+        document["fleet"] = summary.fleet
     return document
+
+
+def snapshot(config: ExperimentConfig) -> Dict[str, Any]:
+    """Run one experiment and :func:`reduce` it."""
+    return reduce(run_experiment(config))
 
 
 def run_case(case: EquivalenceCase) -> Dict[str, Dict[str, Dict[str, Any]]]:

@@ -200,7 +200,9 @@ class MiddlewareBase:
                                 reason: Optional[AbortReason]) -> None:
         """Hook invoked once per transaction just before the result is built.
 
-        GeoTP uses it to settle its hotspot statistics; the base does nothing.
+        The one end-of-transaction hook: it runs on every exit, a crash's
+        ``Interrupt`` included.  GeoTP and ScalarDB+ settle their hotspot
+        statistics here; the base does nothing.
         """
 
     def record_network_rtt(self, participant: str, rtt_ms: float) -> None:

@@ -3,7 +3,8 @@
 In-place grants, the round fan-out and the timer-served verbs may not add,
 remove or reorder one observable simulated outcome: for each run below the
 committed/aborted counts, the abort reasons, the throughput and the p99 equal
-the values captured on the commit before the change, while
+the values captured on the commit before the change (the run's pin in
+``tests/bench/data/pins.json``), while
 ``events_processed`` — which counted every grant dispatched to nobody and
 every forwarding process — is strictly lower than it was there.
 
@@ -17,11 +18,13 @@ round gathers through ``Replies`` callbacks.
 
 import pytest
 
+from repro.bench.equivalence import reduce
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.plugins import system_plugins
 from repro.sim._kernel.process import Process
 from repro.workloads.arrivals import ArrivalConfig
 from repro.workloads.ycsb import YCSBConfig
+from tests.bench.pins import assert_pinned
 
 
 def _config(name: str, system: str) -> ExperimentConfig:
@@ -42,84 +45,30 @@ def _config(name: str, system: str) -> ExperimentConfig:
         arrival=ArrivalConfig(process="poisson", rate_tps=400.0, max_clients=32))
 
 
-#: (run, system) -> the parent commit's summary of it.
-PARENT = {
-    ("ycsb_contended", "ssp"): dict(
-        committed=20, aborted=15, abort_reasons={"lock_timeout": 15},
-        throughput_tps=2.857142857142857, p99_latency_ms=5414.0149999999985,
-        events_processed=1663),
-    ("ycsb_contended", "geotp"): dict(
-        committed=62, aborted=25,
-        abort_reasons={"admission_blocked": 10, "lock_timeout": 15},
-        throughput_tps=8.857142857142858, p99_latency_ms=5802.737999999999,
-        events_processed=5619),
-    ("tpcc", "ssp"): dict(
-        committed=339, aborted=0, abort_reasons={},
-        throughput_tps=37.666666666666664, p99_latency_ms=2041.8159999999984,
-        events_processed=24004),
-    ("tpcc", "geotp"): dict(
-        committed=521, aborted=5, abort_reasons={"admission_blocked": 5},
-        throughput_tps=57.888888888888886, p99_latency_ms=1206.4989310728172,
-        events_processed=47449),
-    ("open_overload", "ssp"): dict(
-        committed=241, aborted=13, abort_reasons={"lock_timeout": 13},
-        throughput_tps=25.36842105263158, p99_latency_ms=5967.227325100484,
-        events_processed=12720),
-    ("open_overload", "geotp"): dict(
-        committed=184, aborted=24,
-        abort_reasons={"admission_blocked": 18, "lock_timeout": 6},
-        throughput_tps=19.36842105263158, p99_latency_ms=5307.152900446155,
-        events_processed=14829),
+#: pin -> the parent commit's ``events_processed``, which the run must now
+#: stay strictly below.
+FEWER_EVENTS_THAN = {
+    "hot_path.ycsb_contended.ssp": 1663,
+    "hot_path.ycsb_contended.geotp": 5619,
+    "hot_path.tpcc.ssp": 24004,
+    "hot_path.tpcc.geotp": 47449,
+    "hot_path.open_overload.ssp": 12720,
+    "hot_path.open_overload.geotp": 14829,
     # Captured while ScalarDB+ spawned a process per read batch.
-    ("ycsb_contended", "scalardb_plus"): dict(
-        committed=613, aborted=321,
-        abort_reasons={"admission_blocked": 64, "prepare_failed": 257},
-        throughput_tps=87.57142857142857, p99_latency_ms=554.163474531205,
-        events_processed=44611),
+    "hot_path.ycsb_contended.scalardb_plus": 44611,
 }
-
-#: (run, system) -> its summary while the key-value verbs were processes.
-PARENT_KV = {
-    ("open_overload", "scalardb_plus"): dict(
-        committed=987, aborted=210,
-        abort_reasons={"admission_blocked": 24, "prepare_failed": 186},
-        throughput_tps=103.89473684210526, p99_latency_ms=626.9380820104385,
-        events_processed=59097),
-    ("ycsb_contended", "scalardb"): dict(
-        committed=239, aborted=85, abort_reasons={"prepare_failed": 85},
-        throughput_tps=34.142857142857146, p99_latency_ms=1511.9,
-        events_processed=14638),
+#: pin -> ``events_processed`` while the key-value verbs were processes,
+#: which the run may not exceed.
+NO_MORE_EVENTS_THAN = {
+    "hot_path.open_overload.scalardb_plus": 59097,
+    "hot_path.ycsb_contended.scalardb": 14638,
 }
 
 
-def _assert_outcome(summary, parent):
-    assert summary.committed == parent["committed"]
-    assert summary.aborted == parent["aborted"]
-    assert dict(summary.abort_reasons) == parent["abort_reasons"]
-    assert summary.throughput_tps == parent["throughput_tps"]
-    assert summary.p99_latency_ms == pytest.approx(parent["p99_latency_ms"],
-                                                   rel=1e-9)
-
-
-@pytest.mark.parametrize("name, system", list(PARENT),
-                         ids=[f"{name}-{system}" for name, system in PARENT])
-def test_outcome_equals_the_parents_with_fewer_events(name, system):
-    parent = PARENT[(name, system)]
-    summary = run_experiment(_config(name, system)).summary()
-    _assert_outcome(summary, parent)
-    assert summary.events_processed < parent["events_processed"]
-
-
-@pytest.mark.parametrize("name, system", list(PARENT_KV),
-                         ids=[f"{name}-{system}" for name, system in PARENT_KV])
-def test_kv_verb_timers_keep_the_outcome_and_add_no_event(name, system):
-    parent = PARENT_KV[(name, system)]
-    summary = run_experiment(_config(name, system)).summary()
-    _assert_outcome(summary, parent)
-    assert summary.events_processed <= parent["events_processed"]
-
-
-def test_only_a_statement_batch_spawns_a_process_on_a_node(monkeypatch):
+@pytest.fixture(scope="module")
+def contended_runs():
+    """The ``ycsb_contended`` runs, made once with every process spawn
+    recorded: the pins read their summaries, the spawn test their spawns."""
     spawned = []
     spawn = Process.__init__
 
@@ -127,13 +76,38 @@ def test_only_a_statement_batch_spawns_a_process_on_a_node(monkeypatch):
         spawned.append(generator.__qualname__)
         spawn(self, env, generator, *args, **kwargs)
 
-    monkeypatch.setattr(Process, "__init__", spy)
-    # Contended YCSB takes the rollback, lock-timeout and peer-rollback paths.
-    run_experiment(_config("ycsb_contended", "ssp"))
-    run_experiment(_config("ycsb_contended", "geotp"))
-    run_experiment(ExperimentConfig(
-        system="scalardb_plus", workload="ycsb", terminals=8,
-        duration_ms=1_500.0, warmup_ms=0.0, seed=11, ycsb=YCSBConfig(skew=1.2)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "__init__", spy)
+        # Contended YCSB takes the rollback, lock-timeout and peer-rollback
+        # paths, and ScalarDB(+)'s aborted prepares.
+        summaries = {system: run_experiment(_config("ycsb_contended", system))
+                     for system in ("ssp", "geotp", "scalardb", "scalardb_plus")}
+    return summaries, spawned
+
+
+def _pinned_run(pin, request):
+    _, name, system = pin.split(".")
+    if name == "ycsb_contended":
+        return request.getfixturevalue("contended_runs")[0][system]
+    return run_experiment(_config(name, system))
+
+
+@pytest.mark.parametrize("pin", list(FEWER_EVENTS_THAN))
+def test_outcome_equals_the_parents_with_fewer_events(pin, request):
+    summary = _pinned_run(pin, request)
+    assert_pinned(pin, reduce(summary))
+    assert summary.events_processed < FEWER_EVENTS_THAN[pin]
+
+
+@pytest.mark.parametrize("pin", list(NO_MORE_EVENTS_THAN))
+def test_kv_verb_timers_keep_the_outcome_and_add_no_event(pin, request):
+    summary = _pinned_run(pin, request)
+    assert_pinned(pin, reduce(summary))
+    assert summary.events_processed <= NO_MORE_EVENTS_THAN[pin]
+
+
+def test_only_a_statement_batch_spawns_a_process_on_a_node(contended_runs):
+    _, spawned = contended_runs
     on_nodes = {name for name in spawned
                 if name.startswith(("DataSource.", "GeoAgent."))}
     assert on_nodes == {"DataSource._execute"}

@@ -146,8 +146,8 @@ def test_decision_is_plain_dataclass():
 # ------------------------------------------------ a rejection and live holders
 @pytest.mark.xfail(strict=True, reason=(
     "known O3 defect: admit() starts footprint accesses only for an admitted "
-    "transaction, but geotp's on_transaction_finished and scalardb_plus's "
-    "on_transaction_settled end them for a rejected one too, so every "
+    "transaction, but on_transaction_finished (geotp's and scalardb_plus's) "
+    "ends them for a rejected one too, so every "
     "rejection decrements the a_cnt of records live transactions hold"))
 @pytest.mark.parametrize("system", ["geotp", "scalardb_plus"])
 def test_a_rejected_transaction_leaves_a_live_holders_a_cnt_unchanged(system):

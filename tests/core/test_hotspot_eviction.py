@@ -14,8 +14,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.bench.equivalence import reduce
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.core import GeoTPConfig, HotspotFootprint
+from tests.bench.pins import assert_pinned
 
 
 @dataclass
@@ -187,33 +189,16 @@ def test_hit_storms_do_not_grow_the_heap():
     assert ("t", 1) in footprint and ("t", 2) not in footprint
 
 
-#: perf_ledger-style digests (committed, aborted, events, throughput, p99,
-#: abort reasons) of a TPC-C point whose footprint holds 8 records, captured
-#: before the footprint lost its ordered dict and AVL index.  At this capacity
-#: a run evicts thousands of times, both older idle records and newcomers.
-#: ScalarDB+ was re-pinned once when an aborted prepare began restoring the
-#: records it had installed (320/56 committed/aborted before, 318/54 after).
-#: Both event counts were re-pinned, every other field unchanged, when votes
-#: and ScalarDB+ reads began gathering through callbacks instead of per-vote
-#: events and per-batch processes (19612 and 71614 before).
-SMALL_FOOTPRINT_RUNS = {
-    "geotp": [268, 4, 19296, "59.55555555555556", "1195.3568323459353",
-              [("admission_blocked", 4)]],
-    "scalardb_plus": [318, 54, 70342, "70.66666666666667", "564.1999999999999",
-                      [("admission_blocked", 6), ("prepare_failed", 48)]],
-}
-
-
-@pytest.mark.parametrize("system", list(SMALL_FOOTPRINT_RUNS))
-def test_a_run_that_evicts_constantly_is_pinned(system):
+# A TPC-C point whose footprint holds 8 records.  At this capacity a run
+# evicts thousands of times, both older idle records and newcomers.
+@pytest.mark.parametrize("pin", ["eviction.tpcc.geotp",
+                                 "eviction.tpcc.scalardb_plus"])
+def test_a_run_that_evicts_constantly_is_pinned(pin):
     result = run_experiment(ExperimentConfig(
-        system=system, workload="tpcc", terminals=16, duration_ms=5_000.0,
-        warmup_ms=500.0, seed=7, geotp=GeoTPConfig(hotspot_capacity=8)),
-        keep_cluster=True)
+        system=pin.split(".")[-1], workload="tpcc", terminals=16,
+        duration_ms=5_000.0, warmup_ms=500.0, seed=7,
+        geotp=GeoTPConfig(hotspot_capacity=8)), keep_cluster=True)
     footprint = result.cluster.middleware.footprint
     result.cluster.close()
-    summary = result.summary()
-    assert [summary.committed, summary.aborted, summary.events_processed,
-            repr(summary.throughput_tps), repr(summary.p99_latency_ms),
-            sorted(summary.abort_reasons.items())] == SMALL_FOOTPRINT_RUNS[system]
+    assert_pinned(pin, reduce(result))
     assert len(footprint) == 8 and footprint.evictions > 1_000

@@ -8,59 +8,45 @@ reply callback still collects the batch's result.  Each case below strikes at
 an instant picked (from a fault-free probe of the same seed) to fall inside a
 verb's cost window while batches are in flight — an execute request or its
 reply is on the wire; the test checks that it did — and pins the run's
-outcome.
+outcome (``tests/bench/data/pins.json``).
 """
 
 import pytest
 
 from repro import protocol
+from repro.bench.equivalence import reduce
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.common import SubtxnResult
 from repro.recovery import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.sim.network import Message
 from repro.workloads.ycsb import YCSBConfig
+from tests.bench.pins import assert_pinned
 
 #: Timer callbacks of a verb whose cost is being paid / of a fan-out batch.
 _VERB_TIMERS = {"_finish_xa_end", "_finish_xa_prepare", "_finish_commit",
                 "_forward_send"}
 
-#: (system, fault, strike time) -> what must be pending, and the parent's outcome.
+#: pin -> (fault, strike time, the verb timers that must be pending then).
 CASES = {
     # ds1 is paying an xa_prepare and an xa_commit cost: the crash refuses
     # what follows, the finish functions still answer.
-    ("ssp", FaultKind.DATASOURCE_CRASH, 2191.0): dict(
-        pending={"_finish_xa_prepare", "_finish_commit"},
-        committed=284, aborted=11, throughput_tps=29.894736842105264,
-        p99_latency_ms=2343.1240000000025,
-        abort_reasons={"failure": 1, "prepare_failed": 2, "unavailable": 8}),
+    "crash.ds_crash_2191.ssp": (FaultKind.DATASOURCE_CRASH, 2191.0,
+                                {"_finish_xa_prepare", "_finish_commit"}),
     # Same instant, middleware crash: the session kill aborts the branch whose
     # prepare cost is being paid, so its finish function must vote NO.
-    ("ssp", FaultKind.MIDDLEWARE_CRASH, 2191.0): dict(
-        pending={"_finish_xa_prepare", "_finish_commit"},
-        committed=165, aborted=362, throughput_tps=17.36842105263158,
-        p99_latency_ms=4755.351999999997,
-        abort_reasons={"lock_timeout": 2, "unavailable": 360}),
+    "crash.mw_crash_2191.ssp": (FaultKind.MIDDLEWARE_CRASH, 2191.0,
+                                {"_finish_xa_prepare", "_finish_commit"}),
     # A one-phase commit forwarded by ds1's agent is mid-cost.
-    ("geotp", FaultKind.DATASOURCE_CRASH, 2139.5): dict(
-        pending={"_finish_commit"},
-        committed=278, aborted=14, throughput_tps=29.263157894736842,
-        p99_latency_ms=1780.0496224338071,
-        abort_reasons={"admission_blocked": 3, "failure": 1, "unavailable": 10}),
+    "crash.ds_crash_2139.geotp": (FaultKind.DATASOURCE_CRASH, 2139.5,
+                                  {"_finish_commit"}),
     # A decentralized prepare is mid-cost when the coordinator dies.  The
     # dead coordinator's postponed batches are fenced: they take no locks
     # during the outage.
-    ("geotp", FaultKind.MIDDLEWARE_CRASH, 2412.9): dict(
-        pending={"_finish_xa_prepare"},
-        committed=415, aborted=364, throughput_tps=43.68421052631579,
-        p99_latency_ms=937.5058657054161,
-        abort_reasons={"admission_blocked": 4, "unavailable": 360}),
+    "crash.mw_crash_2412.geotp": (FaultKind.MIDDLEWARE_CRASH, 2412.9,
+                                  {"_finish_xa_prepare"}),
     # The agent is paying its forwarding overhead for a commit decision.
-    ("geotp", FaultKind.MIDDLEWARE_CRASH, 2138.75): dict(
-        pending={"_forward_send"},
-        committed=195, aborted=353, throughput_tps=20.526315789473685,
-        p99_latency_ms=4753.736000000004,
-        abort_reasons={"admission_blocked": 2, "lock_timeout": 3,
-                       "unavailable": 348}),
+    "crash.mw_crash_2138.geotp": (FaultKind.MIDDLEWARE_CRASH, 2138.75,
+                                  {"_forward_send"}),
 }
 
 
@@ -105,15 +91,13 @@ def strikes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("system, kind, at_ms", list(CASES),
-                         ids=[f"{s}-{k.value}-{t}" for s, k, t in CASES])
-def test_crash_inside_a_cost_window_with_a_fan_out_in_flight(
-        strikes, system, kind, at_ms):
-    expected = CASES[(system, kind, at_ms)]
+@pytest.mark.parametrize("pin", list(CASES))
+def test_crash_inside_a_cost_window_with_a_fan_out_in_flight(strikes, pin):
+    kind, at_ms, pending_timers = CASES[pin]
     target = "ds1" if kind is FaultKind.DATASOURCE_CRASH else None
     config = ExperimentConfig(
-        system=system, terminals=12, duration_ms=10_000.0, warmup_ms=500.0,
-        seed=5,
+        system=pin.split(".")[-1], terminals=12, duration_ms=10_000.0,
+        warmup_ms=500.0, seed=5,
         ycsb=YCSBConfig(records_per_node=500, operations_per_transaction=4),
         fault_plan=FaultPlan(events=(FaultEvent(
             kind=kind, at_ms=at_ms, duration_ms=800.0, target=target),)))
@@ -122,19 +106,13 @@ def test_crash_inside_a_cost_window_with_a_fan_out_in_flight(
     try:
         # The strike really landed where this test means it to.
         (pending, in_flight), = strikes
-        assert expected["pending"] <= pending
+        assert pending_timers <= pending
         assert in_flight > 0
 
-        summary = result.summary()
-        failed = [name for name, entry in summary.invariants.items()
+        failed = [name for name, entry in result.invariants.items()
                   if entry["status"] == "failed"]
         assert failed == []
-        assert summary.committed == expected["committed"]
-        assert summary.aborted == expected["aborted"]
-        assert dict(summary.abort_reasons) == expected["abort_reasons"]
-        assert summary.throughput_tps == expected["throughput_tps"]
-        assert summary.p99_latency_ms == pytest.approx(
-            expected["p99_latency_ms"], rel=1e-9)
+        assert_pinned(pin, reduce(result))
 
         # The run drained past ``duration_ms``, so what was in flight has
         # finished: no execute request or reply is left on the wire.
