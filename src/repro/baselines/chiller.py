@@ -19,13 +19,11 @@ measurements, which is why GeoTP overtakes it under high contention.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
-from repro.common import SubtxnResult
 from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
 from repro.middleware.rewriter import SubtransactionPlan
-from repro.middleware.statements import Statement
 from repro.plugins import SystemPlugin, register_system
 
 
@@ -41,33 +39,14 @@ class ChillerCoordinator(TwoPhaseCommitCoordinator):
         payload["prepare_after"] = is_final_round and len(ctx.participants) > 1
         return payload
 
-    def _split_inner_outer(self, plans: Dict[str, SubtransactionPlan]) -> Tuple[List[str], List[str]]:
-        """The lowest-latency participant is the inner region; the rest are outer."""
-        by_latency = sorted(plans, key=self.participant_rtt)
-        inner = [by_latency[0]]
-        outer = by_latency[1:]
-        return inner, outer
-
-    def _execute_round(self, ctx: TransactionContext, statements: List[Statement],
-                       is_final_round: bool):
-        plans = self.rewriter.plan_round(statements)
-        for name in plans:
-            ctx.touch(name)
+    def dispatch_groups(self, plans: Dict[str, SubtransactionPlan]
+                        ) -> Sequence[List[SubtransactionPlan]]:
+        """The outer regions first, then the inner one: the lowest-latency
+        participant."""
         if len(plans) < 2:
-            return (yield from super()._execute_round(ctx, statements, is_final_round))
-
-        inner, outer = self._split_inner_outer(plans)
-        results: List[SubtxnResult] = []
-        for group in (outer, inner):
-            group_results = yield self._fan_out(
-                ctx, [plans[name] for name in group], {}, is_final_round)
-            results.extend(group_results)
-            reason = self._absorb_results(ctx, group_results)
-            if reason is not None:
-                return False, reason
-
-        self.on_round_complete(ctx, results)
-        return True, None
+            return super().dispatch_groups(plans)
+        inner, *outer = sorted(plans, key=self.participant_rtt)
+        return [plans[name] for name in outer], [plans[inner]]
 
 
 # ------------------------------------------------------------------- plugin

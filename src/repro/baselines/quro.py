@@ -7,19 +7,19 @@ held.  It has no notion of network latency, which is why the paper finds it
 helps over SSP but falls behind latency-aware approaches in geo-distributed
 settings.
 
-The reordering is applied to the submitted transaction spec: within each
-interaction round reads are issued first and writes last (writes flagged as
-hot are pushed to the very end), preserving the relative order within each
-class.  Coordination afterwards is plain middleware XA, identical to SSP.
+The reordering is applied to each interaction round as it is executed: reads
+are issued first and writes last (writes flagged as hot are pushed to the very
+end), preserving the relative order within each class.  Coordination is
+otherwise plain middleware XA, identical to SSP.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.middleware.statements import Statement, TransactionSpec
-from repro.sim import Process
+from repro.middleware.statements import Statement
 from repro.plugins import SystemPlugin, register_system
 
 
@@ -33,20 +33,15 @@ def reorder_statements(statements: List[Statement]) -> List[Statement]:
     return reads + cold_writes + hot_writes
 
 
-def reorder_spec(spec: TransactionSpec) -> TransactionSpec:
-    """A new spec with every round reordered the QURO way."""
-    rounds = [reorder_statements(list(round_)) for round_ in spec.rounds]
-    return TransactionSpec(rounds=rounds, txn_type=spec.txn_type,
-                           metadata=dict(spec.metadata))
-
-
 class QUROCoordinator(TwoPhaseCommitCoordinator):
-    """SSP coordination over QURO-preprocessed transactions."""
+    """SSP coordination over QURO-reordered rounds."""
 
     system_name = "QURO"
 
-    def submit(self, spec: TransactionSpec) -> Process:
-        return super().submit(reorder_spec(spec))
+    def _execute_round(self, ctx: TransactionContext, statements: List[Statement],
+                       is_final_round: bool):
+        return super()._execute_round(ctx, reorder_statements(statements),
+                                      is_final_round)
 
 
 # ------------------------------------------------------------------- plugin

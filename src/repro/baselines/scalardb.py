@@ -50,25 +50,15 @@ class ScalarDBCoordinator(MiddlewareBase):
         super().__init__(*args, **kwargs)
         self._executor = Resource(self.env, capacity=self.coordinator_slots)
 
-    # ------------------------------------------------------------------- hooks
-    def admit(self, ctx: TransactionContext):
-        """Admission hook (ScalarDB+ overrides); base admits everything."""
-        return (True, None)
-        yield  # pragma: no cover
-
     # ------------------------------------------------------------- transaction
     def _run_transaction(self, ctx: TransactionContext):
-        yield COSTS.analysis_ms
-        self.stats.work_units += ctx.spec.statement_count
-
         slot = self._executor.request()
         try:
             # Inside the try: a crash that interrupts the wait withdraws the
             # request, so the next release cannot grant it to a dead process.
             yield slot
-            admitted, admit_reason = yield from self.admit(ctx)
-            if not admitted:
-                return TxnOutcome.ABORTED, admit_reason or AbortReason.ADMISSION_BLOCKED
+            if not (yield from self.admit(ctx)):
+                return TxnOutcome.ABORTED, AbortReason.ADMISSION_BLOCKED
             return (yield from self._run_occ(ctx))
         finally:
             self._executor.release(slot)

@@ -9,11 +9,11 @@ blocks transactions that are very likely to fail validation on hot records.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import protocol
 from repro.baselines.scalardb import ScalarDBCoordinator, _read_image
-from repro.common import AbortReason, Operation, TxnOutcome
+from repro.common import Operation
 from repro.core.geotp import LatencyAwareMixin
 from repro.middleware.context import TransactionContext
 from repro.middleware.middleware import Replies
@@ -39,7 +39,7 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
             participant = self.partitioner.locate(stmt.operation.table,
                                                   stmt.operation.key)
             by_participant.setdefault(participant, []).append(stmt.operation)
-        delays = self._postponements({
+        delays = self.postponements({
             name: [op.record_id for op in ops]
             for name, ops in by_participant.items()})
         reads = Replies(self.env, len(statements))
@@ -70,16 +70,10 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
                 handle, protocol.MSG_KV_GET,
                 {"table": operation.table, "key": operation.key}))
 
-    def on_transaction_finished(self, ctx: TransactionContext, outcome: TxnOutcome,
-                                reason: Optional[AbortReason]) -> None:
-        records = ctx.spec.record_ids()
-        self.footprint.on_access_end(records, committed=outcome is TxnOutcome.COMMITTED)
+    def settled_latency_ms(self, ctx: TransactionContext) -> float:
         # Approximate per-record latency with the transaction's prepare-phase
         # duration (the window in which optimistic conflicts materialise).
-        prepare_ms = ctx.phase_durations.get("prepare", 0.0)
-        if records and prepare_ms > 0:
-            self.footprint.update_latency(records, prepare_ms)
-        self._record_metadata_bytes()
+        return ctx.phase_durations.get("prepare", 0.0)
 
 
 # ------------------------------------------------------------------- plugin

@@ -24,5 +24,4 @@ register_system(SystemPlugin(
     description="ShardingSphere-style middleware XA 2PC (the paper's base system)",
     aliases=("shardingsphere",),
     coordinator=SSPCoordinator,
-    ablation_reference=True,
 ))

@@ -93,7 +93,6 @@ def system_capabilities(plugin) -> str:
     flags = [flag for flag, enabled in (
         ("agents", plugin.needs_agents),
         ("colocated-ds0", plugin.colocated_with_ds0),
-        (f"ablations[{len(plugin.ablations)}]", bool(plugin.ablations)),
     ) if enabled]
     return ",".join(flags) or "-"
 

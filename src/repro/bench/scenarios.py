@@ -34,7 +34,6 @@ from repro.cluster.fleet import FleetConfig, RetryPolicy, routing_policy_names
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import GeoTPConfig
 from repro.plugins import (
-    SYSTEMS,
     drain_scenario_hooks,
     load_plugins,
     normalize_system,
@@ -47,8 +46,8 @@ from repro.workloads.arrivals import ARRIVAL_PROCESSES, ArrivalConfig
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.ycsb import CONTENTION_SKEW, YCSBConfig
 
-# Plugins must be registered before the scenario definitions below: the
-# ablation variants and capability lookups are derived from the registry.
+# Plugins must be registered before the scenario definitions below: their
+# system axes resolve through the registry.
 load_plugins()
 
 
@@ -345,37 +344,6 @@ def _apply_fig11b(config: ExperimentConfig,
     return config
 
 
-def _derive_ablation_builders() -> Dict[str, Tuple[str, Optional[Callable[[], GeoTPConfig]]]]:
-    """Variant name -> (system, config factory), derived from the registry.
-
-    Reference systems (``ablation_reference``) run unmodified under their own
-    name; every ``SystemPlugin.ablations`` entry contributes a
-    ``<system>_<suffix>`` variant, in registration order, read from the
-    registry as it stands at import (builtins and contrib).
-    """
-    builders: Dict[str, Tuple[str, Optional[Callable[[], GeoTPConfig]]]] = {}
-    plugins = SYSTEMS.plugins()
-    for plugin in plugins:
-        if plugin.ablation_reference:
-            builders[plugin.name] = (plugin.name, None)
-    for plugin in plugins:
-        for suffix, factory in plugin.ablations.items():
-            builders[f"{plugin.name}_{suffix}"] = (plugin.name, factory)
-    return builders
-
-
-#: The Figure 12 ablation variants: variant name -> (system, GeoTP config factory).
-ABLATION_BUILDERS = _derive_ablation_builders()
-
-
-def _apply_fig12(config: ExperimentConfig,
-                 params: Dict[str, Any]) -> ExperimentConfig:
-    system, geotp_factory = ABLATION_BUILDERS[params["variant"]]
-    config.system = system
-    config.geotp = geotp_factory() if geotp_factory else None
-    return apply_ycsb_params(config, params)
-
-
 def _apply_fig14_rounds(config: ExperimentConfig,
                         params: Dict[str, Any]) -> ExperimentConfig:
     rounds = params["rounds"]
@@ -552,12 +520,32 @@ register(ScenarioSpec(
     apply=_apply_fig11b,
 ))
 
+#: The Figure 12 variants in the figure's order: name -> (system, the
+#: :class:`GeoTPConfig` switches it runs with; ``None`` keeps the system's
+#: default config).  SSP is the reference row; every GeoTP variant runs O1.
+FIG12_VARIANTS: Dict[str, Tuple[str, Optional[Dict[str, bool]]]] = {
+    "ssp": ("ssp", None),
+    "geotp_o1": ("geotp", {"enable_latency_aware_scheduling": False,
+                           "enable_high_contention_optimization": False}),
+    "geotp_o1_o2": ("geotp", {"enable_high_contention_optimization": False}),
+    "geotp_o1_o3": ("geotp", {}),
+}
+
+
+def _apply_fig12(config: ExperimentConfig,
+                 params: Dict[str, Any]) -> ExperimentConfig:
+    system, switches = FIG12_VARIANTS[params["variant"]]
+    config.system = system
+    config.geotp = None if switches is None else GeoTPConfig(**switches)
+    return apply_ycsb_params(config, params)
+
+
 register(ScenarioSpec(
     name="fig12_ablation",
     description="O1 / O1-O2 / O1-O3 ablation across skew factors (Fig. 12)",
     base=_base(),
     axes=(Axis("skew", (0.3, 0.9, 1.5)),
-          Axis("variant", tuple(ABLATION_BUILDERS))),
+          Axis("variant", tuple(FIG12_VARIANTS))),
     fixed={"ratio": 0.5},
     apply=_apply_fig12,
 ))

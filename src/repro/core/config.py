@@ -1,6 +1,8 @@
 """Configuration of the GeoTP optimizations.
 
-The paper's ablation (Figure 12) adds the optimizations in order:
+The paper's ablation (Figure 12) adds the optimizations in order (its
+variants are the ``fig12_ablation`` scenario's table in
+:mod:`repro.bench.scenarios`):
 
 * ``O1`` — decentralized prepare + early abort (§IV-A).  Every GeoTP variant
   runs it, so it is GeoTP's protocol rather than a switch;
@@ -11,7 +13,7 @@ The paper's ablation (Figure 12) adds the optimizations in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass
@@ -45,18 +47,3 @@ class GeoTPConfig:
     #: Only apply admission control to transactions whose predicted success
     #: probability is below this threshold... kept at 1.0 to follow Alg. 2.
     admission_threshold: float = 1.0
-
-    def ablation_o1(self) -> "GeoTPConfig":
-        """GeoTP(O1): decentralized prepare only."""
-        return replace(self, enable_latency_aware_scheduling=False,
-                       enable_high_contention_optimization=False)
-
-    def ablation_o1_o2(self) -> "GeoTPConfig":
-        """GeoTP(O1~O2): decentralized prepare + latency-aware scheduling."""
-        return replace(self, enable_latency_aware_scheduling=True,
-                       enable_high_contention_optimization=False)
-
-    def ablation_o1_o3(self) -> "GeoTPConfig":
-        """GeoTP(O1~O3): all optimizations (the full system)."""
-        return replace(self, enable_latency_aware_scheduling=True,
-                       enable_high_contention_optimization=True)

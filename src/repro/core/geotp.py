@@ -90,10 +90,12 @@ class LatencyAwareMixin:
     """O2/O3 on a coordinator: GeoTP's, and ScalarDB+'s reuse of it (§VII-A1).
 
     Builds the latency monitor, hotspot footprint, forecaster, geo-scheduler
-    and late transaction scheduler from one :class:`GeoTPConfig`, feeds the
-    monitor with passive RTT samples and admits transactions through the
-    late transaction scheduler, whose random draws come from ``seed``.  List
-    it before the coordinator base class.
+    and late transaction scheduler from one :class:`GeoTPConfig` and owns
+    three decisions: it admits transactions through the late transaction
+    scheduler (whose random draws come from ``seed``), postpones each round's
+    batches through the geo-scheduler, and settles the footprint when a
+    transaction finishes.  It feeds the monitor with passive RTT samples.
+    List it before the coordinator base class.
     """
 
     def __init__(self, env: Environment, network: Network, name: str,
@@ -123,25 +125,37 @@ class LatencyAwareMixin:
         self.latency_monitor.record(participant, rtt_ms)
 
     def admit(self, ctx: TransactionContext):
-        """O3 late transaction scheduling: block/shed likely-aborting transactions."""
+        """O3 late transaction scheduling: block or shed a transaction likely
+        to abort on hot records; an admitted one starts its accesses."""
         records = ctx.spec.record_ids()
-        if not self.geotp.enable_high_contention_optimization:
-            self.footprint.on_access_start(records)
-            return (True, None)
-        decision = yield from self.admission.admit(self.env, records)
-        if not decision.admitted:
-            return (False, AbortReason.ADMISSION_BLOCKED)
+        if self.geotp.enable_high_contention_optimization:
+            decision = yield from self.admission.admit(self.env, records)
+            if not decision.admitted:
+                return False
         self.footprint.on_access_start(records)
-        return (True, None)
+        return True
 
-    def _postponements(self, records_by_participant: Dict[str, List]) -> Dict[str, float]:
-        """O2/O3: dispatch postponement per participant (Eq. 3 / Eq. 8)."""
+    def postponements(self, records_by_participant: Dict[str, List]) -> Dict[str, float]:
+        """O2/O3: postpone dispatch on low-latency participants (Eq. 3 / Eq. 8)."""
         if (not self.geotp.enable_latency_aware_scheduling
                 or len(records_by_participant) < 2):
-            return {name: 0.0 for name in records_by_participant}
+            return {}
         return self.scheduler.schedule(records_by_participant).delays
 
-    def _record_metadata_bytes(self) -> None:
+    def settled_latency_ms(self, ctx: TransactionContext) -> float:
+        """Latency sample folded into the records' ``w_lat`` when ``ctx``
+        settles (0: none).  GeoTP samples each round's latency instead."""
+        return 0.0
+
+    def on_transaction_finished(self, ctx: TransactionContext, outcome: TxnOutcome,
+                                reason: Optional[AbortReason]) -> None:
+        """O3's settlement, on every exit: end the accesses (``a_cnt``),
+        fold in the latency sample, then record the metadata bytes."""
+        records = ctx.spec.record_ids()
+        self.footprint.on_access_end(records, committed=outcome is TxnOutcome.COMMITTED)
+        latency_ms = self.settled_latency_ms(ctx)
+        if latency_ms > 0:
+            self.footprint.update_latency(records, latency_ms)
         self.stats.metadata_bytes = (self.footprint.memory_bytes()
                                      + self.latency_monitor.memory_bytes())
 
@@ -183,13 +197,6 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
             box.deliver(participant, state)
 
     # -------------------------------------------------------------------- hooks
-    def schedule_round(self, ctx: TransactionContext,
-                       plans: Dict[str, SubtransactionPlan],
-                       is_final_round: bool) -> Dict[str, float]:
-        """O2/O3: postpone dispatch on low-latency participants (Eq. 3 / Eq. 8)."""
-        return self._postponements(
-            {name: plan.record_ids for name, plan in plans.items()})
-
     def execute_payload(self, ctx: TransactionContext, plan: SubtransactionPlan,
                         is_final_round: bool) -> Dict:
         # The agent forwards this payload to its data source as it is (the
@@ -218,10 +225,8 @@ class GeoTPCoordinator(LatencyAwareMixin, TwoPhaseCommitCoordinator):
 
     def on_transaction_finished(self, ctx: TransactionContext, outcome: TxnOutcome,
                                 reason: Optional[AbortReason]) -> None:
-        records = ctx.spec.record_ids()
-        self.footprint.on_access_end(records, committed=outcome is TxnOutcome.COMMITTED)
         self._vote_boxes.pop(ctx.txn_id, None)
-        self._record_metadata_bytes()
+        super().on_transaction_finished(ctx, outcome, reason)
 
     # -------------------------------------------------------------- subtxn send
     def _fan_out(self, ctx: TransactionContext, plans: List[SubtransactionPlan],
@@ -272,9 +277,4 @@ register_system(SystemPlugin(
                 "+ high-contention optimizations (the paper's system)",
     coordinator=GeoTPCoordinator,
     needs_agents=True,
-    ablations={
-        "o1": lambda: GeoTPConfig().ablation_o1(),
-        "o1_o2": lambda: GeoTPConfig().ablation_o1_o2(),
-        "o1_o3": lambda: GeoTPConfig().ablation_o1_o3(),
-    },
 ))

@@ -11,13 +11,15 @@ The flow per transaction is the classic one described in §II of the paper:
    round trip).  Centralized (single-participant) transactions skip the prepare
    and commit with a single one-phase round trip.
 
-GeoTP and the other baselines subclass this coordinator and override the
-scheduling / admission / commit hooks.
+GeoTP and the other baselines subclass this coordinator and override one
+step each: admission and postponement (the :class:`MiddlewareBase` hooks),
+the execute payload, the order a round's batches are dispatched in, or a
+commit phase.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.common import COSTS, AbortReason, SubtxnResult, TxnOutcome, Vote
 from repro import protocol
@@ -64,20 +66,6 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
     system_name = "SSP"
 
     # ------------------------------------------------------------------ hooks
-    def admit(self, ctx: TransactionContext):
-        """Admission control hook (GeoTP's late transaction scheduling).
-
-        Generator returning ``(admitted, abort_reason)``; the base admits all.
-        """
-        return (True, None)
-        yield  # pragma: no cover
-
-    def schedule_round(self, ctx: TransactionContext,
-                       plans: Dict[str, SubtransactionPlan],
-                       is_final_round: bool) -> Dict[str, float]:
-        """Per-participant dispatch postponement in ms (GeoTP's O2/O3); base: none."""
-        return {name: 0.0 for name in plans}
-
     def execute_payload(self, ctx: TransactionContext, plan: SubtransactionPlan,
                         is_final_round: bool) -> Dict:
         """Payload of the execute request sent to a participant."""
@@ -87,25 +75,27 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
             "auto_start": True,
         }
 
+    def dispatch_groups(self, plans: Dict[str, SubtransactionPlan]
+                        ) -> Sequence[List[SubtransactionPlan]]:
+        """The waves one round's batches are sent in, each awaited before the
+        next (Chiller's outer-then-inner order); base: all at once."""
+        return (list(plans.values()),)
+
     def on_round_complete(self, ctx: TransactionContext,
                           results: List[SubtxnResult]) -> None:
         """Called after every successful round (GeoTP feeds its hotspot stats here)."""
 
     # ------------------------------------------------------------ transaction
     def _run_transaction(self, ctx: TransactionContext):
-        yield COSTS.analysis_ms
-        self.stats.work_units += ctx.spec.statement_count
-
-        admitted, admit_reason = yield from self.admit(ctx)
-        if not admitted:
-            return TxnOutcome.ABORTED, admit_reason or AbortReason.ADMISSION_BLOCKED
+        if not (yield from self.admit(ctx)):
+            return TxnOutcome.ABORTED, AbortReason.ADMISSION_BLOCKED
 
         ctx.enter_phase(TransactionPhase.EXECUTION, self.env.now)
         final_index = ctx.spec.round_count - 1
         for round_index, statements in enumerate(ctx.spec.rounds):
-            ok, reason = yield from self._execute_round(
+            reason = yield from self._execute_round(
                 ctx, statements, is_final_round=(round_index == final_index))
-            if not ok:
+            if reason is not None:
                 yield from self._abort_all(ctx)
                 return TxnOutcome.ABORTED, reason
 
@@ -115,18 +105,22 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
     # --------------------------------------------------------------- execution
     def _execute_round(self, ctx: TransactionContext, statements: List[Statement],
                        is_final_round: bool):
-        """Dispatch one interaction round; returns (ok, abort_reason)."""
+        """Plan, postpone and dispatch one interaction round; returns the
+        abort reason, or None once every batch succeeded."""
         plans = self.rewriter.plan_round(statements)
-        delays = self.schedule_round(ctx, plans, is_final_round)
+        delays = self.postponements(
+            {name: plan.record_ids for name, plan in plans.items()})
         for name in plans:
             ctx.touch(name)
-        results = yield self._fan_out(ctx, list(plans.values()), delays,
-                                      is_final_round)
-        reason = self._absorb_results(ctx, results)
-        if reason is not None:
-            return False, reason
+        results: List[SubtxnResult] = []
+        for group in self.dispatch_groups(plans):
+            group_results = yield self._fan_out(ctx, group, delays, is_final_round)
+            reason = self._absorb_results(ctx, group_results)
+            if reason is not None:
+                return reason
+            results += group_results
         self.on_round_complete(ctx, results)
-        return True, None
+        return None
 
     def _fan_out(self, ctx: TransactionContext, plans: List[SubtransactionPlan],
                  delays: Dict[str, float], is_final_round: bool,

@@ -4,9 +4,13 @@
 the reproduction — SSP, SSP(local), ScalarDB, QURO, Chiller and GeoTP — namely
 the network endpoint, the rewriter/router, transaction-id assignment, the
 decision log, per-phase accounting and the resource counters that substitute
-for the paper's CPU/memory measurements (Figure 6).  Subclasses implement
-``_run_transaction`` (the coordination protocol).  :class:`Replies` is the one
-way a coordinator waits for N replies.
+for the paper's CPU/memory measurements (Figure 6).  It charges every
+transaction's analysis, runs the subclass's ``_run_transaction`` (the
+coordination protocol) and settles the transaction.  A system changes three
+decisions through one hook each: ``admit`` (may it run), ``postponements``
+(when each round's batches leave) and ``on_transaction_finished`` (what it
+leaves behind, on every exit).  :class:`Replies` is the one way a
+coordinator waits for N replies.
 """
 
 from __future__ import annotations
@@ -167,6 +171,9 @@ class MiddlewareBase:
 
     def _coordinate(self, ctx: TransactionContext):
         try:
+            # Analysis: parse and route the statements.
+            yield COSTS.analysis_ms
+            self.stats.work_units += ctx.spec.statement_count
             outcome, reason = yield from self._run_transaction(ctx)
         except Interrupt:
             # The middleware crashed under this transaction: the coordinator
@@ -192,17 +199,35 @@ class MiddlewareBase:
         return result
 
     def _run_transaction(self, ctx: TransactionContext):
-        """Coordinate one transaction; yield events, return (outcome, abort_reason)."""
+        """Coordinate one analysed transaction; yield events, return
+        (outcome, abort_reason).  It calls :meth:`admit` where the protocol
+        admits."""
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator for subclass symmetry
+
+    # ------------------------------------------------------------------ hooks
+    def admit(self, ctx: TransactionContext):
+        """Admission control (GeoTP's O3 late transaction scheduling).
+
+        A generator returning whether ``ctx`` may run; a refused transaction
+        aborts with ``ADMISSION_BLOCKED``.  The base admits every transaction.
+        """
+        return True
+        yield  # pragma: no cover - makes this a generator
+
+    def postponements(self, records_by_participant: Dict[str, List]) -> Dict[str, float]:
+        """Dispatch postponement in ms of each participant's batch of one
+        round (GeoTP's O2/O3), given the record ids per participant; a
+        participant left out is not postponed.  The base postpones none."""
+        return {}
 
     def on_transaction_finished(self, ctx: TransactionContext, outcome: TxnOutcome,
                                 reason: Optional[AbortReason]) -> None:
         """Hook invoked once per transaction just before the result is built.
 
         The one end-of-transaction hook: it runs on every exit, a crash's
-        ``Interrupt`` included.  GeoTP and ScalarDB+ settle their hotspot
-        statistics here; the base does nothing.
+        ``Interrupt`` included.  The latency-aware coordinators settle their
+        hotspot statistics here; the base does nothing.
         """
 
     def record_network_rtt(self, participant: str, rtt_ms: float) -> None:

@@ -16,6 +16,7 @@ must coexist.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Hashable, Optional, Sequence
 
 
@@ -39,11 +40,16 @@ class Partitioner:
 
 
 class ModuloPartitioner(Partitioner):
-    """Integer keys striped across data sources by ``key % node_count``."""
+    """Integer keys striped across data sources by ``key % node_count``.
+
+    Any other key (a quoted SQL key, say) routes by the CRC-32 of its
+    ``repr``: unlike ``hash``, it does not change with ``PYTHONHASHSEED``, so
+    a sweep worker routes it as its parent process does.
+    """
 
     def locate(self, table: str, key: Hashable) -> str:
         if isinstance(key, bool) or not isinstance(key, int):
-            key = abs(hash(key))
+            key = zlib.crc32(repr(key).encode())
         return self.datasource_names[key % self.node_count]
 
     def key_for_node(self, node_index: int, sequence: int) -> int:

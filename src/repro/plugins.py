@@ -7,10 +7,9 @@ self-describing plugins instead of closed ``if system == ...`` ladders:
 * :class:`SystemPlugin` — registered by each coordinator module (the seven
   baselines, GeoTP, and any contrib variant).  A plugin carries its
   coordinator class plus *capability flags* (``needs_agents``,
-  ``colocated_with_ds0``, ablation config factories).  Every coordinator is
-  built by the same call (see :class:`SystemPlugin`), and
-  ``repro.cluster.deployment`` consumes only these capabilities and never
-  compares system names.
+  ``colocated_with_ds0``).  Every coordinator is built by the same call (see
+  :class:`SystemPlugin`), and ``repro.cluster.deployment`` consumes only
+  these capabilities and never compares system names.
 * :class:`WorkloadPlugin` — registered by each workload module (YCSB, TPC-C,
   contrib workloads).  ``repro.bench.runner.make_workload`` instantiates
   whatever the registry returns.
@@ -33,21 +32,19 @@ from __future__ import annotations
 
 import importlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import-time cycles avoided on purpose
-    from repro.core.config import GeoTPConfig
     from repro.workloads.base import Workload, WorkloadConfig
 
 #: Modules whose import registers the builtin plugins.  ``repro.contrib`` in
@@ -81,16 +78,10 @@ class SystemPlugin:
     #: The coordinator runs co-located with the first data node, so its link
     #: cost to every node is the inter-node RTT (YugabyteDB-style kernels).
     colocated_with_ds0: bool = False
-    #: Include this system unchanged as the reference row of ablation studies.
-    ablation_reference: bool = False
-    #: Ablation variants: suffix -> factory of the config running it (the
-    #: Figure 12 study derives its ``<system>_<suffix>`` variants from these).
-    ablations: Mapping[str, Callable[[], "GeoTPConfig"]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "aliases",
                            tuple(canonical_key(a) for a in self.aliases))
-        object.__setattr__(self, "ablations", dict(self.ablations))
 
 
 @dataclass(frozen=True)

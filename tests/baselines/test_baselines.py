@@ -17,6 +17,7 @@ from repro.common import AbortReason, Operation, OpType, TxnOutcome
 from repro.middleware import (
     ModuloPartitioner,
     ParticipantHandle,
+    Rewriter,
     Statement,
     TransactionSpec,
 )
@@ -99,10 +100,24 @@ def test_chiller_commits_distributed_transaction_with_merged_prepare():
 
 def test_chiller_inner_region_is_lowest_latency_node():
     env, dm, datasources = build(ChillerCoordinator)
-    plans = {"ds0": None, "ds1": None}
-    inner, outer = dm._split_inner_outer(plans)
-    assert inner == ["ds0"]
-    assert outer == ["ds1"]
+    outer, inner = dm.dispatch_groups({"ds0": "plan0", "ds1": "plan1"})
+    assert inner == ["plan0"]
+    assert outer == ["plan1"]
+
+
+def test_a_single_participant_chiller_round_is_planned_once(monkeypatch):
+    env, dm, datasources = build(ChillerCoordinator)
+    planned = []
+    plan_round = Rewriter.plan_round
+
+    def counting_plan_round(rewriter, statements):
+        planned.append(len(statements))
+        return plan_round(rewriter, statements)
+
+    monkeypatch.setattr(Rewriter, "plan_round", counting_plan_round)
+    result = run_txn(env, dm, TransactionSpec.from_operations([update(0), read(2)]))
+    assert result.outcome is TxnOutcome.COMMITTED and not result.is_distributed
+    assert planned == [2]
 
 
 def test_scalardb_commits_and_pays_per_operation_round_trips():

@@ -1,9 +1,9 @@
-"""Cross-layer consistency: scenarios, ablations and registries must agree.
+"""Cross-layer consistency: scenarios, the Fig. 12 table and registries agree.
 
 Two invariants guard the plugin seams:
 
 * every system/workload name referenced anywhere in the scenario registry
-  (axis values, base configs, ablation variants) resolves in the plugin
+  (axis values, base configs, Fig. 12 variants) resolves in the plugin
   registry — a scenario can never name a system that does not exist;
 * every registered system and workload actually *wires and runs*: a plugin
   that registers but cannot build a cluster (or whose coordinator dies on the
@@ -14,8 +14,9 @@ Two invariants guard the plugin seams:
 import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.bench.scenarios import ABLATION_BUILDERS, SCENARIOS
+from repro.bench.scenarios import FIG12_VARIANTS, SCENARIOS
 from repro.cluster.topology import TopologyConfig
+from repro.core.config import GeoTPConfig
 from repro.plugins import (
     normalize_system,
     normalize_workload,
@@ -46,11 +47,23 @@ def test_every_scenario_workload_resolves_in_the_registry():
 
 
 def test_every_ablation_variant_maps_to_a_registered_system():
-    for variant, (system, factory) in ABLATION_BUILDERS.items():
+    for variant, (system, switches) in FIG12_VARIANTS.items():
         assert normalize_system(system) in system_names(), variant
-        if factory is not None:
-            config = factory()
-            assert config is not factory()  # factories build fresh configs
+        if switches is not None:
+            GeoTPConfig(**switches)  # only real GeoTPConfig fields
+
+
+def test_fig12_variants_add_the_optimizations_in_order():
+    """SSP, then GeoTP with O1, O1+O2 and O1+O2+O3 (the full system)."""
+    configs = [None if switches is None else GeoTPConfig(**switches)
+               for _system, switches in FIG12_VARIANTS.values()]
+    assert list(FIG12_VARIANTS) == ["ssp", "geotp_o1", "geotp_o1_o2",
+                                    "geotp_o1_o3"]
+    assert configs[0] is None
+    assert [(c.enable_latency_aware_scheduling,
+             c.enable_high_contention_optimization) for c in configs[1:]] == [
+        (False, False), (True, False), (True, True)]
+    assert configs[3] == GeoTPConfig()
 
 
 def test_variant_axis_values_resolve_in_ablation_builders():
@@ -58,7 +71,7 @@ def test_variant_axis_values_resolve_in_ablation_builders():
         for axis in scenario.axes:
             if axis.name == "variant":
                 for value in axis.values:
-                    assert value in ABLATION_BUILDERS, (name, value)
+                    assert value in FIG12_VARIANTS, (name, value)
 
 
 # --------------------------------------------------------- micro experiments

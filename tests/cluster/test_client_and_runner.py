@@ -8,6 +8,7 @@ import pytest
 from repro import ExperimentConfig, GeoTPConfig, TPCCConfig, TopologyConfig, YCSBConfig, run_experiment
 from repro import protocol
 from repro.bench.runner import make_workload
+from repro.bench.scenarios import FIG12_VARIANTS
 from repro.cluster import RetryPolicy
 from repro.cluster import TopologyConfig as ClusterTopology
 from repro.cluster import build_cluster, start_terminals
@@ -216,22 +217,11 @@ def test_single_middleware_runs_report_no_fleet():
     assert "fleet" not in result.summary().to_dict()
 
 
-def test_geotp_ablations_keep_every_tuning_knob():
-    base = GeoTPConfig(forecast_cap_ms=7.0, admission_threshold=0.0,
-                       ewma_alpha=0.5)
-    for variant in (base.ablation_o1(), base.ablation_o1_o2(), base.ablation_o1_o3()):
-        assert variant.forecast_cap_ms == 7.0
-        assert variant.admission_threshold == 0.0
-        assert variant.ewma_alpha == 0.5
-    assert not base.ablation_o1().enable_latency_aware_scheduling
-    assert not base.ablation_o1_o2().enable_high_contention_optimization
-    assert base.ablation_o1_o3() == base
-
-
 def test_geotp_ablation_configs_run_via_runner():
-    base = GeoTPConfig()
-    for variant in (base.ablation_o1(), base.ablation_o1_o2(), base.ablation_o1_o3()):
-        config = ExperimentConfig(system="geotp", terminals=6, duration_ms=3000,
-                                  warmup_ms=500, ycsb=SMALL_YCSB, geotp=variant)
+    for variant, (system, switches) in FIG12_VARIANTS.items():
+        config = ExperimentConfig(
+            system=system, terminals=6, duration_ms=3000, warmup_ms=500,
+            ycsb=SMALL_YCSB,
+            geotp=None if switches is None else GeoTPConfig(**switches))
         result = run_experiment(config)
-        assert result.committed > 0
+        assert result.committed > 0, variant

@@ -14,6 +14,7 @@ workload spreads operations round-robin over its target nodes).
 import pytest
 
 from repro import ExperimentConfig, GeoTPConfig, TopologyConfig, YCSBConfig, run_experiment
+from repro.bench.scenarios import FIG12_VARIANTS
 from repro.common import COSTS
 
 RTTS = (20.0, 60.0)
@@ -72,7 +73,8 @@ def test_geotp_decentralized_prepare_saves_the_prepare_round_trip():
                  for rtt in RTTS)
     expected = (COSTS.analysis_ms + COSTS.middleware_request_ms + vote
                 + COSTS.log_flush_ms + commit)
-    _assert_all(_latencies("geotp", 1.0, GeoTPConfig().ablation_o1()), expected)
+    _system, o1_only = FIG12_VARIANTS["geotp_o1"]
+    _assert_all(_latencies("geotp", 1.0, GeoTPConfig(**o1_only)), expected)
 
 
 @pytest.mark.parametrize("engine", ["mysql", "postgresql"])

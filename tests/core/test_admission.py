@@ -145,10 +145,10 @@ def test_decision_is_plain_dataclass():
 
 # ------------------------------------------------ a rejection and live holders
 @pytest.mark.xfail(strict=True, reason=(
-    "known O3 defect: admit() starts footprint accesses only for an admitted "
-    "transaction, but on_transaction_finished (geotp's and scalardb_plus's) "
-    "ends them for a rejected one too, so every "
-    "rejection decrements the a_cnt of records live transactions hold"))
+    "known O3 defect: LatencyAwareMixin.admit starts footprint accesses only "
+    "for an admitted transaction, but LatencyAwareMixin.on_transaction_finished "
+    "ends them for a rejected one too, so every rejection decrements the "
+    "a_cnt of records live transactions hold"))
 @pytest.mark.parametrize("system", ["geotp", "scalardb_plus"])
 def test_a_rejected_transaction_leaves_a_live_holders_a_cnt_unchanged(system):
     from repro.cluster import TopologyConfig, build_cluster

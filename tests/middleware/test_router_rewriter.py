@@ -1,5 +1,9 @@
 """Unit tests for partitioners and the statement rewriter."""
 
+import os
+import subprocess
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -33,9 +37,21 @@ def test_modulo_partitioner_key_for_node_round_trips():
 
 
 def test_modulo_partitioner_hashes_non_integer_keys():
-    partitioner = ModuloPartitioner(NODES)
-    located = partitioner.locate("usertable", "user42")
-    assert located in NODES
+    """A quoted SQL key must route in a sweep worker as in its parent, whatever
+    ``PYTHONHASHSEED`` each process was started with."""
+    script = ("from repro.middleware import ModuloPartitioner\n"
+              f"p = ModuloPartitioner({NODES!r})\n"
+              "print(*[p.locate('usertable', f'user{i}') for i in range(40)],"
+              " p.locate('t', ('a', 1)))")
+    runs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        runs.add(subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True,
+                                check=True, timeout=60).stdout)
+    assert len(runs) == 1, runs
+    assert set(runs.pop().split()) == set(NODES)  # the keys still spread
 
 
 def test_modulo_partitioner_rejects_empty_nodes():
