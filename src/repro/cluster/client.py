@@ -92,7 +92,9 @@ class ClientTerminal:
             self.transactions_run += 1
             self.collector.record(result, txn_type=spec.txn_type)
             if result.abort_reason is AbortReason.UNAVAILABLE:
-                yield self.env.timeout(self._backoff_ms(self._unavailable_streak))
+                delay = self._backoff_ms(self._unavailable_streak)
+                if delay:
+                    yield delay
                 self._unavailable_streak += 1
                 # Re-check after the sleep: a backoff that lands at (or past)
                 # the stop time must not buy one extra transaction.
@@ -136,7 +138,7 @@ class ClientTerminal:
             self.fleet.retries += 1
             delay = self._backoff_ms(failover)
             if delay > 0:
-                yield self.env.timeout(delay)
+                yield delay
             if self.env.now >= self.stop_at_ms:
                 return result
             failover += 1

@@ -309,7 +309,7 @@ class MiddlewareFleet:
         """Daemon process: poll each middleware's health out-of-band."""
         interval = self.config.probe_interval_ms
         while True:
-            yield self.env.timeout(interval)
+            yield interval
             for middleware in self.middlewares:
                 state = self.states[middleware.name]
                 if middleware.crashed:

@@ -76,9 +76,9 @@ class OpenClientPool:
     def _generate(self):
         while True:
             gap = self.arrivals.next_gap_ms(self.env.now)
-            # A number sleeps on the process's reusable carrier; a zero gap
-            # keeps the microqueue Timeout, which does not suspend.
-            yield gap if gap else self.env.timeout(0)
+            # A zero gap admits at once, without suspending.
+            if gap:
+                yield gap
             if self.env.now >= self.duration_ms:
                 return
             self.offered += 1

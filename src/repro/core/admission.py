@@ -62,7 +62,7 @@ class LateTransactionScheduler:
     def admit(self, env, record_ids: Iterable[RecordId]):
         """Generator: retry with backoff until admitted or retries are exhausted.
 
-        Yields simulation timeouts between attempts; returns an
+        Sleeps ``BACKOFF_MS`` between attempts; returns an
         :class:`AdmissionDecision`.
         """
         ids: List[RecordId] = list(record_ids)
@@ -81,4 +81,4 @@ class LateTransactionScheduler:
                                          retries_used=retries)
             retries += 1
             self.blocked_count += 1
-            yield env.timeout(self.BACKOFF_MS)
+            yield self.BACKOFF_MS

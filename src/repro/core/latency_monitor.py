@@ -83,7 +83,7 @@ class NetworkLatencyMonitor:
                 reply = net.request(endpoint, protocol.MSG_PING, {})
                 yield reply
                 self.record(participant, self.env.now - sent_at)
-                yield self.env.timeout(self.PROBE_INTERVAL_MS)
+                yield self.PROBE_INTERVAL_MS
 
         for participant, endpoint in endpoints.items():
             self.env.process(probe_loop(participant, endpoint),

@@ -4,17 +4,20 @@ The :class:`Environment` owns the simulated clock (milliseconds, float) and
 two scheduling structures:
 
 * a **microqueue** (plain deque) of work that fires *now* — triggered events,
-  finished processes and zero-delay callbacks.  Same-time work is dispatched
-  in FIFO order without ever touching the heap;
-* a **heap** of future work: ``(time, sequence, entry)`` tuples where
-  ``entry`` is an :class:`~repro.sim._kernel.events.Event`, a lightweight
-  :class:`Timer` created by :meth:`Environment.call_at` or a process's sleep
-  carrier.
+  finished processes and ``(fn, args)`` callbacks.  Same-time work is
+  dispatched in FIFO order without ever touching the heap.  Events live only
+  here;
+* a **heap** of future work: ``(time, sequence, timer)`` tuples where
+  ``timer`` is a :class:`Timer` created by :meth:`Environment.call_at` or a
+  process's sleep carrier (a process waits for time with ``yield <ms>``).
+  Either is called as ``fn(*args)``; a defused one has ``fn`` None.  A
+  :class:`~repro.sim._kernel.events.Timeout` is an event that such a timer
+  triggers.
 
 :meth:`Environment.run` drains the microqueue first, then pops the heap,
 advancing the clock only on heap entries (microqueue work is by construction
 at the current time).  The ``sequence`` counter is a plain int (bumped in-line
-by the event classes as well, see :mod:`repro.sim._kernel.events`) so that
+by the sleep fast path as well, see :mod:`repro.sim._kernel.process`) so that
 same-time heap entries keep FIFO order without the cost of an
 :func:`itertools.count` call per schedule.
 
@@ -28,9 +31,9 @@ heap-only engine byte for byte**.  Any change to same-timestamp interleaving
 is validated by the statistical-equivalence harness
 (:mod:`repro.bench.equivalence`) instead of byte-identical golden pins.
 
-Cancellation is lazy: :meth:`cancel` (and :meth:`Timer.cancel`) only mark the
-entry dead; dead entries are dropped when they reach the top of the heap, and
-the whole heap is compacted once dead entries outnumber live ones.  Coarse
+Cancellation is lazy: :meth:`Timer.cancel` (and an interrupted sleep) only
+defuse the timer; dead entries are dropped when they reach the top of the heap,
+and the whole heap is compacted once dead entries outnumber live ones.  Coarse
 cancellable timeouts (lock waits, request timeouts) should instead use
 :meth:`Environment.call_coarse`, which parks them on a hashed timer wheel:
 set-then-cancel churn there never touches the heap at all.
@@ -47,8 +50,8 @@ from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heappush
 from math import ceil
-from typing import (Any, Callable, ClassVar, Deque, Dict, Final,
-                    List, Optional, Set, Tuple)
+from typing import (Any, Callable, Deque, Dict, Final, List, Optional, Set,
+                    Tuple)
 
 from .events import PENDING, Event, Timeout
 from .process import Process
@@ -57,7 +60,7 @@ from .process import Process
 #: (and they outnumber the live ones); small queues are never worth compacting.
 _COMPACT_MIN_CANCELLED: Final[int] = 64
 
-#: Default tick width of the hashed timer wheel (:meth:`Environment.call_coarse`).
+#: Tick width of the hashed timer wheel (:meth:`Environment.call_coarse`).
 #: Coarse timers fire up to one tick *late* (never early); at 1 ms that is
 #: 0.02 % of the paper's 5 s lock-wait timeout, below every other modelled
 #: cost, while still letting all timers set within the same millisecond of
@@ -80,10 +83,6 @@ class Timer:
     """
 
     __slots__ = ("fn", "args", "env")
-
-    #: Class-level marker: the dispatch loop recognises a Timer (or a
-    #: cancelled Event) by ``callbacks is None`` and then consults ``fn``.
-    callbacks: ClassVar[None] = None
 
     def __init__(self, fn: Callable[..., None], args: Tuple[Any, ...],
                  env: "Environment"):
@@ -176,34 +175,30 @@ class Environment:
     """A discrete-event simulation environment with a millisecond clock."""
 
     __slots__ = ("now", "active_process", "events_processed", "_queue",
-                 "_soon", "_eid", "_cancelled", "wheel_granularity_ms",
-                 "_wheel_buckets", "_alive", "event", "timeout", "process")
+                 "_soon", "_eid", "_cancelled", "_wheel_buckets", "_alive",
+                 "event", "timeout", "process")
 
-    #: Factory fast paths, bound in ``__init__``: ``timeout``/``event``/
-    #: ``process`` are called tens of thousands of times per simulated second,
-    #: and a C-level ``partial`` skips one Python frame per call.  Declared
-    #: here (not as methods) so each is a fixed slot.
+    #: Factory fast paths, bound in ``__init__``: ``event``/``process`` are
+    #: called tens of thousands of times per simulated second, and a C-level
+    #: ``partial`` skips one Python frame per call (``timeout`` takes the
+    #: same form).  Declared here (not as methods) so each is a fixed slot.
     event: Callable[[], Event]
     timeout: Callable[..., Timeout]
     process: Callable[..., Process]
 
-    def __init__(self, initial_time: float = 0.0,
-                 wheel_granularity_ms: float = WHEEL_GRANULARITY_MS):
+    def __init__(self) -> None:
         #: Current simulated time in milliseconds (read-only for models).
-        self.now: float = float(initial_time)
+        self.now: float = 0.0
         #: The process currently being resumed, if any.
         self.active_process: Optional[Process] = None
         #: Number of queue entries dispatched so far (microqueue + heap).
         self.events_processed: int = 0
         self._queue: List[Tuple[float, int, Any]] = []
         #: Same-time work in FIFO order: triggered Events / finished Processes,
-        #: or ``(fn, args)`` tuples from :meth:`call_soon`.
+        #: or ``(fn, args)`` tuples (the network's zero-delay deliveries).
         self._soon: Deque[Any] = deque()
         self._eid: int = 0
         self._cancelled: int = 0
-        if wheel_granularity_ms <= 0:
-            raise ValueError("wheel_granularity_ms must be positive")
-        self.wheel_granularity_ms: float = float(wheel_granularity_ms)
         self._wheel_buckets: Dict[int, _WheelBucket] = {}
         #: Processes whose generator is suspended (kept by :class:`Process`);
         #: :meth:`close` needs them, nothing on the dispatch path reads it.
@@ -217,43 +212,29 @@ class Environment:
                 *args: Any) -> Timer:
         """Run ``fn(*args)`` ``delay`` ms from now; returns a cancellable handle.
 
-        This is the cheap alternative to ``timeout(delay).callbacks.append``
-        for internal bookkeeping that no process ever waits on.  Scheduling
-        order is identical to an equivalently-timed :class:`Timeout`.
+        Same-time timers (sleeps included) fire in the order they were set.
         """
         timer = Timer(fn, args, self)
         self._eid = eid = self._eid + 1
         heappush(self._queue, (self.now + delay, eid, timer))
         return timer
 
-    def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` at the current time, after already-queued
-        same-time work (FIFO).  Not cancellable; never touches the heap.
-
-        This is the public form of the microqueue's ``(fn, args)`` entry
-        protocol.  The network model inlines the append on its zero-delay
-        paths (one attribute lookup saved per message); model extensions
-        should call this instead of touching ``_soon`` directly.
-        """
-        self._soon.append((fn, args))
-
     def call_coarse(self, delay: float, fn: Callable[..., None],
                     *args: Any) -> WheelTimer:
         """Run ``fn(*args)`` on the hashed timer wheel; returns a handle.
 
         The deadline is rounded **up** to the next wheel tick
-        (``wheel_granularity_ms``), so the callback fires at most one tick
+        (:data:`WHEEL_GRANULARITY_MS`), so the callback fires at most one tick
         late and never early.  All timers sharing a tick share a single heap
         entry, and cancelling — the overwhelmingly common fate of lock-wait
         timers — never touches the heap.  Same-tick timers fire in the order
         they were set.
         """
-        granularity = self.wheel_granularity_ms
-        slot = ceil((self.now + delay) / granularity)
+        slot = ceil((self.now + delay) / WHEEL_GRANULARITY_MS)
         bucket = self._wheel_buckets.get(slot)
         if bucket is None:
             self._wheel_buckets[slot] = bucket = _WheelBucket(self, slot)
-            bucket.timer = self.call_at(slot * granularity - self.now,
+            bucket.timer = self.call_at(slot * WHEEL_GRANULARITY_MS - self.now,
                                         self._fire_wheel_slot, slot)
         timer = WheelTimer(fn, args, bucket)
         bucket.timers.append(timer)
@@ -275,21 +256,6 @@ class Environment:
                 timer._bucket = None
                 fn(*args)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a triggered-but-unprocessed event: its callbacks never run.
-
-        Only use this on events whose callbacks you own (e.g. an internal
-        timer); waiters subscribed to the event would never be resumed.
-        """
-        if event.callbacks is not None:
-            event.callbacks = None
-            # Heap dead-entry accounting applies only to entries that live
-            # in the heap — i.e. future Timeouts.  Triggered events sit on
-            # the microqueue (dropped for free at drain time), so counting
-            # them would trigger pointless O(n) compactions.
-            if event.__class__ is Timeout and event.delay:
-                self._note_cancelled()
-
     def _note_cancelled(self) -> None:
         self._cancelled = cancelled = self._cancelled + 1
         if (cancelled >= _COMPACT_MIN_CANCELLED
@@ -305,25 +271,18 @@ class Environment:
         silently split the simulation across two queues.
         """
         queue = self._queue
-        queue[:] = [entry for entry in queue
-                    if entry[2].callbacks is not None
-                    or entry[2].fn is not None]
+        queue[:] = [entry for entry in queue if entry[2].fn is not None]
         heapify(queue)
         self._cancelled = 0
 
     def peek(self) -> float:
         """Time of the next live scheduled entry, or ``inf`` if none."""
-        soon = self._soon
-        while soon:
-            entry = soon[0]
-            if entry.__class__ is tuple or entry.callbacks is not None:
-                return self.now
-            soon.popleft()  # cancelled while queued: drop it
+        if self._soon:
+            return self.now
         queue = self._queue
         while queue:
             head = queue[0]
-            entry = head[2]
-            if entry.callbacks is not None or entry.fn is not None:
+            if head[2].fn is not None:
                 return head[0]
             heappop(queue)
             if self._cancelled:
@@ -359,59 +318,39 @@ class Environment:
         self.event = self.timeout = self.process = _closed
 
     # -------------------------------------------------------------- execution
-    def _dispatch_soon(self, entry: Any) -> None:
-        """Dispatch one microqueue entry (shared by :meth:`step` and tests)."""
-        if entry.__class__ is tuple:
-            self.events_processed += 1
-            fn, args = entry
-            fn(*args)
-            return
-        callbacks = entry.callbacks
-        if callbacks is None:
-            return  # cancelled while queued
-        self.events_processed += 1
-        entry.callbacks = None
-        for callback in callbacks:
-            callback(entry)
-        if not entry._ok and not entry.defused:
-            raise entry._value
-
     def step(self) -> None:
-        """Process the next scheduled entry (skipping cancelled ones)."""
-        soon = self._soon
-        while soon:
-            entry = soon.popleft()
-            if entry.__class__ is tuple or entry.callbacks is not None:
-                self._dispatch_soon(entry)
+        """Process the next scheduled entry (skipping defused timers)."""
+        if self._soon:
+            entry = self._soon.popleft()
+            self.events_processed += 1
+            if entry.__class__ is tuple:
+                fn, args = entry
+                fn(*args)
                 return
+            callbacks = entry.callbacks
+            entry.callbacks = None
+            for callback in callbacks:
+                callback(entry)
+            if not entry._ok and not entry.defused:
+                # An event failed and nobody was prepared to handle it:
+                # surface the error instead of silently dropping it.
+                raise entry._value
+            return
         queue = self._queue
         while True:
             try:
-                when, _eid, event = heappop(queue)
+                when, _eid, timer = heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
-            callbacks = event.callbacks
-            if callbacks is not None:
-                break
-            fn = event.fn
+            fn = timer.fn
             if fn is not None:
-                # Lightweight timer: fire and return.
                 self.now = when
                 self.events_processed += 1
-                event.fn = None
-                fn(*event.args)
+                timer.fn = None
+                fn(*timer.args)
                 return
             if self._cancelled:
                 self._cancelled -= 1
-        self.now = when
-        self.events_processed += 1
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event.defused:
-            # An event failed and nobody was prepared to handle it: surface
-            # the error instead of silently dropping it.
-            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -437,27 +376,20 @@ class Environment:
         soon = self._soon
         while True:
             if stop_event is not None and stop_event.callbacks is None:
-                value = stop_event._value
-                if value is PENDING:
-                    raise RuntimeError(
-                        "until event will never fire (it was cancelled)")
                 if stop_event._ok:
-                    return value
-                raise value
+                    return stop_event._value
+                raise stop_event._value
 
             # Same-time work first: microqueue entries were created at the
             # current clock value, so they never advance time.
             if soon:
                 entry = soon.popleft()
+                self.events_processed += 1
                 if entry.__class__ is tuple:
-                    self.events_processed += 1
                     fn, args = entry
                     fn(*args)
                 else:
                     callbacks = entry.callbacks
-                    if callbacks is None:
-                        continue  # cancelled while queued
-                    self.events_processed += 1
                     entry.callbacks = None
                     for callback in callbacks:
                         callback(entry)
@@ -467,8 +399,7 @@ class Environment:
 
             while queue:
                 head = queue[0]
-                entry = head[2]
-                if entry.callbacks is not None or entry.fn is not None:
+                if head[2].fn is not None:
                     break
                 heappop(queue)
                 if self._cancelled:
@@ -487,17 +418,9 @@ class Environment:
                 return None
 
             heappop(queue)
-            event = head[2]
+            timer = head[2]
             self.now = when
             self.events_processed += 1
-            callbacks = event.callbacks
-            if callbacks is not None:
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    raise event._value
-            else:
-                fn = event.fn
-                event.fn = None
-                fn(*event.args)
+            fn = timer.fn
+            timer.fn = None
+            fn(*timer.args)

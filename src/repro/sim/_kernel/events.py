@@ -13,16 +13,14 @@ plain callback and gathers the values itself
 Everything here is on the simulation's hot path: the classes are slotted, and
 triggering appends straight onto the environment's same-time microqueue
 (``env._soon``) — an event always triggers *at the current simulated time*, so
-the heap (whose job is ordering *future* work) is never involved.  Only
-:class:`Timeout` still pushes onto the heap, because its firing time lies in
-the future; its entry layout ``(time, sequence, event)`` is shared with the
-environment module.
+events never sit on the heap (whose job is ordering *future* work).  A
+:class:`Timeout` is no exception: a timer on the heap triggers it when its
+delay has passed.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .environment import Environment
@@ -49,17 +47,13 @@ PENDING: Any = _PendingValue()
 class Event:
     """A one-shot event that processes can wait on.
 
-    The lifecycle is: *pending* -> *triggered* (scheduled on the event queue)
+    The lifecycle is: *pending* -> *triggered* (queued on the microqueue)
     -> *processed* (callbacks executed).  An event can be triggered at most
     once, either successfully via :meth:`succeed` or with an exception via
     :meth:`fail`.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
-
-    #: Class-level marker so the dispatch loop can tell an Event apart from a
-    #: lightweight scheduled callback (see ``Environment.call_at``).
-    fn: ClassVar[None] = None
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -112,14 +106,6 @@ class Event:
         self.env._soon.append(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if self._value is not PENDING:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env._soon.append(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.callbacks is None else (
             "triggered" if self._value is not PENDING else "pending")
@@ -127,24 +113,21 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that succeeds with ``value`` after a fixed simulated delay.
 
-    __slots__ = ("delay",)
+    A process waits for time with ``yield <ms>``; this event form remains
+    for code that subscribes a callback to a point in simulated time.  A
+    zero delay succeeds at once, so a process that yields it goes on without
+    suspending.
+    """
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Inlined Event.__init__ + schedule: a Timeout is born triggered, and
-        # this constructor runs once per simulated wait.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.defused = False
-        self.delay = delay
-        if delay == 0.0:
-            # Fires at the current time: same-time FIFO via the microqueue.
-            env._soon.append(self)
+        super().__init__(env)
+        if delay:
+            env.call_at(delay, self.succeed, value)
         else:
-            env._eid = eid = env._eid + 1
-            heappush(env._queue, (env.now + delay, eid, self))
+            self.succeed(value)

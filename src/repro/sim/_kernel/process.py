@@ -1,8 +1,9 @@
 """Generator-based processes for the simulation engine (kernel module).
 
-A :class:`Process` wraps a Python generator.  Each ``yield`` hands an
-:class:`~repro.sim._kernel.events.Event` to the environment; the generator is
-resumed with the event's value once it fires.  A process is itself an event
+A :class:`Process` wraps a Python generator.  Each ``yield`` hands the
+environment either an :class:`~repro.sim._kernel.events.Event`, and the
+generator is resumed with the event's value once it fires, or a number of
+milliseconds to sleep (``yield 5.0``).  A process is itself an event
 that triggers when the generator returns (its value is the generator's return
 value), so processes can wait on each other.
 
@@ -28,7 +29,7 @@ from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator, Optional, Tuple
 
-from .events import PENDING, Event, Interrupt, Timeout
+from .events import PENDING, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -46,18 +47,16 @@ _WAKE = _Wake()
 
 
 class _SleepEntry:
-    """Reusable heap carrier for the ``yield <number>`` sleep fast path.
+    """Reusable heap carrier for the ``yield <number>`` sleep.
 
     A process sleeps at most once at a time, so one carrier per process is
-    re-armed for every sleep: no :class:`Timeout` event, no callbacks list,
-    no subscription — the heap pop resumes the generator directly.  The
-    dispatch-loop protocol is the ``Timer`` one (``callbacks`` None at class
-    level, ``fn``/``args`` consulted on fire).
+    re-armed for every sleep: no event, no callbacks list, no subscription —
+    the heap pop resumes the generator directly.  To the dispatch loop it is
+    a ``Timer``: ``fn`` (None once defused) called with ``args``.
     """
 
     __slots__ = ("fn", "_bound")
 
-    callbacks: ClassVar[None] = None
     args: ClassVar[Tuple[Any, ...]] = ()
 
     def __init__(self, process: "Process"):
@@ -199,10 +198,9 @@ class Process(Event):
             if not isinstance(next_event, Event):
                 cls = next_event.__class__
                 if cls is float or cls is int:
-                    # Sleep fast path: ``yield <delay_ms>`` parks the resume
-                    # on a reusable heap carrier — semantically identical to
-                    # ``yield env.timeout(delay)`` (the resumed value is
-                    # None) minus one event allocation per simulated wait.
+                    # ``yield <delay_ms>`` is how a process waits for time:
+                    # the resume is parked on a reusable heap carrier and
+                    # the process is resumed with None.
                     if next_event < 0:
                         env.active_process = None
                         error = ValueError(f"negative delay {next_event}")
@@ -236,14 +234,13 @@ class Process(Event):
                 # round-tripping the queue.
                 event = next_event
                 continue
-            if next_event._value is not PENDING and (
-                    next_event.__class__ is not Timeout or not next_event.delay):
-                # Triggered but not yet dispatched, and due at the *current*
-                # time (a future Timeout is the only triggered event whose
-                # firing lies ahead): consume it inline.  The queued entry
-                # still dispatches later this timestamp for any other
-                # subscribers; we simply don't wait our turn — same-timestamp
-                # reordering covered by the equivalence harness.
+            if next_event._value is not PENDING:
+                # Triggered but not yet dispatched: it waits on the
+                # microqueue, so it is due at the *current* time.  Consume it
+                # inline.  The queued entry still dispatches later this
+                # timestamp for any other subscribers; we simply don't wait
+                # our turn — same-timestamp reordering covered by the
+                # equivalence harness.
                 event = next_event
                 continue
 

@@ -177,6 +177,34 @@ def test_scalardb_plus_keeps_occ_semantics_and_uses_scheduling():
     assert result.latency_ms < plain.latency_ms
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known ScalarDB+ defect: MiddlewareBase._coordinate runs "
+    "on_transaction_finished before enter_phase(DONE) closes the prepare "
+    "phase, so settled_latency_ms is 0 for a transaction that failed "
+    "validation and only committed transactions feed w_lat"))
+def test_scalardb_plus_samples_a_failed_prepare_into_w_lat(monkeypatch):
+    monkeypatch.setattr(ScalarDBPlusCoordinator, "coordinator_slots", 8)
+    settles = []
+    settle = ScalarDBPlusCoordinator.on_transaction_finished
+
+    def recording(self, ctx, outcome, reason):
+        settles.append((reason, self.settled_latency_ms(ctx)))
+        settle(self, ctx, outcome, reason)
+
+    monkeypatch.setattr(ScalarDBPlusCoordinator, "on_transaction_finished",
+                        recording)
+    env, dm, datasources = build(ScalarDBPlusCoordinator)
+    for value in (1, 2):
+        dm.submit(TransactionSpec.from_operations([update(0, value),
+                                                   update(1, value)]))
+    env.run()
+    reasons = {reason for reason, _ in settles}
+    if len(settles) != 2 or reasons != {None, AbortReason.PREPARE_FAILED}:
+        raise RuntimeError(f"expected one commit and one failed prepare: {settles}")
+    # Both transactions ran a prepare phase, so both give a latency sample.
+    assert all(latency_ms > 0 for _, latency_ms in settles), settles
+
+
 @pytest.mark.parametrize("coordinator_cls", [ScalarDBCoordinator,
                                              ScalarDBPlusCoordinator])
 def test_scalardb_read_refused_by_a_crashed_node_aborts(coordinator_cls):

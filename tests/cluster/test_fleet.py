@@ -336,6 +336,20 @@ def test_backoff_landing_on_stop_time_buys_no_extra_transaction():
     assert terminal.transactions_run == 2
 
 
+def test_a_zero_backoff_resubmits_at_the_same_instant():
+    env = Environment()
+    middleware = _StubMiddleware(env, "dm1", refuse=True)
+    retry = RetryPolicy(base_ms=0.0, cap_ms=0.0, jitter=0.0)
+    terminal, collector = _run_terminal(env, [middleware], stop_at_ms=50.0,
+                                        retry=retry)
+    # No pause between rounds: each refusal is resubmitted the instant it
+    # arrives, so the 10ms submits tile the run back to back.
+    results = collector.results
+    assert [r.start_time for r in results] == [0.0, 10.0, 20.0, 30.0, 40.0]
+    assert [r.start_time for r in results[1:]] == [
+        r.end_time for r in results[:-1]]
+
+
 def test_clean_refusal_fails_over_to_a_healthy_middleware():
     env = Environment()
     dead = _StubMiddleware(env, "dm1", crashed=True, refuse=True)

@@ -115,3 +115,41 @@ def test_closed_loop_runs_have_no_open_loop_report(moderate_run):
     assert moderate_run.collector.reservoir_size == DEFAULT_RESERVOIR_SIZE
     assert "metrics_mode" not in closed.summary().to_dict()
     assert "metrics_mode" not in moderate_run.summary().to_dict()
+
+
+# ------------------------------------------------------------------ zero gaps
+def test_a_zero_gap_admits_at_the_same_instant(monkeypatch):
+    from types import SimpleNamespace
+
+    from repro.cluster import RetryPolicy, open_loop
+    from repro.common import TransactionResult, TxnOutcome
+    from repro.sim import Environment
+
+    env = Environment()
+    submitted = []
+
+    class Middleware:
+        name = "dm"
+        crashed = False
+
+        def submit(self, spec):
+            submitted.append(env.now)
+            done = env.event()
+            env.call_at(1.0, done.succeed, TransactionResult(
+                txn_id=f"t{len(submitted)}", outcome=TxnOutcome.COMMITTED,
+                start_time=env.now, end_time=env.now + 1.0,
+                is_distributed=False))
+            return done
+
+    gaps = iter([10.0, 0.0, 0.0, 5.0])
+    monkeypatch.setattr(open_loop, "make_arrivals", lambda config: SimpleNamespace(
+        next_gap_ms=lambda now_ms: next(gaps, 1e9)))
+    pool = open_loop.OpenClientPool(
+        env, [Middleware()],
+        SimpleNamespace(next_transaction=lambda slot: SimpleNamespace(
+            txn_type="generic")),
+        SimpleNamespace(record=lambda result, txn_type: None),
+        ArrivalConfig(max_clients=4), duration_ms=100.0, retry=RetryPolicy())
+    env.run(until=100.0)
+    assert submitted == [10.0, 10.0, 10.0, 15.0]
+    assert pool.report()["started"] == pool.report()["completed"] == 4

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_starts_at_initial_time():
-    env = Environment(initial_time=42.0)
-    assert env.now == 42.0
-
-
 def test_timeout_advances_clock():
     env = Environment()
 
@@ -46,7 +41,8 @@ def test_run_until_time_stops_clock_exactly():
 
 
 def test_run_until_past_time_rejected():
-    env = Environment(initial_time=100)
+    env = Environment()
+    env.run(until=100)
     with pytest.raises(ValueError):
         env.run(until=50)
 

@@ -189,41 +189,33 @@ def test_zero_delay_timeout_uses_the_microqueue():
     assert t.processed
 
 
-def test_peek_and_step_skip_cancelled_microqueue_entries():
+def test_peek_and_step_serve_the_microqueue_before_the_heap():
     env = Environment()
-    dead = env.timeout(0)
-    env.cancel(dead)
-    # Only a cancelled entry is queued: peek must not claim live work exists,
-    # and step must not no-op on it.
     assert env.peek() == float("inf")
     with pytest.raises(EmptySchedule):
         env.step()
-    live = env.timeout(0)
+    timer = env.call_at(3.0, lambda: None)
+    now = env.timeout(0)
+    assert env.peek() == 0.0
     env.step()
-    assert live.processed
+    assert now.processed and not timer.cancelled and env.now == 0.0
+    assert env.peek() == 3.0
+    env.step()
+    assert timer.cancelled and env.now == 3.0
 
 
-def test_call_soon_runs_fifo_with_other_same_time_work():
+def test_zero_delay_deliveries_run_fifo_with_other_same_time_work():
     env = Environment()
+    net = Network(env)
+    a, b = net.interface("a"), net.interface("b")
     order = []
+    b.inbox.set_consumer(lambda message: order.append(message.payload))
     gate = env.event()
     gate.callbacks.append(lambda e: order.append("event"))
     gate.succeed()
-    env.call_soon(lambda tag: order.append(tag), "soon")
+    a.send("b", "m", "delivery")
     env.run()
-    assert order == ["event", "soon"]
-
-
-def test_cancelling_triggered_events_does_not_inflate_heap_accounting():
-    env = Environment()
-    for _ in range(200):
-        event = env.event()
-        event.succeed()
-        env.cancel(event)
-    # Triggered events live on the microqueue, not the heap: cancelling them
-    # must not count as heap debt (which would trigger pointless compaction).
-    assert env._cancelled == 0
-    env.run()
+    assert order == ["event", "delivery"]
 
 
 # ------------------------------------------------------ a node is its handler
@@ -241,31 +233,33 @@ def test_zero_delay_deliveries_reach_the_handler_in_order_without_the_heap():
 
 
 # ----------------------------------------------------------------- timer wheel
+# The wheel ticks every WHEEL_GRANULARITY_MS = 1 ms, so sub-millisecond
+# deadlines show its rounding.
 def test_wheel_timer_fires_on_the_next_tick_never_early():
-    env = Environment(wheel_granularity_ms=10.0)
+    env = Environment()
     fired = []
 
     def kick():
-        yield 3.0  # now = 3.0
-        env.call_coarse(15.0, lambda: fired.append(env.now))
+        yield 0.3  # now = 0.3
+        env.call_coarse(1.5, lambda: fired.append(env.now))
 
     env.process(kick())
     env.run()
-    # Deadline 18.0 rounds up to tick 20.0.
-    assert fired == [20.0]
+    # Deadline 1.8 rounds up to tick 2.0.
+    assert fired == [2.0]
 
 
 def test_wheel_timers_in_one_tick_fire_in_fifo_order():
-    env = Environment(wheel_granularity_ms=10.0)
+    env = Environment()
     order = []
-    env.call_coarse(4.0, lambda: order.append("a"))
-    env.call_coarse(2.0, lambda: order.append("b"))
-    env.call_coarse(9.0, lambda: order.append("c"))
+    env.call_coarse(0.4, lambda: order.append("a"))
+    env.call_coarse(0.2, lambda: order.append("b"))
+    env.call_coarse(0.9, lambda: order.append("c"))
     env.run()
-    # All three share the tick at t=10 and fire in insertion order, not in
+    # All three share the tick at t=1 and fire in insertion order, not in
     # deadline order — that is the documented coarseness contract.
     assert order == ["a", "b", "c"]
-    assert env.now == 10.0
+    assert env.now == 1.0
 
 
 def test_wheel_cancel_before_fire_suppresses_the_callback():
@@ -291,18 +285,18 @@ def test_wheel_cancel_after_fire_is_a_harmless_no_op():
 
 
 def test_wheel_shares_one_heap_entry_per_live_tick():
-    env = Environment(wheel_granularity_ms=10.0)
+    env = Environment()
     for _ in range(500):
-        env.call_coarse(7.0, lambda: None)
+        env.call_coarse(0.7, lambda: None)
     # 500 live coarse timers share a single tick: exactly one heap entry.
     assert len(env._queue) == 1
     env.run()
 
 
 def test_wheel_cancel_churn_keeps_heap_bounded():
-    env = Environment(wheel_granularity_ms=10.0)
+    env = Environment()
     for _ in range(1000):
-        env.call_coarse(7.0, lambda: None).cancel()
+        env.call_coarse(0.7, lambda: None).cancel()
     # Immediate set-then-cancel defuses each tick's shared entry (so nothing
     # ever fires); lazy deletion + compaction keep the dead entries bounded.
     assert len(env._queue) < 200
@@ -327,12 +321,12 @@ def test_fully_cancelled_wheel_slot_does_not_advance_the_clock():
 
 
 def test_wheel_ticks_cover_distinct_slots():
-    env = Environment(wheel_granularity_ms=10.0)
+    env = Environment()
     fired = []
-    env.call_coarse(5.0, lambda: fired.append(env.now))
-    env.call_coarse(25.0, lambda: fired.append(env.now))
+    env.call_coarse(0.5, lambda: fired.append(env.now))
+    env.call_coarse(2.5, lambda: fired.append(env.now))
     env.run()
-    assert fired == [10.0, 30.0]
+    assert fired == [1.0, 3.0]
 
 
 # -------------------------------------------------- determinism of the engine
@@ -354,3 +348,41 @@ def test_same_seed_twice_is_byte_identical():
     first, second = snapshot(determinism_config()), snapshot(determinism_config())
     assert first == second, (
         f"two runs of the same seed diverged: {first} != {second}")
+
+
+# ------------------------------------------------------- the heap holds timers
+def stepped_run(env, until):
+    """``Environment.run(until=<time>)`` by ``step()``: after every step,
+    fail by name on a heap entry that is neither a Timer nor a sleep
+    carrier."""
+    from repro.sim._kernel.environment import Timer
+    from repro.sim._kernel.process import _SleepEntry
+
+    stop = float(until)
+    while env.peek() <= stop:
+        env.step()
+        kinds = {entry[2].__class__ for entry in env._queue}
+        assert kinds <= {Timer, _SleepEntry}, (
+            f"t={env.now}: heap entries of kind "
+            f"{sorted(k.__name__ for k in kinds - {Timer, _SleepEntry})}")
+    env.now = stop
+
+
+@pytest.mark.parametrize("fault", [None, "mw_crash"])
+def test_the_heap_holds_only_timers_and_sleep_carriers(monkeypatch, fault):
+    from dataclasses import replace
+
+    from repro.bench.runner import run_experiment
+    from repro.recovery.failures import FaultPlan
+
+    config = determinism_config()
+    if fault is not None:
+        config = replace(config, fault_plan=FaultPlan.named(
+            fault, config.duration_ms))
+    monkeypatch.setattr(Environment, "run", stepped_run)
+    summary = run_experiment(config)
+    # The sleeps ran: O3's admission backoff, and under the crash the
+    # client's backoff after each refusal.
+    assert summary.committed > 0 and summary.admission["blocked"] > 0
+    if fault is not None:
+        assert summary.abort_reasons["unavailable"] > 0

@@ -54,16 +54,6 @@ def test_cancel_is_idempotent():
     env.run()
 
 
-def test_cancelled_event_callbacks_do_not_run():
-    env = Environment()
-    fired = []
-    timeout = env.timeout(4.0)
-    timeout.callbacks.append(lambda e: fired.append("t"))
-    env.cancel(timeout)
-    env.run()
-    assert fired == []
-
-
 def test_heap_compaction_bounds_queue_growth():
     env = Environment()
     # Schedule and immediately cancel many far-future timers; lazy deletion
@@ -154,21 +144,13 @@ def test_events_processed_counts_events_and_timers():
     env.call_at(1.0, lambda: fired.append(1))
 
     def proc():
-        yield env.timeout(2.0)
+        yield 2.0
 
     env.process(proc())
     env.run()
-    # call_at timer + timeout + process completion; run-to-first-yield spawn
-    # means there is no init event to count any more.
+    # call_at timer + sleep wake-up + process completion; run-to-first-yield
+    # spawn means there is no init event to count any more.
     assert env.events_processed == 3
-
-
-def test_run_until_cancelled_event_raises_instead_of_returning_sentinel():
-    env = Environment()
-    event = env.event()
-    env.cancel(event)
-    with pytest.raises(RuntimeError, match="never fire"):
-        env.run(until=event)
 
 
 # ------------------------------------------------- reference-cycle hygiene
