@@ -46,7 +46,7 @@ from repro.common import (
     TxnOutcome,
 )
 from repro.core.config import GeoTPConfig
-from repro.middleware.statements import Statement, TransactionSpec
+from repro.middleware.statements import TransactionSpec
 from repro.recovery.failures import FaultEvent, FaultKind, FaultPlan
 from repro.plugins import (
     SystemPlugin,
@@ -89,7 +89,6 @@ __all__ = [
     "Operation",
     "OpType",
     "SUPPORTED_SYSTEMS",
-    "Statement",
     "SystemPlugin",
     "TPCCConfig",
     "TopologyConfig",

@@ -17,19 +17,17 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.common import Operation
 from repro.middleware.context import TransactionContext
 from repro.middleware.coordinator import TwoPhaseCommitCoordinator
-from repro.middleware.statements import Statement
 from repro.plugins import SystemPlugin, register_system
 
 
-def reorder_statements(statements: List[Statement]) -> List[Statement]:
+def reorder_statements(operations: List[Operation]) -> List[Operation]:
     """Reads first, writes last, hot-hinted writes very last (stable order)."""
-    reads = [s for s in statements if not s.operation.is_write]
-    cold_writes = [s for s in statements
-                   if s.operation.is_write and not s.operation.is_hot_hint]
-    hot_writes = [s for s in statements
-                  if s.operation.is_write and s.operation.is_hot_hint]
+    reads = [op for op in operations if not op.is_write]
+    cold_writes = [op for op in operations if op.is_write and not op.is_hot_hint]
+    hot_writes = [op for op in operations if op.is_write and op.is_hot_hint]
     return reads + cold_writes + hot_writes
 
 
@@ -38,9 +36,9 @@ class QUROCoordinator(TwoPhaseCommitCoordinator):
 
     system_name = "QURO"
 
-    def _execute_round(self, ctx: TransactionContext, statements: List[Statement],
+    def _execute_round(self, ctx: TransactionContext, operations: List[Operation],
                        is_final_round: bool):
-        return super()._execute_round(ctx, reorder_statements(statements),
+        return super()._execute_round(ctx, reorder_statements(operations),
                                       is_final_round)
 
 

@@ -68,17 +68,16 @@ class ScalarDBCoordinator(MiddlewareBase):
         read_images: Dict[RecordId, Tuple[Any, int]] = {}
         write_set: Dict[RecordId, Operation] = {}
 
-        for statements in ctx.spec.rounds:
-            for stmt in statements:
-                target = self.partitioner.locate(stmt.operation.table, stmt.operation.key)
-                ctx.touch(target)
-            images = yield from self._execute_round_ops(ctx, statements)
+        for operations in ctx.spec.rounds:
+            for operation in operations:
+                ctx.touch(self.partitioner.locate(operation.table, operation.key))
+            images = yield from self._execute_round_ops(ctx, operations)
             if images is None:
                 return TxnOutcome.ABORTED, AbortReason.UNAVAILABLE
             read_images.update(images)
-            for stmt in statements:
-                if stmt.operation.is_write:
-                    write_set[stmt.operation.record_id] = stmt.operation
+            for operation in operations:
+                if operation.is_write:
+                    write_set[operation.record_id] = operation
 
         # Prepare: conditional writes; any version conflict aborts the transaction.
         ctx.enter_phase(TransactionPhase.PREPARE, self.env.now)
@@ -94,7 +93,7 @@ class ScalarDBCoordinator(MiddlewareBase):
         return TxnOutcome.COMMITTED, None
 
     # ----------------------------------------------------------------- phases
-    def _execute_round_ops(self, ctx: TransactionContext, statements):
+    def _execute_round_ops(self, ctx: TransactionContext, operations):
         """Read one round's records (their images); ``None`` once refused.
 
         ScalarDB's client library issues storage operations one at a time —
@@ -103,8 +102,7 @@ class ScalarDBCoordinator(MiddlewareBase):
         and unscalable in geo-distributed deployments.
         """
         images: Dict[RecordId, Tuple[Any, int]] = {}
-        for stmt in statements:
-            operation = stmt.operation
+        for operation in operations:
             participant = self.partitioner.locate(operation.table, operation.key)
             handle = self.participants[participant]
             reply = yield self.request_participant(handle, protocol.MSG_KV_GET, {

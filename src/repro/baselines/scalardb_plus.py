@@ -25,7 +25,7 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
 
     system_name = "ScalarDB+"
 
-    def _execute_round_ops(self, ctx: TransactionContext, statements):
+    def _execute_round_ops(self, ctx: TransactionContext, operations):
         """Latency-aware execution: per-participant batches, postponed per Eq. (3).
 
         ScalarDB+ replaces the one-operation-at-a-time storage access of plain
@@ -34,27 +34,26 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
         which both shortens the transaction and narrows the window in which
         optimistic validation conflicts accumulate.
         """
-        by_participant: Dict[str, List] = {}
-        for stmt in statements:
-            participant = self.partitioner.locate(stmt.operation.table,
-                                                  stmt.operation.key)
-            by_participant.setdefault(participant, []).append(stmt.operation)
+        by_participant: Dict[str, List[Operation]] = {}
+        for operation in operations:
+            participant = self.partitioner.locate(operation.table, operation.key)
+            by_participant.setdefault(participant, []).append(operation)
         delays = self.postponements({
             name: [op.record_id for op in ops]
             for name, ops in by_participant.items()})
-        reads = Replies(self.env, len(statements))
-        operations: List[Operation] = []     # in slot order
+        reads = Replies(self.env, len(operations))
+        in_slot_order: List[Operation] = []
         for name, ops in by_participant.items():
             delay_ms = delays.get(name, 0.0)
             if delay_ms > 0:
                 self.env.call_at(delay_ms, self._send_reads, reads,
-                                 len(operations), name, ops)
+                                 len(in_slot_order), name, ops)
             else:
-                self._send_reads(reads, len(operations), name, ops)
-            operations.extend(ops)
+                self._send_reads(reads, len(in_slot_order), name, ops)
+            in_slot_order.extend(ops)
         replies = yield reads.done
         images = {}
-        for operation, reply in zip(operations, replies):
+        for operation, reply in zip(in_slot_order, replies):
             image = _read_image(reply)
             if image is None:
                 return None

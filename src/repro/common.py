@@ -123,25 +123,21 @@ class Operation:
         """True if this operation takes an exclusive lock."""
         return self.op_type is not OpType.READ
 
-
-@dataclass(slots=True)
-class OperationResult:
-    """Result of executing one operation on a data source."""
-
-    operation: Operation
-    success: bool
-    value: Any = None
-    error: Optional[str] = None
+    def rendered_sql(self) -> str:
+        """The operation as one SQL statement that ``SqlParser`` parses back."""
+        if self.op_type is OpType.READ:
+            return f"SELECT value FROM {self.table} WHERE key = '{self.key}';"
+        return (f"UPDATE {self.table} SET value = '{self.value}' "
+                f"WHERE key = '{self.key}';")
 
 
 @dataclass(slots=True)
 class SubtxnResult:
-    """Result of executing a batch of operations of one subtransaction."""
+    """The verdict on one subtransaction's statement batch: it succeeded, or
+    why it failed.  A read's value stays inside the data source's engine."""
 
     datasource: str
     success: bool
-    results: List[OperationResult] = field(default_factory=list)
-    error: Optional[str] = None
     abort_reason: Optional[AbortReason] = None
     #: Local execution latency (ms) spent inside the data source, including
     #: lock waits — the quantity GeoTP's forecasting model estimates.
@@ -167,8 +163,6 @@ class TransactionResult:
     abort_reason: Optional[AbortReason] = None
     #: Milliseconds spent in each coordinator phase, e.g. execution/prepare/commit.
     phase_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Number of data sources the transaction touched.
-    participant_count: int = 1
     #: True for a *clean refusal*: the middleware was already crashed when the
     #: submission arrived, so nothing was coordinated and no branch exists
     #: anywhere.  Only these results are safe to fail over to another

@@ -141,7 +141,6 @@ class GeoAgent:
             if message.reply_event is not None:
                 self.net.reply(message, SubtxnResult(
                     datasource=self.datasource, success=False,
-                    error="aborted by peer before execution",
                     abort_reason=AbortReason.PEER_ABORT))
             self._send_state(_coordinator(message), xid,
                              protocol.STATE_ROLLBACKED)

@@ -8,7 +8,7 @@ baseline; GeoTP and the other baselines subclass it and override the
 scheduling / prepare / commit hooks.
 """
 
-from repro.middleware.statements import Statement, TransactionSpec
+from repro.middleware.statements import TransactionSpec
 from repro.middleware.parser import ParseError, SqlParser
 from repro.middleware.router import (
     ModuloPartitioner,
@@ -29,7 +29,6 @@ __all__ = [
     "Partitioner",
     "Rewriter",
     "SqlParser",
-    "Statement",
     "SubtransactionPlan",
     "TableAwarePartitioner",
     "TransactionContext",

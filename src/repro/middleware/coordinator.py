@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.common import COSTS, AbortReason, SubtxnResult, TxnOutcome, Vote
+from repro.common import (COSTS, AbortReason, Operation, SubtxnResult, TxnOutcome,
+                          Vote)
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.middleware import MiddlewareBase, Replies
 from repro.middleware.rewriter import SubtransactionPlan
-from repro.middleware.statements import Statement
 from repro.sim import Event
 from repro.storage.wal import LogRecordType
 
@@ -92,9 +92,9 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
 
         ctx.enter_phase(TransactionPhase.EXECUTION, self.env.now)
         final_index = ctx.spec.round_count - 1
-        for round_index, statements in enumerate(ctx.spec.rounds):
+        for round_index, operations in enumerate(ctx.spec.rounds):
             reason = yield from self._execute_round(
-                ctx, statements, is_final_round=(round_index == final_index))
+                ctx, operations, is_final_round=(round_index == final_index))
             if reason is not None:
                 yield from self._abort_all(ctx)
                 return TxnOutcome.ABORTED, reason
@@ -103,11 +103,11 @@ class TwoPhaseCommitCoordinator(MiddlewareBase):
         return outcome, reason
 
     # --------------------------------------------------------------- execution
-    def _execute_round(self, ctx: TransactionContext, statements: List[Statement],
+    def _execute_round(self, ctx: TransactionContext, operations: List[Operation],
                        is_final_round: bool):
         """Plan, postpone and dispatch one interaction round; returns the
         abort reason, or None once every batch succeeded."""
-        plans = self.rewriter.plan_round(statements)
+        plans = self.rewriter.plan_round(operations)
         delays = self.postponements(
             {name: plan.record_ids for name, plan in plans.items()})
         for name in plans:

@@ -193,7 +193,6 @@ class MiddlewareBase:
             is_distributed=ctx.is_distributed,
             abort_reason=reason,
             phase_breakdown=ctx.phase_durations,  # handed over: ctx is finished
-            participant_count=max(len(ctx.participants), 1),
         )
         self.stats.record_outcome(result)
         return result

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
 from repro.common import Operation, OpType
-from repro.middleware.statements import Statement, TransactionSpec
+from repro.middleware.statements import TransactionSpec
 
 
 class ParseError(Exception):
@@ -63,11 +63,11 @@ class ParsedStatement:
     """Outcome of parsing one SQL line."""
 
     kind: str                       # "begin" | "commit" | "rollback" | "dml"
-    statement: Optional[Statement] = None
+    operation: Optional[Operation] = None
 
 
 class SqlParser:
-    """Parses SQL text into :class:`Statement` objects and transaction specs."""
+    """Parses SQL text into operations and transaction specs."""
 
     def parse_statement(self, sql: str) -> ParsedStatement:
         """Parse one SQL statement."""
@@ -87,8 +87,7 @@ class SqlParser:
         if select:
             operation = Operation(op_type=OpType.READ, table=select.group("table"),
                                   key=_unquote(select.group("key")))
-            return ParsedStatement(kind="dml", statement=Statement(
-                operation=operation, sql=sql.strip()))
+            return ParsedStatement(kind="dml", operation=operation)
 
         update = _UPDATE_RE.match(text)
         if update:
@@ -96,8 +95,7 @@ class SqlParser:
             value = _unquote(assignments.split("=", 1)[1]) if "=" in assignments else assignments
             operation = Operation(op_type=OpType.UPDATE, table=update.group("table"),
                                   key=_unquote(update.group("key")), value=value)
-            return ParsedStatement(kind="dml", statement=Statement(
-                operation=operation, sql=sql.strip()))
+            return ParsedStatement(kind="dml", operation=operation)
 
         insert = _INSERT_RE.match(text)
         if insert:
@@ -109,8 +107,7 @@ class SqlParser:
             value = dict(zip(cols[1:], vals[1:])) if len(vals) > 1 else None
             operation = Operation(op_type=OpType.WRITE, table=insert.group("table"),
                                   key=key, value=value)
-            return ParsedStatement(kind="dml", statement=Statement(
-                operation=operation, sql=sql.strip()))
+            return ParsedStatement(kind="dml", operation=operation)
 
         raise ParseError(f"unsupported SQL: {sql!r}")
 
@@ -119,7 +116,7 @@ class SqlParser:
 
         Statements between BEGIN and COMMIT form one round.
         """
-        statements: List[Statement] = []
+        statements: List[Operation] = []
         saw_begin = False
         saw_commit = False
         for line in sql_lines:
@@ -134,7 +131,7 @@ class SqlParser:
             elif parsed.kind == "rollback":
                 raise ParseError("cannot build a transaction spec from a ROLLBACK block")
             else:
-                statements.append(parsed.statement)
+                statements.append(parsed.operation)
         if not saw_begin or not saw_commit:
             raise ParseError("transaction text must be wrapped in BEGIN ... COMMIT")
         if not statements:

@@ -14,7 +14,6 @@ from typing import Dict, Hashable, List, Tuple
 
 from repro.common import Operation
 from repro.middleware.router import Partitioner
-from repro.middleware.statements import Statement
 
 
 @dataclass(slots=True)
@@ -30,10 +29,10 @@ class SubtransactionPlan:
     operations: List[Operation] = field(default_factory=list)
     record_ids: List[Tuple[str, Hashable]] = field(default_factory=list)
 
-    def add(self, stmt: Statement) -> None:
-        """Append one statement's operation and record id."""
-        self.operations.append(stmt.operation)
-        self.record_ids.append(stmt.operation.record_id)
+    def add(self, operation: Operation) -> None:
+        """Append one operation and its record id."""
+        self.operations.append(operation)
+        self.record_ids.append(operation.record_id)
 
 
 class Rewriter:
@@ -42,15 +41,14 @@ class Rewriter:
     def __init__(self, partitioner: Partitioner):
         self.partitioner = partitioner
 
-    def plan_round(self, statements: List[Statement]) -> Dict[str, SubtransactionPlan]:
+    def plan_round(self, operations: List[Operation]) -> Dict[str, SubtransactionPlan]:
         """Split one round into per-data-source subtransaction plans."""
         plans: Dict[str, SubtransactionPlan] = {}
         locate = self.partitioner.locate
-        for stmt in statements:
-            operation = stmt.operation
+        for operation in operations:
             target = locate(operation.table, operation.key)
             plan = plans.get(target)
             if plan is None:
                 plan = plans[target] = SubtransactionPlan(datasource=target)
-            plan.add(stmt)
+            plan.add(operation)
         return plans

@@ -1,8 +1,9 @@
 """Statements and transaction specifications submitted to the middleware.
 
 A client transaction is a :class:`TransactionSpec`: an ordered list of
-*rounds*, each round being the batch of statements the client sends together
-before waiting for results (the paper's "interaction rounds", Fig. 14).
+*rounds*, each round being the batch of statements — plain
+:class:`~repro.common.Operation` objects — the client sends together before
+waiting for results (the paper's "interaction rounds", Fig. 14).
 GeoTP's decentralized prepare fires on the final round's batches, which the
 coordinator knows from the round index.
 """
@@ -10,37 +11,16 @@ coordinator knows from the round index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.common import Operation, OpType
-
-@dataclass(slots=True)
-class Statement:
-    """One SQL statement: the parsed operation and, if parsed, its text."""
-
-    operation: Operation
-    sql: Optional[str] = None
-
-    @property
-    def record_id(self) -> Tuple[str, Hashable]:
-        """The (table, key) the statement touches."""
-        return self.operation.record_id
-
-    def rendered_sql(self) -> str:
-        """The SQL text, synthesising one from the operation if none was given."""
-        if self.sql is not None:
-            return self.sql
-        op = self.operation
-        if op.op_type is OpType.READ:
-            return f"SELECT value FROM {op.table} WHERE key = '{op.key}';"
-        return f"UPDATE {op.table} SET value = '{op.value}' WHERE key = '{op.key}';"
+from repro.common import Operation
 
 
 @dataclass(slots=True)
 class TransactionSpec:
     """A client transaction: rounds of statements plus bookkeeping metadata."""
 
-    rounds: List[List[Statement]]
+    rounds: List[List[Operation]]
     txn_type: str = "generic"
     metadata: Dict = field(default_factory=dict)
     #: Memo of :meth:`record_ids`: admission, settlement and validation each
@@ -54,9 +34,9 @@ class TransactionSpec:
 
     # ------------------------------------------------------------- inspection
     @property
-    def all_statements(self) -> List[Statement]:
+    def all_statements(self) -> List[Operation]:
         """Every statement across all rounds, in submission order."""
-        return [stmt for round_ in self.rounds for stmt in round_]
+        return [op for round_ in self.rounds for op in round_]
 
     @property
     def round_count(self) -> int:
@@ -76,13 +56,9 @@ class TransactionSpec:
         """
         ids = self._record_ids
         if ids is None:
-            self._record_ids = ids = [stmt.operation.record_id
-                                      for round_ in self.rounds for stmt in round_]
+            self._record_ids = ids = [op.record_id
+                                      for round_ in self.rounds for op in round_]
         return ids
-
-    def tables(self) -> Set[str]:
-        """The set of tables touched."""
-        return {stmt.operation.table for stmt in self.all_statements}
 
     # -------------------------------------------------------------- factories
     @classmethod
@@ -94,8 +70,6 @@ class TransactionSpec:
             raise ValueError("a transaction must contain at least one operation")
         rounds = max(1, min(rounds, len(ops)))
         per_round = (len(ops) + rounds - 1) // rounds
-        batches: List[List[Statement]] = []
-        for start in range(0, len(ops), per_round):
-            batch = [Statement(operation=op) for op in ops[start:start + per_round]]
-            batches.append(batch)
+        batches = [ops[start:start + per_round]
+                   for start in range(0, len(ops), per_round)]
         return cls(rounds=batches, txn_type=txn_type, metadata=dict(metadata or {}))

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Hashable, List, Mapping, Optional
 
-from repro.common import (COSTS, AbortReason, Operation, OperationResult, OpType,
+from repro.common import (COSTS, AbortReason, Operation, OpType,
                           SubtxnResult, Vote)
 from repro import protocol
 from repro.sim import Environment
@@ -148,9 +148,8 @@ class DataSource:
         if message.reply_event is None:
             return
         if message.msg_type == protocol.MSG_EXECUTE:
-            reply = SubtxnResult(
-                datasource=self.name, success=False, error="data source crashed",
-                abort_reason=AbortReason.UNAVAILABLE)
+            reply = SubtxnResult(datasource=self.name, success=False,
+                                 abort_reason=AbortReason.UNAVAILABLE)
         elif message.msg_type == protocol.MSG_XA_PREPARE:
             reply = {"vote": Vote.NO, "error": "data source crashed"}
         else:
@@ -182,11 +181,8 @@ class DataSource:
             txn = LocalTransaction(xid=xid, started_at=self.env.now)
             self.transactions[xid] = txn
         if txn is None or txn.state is not TxnState.ACTIVE:
-            state = txn.state.value if txn else "missing"
-            self._reply(message, SubtxnResult(
-                datasource=self.name, success=False,
-                error=f"transaction {xid} not active ({state})",
-                abort_reason=AbortReason.FAILURE))
+            self._reply(message, SubtxnResult(datasource=self.name, success=False,
+                                              abort_reason=AbortReason.FAILURE))
             return
         self.env.process(self._execute(message, payload, txn),
                          name=protocol.MSG_EXECUTE, daemon=True)
@@ -206,12 +202,11 @@ class DataSource:
         active = TxnState.ACTIVE
         started = env.now
         yield COSTS.datasource_request_ms
-        results: List[OperationResult] = []
         for operation in operations:
             if txn.state is not active:
                 # The branch was rolled back (peer abort / coordinator rollback)
                 # while this statement batch was still executing or waiting.
-                self._reply_failed(message, results, started)
+                self._reply_failed(message, started)
                 return
             is_write = operation.op_type is not OpType.READ
             record_id = operation.record_id
@@ -230,8 +225,7 @@ class DataSource:
                     if not txn.is_finished:
                         yield self._abort_ms
                         self._finish_abort(txn)
-                    self._reply_failed(message, results, started,
-                                       str(exc), AbortReason.LOCK_TIMEOUT)
+                    self._reply_failed(message, started, AbortReason.LOCK_TIMEOUT)
                     return
             if txn.first_lock_at is None:
                 txn.first_lock_at = env.now
@@ -243,7 +237,7 @@ class DataSource:
                 # or a coordinator-crash session kill): buffering the write
                 # now would resurrect a write set the abort already
                 # discarded, and success=True would misreport a dead branch.
-                self._reply_failed(message, results, started)
+                self._reply_failed(message, started)
                 return
             stats.operations_executed += 1
             stats.busy_ms += cost
@@ -251,12 +245,10 @@ class DataSource:
             if is_write:
                 engine.buffer_write(xid, operation.table, operation.key,
                                     operation.value, record_id)
-                results.append(OperationResult(operation, True))
             else:
-                snapshot = engine.read(xid, operation.table, operation.key,
-                                       record_id)
-                results.append(OperationResult(
-                    operation, True, snapshot.value if snapshot is not None else None))
+                # The branch's read; the reply is a verdict, so the value
+                # it returns stays here.
+                engine.read(xid, operation.table, operation.key, record_id)
 
         prepared = False
         if payload.get("prepare_after"):
@@ -268,24 +260,21 @@ class DataSource:
                 # Aborted while the prepare cost was being paid — same race
                 # as in _on_xa_prepare; report the failure instead of
                 # preparing a dead branch.
-                self._reply_failed(message, results, started)
+                self._reply_failed(message, started)
                 return
             self._mark_prepared(txn)
             prepared = True
 
         self._reply(message, SubtxnResult(
-            datasource=self.name, success=True, results=results,
+            datasource=self.name, success=True,
             local_execution_ms=env.now - started, prepared=prepared,
             records=list(dict.fromkeys([op.record_id for op in operations]))))
 
-    def _reply_failed(self, message: Message,
-                      results: List[OperationResult], started: float,
-                      error: str = "transaction aborted concurrently",
+    def _reply_failed(self, message: Message, started: float,
                       reason: AbortReason = AbortReason.PEER_ABORT) -> None:
-        """Answer an execute whose batch stopped early (``results`` so far)."""
+        """Answer an execute whose batch stopped early."""
         self._reply(message, SubtxnResult(
-            datasource=self.name, success=False, results=results,
-            error=error, abort_reason=reason,
+            datasource=self.name, success=False, abort_reason=reason,
             local_execution_ms=self.env.now - started))
 
     def _mark_prepared(self, txn: LocalTransaction) -> None:

@@ -18,7 +18,6 @@ from repro.middleware import (
     ModuloPartitioner,
     ParticipantHandle,
     Rewriter,
-    Statement,
     TransactionSpec,
 )
 from repro.sim import ConstantLatency, Environment, Network
@@ -64,15 +63,14 @@ def test_ssp_local_commits_with_single_round_trip():
 
 
 def test_quro_reorders_writes_after_reads():
-    statements = [
-        Statement(operation=update(1)),
-        Statement(operation=read(2)),
-        Statement(operation=Operation(OpType.UPDATE, "usertable", 3, value=1,
-                                      is_hot_hint=True)),
-        Statement(operation=read(4)),
+    operations = [
+        update(1),
+        read(2),
+        Operation(OpType.UPDATE, "usertable", 3, value=1, is_hot_hint=True),
+        read(4),
     ]
-    reordered = reorder_statements(statements)
-    kinds = [(s.operation.is_write, s.operation.is_hot_hint) for s in reordered]
+    reordered = reorder_statements(operations)
+    kinds = [(op.is_write, op.is_hot_hint) for op in reordered]
     assert kinds == [(False, False), (False, False), (True, False), (True, True)]
 
 

@@ -4,16 +4,21 @@ In-place grants, the round fan-out and the timer-served verbs may not add,
 remove or reorder one observable simulated outcome: for each run below the
 committed/aborted counts, the abort reasons, the throughput and the p99 equal
 the values captured on the commit before the change (the run's pin in
-``tests/bench/data/pins.json``), while
-``events_processed`` — which counted every grant dispatched to nobody and
-every forwarding process — is strictly lower than it was there.
+``tests/bench/data/pins.json``), while the events dispatched per committed
+transaction — which counted every grant dispatched to nobody and every
+forwarding process — are strictly fewer than they were there.
 
 The ScalarDB runs pin the key-value verbs' timer pairs the same way: their
 outcomes equal the values captured while those verbs were still processes,
-and no event was added.  Only a statement batch, the one verb body that can
-wait on a lock, may spawn a process on a data source or a geo-agent, and a
-coordinator spawns only the transaction's own process: every N-way wait of a
-round gathers through ``Replies`` callbacks.
+and no event per commit was added.  Only a statement batch, the one verb body
+that can wait on a lock, may spawn a process on a data source or a geo-agent,
+and a coordinator spawns only the transaction's own process: every N-way wait
+of a round gathers through ``Replies`` callbacks.
+
+Each event bound is stated per committed transaction: the captured
+``events_processed`` divided by the pin's ``committed``, compared in integers
+(by cross-multiplying).  So a fidelity fix that commits more in the same
+simulated time is judged per unit of work, not by its total event count.
 """
 
 import pytest
@@ -24,7 +29,7 @@ from repro.plugins import system_plugins
 from repro.sim._kernel.process import Process
 from repro.workloads.arrivals import ArrivalConfig
 from repro.workloads.ycsb import YCSBConfig
-from tests.bench.pins import assert_pinned
+from tests.bench.pins import assert_pinned, load_pins
 
 
 def _config(name: str, system: str) -> ExperimentConfig:
@@ -45,8 +50,8 @@ def _config(name: str, system: str) -> ExperimentConfig:
         arrival=ArrivalConfig(process="poisson", rate_tps=400.0, max_clients=32))
 
 
-#: pin -> the parent commit's ``events_processed``, which the run must now
-#: stay strictly below.
+#: pin -> the ``events_processed`` captured on the commit before the change;
+#: per committed transaction, the run must now stay strictly below it.
 FEWER_EVENTS_THAN = {
     "hot_path.ycsb_contended.ssp": 1663,
     "hot_path.ycsb_contended.geotp": 5619,
@@ -57,8 +62,8 @@ FEWER_EVENTS_THAN = {
     # Captured while ScalarDB+ spawned a process per read batch.
     "hot_path.ycsb_contended.scalardb_plus": 44611,
 }
-#: pin -> ``events_processed`` while the key-value verbs were processes,
-#: which the run may not exceed.
+#: pin -> ``events_processed`` while the key-value verbs were processes; per
+#: committed transaction, the run may not exceed it.
 NO_MORE_EVENTS_THAN = {
     "hot_path.open_overload.scalardb_plus": 59097,
     "hot_path.ycsb_contended.scalardb": 14638,
@@ -85,6 +90,14 @@ def contended_runs():
     return summaries, spawned
 
 
+def _per_commit(pin, summary, captured_events):
+    """The run's events per commit and ``captured_events`` per the pin's
+    ``committed``, each multiplied by both commit counts: integers that
+    compare exactly as the two ratios do."""
+    return (summary.events_processed * load_pins()[pin]["committed"],
+            captured_events * summary.committed)
+
+
 def _pinned_run(pin, request):
     _, name, system = pin.split(".")
     if name == "ycsb_contended":
@@ -96,14 +109,16 @@ def _pinned_run(pin, request):
 def test_outcome_equals_the_parents_with_fewer_events(pin, request):
     summary = _pinned_run(pin, request)
     assert_pinned(pin, reduce(summary))
-    assert summary.events_processed < FEWER_EVENTS_THAN[pin]
+    run, captured = _per_commit(pin, summary, FEWER_EVENTS_THAN[pin])
+    assert run < captured
 
 
 @pytest.mark.parametrize("pin", list(NO_MORE_EVENTS_THAN))
 def test_kv_verb_timers_keep_the_outcome_and_add_no_event(pin, request):
     summary = _pinned_run(pin, request)
     assert_pinned(pin, reduce(summary))
-    assert summary.events_processed <= NO_MORE_EVENTS_THAN[pin]
+    run, captured = _per_commit(pin, summary, NO_MORE_EVENTS_THAN[pin])
+    assert run <= captured
 
 
 def test_only_a_statement_batch_spawns_a_process_on_a_node(contended_runs):

@@ -11,7 +11,10 @@ per reference.
 A name can resolve while the attribute a benchmark calls on it is gone (a
 removed ``inbox.set_consumer``, say), and ``micro.run_all`` turns the
 ``AttributeError`` into a silent null metric.  So the kernel, lock, network and
-storage microbenchmarks are also run here, each on a handful of operations.
+storage microbenchmarks are also run here, each on a handful of operations, and
+so are the middleware, core and workload ones: they call the statement API
+(``all_statements``, ``Operation.rendered_sql``, ``plan_round`` on a round,
+``statement_count``), which a change of the transaction records reshapes.
 """
 
 import ast
@@ -84,6 +87,7 @@ def _micro_names(*layers):
 IMPORTED = sorted(_imported_names())
 COUNTED = _counted_functions()
 KERNEL_MICROS = _micro_names("sim_kernel", "locks", "network", "storage")
+MODEL_MICROS = _micro_names("middleware", "core", "workloads")
 
 
 @pytest.mark.parametrize("reference", sorted(set(IMPORTED) - set(KNOWN_STALE)))
@@ -129,5 +133,17 @@ def test_the_kernel_micros_are_all_found():
 
 @pytest.mark.parametrize("name", KERNEL_MICROS)
 def test_a_kernel_layer_micro_runs_on_the_current_api(ledger_micro, name):
+    bench, _operations = ledger_micro.MICROBENCHMARKS[name]
+    assert bench(20) >= 0.0
+
+
+def test_the_model_micros_are_all_found():
+    assert {"middleware.parse_ns", "middleware.plan_round_ns",
+            "workloads.ycsb_next_ns", "workloads.tpcc_next_ns"} <= set(MODEL_MICROS)
+    assert len(MODEL_MICROS) >= 8
+
+
+@pytest.mark.parametrize("name", MODEL_MICROS)
+def test_a_model_layer_micro_runs_on_the_current_api(ledger_micro, name):
     bench, _operations = ledger_micro.MICROBENCHMARKS[name]
     assert bench(20) >= 0.0

@@ -143,7 +143,7 @@ def test_shared_workload_config_keeps_per_experiment_seeds():
     assert first.config.seed == 1 and second.config.seed == 2
 
     def keys(specs):
-        return [[stmt.operation.key for stmt in spec.all_statements]
+        return [[op.key for op in spec.all_statements]
                 for spec in specs]
 
     assert keys(specs_first) != keys(specs_second)

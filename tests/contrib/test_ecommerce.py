@@ -95,9 +95,8 @@ def test_checkout_metadata_matches_the_reserved_product_homes():
             if spec.txn_type != CHECKOUT:
                 continue
             home = spec.metadata["home_node"]
-            reserved = [stmt.operation.key for stmt in spec.all_statements
-                        if stmt.operation.table == "products"
-                        and stmt.operation.op_type.name == "UPDATE"]
+            reserved = [op.key for op in spec.all_statements
+                        if op.table == "products" and op.op_type.name == "UPDATE"]
             assert reserved, "a checkout must reserve stock"
             expected = any(key % node_count != home for key in reserved)
             assert spec.metadata["distributed"] == expected

@@ -17,7 +17,6 @@ from repro.core import GeoAgent, GeoTPConfig, GeoTPCoordinator
 from repro.middleware import (
     ModuloPartitioner,
     ParticipantHandle,
-    Statement,
     TransactionSpec,
     TwoPhaseCommitCoordinator,
 )
@@ -287,8 +286,8 @@ def test_geotp_multi_round_transaction_prepares_participants_not_in_final_round(
     env, net, dm, datasources, agents = build_geotp_cluster(rtts=(10.0, 100.0))
     # Round 1 touches ds0 and ds1; round 2 only ds0: ds1 must still prepare.
     spec = TransactionSpec(rounds=[
-        [Statement(operation=update(0)), Statement(operation=update(1))],
-        [Statement(operation=update(2))],
+        [update(0), update(1)],
+        [update(2)],
     ])
     result = run_txn(env, dm, spec)
     assert result.outcome is TxnOutcome.COMMITTED

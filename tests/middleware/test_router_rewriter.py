@@ -12,7 +12,6 @@ from repro.common import Operation, OpType
 from repro.middleware import (
     ModuloPartitioner,
     Rewriter,
-    Statement,
     TableAwarePartitioner,
     WarehousePartitioner,
 )
@@ -152,20 +151,20 @@ def test_table_aware_partitioner_delegates_per_table():
     assert combined.locate("usertable", 3) == "ds3"
 
 
-def statements_for(keys, write=True):
+def operations_for(keys, write=True):
     op_type = OpType.UPDATE if write else OpType.READ
-    return [Statement(operation=Operation(op_type=op_type, table="usertable",
-                                          key=key, value=key)) for key in keys]
+    return [Operation(op_type=op_type, table="usertable", key=key, value=key)
+            for key in keys]
 
 
 def test_rewriter_groups_by_datasource():
     rewriter = Rewriter(ModuloPartitioner(NODES))
-    statements = statements_for([0, 1, 4, 5])
-    plans = rewriter.plan_round(statements)
+    operations = operations_for([0, 1, 4, 5])
+    plans = rewriter.plan_round(operations)
     assert set(plans) == {"ds0", "ds1"}
     assert [op.key for op in plans["ds0"].operations] == [0, 4]
     assert [op.key for op in plans["ds1"].operations] == [1, 5]
-    assert plans["ds0"].operations[1] is statements[2].operation
+    assert plans["ds0"].operations[1] is operations[2]
     for plan in plans.values():     # the two lists stay parallel
         assert plan.record_ids == [("usertable", op.key) for op in plan.operations]
         assert all(rid is op.record_id
@@ -174,5 +173,5 @@ def test_rewriter_groups_by_datasource():
 
 def test_rewriter_plans_in_first_use_order():
     rewriter = Rewriter(ModuloPartitioner(NODES))
-    plans = rewriter.plan_round(statements_for([2, 0, 6, 1]))
+    plans = rewriter.plan_round(operations_for([2, 0, 6, 1]))
     assert list(plans) == ["ds2", "ds0", "ds1"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from repro.common import Operation, OpType
-from repro.middleware import ParseError, SqlParser, Statement, TransactionSpec
+from repro.middleware import ParseError, SqlParser, TransactionSpec
 
 
 def ops(n, write=True):
@@ -27,7 +27,6 @@ def test_operation_record_id_is_the_table_key_pair_built_once(op_type, table, ke
     op = Operation(op_type, table, key, value, hot)
     assert op.record_id == (op.table, op.key)
     assert op.record_id is op.record_id                 # cached, not rebuilt
-    assert Statement(operation=op).record_id is op.record_id
     # The cached id is derived state: it takes no part in equality or repr.
     assert op == Operation(op_type=op_type, table=table, key=key, value=value,
                            is_hot_hint=hot)
@@ -43,8 +42,8 @@ def test_operation_record_id_is_the_table_key_pair_built_once(op_type, table, ke
 def test_spec_record_ids_are_the_operations_own_tuples():
     spec = TransactionSpec.from_operations(ops(4), rounds=2)
     assert spec.record_ids() == [("usertable", i) for i in range(4)]
-    assert all(rid is stmt.operation.record_id
-               for rid, stmt in zip(spec.record_ids(), spec.all_statements))
+    assert all(rid is op.record_id
+               for rid, op in zip(spec.record_ids(), spec.all_statements))
     assert spec.record_ids() is spec.record_ids()
 
 
@@ -60,7 +59,7 @@ def test_from_operations_single_round():
     spec = TransactionSpec.from_operations(operations)
     assert spec.round_count == 1
     assert spec.statement_count == 5
-    assert [stmt.operation for stmt in spec.rounds[0]] == operations
+    assert spec.rounds[0] == operations
 
 
 def test_from_operations_multiple_rounds_split_evenly():
@@ -74,11 +73,10 @@ def test_from_operations_rounds_capped_by_operation_count():
     assert spec.round_count == 2
 
 
-def test_spec_record_ids_and_tables():
+def test_spec_record_ids_in_order():
     spec = TransactionSpec.from_operations(ops(3))
     assert spec.record_ids() == [("usertable", 0), ("usertable", 1), ("usertable", 2)]
     assert spec.record_ids() is spec.record_ids()   # built once, shared
-    assert spec.tables() == {"usertable"}
 
 
 def test_statement_count_counts_every_round():
@@ -86,17 +84,20 @@ def test_statement_count_counts_every_round():
     assert spec.statement_count == len(spec.all_statements) == 5
 
 
-def test_statement_rendered_sql_synthesised():
-    read = Statement(operation=Operation(op_type=OpType.READ, table="t", key="k"))
-    write = Statement(operation=Operation(op_type=OpType.UPDATE, table="t", key="k", value=3))
-    assert "SELECT" in read.rendered_sql()
-    assert "UPDATE" in write.rendered_sql()
+def test_operation_rendered_sql_parses_back():
+    read = Operation(op_type=OpType.READ, table="t", key="k")
+    write = Operation(op_type=OpType.UPDATE, table="t", key="k", value="v")
+    assert read.rendered_sql().startswith("SELECT")
+    assert write.rendered_sql().startswith("UPDATE")
+    parser = SqlParser()
+    for op in (read, write):
+        assert parser.parse_statement(op.rendered_sql()).operation == op
 
 
 def test_parser_select():
     parsed = SqlParser().parse_statement("SELECT value FROM usertable WHERE key = 42;")
     assert parsed.kind == "dml"
-    op = parsed.statement.operation
+    op = parsed.operation
     assert op.op_type is OpType.READ
     assert op.table == "usertable"
     assert op.key == 42
@@ -105,13 +106,13 @@ def test_parser_select():
 def test_parser_select_quoted_key_and_for_share():
     parsed = SqlParser().parse_statement(
         "SELECT bal FROM savings WHERE name = 'Alice' FOR SHARE;")
-    assert parsed.statement.operation.key == "Alice"
+    assert parsed.operation.key == "Alice"
 
 
 def test_parser_update():
     parsed = SqlParser().parse_statement(
         "UPDATE savings SET bal = 100 WHERE name = 'Bob';")
-    op = parsed.statement.operation
+    op = parsed.operation
     assert op.op_type is OpType.UPDATE
     assert op.key == "Bob"
     assert op.value == 100
@@ -120,7 +121,7 @@ def test_parser_update():
 def test_parser_insert():
     parsed = SqlParser().parse_statement(
         "INSERT INTO orders (o_id, amount) VALUES (7, 19.5);")
-    op = parsed.statement.operation
+    op = parsed.operation
     assert op.op_type is OpType.WRITE
     assert op.key == 7
     assert op.value == {"amount": 19.5}
@@ -149,7 +150,7 @@ def test_parse_transaction_block():
     ]
     spec = SqlParser().parse_transaction(sql, txn_type="transfer")
     assert spec.statement_count == 2
-    assert [stmt.operation.key for stmt in spec.rounds[0]] == ["Alice", "Bob"]
+    assert [op.key for op in spec.rounds[0]] == ["Alice", "Bob"]
     assert spec.txn_type == "transfer"
 
 

@@ -68,7 +68,7 @@ def test_xa_rollback_discards_buffered_write():
     assert ds.transactions["x2"].state is TxnState.ABORTED
 
 
-def test_read_returns_committed_value_and_result_latency_accounts_cost():
+def test_a_read_batch_locks_its_record_and_result_latency_accounts_cost():
     env, net, ds, client = make_datasource(rtt_ms=20)
     ds.load_table("usertable", {"key": "value"})
     collected = {}
@@ -81,7 +81,7 @@ def test_read_returns_committed_value_and_result_latency_accounts_cost():
     env.run()
     result = collected["result"]
     assert result.success
-    assert result.results[0].value == "value"
+    assert ds.lock_manager.locks_held("x3") == {("usertable", "key")}
     assert result.local_execution_ms > 0
     assert ("usertable", "key") in result.records
 
@@ -122,7 +122,7 @@ def test_result_records_are_the_batch_distinct_ids_in_first_touch_order():
     env.process(coordinator())
     env.run()
     result = collected["result"]
-    assert result.success and len(result.results) == 5
+    assert result.success and ds.stats.operations_executed == 5
     assert result.records == [("usertable", "b"), ("usertable", "a"),
                               ("usertable", "c")]
     # The very tuples the operations carry; the lock table keys on them too.

@@ -20,8 +20,8 @@ def _workload(**overrides) -> SmallBankWorkload:
 
 def _touched_nodes(workload, spec):
     partitioner = workload.make_partitioner()
-    return {partitioner.locate(stmt.operation.table, stmt.operation.key)
-            for stmt in spec.all_statements}
+    return {partitioner.locate(op.table, op.key)
+            for op in spec.all_statements}
 
 
 def test_initial_data_loads_savings_and_checking_per_node():
@@ -62,8 +62,8 @@ def test_default_mix_is_read_heavy():
     workload = _workload(seed=1)
     reads = writes = 0
     for _ in range(500):
-        for stmt in workload.next_transaction().all_statements:
-            if stmt.operation.op_type is OpType.READ:
+        for op in workload.next_transaction().all_statements:
+            if op.op_type is OpType.READ:
                 reads += 1
             else:
                 writes += 1
@@ -73,8 +73,8 @@ def test_default_mix_is_read_heavy():
 def test_same_seed_reproduces_the_exact_transaction_stream():
     def stream(seed):
         workload = _workload(seed=seed)
-        return [[(s.operation.op_type, s.operation.table, s.operation.key)
-                 for s in workload.next_transaction().all_statements]
+        return [[(op.op_type, op.table, op.key)
+                 for op in workload.next_transaction().all_statements]
                 for _ in range(50)]
 
     assert stream(7) == stream(7)
@@ -86,7 +86,7 @@ def test_two_account_transactions_use_distinct_accounts():
                          mix={"send_payment": 0.5, "amalgamate": 0.5})
     for _ in range(200):
         spec = workload.next_transaction()
-        accounts = {stmt.operation.key for stmt in spec.all_statements}
+        accounts = {op.key for op in spec.all_statements}
         assert len(accounts) == 2
 
 

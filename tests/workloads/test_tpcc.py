@@ -79,7 +79,7 @@ def test_payment_distributed_ratio_controls_cross_node_access():
 def test_new_order_touches_item_stock_and_orderline():
     workload = make_workload(mix={"new_order": 1.0}, distributed_ratio=0.0)
     spec = workload.next_transaction()
-    tables = spec.tables()
+    tables = {op.table for op in spec.all_statements}
     assert {"warehouse", "district", "customer", "order", "neworder",
             "item", "stock", "orderline"} <= tables
     assert spec.statement_count >= 5 + 3 * 5  # header + at least 5 order lines
@@ -91,8 +91,8 @@ def test_new_order_distributed_uses_remote_node_stock():
     spec = workload.next_transaction()
     home = spec.metadata["warehouse"]
     home_node = partitioner.node_for_warehouse(home)
-    stock_nodes = {partitioner.locate("stock", stmt.operation.key)
-                   for stmt in spec.all_statements if stmt.operation.table == "stock"}
+    stock_nodes = {partitioner.locate("stock", op.key)
+                   for op in spec.all_statements if op.table == "stock"}
     assert spec.metadata["distributed"]
     assert any(node != home_node for node in stock_nodes)
 
@@ -102,14 +102,14 @@ def test_read_only_transactions_are_centralized_and_read_only():
     for _ in range(20):
         spec = workload.next_transaction()
         assert not spec.metadata["distributed"]
-        assert all(not stmt.operation.is_write for stmt in spec.all_statements)
+        assert all(not op.is_write for op in spec.all_statements)
 
 
 def test_delivery_covers_every_district():
     workload = make_workload(mix={"delivery": 1.0})
     spec = workload.next_transaction()
-    districts = {stmt.operation.key[1] for stmt in spec.all_statements
-                 if stmt.operation.table == "neworder"}
+    districts = {op.key[1] for op in spec.all_statements
+                 if op.table == "neworder"}
     assert districts == set(range(1, DISTRICTS_PER_WAREHOUSE + 1))
 
 
@@ -124,8 +124,8 @@ def test_a_spec_spans_data_sources_exactly_when_marked_distributed():
     mismarked = []
     for _ in range(300):
         spec = workload.next_transaction()
-        nodes = {partitioner.locate(stmt.operation.table, stmt.operation.key)
-                 for stmt in spec.all_statements}
+        nodes = {partitioner.locate(op.table, op.key)
+                 for op in spec.all_statements}
         if (len(nodes) > 1) != spec.metadata["distributed"]:
             mismarked.append((spec.txn_type, sorted(nodes)))
     assert mismarked == []

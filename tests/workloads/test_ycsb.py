@@ -20,7 +20,7 @@ def make_workload(**overrides):
 def participants_of(workload, spec):
     partitioner = workload.make_partitioner()
     return {partitioner.locate(op.table, op.key)
-            for op in (stmt.operation for stmt in spec.all_statements)}
+            for op in spec.all_statements}
 
 
 def test_rejects_invalid_configuration():
@@ -72,17 +72,17 @@ def test_distributed_ratio_is_roughly_respected():
 def test_read_ratio_controls_operation_mix():
     workload = make_workload(read_ratio=1.0)
     spec = workload.next_transaction()
-    assert all(stmt.operation.op_type is OpType.READ for stmt in spec.all_statements)
+    assert all(op.op_type is OpType.READ for op in spec.all_statements)
     workload = make_workload(read_ratio=0.0)
     spec = workload.next_transaction()
-    assert all(stmt.operation.is_write for stmt in spec.all_statements)
+    assert all(op.is_write for op in spec.all_statements)
 
 
 def test_keys_within_transaction_are_distinct():
     workload = make_workload(skew=1.5)
     for _ in range(50):
         spec = workload.next_transaction()
-        keys = [stmt.operation.key for stmt in spec.all_statements]
+        keys = [op.key for op in spec.all_statements]
         assert len(keys) == len(set(keys))
 
 
@@ -108,8 +108,8 @@ def test_the_ledgers_preload_spelling_still_loads_every_row():
 def test_same_seed_gives_same_transaction_stream():
     a = make_workload(seed=5)
     b = make_workload(seed=5)
-    keys_a = [stmt.operation.key for stmt in a.next_transaction().all_statements]
-    keys_b = [stmt.operation.key for stmt in b.next_transaction().all_statements]
+    keys_a = [op.key for op in a.next_transaction().all_statements]
+    keys_b = [op.key for op in b.next_transaction().all_statements]
     assert keys_a == keys_b
 
 
@@ -121,10 +121,10 @@ def test_high_skew_concentrates_accesses():
         hits = 0
         total = 0
         for _ in range(200):
-            for stmt in workload.next_transaction().all_statements:
+            for op in workload.next_transaction().all_statements:
                 total += 1
                 # local sequence = key // node_count
-                if stmt.operation.key // len(NODES) < 10:
+                if op.key // len(NODES) < 10:
                     hits += 1
         return hits / total
 
@@ -142,9 +142,9 @@ def test_property_generated_specs_are_well_formed(ratio, skew, length):
     spec = workload.next_transaction()
     assert spec.statement_count == length
     partitioner = workload.make_partitioner()
-    for stmt in spec.all_statements:
-        assert 0 <= stmt.operation.key < 500 * len(NODES)
-        assert partitioner.locate("usertable", stmt.operation.key) in NODES
+    for op in spec.all_statements:
+        assert 0 <= op.key < 500 * len(NODES)
+        assert partitioner.locate("usertable", op.key) in NODES
 
 
 def spec_stream_digest(config, count=2_000):
@@ -154,8 +154,8 @@ def spec_stream_digest(config, count=2_000):
     for _ in range(count):
         spec = workload.next_transaction()
         digest.update(repr((sorted(spec.metadata.items()), [
-            [(s.operation.op_type.name, s.operation.key, s.operation.value)
-             for s in statements] for statements in spec.rounds])).encode())
+            [(op.op_type.name, op.key, op.value)
+             for op in statements] for statements in spec.rounds])).encode())
     return digest.hexdigest()
 
 
