@@ -11,7 +11,8 @@ states are finalised asynchronously.
 Consequences the paper highlights and this model reproduces:
 
 * all concurrency control work is concentrated in the middleware node, whose
-  bounded executor (``coordinator_slots``) caps scalability;
+  bounded executor (``coordinator_slots``, a free-slot count and a FIFO queue
+  of waiters) caps scalability;
 * conflicts are discovered only at prepare time, so skewed workloads abort a
   lot — and every retry still pays the WAN round trips;
 * there is no latency awareness at all.
@@ -19,13 +20,14 @@ Consequences the paper highlights and this model reproduces:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Hashable, Optional, Tuple
 
 from repro.common import COSTS, AbortReason, Operation, TxnOutcome
 from repro import protocol
 from repro.middleware.context import TransactionContext, TransactionPhase
 from repro.middleware.middleware import MiddlewareBase, Replies
-from repro.sim import Resource
+from repro.sim import Event
 from repro.plugins import SystemPlugin, register_system
 
 RecordId = Tuple[str, Hashable]
@@ -48,30 +50,55 @@ class ScalarDBCoordinator(MiddlewareBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._executor = Resource(self.env, capacity=self.coordinator_slots)
+        #: The executor: free slots, and the transactions waiting for one in
+        #: arrival order (each wakes when a release hands it its slot).
+        self._free_slots = self.coordinator_slots
+        self._slot_waiters: Deque[Event] = deque()
 
     # ------------------------------------------------------------- transaction
     def _run_transaction(self, ctx: TransactionContext):
-        slot = self._executor.request()
+        waiter = None
+        if self._free_slots:
+            self._free_slots -= 1
+        else:
+            waiter = Event(self.env)
+            self._slot_waiters.append(waiter)
         try:
-            # Inside the try: a crash that interrupts the wait withdraws the
-            # request, so the next release cannot grant it to a dead process.
-            yield slot
+            if waiter is not None:
+                yield waiter
             if not (yield from self.admit(ctx)):
                 return TxnOutcome.ABORTED, AbortReason.ADMISSION_BLOCKED
             return (yield from self._run_occ(ctx))
         finally:
-            self._executor.release(slot)
+            if waiter is None or waiter.triggered:
+                self._release_slot()
+            else:
+                # A crash interrupted the wait: withdraw it, so the next
+                # release cannot hand the slot to a dead process.
+                self._slot_waiters.remove(waiter)
+
+    def _release_slot(self) -> None:
+        """Hand the freed slot to the longest waiter, or put it back."""
+        if self._slot_waiters:
+            self._slot_waiters.popleft().succeed()
+        else:
+            self._free_slots += 1
 
     def _run_occ(self, ctx: TransactionContext):
         ctx.enter_phase(TransactionPhase.EXECUTION, self.env.now)
         read_images: Dict[RecordId, Tuple[Any, int]] = {}
         write_set: Dict[RecordId, Operation] = {}
+        # Each record's data source, as the round plans routed it.
+        homes: Dict[RecordId, str] = {}
 
         for operations in ctx.spec.rounds:
-            for operation in operations:
-                ctx.touch(self.partitioner.locate(operation.table, operation.key))
-            images = yield from self._execute_round_ops(ctx, operations)
+            plans = self.rewriter.plan_round(operations)
+            for name, plan in plans.items():
+                ctx.touch(name)
+                for record_id in plan.record_ids:
+                    homes[record_id] = name
+            images = yield from self._execute_round_ops(ctx, operations, plans,
+                                                        homes)
             if images is None:
                 return TxnOutcome.ABORTED, AbortReason.UNAVAILABLE
             read_images.update(images)
@@ -81,7 +108,7 @@ class ScalarDBCoordinator(MiddlewareBase):
 
         # Prepare: conditional writes; any version conflict aborts the transaction.
         ctx.enter_phase(TransactionPhase.PREPARE, self.env.now)
-        ok = yield from self._prepare_writes(ctx, write_set, read_images)
+        ok = yield from self._prepare_writes(write_set, read_images, homes)
         if not ok:
             return TxnOutcome.ABORTED, AbortReason.PREPARE_FAILED
 
@@ -89,22 +116,23 @@ class ScalarDBCoordinator(MiddlewareBase):
         yield COSTS.scalardb_state_write_ms
         yield COSTS.log_flush_ms
         ctx.enter_phase(TransactionPhase.COMMIT, self.env.now)
-        self._finalize_async(ctx, write_set)
+        self._finalize_async(write_set, homes)
         return TxnOutcome.COMMITTED, None
 
     # ----------------------------------------------------------------- phases
-    def _execute_round_ops(self, ctx: TransactionContext, operations):
-        """Read one round's records (their images); ``None`` once refused.
+    def _execute_round_ops(self, ctx: TransactionContext, operations, plans,
+                           homes: Dict[RecordId, str]):
+        """Read one round's records (their images), each from its data source
+        in ``homes``; ``None`` once refused.
 
-        ScalarDB's client library issues storage operations one at a time —
-        every read (and the version-establishing read of every write) is its
-        own WAN round trip — which is the main reason the paper finds it slow
-        and unscalable in geo-distributed deployments.
+        ScalarDB's client library issues storage operations one at a time, in
+        statement order — every read (and the version-establishing read of
+        every write) is its own WAN round trip — which is the main reason the
+        paper finds it slow and unscalable in geo-distributed deployments.
         """
         images: Dict[RecordId, Tuple[Any, int]] = {}
         for operation in operations:
-            participant = self.partitioner.locate(operation.table, operation.key)
-            handle = self.participants[participant]
+            handle = self.participants[homes[operation.record_id]]
             reply = yield self.request_participant(handle, protocol.MSG_KV_GET, {
                 "table": operation.table, "key": operation.key})
             image = _read_image(reply)
@@ -113,17 +141,16 @@ class ScalarDBCoordinator(MiddlewareBase):
             images[operation.record_id] = image
         return images
 
-    def _prepare_writes(self, ctx: TransactionContext,
-                        write_set: Dict[RecordId, Operation],
-                        read_images: Dict[RecordId, Tuple[Any, int]]):
+    def _prepare_writes(self, write_set: Dict[RecordId, Operation],
+                        read_images: Dict[RecordId, Tuple[Any, int]],
+                        homes: Dict[RecordId, str]):
         if not write_set:
             return True
         puts = Replies(self.env, len(write_set))
         for index, (record_id, operation) in enumerate(write_set.items()):
-            participant = self.partitioner.locate(operation.table, operation.key)
-            handle = self.participants[participant]
             puts.watch(index, self.request_participant(
-                handle, protocol.MSG_KV_PUT_IF_VERSION, {
+                self.participants[homes[record_id]],
+                protocol.MSG_KV_PUT_IF_VERSION, {
                     "table": operation.table,
                     "key": operation.key,
                     "value": operation.value,
@@ -139,23 +166,22 @@ class ScalarDBCoordinator(MiddlewareBase):
                                                      landed):
             if ok:
                 value, version = read_images[record_id]
-                self.send_participant(self.participants[self.partitioner.locate(
-                    operation.table, operation.key)],
+                self.send_participant(
+                    self.participants[homes[record_id]],
                     protocol.MSG_KV_PUT_IF_VERSION, {
                         "table": operation.table, "key": operation.key,
                         "value": value, "expected_version": reply["version"],
                         "restore_version": version})
         return False
 
-    def _finalize_async(self, ctx: TransactionContext,
-                        write_set: Dict[RecordId, Operation]) -> None:
+    def _finalize_async(self, write_set: Dict[RecordId, Operation],
+                        homes: Dict[RecordId, str]) -> None:
         """Record-state finalisation happens off the client's critical path."""
-        for operation in write_set.values():
-            participant = self.partitioner.locate(operation.table, operation.key)
-            handle = self.participants[participant]
-            self.send_participant(handle, protocol.MSG_KV_PUT, {
-                "table": operation.table, "key": operation.key,
-                "value": operation.value})
+        for record_id, operation in write_set.items():
+            self.send_participant(self.participants[homes[record_id]],
+                                  protocol.MSG_KV_PUT, {
+                                      "table": operation.table, "key": operation.key,
+                                      "value": operation.value})
 
 
 # ------------------------------------------------------------------- plugin

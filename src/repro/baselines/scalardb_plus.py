@@ -9,14 +9,15 @@ blocks transactions that are very likely to fail validation on hot records.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import chain
+from typing import Dict
 
 from repro import protocol
 from repro.baselines.scalardb import ScalarDBCoordinator, _read_image
-from repro.common import Operation
 from repro.core.geotp import LatencyAwareMixin
 from repro.middleware.context import TransactionContext
 from repro.middleware.middleware import Replies
+from repro.middleware.rewriter import SubtransactionPlan
 from repro.plugins import SystemPlugin, register_system
 
 
@@ -25,7 +26,8 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
 
     system_name = "ScalarDB+"
 
-    def _execute_round_ops(self, ctx: TransactionContext, operations):
+    def _execute_round_ops(self, ctx: TransactionContext, operations,
+                           plans: Dict[str, SubtransactionPlan], homes):
         """Latency-aware execution: per-participant batches, postponed per Eq. (3).
 
         ScalarDB+ replaces the one-operation-at-a-time storage access of plain
@@ -34,37 +36,38 @@ class ScalarDBPlusCoordinator(LatencyAwareMixin, ScalarDBCoordinator):
         which both shortens the transaction and narrows the window in which
         optimistic validation conflicts accumulate.
         """
-        by_participant: Dict[str, List[Operation]] = {}
-        for operation in operations:
-            participant = self.partitioner.locate(operation.table, operation.key)
-            by_participant.setdefault(participant, []).append(operation)
-        delays = self.postponements({
-            name: [op.record_id for op in ops]
-            for name, ops in by_participant.items()})
+        delays = self.postponements(
+            {name: plan.record_ids for name, plan in plans.items()})
         reads = Replies(self.env, len(operations))
-        in_slot_order: List[Operation] = []
-        for name, ops in by_participant.items():
+        first = 0
+        for name, plan in plans.items():
             delay_ms = delays.get(name, 0.0)
             if delay_ms > 0:
-                self.env.call_at(delay_ms, self._send_reads, reads,
-                                 len(in_slot_order), name, ops)
+                self.env.call_at(delay_ms, self._send_reads, ctx, reads, first,
+                                 plan)
             else:
-                self._send_reads(reads, len(in_slot_order), name, ops)
-            in_slot_order.extend(ops)
+                self._send_reads(ctx, reads, first, plan)
+            first += len(plan.operations)
         replies = yield reads.done
+        in_slot_order = chain.from_iterable(
+            plan.record_ids for plan in plans.values())
         images = {}
-        for operation, reply in zip(in_slot_order, replies):
+        for record_id, reply in zip(in_slot_order, replies):
             image = _read_image(reply)
             if image is None:
                 return None
-            images[operation.record_id] = image
+            images[record_id] = image
         return images
 
-    def _send_reads(self, reads: Replies, first: int, participant: str,
-                    operations: List[Operation]) -> None:
-        """Send one participant's reads; they fill ``reads`` from slot ``first``."""
-        handle = self.participants[participant]
-        for index, operation in enumerate(operations, first):
+    def _send_reads(self, ctx: TransactionContext, reads: Replies, first: int,
+                    plan: SubtransactionPlan) -> None:
+        """Send one plan's reads; they fill ``reads`` from slot ``first``."""
+        if ctx.txn_id not in self.active_contexts:
+            # Fenced: the coordinator crashed while this batch waited out its
+            # postponement (a crash clears ``active_contexts``).  Send nothing.
+            return
+        handle = self.participants[plan.datasource]
+        for index, operation in enumerate(plan.operations, first):
             reads.watch(index, self.request_participant(
                 handle, protocol.MSG_KV_GET,
                 {"table": operation.table, "key": operation.key}))

@@ -439,7 +439,7 @@ register(ScenarioSpec(
 
 register(ScenarioSpec(
     name="fig6_breakdown",
-    description="Resource proxies and per-phase latency breakdown (Fig. 6)",
+    description="CPU and memory proxies and per-phase latency breakdown (Fig. 6)",
     base=_base(),
     axes=(Axis("system", ("ssp", "geotp")),),
 ))

@@ -1,4 +1,4 @@
-"""Resource-usage accounting (the Figure 6a/6b substitute).
+"""Accounting of resource usage (the Figure 6a/6b substitute).
 
 The paper measures CPU utilisation and resident memory of the middleware
 process.  Neither is meaningful inside a discrete-event simulator, so the

@@ -13,7 +13,6 @@ from repro.middleware.parser import ParseError, SqlParser
 from repro.middleware.router import (
     ModuloPartitioner,
     Partitioner,
-    TableAwarePartitioner,
     WarehousePartitioner,
 )
 from repro.middleware.rewriter import Rewriter, SubtransactionPlan
@@ -30,7 +29,6 @@ __all__ = [
     "Rewriter",
     "SqlParser",
     "SubtransactionPlan",
-    "TableAwarePartitioner",
     "TransactionContext",
     "TransactionPhase",
     "TransactionSpec",

@@ -10,8 +10,9 @@ record.  Two partitioners cover the paper's workloads:
   warehouse id (the first element of the composite key); the ``item`` table is
   replicated everywhere and read locally.
 
-:class:`TableAwarePartitioner` composes per-table rules when the two schemes
-must coexist.
+Routing happens once per operation, in :meth:`Rewriter.plan_round
+<repro.middleware.rewriter.Rewriter.plan_round>`, the one caller of
+:meth:`Partitioner.locate`.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class Partitioner:
     def locate(self, table: str, key: Hashable) -> str:
         """Name of the data source holding (table, key)."""
         raise NotImplementedError
-
-    def node_index(self, table: str, key: Hashable) -> int:
-        """Index (0-based) of the data source holding (table, key)."""
-        return self.datasource_names.index(self.locate(table, key))
 
 
 class ModuloPartitioner(Partitioner):
@@ -122,15 +119,3 @@ class WarehousePartitioner(Partitioner):
         start = node_index * self.warehouses_per_node + 1
         return range(start, start + self.warehouses_per_node)
 
-
-class TableAwarePartitioner(Partitioner):
-    """Delegates to a per-table partitioner, with a default fallback."""
-
-    def __init__(self, datasource_names: Sequence[str],
-                 per_table: Dict[str, Partitioner], default: Partitioner):
-        super().__init__(datasource_names)
-        self.per_table = dict(per_table)
-        self.default = default
-
-    def locate(self, table: str, key: Hashable) -> str:
-        return self.per_table.get(table, self.default).locate(table, key)

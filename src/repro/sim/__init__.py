@@ -2,8 +2,8 @@
 
 This package provides the simulated substrate on which every other component of
 the GeoTP reproduction runs: the kernel in :mod:`repro.sim._kernel` — an event
-loop with a virtual millisecond clock, generator-based processes, events,
-resources and the 2PL lock manager — a point-to-point network model with
+loop with a virtual millisecond clock, generator-based processes, events and
+the 2PL lock manager — a point-to-point network model with
 pluggable latency distributions (:mod:`repro.sim.network`,
 :mod:`repro.sim.latency`) and seeded random number utilities
 (:mod:`repro.sim.rng`).  This package is the kernel's public face: code outside
@@ -17,7 +17,6 @@ event fires.  All timestamps are floats in simulated milliseconds.
 from repro.sim._kernel.environment import EmptySchedule, Environment
 from repro.sim._kernel.events import Event, Interrupt, Timeout
 from repro.sim._kernel.process import Process
-from repro.sim._kernel.resources import Resource, ResourceRequest
 from repro.sim.latency import (
     ConstantLatency,
     DynamicLatency,
@@ -49,8 +48,6 @@ __all__ = [
     "NetworkInterface",
     "Process",
     "RandomLatency",
-    "Resource",
-    "ResourceRequest",
     "SeededRNG",
     "Timeout",
     "ZipfianGenerator",

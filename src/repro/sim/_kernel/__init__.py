@@ -1,9 +1,9 @@
 """The simulation kernel.
 
 This package holds the hot kernel of the discrete-event engine — events,
-processes, the environment dispatch loop, resources and the 2PL lock
-manager — as fully annotated Python with explicit ``__slots__`` and only
-relative imports between its modules.
+processes, the environment dispatch loop and the 2PL lock manager — as
+fully annotated Python with explicit ``__slots__`` and only relative imports
+between its modules.
 
 Code outside :mod:`repro.sim` imports the kernel classes from
 :mod:`repro.sim` (the lock-manager names from
@@ -11,6 +11,6 @@ Code outside :mod:`repro.sim` imports the kernel classes from
 them from here, which keeps the package's own initialisation free of cycles.
 """
 
-from repro.sim._kernel import environment, events, locks, process, resources
+from repro.sim._kernel import environment, events, locks, process
 
-__all__ = ["environment", "events", "locks", "process", "resources"]
+__all__ = ["environment", "events", "locks", "process"]

@@ -164,6 +164,56 @@ def test_scalardb_executor_slots_bound_concurrency(monkeypatch):
     assert abs(finish_times[1] - finish_times[0]) > 15
 
 
+def test_scalardb_executor_hands_its_slot_over_in_submission_order(monkeypatch):
+    monkeypatch.setattr(ScalarDBCoordinator, "coordinator_slots", 1)
+    env, dm, datasources = build(ScalarDBCoordinator)
+    finished = []
+
+    def client(name, key):
+        result = yield dm.submit(TransactionSpec.from_operations([update(key)]))
+        finished.append((name, result.outcome))
+
+    for name, key in (("first", 0), ("second", 2), ("third", 4)):
+        env.process(client(name, key))
+    env.run()
+    # A last-in-first-out hand-over would finish the third before the second.
+    assert finished == [("first", TxnOutcome.COMMITTED),
+                        ("second", TxnOutcome.COMMITTED),
+                        ("third", TxnOutcome.COMMITTED)]
+    assert dm._free_slots == 1 and not dm._slot_waiters
+
+
+def test_scalardb_executor_withdraws_a_waiter_a_crash_interrupts(monkeypatch):
+    monkeypatch.setattr(ScalarDBCoordinator, "coordinator_slots", 1)
+    env, dm, datasources = build(ScalarDBCoordinator)
+    processes = [dm.submit(TransactionSpec.from_operations([update(key)]))
+                 for key in (0, 2, 4)]
+    env.run(until=1.0)      # analysis paid: the first holds the slot, two wait
+    assert dm._free_slots == 0 and len(dm._slot_waiters) == 2
+    processes[1].interrupt("middleware crash")
+    env.run()
+    # Had the dead waiter stayed queued, the first's release would have gone
+    # to it and the third would still be waiting.
+    assert [(p.value.outcome, p.value.abort_reason) for p in processes] == [
+        (TxnOutcome.COMMITTED, None),
+        (TxnOutcome.ABORTED, AbortReason.UNAVAILABLE),
+        (TxnOutcome.COMMITTED, None)]
+    assert dm._free_slots == 1 and not dm._slot_waiters
+
+
+def test_scalardb_taking_a_free_executor_slot_adds_no_event(monkeypatch):
+    def events_of_one_transaction():
+        env, dm, datasources = build(ScalarDBCoordinator)
+        run_txn(env, dm, TransactionSpec.from_operations([update(0), update(1)]))
+        env.run()
+        return env.events_processed
+
+    with_executor = events_of_one_transaction()
+    monkeypatch.setattr(ScalarDBCoordinator, "_run_transaction",
+                        lambda self, ctx: self._run_occ(ctx))
+    assert with_executor == events_of_one_transaction()
+
+
 def test_scalardb_plus_keeps_occ_semantics_and_uses_scheduling():
     env, dm, datasources = build(ScalarDBPlusCoordinator)
     result = run_txn(env, dm, TransactionSpec.from_operations([update(0), update(1)]))

@@ -12,7 +12,6 @@ from repro.common import Operation, OpType
 from repro.middleware import (
     ModuloPartitioner,
     Rewriter,
-    TableAwarePartitioner,
     WarehousePartitioner,
 )
 
@@ -140,15 +139,6 @@ def test_the_memo_does_not_swallow_validation():
             with pytest.raises(ValueError):
                 partitioner.locate("stock", bad_key)
     assert list(partitioner._located) == [16]
-
-
-def test_table_aware_partitioner_delegates_per_table():
-    modulo = ModuloPartitioner(NODES)
-    warehouse = WarehousePartitioner(NODES, warehouses_per_node=4)
-    combined = TableAwarePartitioner(
-        NODES, per_table={"stock": warehouse}, default=modulo)
-    assert combined.locate("stock", (5, 1)) == "ds1"
-    assert combined.locate("usertable", 3) == "ds3"
 
 
 def operations_for(keys, write=True):

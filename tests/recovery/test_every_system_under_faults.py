@@ -15,8 +15,9 @@ import pytest
 
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.plugins import system_names
-from repro.recovery.failures import FaultPlan
+from repro.recovery.failures import FaultPlan, fault_window
 from repro.recovery.invariants import violations
+from repro.sim import Network
 from repro.storage.datasource import DataSource
 from repro.storage.transaction import LocalTransaction, TxnState
 
@@ -58,8 +59,8 @@ def leftovers(cluster):
     """Executor slots held or queued for, and footprint accesses not ended:
     after the drain no transaction is live, so both must be zero."""
     middlewares = cluster.middlewares
-    return {"slots": sum(m._executor.count + m._executor.queue_length
-                         for m in middlewares if hasattr(m, "_executor")),
+    return {"slots": sum(m.coordinator_slots - m._free_slots + len(m._slot_waiters)
+                         for m in middlewares if hasattr(m, "_slot_waiters")),
             "a_cnt": sum(entry.a_cnt for m in middlewares if hasattr(m, "footprint")
                          for entry in m.footprint._entries.values())}
 
@@ -95,6 +96,34 @@ def test_a_crash_frees_every_executor_slot_with_more_in_flight_than_slots(system
         assert not violations(summary.invariants)
     finally:
         summary.cluster.close()
+
+
+@pytest.mark.parametrize("system", system_names())
+def test_a_crashed_middleware_sends_nothing_while_it_is_down(monkeypatch, system):
+    # A timer armed before the crash (a postponed batch, say) must find the
+    # transaction gone and send nothing; the restart's recovery pass starts
+    # when the window closes.
+    sent = []
+    send = Network.send
+
+    def recording_send(self, message):
+        sent.append((self.env.now, message.sender, message.msg_type))
+        return send(self, message)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    duration_ms = 6_000.0
+    summary = run_experiment(ExperimentConfig(
+        system=system, terminals=32, duration_ms=duration_ms, seed=5,
+        fault_plan=FaultPlan.named("mw_crash", duration_ms)), keep_cluster=True)
+    try:
+        crashed = summary.cluster.middlewares[0].name
+    finally:
+        summary.cluster.close()
+    at_ms, down_ms = fault_window(duration_ms)
+    while_down = [(now, verb) for now, sender, verb in sent
+                  if sender == crashed and at_ms <= now < at_ms + down_ms]
+    assert summary.faults["injected"]["middleware"] == 1
+    assert while_down == []
 
 
 def test_split_decisions_flags_a_committed_and_an_aborted_branch():

@@ -1,18 +1,17 @@
-"""In-place grants: a lock or resource unit that is free costs no queue entry.
+"""In-place grants: a lock that is free costs no queue entry.
 
 ``LockManager.acquire`` answers every request it can grant at once with one
-shared, already-processed event, and ``Resource.request`` marks a request for
-a free unit processed instead of queueing it.  These tests pin the
-processed-event convention (who may rely on it is in ARCHITECTURE.md) and
-check, against a reference that pushes every request through the
-``LockRequest`` + ``Event`` path, that nothing observable moved.
+shared, already-processed event.  These tests pin the processed-event
+convention (who may rely on it is in ARCHITECTURE.md) and check, against a
+reference that pushes every request through the ``LockRequest`` + ``Event``
+path, that nothing observable moved.
 """
 
 import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Event
 from repro.sim._kernel.locks import _LockEntry
 from repro.storage.lock_manager import LockManager, LockMode, LockRequest
 
@@ -95,30 +94,6 @@ def test_the_shared_granted_event_is_never_mutated():
     again = lm.acquire("t3", "e", X)
     assert again is first
     assert (again.callbacks, again.ok, again.value, again.defused) == (None, True, 0.0, False)
-
-
-def test_free_resource_unit_is_handed_over_in_place():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-    first, second = resource.request(), resource.request()
-    assert first.processed and second.processed and first is not second
-    assert first.value is None and resource.count == 2
-    third = resource.request()
-    assert not third.triggered and resource.queue_length == 1
-    assert not env._soon and env.events_processed == 0
-
-    def user():
-        with resource.request() as req:     # queued behind ``third``
-            yield req
-            return env.now
-
-    process = env.process(user())
-    resource.release(first)
-    env.run(until=env.now)
-    assert third.processed and process.is_alive
-    resource.release(third)
-    assert env.run(until=process) == 0.0
-    assert resource.count == 1              # ``second`` is still out
 
 
 # --------------------------------------------------------------- differential
