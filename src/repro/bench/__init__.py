@@ -3,8 +3,10 @@
 The layer is one pipeline, registry scenario → :class:`SweepRunner` →
 :class:`SweepResult`, shared by the CLI, figures, examples and ``benchmarks/``:
 
-* ``scenarios`` — declarative :class:`ScenarioSpec` registry; every paper
-  figure/table is a base config plus named parameter axes;
+* ``scenarios`` — declarative :class:`ScenarioSpec` registry, the one place
+  a scenario is declared; every paper figure/table is a base config plus
+  named parameter axes, and ``spec.sweep(...)`` derives an overridden spec
+  whose ``points()`` the runner executes;
 * ``parallel`` — :class:`SweepRunner` expands a sweep and executes its points
   serially or across a process pool; ``SweepResult.get/select`` address the
   points by their params;
@@ -42,7 +44,6 @@ from repro.bench.scenarios import (
     Axis,
     ScenarioSpec,
     SweepPoint,
-    SweepSpec,
     get_scenario,
     scenario_names,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepRunner",
-    "SweepSpec",
     "format_table",
     "get_scenario",
     "print_table",

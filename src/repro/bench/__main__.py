@@ -42,6 +42,7 @@ README).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -203,34 +204,25 @@ def _make_cache(args: argparse.Namespace) -> Optional[SweepCache]:
 def _expand_sweep(args: argparse.Namespace):
     """The overridden sweep of ``args.scenario`` and its expanded points."""
     scenario = get_scenario(args.scenario)
+    # The rate is not an ExperimentConfig field: it lives on the arrival
+    # config (which only open-system scenarios carry — others fail loudly).
     overrides = {"duration_ms": args.duration_ms, "warmup_ms": args.warmup_ms,
                  "terminals": args.terminals, "seed": args.seed,
-                 "rate_tps": args.rate_tps}
-    # An override naming one of the scenario's axes (e.g. --terminals for
-    # fig5_overall, --rate-tps for load_sweep) collapses that axis to the
-    # single given value; otherwise the axis values would silently win over
-    # the base-config override.
-    axis_names = {axis.name for axis in scenario.axes}
-    axes = {name: (value,) for name, value in overrides.items()
-            if value is not None and name in axis_names}
-    base = {name: value for name, value in overrides.items()
-            if name not in axis_names}
-    if base.get("rate_tps") is not None:
-        # Not an ExperimentConfig field: the rate lives on the arrival config
-        # (which only open-system scenarios carry — others fail loudly below).
-        base["arrival__rate_tps"] = base.pop("rate_tps")
-    else:
-        base.pop("rate_tps", None)
-    sweep = scenario.sweep(axes=axes, **base)
+                 "arrival__rate_tps": args.rate_tps}
+    # An override naming one of the scenario's axes (--terminals for
+    # fig5_overall, --rate-tps for load_sweep) collapses that axis.
+    sweep = scenario.sweep(**overrides)
     # Some scenarios derive these fields per point (fig11b computes the
     # duration from its phase schedule, fig11a derives the seed from the
-    # repeat axis); tell the user instead of silently ignoring the flag.
+    # repeat axis, admission_knee the rate from the system's knee); tell the
+    # user instead of silently ignoring the flag.
     points = sweep.points()
-    for name, value in base.items():
-        if value is None or "__" in name:  # dotted overrides: no 1:1 field
+    for name, value in overrides.items():
+        if value is None:
             continue
-        if any(getattr(point.config, name) != value for point in points):
-            flag = "--" + name.replace("_", "-")
+        if any(functools.reduce(getattr, name.split("__"), point.config) != value
+               for point in points):
+            flag = "--" + name.rpartition("__")[2].replace("_", "-")
             print(f"note: {flag} is recomputed per point by scenario "
                   f"{scenario.name!r} and was ignored for some points",
                   file=sys.stderr)

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.bench.cache import SweepCache
 from repro.bench.runner import ExperimentSummary, run_experiment
-from repro.bench.scenarios import SweepPoint, SweepSpec
+from repro.bench.scenarios import ScenarioSpec, SweepPoint
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV_VAR = "REPRO_BENCH_WORKERS"
@@ -136,7 +136,7 @@ class SweepRunner:
         self.cache = cache
         self.resume = resume and cache is not None
 
-    def run(self, sweep: SweepSpec) -> SweepResult:
+    def run(self, sweep: ScenarioSpec) -> SweepResult:
         """Run every point of ``sweep`` and return the ordered results.
 
         ``SweepResult.workers`` records the worker count that actually ran the

@@ -14,10 +14,10 @@ deterministic under any scheduler).  A shifted hot set invalidates whatever
 locality the middleware has learned — the e-commerce equivalent of a product
 going viral mid-run.
 
-Like every contrib module this is a *plugin*: registering the workload and
-its scenarios requires zero edits to the cluster or bench layers, and the
-config fuzz test (``tests/recovery/test_config_fuzz.py``) draws the workload
-purely by its registry name.
+Like every contrib module this is a *plugin*: registering the workload
+requires zero edits to the cluster or bench layers, and the config fuzz test
+(``tests/recovery/test_config_fuzz.py``) draws the workload purely by its
+registry name.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, List
 from repro.common import Operation, OpType
 from repro.middleware.router import ModuloPartitioner
 from repro.middleware.statements import TransactionSpec
-from repro.plugins import WorkloadPlugin, register_scenario_hook, register_workload
+from repro.plugins import WorkloadPlugin, register_workload
 from repro.storage.engine import SharedRows
 from repro.workloads.base import Workload, WorkloadConfig
 
@@ -234,23 +234,3 @@ register_workload(WorkloadPlugin(
     factory=EcommerceWorkload,
     config_factory=EcommerceConfig,
 ))
-
-
-def _register_scenarios() -> None:
-    # Deferred: the bench layer imports the cluster layer, which loads the
-    # plugins — importing scenarios at module level would be a cycle.
-    from repro.bench.scenarios import Axis, ScenarioSpec, _base, register
-
-    register(ScenarioSpec(
-        name="ecommerce_flash_crowd",
-        description="E-commerce sessions under a moving hot-product window: "
-                    "shift period 0 (static) vs flash crowds every 2000/500 "
-                    "transactions (contrib workload)",
-        base=_base(workload="ecommerce", workload_config=EcommerceConfig()),
-        axes=(Axis("system", ("ssp", "geotp")),
-              Axis("shift_every", (0, 2_000, 500),
-                   path="workload_config.hotspot_shift_every")),
-    ))
-
-
-register_scenario_hook(_register_scenarios)

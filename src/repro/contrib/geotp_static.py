@@ -12,10 +12,10 @@ latency-aware scheduling but freezes every *adaptive* input:
 
 Comparing ``geotp_static`` against ``geotp`` under fluctuating latencies
 isolates the value of GeoTP's online adaptation from the value of its static
-latency awareness.  This module is a *plugin*: registering the system and its
-scenario requires zero edits to ``repro.cluster.deployment`` or
-``repro.bench.runner`` — the variant shows up in ``python -m repro.bench list
---systems`` purely by living in ``repro.contrib``.
+latency awareness.  This module is a *plugin*: registering the system
+requires zero edits to ``repro.cluster.deployment`` or ``repro.bench.runner``
+— the variant shows up in ``python -m repro.bench list --systems`` purely by
+living in ``repro.contrib``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.core.config import GeoTPConfig
 from repro.core.geotp import GeoTPCoordinator
-from repro.plugins import SystemPlugin, register_scenario_hook, register_system
+from repro.plugins import SystemPlugin, register_system
 
 
 class GeoTPStaticCoordinator(GeoTPCoordinator):
@@ -54,30 +54,3 @@ register_system(SystemPlugin(
     coordinator=GeoTPStaticCoordinator,
     needs_agents=True,
 ))
-
-
-def _register_scenarios() -> None:
-    # Deferred: the bench layer imports the cluster layer, which loads the
-    # plugins — importing scenarios at module level would be a cycle.
-    from repro.bench.scenarios import (
-        Axis,
-        ScenarioSpec,
-        _apply_fig11a,
-        _base,
-        register,
-    )
-
-    register(ScenarioSpec(
-        name="static_vs_adaptive",
-        description="GeoTP vs frozen-estimate GeoTP(static) under random "
-                    "latency fluctuations (contrib system variant)",
-        base=_base(),
-        axes=(Axis("system", ("geotp_static", "geotp")),
-              Axis("ratio", (0.2, 0.6)),
-              Axis("repeat", (0, 1))),
-        fixed={"max_factor": 1.5},
-        apply=_apply_fig11a,
-    ))
-
-
-register_scenario_hook(_register_scenarios)

@@ -11,8 +11,8 @@ payment, amalgamate, or multi-account balance read); otherwise every account
 it touches lives on one node.  Contention is controlled with a hot-account
 set, as in the original benchmark.
 
-This module is a *plugin*: it registers the workload and a scenario without
-any edits to ``repro.cluster.deployment`` or ``repro.bench.runner`` —
+This module is a *plugin*: it registers the workload without any edits to
+``repro.cluster.deployment`` or ``repro.bench.runner`` —
 importing it (``repro.contrib`` does so automatically) is all it takes for
 ``smallbank`` to appear in ``python -m repro.bench list --workloads``.
 """
@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 from repro.common import Operation, OpType
 from repro.middleware.router import ModuloPartitioner
 from repro.middleware.statements import TransactionSpec
-from repro.plugins import WorkloadPlugin, register_scenario_hook, register_workload
+from repro.plugins import WorkloadPlugin, register_workload
 from repro.storage.engine import SharedRows
 from repro.workloads.base import Workload, WorkloadConfig
 
@@ -206,22 +206,3 @@ register_workload(WorkloadPlugin(
     factory=SmallBankWorkload,
     config_factory=SmallBankConfig,
 ))
-
-
-def _register_scenarios() -> None:
-    # Deferred: the bench layer imports the cluster layer, which loads the
-    # plugins — importing scenarios at module level would be a cycle.
-    from repro.bench.scenarios import Axis, ScenarioSpec, _base, register
-
-    register(ScenarioSpec(
-        name="smallbank_dist_ratio",
-        description="SmallBank throughput vs distributed-payment ratio "
-                    "(contrib workload)",
-        base=_base(workload="smallbank", workload_config=SmallBankConfig()),
-        axes=(Axis("system", ("ssp", "geotp")),
-              Axis("ratio", (0.2, 0.6, 1.0),
-                   path="workload_config.distributed_ratio")),
-    ))
-
-
-register_scenario_hook(_register_scenarios)

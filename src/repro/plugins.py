@@ -31,7 +31,6 @@ Name canonicalization lives here too: :func:`normalize_system` /
 from __future__ import annotations
 
 import importlib
-import sys
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -270,30 +269,3 @@ def workload_plugins() -> List[WorkloadPlugin]:
     """Every registered workload plugin, in registration order."""
     load_plugins()
     return WORKLOADS.plugins()
-
-
-# ----------------------------------------------------------- scenario hooks
-_scenario_hooks: List[Callable[[], None]] = []
-
-
-def register_scenario_hook(hook: Callable[[], None]) -> None:
-    """Defer scenario registration until the scenario registry exists.
-
-    Plugin modules must not import ``repro.bench.scenarios`` at module level
-    (the bench layer imports the cluster layer, which loads the plugins —
-    a cycle).  Instead they pass a zero-arg hook here; the scenario module
-    drains the queue once its registry is fully initialised.  If that has
-    already happened (a plugin module imported later), the hook runs
-    immediately.
-    """
-    scenarios = sys.modules.get("repro.bench.scenarios")
-    if scenarios is not None and getattr(scenarios, "SCENARIOS_READY", False):
-        hook()
-        return
-    _scenario_hooks.append(hook)
-
-
-def drain_scenario_hooks() -> None:
-    """Run every queued scenario hook (called by ``repro.bench.scenarios``)."""
-    while _scenario_hooks:
-        _scenario_hooks.pop(0)()

@@ -55,7 +55,8 @@ class ConstantLatency(LatencyModel):
 
 
 class JitterLatency(LatencyModel):
-    """RTT with Gaussian jitter around a mean (used for the std-dev sweep, Fig. 10b)."""
+    """RTT with Gaussian jitter around a mean.  No registered scenario builds
+    one: Fig. 10b's std-dev sweep fixes RTTs at mean - std, mean, mean + std."""
 
     def __init__(self, mean_rtt_ms: float, std_ms: float = 0.0,
                  rng: Optional[SeededRNG] = None, floor_ms: float = 0.0):

@@ -18,8 +18,7 @@ import pytest
 from repro import TopologyConfig
 from repro.bench.equivalence import snapshot
 from repro.bench.runner import run_experiment
-from repro.bench.scenarios import get_scenario, scenario_names
-from repro.recovery.chaos import KNEE_TPS
+from repro.bench.scenarios import KNEE_TPS, get_scenario, scenario_names
 from repro.recovery.failures import FAULT_NAMES, FaultKind, FaultPlan
 from repro.recovery.invariants import all_passed, violations
 from repro.sim.latency import DynamicLatency

@@ -127,6 +127,14 @@ def test_override_recomputed_by_apply_is_reported(capsys):
                for row in document["rows"])
 
 
+def test_a_rate_recomputed_by_apply_is_reported(capsys):
+    """chaos_saturated offers each system its knee rate, whatever --rate-tps says."""
+    assert main(["run", "chaos_saturated", "--rate-tps", "80",
+                 "--duration-ms", "300", "--warmup-ms", "50",
+                 "--workers", "1"]) == 0
+    assert "note: --rate-tps is recomputed per point" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "smoke", "--workers", "0"],
     ["run", "smoke", "--duration-ms", "500", "--warmup-ms", "600"],

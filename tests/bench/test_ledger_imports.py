@@ -15,6 +15,9 @@ storage microbenchmarks are also run here, each on a handful of operations, and
 so are the middleware, core and workload ones: they call the statement API
 (``all_statements``, ``Operation.rendered_sql``, ``plan_round`` on a round,
 ``statement_count``), which a change of the transaction records reshapes.
+The bench micros run too: they call the config hash, the sweep cache, the
+summary pickle and ``get_scenario(...).sweep(...)`` through ``SweepRunner.run``
+into the figure builders.
 """
 
 import ast
@@ -88,6 +91,7 @@ IMPORTED = sorted(_imported_names())
 COUNTED = _counted_functions()
 KERNEL_MICROS = _micro_names("sim_kernel", "locks", "network", "storage")
 MODEL_MICROS = _micro_names("middleware", "core", "workloads")
+BENCH_MICROS = _micro_names("bench")
 
 
 @pytest.mark.parametrize("reference", sorted(set(IMPORTED) - set(KNOWN_STALE)))
@@ -147,3 +151,14 @@ def test_the_model_micros_are_all_found():
 def test_a_model_layer_micro_runs_on_the_current_api(ledger_micro, name):
     bench, _operations = ledger_micro.MICROBENCHMARKS[name]
     assert bench(20) >= 0.0
+
+
+def test_the_bench_micros_are_all_found():
+    assert {"bench.config_hash_us", "bench.cache_store_lookup_us",
+            "bench.summary_roundtrip_us", "bench.figures_build_ms"} <= set(BENCH_MICROS)
+
+
+@pytest.mark.parametrize("name", BENCH_MICROS)
+def test_a_bench_layer_micro_runs_on_the_current_api(ledger_micro, name):
+    bench, _operations = ledger_micro.MICROBENCHMARKS[name]
+    assert bench(2) >= 0.0

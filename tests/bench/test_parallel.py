@@ -15,7 +15,7 @@ from repro.bench.parallel import (
     resolve_worker_count,
     run_sweep_point,
 )
-from repro.bench.scenarios import Axis, SweepSpec, get_scenario
+from repro.bench.scenarios import Axis, ScenarioSpec, get_scenario
 
 TINY_YCSB = YCSBConfig(records_per_node=1_000, skew=0.5, distributed_ratio=0.2)
 
@@ -197,7 +197,7 @@ def test_run_sweep_point_is_importable_by_workers():
     # The worker entry point must be resolvable by qualified name for pickling.
     import repro.bench.parallel as parallel_module
     assert parallel_module.run_sweep_point is run_sweep_point
-    sweep = SweepSpec(name="one", base=ExperimentConfig(
+    sweep = ScenarioSpec(name="one", base=ExperimentConfig(
         system="ssp", terminals=2, duration_ms=1_500.0, warmup_ms=300.0,
         ycsb=TINY_YCSB), axes=(Axis("seed", (7,)),))
     point_result = run_sweep_point(sweep.points()[0])

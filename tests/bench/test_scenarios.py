@@ -9,7 +9,6 @@ from repro.bench.scenarios import (
     SCENARIOS,
     Axis,
     ScenarioSpec,
-    SweepSpec,
     get_scenario,
     scenario_names,
     set_config_param,
@@ -52,9 +51,9 @@ def test_get_scenario_unknown_name_lists_known_ones():
 
 
 def test_points_expand_cartesian_product_in_declaration_order():
-    sweep = SweepSpec(name="demo", base=ExperimentConfig(),
-                      axes=(Axis("system", ("ssp", "geotp")),
-                            Axis("terminals", (4, 8))))
+    sweep = ScenarioSpec(name="demo", base=ExperimentConfig(),
+                         axes=(Axis("system", ("ssp", "geotp")),
+                               Axis("terminals", (4, 8))))
     points = sweep.points()
     assert sweep.size() == 4
     assert [p.params for p in points] == [
@@ -71,7 +70,7 @@ def test_points_expand_cartesian_product_in_declaration_order():
 
 def test_points_get_independent_config_copies():
     base = ExperimentConfig()
-    sweep = SweepSpec(name="demo", base=base, axes=(Axis("seed", (1, 2)),))
+    sweep = ScenarioSpec(name="demo", base=base, axes=(Axis("seed", (1, 2)),))
     one, two = sweep.points()
     one.config.ycsb.skew = 99.0
     assert two.config.ycsb.skew != 99.0
@@ -98,6 +97,17 @@ def test_sweep_rejects_unknown_axis_and_none_overrides_are_ignored():
         scenario.sweep(axes={"nope": (1,)})
     sweep = scenario.sweep(duration_ms=None, terminals=None)
     assert sweep.base.duration_ms == scenario.base.duration_ms
+
+
+def test_an_override_naming_an_axis_collapses_that_axis():
+    points = get_scenario("fig5_overall").sweep(terminals=16).points()
+    assert len(points) == 5
+    assert {p.config.terminals for p in points} == {16}
+    assert {p.params["terminals"] for p in points} == {16}
+    # An axis with a path is named by its dotted path too.
+    points = get_scenario("load_sweep").sweep(arrival__rate_tps=80.0).points()
+    assert len(points) == 3
+    assert {p.config.arrival.rate_tps for p in points} == {80.0}
 
 
 def test_set_config_param_rejects_unknown_paths():
@@ -143,8 +153,8 @@ def test_every_registered_scenario_expands_to_picklable_points():
 
 def test_registering_requires_unique_axis_names():
     with pytest.raises(ValueError):
-        SweepSpec(name="dup", base=ExperimentConfig(),
-                  axes=(Axis("system", ("ssp",)), Axis("system", ("geotp",))))
+        ScenarioSpec(name="dup", base=ExperimentConfig(),
+                     axes=(Axis("system", ("ssp",)), Axis("system", ("geotp",))))
 
 
 def test_scenario_spec_is_reusable_across_derived_sweeps():

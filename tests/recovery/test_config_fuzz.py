@@ -45,9 +45,9 @@ from hypothesis import strategies as st
 from hypothesis.errors import NoSuchExample
 
 from repro import ExperimentConfig, TopologyConfig, run_experiment
+from repro.bench.scenarios import KNEE_TPS
 from repro.plugins import get_system_plugin, system_names
 from repro.recovery import FaultEvent, FaultKind, FaultPlan
-from repro.recovery.chaos import KNEE_TPS
 from repro.recovery.failures import FAULT_NAMES
 from repro.recovery.invariants import violations
 from repro.sim.latency import DynamicLatency
