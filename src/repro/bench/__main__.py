@@ -20,11 +20,13 @@ with one row per point.  Examples::
         --output-dir figures/
     PYTHONPATH=src python -m repro.bench figures chaos \\
         --input chaos_report.json --output-dir figures/
-    PYTHONPATH=src python -m repro.bench chaos --workers 2 \\
+    PYTHONPATH=src python -m repro.bench run chaos --workers 2 \\
         --output chaos_report.json
 
 ``run --output FILE`` also prints the sweep's table (``report.sweep_table``, one
-row per point) on stderr.
+row per point) on stderr.  Every ``run`` document carries a ``violations``
+list of the robustness invariants (``repro.recovery.invariants``) that failed
+on any point, and ``run`` exits 1 when that list is not empty.
 ``run --cache-dir DIR`` persists every executed sweep point into a resumable
 result cache; adding ``--resume`` consults the cache first, so a killed sweep
 re-run computes only the missing points and assembles a byte-identical
@@ -42,7 +44,6 @@ README).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import List, Optional
@@ -57,8 +58,7 @@ from repro.plugins import system_plugins, workload_plugins
 
 def _add_sweep_flags(parser: argparse.ArgumentParser,
                      positional: bool = True) -> None:
-    """The flags shared by ``run``, ``figures`` and ``chaos``: overrides +
-    cache."""
+    """The flags shared by ``run`` and ``figures``: overrides + cache."""
     if positional:
         parser.add_argument("scenario",
                             help="registered scenario name (see `list`)")
@@ -114,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="registered scenario name to run, or any label "
                               "when --input supplies the document")
     figures.add_argument("--input", default=None,
-                         help="JSON document from a previous `run`/`chaos` "
-                              "--output instead of running the scenario")
+                         help="JSON document from a previous `run --output` "
+                              "instead of running the scenario")
     figures.add_argument("--output-dir", default="figures",
                          help="directory for the figure artifacts "
                               "(default: figures/)")
@@ -123,15 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write only the per-figure data JSONs, not "
                               "the SVG drawings")
     _add_sweep_flags(figures, positional=False)
-
-    chaos = commands.add_parser(
-        "chaos", help="run the `chaos` scenario (every fault-catalogue plan "
-                      "on ssp and geotp) and fail on any robustness-invariant "
-                      "violation")
-    _add_sweep_flags(chaos, positional=False)
-    chaos.add_argument("--output", default=None,
-                       help="write the JSON document here instead of stdout")
-    chaos.set_defaults(scenario="chaos")
     return parser
 
 
@@ -202,31 +193,17 @@ def _make_cache(args: argparse.Namespace) -> Optional[SweepCache]:
 
 
 def _expand_sweep(args: argparse.Namespace):
-    """The overridden sweep of ``args.scenario`` and its expanded points."""
-    scenario = get_scenario(args.scenario)
+    """The overridden sweep of ``args.scenario``."""
     # The rate is not an ExperimentConfig field: it lives on the arrival
     # config (which only open-system scenarios carry — others fail loudly).
     overrides = {"duration_ms": args.duration_ms, "warmup_ms": args.warmup_ms,
                  "terminals": args.terminals, "seed": args.seed,
                  "arrival__rate_tps": args.rate_tps}
     # An override naming one of the scenario's axes (--terminals for
-    # fig5_overall, --rate-tps for load_sweep) collapses that axis.
-    sweep = scenario.sweep(**overrides)
-    # Some scenarios derive these fields per point (fig11b computes the
-    # duration from its phase schedule, fig11a derives the seed from the
-    # repeat axis, admission_knee the rate from the system's knee); tell the
-    # user instead of silently ignoring the flag.
-    points = sweep.points()
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        if any(functools.reduce(getattr, name.split("__"), point.config) != value
-               for point in points):
-            flag = "--" + name.rpartition("__")[2].replace("_", "-")
-            print(f"note: {flag} is recomputed per point by scenario "
-                  f"{scenario.name!r} and was ignored for some points",
-                  file=sys.stderr)
-    return sweep, points
+    # fig5_overall, --rate-tps for load_sweep) collapses that axis; one that
+    # a scenario recomputes per point (fig11b's duration, admission_knee's
+    # rate) makes points() raise instead of being ignored.
+    return get_scenario(args.scenario).sweep(**overrides)
 
 
 def _require_figure_builder(points) -> None:
@@ -246,9 +223,9 @@ def _require_figure_builder(points) -> None:
 
 def _execute_scenario(args: argparse.Namespace, for_figures: bool = False):
     """Run ``args.scenario`` with overrides; returns (result, JSON document)."""
-    sweep, points = _expand_sweep(args)
+    sweep = _expand_sweep(args)
     if for_figures:
-        _require_figure_builder(points)
+        _require_figure_builder(sweep.points())
     cache = _make_cache(args)
     result = SweepRunner(max_workers=args.workers, cache=cache,
                          resume=args.resume).run(sweep)
@@ -256,9 +233,8 @@ def _execute_scenario(args: argparse.Namespace, for_figures: bool = False):
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
-    """``run NAME``, or ``chaos``: the ``chaos`` scenario's document plus a
-    ``violations`` list of every failed robustness invariant, exit 1 when
-    that list is nonempty."""
+    """``run NAME``: the scenario's document plus a ``violations`` list of
+    every failed robustness invariant, exit 1 when that list is nonempty."""
     from repro.recovery.invariants import violations
 
     try:
@@ -269,12 +245,10 @@ def _run_scenario(args: argparse.Namespace) -> int:
     except (AttributeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    judged = args.command == "chaos"
-    if judged:
-        document["violations"] = [
-            {"params": row["params"], "violation": message}
-            for row in document["rows"]
-            for message in violations(row.get("invariants"))]
+    document["violations"] = [
+        {"params": row["params"], "violation": message}
+        for row in document["rows"]
+        for message in violations(row.get("invariants"))]
     text = json.dumps(document, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -284,17 +258,13 @@ def _run_scenario(args: argparse.Namespace) -> int:
         print(format_table(*sweep_table(result)), file=sys.stderr)
     else:
         print(text)
-    if not judged:
-        return 0
     for entry in document["violations"]:
         print(f"INVARIANT VIOLATION [{entry['params']}]: "
               f"{entry['violation']}", file=sys.stderr)
     if document["violations"]:
         print(f"{len(document['violations'])} invariant violation(s) across "
-              f"{document['points']} chaos points", file=sys.stderr)
+              f"{document['points']} points", file=sys.stderr)
         return 1
-    print(f"all robustness invariants held across {document['points']} "
-          f"chaos points", file=sys.stderr)
     return 0
 
 

@@ -19,9 +19,13 @@ Everything that runs a paper figure goes through the registry:
   asserts the paper's qualitative claims on the ``SweepResult`` itself.
 
 Adding a new scenario is declarative: register a ``ScenarioSpec`` with a base
-config, axes and (when an axis does not map 1:1 onto a config field) a
-module-level *apply* function — no new runner loop is ever written.  Code
-that wants a scenario of its own calls :func:`register` after import.
+config and axes, each axis naming the config path its values set (through a
+label table when a label stands for a value, as ``contention`` stands for a
+skew).  A module-level *apply* function is left for what no single axis
+value decides — a fault window on the final duration, a system's knee rate,
+a latency schedule built from several parameters.  No new runner loop is
+ever written.  Code that wants a scenario of its own calls :func:`register`
+after import.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import itertools
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.bench.cache import canonical_repr
 from repro.bench.runner import ExperimentConfig
 from repro.cluster.fleet import FleetConfig, RetryPolicy, routing_policy_names
 from repro.cluster.topology import TopologyConfig
@@ -68,30 +73,48 @@ BENCH_SCALE = Scale(duration_ms=20_000.0, warmup_ms=2_000.0, terminals=32)
 
 
 # ----------------------------------------------------------------- sweep model
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
 @dataclass(frozen=True)
 class Axis:
-    """One named sweep dimension.
+    """One named sweep dimension and the config path its values set.
 
-    ``path`` optionally names the dotted ``ExperimentConfig`` attribute the
-    values are written to (e.g. ``"ycsb.skew"``).  Without a path, a value is
-    applied automatically when ``name`` is an ``ExperimentConfig`` field;
-    otherwise the scenario's *apply* function is responsible for it.
+    ``path`` is the dotted ``ExperimentConfig`` attribute each value is
+    written to (e.g. ``"ycsb.skew"``); it defaults to ``name`` when that is an
+    ``ExperimentConfig`` field.  A *labelled* axis also carries ``table``: its
+    values are labels, and each point gets a deep copy of ``table[label]`` at
+    ``path`` (``contention="high"`` sets ``ycsb.skew`` to
+    ``CONTENTION_SKEW["high"]``).  An axis without a path only labels its
+    points for the scenario's *apply* function.
     """
 
     name: str
     values: Tuple[Any, ...]
     path: Optional[str] = None
+    table: Optional[Mapping[Any, Any]] = None
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
         if not values:
             raise ValueError(f"axis {self.name!r} needs at least one value")
+        path = self.path
+        if path is None and self.name in _CONFIG_FIELDS:
+            path = self.name
+        if self.table is not None:
+            if path is None:
+                raise ValueError(f"labelled axis {self.name!r} needs a path")
+            unknown = [value for value in values if value not in self.table]
+            if unknown:
+                raise ValueError(f"axis {self.name!r} has no labels {unknown}; "
+                                 f"its labels are {list(self.table)}")
         # The system axis is canonicalized at declaration time so aliases
         # (``ScalarDB+``) resolve identically at every entry point and sweep
         # params always carry registry names.
-        if self.name == "system" and self.path is None:
+        if path == "system":
             values = tuple(normalize_system(value) for value in values)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "path", path)
 
 
 @dataclass(frozen=True)
@@ -103,9 +126,6 @@ class SweepPoint:
     config: ExperimentConfig
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-
 def set_config_param(config: ExperimentConfig, path: str, value: Any) -> None:
     """Set a dotted attribute path (e.g. ``"ycsb.skew"``) on ``config``."""
     target: Any = config
@@ -115,6 +135,14 @@ def set_config_param(config: ExperimentConfig, path: str, value: Any) -> None:
     if not hasattr(target, parts[-1]):
         raise AttributeError(f"config has no parameter {path!r}")
     setattr(target, parts[-1], value)
+
+
+def _canonical_at(config: ExperimentConfig, path: str) -> str:
+    """The canonical form of the value at ``path`` (``None`` past a gap)."""
+    target: Any = config
+    for part in path.split("."):
+        target = getattr(target, part, None)
+    return canonical_repr(target)
 
 
 # ------------------------------------------------------------------- registry
@@ -129,11 +157,14 @@ class ScenarioSpec:
     axes: Tuple[Axis, ...]
     description: str = ""
     #: Parameters shared by every point, passed to ``apply`` alongside the
-    #: axis values (e.g. the fixed distributed ratio of Figure 8).
+    #: axis values (e.g. the phase schedule of Figure 11b).
     fixed: Dict[str, Any] = field(default_factory=dict)
-    #: Module-level callable ``(config, params) -> config`` handling axis
-    #: names that do not map directly onto config attributes.
+    #: Module-level callable ``(config, params) -> config`` for what no single
+    #: axis path decides (a fault window, a knee rate, a latency schedule).
     apply: Optional[Callable[[ExperimentConfig, Dict[str, Any]], ExperimentConfig]] = None
+    #: The config paths :meth:`sweep` overrode; :meth:`points` refuses to
+    #: expand when an axis or ``apply`` would overwrite one, wholly or in part.
+    overrides: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -153,7 +184,20 @@ class ScenarioSpec:
 
         Each point gets its own deep copy of the base config, so points are
         independently mutable and safely picklable across worker processes.
+        Raises ``ValueError`` when an override would be silently dropped,
+        wholly or in part: a labelled axis sets its path per point, an axis
+        sets a path inside it, or ``apply`` rewrites it.
         """
+        for path in self.overrides:
+            for axis in self.axes:
+                if axis.path is not None and (
+                        axis.path.startswith(path + ".")
+                        or (axis.table is not None
+                            and (path + ".").startswith(axis.path + "."))):
+                    raise ValueError(
+                        f"scenario {self.name!r}: axis {axis.name!r} sets "
+                        f"{axis.path!r} per point, so the override of "
+                        f"{path!r} would be ignored")
         out: List[SweepPoint] = []
         combos = itertools.product(*(axis.values for axis in self.axes))
         for index, combo in enumerate(combos):
@@ -161,13 +205,18 @@ class ScenarioSpec:
             params.update(zip((axis.name for axis in self.axes), combo))
             config = copy.deepcopy(self.base)
             for axis, value in zip(self.axes, combo):
-                path = axis.path
-                if path is None and axis.name in _CONFIG_FIELDS:
-                    path = axis.name
-                if path is not None:
-                    set_config_param(config, path, value)
+                if axis.table is not None:
+                    value = copy.deepcopy(axis.table[value])
+                if axis.path is not None:
+                    set_config_param(config, axis.path, value)
             if self.apply is not None:
+                before = [_canonical_at(config, path) for path in self.overrides]
                 config = self.apply(config, params) or config
+                for path, seen in zip(self.overrides, before):
+                    if _canonical_at(config, path) != seen:
+                        raise ValueError(
+                            f"scenario {self.name!r} recomputes {path!r} per "
+                            f"point, so the override would be ignored")
             out.append(SweepPoint(index=index, params=params, config=config))
         return out
 
@@ -180,21 +229,25 @@ class ScenarioSpec:
         ``fixed`` merges into the scenario's fixed parameters; keyword
         ``overrides`` are written onto a copy of the base config — plain field
         names or dotted paths spelled with ``__`` (``ycsb__skew=1.5``).  An
-        override naming an axis (by name or path) collapses that axis to the
-        single given value instead, so it is not overwritten per point.
-        ``None`` overrides are ignored so callers can pass optional knobs
-        straight through.
+        override naming an axis (by name, or a plain axis by path) collapses
+        that axis to the single given value instead.  ``None`` overrides are
+        ignored so callers can pass optional knobs straight through.
         """
         axes = dict(axes or {})
-        by_key = {key: axis.name for axis in self.axes
-                  for key in (axis.name, axis.path) if key is not None}
+        by_key = {axis.name: axis for axis in self.axes}
+        by_key.update((axis.path, axis) for axis in self.axes
+                      if axis.path is not None and axis.table is None)
         base = copy.deepcopy(self.base)
+        paths = list(self.overrides)
         for key, value in overrides.items():
             if value is None:
                 continue
             path = key.replace("__", ".")
-            if path in by_key:
-                axes[by_key[path]] = (value,)
+            axis = by_key.get(path)
+            if axis is not None:
+                axes[axis.name] = (value,)
+                if axis.table is None and axis.path is not None:
+                    paths.append(axis.path)
                 continue
             if key == "system":
                 value = normalize_system(value)
@@ -206,6 +259,7 @@ class ScenarioSpec:
                     # plugin's dedicated field / default config.
                     base.workload_config = None
             set_config_param(base, path, value)
+            paths.append(path)
         new_axes = []
         for axis in self.axes:
             if axis.name in axes:
@@ -215,7 +269,8 @@ class ScenarioSpec:
         if axes:
             raise KeyError(f"scenario {self.name!r} has no axes {sorted(axes)}")
         return replace(self, base=base, axes=tuple(new_axes),
-                       fixed={**self.fixed, **(fixed or {})})
+                       fixed={**self.fixed, **(fixed or {})},
+                       overrides=tuple(dict.fromkeys(paths)))
 
 
 SCENARIOS: Dict[str, ScenarioSpec] = {}
@@ -260,53 +315,43 @@ def _base(system: str = "geotp", scale: Scale = QUICK_SCALE,
     return ExperimentConfig(system=system, **kwargs)
 
 
+# ------------------------------------------------------------- label tables
+#: Fig. 1b: the DM-DS2 RTT, with DS1 10 ms from the middleware.
+FIG1_TOPOLOGIES = {ms: TopologyConfig.from_rtts([10.0, float(ms)])
+                   for ms in (20, 40, 60, 80, 100)}
+
+#: Fig. 10a: three data nodes at mean - 10, mean and mean + 10 ms.
+FIG10_MEAN_TOPOLOGIES = {
+    mean: TopologyConfig.from_rtts([max(mean - 10.0, 1.0), float(mean),
+                                    mean + 10.0])
+    for mean in (20, 40, 60, 80)}
+
+#: Fig. 10b: three data nodes at 40 - std, 40 and 40 + std ms.
+FIG10_STD_TOPOLOGIES = {
+    std: TopologyConfig.from_rtts([max(40.0 - std, 1.0), 40.0, 40.0 + std])
+    for std in (0, 20, 40)}
+
+#: Fig. 15: one middleware, or one in Beijing and one in London.
+FIG15_TOPOLOGIES = {
+    "single": TopologyConfig.paper_default(),
+    "multi": TopologyConfig.multi_middleware(["beijing", "london"])}
+
+#: Table I deployment scenarios: per-node engines.
+HETEROGENEOUS_SCENARIOS = {
+    "S1": ["mysql", "mysql", "mysql", "mysql"],
+    "S2": ["postgresql", "mysql", "postgresql", "mysql"],
+    "S3": ["postgresql", "postgresql", "postgresql", "postgresql"],
+}
+TABLE1_TOPOLOGIES = {name: TopologyConfig.paper_default(dialects=dialects)
+                     for name, dialects in HETEROGENEOUS_SCENARIOS.items()}
+
+#: Fig. 9: each transaction type runs as a single-type TPC-C mix.
+FIG9_MIXES = {"payment": {"payment": 1.0}, "new_order": {"new_order": 1.0}}
+
+
 # ------------------------------------------------------------- apply functions
 # These must stay module-level functions: sweeps reference them by identity
 # and the expanded points they produce must remain picklable.
-
-def apply_ycsb_params(config: ExperimentConfig,
-                      params: Dict[str, Any]) -> ExperimentConfig:
-    """Apply the common YCSB axis names onto ``config.ycsb``."""
-    ycsb = config.ycsb
-    if "contention" in params:
-        ycsb.skew = CONTENTION_SKEW[params["contention"]]
-    if "skew" in params:
-        ycsb.skew = params["skew"]
-    if "ratio" in params:
-        ycsb.distributed_ratio = params["ratio"]
-    if "length" in params:
-        ycsb.operations_per_transaction = params["length"]
-    return config
-
-
-def _apply_fig1(config: ExperimentConfig, params: Dict[str, Any]) -> ExperimentConfig:
-    config.topology = TopologyConfig.from_rtts([10.0, float(params["ds2_latency_ms"])])
-    return apply_ycsb_params(config, params)
-
-
-def _apply_fig9(config: ExperimentConfig, params: Dict[str, Any]) -> ExperimentConfig:
-    config.tpcc = TPCCConfig(mix={params["txn_type"]: 1.0},
-                             distributed_ratio=params["ratio"],
-                             warehouses_per_node=4)
-    return config
-
-
-def _apply_fig10_mean(config: ExperimentConfig,
-                      params: Dict[str, Any]) -> ExperimentConfig:
-    mean = float(params["mean_rtt_ms"])
-    config.topology = TopologyConfig.from_rtts([max(mean - 10.0, 1.0), mean,
-                                                mean + 10.0])
-    return config
-
-
-def _apply_fig10_std(config: ExperimentConfig,
-                     params: Dict[str, Any]) -> ExperimentConfig:
-    std = float(params["std_ms"])
-    mean = float(params.get("mean_rtt_ms", 40.0))
-    config.topology = TopologyConfig.from_rtts([max(mean - std, 1.0), mean,
-                                                mean + std])
-    return config
-
 
 #: Base per-link RTTs of the random-latency experiment (Fig. 11a).
 FIG11A_BASE_RTTS = (10.0, 27.0, 73.0, 151.0)
@@ -321,7 +366,7 @@ def _apply_fig11a(config: ExperimentConfig,
               for i, base in enumerate(FIG11A_BASE_RTTS)]
     config.topology = TopologyConfig.from_latency_models(models)
     config.seed = repeat
-    return apply_ycsb_params(config, params)
+    return config
 
 
 def _apply_fig11b(config: ExperimentConfig,
@@ -346,38 +391,6 @@ def _apply_fig14_rounds(config: ExperimentConfig,
     rounds = params["rounds"]
     config.ycsb.operations_per_transaction = max(6, rounds)
     config.ycsb.rounds = rounds
-    return apply_ycsb_params(config, params)
-
-
-def _apply_fig15(config: ExperimentConfig,
-                 params: Dict[str, Any]) -> ExperimentConfig:
-    if params["deployment"] == "multi":
-        config.topology = TopologyConfig.multi_middleware(["beijing", "london"])
-    else:
-        config.topology = TopologyConfig.paper_default()
-    return config
-
-
-#: Table I deployment scenarios: per-node engines.
-HETEROGENEOUS_SCENARIOS = {
-    "S1": ["mysql", "mysql", "mysql", "mysql"],
-    "S2": ["postgresql", "mysql", "postgresql", "mysql"],
-    "S3": ["postgresql", "postgresql", "postgresql", "postgresql"],
-}
-
-
-def _apply_table1(config: ExperimentConfig,
-                  params: Dict[str, Any]) -> ExperimentConfig:
-    dialects = HETEROGENEOUS_SCENARIOS[params["deployment"]]
-    config.topology = TopologyConfig.paper_default(dialects=dialects)
-    return apply_ycsb_params(config, params)
-
-
-def _apply_extra_geotp(config: ExperimentConfig,
-                       params: Dict[str, Any]) -> ExperimentConfig:
-    knobs = {k: v for k, v in params.items()
-             if k in ("ewma_alpha", "hotspot_capacity", "admission_max_retries")}
-    config.geotp = GeoTPConfig(**knobs)
     return config
 
 
@@ -422,9 +435,10 @@ register(ScenarioSpec(
     base=_base("ssp", terminals=8,
                ycsb=default_ycsb(distributed_ratio=0.2, home_node=0,
                                  records_per_node=5_000)),
-    axes=(Axis("contention", ("low", "medium")),
-          Axis("ds2_latency_ms", (20, 40, 60, 80, 100))),
-    apply=_apply_fig1,
+    axes=(Axis("contention", ("low", "medium"), path="ycsb.skew",
+               table=CONTENTION_SKEW),
+          Axis("ds2_latency_ms", tuple(FIG1_TOPOLOGIES), path="topology",
+               table=FIG1_TOPOLOGIES)),
 ))
 
 register(ScenarioSpec(
@@ -445,46 +459,47 @@ register(ScenarioSpec(
     name="fig7_dist_ratio_ycsb",
     description="YCSB throughput/latency vs distributed-transaction ratio (Fig. 7)",
     base=_base(),
-    axes=(Axis("contention", ("low", "medium", "high")),
+    axes=(Axis("contention", ("low", "medium", "high"), path="ycsb.skew",
+               table=CONTENTION_SKEW),
           Axis("system", DIST_RATIO_SYSTEMS),
-          Axis("ratio", (0.2, 0.6, 1.0))),
-    apply=apply_ycsb_params,
+          Axis("ratio", (0.2, 0.6, 1.0), path="ycsb.distributed_ratio")),
 ))
 
 register(ScenarioSpec(
     name="fig8_latency_cdf",
     description="Latency CDFs with a fixed distributed ratio (Fig. 8)",
-    base=_base(),
-    axes=(Axis("contention", ("low", "medium", "high")),
+    base=_base(ycsb=default_ycsb(distributed_ratio=0.6)),
+    axes=(Axis("contention", ("low", "medium", "high"), path="ycsb.skew",
+               table=CONTENTION_SKEW),
           Axis("system", ("ssp", "ssp_local", "geotp"))),
-    fixed={"ratio": 0.6},
-    apply=apply_ycsb_params,
 ))
 
 register(ScenarioSpec(
     name="fig9_dist_ratio_tpcc",
     description="TPC-C Payment/NewOrder vs distributed-transaction ratio (Fig. 9)",
-    base=_base(workload="tpcc"),
-    axes=(Axis("txn_type", ("payment", "new_order")),
+    base=_base(workload="tpcc", tpcc=TPCCConfig(warehouses_per_node=4)),
+    axes=(Axis("txn_type", tuple(FIG9_MIXES), path="tpcc.mix",
+               table=FIG9_MIXES),
           Axis("system", DIST_RATIO_SYSTEMS),
-          Axis("ratio", (0.2, 0.6, 1.0))),
-    apply=_apply_fig9,
+          Axis("ratio", (0.2, 0.6, 1.0), path="tpcc.distributed_ratio")),
 ))
 
 register(ScenarioSpec(
     name="fig10_mean_sweep",
     description="Sensitivity to the mean network RTT (Fig. 10a)",
     base=_base(),
-    axes=(Axis("mean_rtt_ms", (20, 40, 60, 80)), Axis("system", ("ssp", "geotp"))),
-    apply=_apply_fig10_mean,
+    axes=(Axis("mean_rtt_ms", tuple(FIG10_MEAN_TOPOLOGIES), path="topology",
+               table=FIG10_MEAN_TOPOLOGIES),
+          Axis("system", ("ssp", "geotp"))),
 ))
 
 register(ScenarioSpec(
     name="fig10_std_sweep",
     description="Sensitivity to the RTT spread at a fixed mean (Fig. 10b)",
     base=_base(),
-    axes=(Axis("std_ms", (0, 20, 40)), Axis("system", ("ssp", "geotp"))),
-    apply=_apply_fig10_std,
+    axes=(Axis("std_ms", tuple(FIG10_STD_TOPOLOGIES), path="topology",
+               table=FIG10_STD_TOPOLOGIES),
+          Axis("system", ("ssp", "geotp"))),
 ))
 
 register(ScenarioSpec(
@@ -492,7 +507,7 @@ register(ScenarioSpec(
     description="Random per-message latency fluctuations (Fig. 11a)",
     base=_base(),
     axes=(Axis("system", ("ssp", "geotp")),
-          Axis("ratio", (0.2, 0.6, 1.0)),
+          Axis("ratio", (0.2, 0.6, 1.0), path="ycsb.distributed_ratio"),
           Axis("repeat", (0, 1, 2))),
     fixed={"max_factor": 1.5},
     apply=_apply_fig11a,
@@ -534,16 +549,15 @@ def _apply_fig12(config: ExperimentConfig,
     system, switches = FIG12_VARIANTS[params["variant"]]
     config.system = system
     config.geotp = None if switches is None else GeoTPConfig(**switches)
-    return apply_ycsb_params(config, params)
+    return config
 
 
 register(ScenarioSpec(
     name="fig12_ablation",
     description="O1 / O1-O2 / O1-O3 ablation across skew factors (Fig. 12)",
-    base=_base(),
-    axes=(Axis("skew", (0.3, 0.9, 1.5)),
+    base=_base(ycsb=default_ycsb(distributed_ratio=0.5)),
+    axes=(Axis("skew", (0.3, 0.9, 1.5), path="ycsb.skew"),
           Axis("variant", tuple(FIG12_VARIANTS))),
-    fixed={"ratio": 0.5},
     apply=_apply_fig12,
 ))
 
@@ -551,24 +565,25 @@ register(ScenarioSpec(
     name="fig13_yugabyte",
     description="Comparison against a YugabyteDB-like database (Fig. 13)",
     base=_base(),
-    axes=(Axis("contention", ("low", "medium", "high")),
+    axes=(Axis("contention", ("low", "medium", "high"), path="ycsb.skew",
+               table=CONTENTION_SKEW),
           Axis("system", ("ssp", "geotp", "yugabyte"))),
-    apply=apply_ycsb_params,
 ))
 
 register(ScenarioSpec(
     name="fig14_length",
     description="Impact of transaction length (Fig. 14a)",
     base=_base(),
-    axes=(Axis("system", ("ssp", "geotp")), Axis("length", (5, 15, 25))),
-    apply=apply_ycsb_params,
+    axes=(Axis("system", ("ssp", "geotp")),
+          Axis("length", (5, 15, 25), path="ycsb.operations_per_transaction")),
 ))
 
 register(ScenarioSpec(
     name="fig14_rounds",
     description="Impact of client interaction rounds (Fig. 14b/c)",
     base=_base(),
-    axes=(Axis("contention", ("low", "medium")),
+    axes=(Axis("contention", ("low", "medium"), path="ycsb.skew",
+               table=CONTENTION_SKEW),
           Axis("system", ("ssp", "geotp")),
           Axis("rounds", (1, 3, 6))),
     apply=_apply_fig14_rounds,
@@ -579,42 +594,42 @@ register(ScenarioSpec(
     description="Single- vs multi-middleware deployment (Fig. 15)",
     base=_base(),
     axes=(Axis("system", ("ssp", "geotp")),
-          Axis("deployment", ("single", "multi"))),
-    apply=_apply_fig15,
+          Axis("deployment", tuple(FIG15_TOPOLOGIES), path="topology",
+               table=FIG15_TOPOLOGIES)),
 ))
 
 register(ScenarioSpec(
     name="table1_heterogeneous",
     description="Heterogeneous MySQL/PostgreSQL deployments (Table I)",
     base=_base(),
-    axes=(Axis("deployment", tuple(HETEROGENEOUS_SCENARIOS)),
-          Axis("ratio", (0.25, 0.75)),
+    axes=(Axis("deployment", tuple(TABLE1_TOPOLOGIES), path="topology",
+               table=TABLE1_TOPOLOGIES),
+          Axis("ratio", (0.25, 0.75), path="ycsb.distributed_ratio"),
           Axis("system", ("ssp", "geotp"))),
-    apply=_apply_table1,
 ))
 
 register(ScenarioSpec(
     name="extra_ewma_alpha",
     description="GeoTP sensitivity to the latency-monitor EWMA alpha",
-    base=_base(),
-    axes=(Axis("ewma_alpha", (0.2, 0.8)),),
-    apply=_apply_extra_geotp,
+    base=_base(geotp=GeoTPConfig()),
+    axes=(Axis("ewma_alpha", (0.2, 0.8), path="geotp.ewma_alpha"),),
 ))
 
 register(ScenarioSpec(
     name="extra_hotspot_capacity",
     description="GeoTP sensitivity to the hotspot-statistics capacity",
-    base=_base(ycsb=default_ycsb(skew=CONTENTION_SKEW["high"])),
-    axes=(Axis("hotspot_capacity", (64, 4096)),),
-    apply=_apply_extra_geotp,
+    base=_base(ycsb=default_ycsb(skew=CONTENTION_SKEW["high"]),
+               geotp=GeoTPConfig()),
+    axes=(Axis("hotspot_capacity", (64, 4096), path="geotp.hotspot_capacity"),),
 ))
 
 register(ScenarioSpec(
     name="extra_admission_retries",
     description="GeoTP sensitivity to the admission-control retry budget",
-    base=_base(ycsb=default_ycsb(skew=CONTENTION_SKEW["high"])),
-    axes=(Axis("admission_max_retries", (0, 10)),),
-    apply=_apply_extra_geotp,
+    base=_base(ycsb=default_ycsb(skew=CONTENTION_SKEW["high"]),
+               geotp=GeoTPConfig()),
+    axes=(Axis("admission_max_retries", (0, 10),
+               path="geotp.admission_max_retries"),),
 ))
 
 register(ScenarioSpec(
@@ -733,8 +748,8 @@ register(ScenarioSpec(
 
 
 # ------------------------------------------------------------ chaos family
-# `chaos` runs every catalogue plan (`python -m repro.bench chaos` judges each
-# point by repro.recovery.invariants); `admission_knee` and `chaos_saturated`
+# `chaos` runs every catalogue plan (`python -m repro.bench run chaos` judges
+# each point by repro.recovery.invariants); `admission_knee` and `chaos_saturated`
 # are the graceful-degradation families.  Random fault timings, latency
 # schedules, arrival shapes and workloads are the config fuzz test's.
 #: Measured saturation knees under the graceful-degradation base (20 s
@@ -777,7 +792,7 @@ register(ScenarioSpec(
     name="chaos",
     description="Every fault-catalogue plan (incl. the composed dual and "
                 "cascade) on ssp vs geotp at smoke scale, judged by the "
-                "robustness invariants (`python -m repro.bench chaos`)",
+                "robustness invariants (`python -m repro.bench run chaos`)",
     base=_base(terminals=4, duration_ms=3_000.0, warmup_ms=600.0,
                ycsb=default_ycsb(records_per_node=1_000)),
     axes=(Axis("fault", FAULT_NAMES), Axis("system", ("ssp", "geotp"))),
@@ -832,7 +847,7 @@ register(ScenarioSpec(
                 "latency fluctuations (contrib system variant)",
     base=_base(),
     axes=(Axis("system", ("geotp_static", "geotp")),
-          Axis("ratio", (0.2, 0.6)),
+          Axis("ratio", (0.2, 0.6), path="ycsb.distributed_ratio"),
           Axis("repeat", (0, 1))),
     fixed={"max_factor": 1.5},
     apply=_apply_fig11a,

@@ -20,7 +20,6 @@ from repro.sim._kernel.process import Process
 from repro.sim.latency import (
     ConstantLatency,
     DynamicLatency,
-    JitterLatency,
     LatencyModel,
     RandomLatency,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "JitterLatency",
     "LatencyModel",
     "Message",
     "Network",

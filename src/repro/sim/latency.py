@@ -2,7 +2,7 @@
 
 The paper emulates WAN latency with ``tc`` between a middleware host and data
 sources located in Beijing, Shanghai, Singapore and London (round-trip times of
-0, 27, 73 and 251 ms) and additionally studies jittered, random and
+0, 27, 73 and 251 ms) and additionally studies spread-out, random and
 time-varying latencies (Figures 10 and 11).  Each model here answers a single
 question: *what is the one-way delay of a message sent at simulated time t?*
 
@@ -52,30 +52,6 @@ class ConstantLatency(LatencyModel):
 
     def describe(self) -> str:
         return f"constant(rtt={self.rtt_ms:.1f}ms)"
-
-
-class JitterLatency(LatencyModel):
-    """RTT with Gaussian jitter around a mean.  No registered scenario builds
-    one: Fig. 10b's std-dev sweep fixes RTTs at mean - std, mean, mean + std."""
-
-    def __init__(self, mean_rtt_ms: float, std_ms: float = 0.0,
-                 rng: Optional[SeededRNG] = None, floor_ms: float = 0.0):
-        if mean_rtt_ms < 0 or std_ms < 0:
-            raise ValueError("mean and std must be non-negative")
-        self.mean_rtt_ms = float(mean_rtt_ms)
-        self.std_ms = float(std_ms)
-        self.floor_ms = float(floor_ms)
-        self._rng = rng or SeededRNG(0)
-
-    def rtt_at(self, now: float) -> float:
-        return self.mean_rtt_ms
-
-    def sample_one_way(self, now: float) -> float:
-        rtt = self._rng.gauss(self.mean_rtt_ms, self.std_ms)
-        return max(rtt, self.floor_ms) / 2.0
-
-    def describe(self) -> str:
-        return f"jitter(mean={self.mean_rtt_ms:.1f}ms, std={self.std_ms:.1f}ms)"
 
 
 class RandomLatency(LatencyModel):

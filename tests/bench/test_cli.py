@@ -6,6 +6,7 @@ import pytest
 
 import repro.bench
 from repro.bench.__main__ import main
+from repro.recovery import invariants
 
 
 def test_list_prints_every_registered_scenario(capsys):
@@ -83,6 +84,7 @@ def test_run_smoke_emits_json_rows(capsys):
     assert document["workers"] == 1
     assert document["points"] == 2
     assert document["wall_clock_s"] >= 0
+    assert document["violations"] == []
     systems = [row["params"]["system"] for row in document["rows"]]
     assert systems == ["ssp", "geotp"]
     for row in document["rows"]:
@@ -106,6 +108,19 @@ def test_run_writes_output_file(tmp_path, capsys):
     assert [row.split()[0] for row in rows] == ["ssp", "geotp"]
 
 
+def test_run_exits_1_and_lists_every_failed_invariant(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "violations",
+                        lambda report: ["no_lost_commit: lost one"])
+    assert main(["run", "smoke", "--workers", "1", "--duration-ms", "1500",
+                 "--warmup-ms", "300", "--terminals", "2"]) == 1
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)
+    assert [entry["params"]["system"] for entry in document["violations"]] \
+        == ["ssp", "geotp"]
+    assert "INVARIANT VIOLATION [{'system': 'ssp'}]: no_lost_commit: lost one" \
+        in captured.err
+
+
 def test_override_collapses_a_matching_axis(capsys):
     """``--terminals`` must win even when terminals is a sweep axis."""
     assert main(["run", "fig5_overall", "--duration-ms", "2500",
@@ -116,23 +131,24 @@ def test_override_collapses_a_matching_axis(capsys):
 
 
 def test_override_recomputed_by_apply_is_reported(capsys):
-    """fig11b derives duration from its phase schedule; the user must be told."""
+    """fig11b derives duration from its phase schedule: the flag is refused
+    before any point runs, naming the scenario and the path."""
     assert main(["run", "fig11b_dynamic_latency", "--duration-ms", "2000",
-                 "--terminals", "2", "--workers", "1"]) == 0
+                 "--terminals", "2", "--workers", "1"]) == 2
     captured = capsys.readouterr()
-    assert "note: --duration-ms is recomputed per point" in captured.err
-    document = json.loads(captured.out)
-    # fig11b rows carry the throughput timeline the figure is about.
-    assert all("timeline" in row and row["timeline"]["series"]
-               for row in document["rows"])
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario 'fig11b_dynamic_latency' "
+                                   "recomputes 'duration_ms' per point")
 
 
 def test_a_rate_recomputed_by_apply_is_reported(capsys):
     """chaos_saturated offers each system its knee rate, whatever --rate-tps says."""
     assert main(["run", "chaos_saturated", "--rate-tps", "80",
                  "--duration-ms", "300", "--warmup-ms", "50",
-                 "--workers", "1"]) == 0
-    assert "note: --rate-tps is recomputed per point" in capsys.readouterr().err
+                 "--workers", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: scenario 'chaos_saturated' recomputes 'arrival.rate_tps' "
+        "per point")
 
 
 @pytest.mark.parametrize("argv", [
@@ -146,8 +162,8 @@ def test_invalid_values_fail_cleanly_without_tracebacks(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["chaos", "--workers", "0"],
-    ["chaos", "--warmup-ms", "600", "--duration-ms", "500"],
+    ["run", "chaos", "--workers", "0"],
+    ["run", "chaos", "--warmup-ms", "600", "--duration-ms", "500"],
 ])
 def test_chaos_argument_errors_exit_2_without_tracebacks(argv, capsys):
     assert main(argv) == 2
@@ -159,7 +175,7 @@ def test_chaos_argument_errors_exit_2_without_tracebacks(argv, capsys):
 def test_chaos_judges_fourteen_points_and_draws_their_heatmap(tmp_path,
                                                               capsys):
     report = tmp_path / "chaos.json"
-    assert main(["chaos", "--output", str(report)]) == 0
+    assert main(["run", "chaos", "--output", str(report)]) == 0
     document = json.loads(report.read_text())
     assert (document["points"], document["violations"]) == (14, [])
     assert all(row["invariants"] for row in document["rows"])
@@ -191,7 +207,7 @@ def test_perf_subcommand_and_exports_are_gone(capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice: 'perf'" in err
-    for command in ("list", "run", "figures", "chaos"):
+    for command in ("list", "run", "figures"):
         assert command in err
     assert not {"PerfMetrics", "compare_to_baseline", "measure_scenario",
                 "run_perf"} & set(repro.bench.__all__)

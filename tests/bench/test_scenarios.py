@@ -116,12 +116,18 @@ def test_set_config_param_rejects_unknown_paths():
         set_config_param(config, "ycsb.nope", 1)
 
 
-def test_apply_functions_shape_complex_scenarios():
+def test_label_tables_and_apply_functions_shape_complex_scenarios():
     fig1 = get_scenario("fig1b").sweep(axes={"ds2_latency_ms": (60,)})
     for point in fig1.points():
         assert point.config.topology is not None
         assert len(point.config.topology.data_nodes) == 2
         assert point.config.ycsb.skew == CONTENTION_SKEW[point.params["contention"]]
+
+    fig9 = get_scenario("fig9_dist_ratio_tpcc").sweep(
+        axes={"system": ("geotp",), "ratio": (0.6,)})
+    assert [(p.config.tpcc.mix, p.config.tpcc.distributed_ratio)
+            for p in fig9.points()] == [({"payment": 1.0}, 0.6),
+                                        ({"new_order": 1.0}, 0.6)]
 
     fig12 = get_scenario("fig12_ablation").sweep(axes={"skew": (0.9,)})
     variants = {p.params["variant"]: p.config for p in fig12.points()}

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import TopologyConfig, build_cluster, region_rtt_ms
 from repro.cluster.topology import DataNodeSpec, MiddlewareSpec
 from repro.middleware import ModuloPartitioner
-from repro.sim import JitterLatency
+from repro.sim import RandomLatency
 
 
 def test_region_rtt_lookup():
@@ -41,7 +41,7 @@ def test_from_rtts_topology_and_validation():
 
 
 def test_from_latency_models_uses_given_models():
-    model = JitterLatency(40, std_ms=5)
+    model = RandomLatency(40)
     topology = TopologyConfig.from_latency_models([model, model])
     dm = topology.middlewares[0]
     assert topology.middleware_link_model(dm, topology.data_nodes[0]) is model
@@ -99,7 +99,7 @@ def test_cluster_middleware_named_lookup():
 
 
 def test_node_link_overrides_apply_to_the_first_middleware_only():
-    model = JitterLatency(40, std_ms=5)
+    model = RandomLatency(40)
     topology = TopologyConfig(
         data_nodes=[DataNodeSpec(name="ds0", region="london", rtt_to_dm_ms=40.0),
                     DataNodeSpec(name="ds1", region="london", rtt_to_dm_ms=40.0,

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     ConstantLatency,
     DynamicLatency,
-    JitterLatency,
     RandomLatency,
     SeededRNG,
 )
@@ -21,29 +20,6 @@ def test_constant_latency_rtt_and_one_way():
 def test_constant_latency_rejects_negative():
     with pytest.raises(ValueError):
         ConstantLatency(-1)
-
-
-def test_jitter_latency_mean_is_nominal_rtt():
-    model = JitterLatency(80, std_ms=10, rng=SeededRNG(1))
-    assert model.rtt_at(0) == 80
-
-
-def test_jitter_latency_samples_vary_but_average_near_mean():
-    model = JitterLatency(80, std_ms=10, rng=SeededRNG(7))
-    samples = [model.sample_one_way(0) for _ in range(2000)]
-    mean = sum(samples) / len(samples)
-    assert 38 <= mean <= 42  # one-way mean should be ~40
-    assert max(samples) != min(samples)
-
-
-def test_jitter_latency_respects_floor():
-    model = JitterLatency(10, std_ms=100, rng=SeededRNG(3), floor_ms=5)
-    assert all(model.sample_one_way(0) >= 2.5 for _ in range(500))
-
-
-def test_jitter_latency_zero_std_is_deterministic():
-    model = JitterLatency(60, std_ms=0, rng=SeededRNG(2))
-    assert all(model.sample_one_way(0) == 30 for _ in range(10))
 
 
 def test_random_latency_samples_within_band():
@@ -104,6 +80,5 @@ def test_dynamic_latency_negative_rtt_rejected():
 
 def test_describe_strings_are_informative():
     assert "constant" in ConstantLatency(10).describe()
-    assert "jitter" in JitterLatency(10, 1).describe()
     assert "random" in RandomLatency(10).describe()
     assert "dynamic" in DynamicLatency([(0, 10)]).describe()
